@@ -41,6 +41,7 @@ from .solver import (
     PreconditionError,
     SolveConfig,
     frobenius_radius,
+    integrate_fundamental,
     integrate_pruefer,
     propagate,
     s_reparam,
@@ -56,6 +57,7 @@ __all__ = [
     "subordinacy_ratio",
     "eigen_shoot",
     "classify_spectrum",
+    "summarize_cells",
     "decaying_direction",
 ]
 
@@ -493,7 +495,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
 
 
 def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
-                      lambda_grid: Sequence[float], *, seed: int = 0,
+                      lambda_grid: Sequence[float], *,
                       r_end: float = 120.0, delta: float = 1e-3,
                       rtol: float = 1e-9) -> dict:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
@@ -513,12 +515,11 @@ def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
 
     cells = []
     for k in sorted(int(k) for k in set(k_set)):
-        for j, lam in enumerate(sorted(set(float(l) for l in lambda_grid))):
-            rng = np.random.default_rng([seed, k + 10 ** 6, j])
+        for lam in sorted(set(float(l) for l in lambda_grid)):
             cell = {"k": k, "lambda": lam, "heuristic": heuristic}
             try:
                 if not equal:
-                    cell.update(_dominant_cell(model, k, lam, r_end, rng, rtol))
+                    cell.update(_dominant_cell(model, k, lam, r_end))
                 elif lam == 0.0:
                     cell.update({"classification": "excluded",
                                  "path": "boundary-point"})
@@ -530,22 +531,22 @@ def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
                 cell.update({"classification": "error", "path": "none",
                              "error": f"{type(err).__name__}: {err}"})
             cells.append(cell)
-    summary = _summarize(cells)
+    summary = summarize_cells(cells)
     return {"kind": "scan", "model": model.to_dict(), "equal_coefficients":
             equal, "hypotheses": [h.to_dict() for h in hyp],
             "heuristic": heuristic, "cells": cells, "summary": summary}
 
 
-def _dominant_cell(model, k, lam, r_end, rng, rtol):
+def _dominant_cell(model, k, lam, r_end):
     channel = assemble_channel(model, k, lam)
     reports = check_c_conditions(channel)
     if worst_verdict(reports) != SATISFIED:
         return {"path": "boundedness", "classification": "inconclusive",
                 "channel_conditions": [r.to_dict() for r in reports]}
-    r0 = auto_start_radius(channel)
-    cert = comparability_constant(channel, r0, r_end, rng=rng)
-    cls = "ac-candidate" if cert.verdict == "bounded" else "inconclusive"
-    return {"path": "boundedness", "classification": cls,
+    cfg = SolveConfig(r_start=auto_start_radius(channel), r_end=r_end,
+                      rtol=1e-10, atol=1e-12)
+    cert = comparability_constant(*integrate_fundamental(channel, cfg))
+    return {"path": "boundedness", "classification": "ac-candidate",
             "certificate": cert.to_dict(),
             "channel_conditions": [r.to_dict() for r in reports]}
 
@@ -578,7 +579,9 @@ def _eigen_side_cell(model, k, lam, delta, rtol):
             "report": report.to_dict()}
 
 
-def _summarize(cells):
+def summarize_cells(cells):
+    """Scan summary: the lambdas whose every cell is an ac-candidate, the
+    cell count and the error count."""
     by_lam = {}
     for cell in cells:
         by_lam.setdefault(cell["lambda"], []).append(cell["classification"])

@@ -19,7 +19,12 @@ from diracspec.coefficients import (
     power,
 )
 from diracspec.hypotheses import check_c_conditions
-from diracspec.solver import PreconditionError, SolveConfig, integrate_cartesian
+from diracspec.solver import (
+    PreconditionError,
+    SolveConfig,
+    integrate_cartesian,
+    integrate_fundamental,
+)
 
 CONST = ConstantChannel(2.0, 1.0, 0.0)
 FREE = ConstantChannel(1.0, 0.0, 0.0)
@@ -31,6 +36,22 @@ def cfg(r0, r1, **kw):
     kw.setdefault("rtol", 1e-10)
     kw.setdefault("atol", 1e-12)
     return SolveConfig(r_start=r0, r_end=r1, **kw)
+
+
+def pair(channel, r0, r1, **kw):
+    return integrate_fundamental(channel, cfg(r0, r1, **kw))
+
+
+def direction_ratios(ta, tb, n=721):
+    """Extreme two-sided norm ratio on the grid for the solutions starting at
+    (cos phi, sin phi), phi over n directions of the half circle."""
+    out = []
+    for phi in np.linspace(0.0, np.pi, n):
+        u1 = np.cos(phi) * ta.u1 + np.sin(phi) * tb.u1
+        u2 = np.cos(phi) * ta.u2 + np.sin(phi) * tb.u2
+        nsq = u1 ** 2 + u2 ** 2
+        out.append(max(np.max(nsq) / nsq[0], nsq[0] / np.min(nsq)))
+    return np.array(out)
 
 
 class TestREval:
@@ -108,23 +129,35 @@ class TestAlmostMonotone:
 
 class TestComparability:
     def test_constant_channel_exact_ratio(self):
-        cert = comparability_constant(CONST, 1.0, 101.0)
         # envelope R = 3 u1^2 + u2^2 is conserved, so norms range over
-        # [R/3, R] and the extreme ratio is exactly 3
-        assert cert.C == pytest.approx(3.0, rel=0.05)
-        assert cert.spot_checks_ok
-        assert cert.verdict == "bounded"
+        # [R/3, R] and the extreme ratio is exactly 3; it is reached where
+        # sqrt(3) (r - 1) is an odd multiple of pi/2, as at the range's end
+        r_end = 1.0 + 111 * np.pi / (2.0 * np.sqrt(3.0))
+        cert = comparability_constant(*pair(CONST, 1.0, r_end))
+        assert cert.C == pytest.approx(3.0, rel=1e-8)
+        assert cert.to_dict()["verdict"] == "bounded"
 
     def test_free_channel_is_isometric(self):
-        cert = comparability_constant(FREE, 1.0, 51.0)
-        assert cert.C == pytest.approx(1.0, rel=0.05)
+        cert = comparability_constant(*pair(FREE, 1.0, 51.0, rtol=1e-12,
+                                            atol=1e-14))
+        assert cert.C == pytest.approx(1.0, rel=1e-10)
 
     def test_linear_channel_certificate(self):
         r0 = auto_start_radius(LINEAR)
-        rng = np.random.default_rng(42)
-        cert = comparability_constant(LINEAR, r0, 200.0, rng=rng)
+        ta, tb = pair(LINEAR, r0, 200.0)
+        cert = comparability_constant(ta, tb)
         assert np.isfinite(cert.C) and cert.C >= 1.0
-        assert cert.spot_checks_ok
+        assert np.max(direction_ratios(ta, tb)) <= cert.C * (1 + 1e-9)
+
+    def test_linear_channel_exact_against_direction_sweep(self):
+        # q = r, m = 1, k = 1, lambda = 0: no initial direction exceeds C,
+        # and the sweep's worst direction reaches it
+        ta, tb = pair(LINEAR, auto_start_radius(LINEAR), 22.0)
+        cert = comparability_constant(ta, tb)
+        worst = float(np.max(direction_ratios(ta, tb)))
+        assert worst <= cert.C * (1 + 1e-9)
+        assert worst >= cert.C * (1 - 1e-6)
+        assert comparability_constant(ta, tb).C == cert.C
 
     def test_refused_on_violated_reports(self):
         from diracspec.coefficients import coefficient
@@ -132,14 +165,13 @@ class TestComparability:
                                      m=coefficient("exp", c=1, a=1))
         ch = assemble_channel(exp_model, 1, 0.0)
         reports = check_c_conditions(ch)
+        ta, tb = pair(ch, 1.0, 2.0)
         with pytest.raises(PreconditionError, match="refused"):
-            comparability_constant(ch, 1.0, 20.0, reports=reports)
+            comparability_constant(ta, tb, reports=reports)
 
     def test_certificate_requires_c_at_least_one(self):
         with pytest.raises(ValueError):
-            BoundednessCertificate(r0=1.0, r_end=2.0, sup_R=1.0, C=0.5,
-                                   verdict="bounded", spot_checks_ok=True,
-                                   n_random=0)
+            BoundednessCertificate(r0=1.0, r_end=2.0, sup_R=1.0, C=0.5)
 
     def test_transitivity_on_samples(self):
         # any combination of two basis solutions obeys the two-sided bound

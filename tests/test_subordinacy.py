@@ -245,8 +245,8 @@ class TestClassify:
         assert classify_spectrum(EQUAL, [], [1.0])["cells"] == []
 
     def test_cells_sorted_and_deterministic(self):
-        a = classify_spectrum(LINEAR, [2, 1], [1.0, -1.0], r_end=60.0, seed=7)
-        b = classify_spectrum(LINEAR, [1, 2], [-1.0, 1.0], r_end=60.0, seed=7)
+        a = classify_spectrum(LINEAR, [2, 1], [1.0, -1.0], r_end=60.0)
+        b = classify_spectrum(LINEAR, [1, 2], [-1.0, 1.0], r_end=60.0)
         assert [(c["k"], c["lambda"]) for c in a["cells"]] == \
             [(c["k"], c["lambda"]) for c in b["cells"]]
         assert a == b

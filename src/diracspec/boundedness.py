@@ -143,16 +143,15 @@ class PairVerdict:
     ok: bool
 
 
-def almost_monotone_check(traj: Trajectory, pairs=None, n_grid: int = 32,
-                          form: Optional[str] = None, rel_tol: float = 1e-9):
+def almost_monotone_check(trace: RTrace, pairs=None, n_grid: int = 32,
+                          rel_tol: float = 1e-9):
     """Check R(t2) - R(t1) <= (sum of quotient variations) * sup R over
-    [t1, t2] for pairs along the trajectory.
+    [t1, t2] for pairs along an envelope trace (see `r_trace`).
 
     For M == 0 channels the single-quotient variant with the factor
     2 (1 + eps)/(1 - eps) is used.  A false verdict is a finding, not an
     error.
     """
-    trace = r_trace(traj, form)
     grid = trace.grid
     if pairs is None:
         pts = np.geomspace(grid[0], grid[-1], n_grid)

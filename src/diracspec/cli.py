@@ -68,6 +68,7 @@ from .solver import (
     prefer_pruefer,
 )
 from .subordinacy import (
+    _eigen_side_cell,
     classify_spectrum,
     eigen_shoot,
     subordinacy_ratio,
@@ -88,12 +89,6 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"model", "channel", "k_set", "lambda_grid", "bracket", "solver",
              "ladder", "tail_ladder", "subordinacy", "eigen", "asymptotics",
              "bv", "seed", "workers"}
-_SOLVER_KEYS = {"rtol", "atol", "max_step", "r_start", "r_end", "stride"}
-_LADDER_KEYS = {"start", "factor", "rungs"}
-_SUB_KEYS = {"r0", "r_end", "delta"}
-_EIGEN_KEYS = {"scan_step", "tol"}
-_ASY_KEYS = {"windows", "r_start", "r_end", "stride"}
-_BV_KEYS = {"instances"}
 
 
 @dataclass
@@ -127,6 +122,15 @@ def _check_keys(obj, allowed, where):
         raise ConfigError(f"{where}: unknown keys {extra}")
 
 
+def _checked(where, build, *args, **kwargs):
+    """Call a coercion or constructor; its TypeError or ValueError becomes a
+    ConfigError naming the config section."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -148,9 +152,8 @@ def load_config(path) -> RunConfig:
         missing = sorted({"Q", "M", "L"} - set(raw["channel"]))
         if missing:
             raise ConfigError(f"config.channel: missing keys {missing}")
-        channel_const = ConstantChannel(float(raw["channel"]["Q"]),
-                                        float(raw["channel"]["M"]),
-                                        float(raw["channel"]["L"]))
+        channel_const = _checked("config.channel", lambda: ConstantChannel(
+            *(float(raw["channel"][key]) for key in ("Q", "M", "L"))))
 
     k_set = raw.get("k_set", [])
     if not isinstance(k_set, list) or any(
@@ -165,53 +168,50 @@ def load_config(path) -> RunConfig:
 
     bracket = raw.get("bracket")
     if bracket is not None:
-        if (not isinstance(bracket, list) or len(bracket) != 2
-                or bracket[0] >= bracket[1]):
-            raise ConfigError("config.bracket: expected [lo, hi] with lo < hi")
-        bracket = [float(bracket[0]), float(bracket[1])]
+        pair = isinstance(bracket, list) and len(bracket) == 2
+        bracket = _checked("config.bracket", lambda: [float(b) for b in bracket])
+        _require(pair and bracket[0] < bracket[1],
+                 "config.bracket: expected [lo, hi] with lo < hi")
 
-    solver = {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12, "atol": 1e-14,
-              "max_step": math.inf, "stride": 0.05}
-    if "solver" in raw:
-        _check_keys(raw["solver"], _SOLVER_KEYS, "config.solver")
-        solver.update({k: float(v) for k, v in raw["solver"].items()})
+    def section(key, defaults, **casts):
+        # the defaults name every allowed key; values are floats unless cast
+        out = dict(defaults)
+        if key in raw:
+            _check_keys(raw[key], set(defaults), f"config.{key}")
+            out.update(_checked(f"config.{key}", lambda: {
+                k: casts.get(k, float)(v) for k, v in raw[key].items()}))
+        return out
 
-    def ladder_from(key, default):
-        if key not in raw:
-            return default
-        _check_keys(raw[key], _LADDER_KEYS, f"config.{key}")
-        kw = {"start": 25.0, "factor": 2.0 if key == "ladder" else 10.0,
-              "rungs": 4 if key == "ladder" else 3}
-        kw.update(raw[key])
-        return WindowLadder(float(kw["start"]), float(kw["factor"]),
-                            int(kw["rungs"]))
-
-    ladder = ladder_from("ladder", WindowLadder(25.0, 2.0, 4))
-    tail_ladder = ladder_from("tail_ladder", WindowLadder(25.0, 10.0, 3))
-
-    sub = {"r0": 1.0, "r_end": 120.0, "delta": 1e-3}
-    if "subordinacy" in raw:
-        _check_keys(raw["subordinacy"], _SUB_KEYS, "config.subordinacy")
-        sub.update({k: float(v) for k, v in raw["subordinacy"].items()})
-    eigen = {"scan_step": 0.05, "tol": 1e-8}
-    if "eigen" in raw:
-        _check_keys(raw["eigen"], _EIGEN_KEYS, "config.eigen")
-        eigen.update({k: float(v) for k, v in raw["eigen"].items()})
-    asy = {"windows": None, "r_start": 5.0, "r_end": 210.0, "stride": 0.02}
-    if "asymptotics" in raw:
-        _check_keys(raw["asymptotics"], _ASY_KEYS, "config.asymptotics")
-        asy.update(raw["asymptotics"])
-    bv = {"instances": 200}
-    if "bv" in raw:
-        _check_keys(raw["bv"], _BV_KEYS, "config.bv")
-        bv.update({k: int(v) for k, v in raw["bv"].items()})
+    solver = section("solver", {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12,
+                                "atol": 1e-14, "max_step": math.inf,
+                                "stride": 0.05})
+    _checked("config.solver", SolveConfig, **solver)
+    ladder = _checked("config.ladder", WindowLadder, **section(
+        "ladder", {"start": 25.0, "factor": 2.0, "rungs": 4}, rungs=int))
+    tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
+        "tail_ladder", {"start": 25.0, "factor": 10.0, "rungs": 3}, rungs=int))
+    sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, "delta": 1e-3})
+    _require(0.0 < sub["r0"] < sub["r_end"] and sub["delta"] > 0.0,
+             "config.subordinacy: need 0 < r0 < r_end and delta > 0")
+    eigen = section("eigen", {"scan_step": 0.05, "tol": 1e-8})
+    _require(eigen["scan_step"] > 0.0 and eigen["tol"] > 0.0,
+             "config.eigen: scan_step and tol must be positive")
+    asy = section("asymptotics", {"windows": None, "r_start": 5.0,
+                                  "r_end": 210.0, "stride": 0.02},
+                  windows=lambda ws: None if ws is None else
+                  [(float(lo), float(hi)) for lo, hi in ws])
+    _checked("config.asymptotics", SolveConfig, r_start=asy["r_start"],
+             r_end=asy["r_end"], stride=asy["stride"])
+    bv = section("bv", {"instances": 200}, instances=int)
+    _require(bv["instances"] > 0, "config.bv: instances must be positive")
+    seed, workers = _checked("config", lambda: (
+        int(raw.get("seed", 0)), int(raw.get("workers", 1))))
 
     return RunConfig(model=model, channel_const=channel_const, k_set=k_set,
                      lambda_grid=lambda_grid, bracket=bracket, solver=solver,
                      ladder=ladder, tail_ladder=tail_ladder, subordinacy=sub,
-                     eigen=eigen, asymptotics=asy, bv=bv,
-                     seed=int(raw.get("seed", 0)),
-                     workers=int(raw.get("workers", 1)))
+                     eigen=eigen, asymptotics=asy, bv=bv, seed=seed,
+                     workers=workers)
 
 
 def fixture_path(name: str) -> Path:
@@ -272,7 +272,7 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     model = cfg.model
     doc = {"kind": "hypotheses", "model": model.to_dict(), "conditions": [],
            "channels": {}}
-    reports = check_a_conditions(model, cfg.lambda_grid, cfg.k_set or None,
+    reports = check_a_conditions(model, cfg.lambda_grid,
                                  extreme_ladder=cfg.ladder,
                                  tail_ladder=cfg.tail_ladder)
     if model.m.has_derivative and model.q.has_derivative:
@@ -347,8 +347,9 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             scfg = cfg.solve_config(r_start=r0, rtol=max(cfg.solver["rtol"], 1e-10),
                                     atol=max(cfg.solver["atol"], 1e-12))
             ta, tb = integrate_fundamental(channel, scfg)
-            r_trace(ta).to_csv(out / f"rtrace_{name}.csv")
-            verdicts = almost_monotone_check(ta)
+            trace = r_trace(ta)
+            trace.to_csv(out / f"rtrace_{name}.csv")
+            verdicts = almost_monotone_check(trace)
             doc["almost_monotone"] = {
                 "pairs": len(verdicts),
                 "failures": [v.__dict__ for v in verdicts if not v.ok]}
@@ -383,19 +384,15 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                     cfg.subordinacy["r0"], cfg.subordinacy["r_end"],
                     delta=cfg.subordinacy["delta"], with_census=True)
                 findings = findings or rep.classification != "no-subordinate"
+                doc = rep.to_dict()
+                verdict = (f"{rep.classification} "
+                           f"(liminf ~ {rep.liminf_estimate:.4g})")
             else:
-                from .subordinacy import _eigen_side_cell
                 cell = _eigen_side_cell(cfg.model, k, lam,
                                         cfg.subordinacy["delta"], 1e-9)
-                rep_dict = cell["report"]
-                _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json",
-                            rep_dict)
-                print(f"k={k} lambda={lam:g}: {cell['classification']}")
-                continue
-            _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json",
-                        rep.to_dict())
-            print(f"k={k} lambda={lam:g}: {rep.classification} "
-                  f"(liminf ~ {rep.liminf_estimate:.4g})")
+                doc, verdict = cell["report"], cell["classification"]
+            _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", doc)
+            print(f"k={k} lambda={lam:g}: {verdict}")
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
 
@@ -535,10 +532,8 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                                stride=cfg.asymptotics["stride"])
             traj = borderline_trajectory(cfg.model, k, lam, scfg)
             ref = wkb_reference(cfg.model, lam, traj.grid)
-            windows = cfg.asymptotics["windows"]
-            res = compare_asymptotics(
-                traj, ref, windows=None if windows is None else
-                [tuple(w) for w in windows])
+            res = compare_asymptotics(traj, ref,
+                                      windows=cfg.asymptotics["windows"])
             name = _cell_name(k, lam)
             _write_rows(out / f"residuals_{name}.csv", "center,residual",
                         [(w["center"], w["residual"]) for w in res],
@@ -649,6 +644,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.tolerance is not None:
             cfg.solver["rtol"] = args.tolerance
+            _checked("--tolerance", cfg.solve_config)
         out.mkdir(parents=True, exist_ok=True)
         dispatch = {
             "hypotheses": cmd_hypotheses,

@@ -191,15 +191,11 @@ def _listify(windows):
 # condition sets
 
 
-def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float],
-                       k_values: Sequence[int] = None, *,
+def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
                        extreme_ladder: WindowLadder = EXTREME_LADDER,
                        tail_ladder: WindowLadder = TAIL_LADDER):
     """Diagnose the dominant-potential hypotheses A1-A4 (plus the auxiliary
-    stronger probe A4'). The angular index enters none of them; `k_values`
-    is accepted for symmetry with the channel checks and only validated."""
-    if k_values is not None and any(int(k) == 0 for k in k_values):
-        raise ValueError("angular indices must be nonzero")
+    stronger probe A4'). The angular index enters none of them."""
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
     reports = []

@@ -11,10 +11,14 @@ u = rho (cos theta, sin theta), where
     theta'    = Q + M cos(2 theta) + L sin(2 theta),
     (ln rho)' = M sin(2 theta) - L cos(2 theta).
 
+The Cartesian system is linear, so one right-hand side serves any number of
+solutions stacked as (u1, u2, u1, u2, ...): `integrate_cartesian` carries
+one, `integrate_fundamental` two, and `propagate` one without sampling.
 The polar form is obtained by substituting the polar representation into
 the Cartesian equations; it is preferred on long ranges where Q dominates
 W = sqrt(M^2 + L^2), because ln rho then varies slowly and the phase is
-monotone.  Both representations are cross-validated in the test suite.
+monotone.  Both forms go through the same adaptive DOP853 call and are
+cross-validated in the test suite.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ class SolveConfig:
     atol: float = 1e-14
     max_step: float = math.inf
     stride: float = 0.05
-    method: str = "DOP853"
 
     def __post_init__(self):
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
@@ -122,50 +125,61 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _run_ivp(rhs, r0, r1, y0, cfg: SolveConfig, t_eval=None, dense=False):
-    return solve_ivp(rhs, (r0, r1), y0, method=cfg.method, rtol=cfg.rtol,
-                     atol=cfg.atol, max_step=cfg.max_step, t_eval=t_eval,
-                     dense_output=dense)
+def _linear_rhs(channel):
+    """Right-hand side of the Cartesian system for stacked solutions
+    (u1, u2, u1, u2, ...); the coefficients are evaluated once per call."""
+    qml = channel.scalar_qml
+
+    def rhs(r, y):
+        Q, M, L = qml(r)
+        a, b = Q + M, M - Q
+        v = y.tolist()
+        out = []
+        for i in range(0, len(v), 2):
+            u1, u2 = v[i], v[i + 1]
+            out += (-L * u1 + b * u2, a * u1 + L * u2)
+        return out
+
+    return rhs
+
+
+def _solve(rhs, r0, r1, y0, rtol, atol, max_step=math.inf, **kw):
+    return solve_ivp(rhs, (r0, r1), y0, method="DOP853", rtol=rtol,
+                     atol=atol, max_step=max_step, **kw)
+
+
+def _solve_on_grid(channel, y0, cfg: SolveConfig):
+    """Cartesian solve of stacked initial states, one Trajectory per state.
+
+    A failure on the very first step leaves no sampled points at all; the
+    trajectories then hold the initial point alone.
+    """
+    sol = _solve(_linear_rhs(channel), cfg.r_start, cfg.r_end, y0, cfg.rtol,
+                 cfg.atol, cfg.max_step, t_eval=cfg.grid())
+    grid, y = sol.t, sol.y
+    if np.size(grid) == 0:
+        grid, y = np.array([cfg.r_start]), y0[:, None]
+    return [Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
+                       theta=_safe_unwrap(u1, u2), mode="cartesian",
+                       channel=channel, status=int(sol.status),
+                       message=str(sol.message), nfev=int(sol.nfev))
+            for u1, u2 in zip(y[0::2], y[1::2])]
 
 
 def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
     """Integrate the channel system for the components (u1, u2).
 
-    Uses an embedded adaptive Runge-Kutta pair (order >= 5 with step
-    rejection).  On coefficient blow-up the partial trajectory is returned
-    with a nonzero status instead of raising.
+    On coefficient blow-up the partial trajectory is returned with a
+    nonzero status instead of raising.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (2,) or not np.any(u0):
         raise ValueError("u0 must be a nonzero 2-vector")
-
-    qml = channel.scalar_qml
-
-    def rhs(r, u):
-        Q, M, L = qml(r)
-        return (-L * u[0] - (Q - M) * u[1], (Q + M) * u[0] + L * u[1])
-
-    sol = _run_ivp(rhs, cfg.r_start, cfg.r_end, u0, cfg, t_eval=cfg.grid())
-    grid, y = _with_initial_point(sol, cfg.r_start, u0)
-    u1, u2 = y[0], y[1]
-    rho = np.hypot(u1, u2)
-    theta = _safe_unwrap(u1, u2)
-    return Trajectory(grid=grid, u1=u1, u2=u2, rho=rho, theta=theta,
-                      mode="cartesian", channel=channel,
-                      status=int(sol.status),
-                      message=str(sol.message), nfev=int(sol.nfev))
-
-
-def _with_initial_point(sol, r_start, y0):
-    # a failure on the very first step leaves no sampled points at all
-    if np.size(sol.t) == 0:
-        return np.array([r_start]), np.asarray(y0, dtype=float)[:, None]
-    return sol.t, sol.y
+    return _solve_on_grid(channel, u0, cfg)[0]
 
 
 def _safe_unwrap(u1, u2):
-    raw = np.arctan2(u2, u1)
-    theta = np.unwrap(raw)
+    theta = np.unwrap(np.arctan2(u2, u1))
     if np.max(np.abs(np.diff(theta)), initial=0.0) > 0.9 * np.pi:
         return None
     return theta
@@ -186,11 +200,11 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
         s2, c2 = math.sin(two), math.cos(two)
         return (Q + M * c2 + L * s2, M * s2 - L * c2)
 
-    sol = _run_ivp(rhs, cfg.r_start, cfg.r_end,
-                   np.array([theta0, math.log(rho0)]), cfg, dense=True)
+    sol = _solve(rhs, cfg.r_start, cfg.r_end,
+                 np.array([theta0, math.log(rho0)]), cfg.rtol, cfg.atol,
+                 cfg.max_step, dense_output=True)
     grid = cfg.grid(upper=float(sol.t[-1]))
-    vals = sol.sol(grid)
-    theta, lnrho = vals[0], vals[1]
+    theta, lnrho = sol.sol(grid)
     rho = np.exp(lnrho)
     return Trajectory(grid=grid, u1=rho * np.cos(theta), u2=rho * np.sin(theta),
                       rho=rho, theta=theta, mode="pruefer", channel=channel,
@@ -200,50 +214,22 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
 
 
 def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
-    """Integrate a fundamental system (two initial vectors) in one pass.
+    """Integrate a fundamental system (the columns of U0, default the
+    identity) in one pass.
 
     Returns a pair of trajectories sharing the same grid, suitable for
     Wronskian checks and for building arbitrary solutions by superposition.
     """
-    if U0 is None:
-        U0 = np.eye(2)
-    U0 = np.asarray(U0, dtype=float)
-
-    qml = channel.scalar_qml
-
-    def rhs(r, y):
-        Q, M, L = qml(r)
-        a, b = -L, -(Q - M)
-        c, d = (Q + M), L
-        return (a * y[0] + b * y[1], c * y[0] + d * y[1],
-                a * y[2] + b * y[3], c * y[2] + d * y[3])
-
-    y0 = np.array([U0[0, 0], U0[1, 0], U0[0, 1], U0[1, 1]])
-    sol = _run_ivp(rhs, cfg.r_start, cfg.r_end, y0, cfg, t_eval=cfg.grid())
-    grid, yvals = _with_initial_point(sol, cfg.r_start, y0)
-    out = []
-    for i in (0, 2):
-        u1, u2 = yvals[i], yvals[i + 1]
-        out.append(Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
-                              theta=_safe_unwrap(u1, u2), mode="cartesian",
-                              channel=channel,
-                              status=int(sol.status), message=str(sol.message),
-                              nfev=int(sol.nfev)))
-    return out[0], out[1]
+    U0 = np.eye(2) if U0 is None else np.asarray(U0, dtype=float)
+    return tuple(_solve_on_grid(channel, U0.T.ravel(), cfg))
 
 
 def propagate(channel, u0, r0: float, r1: float, rtol: float = 1e-10,
-              atol: float = 1e-12, method: str = "DOP853") -> np.ndarray:
+              atol: float = 1e-12) -> np.ndarray:
     """Carry a state vector from r0 to r1 (either direction) and return the
     endpoint value; used by shooting-style searches."""
-    qml = channel.scalar_qml
-
-    def rhs(r, u):
-        Q, M, L = qml(r)
-        return (-L * u[0] - (Q - M) * u[1], (Q + M) * u[0] + L * u[1])
-
-    sol = solve_ivp(rhs, (r0, r1), np.asarray(u0, dtype=float), method=method,
-                    rtol=rtol, atol=atol)
+    sol = _solve(_linear_rhs(channel), r0, r1, np.asarray(u0, dtype=float),
+                 rtol, atol)
     if sol.status != 0:
         raise PreconditionError(f"propagation from {r0:g} to {r1:g} failed: "
                                 f"{sol.message}")

@@ -449,6 +449,8 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     a, b = float(bracket[0]), float(bracket[1])
     if a < 0.0 or b <= a:
         raise ValueError("bracket must lie inside the positive half-line")
+    if not (tol_lambda > 0.0 and scan_step > 0.0):
+        raise ValueError("tol_lambda and scan_step must be positive")
 
     def mismatch(lam):
         ch = assemble_channel(model, k, lam)

@@ -106,7 +106,7 @@ class TestREval:
 class TestAlmostMonotone:
     def test_constant_coefficients_zero_rhs(self):
         traj = integrate_cartesian(CONST, [1.0, 0.0], cfg(1.0, 41.0))
-        verdicts = almost_monotone_check(traj, n_grid=8)
+        verdicts = almost_monotone_check(r_trace(traj), n_grid=8)
         assert all(v.ok for v in verdicts)
         assert all(v.rhs == 0.0 for v in verdicts)
         # with zero variation the envelope cannot grow at all
@@ -116,14 +116,14 @@ class TestAlmostMonotone:
         r0 = auto_start_radius(LINEAR)
         traj = integrate_cartesian(LINEAR, [1.0, 0.0],
                                    cfg(max(2.0, r0), 200.0, rtol=1e-9))
-        verdicts = almost_monotone_check(traj, n_grid=32)
+        verdicts = almost_monotone_check(r_trace(traj), n_grid=32)
         assert len(verdicts) == 32 * 31 // 2
         assert all(v.ok for v in verdicts)
 
     def test_m_zero_variant(self):
         ch = ConstantChannel(5.0, 0.0, 1.0)
         traj = integrate_cartesian(ch, [1.0, 2.0], cfg(1.0, 30.0))
-        verdicts = almost_monotone_check(traj)
+        verdicts = almost_monotone_check(r_trace(traj))
         assert all(v.ok for v in verdicts)
 
 

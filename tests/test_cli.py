@@ -53,6 +53,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match="k_set"):
             load_config(path)
 
+    @pytest.mark.parametrize("section", [
+        {"solver": {"rtol": "tight"}},
+        {"solver": {"rtol": 0.0}},
+        {"solver": {"r_start": 5.0, "r_end": 2.0}},
+        {"solver": {"stride": -0.1}},
+        {"ladder": {"factor": 0.5}},
+        {"tail_ladder": {"rungs": "many"}},
+        {"subordinacy": {"delta": "x"}},
+        {"subordinacy": {"r0": 0.0}},
+        {"eigen": {"tol": 0}},
+        {"eigen": {"scan_step": -0.05}},
+        {"asymptotics": {"r_start": "x"}},
+        {"asymptotics": {"stride": 0.0}},
+        {"asymptotics": {"windows": [[10.0]]}},
+        {"bv": {"instances": "x"}},
+        {"bv": {"instances": 0}},
+        {"seed": "x"},
+        {"bracket": [0.0, "x"]},
+        {"bracket": [2.0, 1.0]},
+        {"bracket": "12"},
+        {"channel": {"Q": "x", "M": 1.0, "L": 0.0}},
+    ])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, section):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                       "lambda_grid": [0.0], **section})
+        code = run(["hypotheses", "--config", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_tolerance_flag_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                       "lambda_grid": [0.0]})
+        code = run(["solve", "--config", path, "--out", tmp_path / "o",
+                    "--tolerance", 2.0])
+        assert code == 2
+        assert "config error: --tolerance" in capsys.readouterr().err
+
 
 class TestHypothesesCommand:
     def test_all_satisfied_exits_zero(self, tmp_path, capsys):

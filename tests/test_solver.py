@@ -69,13 +69,26 @@ class TestCartesian:
             integrate_cartesian(CONST, [0.0, 0.0], cfg(1.0, 2.0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_coefficient_blowup_gives_partial_trajectory(self):
+    @pytest.mark.parametrize("entry", ["integrate_cartesian",
+                                       "integrate_fundamental", "propagate"])
+    def test_coefficient_blowup_gives_partial_trajectory(self, entry):
         model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
                                  m=constant(1))
         ch = assemble_channel(model, 1, 0.0)
-        traj = integrate_cartesian(ch, [1.0, 0.0], cfg(700.0, 720.0))
-        assert traj.status != 0
-        assert traj.grid[-1] < 720.0
+        if entry == "propagate":
+            with pytest.raises(PreconditionError, match="700 to 720 failed"):
+                propagate(ch, [1.0, 0.0], 700.0, 720.0)
+            return
+        if entry == "integrate_cartesian":
+            trajs = [integrate_cartesian(ch, [1.0, 0.0], cfg(700.0, 720.0))]
+        else:
+            trajs = integrate_fundamental(ch, cfg(700.0, 720.0))
+            assert len(trajs) == 2
+            assert np.array_equal(trajs[0].grid, trajs[1].grid)
+        for traj in trajs:
+            assert traj.status != 0
+            assert traj.grid[-1] < 720.0
+            assert len(traj.u1) == len(traj.u2) == len(traj.grid)
 
     def test_linearity(self):
         c = cfg(1.0, 40.0)

@@ -210,6 +210,13 @@ class TestEigenShoot:
         with pytest.raises(ValueError):
             eigen_shoot(EQUAL, 1, (-2.0, -1.0))
 
+    @pytest.mark.parametrize("kw", [{"tol_lambda": 0.0}, {"tol_lambda": -1e-8},
+                                    {"scan_step": 0.0}])
+    def test_nonpositive_step_or_tolerance_rejected(self, kw):
+        # a zero tolerance would never end the bisection
+        with pytest.raises(ValueError, match="positive"):
+            eigen_shoot(EQUAL, 1, (0.0, 5.0), **kw)
+
     def test_requires_equal_coefficients(self):
         with pytest.raises(ValueError):
             eigen_shoot(LINEAR, 1, (0.0, 2.0))

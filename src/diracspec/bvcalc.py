@@ -82,7 +82,7 @@ def sample(fn: Callable, a: float, b: float, n: int,
 
 def variation(f: SampledFunction) -> float:
     """Partition sum of |increments| over the sample grid."""
-    return float(np.sum(np.abs(np.diff(f.values))))
+    return window_variation(f.values)
 
 
 def cumulative_variation(values: np.ndarray) -> np.ndarray:
@@ -229,20 +229,25 @@ TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
 def sample_window(fn: Callable, a: float, b: float, *,
                   points_per_unit: float = 8.0, n_min: int = 2048,
                   n_max: int = 400_000) -> tuple:
+    """Sample fn once on the window grid [a, b].
+
+    fn returns the tuple of coefficient arrays a diagnostic reads; the
+    arrays are passed through uncopied, so every quantity derived from one
+    window comes from one evaluation.
+    """
     n = int(np.clip(points_per_unit * (b - a), n_min, n_max))
     grid = np.linspace(a, b, n)
-    return grid, np.asarray(fn(grid), dtype=float)
+    return grid, tuple(np.asarray(v, dtype=float) for v in fn(grid))
 
 
-def window_variation(fn: Callable, window, **kw) -> float:
-    _, vals = sample_window(fn, *window, **kw)
-    return float(np.sum(np.abs(np.diff(vals))))
+def window_variation(values) -> float:
+    """Grid variation of one window's samples."""
+    return float(np.sum(np.abs(np.diff(values))))
 
 
-def window_integral(fn: Callable, window, **kw) -> float:
-    """Trapezoid integral of |fn| over the window."""
-    grid, vals = sample_window(fn, *window, **kw)
-    return float(trapezoid(np.abs(vals), grid))
+def window_integral(grid, values) -> float:
+    """Trapezoid integral of |values| over the window grid."""
+    return float(trapezoid(np.abs(values), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -370,29 +375,33 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
     compared against the admissible patterns: none, exactly one, or all.
     """
     ladder = WindowLadder(tail_start, factor, rungs)
+    windows = ladder.windows()
+    lambdas = [float(lam) for lam in lambdas]
+    with np.errstate(all="ignore"):
+        q_floor = [float(np.min(model.q.value(np.linspace(a, b, 512))))
+                   for a, b in windows]
+        # one (q, m) sample per window serves every lambda whose q - lambda
+        # stays positive on the probe tail; the others get no rungs
+        variations = [[] if min(f - lam for f in q_floor) > 0.0 else None
+                      for lam in lambdas]
+        if any(v is not None for v in variations):
+            for a, b in windows:
+                _, (q, m) = sample_window(
+                    lambda r: (model.q.value(r), model.m.value(r)), a, b,
+                    points_per_unit=points_per_unit)
+                for lam, rungs in zip(lambdas, variations):
+                    if rungs is not None:
+                        rungs.append(window_variation(m / (q - lam)))
     entries = []
-    for lam in lambdas:
-        lam = float(lam)
-
-        def quotient(r, _lam=lam):
-            return model.m.value(r) / (model.q.value(r) - _lam)
-
-        windows = ladder.windows()
-        with np.errstate(all="ignore"):
-            floor = min(float(np.min(model.q.value(np.linspace(a, b, 512))))
-                        - lam for a, b in windows)
-            if not floor > 0.0:
-                entries.append({"lambda": lam, "windows": windows,
-                                "variations": None,
-                                "trend": TREND_INCONCLUSIVE,
-                                "classification": "inconclusive",
-                                "note": "q - lambda not positive on the "
-                                        "probe tail"})
-                continue
-            variations = [window_variation(quotient, w,
-                                           points_per_unit=points_per_unit)
-                          for w in windows]
-        trend = tail_trend(variations)
+    for lam, rungs in zip(lambdas, variations):
+        if rungs is None:
+            entries.append({"lambda": lam, "windows": windows,
+                            "variations": None, "trend": TREND_INCONCLUSIVE,
+                            "classification": "inconclusive",
+                            "note": "q - lambda not positive on the probe "
+                                    "tail"})
+            continue
+        trend = tail_trend(rungs)
         if trend == TREND_CONVERGED:
             cls = "convergent"
         elif trend in (TREND_GROWING, TREND_FLAT):
@@ -400,7 +409,7 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
         else:
             cls = "inconclusive"
         entries.append({"lambda": lam, "windows": windows,
-                        "variations": variations, "trend": trend,
+                        "variations": rungs, "trend": trend,
                         "classification": cls})
     classes = [e["classification"] for e in entries]
     n_conv = classes.count("convergent")

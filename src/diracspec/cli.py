@@ -328,8 +328,9 @@ def cmd_solve(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             traj = integrate_cartesian(channel, [1.0, 0.0], scfg)
         name = "const" if k is None else _cell_name(k, lam)
         traj.to_csv(out / f"trajectory_{name}.csv")
+        stop = "" if traj.ok else f" last_r={traj.grid[-1]:.10g}"
         print(f"solved {channel.label()}: mode={traj.mode} "
-              f"status={traj.status} points={len(traj.grid)}")
+              f"status={traj.status} points={len(traj.grid)}{stop}")
         failed = failed or traj.status != 0
     return EXIT_FINDINGS if (assert_mode and failed) else EXIT_OK
 

@@ -5,6 +5,12 @@ variation) is probed on a geometric ladder of windows and classified as
 satisfied, violated, or inconclusive; the checker never extrapolates beyond
 the ladder, so "inconclusive" is a first-class verdict.
 
+A window sample is the coefficient values on one window grid: each check
+samples the coefficients it reads once per window (`sample_window` passes
+the tuple of arrays through uncopied) and derives and reduces every
+quantity from that sample, one quantity at a time.  A condition made of
+several ladders takes the worst of their verdicts.
+
 Condition vocabulary (the ids appearing in reports and CLI tables):
 
   A1  potential diverges:            q(r) -> inf
@@ -28,7 +34,7 @@ Condition vocabulary (the ids appearing in reports and CLI tables):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +68,6 @@ __all__ = [
     "check_b_conditions",
     "check_c_conditions",
     "gamma_diagnostics",
-    "reports_to_dicts",
     "worst_verdict",
 ]
 
@@ -93,46 +98,44 @@ class HypothesisReport:
                 "note": self.note, "auxiliary": self.auxiliary}
 
 
-def reports_to_dicts(reports: Sequence[HypothesisReport]) -> list:
-    return [r.to_dict() for r in reports]
+_SEVERITY = {SATISFIED: 0, INCONCLUSIVE: 1, VIOLATED: 2}
+
+
+def _worst(verdicts) -> str:
+    """Combined verdict: violated beats inconclusive beats satisfied."""
+    return max(verdicts, key=_SEVERITY.__getitem__, default=SATISFIED)
 
 
 def worst_verdict(reports: Sequence[HypothesisReport],
                   include_auxiliary: bool = False) -> str:
-    order = {SATISFIED: 0, INCONCLUSIVE: 1, VIOLATED: 2}
-    worst = SATISFIED
-    for r in reports:
-        if r.auxiliary and not include_auxiliary:
-            continue
-        if order[r.verdict] > order[worst]:
-            worst = r.verdict
-    return worst
+    return _worst(r.verdict for r in reports
+                  if include_auxiliary or not r.auxiliary)
 
 
 # ---------------------------------------------------------------------------
 # window evaluation
 
+# window grids for suprema and infima are capped below the tail-rung grids
+_EXTREME_POINTS = 100_000
 
-def _window_extremes(fn: Callable, windows) -> tuple:
-    minima, maxima = [], []
+
+def _per_window(fn: Callable, windows, *reductions,
+                n_max: int = 400_000) -> list:
+    """Sample the coefficients once per window and reduce each quantity.
+
+    fn maps a window grid to the tuple of coefficient arrays a check reads;
+    each reduction maps (r, *arrays) to one number, forming at most one
+    derived array, so derived quantities are reduced one at a time rather
+    than held side by side.  Returns one array of per-window numbers per
+    reduction.
+    """
+    rows = [[] for _ in reductions]
     with np.errstate(all="ignore"):
         for a, b in windows:
-            _, vals = sample_window(fn, a, b, n_min=2048, n_max=100_000)
-            minima.append(float(np.min(vals)))
-            maxima.append(float(np.max(vals)))
-    return np.asarray(minima), np.asarray(maxima)
-
-
-def _rung_values(kind: str, fn: Callable, windows) -> np.ndarray:
-    evaluate = window_integral if kind == "integral" else window_variation
-    out = []
-    for w in windows:
-        try:
-            with np.errstate(all="ignore"):
-                out.append(float(evaluate(fn, w)))
-        except (FloatingPointError, OverflowError):
-            out.append(float("nan"))
-    return np.asarray(out)
+            r, sample = sample_window(fn, a, b, n_max=n_max)
+            for row, reduce in zip(rows, reductions):
+                row.append(float(reduce(r, *sample)))
+    return [np.asarray(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,20 @@ def _listify(windows):
     return [[float(a), float(b)] for a, b in windows]
 
 
+def _divergence_report(cid, minima, maxima, windows):
+    verdict, note = _divergence_verdict(minima, maxima)
+    return HypothesisReport(
+        cid, verdict, {"window_minima": minima.tolist(),
+                       "window_maxima": maxima.tolist()},
+        _listify(windows), note)
+
+
+def _tail_report(cid, key, rungs, windows, auxiliary=False):
+    verdict, note = _tail_verdict(rungs)
+    return HypothesisReport(cid, verdict, {key: rungs.tolist()},
+                            _listify(windows), note, auxiliary=auxiliary)
+
+
 # ---------------------------------------------------------------------------
 # condition sets
 
@@ -198,30 +215,22 @@ def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
     stronger probe A4'). The angular index enters none of them."""
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
-    reports = []
 
-    q_min, q_max = _window_extremes(model.q.value, ew)
-    verdict, note = _divergence_verdict(q_min, q_max)
-    reports.append(HypothesisReport(
-        "A1", verdict, {"window_minima": q_min.tolist(),
-                        "window_maxima": q_max.tolist()}, _listify(ew), note))
-
-    m_min, m_max = _window_extremes(lambda r: np.abs(model.m.value(r)), ew)
-    ratio_min, ratio_max = _window_extremes(
-        lambda r: np.abs(model.m.value(r) / model.q.value(r)), ew)
+    q_min, q_max, m_min, ratio_max = _per_window(
+        lambda r: (model.q.value(r), model.m.value(r)), ew,
+        lambda r, q, m: np.min(q), lambda r, q, m: np.max(q),
+        lambda r, q, m: np.min(np.abs(m)),
+        lambda r, q, m: np.max(np.abs(m / q)), n_max=_EXTREME_POINTS)
     v1, n1 = _liminf_positive_verdict(m_min)
     v2, n2 = _limsup_below_verdict(ratio_max)
-    if VIOLATED in (v1, v2):
-        verdict = VIOLATED
-    elif INCONCLUSIVE in (v1, v2):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = SATISFIED
-    reports.append(HypothesisReport(
-        "A2", verdict,
-        {"abs_m_window_minima": m_min.tolist(),
-         "m_over_q_window_maxima": ratio_max.tolist()},
-        _listify(ew), note="; ".join(x for x in (n1, n2) if x)))
+    reports = [
+        _divergence_report("A1", q_min, q_max, ew),
+        HypothesisReport(
+            "A2", _worst((v1, v2)),
+            {"abs_m_window_minima": m_min.tolist(),
+             "m_over_q_window_maxima": ratio_max.tolist()},
+            _listify(ew), note="; ".join(x for x in (n1, n2) if x)),
+    ]
 
     probe = lambda_trichotomy_probe(model, lambdas, tail_ladder.start,
                                     factor=tail_ladder.factor,
@@ -235,34 +244,26 @@ def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
             {"rung_variations": entry["variations"], "trend": entry["trend"]},
             _listify(entry["windows"]), note=entry.get("note", "")))
 
+    def mixed(r, dm, m, q):
+        return window_integral(
+            r, np.where(dm == 0.0, 0.0, np.abs(dm / (r * m * q))))
+
+    def stronger(r, dm, m, q):
+        return window_integral(
+            r, np.where(dm == 0.0, 0.0, np.abs(dm / (r * m ** 2))))
+
     try:
-        def a4_integrand(r):
-            dm = model.m.derivative(r)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.abs(dm / (r * model.m.value(r) * model.q.value(r)))
-            return np.where(dm == 0.0, 0.0, out)
-
-        rungs = _rung_values("integral", a4_integrand, tw)
-        verdict, note = _tail_verdict(rungs)
-        reports.append(HypothesisReport(
-            "A4", verdict, {"rung_integrals": rungs.tolist()}, _listify(tw),
-            note))
-
-        def a4p_integrand(r):
-            dm = model.m.derivative(r)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.abs(dm / (r * model.m.value(r) ** 2))
-            return np.where(dm == 0.0, 0.0, out)
-
-        rungs = _rung_values("integral", a4p_integrand, tw)
-        verdict, note = _tail_verdict(rungs)
-        reports.append(HypothesisReport(
-            "A4'", verdict, {"rung_integrals": rungs.tolist()}, _listify(tw),
-            note, auxiliary=True))
+        a4, a4p = _per_window(
+            lambda r: (model.m.derivative(r), model.m.value(r),
+                       model.q.value(r)), tw, mixed, stronger)
     except MissingDerivativeError:
         reports.append(HypothesisReport(
             "A4", INCONCLUSIVE, {}, [],
             note="mass coefficient has no usable derivative"))
+        return reports
+    reports.append(_tail_report("A4", "rung_integrals", a4, tw))
+    reports.append(_tail_report("A4'", "rung_integrals", a4p, tw,
+                                auxiliary=True))
     return reports
 
 
@@ -272,30 +273,23 @@ def check_derivative_sufficiency(model: CoefficientModel, *,
     quotient m/(q - lambda) is of bounded variation for every lambda, so the
     per-lambda probes must all report convergent."""
     tw = tail_ladder.windows()
-    reports = []
-    specs = [
-        ("D1", lambda r: np.abs(model.m.derivative(r) / model.q.value(r))),
-        ("D2", lambda r: np.abs(model.m.value(r) * model.q.derivative(r)
-                                / model.q.value(r) ** 2)),
-    ]
     try:
-        for cid, fn in specs:
-            rungs = _rung_values("integral", fn, tw)
-            verdict, note = _tail_verdict(rungs)
-            reports.append(HypothesisReport(
-                cid, verdict, {"rung_integrals": rungs.tolist()}, _listify(tw),
-                note, auxiliary=True))
+        d1, d2 = _per_window(
+            lambda r: (model.m.derivative(r), model.m.value(r),
+                       model.q.derivative(r), model.q.value(r)), tw,
+            lambda r, dm, m, dq, q: window_integral(r, np.abs(dm / q)),
+            lambda r, dm, m, dq, q: window_integral(
+                r, np.abs(m * dq / q ** 2)))
     except MissingDerivativeError:
         return [HypothesisReport(
             "D1", INCONCLUSIVE, {}, [], "derivatives unavailable",
             auxiliary=True)]
-    both = all(r.verdict == SATISFIED for r in reports)
-    if both:
-        reports[-1] = HypothesisReport(
-            reports[-1].condition_id, reports[-1].verdict,
-            reports[-1].evidence, reports[-1].windows,
-            note="with D1 this forces the BV quotient condition for every "
-                 "lambda", auxiliary=True)
+    reports = [_tail_report("D1", "rung_integrals", d1, tw, auxiliary=True),
+               _tail_report("D2", "rung_integrals", d2, tw, auxiliary=True)]
+    if all(r.verdict == SATISFIED for r in reports):
+        reports[-1] = replace(
+            reports[-1], note="with D1 this forces the BV quotient condition "
+                              "for every lambda")
     return reports
 
 
@@ -310,62 +304,39 @@ def check_b_conditions(model: CoefficientModel, *,
                          f"mismatch near r = {where:g}")
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
-    reports = []
 
-    q_min, q_max = _window_extremes(model.q.value, ew)
-    verdict, note = _divergence_verdict(q_min, q_max)
-    reports.append(HypothesisReport(
-        "B1", verdict, {"window_minima": q_min.tolist(),
-                        "window_maxima": q_max.tolist()}, _listify(ew), note))
-
-    def slope(r):
-        return model.q.derivative(r) / model.q.value(r) ** 1.5
+    q_min, q_max = _per_window(
+        lambda r: (model.q.value(r),), ew,
+        lambda r, q: np.min(q), lambda r, q: np.max(q),
+        n_max=_EXTREME_POINTS)
+    reports = [_divergence_report("B1", q_min, q_max, ew)]
 
     try:
-        var_rungs = _rung_values("variation", slope, tw)
-        l2_rungs = _rung_values(
-            "integral", lambda r: slope(r) ** 2, tw)
-        v1, n1 = _tail_verdict(var_rungs)
-        v2, n2 = _tail_verdict(l2_rungs)
-        if VIOLATED in (v1, v2):
-            verdict = VIOLATED
-        elif INCONCLUSIVE in (v1, v2):
-            verdict = INCONCLUSIVE
-        else:
-            verdict = SATISFIED
-        reports.append(HypothesisReport(
-            "B2", verdict,
-            {"rung_variations": var_rungs.tolist(),
-             "rung_square_integrals": l2_rungs.tolist()},
-            _listify(tw), note="; ".join(x for x in (n1, n2) if x)))
+        # tabulated data without a derivative raises on the first order
+        # already, so a usable q' always comes with a usable q''
+        var_rungs, l2_rungs, second, squared = _per_window(
+            lambda r: (model.q.value(r), model.q.derivative(r),
+                       model.q.derivative(r, order=2)), tw,
+            lambda r, q, dq, d2q: window_variation(dq / q ** 1.5),
+            lambda r, q, dq, d2q: window_integral(r, (dq / q ** 1.5) ** 2),
+            lambda r, q, dq, d2q: window_integral(r, np.abs(d2q / q ** 1.5)),
+            lambda r, q, dq, d2q: window_integral(r, dq ** 2 / q ** 2.5))
     except MissingDerivativeError:
         reports.append(HypothesisReport(
             "B2", INCONCLUSIVE, {}, [], "derivative unavailable"))
         return reports
-
-    try:
-        second = _rung_values(
-            "integral",
-            lambda r: np.abs(model.q.derivative(r, order=2)
-                             / model.q.value(r) ** 1.5), tw)
-        squared = _rung_values(
-            "integral",
-            lambda r: model.q.derivative(r) ** 2 / model.q.value(r) ** 2.5, tw)
-        v1, _ = _tail_verdict(second)
-        v2, _ = _tail_verdict(squared)
-        if VIOLATED in (v1, v2):
-            verdict = VIOLATED
-        elif INCONCLUSIVE in (v1, v2):
-            verdict = INCONCLUSIVE
-        else:
-            verdict = SATISFIED
-        reports.append(HypothesisReport(
-            "B2'", verdict,
-            {"rung_second_derivative_integrals": second.tolist(),
-             "rung_squared_slope_integrals": squared.tolist()},
-            _listify(tw), auxiliary=True))
-    except MissingDerivativeError:
-        pass
+    v1, n1 = _tail_verdict(var_rungs)
+    v2, n2 = _tail_verdict(l2_rungs)
+    reports.append(HypothesisReport(
+        "B2", _worst((v1, v2)),
+        {"rung_variations": var_rungs.tolist(),
+         "rung_square_integrals": l2_rungs.tolist()},
+        _listify(tw), note="; ".join(x for x in (n1, n2) if x)))
+    reports.append(HypothesisReport(
+        "B2'", _worst((_tail_verdict(second)[0], _tail_verdict(squared)[0])),
+        {"rung_second_derivative_integrals": second.tolist(),
+         "rung_squared_slope_integrals": squared.tolist()},
+        _listify(tw), auxiliary=True))
     return reports
 
 
@@ -376,27 +347,19 @@ def check_c_conditions(channel, *,
     vanishes identically)."""
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
-    reports = []
 
-    def Q(r):
-        return channel.coeffs(r)[0]
-
-    q_min, q_max = _window_extremes(Q, ew)
-    verdict, note = _divergence_verdict(q_min, q_max)
-    reports.append(HypothesisReport(
-        "C1", verdict, {"window_minima": q_min.tolist(),
-                        "window_maxima": q_max.tolist()}, _listify(ew), note))
-
-    def ratio(r):
-        Qv, _, _, Wv = channel.coeffs(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(Qv > 0.0, Wv / Qv, np.inf)
-
-    _, ratio_max = _window_extremes(ratio, ew)
-    c2_verdict, note = _limsup_below_verdict(ratio_max)
-    reports.append(HypothesisReport(
-        "C2", c2_verdict, {"w_over_q_window_maxima": ratio_max.tolist()},
-        _listify(ew), note))
+    q_min, q_max, ratio_max = _per_window(
+        channel.coeffs, ew,
+        lambda r, Q, M, L, W: np.min(Q), lambda r, Q, M, L, W: np.max(Q),
+        lambda r, Q, M, L, W: np.max(np.where(Q > 0.0, W / Q, np.inf)),
+        n_max=_EXTREME_POINTS)
+    verdict, note = _limsup_below_verdict(ratio_max)
+    reports = [
+        _divergence_report("C1", q_min, q_max, ew),
+        HypothesisReport("C2", verdict,
+                         {"w_over_q_window_maxima": ratio_max.tolist()},
+                         _listify(ew), note),
+    ]
 
     # identify vanishing coefficients on a probe grid
     probe = np.geomspace(tw[0][0], tw[-1][1], 512)
@@ -405,14 +368,10 @@ def check_c_conditions(channel, *,
     m_zero = bool(np.all(M == 0.0))
     l_zero = bool(np.all(L == 0.0))
 
-    gap_floor = []
-    with np.errstate(all="ignore"):
-        for a, b in tw:
-            _, vals = sample_window(
-                lambda r: channel.coeffs(r)[0] - channel.coeffs(r)[3],
-                a, b, n_min=2048, n_max=100_000)
-            gap = float(np.min(vals))
-            gap_floor.append(gap if np.isfinite(gap) else -math.inf)
+    gap, = _per_window(channel.coeffs, tw,
+                       lambda r, Q, M, L, W: np.min(Q - W),
+                       n_max=_EXTREME_POINTS)
+    gap_floor = [g if np.isfinite(g) else -math.inf for g in gap.tolist()]
     usable = [i for i, g in enumerate(gap_floor) if g > 0.0]
     if len(usable) < 2 or usable[-1] != len(tw) - 1:
         reports.append(HypothesisReport(
@@ -422,50 +381,35 @@ def check_c_conditions(channel, *,
         return reports
 
     windows = [tw[i] for i in usable]
-    if m_zero or l_zero:
-        cid = "C3'"
-        if m_zero:
-            quotients = {"l_over_q_minus_l":
-                         lambda r: _safe_quot(channel, r, "L")}
-        else:
-            quotients = {"m_over_q_minus_m":
-                         lambda r: _safe_quot(channel, r, "M")}
+    if m_zero:
+        cid, quotients = "C3'", {
+            "l_over_q_minus_l":
+                lambda r, Q, M, L, W: window_variation(L / (Q - L))}
+    elif l_zero:
+        cid, quotients = "C3'", {
+            "m_over_q_minus_m":
+                lambda r, Q, M, L, W: window_variation(M / (Q - M))}
     else:
-        cid = "C3"
-        quotients = {
-            "w_over_q_minus_w": lambda r: _safe_quot(channel, r, "W"),
-            "m_over_q_minus_w": lambda r: _safe_quot(channel, r, "MW"),
-            "l_over_q_minus_w": lambda r: _safe_quot(channel, r, "LW"),
+        cid, quotients = "C3", {
+            "w_over_q_minus_w":
+                lambda r, Q, M, L, W: window_variation(W / (Q - W)),
+            "m_over_q_minus_w":
+                lambda r, Q, M, L, W: window_variation(M / (Q - W)),
+            "l_over_q_minus_w":
+                lambda r, Q, M, L, W: window_variation(L / (Q - W)),
         }
+    rungs = _per_window(channel.coeffs, windows, *quotients.values())
     evidence = {"q_minus_w_window_minima": gap_floor}
     verdicts, notes = [], []
-    for name, fn in quotients.items():
-        rungs = _rung_values("variation", fn, windows)
-        evidence[name + "_rung_variations"] = rungs.tolist()
-        v, n = _tail_verdict(rungs)
+    for name, values in zip(quotients, rungs):
+        evidence[name + "_rung_variations"] = values.tolist()
+        v, n = _tail_verdict(values)
         verdicts.append(v)
         if n:
             notes.append(f"{name}: {n}")
-    if VIOLATED in verdicts:
-        verdict = VIOLATED
-    elif INCONCLUSIVE in verdicts:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = SATISFIED
-    reports.append(HypothesisReport(cid, verdict, evidence, _listify(windows),
-                                    note="; ".join(notes)))
+    reports.append(HypothesisReport(cid, _worst(verdicts), evidence,
+                                    _listify(windows), note="; ".join(notes)))
     return reports
-
-
-def _safe_quot(channel, r, which):
-    Q, M, L, W = channel.coeffs(r)
-    if which == "L":
-        return L / (Q - L)
-    if which == "M":
-        return M / (Q - M)
-    den = Q - W
-    num = {"W": W, "MW": M, "LW": L}[which]
-    return num / den
 
 
 def gamma_diagnostics(model: CoefficientModel, lam: float, *,
@@ -485,31 +429,27 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     def gamma(r):
         return 2.0 * model.q.value(r) - lam
 
-    def slope(r):
-        return 2.0 * model.q.derivative(r) / gamma(r) ** 1.5
+    def q_and_derivative(r):
+        return model.q.value(r), model.q.derivative(r)
+
+    def slope(r, q, dq):
+        return 2.0 * dq / (2.0 * q - lam) ** 1.5
 
     tw = [w for w in tail_ladder.windows()
           if np.min(gamma(np.linspace(*w, 512))) > 0.0]
     if len(tw) < 2:
         raise ValueError("gamma = 2q - lambda is not positive on the probe "
                          "ladder")
-    reports = []
-
-    rungs = _rung_values("variation", slope, tw)
-    verdict, note = _tail_verdict(rungs)
-    reports.append(HypothesisReport(
-        "G1", verdict, {"rung_variations": rungs.tolist()}, _listify(tw), note))
-
-    rungs = _rung_values("integral", lambda r: np.abs(slope(r) / r), tw)
-    verdict, note = _tail_verdict(rungs)
-    reports.append(HypothesisReport(
-        "G2", verdict, {"rung_integrals": rungs.tolist()}, _listify(tw), note))
+    variations, integrals = _per_window(
+        q_and_derivative, tw,
+        lambda *s: window_variation(slope(*s)),
+        lambda r, *s: window_integral(r, np.abs(slope(r, *s) / r)))
 
     ew = [w for w in extreme_ladder.windows()
           if np.min(gamma(np.linspace(*w, 512))) > 0.0]
-    _, maxima = _window_extremes(lambda r: np.abs(slope(r)), ew)
-    verdict, note = _tail_verdict(maxima)
-    reports.append(HypothesisReport(
-        "G3", verdict, {"abs_slope_window_maxima": maxima.tolist()},
-        _listify(ew), note))
-    return reports
+    maxima, = _per_window(q_and_derivative, ew,
+                          lambda *s: np.max(np.abs(slope(*s))),
+                          n_max=_EXTREME_POINTS)
+    return [_tail_report("G1", "rung_variations", variations, tw),
+            _tail_report("G2", "rung_integrals", integrals, tw),
+            _tail_report("G3", "abs_slope_window_maxima", maxima, ew)]

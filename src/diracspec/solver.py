@@ -144,8 +144,11 @@ def _linear_rhs(channel):
 
 
 def _solve(rhs, r0, r1, y0, rtol, atol, max_step=math.inf, **kw):
-    return solve_ivp(rhs, (r0, r1), y0, method="DOP853", rtol=rtol,
-                     atol=atol, max_step=max_step, **kw)
+    # a blow-up overflows inside the stepper before it gives up; the nonzero
+    # status reports that failure, so the float warnings on the way are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (r0, r1), y0, method="DOP853", rtol=rtol,
+                         atol=atol, max_step=max_step, **kw)
 
 
 def _solve_on_grid(channel, y0, cfg: SolveConfig):

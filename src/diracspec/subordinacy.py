@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .boundedness import auto_start_radius, comparability_constant
 from .coefficients import CoefficientModel, assemble_channel, models_equal
@@ -440,7 +441,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
     mismatch between them at the turning-point radius changes sign exactly
-    at an eigenvalue; each sign change is refined by bisection.
+    at an eigenvalue; each sign change is refined with Brent's method.
     """
     equal, where = models_equal(model)
     if not equal:
@@ -472,21 +473,8 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     for (l1, f1), (l2, f2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if f1 == 0.0:
             roots.append(float(l1))
-            continue
-        if f1 * f2 < 0.0:
-            lo, fl = l1, f1
-            hi = l2
-            while hi - lo > tol_lambda:
-                mid = 0.5 * (lo + hi)
-                fm = mismatch(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if fl * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, fl = mid, fm
-            roots.append(float(0.5 * (lo + hi)))
+        elif f1 * f2 < 0.0:
+            roots.append(float(brentq(mismatch, l1, l2, xtol=tol_lambda)))
     if values and values[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)

@@ -10,11 +10,18 @@ from diracspec.bvcalc import (
     jordan_decompose,
     lambda_trichotomy_probe,
     refinement_trend,
+    sample_window,
     tail_trend,
     variation,
     variation_report,
 )
-from diracspec.coefficients import CoefficientModel, coefficient, constant, power
+from diracspec.coefficients import (
+    CoefficientFunction,
+    CoefficientModel,
+    coefficient,
+    constant,
+    power,
+)
 
 
 def sampled(fn, a, b, n, dfn=None):
@@ -229,6 +236,37 @@ class TestTrichotomyProbe:
         model = CoefficientModel(q=power(1, 1), m=constant(1))
         probe = lambda_trichotomy_probe(model, [1e9])
         assert probe.entries[0]["classification"] == "inconclusive"
+
+    def test_one_sample_per_window_serves_every_lambda(self, monkeypatch):
+        calls = []
+        value = CoefficientFunction.value
+
+        def counting(self, r):
+            calls.append(np.size(r))
+            return value(self, r)
+
+        monkeypatch.setattr(CoefficientFunction, "value", counting)
+        model = CoefficientModel(q=power(1, 1), m=constant(1))
+        lambda_trichotomy_probe(model, [0.0])
+        single = len(calls)
+        calls.clear()
+        lambda_trichotomy_probe(model, [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+        # 3 positivity probes of q, then q and m once per window
+        assert len(calls) == single == 9
+
+
+class TestSampleWindow:
+    def test_tuple_passes_through_uncopied(self):
+        made = []
+
+        def fn(r):
+            made[:] = [2.0 * r, r + 1.0]
+            return tuple(made)
+
+        grid, out = sample_window(fn, 1.0, 3.0)
+        assert isinstance(out, tuple) and len(out) == 2
+        assert out[0] is made[0] and out[1] is made[1]
+        assert grid.size == 2048
 
 
 class TestTailTrend:

@@ -188,6 +188,23 @@ class TestOtherCommands:
         assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 0
         assert "mode=pruefer" in capsys.readouterr().out
 
+    def test_solve_blowup_is_quiet_and_reports_stop_radius(self, tmp_path,
+                                                           capfd):
+        # at lambda = 1 the growing Cartesian solution overflows: the status
+        # line says where it stopped and numpy prints no warnings
+        cfg = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [1],
+                                      "lambda_grid": [1.0]})
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        captured = capfd.readouterr()
+        assert "RuntimeWarning" not in captured.err
+        line, = captured.out.splitlines()
+        assert "status=-1 " in line
+        last_r = float(line.split("last_r=")[1])
+        rows = (tmp_path / "o" / "trajectory_k=1_lambda=1.csv").read_text()
+        assert last_r == pytest.approx(
+            float(rows.splitlines()[-1].split(",")[0]), rel=1e-9)
+        assert last_r < 100.0
+
     def test_boundedness_constant_fixture(self, tmp_path):
         assert run(["boundedness", "--config", fixture_path("constant_coeff"),
                     "--out", tmp_path / "o"]) == 0

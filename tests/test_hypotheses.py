@@ -3,6 +3,7 @@ import pytest
 
 from diracspec.bvcalc import lambda_trichotomy_probe
 from diracspec.coefficients import (
+    ChannelSystem,
     CoefficientModel,
     assemble_channel,
     coefficient,
@@ -179,6 +180,21 @@ class TestCConditions:
         for key, rungs in reports["C3'"].evidence.items():
             if key.endswith("rung_variations"):
                 assert rungs == [0.0, 0.0, 0.0]
+
+    def test_one_coefficient_sample_per_window(self, monkeypatch):
+        calls = []
+        coeffs = ChannelSystem.coeffs
+
+        def counting(self, r):
+            calls.append(np.size(r))
+            return coeffs(self, r)
+
+        monkeypatch.setattr(ChannelSystem, "coeffs", counting)
+        reports = by_id(check_c_conditions(assemble_channel(LINEAR, -1, 0.0)))
+        assert reports["C3"].verdict == SATISFIED
+        # 4 extreme windows (C1 and C2), 1 vanishing-coefficient probe,
+        # 3 gap-floor windows and 3 quotient windows (all of C3)
+        assert len(calls) == 11
 
     def test_worst_verdict_helper(self):
         ch = assemble_channel(MODULATED, 1, 1.0)

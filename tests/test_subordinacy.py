@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import ai_zeros
 
 from diracspec.coefficients import (
     CoefficientModel,
@@ -206,6 +207,14 @@ class TestEigenShoot:
         assert len(full) == len(halves)
         assert max(abs(a - b) for a, b in zip(full, sorted(halves))) < 1e-6
 
+    def test_airy_oracle(self):
+        # q = m = r, k = -1 reduces to Airy's equation: the eigenvalues are
+        # sqrt(2) |a_n|^(3/4) with a_n the zeros of Ai
+        eigs = eigen_shoot(EQUAL, -1, (0.0, 5.5))
+        exact = math.sqrt(2.0) * np.abs(ai_zeros(3)[0]) ** 0.75
+        assert len(eigs) == 3
+        assert np.max(np.abs(np.asarray(eigs) - exact)) < 1e-8
+
     def test_negative_bracket_rejected(self):
         with pytest.raises(ValueError):
             eigen_shoot(EQUAL, 1, (-2.0, -1.0))
@@ -213,7 +222,7 @@ class TestEigenShoot:
     @pytest.mark.parametrize("kw", [{"tol_lambda": 0.0}, {"tol_lambda": -1e-8},
                                     {"scan_step": 0.0}])
     def test_nonpositive_step_or_tolerance_rejected(self, kw):
-        # a zero tolerance would never end the bisection
+        # a zero tolerance could never end the root refinement
         with pytest.raises(ValueError, match="positive"):
             eigen_shoot(EQUAL, 1, (0.0, 5.0), **kw)
 
@@ -227,7 +236,7 @@ class TestEigenShoot:
 
     def test_bracket_well_posed_at_finer_scan(self):
         # a 2.5x finer scan over the same bracket exposes no additional sign
-        # changes: each bisection bracket holds exactly one root
+        # changes: each refinement bracket holds exactly one root
         coarse = eigen_shoot(EQUAL, 1, (3.3, 4.8))
         fine = eigen_shoot(EQUAL, 1, (3.3, 4.8), scan_step=0.02)
         assert len(coarse) == len(fine) == 2

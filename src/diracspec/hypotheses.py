@@ -368,7 +368,21 @@ def check_c_conditions(channel, *,
     m_zero = bool(np.all(M == 0.0))
     l_zero = bool(np.all(L == 0.0))
 
-    gap, = _per_window(channel.coeffs, tw,
+    held = {}
+
+    def tail_coeffs(r):
+        # a tail window whose grid stays below the gap floor's point cap has
+        # the same grid under the quotients' larger cap: the quotients take
+        # the gap floor's sample of it
+        key = (r[0], r[-1], r.size)
+        if key in held:
+            return held.pop(key)
+        sample = channel.coeffs(r)
+        if r.size < _EXTREME_POINTS:
+            held[key] = sample
+        return sample
+
+    gap, = _per_window(tail_coeffs, tw,
                        lambda r, Q, M, L, W: np.min(Q - W),
                        n_max=_EXTREME_POINTS)
     gap_floor = [g if np.isfinite(g) else -math.inf for g in gap.tolist()]
@@ -398,7 +412,7 @@ def check_c_conditions(channel, *,
             "l_over_q_minus_w":
                 lambda r, Q, M, L, W: window_variation(L / (Q - W)),
         }
-    rungs = _per_window(channel.coeffs, windows, *quotients.values())
+    rungs = _per_window(tail_coeffs, windows, *quotients.values())
     evidence = {"q_minus_w_window_minima": gap_floor}
     verdicts, notes = [], []
     for name, values in zip(quotients, rungs):

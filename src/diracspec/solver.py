@@ -11,14 +11,23 @@ u = rho (cos theta, sin theta), where
     theta'    = Q + M cos(2 theta) + L sin(2 theta),
     (ln rho)' = M sin(2 theta) - L cos(2 theta).
 
-The Cartesian system is linear, so one right-hand side serves any number of
-solutions stacked as (u1, u2, u1, u2, ...): `integrate_cartesian` carries
-one, `integrate_fundamental` two, and `propagate` one without sampling.
+The Cartesian system u' = A u, with A = [[-L, M - Q], [Q + M, L]], is
+linear and traceless, so `integrate_fundamental` and `propagate` solve it
+for its transfer matrix Phi and apply Phi to their initial states.  Phi is
+a product of fourth-order Magnus steps exp(Omega), each built in closed
+form from A at two Gauss nodes and one commutator (Iserles & Norsett,
+Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 2009); every factor has determinant 1, so det Phi = 1 holds to
+rounding.  Because the system is linear, the step-doubling error estimate
+of a step does not depend on the state, and the steps are refined for all
+radii at once; `rtol` is that per-step tolerance.  `integrate_cartesian`
+still steps its one state with adaptive DOP853.
+
 The polar form is obtained by substituting the polar representation into
 the Cartesian equations; it is preferred on long ranges where Q dominates
 W = sqrt(M^2 + L^2), because ln rho then varies slowly and the phase is
-monotone.  Both forms go through the same adaptive DOP853 call and are
-cross-validated in the test suite.
+monotone.  It is integrated by adaptive DOP853 with `rtol` and `atol`, and
+cross-validated against the Cartesian forms in the test suite.
 """
 
 from __future__ import annotations
@@ -60,7 +69,11 @@ class PreconditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Integration window, tolerances and dense-output stride."""
+    """Integration window, tolerances and dense-output stride.
+
+    For the Magnus propagator `rtol` is the per-step doubling tolerance and
+    `max_step` caps its first partition; `atol` acts on DOP853 solves only.
+    """
 
     r_start: float
     r_end: float
@@ -90,6 +103,12 @@ class Trajectory:
     Both representations are populated whenever they are trustworthy; for
     Cartesian solves the unwrapped phase is reconstructed only when the
     sampling stride resolves it (no jumps beyond pi between samples).
+
+    `nfev` counts right-hand-side evaluations of a DOP853 solve
+    (`integrate_cartesian`, `integrate_pruefer`) and, for the Magnus
+    propagator (`integrate_fundamental`), the radii at which the
+    coefficients were evaluated, rejected trial steps included.  A failed
+    solve keeps the grid points it reached, with a nonzero status.
     """
 
     grid: np.ndarray
@@ -125,22 +144,122 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _linear_rhs(channel):
-    """Right-hand side of the Cartesian system for stacked solutions
-    (u1, u2, u1, u2, ...); the coefficients are evaluated once per call."""
-    qml = channel.scalar_qml
+# Gauss-Legendre nodes on [0, 1] and the commutator weight of the
+# fourth-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009)
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+# a step that would have to shrink below this fraction of |r| ends the solve
+_MIN_STEP = 1e-12
+# equal pieces of the first partition of a `propagate` range, which has no grid
+_COARSE = 16
 
-    def rhs(r, y):
-        Q, M, L = qml(r)
-        a, b = Q + M, M - Q
-        v = y.tolist()
-        out = []
-        for i in range(0, len(v), 2):
-            u1, u2 = v[i], v[i + 1]
-            out += (-L * u1 + b * u2, a * u1 + L * u2)
-        return out
 
-    return rhs
+def _magnus_exp(h, p, b, c):
+    """exp(Omega) of one fourth-order Magnus step of signed length h.
+
+    Rows 0 and 1 of p, b, c hold the generator A = [[p, b], [c, -p]] at the
+    step's two Gauss nodes.  Omega is traceless, so Omega^2 = s^2 I with
+    s^2 = -det Omega and exp(Omega) = cosh(s) I + sinh(s)/s Omega (cos and
+    sin when s^2 < 0).  Returns the entries (e11, e12, e21, e22).
+    """
+    (p1, p2), (b1, b2), (c1, c2) = p, b, c
+    half, k = 0.5 * h, _COMMUTATOR * h * h
+    # Omega = h/2 (A1 + A2) + k [A2, A1]
+    op = half * (p1 + p2) + k * (b2 * c1 - b1 * c2)
+    ob = half * (b1 + b2) + 2.0 * k * (p2 * b1 - p1 * b2)
+    oc = half * (c1 + c2) + 2.0 * k * (c2 * p1 - c1 * p2)
+    s2 = op * op + ob * oc
+    w = np.sqrt(np.abs(s2))
+    grows = s2 > 0.0
+    f0 = np.where(grows, np.cosh(w), np.cos(w))
+    f1 = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
+                   out=np.ones_like(w), where=w > 0.0)
+    return f0 + f1 * op, f1 * ob, f1 * oc, f0 - f1 * op
+
+
+def _mul(x, y):
+    """Entries of the 2x2 product x y, each matrix given by its entries
+    (floats or arrays)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _transfer(channel, nodes, rtol, max_step=math.inf):
+    """Transfer matrices Phi(r, nodes[0]) at the nodes, which run
+    monotonically in the direction of travel.
+
+    The node intervals, cut into pieces no longer than `max_step`, are the
+    first trial steps.  Each round evaluates the coefficients once on the
+    Gauss nodes of every open step, keeps the two-half-step product P where
+    |e^Omega_h - P| / |P| <= rtol and halves the other steps.  The kept
+    steps are multiplied in travel order, storing Phi at the nodes only.
+
+    A non-finite step, or one that would shrink below `_MIN_STEP * |r|`,
+    ends the solve at the node before it; so does an overflowing product.
+    Returns (phi, nfev, failure): phi of shape (n, 2, 2) for the first n
+    nodes, the number of radii evaluated, and None or a message naming the
+    radius where the solve ended.
+    """
+    h = np.diff(nodes)
+    pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
+    seg = np.repeat(np.arange(h.size), pieces)
+    first = np.cumsum(pieces) - pieces
+    h = (h / pieces)[seg]
+    t = nodes[seg] + (np.arange(seg.size) - first[seg]) * h
+    n_seg, failure, nfev = nodes.size - 1, None, 0
+    E, kept = None, []
+    with np.errstate(all="ignore"):
+        while seg.size:
+            half = 0.5 * h
+            r = [t + g * h for g in _GAUSS] if E is None else []
+            r += [t + (i + g) * half for i in (0, 1) for g in _GAUSS]
+            r = np.concatenate(r)
+            nfev += r.size
+            Q, M, L, _ = channel.coeffs(r)
+            p, b, c = (x.reshape(-1, seg.size) for x in (-L, M - Q, Q + M))
+            if E is None:
+                E = _magnus_exp(h, p[:2], b[:2], c[:2])
+                p, b, c = p[2:], b[2:], c[2:]
+            E1 = _magnus_exp(half, p[:2], b[:2], c[:2])
+            E2 = _magnus_exp(half, p[2:], b[2:], c[2:])
+            P = _mul(E2, E1)
+            err = (np.max(np.abs(np.subtract(E, P)), axis=0)
+                   / np.max(np.abs(P), axis=0))
+            ok = err <= rtol
+            bad = ~np.isfinite(err) | (
+                ~ok & (np.abs(half) < _MIN_STEP * np.abs(t)))
+            if bad.any():
+                i = np.argmin(np.where(bad, np.abs(t - nodes[0]), np.inf))
+                n_seg = seg[i]
+                failure = f"Magnus step failed at r = {t[i]:.10g}"
+            keep = seg < n_seg
+            done, split = ok & keep, ~ok & keep
+            kept.append((seg[done], t[done], np.stack(P)[:, done]))
+            seg = np.repeat(seg[split], 2)
+            t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
+            h = np.repeat(half[split], 2)
+            E = tuple(np.stack((e1[split], e2[split]), axis=1).ravel()
+                      for e1, e2 in zip(E1, E2))
+
+    seg, t, P = (np.concatenate(x, axis=-1) for x in zip(*kept))
+    order = np.lexsort((t * np.sign(nodes[-1] - nodes[0]), seg))
+    order = order[seg[order] < n_seg]
+    seg, P = seg[order], P[:, order]
+    ends = np.append(seg[1:] != seg[:-1], True).tolist()
+    phi = [(1.0, 0.0, 0.0, 1.0)]
+    now = phi[0]
+    for step, end in zip(zip(*P.tolist()), ends):
+        now = _mul(step, now)
+        if end:
+            phi.append(now)
+    phi = np.array(phi).reshape(-1, 2, 2)
+    finite = np.all(np.isfinite(phi), axis=(1, 2))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        phi = phi[:n]
+        failure = f"solution overflows before r = {nodes[n]:.10g}"
+    return phi, nfev, failure
 
 
 def _solve(rhs, r0, r1, y0, rtol, atol, max_step=math.inf, **kw):
@@ -151,34 +270,34 @@ def _solve(rhs, r0, r1, y0, rtol, atol, max_step=math.inf, **kw):
                          atol=atol, max_step=max_step, **kw)
 
 
-def _solve_on_grid(channel, y0, cfg: SolveConfig):
-    """Cartesian solve of stacked initial states, one Trajectory per state.
-
-    A failure on the very first step leaves no sampled points at all; the
-    trajectories then hold the initial point alone.
-    """
-    sol = _solve(_linear_rhs(channel), cfg.r_start, cfg.r_end, y0, cfg.rtol,
-                 cfg.atol, cfg.max_step, t_eval=cfg.grid())
-    grid, y = sol.t, sol.y
-    if np.size(grid) == 0:
-        grid, y = np.array([cfg.r_start]), y0[:, None]
-    return [Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
-                       theta=_safe_unwrap(u1, u2), mode="cartesian",
-                       channel=channel, status=int(sol.status),
-                       message=str(sol.message), nfev=int(sol.nfev))
-            for u1, u2 in zip(y[0::2], y[1::2])]
-
-
 def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
-    """Integrate the channel system for the components (u1, u2).
+    """Integrate the channel system for the components (u1, u2) with
+    adaptive DOP853, one radius at a time.
 
     On coefficient blow-up the partial trajectory is returned with a
-    nonzero status instead of raising.
+    nonzero status instead of raising; a failure on the very first step
+    leaves the initial point alone.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (2,) or not np.any(u0):
         raise ValueError("u0 must be a nonzero 2-vector")
-    return _solve_on_grid(channel, u0, cfg)[0]
+    qml = channel.scalar_qml
+
+    def rhs(r, y):
+        Q, M, L = qml(r)
+        u1, u2 = y.tolist()
+        return (-L * u1 + (M - Q) * u2, (Q + M) * u1 + L * u2)
+
+    sol = _solve(rhs, cfg.r_start, cfg.r_end, u0, cfg.rtol, cfg.atol,
+                 cfg.max_step, t_eval=cfg.grid())
+    grid, y = sol.t, sol.y
+    if np.size(grid) == 0:
+        grid, y = np.array([cfg.r_start]), u0[:, None]
+    u1, u2 = y
+    return Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
+                      theta=_safe_unwrap(u1, u2), mode="cartesian",
+                      channel=channel, status=int(sol.status),
+                      message=str(sol.message), nfev=int(sol.nfev))
 
 
 def _safe_unwrap(u1, u2):
@@ -218,25 +337,39 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
 
 def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
     """Integrate a fundamental system (the columns of U0, default the
-    identity) in one pass.
+    identity) in one pass of the Magnus propagator.
+
+    The trajectories stop at the last grid point reached, all with status
+    -1, when the solve fails.
 
     Returns a pair of trajectories sharing the same grid, suitable for
     Wronskian checks and for building arbitrary solutions by superposition.
     """
     U0 = np.eye(2) if U0 is None else np.asarray(U0, dtype=float)
-    return tuple(_solve_on_grid(channel, U0.T.ravel(), cfg))
+    grid = cfg.grid()
+    phi, nfev, failure = _transfer(channel, grid, cfg.rtol, cfg.max_step)
+    grid = grid[:len(phi)]
+    U = phi @ U0
+    return tuple(Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
+                            theta=_safe_unwrap(u1, u2), mode="cartesian",
+                            channel=channel,
+                            status=0 if failure is None else -1,
+                            message=failure or "", nfev=nfev)
+                 for u1, u2 in zip(U[:, 0].T, U[:, 1].T))
 
 
 def propagate(channel, u0, r0: float, r1: float, rtol: float = 1e-10,
               atol: float = 1e-12) -> np.ndarray:
     """Carry a state vector from r0 to r1 (either direction) and return the
-    endpoint value; used by shooting-style searches."""
-    sol = _solve(_linear_rhs(channel), r0, r1, np.asarray(u0, dtype=float),
-                 rtol, atol)
-    if sol.status != 0:
+    endpoint value; used by shooting-style searches.  The Magnus steps
+    start from `_COARSE` equal pieces of the range; the propagator has no
+    absolute tolerance, so `atol` is unused."""
+    phi, _, failure = _transfer(channel, np.linspace(r0, r1, _COARSE + 1),
+                                rtol)
+    if failure is not None:
         raise PreconditionError(f"propagation from {r0:g} to {r1:g} failed: "
-                                f"{sol.message}")
-    return sol.y[:, -1]
+                                f"{failure}")
+    return phi[-1] @ np.asarray(u0, dtype=float)
 
 
 def wronskian(t1: Trajectory, t2: Trajectory) -> np.ndarray:

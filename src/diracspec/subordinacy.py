@@ -22,6 +22,7 @@ recessive at the origin locates discrete eigenvalues.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -469,12 +470,18 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     n = max(8, int(math.ceil((b - a) / scan_step)))
     grid = a + (b - a) * np.arange(1, n + 1) / n
     values = [mismatch(l) for l in grid]
+    scanned = dict(zip(grid.tolist(), values))
+
+    def refine(lam):
+        # brentq starts from the bracket ends, which the scan already has
+        return scanned[lam] if lam in scanned else mismatch(lam)
+
     roots = []
     for (l1, f1), (l2, f2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if f1 == 0.0:
             roots.append(float(l1))
         elif f1 * f2 < 0.0:
-            roots.append(float(brentq(mismatch, l1, l2, xtol=tol_lambda)))
+            roots.append(float(brentq(refine, l1, l2, xtol=tol_lambda)))
     if values and values[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)
@@ -482,6 +489,10 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
 
 # ---------------------------------------------------------------------------
 # per-cell spectral classification
+
+# lines of a failed cell's traceback kept in its record: the raising frames
+# and the exception
+_TRACEBACK_LINES = 8
 
 
 def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
@@ -519,7 +530,9 @@ def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
                     cell.update(_eigen_side_cell(model, k, lam, delta, rtol))
             except Exception as err:  # per-cell isolation: scan must go on
                 cell.update({"classification": "error", "path": "none",
-                             "error": f"{type(err).__name__}: {err}"})
+                             "error": f"{type(err).__name__}: {err}",
+                             "traceback": traceback.format_exc().splitlines()
+                             [-_TRACEBACK_LINES:]})
             cells.append(cell)
     summary = summarize_cells(cells)
     return {"kind": "scan", "model": model.to_dict(), "equal_coefficients":

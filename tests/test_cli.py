@@ -173,6 +173,32 @@ class TestScanCommand:
         assert (tmp_path / "o" / "scan.csv").exists()
 
 
+    def test_failed_cell_keeps_traceback(self, tmp_path, monkeypatch):
+        import diracspec.subordinacy as sub
+
+        dominant_cell = sub._dominant_cell
+
+        def failing_for_k2(model, k, lam, r_end):
+            if k == 2:
+                raise TypeError("synthetic cell failure")
+            return dominant_cell(model, k, lam, r_end)
+
+        monkeypatch.setattr(sub, "_dominant_cell", failing_for_k2)
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                      "k_set": [1, 2], "lambda_grid": [-1.0],
+                                      "subordinacy": {"r_end": 20.0}})
+        for name in ("a", "b"):
+            assert run(["scan", "--config", cfg, "--out", tmp_path / name]) == 0
+        doc = json.loads((tmp_path / "a" / "scan.json").read_text())
+        bad = [c for c in doc["cells"] if c["classification"] == "error"]
+        assert [c["k"] for c in bad] == [2]
+        assert bad[0]["error"] == "TypeError: synthetic cell failure"
+        assert bad[0]["traceback"][-1] == bad[0]["error"]
+        assert any("failing_for_k2" in line for line in bad[0]["traceback"])
+        assert (tmp_path / "a" / "scan.json").read_bytes() == \
+            (tmp_path / "b" / "scan.json").read_bytes()
+
+
 class TestOtherCommands:
     def test_solve_constant_fixture(self, tmp_path):
         assert run(["solve", "--config", fixture_path("constant_coeff"),

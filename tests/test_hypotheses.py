@@ -193,8 +193,10 @@ class TestCConditions:
         reports = by_id(check_c_conditions(assemble_channel(LINEAR, -1, 0.0)))
         assert reports["C3"].verdict == SATISFIED
         # 4 extreme windows (C1 and C2), 1 vanishing-coefficient probe,
-        # 3 gap-floor windows and 3 quotient windows (all of C3)
-        assert len(calls) == 11
+        # 3 gap-floor windows and 1 quotient window: the quotients reuse the
+        # gap floor's samples of [25, 250] and [250, 2500], whose grids are
+        # the same under both point caps
+        assert len(calls) == 9
 
     def test_worst_verdict_helper(self):
         ch = assemble_channel(MODULATED, 1, 1.0)

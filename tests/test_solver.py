@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diracspec.coefficients import (
     CoefficientModel,
@@ -96,6 +97,53 @@ class TestCartesian:
         scaled = integrate_cartesian(LINEAR, [3.0, -7.0], c)
         assert np.max(np.abs(scaled.u1 - 10 * base.u1)) < 1e-8 * np.max(scaled.rho)
         assert np.max(np.abs(scaled.u2 - 10 * base.u2)) < 1e-8 * np.max(scaled.rho)
+
+
+def dop853_fundamental(channel, grid):
+    """Reference fundamental matrices Phi(r, grid[0]) on the grid, shape
+    (2, 2, n), from DOP853 at rtol 1e-13."""
+    def rhs(r, y):
+        Q, M, L, _ = channel.coeffs(r)
+        return (np.array([[-L, M - Q], [Q + M, L]]) @ y.reshape(2, 2)).ravel()
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), np.eye(2).ravel(),
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=grid)
+    assert sol.status == 0
+    return sol.y.reshape(2, 2, -1)
+
+
+class TestMagnus:
+    @pytest.mark.parametrize("max_step", [math.inf, 0.02])
+    def test_matches_dop853_oracle(self, max_step):
+        ta, tb = integrate_fundamental(LINEAR, cfg(1.0, 60.0,
+                                                   max_step=max_step))
+        ref = dop853_fundamental(LINEAR, ta.grid)
+        got = np.array([[ta.u1, tb.u1], [ta.u2, tb.u2]])
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_unit_determinant(self):
+        ta, tb = integrate_fundamental(LINEAR, cfg(1.0, 200.0))
+        assert np.max(np.abs(wronskian(ta, tb) - 1.0)) <= 1e-12
+
+    def test_there_and_back(self):
+        # a backward solve multiplies its steps in reverse order; taking
+        # them in forward order would not return to u0
+        u0 = np.array([0.3, -0.7])
+        u1 = propagate(LINEAR, u0, 1.0, 30.0)
+        assert np.max(np.abs(propagate(LINEAR, u1, 30.0, 1.0) - u0)) <= 1e-10
+
+    def test_no_scalar_coefficient_calls(self, monkeypatch):
+        calls = []
+        scalar_qml = type(LINEAR).scalar_qml
+
+        def counting(self, r):
+            calls.append(r)
+            return scalar_qml(self, r)
+
+        monkeypatch.setattr(type(LINEAR), "scalar_qml", counting)
+        ta, _ = integrate_fundamental(LINEAR, cfg(1.0, 20.0))
+        assert ta.ok and ta.nfev > 0
+        assert calls == []
 
 
 class TestPruefer:

@@ -215,6 +215,23 @@ class TestEigenShoot:
         assert len(eigs) == 3
         assert np.max(np.abs(np.asarray(eigs) - exact)) < 1e-8
 
+    def test_refinement_reuses_scan_values(self, monkeypatch):
+        # one frobenius_radius call per mismatch evaluation: 110 on the scan
+        # grid and 14 refining the 3 roots; brentq starts from the bracket
+        # ends the scan already has, which took 2 more calls per root
+        import diracspec.subordinacy as sub
+
+        calls = []
+        frobenius_radius = sub.frobenius_radius
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return frobenius_radius(*args, **kwargs)
+
+        monkeypatch.setattr(sub, "frobenius_radius", counting)
+        assert len(eigen_shoot(EQUAL, -1, (0.0, 5.5))) == 3
+        assert len(calls) == 124
+
     def test_negative_bracket_rejected(self):
         with pytest.raises(ValueError):
             eigen_shoot(EQUAL, 1, (-2.0, -1.0))

@@ -17,7 +17,7 @@ asymptotic regime is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,13 +121,9 @@ def borderline_trajectory(model: CoefficientModel, k: int, lam: float,
     tch = transform(model, k, lam)
     vtraj = integrate_pruefer(tch, 1.0, 0.0, cfg)
     u1, u2 = tch.inverse(vtraj.grid, vtraj.u1, vtraj.u2)
-    return Trajectory(grid=vtraj.grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
-                      theta=None, mode="transformed",
-                      channel=assemble_channel(model, k, lam),
-                      accepted_r=vtraj.accepted_r,
-                      accepted_theta=vtraj.accepted_theta,
-                      status=vtraj.status, message=vtraj.message,
-                      nfev=vtraj.nfev)
+    return replace(vtraj, u1=u1, u2=u2, rho=np.hypot(u1, u2), theta=None,
+                   mode="transformed", channel=assemble_channel(model, k, lam),
+                   log_rho=None)
 
 
 def _uniform_stride(grid):
@@ -178,13 +174,12 @@ def first_order_check(traj: Trajectory, model: CoefficientModel, k: int,
 
 def defect_convergence(model: CoefficientModel, k: int, lam: float,
                        r_lo: float, r_hi: float, strides=(0.04, 0.02, 0.01),
-                       rtol: float = 1e-11, atol: float = 1e-13) -> dict:
+                       rtol: float = 1e-11) -> dict:
     """Second-order defect across a ladder of stride halvings; the observed
     convergence orders should sit near 2."""
     defects = []
     for h in strides:
-        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=rtol, atol=atol,
-                          stride=h)
+        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=rtol, stride=h)
         traj = borderline_trajectory(model, k, lam, cfg)
         defects.append(second_order_check(traj, model, k, lam)["max_defect"])
     orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]

@@ -529,8 +529,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         for lam in neg:
             scfg = SolveConfig(r_start=cfg.asymptotics["r_start"],
                                r_end=cfg.asymptotics["r_end"],
-                               rtol=1e-11, atol=1e-13,
-                               stride=cfg.asymptotics["stride"])
+                               rtol=1e-11, stride=cfg.asymptotics["stride"])
             traj = borderline_trajectory(cfg.model, k, lam, scfg)
             ref = wkb_reference(cfg.model, lam, traj.grid)
             res = compare_asymptotics(traj, ref,

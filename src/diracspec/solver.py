@@ -11,23 +11,21 @@ u = rho (cos theta, sin theta), where
     theta'    = Q + M cos(2 theta) + L sin(2 theta),
     (ln rho)' = M sin(2 theta) - L cos(2 theta).
 
-The Cartesian system u' = A u, with A = [[-L, M - Q], [Q + M, L]], is
-linear and traceless, so `integrate_fundamental` and `propagate` solve it
-for its transfer matrix Phi and apply Phi to their initial states.  Phi is
-a product of fourth-order Magnus steps exp(Omega), each built in closed
-form from A at two Gauss nodes and one commutator (Iserles & Norsett,
-Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 2009); every factor has determinant 1, so det Phi = 1 holds to
-rounding.  Because the system is linear, the step-doubling error estimate
-of a step does not depend on the state, and the steps are refined for all
-radii at once; `rtol` is that per-step tolerance.  `integrate_cartesian`
-still steps its one state with adaptive DOP853.
+The system u' = A u, with A = [[-L, M - Q], [Q + M, L]], is linear and
+traceless.  `integrate_fundamental`, `propagate` and `integrate_pruefer`
+step it with one propagator: a product of fourth-order Magnus steps
+exp(Omega), each built in closed form from A at two Gauss nodes and one
+commutator (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 2009); every factor has determinant 1,
+so det Phi = 1 holds to rounding.  Because the system is linear, the
+step-doubling error estimate of a step does not depend on the state, and
+the steps are refined for all radii at once; `rtol` is that per-step
+tolerance.  `integrate_cartesian` still steps its one state with adaptive
+DOP853.
 
-The polar form is obtained by substituting the polar representation into
-the Cartesian equations; it is preferred on long ranges where Q dominates
-W = sqrt(M^2 + L^2), because ln rho then varies slowly and the phase is
-monotone.  It is integrated by adaptive DOP853 with `rtol` and `atol`, and
-cross-validated against the Cartesian forms in the test suite.
+The polar form, preferred on long ranges where Q dominates
+W = sqrt(M^2 + L^2), is read off the same Magnus steps: each half step
+turns the state by an angle known in closed form.
 """
 
 from __future__ import annotations
@@ -69,10 +67,10 @@ class PreconditionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Integration window, tolerances and dense-output stride.
+    """Integration window, tolerances and output-grid stride.
 
     For the Magnus propagator `rtol` is the per-step doubling tolerance and
-    `max_step` caps its first partition; `atol` acts on DOP853 solves only.
+    `max_step` caps its first partition; `atol` acts on `integrate_cartesian`.
     """
 
     r_start: float
@@ -90,10 +88,9 @@ class SolveConfig:
         if self.stride <= 0.0:
             raise ValueError("stride must be positive")
 
-    def grid(self, upper: Optional[float] = None) -> np.ndarray:
-        hi = self.r_end if upper is None else min(upper, self.r_end)
-        n = max(2, int(round((hi - self.r_start) / self.stride)) + 1)
-        return np.linspace(self.r_start, hi, n)
+    def grid(self) -> np.ndarray:
+        n = max(2, int(round((self.r_end - self.r_start) / self.stride)) + 1)
+        return np.linspace(self.r_start, self.r_end, n)
 
 
 @dataclass
@@ -104,11 +101,11 @@ class Trajectory:
     Cartesian solves the unwrapped phase is reconstructed only when the
     sampling stride resolves it (no jumps beyond pi between samples).
 
-    `nfev` counts right-hand-side evaluations of a DOP853 solve
-    (`integrate_cartesian`, `integrate_pruefer`) and, for the Magnus
-    propagator (`integrate_fundamental`), the radii at which the
-    coefficients were evaluated, rejected trial steps included.  A failed
-    solve keeps the grid points it reached, with a nonzero status.
+    `nfev` counts right-hand-side evaluations of `integrate_cartesian` and,
+    on the Magnus propagator, the radii at which the coefficients were
+    evaluated, rejected trial steps included.  A failed solve keeps the grid
+    points it reached, with a nonzero status.  `log_rho` is ln rho on the
+    grid of a polar solve.
     """
 
     grid: np.ndarray
@@ -124,6 +121,7 @@ class Trajectory:
     status: int = 0
     message: str = ""
     nfev: int = 0
+    log_rho: Optional[np.ndarray] = None
 
     @property
     def ok(self) -> bool:
@@ -150,7 +148,7 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # a step that would have to shrink below this fraction of |r| ends the solve
 _MIN_STEP = 1e-12
-# equal pieces of the first partition of a `propagate` range, which has no grid
+# geometric pieces of the first partition of a `propagate` range (no grid)
 _COARSE = 16
 
 
@@ -160,7 +158,8 @@ def _magnus_exp(h, p, b, c):
     Rows 0 and 1 of p, b, c hold the generator A = [[p, b], [c, -p]] at the
     step's two Gauss nodes.  Omega is traceless, so Omega^2 = s^2 I with
     s^2 = -det Omega and exp(Omega) = cosh(s) I + sinh(s)/s Omega (cos and
-    sin when s^2 < 0).  Returns the entries (e11, e12, e21, e22).
+    sin when s^2 < 0).  Returns the entries (e11, e12, e21, e22) and the
+    signed number of half turns the step makes.
     """
     (p1, p2), (b1, b2), (c1, c2) = p, b, c
     half, k = 0.5 * h, _COMMUTATOR * h * h
@@ -174,7 +173,10 @@ def _magnus_exp(h, p, b, c):
     f0 = np.where(grows, np.cosh(w), np.cos(w))
     f1 = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
                    out=np.ones_like(w), where=w > 0.0)
-    return f0 + f1 * op, f1 * ob, f1 * oc, f0 - f1 * op
+    # when det Omega = w^2 > 0, exp(t Omega) turns every state the way of
+    # sign(oc) and is -I at t = pi / w
+    turns = np.where(grows, 0.0, np.rint(w / np.pi) * np.sign(oc))
+    return f0 + f1 * op, f1 * ob, f1 * oc, f0 - f1 * op, turns
 
 
 def _mul(x, y):
@@ -185,21 +187,21 @@ def _mul(x, y):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _transfer(channel, nodes, rtol, max_step=math.inf):
-    """Transfer matrices Phi(r, nodes[0]) at the nodes, which run
+def _steps(channel, nodes, rtol, max_step=math.inf):
+    """Fourth-order Magnus steps from nodes[0] across the nodes, which run
     monotonically in the direction of travel.
 
     The node intervals, cut into pieces no longer than `max_step`, are the
     first trial steps.  Each round evaluates the coefficients once on the
-    Gauss nodes of every open step, keeps the two-half-step product P where
-    |e^Omega_h - P| / |P| <= rtol and halves the other steps.  The kept
-    steps are multiplied in travel order, storing Phi at the nodes only.
+    Gauss nodes of every open step, keeps the step as two half steps where
+    |e^Omega_h - P| / |P| <= rtol for their product P and halves the other
+    steps.
 
     A non-finite step, or one that would shrink below `_MIN_STEP * |r|`,
-    ends the solve at the node before it; so does an overflowing product.
-    Returns (phi, nfev, failure): phi of shape (n, 2, 2) for the first n
-    nodes, the number of radii evaluated, and None or a message naming the
-    radius where the solve ended.
+    ends the solve at the node before it.  Returns, for the kept steps in
+    travel order, their start radii t, a mask of those ending on a node, and
+    their half steps E1, E2 (`_magnus_exp` rows); then the number of radii
+    evaluated and None or a message naming the radius where the solve ended.
     """
     h = np.diff(nodes)
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
@@ -219,11 +221,11 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
             Q, M, L, _ = channel.coeffs(r)
             p, b, c = (x.reshape(-1, seg.size) for x in (-L, M - Q, Q + M))
             if E is None:
-                E = _magnus_exp(h, p[:2], b[:2], c[:2])
+                E = _magnus_exp(h, p[:2], b[:2], c[:2])[:4]
                 p, b, c = p[2:], b[2:], c[2:]
             E1 = _magnus_exp(half, p[:2], b[:2], c[:2])
             E2 = _magnus_exp(half, p[2:], b[2:], c[2:])
-            P = _mul(E2, E1)
+            P = _mul(E2[:4], E1[:4])
             err = (np.max(np.abs(np.subtract(E, P)), axis=0)
                    / np.max(np.abs(P), axis=0))
             ok = err <= rtol
@@ -235,21 +237,31 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
                 failure = f"Magnus step failed at r = {t[i]:.10g}"
             keep = seg < n_seg
             done, split = ok & keep, ~ok & keep
-            kept.append((seg[done], t[done], np.stack(P)[:, done]))
+            kept.append((seg[done], t[done], np.stack(E1 + E2)[:, done]))
             seg = np.repeat(seg[split], 2)
             t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
             h = np.repeat(half[split], 2)
             E = tuple(np.stack((e1[split], e2[split]), axis=1).ravel()
-                      for e1, e2 in zip(E1, E2))
+                      for e1, e2 in zip(E1[:4], E2[:4]))
 
-    seg, t, P = (np.concatenate(x, axis=-1) for x in zip(*kept))
+    seg, t, E = (np.concatenate(x, axis=-1) for x in zip(*kept))
     order = np.lexsort((t * np.sign(nodes[-1] - nodes[0]), seg))
     order = order[seg[order] < n_seg]
-    seg, P = seg[order], P[:, order]
-    ends = np.append(seg[1:] != seg[:-1], True).tolist()
+    seg, E = seg[order], E[:, order]
+    ends = np.diff(seg, append=n_seg) != 0
+    return t[order], ends, E[:5], E[5:], nfev, failure
+
+
+def _transfer(channel, nodes, rtol, max_step=math.inf):
+    """Transfer matrices Phi(r, nodes[0]) at the nodes, the kept steps of
+    `_steps` multiplied in travel order.  Returns (phi, nfev, failure), phi
+    of shape (n, 2, 2) for the first n nodes; an overflowing product ends
+    the solve like a failed step."""
+    _, ends, E1, E2, nfev, failure = _steps(channel, nodes, rtol, max_step)
     phi = [(1.0, 0.0, 0.0, 1.0)]
     now = phi[0]
-    for step, end in zip(zip(*P.tolist()), ends):
+    for step, end in zip(zip(*np.stack(_mul(E2[:4], E1[:4])).tolist()),
+                         ends.tolist()):
         now = _mul(step, now)
         if end:
             phi.append(now)
@@ -260,14 +272,6 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
         phi = phi[:n]
         failure = f"solution overflows before r = {nodes[n]:.10g}"
     return phi, nfev, failure
-
-
-def _solve(rhs, r0, r1, y0, rtol, atol, max_step=math.inf, **kw):
-    # a blow-up overflows inside the stepper before it gives up; the nonzero
-    # status reports that failure, so the float warnings on the way are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (r0, r1), y0, method="DOP853", rtol=rtol,
-                         atol=atol, max_step=max_step, **kw)
 
 
 def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
@@ -288,8 +292,11 @@ def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
         u1, u2 = y.tolist()
         return (-L * u1 + (M - Q) * u2, (Q + M) * u1 + L * u2)
 
-    sol = _solve(rhs, cfg.r_start, cfg.r_end, u0, cfg.rtol, cfg.atol,
-                 cfg.max_step, t_eval=cfg.grid())
+    # a blow-up overflows before the stepper gives up and reports its status
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (cfg.r_start, cfg.r_end), u0, method="DOP853",
+                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
+                        t_eval=cfg.grid())
     grid, y = sol.t, sol.y
     if np.size(grid) == 0:
         grid, y = np.array([cfg.r_start]), u0[:, None]
@@ -309,30 +316,41 @@ def _safe_unwrap(u1, u2):
 
 def integrate_pruefer(channel, rho0: float, theta0: float,
                       cfg: SolveConfig) -> Trajectory:
-    """Integrate the polar form; the phase is stored unwrapped and the
-    amplitude is propagated as ln rho so it stays positive by construction."""
+    """Integrate the polar form on the Magnus steps of `_steps`, carrying a
+    unit vector and ln rho so that rho cannot overflow on the way (`log_rho`
+    stays finite where rho does not).  Each half step adds its exact angle
+    gain, so theta is unwrapped whatever the stride; `accepted_r` and
+    `accepted_theta` hold the step ends."""
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
-
-    qml = channel.scalar_qml
-
-    def rhs(r, y):
-        Q, M, L = qml(r)
-        two = 2.0 * y[0]
-        s2, c2 = math.sin(two), math.cos(two)
-        return (Q + M * c2 + L * s2, M * s2 - L * c2)
-
-    sol = _solve(rhs, cfg.r_start, cfg.r_end,
-                 np.array([theta0, math.log(rho0)]), cfg.rtol, cfg.atol,
-                 cfg.max_step, dense_output=True)
-    grid = cfg.grid(upper=float(sol.t[-1]))
-    theta, lnrho = sol.sol(grid)
-    rho = np.exp(lnrho)
-    return Trajectory(grid=grid, u1=rho * np.cos(theta), u2=rho * np.sin(theta),
-                      rho=rho, theta=theta, mode="pruefer", channel=channel,
-                      accepted_r=sol.t, accepted_theta=sol.y[0],
-                      status=int(sol.status), message=str(sol.message),
-                      nfev=int(sol.nfev))
+    grid = cfg.grid()
+    t, ends, E1, E2, nfev, failure = _steps(channel, grid, cfg.rtol,
+                                            cfg.max_step)
+    E = np.stack((E1, E2), axis=-1).reshape(5, -1)
+    x, y = math.cos(theta0), math.sin(theta0)
+    states = [(x, y, 1.0)]
+    for a, b, c, d in zip(*E[:4].tolist()):
+        x, y = a * x + b * y, c * x + d * y
+        n = math.hypot(x, y)
+        x, y = x / n, y / n
+        states.append((x, y, n))
+    x, y, n = np.array(states).T
+    # a half step turns by less than pi beyond its whole half turns, so its
+    # gain is the angle nearest pi * turns congruent to the principal one
+    gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
+                      x[:-1] * x[1:] + y[:-1] * y[1:])
+    gain += 2.0 * np.pi * np.rint((np.pi * E[4] - gain) / (2.0 * np.pi))
+    theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
+    log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
+    at = np.flatnonzero(np.append(True, ends))
+    with np.errstate(over="ignore"):
+        rho = np.exp(log_rho[at])
+    return Trajectory(grid=grid[:at.size], u1=rho * np.cos(theta[at]),
+                      u2=rho * np.sin(theta[at]), rho=rho, theta=theta[at],
+                      mode="pruefer", channel=channel,
+                      accepted_r=np.append(t, grid[at.size - 1]),
+                      accepted_theta=theta, status=0 if failure is None else -1,
+                      message=failure or "", nfev=nfev, log_rho=log_rho[at])
 
 
 def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
@@ -362,9 +380,10 @@ def propagate(channel, u0, r0: float, r1: float, rtol: float = 1e-10,
               atol: float = 1e-12) -> np.ndarray:
     """Carry a state vector from r0 to r1 (either direction) and return the
     endpoint value; used by shooting-style searches.  The Magnus steps
-    start from `_COARSE` equal pieces of the range; the propagator has no
-    absolute tolerance, so `atol` is unused."""
-    phi, _, failure = _transfer(channel, np.linspace(r0, r1, _COARSE + 1),
+    start from `_COARSE` geometrically graded pieces of the range, short
+    near the end closer to the origin where k/r varies fastest; the
+    propagator has no absolute tolerance, so `atol` is unused."""
+    phi, _, failure = _transfer(channel, np.geomspace(r0, r1, _COARSE + 1),
                                 rtol)
     if failure is not None:
         raise PreconditionError(f"propagation from {r0:g} to {r1:g} failed: "

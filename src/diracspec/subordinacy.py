@@ -373,7 +373,7 @@ def _census_for(model, k, lam, r0, n_max: int = 60):
     hi = r0 + 1.0
     while s_of(hi) < need and hi < 1e6:
         hi *= 1.6
-    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=1e-11, atol=1e-13,
+    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=1e-11,
                       stride=min(0.05, (hi - r0) / 4000.0))
     traj = integrate_pruefer(tch, 1.0, 0.0, cfg)
     traj = s_reparam(tch, traj)

@@ -15,6 +15,7 @@ from diracspec.coefficients import (
 from diracspec.solver import (
     PreconditionError,
     SolveConfig,
+    Trajectory,
     frobenius_init,
     frobenius_radius,
     integrate_cartesian,
@@ -26,11 +27,14 @@ from diracspec.solver import (
     s_reparam,
     wronskian,
 )
+from diracspec.subordinacy import theta_census, transform
 
 CONST = ConstantChannel(2.0, 1.0, 0.0)
 ROTATION = ConstantChannel(1.0, 0.0, 0.0)
 LINEAR = assemble_channel(CoefficientModel(q=power(1, 1), m=constant(1)), 1, 0.0)
 EQUAL = CoefficientModel(q=power(1, 1), m=power(1, 1))
+# A = [[0, 1], [1, 0]]: the direction (1, 1) grows like e^r
+HYPERBOLIC = ConstantChannel(0.0, 1.0, 0.0)
 
 
 def cfg(r0, r1, **kw):
@@ -71,6 +75,7 @@ class TestCartesian:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("entry", ["integrate_cartesian",
+                                       "integrate_pruefer",
                                        "integrate_fundamental", "propagate"])
     def test_coefficient_blowup_gives_partial_trajectory(self, entry):
         model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
@@ -82,6 +87,9 @@ class TestCartesian:
             return
         if entry == "integrate_cartesian":
             trajs = [integrate_cartesian(ch, [1.0, 0.0], cfg(700.0, 720.0))]
+        elif entry == "integrate_pruefer":
+            trajs = [integrate_pruefer(ch, 1.0, 0.0, cfg(700.0, 720.0))]
+            assert len(trajs[0].accepted_r) == len(trajs[0].accepted_theta)
         else:
             trajs = integrate_fundamental(ch, cfg(700.0, 720.0))
             assert len(trajs) == 2
@@ -146,7 +154,78 @@ class TestMagnus:
         assert calls == []
 
 
+def dop853_polar(channel, rho0, theta0, grid):
+    """Reference (theta, ln rho) on the grid from DOP853 on the polar
+    equations at rtol 1e-13."""
+    def rhs(r, y):
+        Q, M, L, _ = channel.coeffs(r)
+        s2, c2 = math.sin(2.0 * y[0]), math.cos(2.0 * y[0])
+        return [Q + M * c2 + L * s2, M * s2 - L * c2]
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), [theta0, math.log(rho0)],
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=grid)
+    assert sol.status == 0
+    return sol.y
+
+
 class TestPruefer:
+    def test_matches_dop853_oracle_when_stride_turns_past_pi(self):
+        traj = integrate_pruefer(LINEAR, 1.0, 0.1, cfg(40.0, 90.0))
+        assert traj.ok and traj.grid[-1] == 90.0
+        assert np.max(np.diff(traj.theta)) > np.pi
+        theta, lnrho = dop853_polar(LINEAR, 1.0, 0.1, traj.grid)
+        assert np.max(np.abs(traj.theta - theta)) <= 1e-8
+        assert np.max(np.abs(traj.rho / np.exp(lnrho) - 1.0)) <= 1e-8
+
+    def test_whole_turns_within_one_step(self):
+        # Magnus is exact on constant coefficients, so a stride of 5 is one
+        # accepted step whose halves each turn by more than pi: only the
+        # half-turn count can place the phase
+        c = cfg(1.0, 61.0, stride=5.0)
+        traj = integrate_pruefer(CONST, 1.0, 0.0, c)
+        assert traj.accepted_r.size == traj.grid.size
+        assert np.min(np.diff(traj.theta)) > 2.0 * np.pi
+        t = np.linspace(0.0, 60.0, 6001)
+        root3 = math.sqrt(3.0)
+        exact = np.unwrap(np.arctan2(root3 * np.sin(root3 * t),
+                                     np.cos(root3 * t)))[::500]
+        assert np.max(np.abs(traj.theta - exact)) <= 1e-10
+
+    def test_no_scalar_coefficient_calls(self, monkeypatch):
+        calls = []
+        scalar_qml = type(LINEAR).scalar_qml
+
+        def counting(self, r):
+            calls.append(r)
+            return scalar_qml(self, r)
+
+        monkeypatch.setattr(type(LINEAR), "scalar_qml", counting)
+        traj = integrate_pruefer(LINEAR, 1.0, 0.0, cfg(1.0, 20.0))
+        assert traj.ok and traj.nfev > 0
+        assert calls == []
+
+    def test_growth_past_float_range_keeps_log_rho(self):
+        c = cfg(1.0, 760.0)
+        traj = integrate_pruefer(HYPERBOLIC, 1.0, math.pi / 4, c)
+        assert traj.ok
+        assert np.all(np.isfinite(traj.log_rho)) and traj.log_rho[-1] > 709.0
+        assert np.max(np.abs(traj.log_rho - (traj.grid - 1.0))) <= 1e-9
+        assert np.max(np.abs(traj.theta - math.pi / 4)) <= 1e-12
+
+    def test_census_matches_dop853_oracle(self):
+        tch = transform(EQUAL, 1, -1.0)
+        c = cfg(1.0, 33.0, rtol=1e-11, atol=1e-13, stride=0.02)
+        traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, c))
+        theta, _ = dop853_polar(tch, 1.0, 0.0, traj.grid)
+        got = theta_census(traj)
+        ref = theta_census(Trajectory(
+            grid=traj.grid, u1=traj.u1, u2=traj.u2, rho=traj.rho, theta=theta,
+            mode="pruefer", channel=tch, s=traj.s))
+        assert got.ns == ref.ns
+        assert got.violations == ref.violations
+        assert np.allclose(got.J_lengths + got.K_lengths,
+                           ref.J_lengths + ref.K_lengths, rtol=0.0, atol=1e-9)
+
     def test_uniform_rotation_phase(self):
         c = cfg(1.0, 30.0)
         traj = integrate_pruefer(ROTATION, 2.5, 0.3, c)

@@ -69,8 +69,9 @@ from .solver import (
 )
 from .subordinacy import (
     _eigen_side_cell,
-    classify_spectrum,
+    classify_cells,
     eigen_shoot,
+    spectrum_hypotheses,
     subordinacy_ratio,
     summarize_cells,
 )
@@ -294,13 +295,14 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _print_table("model conditions:", reports)
 
     violated = any(r.verdict == VIOLATED and not r.auxiliary for r in reports)
+    c_reports = check_c_conditions(model, cfg.k_set, cfg.lambda_grid,
+                                   extreme_ladder=cfg.ladder,
+                                   tail_ladder=cfg.tail_ladder)
     for k in cfg.k_set:
         for lam in cfg.lambda_grid:
-            channel = assemble_channel(model, k, lam)
-            creps = check_c_conditions(channel, extreme_ladder=cfg.ladder,
-                                       tail_ladder=cfg.tail_ladder)
+            creps = c_reports[k, lam]
             doc["channels"][_cell_name(k, lam)] = [r.to_dict() for r in creps]
-            _print_table(f"channel {channel.label()}:", creps)
+            _print_table(f"channel k={k},lambda={lam:g}:", creps)
             violated = violated or any(
                 r.verdict == VIOLATED and not r.auxiliary for r in creps)
     _write_json(out / "hypotheses.json", doc)
@@ -337,10 +339,17 @@ def cmd_solve(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     findings = False
-    for k, lam, channel in _channels_from(cfg):
+    channels = _channels_from(cfg)
+    ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
+    if cfg.channel_const is not None:
+        c_reports = {(None, None): check_c_conditions(cfg.channel_const,
+                                                      **ladders)}
+    else:
+        c_reports = check_c_conditions(cfg.model, cfg.k_set, cfg.lambda_grid,
+                                       **ladders)
+    for k, lam, channel in channels:
         name = "const" if k is None else _cell_name(k, lam)
-        creps = check_c_conditions(channel, extreme_ladder=cfg.ladder,
-                                   tail_ladder=cfg.tail_ladder)
+        creps = c_reports[k, lam]
         doc = {"kind": "boundedness", "channel": channel.label(),
                "conditions": [r.to_dict() for r in creps]}
         try:
@@ -414,18 +423,19 @@ def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 
 def _scan_chunk(payload):
-    model = model_from_dict(payload["model"])
-    return classify_spectrum(model, payload["k_chunk"],
-                             payload["lambda_grid"], r_end=payload["r_end"],
-                             delta=payload["delta"])
+    kwargs = dict(payload)
+    return classify_cells(model_from_dict(kwargs.pop("model")), **kwargs)
 
 
 def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.model is not None, "scan needs a 'model'")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
-    payloads = [{"model": cfg.model.to_dict(), "k_chunk": [k],
+    doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid)
+    payloads = [{"model": cfg.model.to_dict(), "k_set": [k],
                  "lambda_grid": cfg.lambda_grid,
+                 "equal": doc["equal_coefficients"],
+                 "heuristic": doc["heuristic"],
                  "r_end": cfg.subordinacy["r_end"],
                  "delta": cfg.subordinacy["delta"]}
                 for k in sorted(set(cfg.k_set))]
@@ -434,8 +444,7 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             results = list(pool.map(_scan_chunk, payloads))
     else:
         results = [_scan_chunk(p) for p in payloads]
-    doc = results[0]
-    doc["cells"] = sorted((c for r in results for c in r["cells"]),
+    doc["cells"] = sorted((c for cells in results for c in cells),
                           key=lambda c: (c["k"], c["lambda"]))
     doc["summary"] = summarize_cells(doc["cells"])
 

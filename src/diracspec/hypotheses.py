@@ -8,8 +8,9 @@ the ladder, so "inconclusive" is a first-class verdict.
 A window sample is the coefficient values on one window grid: each check
 samples the coefficients it reads once per window (`sample_window` passes
 the tuple of arrays through uncopied) and derives and reduces every
-quantity from that sample, one quantity at a time.  A condition made of
-several ladders takes the worst of their verdicts.
+quantity from that sample, one quantity at a time.  The C checks of all
+(k, lambda) channels of a model share one (q, m) sample per window.  A
+condition made of several ladders takes the worst of their verdicts.
 
 Condition vocabulary (the ids appearing in reports and CLI tables):
 
@@ -342,90 +343,167 @@ def check_b_conditions(model: CoefficientModel, *,
     return reports
 
 
-def check_c_conditions(channel, *,
+class _ChannelGrid:
+    """The (k, lambda) cells of one C check and how one window sample serves
+    them all: `sample` evaluates a window grid once, `angular` derives
+    (M, L, W) from it for one k and `shifted` derives Q for one lambda.  A
+    single channel is the one-cell grid (None, None) of its own `coeffs`."""
+
+    def __init__(self, source, k_set, lambda_grid):
+        if isinstance(source, CoefficientModel):
+            q, m = source.q, source.m
+            self.sample = lambda r: (q.value(r), m.value(r))
+            self.ks = list(dict.fromkeys(int(k) for k in k_set))
+            self.lams = list(dict.fromkeys(float(lam) for lam in lambda_grid))
+        else:
+            self.sample = source.coeffs
+            self.ks, self.lams = [None], [None]
+
+    @staticmethod
+    def angular(r, sample, k):
+        if k is None:
+            return sample[1:]
+        m, L = sample[1], k / r
+        return m, L, np.hypot(m, L)
+
+    @staticmethod
+    def shifted(sample, lam):
+        return sample[0] if lam is None else sample[0] - lam
+
+    def per_window(self, windows, reduce, *, n_max=400_000, wanted=None,
+                   held=None):
+        """Sample each window once and reduce every cell on it.
+
+        reduce maps (k, Q, M, L, W) of one cell to a number or a tuple.
+        Beside the sample, only the arrays of one k (L, W) and of one cell
+        (Q and what reduce derives) are alive at a time: Q is one
+        subtraction, while holding it for every lambda would add a window's
+        worth of memory per lambda.  `wanted` (window index -> set of cells)
+        limits the cells reduced per window.  `held` (window index ->
+        (grid, sample)) supplies samples taken earlier and keeps new ones
+        whose grid stays below the gap floor's point cap, so is the same
+        under any larger cap.  Returns {cell: [one reduction per window]}.
+        """
+        rows = {}
+        with np.errstate(all="ignore"):
+            for i, (a, b) in enumerate(windows):
+                cells = None if wanted is None else wanted[i]
+                if cells is not None and not cells:
+                    continue
+                if held is not None and i in held:
+                    r, sample = held.pop(i)
+                else:
+                    r, sample = sample_window(self.sample, a, b, n_max=n_max)
+                    if held is not None and r.size < _EXTREME_POINTS:
+                        held[i] = r, sample
+                for k in self.ks:
+                    if cells is not None and all(c[0] != k for c in cells):
+                        continue
+                    M, L, W = self.angular(r, sample, k)
+                    for lam in self.lams:
+                        if cells is None or (k, lam) in cells:
+                            Q = self.shifted(sample, lam)
+                            rows.setdefault((k, lam), []).append(
+                                reduce(k, Q, M, L, W))
+        return rows
+
+
+def _general_quotients(Q, M, L, W):
+    gap = Q - W
+    return (window_variation(W / gap), window_variation(M / gap),
+            window_variation(L / gap))
+
+
+# C3 by the coefficient that vanishes identically, if any: the condition id,
+# the quotients' evidence names and their window reduction
+_C3_FORMS = {
+    "general": ("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
+                       "l_over_q_minus_w"), _general_quotients),
+    "m_zero": ("C3'", ("l_over_q_minus_l",),
+               lambda Q, M, L, W: (window_variation(L / (Q - L)),)),
+    "l_zero": ("C3'", ("m_over_q_minus_m",),
+               lambda Q, M, L, W: (window_variation(M / (Q - M)),)),
+}
+
+
+def check_c_conditions(source, k_set=(), lambda_grid=(), *,
                        extreme_ladder: WindowLadder = EXTREME_LADDER,
                        tail_ladder: WindowLadder = TAIL_LADDER):
     """Diagnose the channel conditions C1-C3 (C3' when one coefficient
-    vanishes identically)."""
+    vanishes identically).
+
+    `source` is a CoefficientModel, checked on every cell of the grid
+    k_set x lambda_grid, which returns {(k, lambda): reports} in grid order;
+    or one channel (anything with `coeffs`), checked as a one-cell grid,
+    which returns its reports.  The channels of a model differ only in
+    Q = q - lambda and L = k/r, so each window grid is sampled once for all
+    cells: q and m once per window, L and W = hypot(m, L) once per k, and Q
+    per cell from the shared q.
+    """
+    grid = _ChannelGrid(source, k_set, lambda_grid)
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
 
-    q_min, q_max, ratio_max = _per_window(
-        channel.coeffs, ew,
-        lambda r, Q, M, L, W: np.min(Q), lambda r, Q, M, L, W: np.max(Q),
-        lambda r, Q, M, L, W: np.max(np.where(Q > 0.0, W / Q, np.inf)),
-        n_max=_EXTREME_POINTS)
-    verdict, note = _limsup_below_verdict(ratio_max)
-    reports = [
-        _divergence_report("C1", q_min, q_max, ew),
-        HypothesisReport("C2", verdict,
-                         {"w_over_q_window_maxima": ratio_max.tolist()},
-                         _listify(ew), note),
-    ]
+    def extreme(k, Q, M, L, W):
+        return (float(np.min(Q)), float(np.max(Q)),
+                float(np.max(np.where(Q > 0.0, W / Q, np.inf))))
+
+    extremes = grid.per_window(ew, extreme, n_max=_EXTREME_POINTS)
 
     # identify vanishing coefficients on a probe grid
     probe = np.geomspace(tw[0][0], tw[-1][1], 512)
+    forms = {}
     with np.errstate(all="ignore"):
-        _, M, L, _ = channel.coeffs(probe)
-    m_zero = bool(np.all(M == 0.0))
-    l_zero = bool(np.all(L == 0.0))
+        sample = grid.sample(probe)
+        for k in grid.ks:
+            M, L, _ = grid.angular(probe, sample, k)
+            forms[k] = _C3_FORMS["m_zero" if np.all(M == 0.0) else
+                                 "l_zero" if np.all(L == 0.0) else "general"]
 
     held = {}
+    gaps = grid.per_window(tw, lambda k, Q, M, L, W: float(np.min(Q - W)),
+                       n_max=_EXTREME_POINTS, held=held)
+    reports, usable = {}, {}
+    for cell, rows in extremes.items():
+        q_min, q_max, ratio_max = (np.asarray(x) for x in zip(*rows))
+        verdict, note = _limsup_below_verdict(ratio_max)
+        reports[cell] = [
+            _divergence_report("C1", q_min, q_max, ew),
+            HypothesisReport("C2", verdict,
+                             {"w_over_q_window_maxima": ratio_max.tolist()},
+                             _listify(ew), note),
+        ]
+        gaps[cell] = [g if np.isfinite(g) else -math.inf for g in gaps[cell]]
+        use = [i for i, g in enumerate(gaps[cell]) if g > 0.0]
+        if len(use) >= 2 and use[-1] == len(tw) - 1:
+            usable[cell] = use
+        else:
+            reports[cell].append(HypothesisReport(
+                "C3", INCONCLUSIVE, {"q_minus_w_window_minima": gaps[cell]},
+                _listify(tw),
+                note="Q - W not positive on the tail; quotients skipped"))
 
-    def tail_coeffs(r):
-        # a tail window whose grid stays below the gap floor's point cap has
-        # the same grid under the quotients' larger cap: the quotients take
-        # the gap floor's sample of it
-        key = (r[0], r[-1], r.size)
-        if key in held:
-            return held.pop(key)
-        sample = channel.coeffs(r)
-        if r.size < _EXTREME_POINTS:
-            held[key] = sample
-        return sample
-
-    gap, = _per_window(tail_coeffs, tw,
-                       lambda r, Q, M, L, W: np.min(Q - W),
-                       n_max=_EXTREME_POINTS)
-    gap_floor = [g if np.isfinite(g) else -math.inf for g in gap.tolist()]
-    usable = [i for i, g in enumerate(gap_floor) if g > 0.0]
-    if len(usable) < 2 or usable[-1] != len(tw) - 1:
-        reports.append(HypothesisReport(
-            "C3", INCONCLUSIVE, {"q_minus_w_window_minima": gap_floor},
-            _listify(tw),
-            note="Q - W not positive on the tail; quotients skipped"))
+    rungs = grid.per_window(
+        tw, lambda k, *coeffs: forms[k][2](*coeffs), held=held,
+        wanted=[{c for c, use in usable.items() if i in use}
+                for i in range(len(tw))])
+    for cell, use in usable.items():
+        cid, names, _ = forms[cell[0]]
+        evidence = {"q_minus_w_window_minima": gaps[cell]}
+        verdicts, notes = [], []
+        for name, values in zip(names, zip(*rungs[cell])):
+            values = np.asarray(values)
+            evidence[name + "_rung_variations"] = values.tolist()
+            v, n = _tail_verdict(values)
+            verdicts.append(v)
+            if n:
+                notes.append(f"{name}: {n}")
+        reports[cell].append(HypothesisReport(
+            cid, _worst(verdicts), evidence, _listify([tw[i] for i in use]),
+            note="; ".join(notes)))
+    if isinstance(source, CoefficientModel):
         return reports
-
-    windows = [tw[i] for i in usable]
-    if m_zero:
-        cid, quotients = "C3'", {
-            "l_over_q_minus_l":
-                lambda r, Q, M, L, W: window_variation(L / (Q - L))}
-    elif l_zero:
-        cid, quotients = "C3'", {
-            "m_over_q_minus_m":
-                lambda r, Q, M, L, W: window_variation(M / (Q - M))}
-    else:
-        cid, quotients = "C3", {
-            "w_over_q_minus_w":
-                lambda r, Q, M, L, W: window_variation(W / (Q - W)),
-            "m_over_q_minus_w":
-                lambda r, Q, M, L, W: window_variation(M / (Q - W)),
-            "l_over_q_minus_w":
-                lambda r, Q, M, L, W: window_variation(L / (Q - W)),
-        }
-    rungs = _per_window(tail_coeffs, windows, *quotients.values())
-    evidence = {"q_minus_w_window_minima": gap_floor}
-    verdicts, notes = [], []
-    for name, values in zip(quotients, rungs):
-        evidence[name + "_rung_variations"] = values.tolist()
-        v, n = _tail_verdict(values)
-        verdicts.append(v)
-        if n:
-            notes.append(f"{name}: {n}")
-    reports.append(HypothesisReport(cid, _worst(verdicts), evidence,
-                                    _listify(windows), note="; ".join(notes)))
-    return reports
+    return reports[None, None]
 
 
 def gamma_diagnostics(model: CoefficientModel, lam: float, *,

@@ -199,9 +199,10 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
 
     A non-finite step, or one that would shrink below `_MIN_STEP * |r|`,
     ends the solve at the node before it.  Returns, for the kept steps in
-    travel order, their start radii t, a mask of those ending on a node, and
-    their half steps E1, E2 (`_magnus_exp` rows); then the number of radii
-    evaluated and None or a message naming the radius where the solve ended.
+    travel order, their start radii t, a mask of those ending on a node,
+    their half steps E1, E2 (`_magnus_exp` rows) and their products
+    P = E2 E1 (entry rows); then the number of radii evaluated and None or a
+    message naming the radius where the solve ended.
     """
     h = np.diff(nodes)
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
@@ -237,7 +238,7 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
                 failure = f"Magnus step failed at r = {t[i]:.10g}"
             keep = seg < n_seg
             done, split = ok & keep, ~ok & keep
-            kept.append((seg[done], t[done], np.stack(E1 + E2)[:, done]))
+            kept.append((seg[done], t[done], np.stack(E1 + E2 + P)[:, done]))
             seg = np.repeat(seg[split], 2)
             t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
             h = np.repeat(half[split], 2)
@@ -249,7 +250,7 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
     order = order[seg[order] < n_seg]
     seg, E = seg[order], E[:, order]
     ends = np.diff(seg, append=n_seg) != 0
-    return t[order], ends, E[:5], E[5:], nfev, failure
+    return t[order], ends, E[:5], E[5:10], E[10:], nfev, failure
 
 
 def _transfer(channel, nodes, rtol, max_step=math.inf):
@@ -257,11 +258,10 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
     `_steps` multiplied in travel order.  Returns (phi, nfev, failure), phi
     of shape (n, 2, 2) for the first n nodes; an overflowing product ends
     the solve like a failed step."""
-    _, ends, E1, E2, nfev, failure = _steps(channel, nodes, rtol, max_step)
+    _, ends, _, _, P, nfev, failure = _steps(channel, nodes, rtol, max_step)
     phi = [(1.0, 0.0, 0.0, 1.0)]
     now = phi[0]
-    for step, end in zip(zip(*np.stack(_mul(E2[:4], E1[:4])).tolist()),
-                         ends.tolist()):
+    for step, end in zip(zip(*P.tolist()), ends.tolist()):
         now = _mul(step, now)
         if end:
             phi.append(now)
@@ -324,8 +324,8 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
-    t, ends, E1, E2, nfev, failure = _steps(channel, grid, cfg.rtol,
-                                            cfg.max_step)
+    t, ends, E1, E2, _, nfev, failure = _steps(channel, grid, cfg.rtol,
+                                               cfg.max_step)
     E = np.stack((E1, E2), axis=-1).reshape(5, -1)
     x, y = math.cos(theta0), math.sin(theta0)
     states = [(x, y, 1.0)]
@@ -376,13 +376,12 @@ def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
                  for u1, u2 in zip(U[:, 0].T, U[:, 1].T))
 
 
-def propagate(channel, u0, r0: float, r1: float, rtol: float = 1e-10,
-              atol: float = 1e-12) -> np.ndarray:
+def propagate(channel, u0, r0: float, r1: float,
+              rtol: float = 1e-10) -> np.ndarray:
     """Carry a state vector from r0 to r1 (either direction) and return the
     endpoint value; used by shooting-style searches.  The Magnus steps
     start from `_COARSE` geometrically graded pieces of the range, short
-    near the end closer to the origin where k/r varies fastest; the
-    propagator has no absolute tolerance, so `atol` is unused."""
+    near the end closer to the origin where k/r varies fastest."""
     phi, _, failure = _transfer(channel, np.geomspace(r0, r1, _COARSE + 1),
                                 rtol)
     if failure is not None:

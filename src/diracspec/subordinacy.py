@@ -59,6 +59,8 @@ __all__ = [
     "subordinacy_ratio",
     "eigen_shoot",
     "classify_spectrum",
+    "classify_cells",
+    "spectrum_hypotheses",
     "summarize_cells",
     "decaying_direction",
 ]
@@ -434,8 +436,8 @@ def _shoot_range(model, k, lam, r_star, exponent):
 
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
-                rtol: float = 1e-10, atol: float = 1e-13,
-                dominance: float = 1e3, match_radius_factor: float = 1.0,
+                rtol: float = 1e-10, dominance: float = 1e3,
+                match_radius_factor: float = 1.0,
                 wkb_exponent: float = 27.0) -> list:
     """Locate discrete spectral points inside a positive bracket.
 
@@ -461,9 +463,9 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
         r_star = _turning_radius(model, lam)
         r_match = max(r_star * match_radius_factor, 4.0 * init.r0)
         r_far = _shoot_range(model, k, lam, max(r_star, r_match), wkb_exponent)
-        u_f = propagate(ch, init.u0, init.r0, r_match, rtol=rtol, atol=atol)
+        u_f = propagate(ch, init.u0, init.r0, r_match, rtol=rtol)
         u_b = propagate(ch, decaying_direction(model, k, lam, r_far),
-                        r_far, r_match, rtol=rtol, atol=atol)
+                        r_far, r_match, rtol=rtol)
         num = u_f[0] * u_b[1] - u_f[1] * u_b[0]
         return float(num / (np.hypot(*u_f) * np.hypot(*u_b)))
 
@@ -495,32 +497,47 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
 _TRACEBACK_LINES = 8
 
 
-def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
-                      lambda_grid: Sequence[float], *,
-                      r_end: float = 120.0, delta: float = 1e-3,
-                      rtol: float = 1e-9) -> dict:
-    """Run the appropriate evidence pipeline for each (k, lambda) cell.
-
-    Dominant-potential models go through the boundedness certificate;
-    borderline (m == q) models go through the cumulative-ratio pipeline,
-    with the sign of lambda selecting the expected behaviour.  Lambda = 0
-    is excluded for borderline models (no claim is made at the boundary
-    point).
-    """
+def spectrum_hypotheses(model: CoefficientModel,
+                        lambda_grid: Sequence[float]) -> dict:
+    """The scan document without its cells: the model-level hypotheses
+    (A1-A4, or B1-B2 when m == q) and whether they leave the cells
+    heuristic.  A scan runs them once, whatever its chunks."""
     equal, _ = models_equal(model)
     if equal:
         hyp = check_b_conditions(model)
     else:
         hyp = check_a_conditions(model, sorted(set(lambda_grid)))
-    heuristic = worst_verdict(hyp) != SATISFIED
+    return {"kind": "scan", "model": model.to_dict(),
+            "equal_coefficients": equal,
+            "hypotheses": [h.to_dict() for h in hyp],
+            "heuristic": worst_verdict(hyp) != SATISFIED}
 
+
+def classify_cells(model: CoefficientModel, k_set: Sequence[int],
+                   lambda_grid: Sequence[float], *, equal: bool,
+                   heuristic: bool, r_end: float = 120.0,
+                   delta: float = 1e-3, rtol: float = 1e-9) -> list:
+    """Run the appropriate evidence pipeline for each (k, lambda) cell.
+
+    Dominant-potential models go through the boundedness certificate, with
+    the channel conditions of all cells checked in one pass; borderline
+    (m == q) models go through the cumulative-ratio pipeline, with the sign
+    of lambda selecting the expected behaviour.  Lambda = 0 is excluded for
+    borderline models (no claim is made at the boundary point).  `equal`
+    and `heuristic` come from `spectrum_hypotheses`.
+    """
+    ks = sorted(int(k) for k in set(k_set))
+    lams = sorted(set(float(l) for l in lambda_grid))
+    if not equal:
+        c_reports = check_c_conditions(model, ks, lams)
     cells = []
-    for k in sorted(int(k) for k in set(k_set)):
-        for lam in sorted(set(float(l) for l in lambda_grid)):
+    for k in ks:
+        for lam in lams:
             cell = {"k": k, "lambda": lam, "heuristic": heuristic}
             try:
                 if not equal:
-                    cell.update(_dominant_cell(model, k, lam, r_end))
+                    cell.update(_dominant_cell(model, k, lam, r_end,
+                                               c_reports[k, lam]))
                 elif lam == 0.0:
                     cell.update({"classification": "excluded",
                                  "path": "boundary-point"})
@@ -534,18 +551,29 @@ def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
                              "traceback": traceback.format_exc().splitlines()
                              [-_TRACEBACK_LINES:]})
             cells.append(cell)
-    summary = summarize_cells(cells)
-    return {"kind": "scan", "model": model.to_dict(), "equal_coefficients":
-            equal, "hypotheses": [h.to_dict() for h in hyp],
-            "heuristic": heuristic, "cells": cells, "summary": summary}
+    return cells
 
 
-def _dominant_cell(model, k, lam, r_end):
-    channel = assemble_channel(model, k, lam)
-    reports = check_c_conditions(channel)
+def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
+                      lambda_grid: Sequence[float], *,
+                      r_end: float = 120.0, delta: float = 1e-3,
+                      rtol: float = 1e-9) -> dict:
+    """The scan document of a model: `spectrum_hypotheses` and the
+    `classify_cells` of every (k, lambda) cell, with their summary."""
+    doc = spectrum_hypotheses(model, lambda_grid)
+    doc["cells"] = classify_cells(
+        model, k_set, lambda_grid, equal=doc["equal_coefficients"],
+        heuristic=doc["heuristic"], r_end=r_end, delta=delta, rtol=rtol)
+    doc["summary"] = summarize_cells(doc["cells"])
+    return doc
+
+
+def _dominant_cell(model, k, lam, r_end, reports):
+    """One dominant-potential cell, given its channel condition reports."""
     if worst_verdict(reports) != SATISFIED:
         return {"path": "boundedness", "classification": "inconclusive",
                 "channel_conditions": [r.to_dict() for r in reports]}
+    channel = assemble_channel(model, k, lam)
     cfg = SolveConfig(r_start=auto_start_radius(channel), r_end=r_end,
                       rtol=1e-10, atol=1e-12)
     cert = comparability_constant(*integrate_fundamental(channel, cfg))
@@ -570,7 +598,7 @@ def _eigen_side_cell(model, k, lam, delta, rtol):
     r_far = _shoot_range(model, k, lam, max(r_star, r0 * 1.5), 15.0)
     u_dec = propagate(assemble_channel(model, k, lam),
                       decaying_direction(model, k, lam, r_far), r_far, r0,
-                      rtol=1e-10, atol=1e-13)
+                      rtol=1e-10)
     u_dec = u_dec / np.hypot(*u_dec)
     generic = np.array([-u_dec[1], u_dec[0]])
     report = subordinacy_ratio(model, k, lam, u_dec, generic, r0, r_far,

@@ -184,7 +184,7 @@ def test_criterion_5_borderline_desk_scale():
         all(math.pi / 3 <= v <= math.pi for v in lengths)
 
     eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
-    tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11, atol=5e-14)
+    tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11)
     eig_ok = len(eigs) >= 1 and len(tight) == len(eigs) and \
         max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
     ok = ratio_ok and census_ok and eig_ok

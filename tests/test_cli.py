@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ def write_config(tmp_path, doc, name="config.json"):
     path.write_text(json.dumps(doc))
     return path
 
+
+DATA = Path(__file__).parent / "data"
 
 LINEAR_MODEL = {
     "q": {"family": "power", "params": {"c": 1.0, "p": 1.0}},
@@ -117,6 +120,17 @@ class TestHypothesesCommand:
         assert "'m'" in capsys.readouterr().err
 
 
+class TestGoldenHypotheses:
+    # golden files written before the channels of a model shared one window
+    # sample (see tests/data/README.md)
+    @pytest.mark.parametrize("name", ["dominant_linear", "modulated_quarter",
+                                      "sqrt_periodic", "borderline_linear"])
+    def test_fixture_report_is_byte_identical(self, name, tmp_path):
+        run(["hypotheses", "--config", fixture_path(name), "--out", tmp_path])
+        assert (tmp_path / "hypotheses.json").read_bytes() == \
+            (DATA / f"hypotheses_{name}.json").read_bytes()
+
+
 class TestScanCommand:
     def test_deterministic_outputs(self, tmp_path):
         cfg = fixture_path("borderline_linear")
@@ -178,10 +192,10 @@ class TestScanCommand:
 
         dominant_cell = sub._dominant_cell
 
-        def failing_for_k2(model, k, lam, r_end):
+        def failing_for_k2(model, k, lam, r_end, reports):
             if k == 2:
                 raise TypeError("synthetic cell failure")
-            return dominant_cell(model, k, lam, r_end)
+            return dominant_cell(model, k, lam, r_end, reports)
 
         monkeypatch.setattr(sub, "_dominant_cell", failing_for_k2)
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,

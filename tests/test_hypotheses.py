@@ -4,6 +4,7 @@ import pytest
 from diracspec.bvcalc import lambda_trichotomy_probe
 from diracspec.coefficients import (
     ChannelSystem,
+    CoefficientFunction,
     CoefficientModel,
     assemble_channel,
     coefficient,
@@ -213,6 +214,63 @@ class TestCConditions:
         # gap floor's samples of [25, 250] and [250, 2500], whose grids are
         # the same under both point caps
         assert len(calls) == 9
+
+    def test_model_grid_matches_each_channel(self):
+        # one (q, m) sample per window, L and W per k and Q per lambda give
+        # every cell the reports of its channel's own coefficients, with
+        # and without usable gap windows
+        ks, lams = [1, -2], [-1.0, 0.0, 30.0]
+        grid = check_c_conditions(MODULATED, ks, lams)
+        assert list(grid) == [(k, lam) for k in ks for lam in lams]
+        skipped = set()
+        for (k, lam), reports in grid.items():
+            own = check_c_conditions(assemble_channel(MODULATED, k, lam))
+            assert [r.to_dict() for r in reports] == \
+                [r.to_dict() for r in own], (k, lam)
+            skipped.add(reports[-1].note.endswith("quotients skipped"))
+        assert skipped == {True, False}
+
+    def test_model_grid_samples_q_and_m_once_per_window(self, monkeypatch):
+        seen = []
+        value = CoefficientFunction.value
+
+        def counting(self, r):
+            seen.append((id(self), np.size(r), float(r[0]), float(r[-1])))
+            return value(self, r)
+
+        monkeypatch.setattr(CoefficientFunction, "value", counting)
+
+        def evaluations(ks, lams):
+            seen.clear()
+            reports = check_c_conditions(LINEAR, ks, lams)
+            assert all(by_id(r)["C3"].verdict == SATISFIED
+                       for r in reports.values())
+            return list(seen)
+
+        one = evaluations([1], [0.0])
+        assert evaluations([1, -1, 2, -2], [-1.0, 0.0, 0.5, 1.0, 2.0]) == one
+        # q and m once on each grid: 4 extreme windows, the probe, 3 gap
+        # windows and the one quotient grid the gap floor did not share
+        assert len(one) == len(set(one)) == 2 * 9
+
+    def test_single_quotient_form_on_a_grid(self):
+        # with m == 0 every cell reads C3' on L/(Q - L) = k/(r (r - lam) - k),
+        # monotone on each tail window: its variation there is the
+        # difference of its end values
+        model = CoefficientModel(q=power(1, 1), m=constant(0))
+        grid = check_c_conditions(model, [1, -2, 3], [-1.0, 0.5])
+        assert len(grid) == 6
+        for (k, lam), reports in grid.items():
+            c3 = by_id(reports)["C3'"]
+            assert c3.verdict == SATISFIED
+
+            def quotient(r):
+                return k / (r * (r - lam) - k)
+
+            expect = [abs(quotient(b) - quotient(a)) for a, b in c3.windows]
+            assert np.allclose(
+                c3.evidence["l_over_q_minus_l_rung_variations"], expect,
+                rtol=1e-9, atol=0.0), (k, lam)
 
     def test_worst_verdict_helper(self):
         ch = assemble_channel(MODULATED, 1, 1.0)

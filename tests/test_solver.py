@@ -52,7 +52,7 @@ class TestCartesian:
         # half-turn lands on (-1, 0)
         idx = np.argmin(np.abs(t - np.pi / root3))
         u_half = propagate(CONST, [1.0, 0.0], c.r_start,
-                           c.r_start + np.pi / root3, rtol=1e-12, atol=1e-14)
+                           c.r_start + np.pi / root3, rtol=1e-12)
         assert np.hypot(u_half[0] + 1.0, u_half[1]) < 1e-8
         assert abs(traj.u1[idx]) > 0.99
 
@@ -307,7 +307,7 @@ class TestFrobenius:
         norms = [1.0]
         u = init.u0.copy()
         for ra, rb in zip(radii[:-1], radii[1:]):
-            u = propagate(ch, u, ra, rb, rtol=1e-12, atol=1e-16)
+            u = propagate(ch, u, ra, rb, rtol=1e-12)
             norms.append(float(np.hypot(u[0], u[1])))
         slopes = np.diff(np.log(norms)) / np.diff(np.log(radii))
         assert np.all(np.abs(slopes - abs(k)) < 0.05 * abs(k))

@@ -162,7 +162,7 @@ class TestRatio:
         r_far = _shoot_range(EQUAL, 1, lam, max(r_star, 1.5), 15.0)
         ch = assemble_channel(EQUAL, 1, lam)
         u_dec = propagate(ch, decaying_direction(EQUAL, 1, lam, r_far),
-                          r_far, 1.0, rtol=1e-11, atol=1e-14)
+                          r_far, 1.0, rtol=1e-11)
         u_dec = u_dec / np.hypot(*u_dec)
         generic = np.array([-u_dec[1], u_dec[0]])
         rep = subordinacy_ratio(EQUAL, 1, lam, u_dec, generic, 1.0, r_far)
@@ -194,7 +194,7 @@ class TestEigenShoot:
     def test_bracket_nonempty_and_stable(self):
         eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
         assert len(eigs) >= 1
-        tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11, atol=5e-14)
+        tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11)
         assert len(tight) == len(eigs)
         assert max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
         wide = eigen_shoot(EQUAL, 1, (0.0, 5.0), match_radius_factor=2.0)

@@ -25,7 +25,8 @@ DOP853.
 
 The polar form, preferred on long ranges where Q dominates
 W = sqrt(M^2 + L^2), is read off the same Magnus steps: each half step
-turns the state by an angle known in closed form.
+turns the state by an angle known in closed form.  `cumulative_norms` runs
+on the same steps too, adding Simpson's rule for int |u|^2 over each.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "integrate_pruefer",
     "integrate_fundamental",
     "propagate",
+    "cumulative_norms",
     "wronskian",
     "frobenius_init",
     "frobenius_radius",
@@ -197,12 +199,13 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
     |e^Omega_h - P| / |P| <= rtol for their product P and halves the other
     steps.
 
-    A non-finite step, or one that would shrink below `_MIN_STEP * |r|`,
-    ends the solve at the node before it.  Returns, for the kept steps in
-    travel order, their start radii t, a mask of those ending on a node,
-    their half steps E1, E2 (`_magnus_exp` rows) and their products
-    P = E2 E1 (entry rows); then the number of radii evaluated and None or a
-    message naming the radius where the solve ended.
+    A step that would shrink below `_MIN_STEP * |r|` ends the solve at the
+    node before it.  So does a non-finite step whose convergence length
+    pi / max|A| is below that; other non-finite steps are halved.  Returns,
+    for the kept steps in travel order, their start radii t, a mask of those
+    ending on a node, their half steps E1, E2 (`_magnus_exp` rows) and their
+    products P = E2 E1 (entry rows); then the number of radii evaluated and
+    None or a message naming the radius where the solve ended.
     """
     h = np.diff(nodes)
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
@@ -230,8 +233,15 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
             err = (np.max(np.abs(np.subtract(E, P)), axis=0)
                    / np.max(np.abs(P), axis=0))
             ok = err <= rtol
-            bad = ~np.isfinite(err) | (
-                ~ok & (np.abs(half) < _MIN_STEP * np.abs(t)))
+            bad = ~ok & (np.abs(half) < _MIN_STEP * np.abs(t))
+            wild = ~np.isfinite(err)
+            if wild.any():
+                # a step far past the Magnus convergence length pi / max|A|
+                # overflows; it is halved unless that length is itself
+                # below the shortest step (or not a number)
+                size = np.max(np.abs(np.concatenate((p, b, c))[:, wild]),
+                              axis=0)
+                bad[wild] |= ~(np.pi / size >= _MIN_STEP * np.abs(t[wild]))
             if bad.any():
                 i = np.argmin(np.where(bad, np.abs(t - nodes[0]), np.inf))
                 n_seg = seg[i]
@@ -272,6 +282,29 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
         phi = phi[:n]
         failure = f"solution overflows before r = {nodes[n]:.10g}"
     return phi, nfev, failure
+
+
+def cumulative_norms(channel, U0, nodes, rtol):
+    """Cumulative squared norms I(r) = int_{nodes[0]}^r |u|^2 of the two
+    solutions starting from the columns of U0, at nodes[1:]; shape
+    (2, n - 1).  Each Magnus step of `_steps` adds Simpson's rule on |u|^2
+    at its start, midpoint and end."""
+    t, ends, E1, E2, _, _, failure = _steps(channel, nodes, rtol)
+    if failure is not None:
+        raise PreconditionError(f"cumulative norms failed: {failure}")
+    h = np.diff(np.append(t, nodes[-1]))
+    E = np.stack((E1[:4], E2[:4]), axis=-1).reshape(4, -1)
+    (x, y), (v, w) = np.asarray(U0, dtype=float).tolist()
+    f = [(x * x + v * v, y * y + w * w)]
+    for a, b, c, d in zip(*E.tolist()):
+        x, y, v, w = a * x + b * v, a * y + b * w, c * x + d * v, c * y + d * w
+        f.append((x * x + v * v, y * y + w * w))
+    f = np.array(f).T
+    I = np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
+                  axis=1)[:, ends]
+    if not np.all(np.isfinite(I)):
+        raise PreconditionError("cumulative norms overflow")
+    return I
 
 
 def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:

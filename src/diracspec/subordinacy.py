@@ -13,10 +13,13 @@ into another channel equation with coefficients
 whose solutions are all bounded and of comparable size.  The oscillation of
 the rescaled phase then spreads the growing and decaying parts so evenly
 between any two solutions that neither can be negligible against the other:
-cumulative norm ratios stay bounded away from zero.  For positive spectral
-parameters the same machinery exhibits the opposite behaviour: one
-direction decays against every other, and matching it to the solution
-recessive at the origin locates discrete eigenvalues.
+cumulative norm ratios stay bounded away from zero.  The rescaled channel
+serves the phase census and `asymptotics`; the ratios themselves need no
+rescaling, since |u|^2 = sqrt(Lambda/gamma) v1^2 + sqrt(gamma/Lambda) v2^2
+is an identity, and come from `solver.cumulative_norms` on the original
+channel.  For positive spectral parameters the same machinery exhibits the
+opposite behaviour: one direction decays against every other, and matching
+it to the solution recessive at the origin locates discrete eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .boundedness import auto_start_radius, comparability_constant
@@ -42,6 +45,7 @@ from .hypotheses import (
 from .solver import (
     PreconditionError,
     SolveConfig,
+    cumulative_norms,
     frobenius_radius,
     integrate_fundamental,
     integrate_pruefer,
@@ -254,7 +258,7 @@ def _fit_log_decay(r, logv):
 def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
                       delta: float = 1e-3, n_ladder: int = 48,
-                      rtol: float = 1e-10, atol: float = 1e-12,
+                      rtol: float = 1e-10,
                       with_census: bool = False) -> SubordinacyReport:
     """Cumulative squared-norm ratio of two solutions on a geometric ladder.
 
@@ -263,6 +267,8 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     decays monotonically below delta and follows a clean log-linear decay
     law; `inconclusive` otherwise.
     """
+    if not 0.0 < r0 < r_end:
+        raise ValueError("the ratio range needs 0 < r0 < r_end")
     u0_a = np.asarray(u0_a, dtype=float)
     u0_b = np.asarray(u0_b, dtype=float)
     cross = u0_a[0] * u0_b[1] - u0_a[1] * u0_b[0]
@@ -270,44 +276,19 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     if abs(cross) < 1e-10 * norms:
         raise ValueError("initial conditions are numerically dependent")
 
-    equal, _ = models_equal(model)
-    use_transform = bool(equal and lam < 0.0)
     ladder = np.geomspace(max(r0 * 1.25, r0 + 1e-3 * (r_end - r0)), r_end,
                           n_ladder)
-
-    if use_transform:
-        tch = transform(model, k, lam)
-        Lam = tch.Lambda
-
-        # squared norm of u from the rescaled components:
-        # |u|^2 = sqrt(Lambda/gamma) v1^2 + sqrt(gamma/Lambda) v2^2
-        def weight(r):
-            g = 2.0 * model.q._scalar(r) - lam
-            w = math.sqrt(g / Lam)
-            return 1.0 / w, w
-
-        inits = []
-        for u0 in (u0_a, u0_b):
-            v1, v2 = tch.forward(r0, u0[0], u0[1])
-            inits.append((math.atan2(v2, v1), 0.5 * math.log(v1 ** 2 + v2 ** 2)))
-        sol = _pruefer_pair_with_weighted_norms(tch, inits, r0, r_end,
-                                                ladder, rtol, atol, weight)
-    else:
-        channel = assemble_channel(model, k, lam)
-        inits = [(math.atan2(u0[1], u0[0]), math.log(float(np.hypot(*u0))))
-                 for u0 in (u0_a, u0_b)]
-        sol = _pruefer_pair_with_weighted_norms(channel, inits, r0, r_end,
-                                                ladder, rtol, atol, None)
-
-    I_a, I_b = sol.y[2], sol.y[5]
+    I_a, I_b = cumulative_norms(assemble_channel(model, k, lam),
+                                np.column_stack((u0_a, u0_b)),
+                                np.append(r0, ladder), rtol)
     ratio_ab = I_a / I_b
     ratio_ba = I_b / I_a
-    tail = sol.t >= r_end / 10.0
+    tail = ladder >= r_end / 10.0
     liminf = float(np.min(ratio_ab[tail]))
 
     fit = None
     # decay-law window: past the midpoint, where transients have died out
-    half = sol.t >= r0 + 0.5 * (r_end - r0)
+    half = ladder >= r0 + 0.5 * (r_end - r0)
     if float(np.min(ratio_ab[tail])) >= delta and \
             float(np.min(ratio_ba[tail])) >= delta:
         classification = "no-subordinate"
@@ -315,7 +296,7 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
         cand = ratio_ab if np.min(ratio_ab[tail]) < delta else ratio_ba
         tail_vals = cand[half]
         monotone = bool(np.all(np.diff(tail_vals) <= np.abs(tail_vals[:-1]) * 1e-6))
-        fit = _fit_log_decay(sol.t[half], np.log(tail_vals))
+        fit = _fit_log_decay(ladder[half], np.log(tail_vals))
         if monotone and fit["slope"] < 0.0 and fit["r_squared"] > 0.99 \
                 and tail_vals[-1] < delta:
             classification = "subordinate-found"
@@ -323,45 +304,15 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
             classification = "inconclusive"
 
     census = None
-    if with_census and use_transform:
+    if with_census and lam < 0.0 and models_equal(model)[0]:
         census = _census_for(model, k, lam, r0)
 
     return SubordinacyReport(
         lam=float(lam), k=int(k), r0=float(r0), r_end=float(r_end),
         delta=delta,
-        ratio_tail=[(float(r), float(v)) for r, v in zip(sol.t, ratio_ab)],
+        ratio_tail=[(float(r), float(v)) for r, v in zip(ladder, ratio_ab)],
         liminf_estimate=liminf, classification=classification, fit=fit,
         census=census)
-
-
-def _pruefer_pair_with_weighted_norms(channel, inits, r0, r_end, ladder,
-                                      rtol, atol, weight):
-    """Integrate two solutions in polar form, carrying the cumulative
-    (optionally component-weighted) squared norms as extra states."""
-    qml = channel.scalar_qml
-
-    def rhs(r, y):
-        Q, M, L = qml(r)
-        wa, wb = (1.0, 1.0) if weight is None else weight(r)
-        out = []
-        for base in (0, 3):
-            th, lr = y[base], y[base + 1]
-            c, s = math.cos(th), math.sin(th)
-            s2, c2 = 2.0 * s * c, c * c - s * s
-            wsq = wa * c * c + wb * s * s
-            out.extend((Q + M * c2 + L * s2,
-                        M * s2 - L * c2,
-                        wsq * math.exp(2.0 * lr)))
-        return out
-
-    y0 = []
-    for (th0, lr0) in inits:
-        y0.extend((th0, lr0, 0.0))
-    sol = solve_ivp(rhs, (r0, r_end), np.asarray(y0), method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=ladder)
-    if sol.status != 0:
-        raise PreconditionError(f"ratio integration failed: {sol.message}")
-    return sol
 
 
 def _census_for(model, k, lam, r0, n_max: int = 60):

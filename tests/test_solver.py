@@ -16,6 +16,7 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    cumulative_norms,
     frobenius_init,
     frobenius_radius,
     integrate_cartesian,
@@ -152,6 +153,45 @@ class TestMagnus:
         ta, _ = integrate_fundamental(LINEAR, cfg(1.0, 20.0))
         assert ta.ok and ta.nfev > 0
         assert calls == []
+
+    @pytest.mark.parametrize("stride", [20.0, 40.0])
+    def test_overflowing_trial_step_is_refined(self, stride):
+        # a first trial step this long overflows cosh in the closed-form
+        # exponential; it has to be halved, not end the solve
+        ref, _ = integrate_fundamental(LINEAR, cfg(1.0, 201.0))
+        ta, _ = integrate_fundamental(LINEAR, cfg(1.0, 201.0, stride=stride))
+        assert ta.ok and ta.grid[-1] == 201.0
+        at = np.searchsorted(ref.grid, ta.grid - 1e-9)
+        assert np.max(np.abs(ta.u1 - ref.u1[at])) <= \
+            1e-10 * np.max(np.abs(ref.u1))
+        traj = integrate_pruefer(LINEAR, 1.0, 0.0,
+                                 cfg(1.0, 201.0, stride=stride))
+        assert traj.ok and traj.grid[-1] == 201.0
+
+    def test_propagate_refines_overflowing_piece(self):
+        # the last geometric piece of [1, 200] is 57 long
+        u0 = np.array([1.0, 0.0])
+        u1 = propagate(LINEAR, u0, 1.0, 200.0)
+        assert np.max(np.abs(propagate(LINEAR, u1, 200.0, 1.0) - u0)) <= 1e-10
+
+
+class TestCumulativeNorms:
+    def test_rotation_closed_form(self):
+        # |u| is constant under a pure rotation, so I = |u0|^2 (r - r0)
+        U0 = np.array([[0.3, 2.0], [-0.7, 0.5]])
+        nodes = np.geomspace(1.0, 80.0, 12)
+        I = cumulative_norms(ROTATION, U0, nodes, 1e-10)
+        exact = np.sum(U0 ** 2, axis=0)[:, None] * (nodes[1:] - nodes[0])
+        assert I.shape == (2, 11)
+        assert np.max(np.abs(I / exact - 1.0)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_solve_raises(self):
+        model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
+                                 m=constant(1))
+        ch = assemble_channel(model, 1, 0.0)
+        with pytest.raises(PreconditionError, match="cumulative norms"):
+            cumulative_norms(ch, np.eye(2), np.array([700.0, 720.0]), 1e-10)
 
 
 def dop853_polar(channel, rho0, theta0, grid):

@@ -5,10 +5,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import ai_zeros
 
+from diracspec import subordinacy
 from diracspec.coefficients import (
+    ChannelSystem,
     CoefficientModel,
     assemble_channel,
     constant,
+    models_equal,
     power,
 )
 from diracspec.solver import (
@@ -20,6 +23,9 @@ from diracspec.solver import (
     s_reparam,
 )
 from diracspec.subordinacy import (
+    TransformedChannel,
+    _shoot_range,
+    _turning_radius,
     census_from_phase,
     classify_spectrum,
     decaying_direction,
@@ -143,6 +149,54 @@ class TestCensus:
             theta_census(traj)
 
 
+def dop853_norms(channel, U0, nodes, rtol):
+    """Reference for `cumulative_norms`: the weighted Pruefer pair, (theta,
+    ln rho, I) for both columns of U0 by DOP853 on the scalar coefficients,
+    with I read at nodes[1:].  For m == q and lambda < 0 it runs on the
+    rescaled channel, where |u|^2 = sqrt(Lambda/gamma) v1^2 +
+    sqrt(gamma/Lambda) v2^2."""
+    model, lam = channel.model, channel.lam
+    rescaled = lam < 0.0 and models_equal(model)[0]
+    if rescaled:
+        channel = transform(model, channel.k, lam)
+    inits = []
+    for u1, u2 in np.transpose(U0):
+        if rescaled:
+            u1, u2 = channel.forward(nodes[0], u1, u2)
+        inits.extend((math.atan2(u2, u1), math.log(math.hypot(u1, u2)), 0.0))
+
+    def rhs(r, y):
+        Q, M, L = channel.scalar_qml(r)
+        wa = wb = 1.0
+        if rescaled:
+            wb = math.sqrt((2.0 * model.q._scalar(r) - lam) / channel.Lambda)
+            wa = 1.0 / wb
+        out = []
+        for th, lr in (y[:2], y[3:5]):
+            c, s = math.cos(th), math.sin(th)
+            s2, c2 = 2.0 * s * c, c * c - s * s
+            out.extend((Q + M * c2 + L * s2, M * s2 - L * c2,
+                        (wa * c * c + wb * s * s) * math.exp(2.0 * lr)))
+        return out
+
+    sol = solve_ivp(rhs, (nodes[0], nodes[-1]), inits, method="DOP853",
+                    rtol=rtol, atol=1e-12, t_eval=nodes[1:])
+    assert sol.status == 0
+    return sol.y[[2, 5]]
+
+
+def eigen_side_data(k, lam):
+    """(u_dec, generic, r_far): the direction decaying toward r_far carried
+    back to r = 1, its normal, and r_far."""
+    r_star = _turning_radius(EQUAL, lam)
+    r_far = _shoot_range(EQUAL, k, lam, max(r_star, 1.5), 15.0)
+    ch = assemble_channel(EQUAL, k, lam)
+    u_dec = propagate(ch, decaying_direction(EQUAL, k, lam, r_far),
+                      r_far, 1.0, rtol=1e-11)
+    u_dec = u_dec / np.hypot(*u_dec)
+    return u_dec, np.array([-u_dec[1], u_dec[0]]), r_far
+
+
 class TestRatio:
     def test_negative_lambda_no_subordinate(self):
         rep = subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 200.0)
@@ -151,21 +205,53 @@ class TestRatio:
         # oracle: richer range and tighter tolerance agree on positivity and
         # rough magnitude
         oracle = subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 400.0,
-                                   rtol=1e-12, atol=1e-14)
+                                   rtol=1e-12)
         assert oracle.classification == "no-subordinate"
         assert oracle.liminf_estimate > 0.0
 
+    @pytest.mark.parametrize("model, k, lam, r_end", [
+        (EQUAL, 1, -1.0, 200.0), (EQUAL, -1, -1.0, 200.0),
+        (LINEAR, 1, -1.0, 120.0), (EQUAL, 1, 1.0, None)],
+        ids=["equal-k1", "equal-k-1", "linear-k1", "equal-eigen-side"])
+    def test_matches_dop853_pair(self, monkeypatch, model, k, lam, r_end):
+        if lam < 0.0:
+            args = ([1.0, 0.0], [0.0, 1.0], 1.0, r_end)
+        else:
+            u_dec, generic, r_far = eigen_side_data(k, lam)
+            args = (u_dec, generic, 1.0, r_far)
+        got = subordinacy_ratio(model, k, lam, *args)
+        monkeypatch.setattr(subordinacy, "cumulative_norms", dop853_norms)
+        ref = subordinacy_ratio(model, k, lam, *args)
+        assert got.classification == ref.classification
+        r, v = np.transpose(got.ratio_tail)
+        r_ref, v_ref = np.transpose(ref.ratio_tail)
+        assert np.array_equal(r, r_ref)
+        assert np.max(np.abs(v / v_ref - 1.0)) <= 1e-6
+
+    def test_no_scalar_coefficient_calls(self, monkeypatch):
+        calls = []
+        for cls in (ChannelSystem, TransformedChannel):
+            scalar_qml = cls.scalar_qml
+
+            def counting(self, r, scalar_qml=scalar_qml):
+                calls.append(r)
+                return scalar_qml(self, r)
+
+            monkeypatch.setattr(cls, "scalar_qml", counting)
+        for model in (EQUAL, LINEAR):
+            rep = subordinacy_ratio(model, 1, -1.0, [1, 0], [0, 1], 1.0, 60.0)
+            assert rep.classification == "no-subordinate"
+        assert calls == []
+
+    @pytest.mark.parametrize("r0, r_end", [(50.0, 50.0), (60.0, 50.0),
+                                           (0.0, 50.0), (-1.0, 50.0)])
+    def test_range_validated(self, r0, r_end):
+        with pytest.raises(ValueError, match="0 < r0 < r_end"):
+            subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], r0, r_end)
+
     def test_positive_lambda_subordinate_found(self):
-        from diracspec.subordinacy import _shoot_range, _turning_radius
-        lam = 1.0
-        r_star = _turning_radius(EQUAL, lam)
-        r_far = _shoot_range(EQUAL, 1, lam, max(r_star, 1.5), 15.0)
-        ch = assemble_channel(EQUAL, 1, lam)
-        u_dec = propagate(ch, decaying_direction(EQUAL, 1, lam, r_far),
-                          r_far, 1.0, rtol=1e-11)
-        u_dec = u_dec / np.hypot(*u_dec)
-        generic = np.array([-u_dec[1], u_dec[0]])
-        rep = subordinacy_ratio(EQUAL, 1, lam, u_dec, generic, 1.0, r_far)
+        u_dec, generic, r_far = eigen_side_data(1, 1.0)
+        rep = subordinacy_ratio(EQUAL, 1, 1.0, u_dec, generic, 1.0, r_far)
         assert rep.classification == "subordinate-found"
         assert rep.fit["slope"] < 0.0
         assert rep.fit["r_squared"] > 0.99

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .coefficients import CoefficientModel, assemble_channel, models_equal
 from .solver import SolveConfig, Trajectory, integrate_pruefer
@@ -55,6 +54,8 @@ def wkb_reference(model: CoefficientModel, lam: float, r_grid,
                   refine: int = 4) -> WkbReference:
     """Tabulate the reference pair on a grid; the phase integral runs by
     refined cumulative quadrature from the first grid point."""
+    from scipy.integrate import cumulative_simpson
+
     if lam >= 0.0:
         raise ValueError("the reference pair exists for negative spectral "
                          "parameters only")

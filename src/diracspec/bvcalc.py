@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .coefficients import CoefficientModel
 
@@ -243,6 +242,12 @@ def sample_window(fn: Callable, a: float, b: float, *,
 def window_variation(values) -> float:
     """Grid variation of one window's samples."""
     return float(np.sum(np.abs(np.diff(values))))
+
+
+def trapezoid(y, x):
+    """Composite trapezoid integral of samples y on the grid x, in the
+    operation order of scipy.integrate.trapezoid."""
+    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
 
 
 def window_integral(grid, values) -> float:

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -132,6 +131,15 @@ def _checked(where, build, *args, **kwargs):
         raise ConfigError(f"{where}: {err}") from None
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -157,22 +165,20 @@ def load_config(path) -> RunConfig:
             *(float(raw["channel"][key]) for key in ("Q", "M", "L"))))
 
     k_set = raw.get("k_set", [])
-    if not isinstance(k_set, list) or any(
-            not isinstance(k, int) or k == 0 for k in k_set):
-        raise ConfigError("config.k_set: expected a list of nonzero integers")
+    _require(isinstance(k_set, list) and all(
+        _is_int(k) and k != 0 for k in k_set),
+        "config.k_set: expected a list of nonzero integers")
     lambda_grid = raw.get("lambda_grid", [])
-    if not isinstance(lambda_grid, list) or any(
-            not isinstance(l, (int, float)) or not math.isfinite(l)
-            for l in lambda_grid):
-        raise ConfigError("config.lambda_grid: expected a list of finite reals")
+    _require(isinstance(lambda_grid, list) and all(map(_is_real, lambda_grid)),
+             "config.lambda_grid: expected a list of finite reals")
     lambda_grid = [float(l) for l in lambda_grid]
 
     bracket = raw.get("bracket")
     if bracket is not None:
-        pair = isinstance(bracket, list) and len(bracket) == 2
-        bracket = _checked("config.bracket", lambda: [float(b) for b in bracket])
-        _require(pair and bracket[0] < bracket[1],
-                 "config.bracket: expected [lo, hi] with lo < hi")
+        _require(isinstance(bracket, list) and len(bracket) == 2
+                 and all(map(_is_real, bracket)) and bracket[0] < bracket[1],
+                 "config.bracket: expected finite reals [lo, hi] with lo < hi")
+        bracket = [float(b) for b in bracket]
 
     def section(key, defaults, **casts):
         # the defaults name every allowed key; values are floats unless cast
@@ -207,6 +213,7 @@ def load_config(path) -> RunConfig:
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed, workers = _checked("config", lambda: (
         int(raw.get("seed", 0)), int(raw.get("workers", 1))))
+    _require(workers >= 1, "config.workers: must be at least 1")
 
     return RunConfig(model=model, channel_const=channel_const, k_set=k_set,
                      lambda_grid=lambda_grid, bracket=bracket, solver=solver,
@@ -265,6 +272,13 @@ def _print_table(title, reports):
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
+
+
+def _require_equal_model(cfg: RunConfig, command: str):
+    _require(cfg.model is not None, f"{command} needs a 'model'")
+    equal, where = models_equal(cfg.model)
+    _require(equal, f"{command} needs m == q (first mismatch near "
+                    f"r = {where if where else 0:g})")
 
 
 def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
@@ -377,10 +391,7 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 
 def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
-    _require(cfg.model is not None, "subordinacy needs a 'model'")
-    equal, where = models_equal(cfg.model)
-    _require(equal, f"subordinacy needs m == q (first mismatch near "
-                    f"r = {where if where else 0:g})")
+    _require_equal_model(cfg, "subordinacy")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "need a nonempty 'lambda_grid'")
     findings = False
@@ -407,8 +418,10 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 
 def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
-    _require(cfg.model is not None, "eigen needs a 'model'")
+    _require_equal_model(cfg, "eigen")
     _require(cfg.bracket is not None, "eigen needs a 'bracket'")
+    _require(cfg.bracket[0] >= 0.0,
+             "eigen needs a bracket inside the positive half-line")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     doc = {"kind": "eigenvalues", "bracket": cfg.bracket, "by_k": {}}
     for k in cfg.k_set:
@@ -440,7 +453,11 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                  "delta": cfg.subordinacy["delta"]}
                 for k in sorted(set(cfg.k_set))]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool forks all its workers up front: one per k chunk at most
+        with ProcessPoolExecutor(
+                max_workers=min(cfg.workers, len(payloads))) as pool:
             results = list(pool.map(_scan_chunk, payloads))
     else:
         results = [_scan_chunk(p) for p in payloads]
@@ -527,9 +544,7 @@ def cmd_bv_verify(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
-    _require(cfg.model is not None, "asymptotics needs a 'model'")
-    equal, where = models_equal(cfg.model)
-    _require(equal, "asymptotics needs m == q")
+    _require_equal_model(cfg, "asymptotics")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
@@ -648,6 +663,7 @@ def main(argv=None) -> int:
             return cmd_plotdata(args.inputs, out)
         cfg = load_config(args.config)
         if args.workers is not None:
+            _require(args.workers >= 1, "--workers: must be at least 1")
             cfg.workers = args.workers
         if args.seed is not None:
             cfg.seed = args.seed

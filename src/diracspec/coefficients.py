@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "DomainError",
@@ -191,6 +190,8 @@ def _build_sum(params):
 
 
 def _build_tabulated(params):
+    from scipy.interpolate import PchipInterpolator
+
     grid = np.asarray(params["grid"], dtype=float)
     values = np.asarray(params["values"], dtype=float)
     mode = params.get("derivative", "interpolant")

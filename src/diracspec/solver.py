@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .coefficients import ChannelSystem
 
@@ -315,6 +314,8 @@ def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
     nonzero status instead of raising; a failure on the very first step
     leaves the initial point alone.
     """
+    from scipy.integrate import solve_ivp
+
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (2,) or not np.any(u0):
         raise ValueError("u0 must be a nonzero 2-vector")
@@ -482,6 +483,13 @@ def frobenius_radius(channel: ChannelSystem, dominance_factor: float = 1e3,
     raise PreconditionError("could not find an admissible starting radius")
 
 
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y on the grid x from x[0], in the
+    operation order of scipy.integrate.cumulative_trapezoid(initial=0)."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
 def s_reparam(channel, traj: Trajectory, refine: int = 4) -> Trajectory:
     """Attach the integrated-coefficient variable s(r) = int_{r0}^r Q.
 
@@ -497,7 +505,7 @@ def s_reparam(channel, traj: Trajectory, refine: int = 4) -> Trajectory:
     if np.any(Q <= 0.0):
         bad = float(rr[np.argmax(Q <= 0.0)])
         raise PreconditionError(f"Q is not positive at r = {bad:g}")
-    s = cumulative_trapezoid(Q, rr, initial=0.0)[::refine]
+    s = cumulative_trapezoid(Q, rr)[::refine]
     return replace(traj, s=s)
 
 

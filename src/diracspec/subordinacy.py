@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .boundedness import auto_start_radius, comparability_constant
 from .coefficients import CoefficientModel, assemble_channel, models_equal
@@ -316,6 +314,8 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
 
 
 def _census_for(model, k, lam, r0, n_max: int = 60):
+    from scipy.integrate import quad
+
     tch = transform(model, k, lam)
     # range long enough to cover n_max full turns at unit phase speed
     need = (n_max + 2) * math.pi
@@ -397,6 +397,8 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     mismatch between them at the turning-point radius changes sign exactly
     at an eigenvalue; each sign change is refined with Brent's method.
     """
+    from scipy.optimize import brentq
+
     equal, where = models_equal(model)
     if not equal:
         raise ValueError(f"eigenvalue shooting requires m == q; first "

@@ -1,9 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import diracspec
+from diracspec.bvcalc import trapezoid
 from diracspec.cli import ConfigError, fixture_path, load_config, main
+from diracspec.solver import cumulative_trapezoid
 
 
 def run(args):
@@ -77,6 +85,11 @@ class TestConfig:
         {"bracket": [2.0, 1.0]},
         {"bracket": "12"},
         {"channel": {"Q": "x", "M": 1.0, "L": 0.0}},
+        {"k_set": [True]},
+        {"lambda_grid": [False]},
+        {"bracket": [True, 2.0]},
+        {"bracket": [-math.inf, 1.0]},
+        {"workers": 0},
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, section):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
@@ -92,6 +105,14 @@ class TestConfig:
                     "--tolerance", 2.0])
         assert code == 2
         assert "config error: --tolerance" in capsys.readouterr().err
+
+    def test_workers_flag_below_one_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                       "lambda_grid": [-1.0]})
+        code = run(["scan", "--config", path, "--out", tmp_path / "o",
+                    "--workers", 0])
+        assert code == 2
+        assert "config error: --workers" in capsys.readouterr().err
 
 
 class TestHypothesesCommand:
@@ -172,6 +193,38 @@ class TestScanCommand:
              "--workers", 2])
         assert (tmp_path / "seq" / "scan.csv").read_bytes() == \
             (tmp_path / "par" / "scan.csv").read_bytes()
+
+    def test_pool_sized_by_k_chunks(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlineExecutor:
+            # records the pool size and runs the chunks in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                      "k_set": [1, -1, 1],
+                                      "lambda_grid": [-1.0],
+                                      "subordinacy": {"r_end": 20.0}})
+        run(["scan", "--config", cfg, "--out", tmp_path / "seq"])
+        assert run(["scan", "--config", cfg, "--out", tmp_path / "par",
+                    "--workers", 5000]) == 0
+        assert sizes == [2]
+        assert (tmp_path / "seq" / "scan.json").read_bytes() == \
+            (tmp_path / "par" / "scan.json").read_bytes()
 
     def test_unresolvable_cell_marked_and_run_continues(self, tmp_path):
         # exponential growth overflows the far probe windows, so the cell
@@ -258,6 +311,15 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "o" / "eigenvalues.json").read_text())
         assert len(doc["by_k"]["1"]) >= 1
 
+    @pytest.mark.parametrize("doc", [
+        {"model": EQUAL_MODEL, "k_set": [1], "bracket": [-1.0, 1.0]},
+        {"model": LINEAR_MODEL, "k_set": [1], "bracket": [0.0, 1.0]},
+    ])
+    def test_eigen_refused_input_exits_two(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error: eigen needs" in capsys.readouterr().err
+
     def test_bv_verify_seeded(self, tmp_path):
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
                                       "lambda_grid": [0.0],
@@ -313,3 +375,73 @@ class TestPlotData:
         made = sorted(p.name for p in (tmp_path / "p").glob("*.dat"))
         assert made == ["residuals_k=1_lambda=-1.dat",
                         "subordinacy_k=1_lambda=-1.dat"]
+
+
+class TestScipyFreeStart:
+    """Only the commands that call a scipy routine import scipy."""
+
+    def _fresh(self, tmp_path, runs):
+        # runs: [(command, config document)]; one new interpreter imports the
+        # CLI, then runs each command and reports the scipy modules loaded
+        # after the import and after each command
+        code = ("import json, sys\n"
+                "from diracspec.cli import main\n"
+                "def scipy_mods():\n"
+                "    return sorted(m for m in sys.modules\n"
+                "                  if m.split('.')[0] == 'scipy')\n"
+                "out = [('import', 0, scipy_mods())]\n"
+                "for cmd, cfg, dest in json.loads(sys.argv[1]):\n"
+                "    rc = main([cmd, '--config', cfg, '--out', dest])\n"
+                "    out.append((cmd, rc, scipy_mods()))\n"
+                "print(json.dumps(out))\n")
+        calls = []
+        for i, (command, doc) in enumerate(runs):
+            path = write_config(tmp_path, doc, name=f"cfg{i}.json")
+            calls.append((command, str(path), str(tmp_path / f"o{i}")))
+        src = str(Path(diracspec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                              capture_output=True, text=True, env=env,
+                              stdin=subprocess.DEVNULL, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_scipy_free_commands(self, tmp_path):
+        small = {"model": LINEAR_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+                 "solver": {"r_end": 25.0},
+                 "ladder": {"start": 10.0, "rungs": 2},
+                 "tail_ladder": {"start": 10.0, "rungs": 2},
+                 "subordinacy": {"r_end": 20.0}, "bv": {"instances": 3}}
+        steps = self._fresh(tmp_path, [
+            ("hypotheses", small), ("bv-verify", small),
+            ("boundedness", small), ("scan", {**small, "workers": 1})])
+        assert [tuple(step) for step in steps] == [
+            ("import", 0, []), ("hypotheses", 0, []), ("bv-verify", 0, []),
+            ("boundedness", 0, []), ("scan", 0, [])]
+
+    def test_scipy_commands_still_run(self, tmp_path):
+        small = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+                 "bracket": [0.5, 2.0], "eigen": {"scan_step": 0.25},
+                 "subordinacy": {"r_end": 25.0},
+                 "asymptotics": {"r_start": 5.0, "r_end": 25.0}}
+        steps = self._fresh(tmp_path, [
+            ("eigen", small), ("subordinacy", small), ("asymptotics", small)])
+        assert [(cmd, rc) for cmd, rc, _ in steps] == [
+            ("import", 0), ("eigen", 0), ("subordinacy", 0),
+            ("asymptotics", 0)]
+        assert (tmp_path / "o0" / "eigenvalues.json").exists()
+
+    def test_trapezoid_helpers_match_scipy_bit_for_bit(self):
+        from scipy.integrate import cumulative_trapezoid as scipy_cumulative
+        from scipy.integrate import trapezoid as scipy_trapezoid
+
+        rng = np.random.default_rng(20)
+        for n in (2, 3, 17, 1000, 4001):
+            x = np.sort(rng.uniform(0.5, 80.0, n))
+            y = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
+            for xs, ys in ((x, y), (x[::2], np.abs(y)[::2])):
+                assert trapezoid(ys, xs) == scipy_trapezoid(ys, xs)
+                assert cumulative_trapezoid(ys, xs).tobytes() == \
+                    scipy_cumulative(ys, xs, initial=0.0).tobytes()

@@ -239,9 +239,14 @@ def sample_window(fn: Callable, a: float, b: float, *,
     return grid, tuple(np.asarray(v, dtype=float) for v in fn(grid))
 
 
-def window_variation(values) -> float:
-    """Grid variation of one window's samples."""
-    return float(np.sum(np.abs(np.diff(values))))
+def window_variation(values, out=None) -> float:
+    """Grid variation of one window's samples.
+
+    `out`, an array of len(values) - 1 floats, takes the increments in place
+    of a fresh array; the sum is the same to the last bit either way.
+    """
+    inc = np.subtract(values[1:], values[:-1], out=out)
+    return float(np.sum(np.abs(inc, out=inc)))
 
 
 def trapezoid(y, x):
@@ -391,12 +396,17 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
                       for lam in lambdas]
         if any(v is not None for v in variations):
             for a, b in windows:
-                _, (q, m) = sample_window(
+                r, (q, m) = sample_window(
                     lambda r: (model.q.value(r), model.m.value(r)), a, b,
                     points_per_unit=points_per_unit)
+                # m/(q - lambda) and its increments go to two work arrays
+                # of this window, shared by every lambda
+                quotient, inc = np.empty(r.size), np.empty(r.size - 1)
                 for lam, rungs in zip(lambdas, variations):
                     if rungs is not None:
-                        rungs.append(window_variation(m / (q - lam)))
+                        np.subtract(q, lam, out=quotient)
+                        np.divide(m, quotient, out=quotient)
+                        rungs.append(window_variation(quotient, out=inc))
     entries = []
     for lam, rungs in zip(lambdas, variations):
         if rungs is None:

@@ -136,8 +136,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int(x) -> int:
+    # a strict cast: int() would also take true, 2.7 and "3"
+    if not _is_int(x):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _is_real(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+def _real(x) -> float:
+    # a strict cast: float() would also take true and "3"
+    if not _is_real(x):
+        raise ValueError(f"expected a finite real, got {x!r}")
+    return float(x)
 
 
 def load_config(path) -> RunConfig:
@@ -162,7 +176,7 @@ def load_config(path) -> RunConfig:
         if missing:
             raise ConfigError(f"config.channel: missing keys {missing}")
         channel_const = _checked("config.channel", lambda: ConstantChannel(
-            *(float(raw["channel"][key]) for key in ("Q", "M", "L"))))
+            *(_real(raw["channel"][key]) for key in ("Q", "M", "L"))))
 
     k_set = raw.get("k_set", [])
     _require(isinstance(k_set, list) and all(
@@ -181,12 +195,13 @@ def load_config(path) -> RunConfig:
         bracket = [float(b) for b in bracket]
 
     def section(key, defaults, **casts):
-        # the defaults name every allowed key; values are floats unless cast
+        # the defaults name every allowed key; values are finite reals
+        # unless cast
         out = dict(defaults)
         if key in raw:
             _check_keys(raw[key], set(defaults), f"config.{key}")
             out.update(_checked(f"config.{key}", lambda: {
-                k: casts.get(k, float)(v) for k, v in raw[key].items()}))
+                k: casts.get(k, _real)(v) for k, v in raw[key].items()}))
         return out
 
     solver = section("solver", {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12,
@@ -194,9 +209,10 @@ def load_config(path) -> RunConfig:
                                 "stride": 0.05})
     _checked("config.solver", SolveConfig, **solver)
     ladder = _checked("config.ladder", WindowLadder, **section(
-        "ladder", {"start": 25.0, "factor": 2.0, "rungs": 4}, rungs=int))
+        "ladder", {"start": 25.0, "factor": 2.0, "rungs": 4}, rungs=_int))
     tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
-        "tail_ladder", {"start": 25.0, "factor": 10.0, "rungs": 3}, rungs=int))
+        "tail_ladder", {"start": 25.0, "factor": 10.0, "rungs": 3},
+        rungs=_int))
     sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, "delta": 1e-3})
     _require(0.0 < sub["r0"] < sub["r_end"] and sub["delta"] > 0.0,
              "config.subordinacy: need 0 < r0 < r_end and delta > 0")
@@ -206,13 +222,13 @@ def load_config(path) -> RunConfig:
     asy = section("asymptotics", {"windows": None, "r_start": 5.0,
                                   "r_end": 210.0, "stride": 0.02},
                   windows=lambda ws: None if ws is None else
-                  [(float(lo), float(hi)) for lo, hi in ws])
+                  [(_real(lo), _real(hi)) for lo, hi in ws])
     _checked("config.asymptotics", SolveConfig, r_start=asy["r_start"],
              r_end=asy["r_end"], stride=asy["stride"])
-    bv = section("bv", {"instances": 200}, instances=int)
+    bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed, workers = _checked("config", lambda: (
-        int(raw.get("seed", 0)), int(raw.get("workers", 1))))
+        _int(raw.get("seed", 0)), _int(raw.get("workers", 1))))
     _require(workers >= 1, "config.workers: must be at least 1")
 
     return RunConfig(model=model, channel_const=channel_const, k_set=k_set,

@@ -9,8 +9,11 @@ A window sample is the coefficient values on one window grid: each check
 samples the coefficients it reads once per window (`sample_window` passes
 the tuple of arrays through uncopied) and derives and reduces every
 quantity from that sample, one quantity at a time.  The C checks of all
-(k, lambda) channels of a model share one (q, m) sample per window.  A
-condition made of several ladders takes the worst of their verdicts.
+(k, lambda) channels of a model share one (q, m) sample per window, and
+write L, W, Q, Q - W, each quotient and its increments into work arrays
+made once per window (`_Scratch`) and reused by every cell; they die with
+the call, so no check holds memory between calls.  A condition made of
+several ladders takes the worst of their verdicts.
 
 Condition vocabulary (the ids appearing in reports and CLI tables):
 
@@ -343,6 +346,22 @@ def check_b_conditions(model: CoefficientModel, *,
     return reports
 
 
+class _Scratch:
+    """Work arrays of one window grid of n points, reused by every cell
+    reduced on it and dropped with the window: L and W per k, Q per cell, and
+    per reduction the gap Q - W, one derived quotient and its n - 1
+    increments."""
+
+    def __init__(self, n):
+        # one array each, no larger than a sample array: freeing a single
+        # block of all six raises glibc's mmap threshold, and every process,
+        # each scan worker included, then keeps the freed memory in its heap
+        self.L, self.W, self.Q, self.gap, self.quotient = (
+            np.empty(n) for _ in range(5))
+        self.inc = np.empty(n - 1)
+        self.positive = np.empty(n, dtype=bool)
+
+
 class _ChannelGrid:
     """The (k, lambda) cells of one C check and how one window sample serves
     them all: `sample` evaluates a window grid once, `angular` derives
@@ -360,29 +379,30 @@ class _ChannelGrid:
             self.ks, self.lams = [None], [None]
 
     @staticmethod
-    def angular(r, sample, k):
+    def angular(r, sample, k, s):
         if k is None:
             return sample[1:]
-        m, L = sample[1], k / r
-        return m, L, np.hypot(m, L)
+        m, L = sample[1], np.divide(k, r, out=s.L)
+        return m, L, np.hypot(m, L, out=s.W)
 
     @staticmethod
-    def shifted(sample, lam):
-        return sample[0] if lam is None else sample[0] - lam
+    def shifted(sample, lam, s):
+        return sample[0] if lam is None else np.subtract(sample[0], lam,
+                                                         out=s.Q)
 
     def per_window(self, windows, reduce, *, n_max=400_000, wanted=None,
                    held=None):
         """Sample each window once and reduce every cell on it.
 
-        reduce maps (k, Q, M, L, W) of one cell to a number or a tuple.
-        Beside the sample, only the arrays of one k (L, W) and of one cell
-        (Q and what reduce derives) are alive at a time: Q is one
-        subtraction, while holding it for every lambda would add a window's
-        worth of memory per lambda.  `wanted` (window index -> set of cells)
-        limits the cells reduced per window.  `held` (window index ->
-        (grid, sample)) supplies samples taken earlier and keeps new ones
-        whose grid stays below the gap floor's point cap, so is the same
-        under any larger cap.  Returns {cell: [one reduction per window]}.
+        reduce maps (k, Q, M, L, W, scratch) of one cell to a number or a
+        tuple, deriving its arrays in the window's `_Scratch`.  Beside the
+        sample, only that scratch is alive: L and W of one k, Q and what
+        reduce derives of one cell, each overwritten by the next.  `wanted`
+        (window index -> set of cells) limits the cells reduced per window.
+        `held` (window index -> (grid, sample)) supplies samples taken
+        earlier and keeps new ones whose grid stays below the gap floor's
+        point cap, so is the same under any larger cap.  Returns
+        {cell: [one reduction per window]}.
         """
         rows = {}
         with np.errstate(all="ignore"):
@@ -396,33 +416,63 @@ class _ChannelGrid:
                     r, sample = sample_window(self.sample, a, b, n_max=n_max)
                     if held is not None and r.size < _EXTREME_POINTS:
                         held[i] = r, sample
+                s = _Scratch(r.size)
                 for k in self.ks:
                     if cells is not None and all(c[0] != k for c in cells):
                         continue
-                    M, L, W = self.angular(r, sample, k)
+                    M, L, W = self.angular(r, sample, k, s)
                     for lam in self.lams:
                         if cells is None or (k, lam) in cells:
-                            Q = self.shifted(sample, lam)
+                            Q = self.shifted(sample, lam, s)
                             rows.setdefault((k, lam), []).append(
-                                reduce(k, Q, M, L, W))
+                                reduce(k, Q, M, L, W, s))
         return rows
 
 
-def _general_quotients(Q, M, L, W):
-    gap = Q - W
-    return (window_variation(W / gap), window_variation(M / gap),
-            window_variation(L / gap))
+def _finite_floor(g):
+    return g if np.isfinite(g) else -math.inf
+
+
+def _extreme(k, Q, M, L, W, s):
+    # min Q, max Q and max W/Q, with W/Q read as inf where Q is not positive
+    s.quotient.fill(np.inf)
+    np.divide(W, Q, out=s.quotient, where=np.greater(Q, 0.0, out=s.positive))
+    return float(np.min(Q)), float(np.max(Q)), float(np.max(s.quotient))
+
+
+def _min_gap(Q, W, s):
+    return float(np.min(np.subtract(Q, W, out=s.gap)))
+
+
+def _general_quotients(Q, M, L, W, s):
+    gap = np.subtract(Q, W, out=s.gap)
+    return (float(np.min(gap)),) + tuple(
+        window_variation(np.divide(x, gap, out=s.quotient), out=s.inc)
+        for x in (W, M, L))
+
+
+def _single_quotient(pick):
+    """C3' on x/(Q - x) for the coefficient x = pick(M, L) that does not
+    vanish, after the window minimum of Q - W."""
+
+    def reduce(Q, M, L, W, s):
+        x = pick(M, L)
+        quotient = np.subtract(Q, x, out=s.quotient)
+        np.divide(x, quotient, out=quotient)
+        return _min_gap(Q, W, s), window_variation(quotient, out=s.inc)
+    return reduce
 
 
 # C3 by the coefficient that vanishes identically, if any: the condition id,
-# the quotients' evidence names and their window reduction
+# the quotients' evidence names and their window reduction, which returns
+# the window minimum of Q - W ahead of the quotients' variations
 _C3_FORMS = {
     "general": ("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
                        "l_over_q_minus_w"), _general_quotients),
     "m_zero": ("C3'", ("l_over_q_minus_l",),
-               lambda Q, M, L, W: (window_variation(L / (Q - L)),)),
+               _single_quotient(lambda M, L: L)),
     "l_zero": ("C3'", ("m_over_q_minus_m",),
-               lambda Q, M, L, W: (window_variation(M / (Q - M)),)),
+               _single_quotient(lambda M, L: M)),
 }
 
 
@@ -438,17 +488,14 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     which returns its reports.  The channels of a model differ only in
     Q = q - lambda and L = k/r, so each window grid is sampled once for all
     cells: q and m once per window, L and W = hypot(m, L) once per k, and Q
-    per cell from the shared q.
+    per cell from the shared q.  Every derived array is written into work
+    arrays of the window (`_Scratch`), which die with this call.
     """
     grid = _ChannelGrid(source, k_set, lambda_grid)
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
 
-    def extreme(k, Q, M, L, W):
-        return (float(np.min(Q)), float(np.max(Q)),
-                float(np.max(np.where(Q > 0.0, W / Q, np.inf))))
-
-    extremes = grid.per_window(ew, extreme, n_max=_EXTREME_POINTS)
+    extremes = grid.per_window(ew, _extreme, n_max=_EXTREME_POINTS)
 
     # identify vanishing coefficients on a probe grid
     probe = np.geomspace(tw[0][0], tw[-1][1], 512)
@@ -456,13 +503,24 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     with np.errstate(all="ignore"):
         sample = grid.sample(probe)
         for k in grid.ks:
-            M, L, _ = grid.angular(probe, sample, k)
+            M, L, _ = grid.angular(probe, sample, k, _Scratch(probe.size))
             forms[k] = _C3_FORMS["m_zero" if np.all(M == 0.0) else
                                  "l_zero" if np.all(L == 0.0) else "general"]
 
     held = {}
-    gaps = grid.per_window(tw, lambda k, Q, M, L, W: float(np.min(Q - W)),
-                       n_max=_EXTREME_POINTS, held=held)
+    gaps = grid.per_window(tw, lambda k, Q, M, L, W, s: _min_gap(Q, W, s),
+                           n_max=_EXTREME_POINTS, held=held)
+
+    def reaches_tail(use):
+        # the quotients are read on at least two windows, the last among them
+        return len(use) >= 2 and use[-1] == len(tw) - 1
+
+    def skipped(cell):
+        return HypothesisReport(
+            "C3", INCONCLUSIVE, {"q_minus_w_window_minima": gaps[cell]},
+            _listify(tw),
+            note="Q - W not positive on the tail; quotients skipped")
+
     reports, usable = {}, {}
     for cell, rows in extremes.items():
         q_min, q_max, ratio_max = (np.asarray(x) for x in zip(*rows))
@@ -473,25 +531,35 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
                              {"w_over_q_window_maxima": ratio_max.tolist()},
                              _listify(ew), note),
         ]
-        gaps[cell] = [g if np.isfinite(g) else -math.inf for g in gaps[cell]]
+        gaps[cell] = [_finite_floor(g) for g in gaps[cell]]
         use = [i for i, g in enumerate(gaps[cell]) if g > 0.0]
-        if len(use) >= 2 and use[-1] == len(tw) - 1:
+        if reaches_tail(use):
             usable[cell] = use
         else:
-            reports[cell].append(HypothesisReport(
-                "C3", INCONCLUSIVE, {"q_minus_w_window_minima": gaps[cell]},
-                _listify(tw),
-                note="Q - W not positive on the tail; quotients skipped"))
+            reports[cell].append(skipped(cell))
 
     rungs = grid.per_window(
         tw, lambda k, *coeffs: forms[k][2](*coeffs), held=held,
         wanted=[{c for c, use in usable.items() if i in use}
                 for i in range(len(tw))])
     for cell, use in usable.items():
+        by_window = dict(zip(use, rungs[cell]))
+        # the quotient grids are finer than the gap floor's point cap, so
+        # Q - W can dip to zero at nodes the floor never saw; such a window
+        # leaves the ladder under the same rule as one the floor caught
+        for i, (floor, *_) in by_window.items():
+            floor = _finite_floor(floor)
+            if floor <= 0.0:
+                gaps[cell][i] = floor
+        use = [i for i in use if gaps[cell][i] > 0.0]
+        if not reaches_tail(use):
+            reports[cell].append(skipped(cell))
+            continue
+        quotients = zip(*(by_window[i][1:] for i in use))
         cid, names, _ = forms[cell[0]]
         evidence = {"q_minus_w_window_minima": gaps[cell]}
         verdicts, notes = [], []
-        for name, values in zip(names, zip(*rungs[cell])):
+        for name, values in zip(names, quotients):
             values = np.asarray(values)
             evidence[name + "_rung_variations"] = values.tolist()
             v, n = _tail_verdict(values)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from diracspec.bvcalc import (
     SampledFunction,
@@ -14,6 +16,7 @@ from diracspec.bvcalc import (
     tail_trend,
     variation,
     variation_report,
+    window_variation,
 )
 from diracspec.coefficients import (
     CoefficientFunction,
@@ -253,6 +256,52 @@ class TestTrichotomyProbe:
         lambda_trichotomy_probe(model, [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
         # 3 positivity probes of q, then q and m once per window
         assert len(calls) == single == 9
+
+    def test_work_arrays_live_for_one_call(self):
+        model = CoefficientModel(
+            q=coefficient("modulated", a=2, b=1, omega=1, c=1, p=0.25),
+            m=coefficient("modulated", a=2, b=1, omega=1, c=1, p=0))
+        lambda_trichotomy_probe(model, [0.0])  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lambda_trichotomy_probe(model, [-2.0, 0.0, 1.0, 2.0])
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the probe's last window holds 180,000 points (1.4 MB per array)
+        assert peak - before > 2 ** 20
+        assert after - before < 2 ** 20
+
+
+class TestBufferedPrimitives:
+    """window_variation writes into a caller-owned work array with the same
+    ufuncs in the same order as the one-line reference form, so the results
+    agree to the last bit, nonfinite entries included."""
+
+    @staticmethod
+    def samples(rng, n):
+        v = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        special = rng.random(n) < rng.choice([0.0, 0.01, 0.2])
+        v[special] = rng.choice([np.inf, -np.inf, np.nan], special.sum())
+        return v
+
+    @seed(271828)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 5000))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_reference(self, draw, n):
+        rng = np.random.default_rng(draw)
+        v = self.samples(rng, n)
+        # stale contents in the work array must not leak into the result
+        work = rng.standard_normal(n - 1)
+
+        def bits(value):
+            return np.float64(value).tobytes()
+
+        with np.errstate(all="ignore"):
+            expect = bits(float(np.sum(np.abs(np.diff(v)))))
+            assert bits(window_variation(v)) == expect
+            assert bits(window_variation(v, out=work)) == expect
 
 
 class TestSampleWindow:

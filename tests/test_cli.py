@@ -90,6 +90,17 @@ class TestConfig:
         {"bracket": [True, 2.0]},
         {"bracket": [-math.inf, 1.0]},
         {"workers": 0},
+        *({key: bad} for key in ("seed", "workers")
+          for bad in (True, 2.7, "3")),
+        *({section: {key: bad}} for section, key in (
+            ("ladder", "rungs"), ("tail_ladder", "rungs"),
+            ("bv", "instances")) for bad in (True, 2.7, "3")),
+        *({section: {key: bad}} for section, key in (
+            ("solver", "rtol"), ("ladder", "start"), ("tail_ladder", "factor"),
+            ("subordinacy", "r0"), ("eigen", "tol"),
+            ("asymptotics", "stride")) for bad in (True, "3")),
+        {"asymptotics": {"windows": [[True, 10.0]]}},
+        {"channel": {"Q": "3", "M": 1.0, "L": 0.0}},
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, section):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from diracspec.bvcalc import lambda_trichotomy_probe
+from diracspec.bvcalc import WindowLadder, lambda_trichotomy_probe
 from diracspec.coefficients import (
     ChannelSystem,
     CoefficientFunction,
@@ -271,6 +273,67 @@ class TestCConditions:
             assert np.allclose(
                 c3.evidence["l_over_q_minus_l_rung_variations"], expect,
                 rtol=1e-9, atol=0.0), (k, lam)
+
+    @staticmethod
+    def dipping_channel():
+        # Q - W dips below zero at one node of the [2500, 25000] window's
+        # 180,000-point quotient grid that the gap floor's 100,000-point grid
+        # does not hold; the quotients must not be read across it
+        grid = np.linspace(2500.0, 25000.0, 180_000)
+        dip = grid[90_001]
+        assert not np.isin(dip, np.linspace(2500.0, 25000.0, 100_000))
+
+        class DippingChannel:
+            def coeffs(self, r):
+                Q = np.where(r == dip, 0.5, r)
+                M, L = np.ones_like(r), 1.0 / r
+                return Q, M, L, np.hypot(M, L)
+
+        return DippingChannel(), dip
+
+    def test_gap_dip_between_floor_nodes_skips_quotients(self):
+        # the dipping window is the last of the default tail ladder
+        channel, dip = self.dipping_channel()
+        reports = by_id(check_c_conditions(channel))
+        assert reports["C1"].verdict == SATISFIED
+        assert reports["C2"].verdict == SATISFIED
+        c3 = reports["C3"]
+        assert c3.verdict == INCONCLUSIVE
+        assert c3.note == "Q - W not positive on the tail; quotients skipped"
+        minima = c3.evidence["q_minus_w_window_minima"]
+        assert minima[0] > 0.0 and minima[1] > 0.0
+        assert minima[2] == 0.5 - np.hypot(1.0, 1.0 / dip)
+
+    def test_gap_dip_in_an_inner_window_drops_that_window(self):
+        # on a 4-rung ladder the dipping window is the third: it leaves the
+        # ladder as a window with a dip on the gap floor's grid would, and
+        # the quotients are read on the other three
+        channel, dip = self.dipping_channel()
+        ladder = WindowLadder(25.0, 10.0, 4)
+        c3 = by_id(check_c_conditions(channel, tail_ladder=ladder))["C3"]
+        tw = ladder.windows()
+        assert c3.windows == [list(tw[i]) for i in (0, 1, 3)]
+        minima = c3.evidence["q_minus_w_window_minima"]
+        assert minima[2] == 0.5 - np.hypot(1.0, 1.0 / dip)
+        assert minima[0] > 0.0 and minima[1] > 0.0 and minima[3] > 0.0
+        for name in ("w", "m", "l"):
+            variations = c3.evidence[f"{name}_over_q_minus_w_rung_variations"]
+            assert len(variations) == 3 and all(map(np.isfinite, variations))
+        assert c3.verdict == SATISFIED
+
+    def test_work_arrays_live_for_one_call(self):
+        ks, lams = [1, -2], [-1.0, 0.0, 2.0]
+        check_c_conditions(MODULATED, ks, lams)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_c_conditions(MODULATED, ks, lams)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one tail window's work arrays alone take several MB
+        assert peak - before > 4 * 2 ** 20
+        assert after - before < 2 ** 20
 
     def test_worst_verdict_helper(self):
         ch = assemble_channel(MODULATED, 1, 1.0)

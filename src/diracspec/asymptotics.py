@@ -7,11 +7,12 @@ The reference pair has components
     ( q^(-1/4) cos(Phi),  sqrt(2/|lambda|) q^(1/4) sin(Phi) )
     ( q^(-1/4) sin(Phi), -sqrt(2/|lambda|) q^(1/4) cos(Phi) )
 
-with phase Phi(r) = int_1^r sqrt(lambda^2 - 2 lambda q).  Numeric solutions
-are compared against the span of the pair by windowed least squares; the
-projection residual is scale-invariant and insensitive to the reference
-phase origin, and its decay along the radius quantifies how fast the
-asymptotic regime is reached.
+with phase Phi = int sqrt(lambda^2 - 2 lambda q) dr from the first grid
+radius, the census variable s (`solver.cumulative_integral`).  Numeric
+solutions are compared against the span of the pair by windowed least
+squares; the projection residual is scale-invariant and insensitive to the
+reference phase origin, and its decay along the radius quantifies how fast
+the asymptotic regime is reached.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientModel, assemble_channel, models_equal
-from .solver import SolveConfig, Trajectory, integrate_pruefer
+from .solver import (SolveConfig, Trajectory, cumulative_integral,
+                     integrate_pruefer)
 from .subordinacy import transform
 
 __all__ = [
@@ -50,12 +52,9 @@ class WkbReference:
             raise ValueError("reference phase must be strictly increasing")
 
 
-def wkb_reference(model: CoefficientModel, lam: float, r_grid,
-                  refine: int = 4) -> WkbReference:
-    """Tabulate the reference pair on a grid; the phase integral runs by
-    refined cumulative quadrature from the first grid point."""
-    from scipy.integrate import cumulative_simpson
-
+def wkb_reference(model: CoefficientModel, lam: float, r_grid) -> WkbReference:
+    """Tabulate the reference pair on a grid; the phase integral runs from
+    the first grid point."""
     if lam >= 0.0:
         raise ValueError("the reference pair exists for negative spectral "
                          "parameters only")
@@ -63,11 +62,8 @@ def wkb_reference(model: CoefficientModel, lam: float, r_grid,
     q = model.q.value(grid)
     if np.any(q <= 0.0):
         raise ValueError("potential must be positive on the grid")
-    offs = np.arange(refine) / refine
-    rr = np.append((grid[:-1, None] + np.diff(grid)[:, None] * offs).ravel(),
-                   grid[-1])
-    omega = np.sqrt(lam ** 2 - 2.0 * lam * model.q.value(rr))
-    phase = cumulative_simpson(omega, x=rr, initial=0.0)[::refine]
+    phase = cumulative_integral(
+        lambda r: np.sqrt(lam ** 2 - 2.0 * lam * model.q.value(r)), grid)
     amp1 = q ** -0.25
     amp2 = math.sqrt(2.0 / -lam) * q ** 0.25
     col_cos = np.vstack([amp1 * np.cos(phase), amp2 * np.sin(phase)])

@@ -387,26 +387,24 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
     ladder = WindowLadder(tail_start, factor, rungs)
     windows = ladder.windows()
     lambdas = [float(lam) for lam in lambdas]
+    # one (q, m) sample per window serves every lambda: m/(q - lambda) and
+    # its increments go to two work arrays of the window; a lambda whose
+    # q - lambda is not positive on some sample gets no rungs
+    variations = [[] for _ in lambdas]
     with np.errstate(all="ignore"):
-        q_floor = [float(np.min(model.q.value(np.linspace(a, b, 512))))
-                   for a, b in windows]
-        # one (q, m) sample per window serves every lambda whose q - lambda
-        # stays positive on the probe tail; the others get no rungs
-        variations = [[] if min(f - lam for f in q_floor) > 0.0 else None
-                      for lam in lambdas]
-        if any(v is not None for v in variations):
-            for a, b in windows:
-                r, (q, m) = sample_window(
-                    lambda r: (model.q.value(r), model.m.value(r)), a, b,
-                    points_per_unit=points_per_unit)
-                # m/(q - lambda) and its increments go to two work arrays
-                # of this window, shared by every lambda
-                quotient, inc = np.empty(r.size), np.empty(r.size - 1)
-                for lam, rungs in zip(lambdas, variations):
-                    if rungs is not None:
-                        np.subtract(q, lam, out=quotient)
-                        np.divide(m, quotient, out=quotient)
-                        rungs.append(window_variation(quotient, out=inc))
+        for a, b in windows:
+            r, (q, m) = sample_window(
+                lambda r: (model.q.value(r), model.m.value(r)), a, b,
+                points_per_unit=points_per_unit)
+            floor = float(np.min(q))
+            variations = [None if rungs is None or not floor - lam > 0.0
+                          else rungs for lam, rungs in zip(lambdas, variations)]
+            quotient, inc = np.empty(r.size), np.empty(r.size - 1)
+            for lam, rungs in zip(lambdas, variations):
+                if rungs is not None:
+                    np.subtract(q, lam, out=quotient)
+                    np.divide(m, quotient, out=quotient)
+                    rungs.append(window_variation(quotient, out=inc))
     entries = []
     for lam, rungs in zip(lambdas, variations):
         if rungs is None:

@@ -384,8 +384,8 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                "conditions": [r.to_dict() for r in creps]}
         try:
             r0 = auto_start_radius(channel)
-            scfg = cfg.solve_config(r_start=r0, rtol=max(cfg.solver["rtol"], 1e-10),
-                                    atol=max(cfg.solver["atol"], 1e-12))
+            scfg = cfg.solve_config(r_start=r0,
+                                    rtol=max(cfg.solver["rtol"], 1e-10))
             ta, tb = integrate_fundamental(channel, scfg)
             trace = r_trace(ta)
             trace.to_csv(out / f"rtrace_{name}.csv")

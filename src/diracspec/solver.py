@@ -27,6 +27,7 @@ The polar form, preferred on long ranges where Q dominates
 W = sqrt(M^2 + L^2), is read off the same Magnus steps: each half step
 turns the state by an angle known in closed form.  `cumulative_norms` runs
 on the same steps too, adding Simpson's rule for int |u|^2 over each.
+Every phase integral is the composite Simpson rule `cumulative_integral`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "wronskian",
     "frobenius_init",
     "frobenius_radius",
+    "cumulative_integral",
     "s_reparam",
     "phase_derivative",
     "prefer_pruefer",
@@ -483,30 +485,36 @@ def frobenius_radius(channel: ChannelSystem, dominance_factor: float = 1e3,
     raise PreconditionError("could not find an admissible starting radius")
 
 
-def cumulative_trapezoid(y, x):
-    """Running trapezoid integral of y on the grid x from x[0], in the
-    operation order of scipy.integrate.cumulative_trapezoid(initial=0)."""
-    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+# Simpson weights on 4 equal pieces of each grid interval; the count is
+# even, so every grid node closes a pair
+_SIMPSON = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) / 3.0
+_REFINE = len(_SIMPSON) - 1
 
 
-def s_reparam(channel, traj: Trajectory, refine: int = 4) -> Trajectory:
-    """Attach the integrated-coefficient variable s(r) = int_{r0}^r Q.
+def cumulative_integral(fn, grid) -> np.ndarray:
+    """Running integral of fn from grid[0] to each node of `grid` by the
+    composite Simpson rule on `_REFINE` equal pieces of every interval; fn
+    is called once on all piece ends.  Exact for cubics."""
+    grid = np.asarray(grid, dtype=float)
+    h = np.diff(grid) / _REFINE
+    f = fn(np.append(grid[:-1, None] + h[:, None] * np.arange(_REFINE),
+                     grid[-1]))
+    F = np.column_stack((f[:-1].reshape(-1, _REFINE), f[_REFINE::_REFINE]))
+    return np.concatenate(([0.0], np.cumsum(h * (F @ _SIMPSON))))
 
-    Requires Q > 0 on the trajectory range so that s is strictly monotone.
-    The quadrature runs on a `refine`-times subdivided copy of the grid to
-    keep the cumulative error well below downstream tolerances.
-    """
-    grid = traj.grid
-    offs = np.arange(refine) / refine
-    rr = np.append((grid[:-1, None] + np.diff(grid)[:, None] * offs).ravel(),
-                   grid[-1])
-    Q = channel.coeffs(rr)[0]
-    if np.any(Q <= 0.0):
-        bad = float(rr[np.argmax(Q <= 0.0)])
-        raise PreconditionError(f"Q is not positive at r = {bad:g}")
-    s = cumulative_trapezoid(Q, rr)[::refine]
-    return replace(traj, s=s)
+
+def s_reparam(channel, traj: Trajectory) -> Trajectory:
+    """Attach the integrated-coefficient variable s(r) = int_{r0}^r Q by
+    `cumulative_integral` on the trajectory grid.  Requires Q > 0 there so
+    that s is strictly monotone."""
+    def positive_Q(r):
+        Q = channel.coeffs(r)[0]
+        if np.any(Q <= 0.0):
+            bad = float(r[np.argmax(Q <= 0.0)])
+            raise PreconditionError(f"Q is not positive at r = {bad:g}")
+        return Q
+
+    return replace(traj, s=cumulative_integral(positive_Q, traj.grid))
 
 
 def phase_derivative(channel, r, theta):

@@ -43,6 +43,7 @@ from .hypotheses import (
 from .solver import (
     PreconditionError,
     SolveConfig,
+    cumulative_integral,
     cumulative_norms,
     frobenius_radius,
     integrate_fundamental,
@@ -167,28 +168,21 @@ def census_from_phase(s, theta, guard_max: float = 0.0) -> CensusResult:
     # J_n runs over [(4n-3) pi/4, (4n-1) pi/4], K_n over the next quarter turn
     n_lo = int(math.ceil((theta[0] * 4.0 / math.pi + 3.0) / 4.0))
     n_hi = int(math.floor((theta[-1] * 4.0 / math.pi - 1.0) / 4.0))
-    ns, J_lengths, K_lengths = [], [], []
+    ns = list(range(n_lo, n_hi + 1))
+    sj = np.interp(np.arange(4 * n_lo - 3, 4 * n_hi + 2, 2) * math.pi / 4.0,
+                   theta, s)
+    lengths = np.diff(sj)
+    J_lengths, K_lengths = lengths[0::2].tolist(), lengths[1::2].tolist()
     s_res = float(np.max(np.diff(s)))
     slack = 1.5 * s_res
-    violations = []
-    s_offset = None
-    for n in range(n_lo, n_hi + 1):
-        edges = np.array([(4 * n - 3), (4 * n - 1), (4 * n + 1)]) * math.pi / 4.0
-        sj = np.interp(edges, theta, s)
-        if s_offset is None:
-            s_offset = float(sj[0])
-        J = float(sj[1] - sj[0])
-        K = float(sj[2] - sj[1])
-        ns.append(n)
-        J_lengths.append(J)
-        K_lengths.append(K)
-        for name, val in (("J", J), ("K", K)):
-            if not (math.pi / 3.0 - slack <= val <= math.pi + slack):
-                violations.append({"n": n, "interval": name, "length": val})
+    violations = [{"n": n, "interval": name, "length": val}
+                  for n, J, K in zip(ns, J_lengths, K_lengths)
+                  for name, val in (("J", J), ("K", K))
+                  if not math.pi / 3.0 - slack <= val <= math.pi + slack]
     return CensusResult(ns=ns, J_lengths=J_lengths, K_lengths=K_lengths,
                         violations=violations, s_resolution=s_res,
                         guard_max=guard_max, n_first=ns[0] if ns else 0,
-                        s_offset=s_offset if s_offset is not None else 0.0)
+                        s_offset=float(sj[0]) if ns else 0.0)
 
 
 def theta_census(traj, guard: float = 0.5) -> CensusResult:
@@ -314,18 +308,17 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
 
 
 def _census_for(model, k, lam, r0, n_max: int = 60):
-    from scipy.integrate import quad
-
     tch = transform(model, k, lam)
-    # range long enough to cover n_max full turns at unit phase speed
+    # range long enough to cover n_max full turns at unit phase speed; each
+    # candidate adds s over its own segment, on 64 Simpson pieces
     need = (n_max + 2) * math.pi
-
-    def s_of(r):
-        return quad(lambda x: tch.scalar_qml(x)[0], r0, r)[0]
-
-    hi = r0 + 1.0
-    while s_of(hi) < need and hi < 1e6:
-        hi *= 1.6
+    lo, hi, s = r0, r0 + 1.0, 0.0
+    while True:
+        s += cumulative_integral(lambda r: tch.coeffs(r)[0],
+                                 np.linspace(lo, hi, 17))[-1]
+        if s >= need or hi >= 1e6:
+            break
+        lo, hi = hi, hi * 1.6
     cfg = SolveConfig(r_start=r0, r_end=hi, rtol=1e-11,
                       stride=min(0.05, (hi - r0) / 4000.0))
     traj = integrate_pruefer(tch, 1.0, 0.0, cfg)
@@ -528,7 +521,7 @@ def _dominant_cell(model, k, lam, r_end, reports):
                 "channel_conditions": [r.to_dict() for r in reports]}
     channel = assemble_channel(model, k, lam)
     cfg = SolveConfig(r_start=auto_start_radius(channel), r_end=r_end,
-                      rtol=1e-10, atol=1e-12)
+                      rtol=1e-10)
     cert = comparability_constant(*integrate_fundamental(channel, cfg))
     return {"path": "boundedness", "classification": "ac-candidate",
             "certificate": cert.to_dict(),

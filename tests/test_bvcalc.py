@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,8 +255,25 @@ class TestTrichotomyProbe:
         single = len(calls)
         calls.clear()
         lambda_trichotomy_probe(model, [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
-        # 3 positivity probes of q, then q and m once per window
-        assert len(calls) == single == 9
+        # q and m once per window; the q floor is read off the same sample
+        assert len(calls) == single == 6
+
+    def test_floor_read_on_the_fine_window_sample(self):
+        # q = r except at one node of the [250, 2500] and one node of the
+        # [2500, 25000] window grid, where q = 0.5 < lambda = 1; a coarser
+        # positivity grid misses both nodes and the dips read as variation
+        dips = [np.linspace(250.0, 2500.0, 18_000)[777],
+                np.linspace(2500.0, 25_000.0, 180_000)[12_345]]
+
+        class DippedLine:
+            def value(self, r):
+                return np.where(np.isin(r, dips), 0.5, r)
+
+        model = SimpleNamespace(q=DippedLine(), m=constant(1))
+        (entry,) = lambda_trichotomy_probe(model, [1.0]).entries
+        assert entry["classification"] == "inconclusive"
+        assert entry["note"] == "q - lambda not positive on the probe tail"
+        assert entry["variations"] is None
 
     def test_work_arrays_live_for_one_call(self):
         model = CoefficientModel(

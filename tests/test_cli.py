@@ -11,7 +11,8 @@ import pytest
 import diracspec
 from diracspec.bvcalc import trapezoid
 from diracspec.cli import ConfigError, fixture_path, load_config, main
-from diracspec.solver import cumulative_trapezoid
+from diracspec.coefficients import CoefficientModel, assemble_channel, power
+from diracspec.solver import prefer_pruefer
 
 
 def run(args):
@@ -425,27 +426,40 @@ class TestScipyFreeStart:
                  "ladder": {"start": 10.0, "rungs": 2},
                  "tail_ladder": {"start": 10.0, "rungs": 2},
                  "subordinacy": {"r_end": 20.0}, "bv": {"instances": 3}}
+        # m == q and lambda < 0: subordinacy runs its phase census
+        equal = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+                 "subordinacy": {"r_end": 25.0},
+                 "asymptotics": {"r_start": 5.0, "r_end": 25.0}}
+        polar = {**small, "solver": {"r_start": 10.0, "r_end": 25.0}}
+        channel = assemble_channel(
+            CoefficientModel(q=power(1.0, 1.0), m=power(1.0, 0.0)), 1, -1.0)
+        assert prefer_pruefer(channel, 10.0, 25.0)
         steps = self._fresh(tmp_path, [
             ("hypotheses", small), ("bv-verify", small),
-            ("boundedness", small), ("scan", {**small, "workers": 1})])
+            ("boundedness", small), ("scan", {**small, "workers": 1}),
+            ("subordinacy", equal), ("asymptotics", equal),
+            ("solve", polar)])
         assert [tuple(step) for step in steps] == [
             ("import", 0, []), ("hypotheses", 0, []), ("bv-verify", 0, []),
-            ("boundedness", 0, []), ("scan", 0, [])]
+            ("boundedness", 0, []), ("scan", 0, []), ("subordinacy", 0, []),
+            ("asymptotics", 0, []), ("solve", 0, [])]
+        census = json.loads(
+            (tmp_path / "o4" / "subordinacy_k=1_lambda=-1.json").read_text())
+        assert census["census"] is not None
+        assert (tmp_path / "o5" / "residuals_k=1_lambda=-1.csv").exists()
+        assert (tmp_path / "o6" / "trajectory_k=1_lambda=-1.csv").exists()
 
     def test_scipy_commands_still_run(self, tmp_path):
         small = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
                  "bracket": [0.5, 2.0], "eigen": {"scan_step": 0.25},
-                 "subordinacy": {"r_end": 25.0},
-                 "asymptotics": {"r_start": 5.0, "r_end": 25.0}}
-        steps = self._fresh(tmp_path, [
-            ("eigen", small), ("subordinacy", small), ("asymptotics", small)])
+                 "solver": {"r_end": 25.0}}
+        steps = self._fresh(tmp_path, [("eigen", small), ("solve", small)])
         assert [(cmd, rc) for cmd, rc, _ in steps] == [
-            ("import", 0), ("eigen", 0), ("subordinacy", 0),
-            ("asymptotics", 0)]
+            ("import", 0), ("eigen", 0), ("solve", 0)]
         assert (tmp_path / "o0" / "eigenvalues.json").exists()
+        assert (tmp_path / "o1" / "trajectory_k=1_lambda=-1.csv").exists()
 
     def test_trapezoid_helpers_match_scipy_bit_for_bit(self):
-        from scipy.integrate import cumulative_trapezoid as scipy_cumulative
         from scipy.integrate import trapezoid as scipy_trapezoid
 
         rng = np.random.default_rng(20)
@@ -454,5 +468,3 @@ class TestScipyFreeStart:
             y = rng.standard_normal(n) * np.exp(rng.uniform(-5.0, 5.0, n))
             for xs, ys in ((x, y), (x[::2], np.abs(y)[::2])):
                 assert trapezoid(ys, xs) == scipy_trapezoid(ys, xs)
-                assert cumulative_trapezoid(ys, xs).tobytes() == \
-                    scipy_cumulative(ys, xs, initial=0.0).tobytes()

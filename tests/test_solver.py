@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from diracspec.asymptotics import wkb_reference
 from diracspec.coefficients import (
     CoefficientModel,
     ConstantChannel,
@@ -16,6 +17,7 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    cumulative_integral,
     cumulative_norms,
     frobenius_init,
     frobenius_radius,
@@ -403,6 +405,39 @@ class TestSReparam:
         traj = integrate_cartesian(ch, [1.0, 0.0], cfg(1.0, 10.0))
         with pytest.raises(PreconditionError):
             s_reparam(ch, traj)
+
+
+class TestCumulativeIntegral:
+    """One Simpson rule serves s_reparam and the WKB phase; for q = c r the
+    phase integral has the closed form
+    int sqrt(lam^2 - 2 lam c x) dx = (lam^2 - 2 lam c x)^(3/2) / (-3 lam c)."""
+
+    C, LAM, R0, R1 = 0.8, -1.7, 1.25, 40.0
+
+    def exact(self, r):
+        c, lam = self.C, self.LAM
+        F = (lam ** 2 - 2.0 * lam * c * r) ** 1.5 / (-3.0 * lam * c)
+        return F - F[0]
+
+    def test_exact_on_a_cubic(self):
+        grid = np.sort(np.random.default_rng(12).uniform(0.5, 9.0, 300))
+        got = cumulative_integral(
+            lambda r: 2.0 * r ** 3 - r ** 2 + 3.0 * r - 1.0, grid)
+        F = 0.5 * grid ** 4 - grid ** 3 / 3.0 + 1.5 * grid ** 2 - grid
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - (F - F[0]))) < 1e-13 * np.max(np.abs(F))
+
+    def test_wkb_phase_and_s_agree_with_closed_form(self):
+        model = CoefficientModel(q=power(self.C, 1), m=power(self.C, 1))
+        tch = transform(model, 1, self.LAM)
+        traj = integrate_pruefer(tch, 1.0, 0.0, cfg(self.R0, self.R1))
+        s = s_reparam(tch, traj).s
+        phase = wkb_reference(model, self.LAM, traj.grid).phase
+        exact = self.exact(traj.grid)
+        for got in (s, phase):
+            assert got[0] == 0.0
+            assert np.max(np.abs(got[1:] / exact[1:] - 1.0)) < 1e-10
+        assert np.max(np.abs(s[1:] / phase[1:] - 1.0)) < 1e-13
 
 
 class TestConfig:

@@ -122,6 +122,28 @@ class TestCensus:
         assert min(cen.J_lengths + cen.K_lengths) >= math.pi / 3 - 1e-6
         assert max(cen.J_lengths + cen.K_lengths) <= math.pi + 1e-6
 
+    def test_band_edges_match_per_band_reference(self):
+        # the bands n = n_lo .. n_hi one at a time, edges (4n-3, 4n-1, 4n+1)
+        # pi/4 interpolated into s; the census reads all edges at once and
+        # must give the same floats
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 40, 400):
+            theta = np.cumsum(rng.uniform(1e-3, 0.5, n)) + rng.uniform(-9, 9)
+            s = np.cumsum(rng.uniform(1e-3, 0.6, n))
+            cen = census_from_phase(s, theta)
+            n_lo = math.ceil((theta[0] * 4.0 / math.pi + 3.0) / 4.0)
+            n_hi = math.floor((theta[-1] * 4.0 / math.pi - 1.0) / 4.0)
+            J, K, first = [], [], []
+            for band in range(n_lo, n_hi + 1):
+                edges = np.array([4 * band - 3, 4 * band - 1, 4 * band + 1])
+                sj = np.interp(edges * math.pi / 4.0, theta, s)
+                J.append(float(sj[1] - sj[0]))
+                K.append(float(sj[2] - sj[1]))
+                first.append(float(sj[0]))
+            assert cen.ns == list(range(n_lo, n_hi + 1))
+            assert (cen.J_lengths, cen.K_lengths) == (J, K)
+            assert cen.s_offset == (first[0] if first else 0.0)
+
     def test_borderline_channel_census(self):
         tch = transform(EQUAL, 1, -1.0)
         cfg = SolveConfig(r_start=1.0, r_end=33.0, rtol=1e-11, atol=1e-13,

@@ -12,7 +12,7 @@ quantity from that sample, one quantity at a time.  The C checks of all
 (k, lambda) channels of a model share one (q, m) sample per window, and
 write L, W, Q, Q - W, each quotient and its increments into work arrays
 made once per window (`_Scratch`) and reused by every cell; they die with
-the call, so no check holds memory between calls.  A condition made of
+the window, so no check holds memory between calls.  A condition made of
 several ladders takes the worst of their verdicts.
 
 Condition vocabulary (the ids appearing in reports and CLI tables):
@@ -364,9 +364,9 @@ class _Scratch:
 
 class _ChannelGrid:
     """The (k, lambda) cells of one C check and how one window sample serves
-    them all: `sample` evaluates a window grid once, `angular` derives
-    (M, L, W) from it for one k and `shifted` derives Q for one lambda.  A
-    single channel is the one-cell grid (None, None) of its own `coeffs`."""
+    them all: `sample` evaluates a window grid once and `cells` derives the
+    channel coefficients of every cell from it.  A single channel is the
+    one-cell grid (None, None) of its own `coeffs`."""
 
     def __init__(self, source, k_set, lambda_grid):
         if isinstance(source, CoefficientModel):
@@ -378,62 +378,36 @@ class _ChannelGrid:
             self.sample = source.coeffs
             self.ks, self.lams = [None], [None]
 
-    @staticmethod
-    def angular(r, sample, k, s):
-        if k is None:
-            return sample[1:]
-        m, L = sample[1], np.divide(k, r, out=s.L)
-        return m, L, np.hypot(m, L, out=s.W)
+    def cells(self, r, sample, only=None):
+        """Yield (cell, Q, M, L, W, scratch) for each cell of one window
+        sample in grid order, or for the cells in `only`.
 
-    @staticmethod
-    def shifted(sample, lam, s):
-        return sample[0] if lam is None else np.subtract(sample[0], lam,
-                                                         out=s.Q)
-
-    def per_window(self, windows, reduce, *, n_max=400_000, wanted=None,
-                   held=None):
-        """Sample each window once and reduce every cell on it.
-
-        reduce maps (k, Q, M, L, W, scratch) of one cell to a number or a
-        tuple, deriving its arrays in the window's `_Scratch`.  Beside the
-        sample, only that scratch is alive: L and W of one k, Q and what
-        reduce derives of one cell, each overwritten by the next.  `wanted`
-        (window index -> set of cells) limits the cells reduced per window.
-        `held` (window index -> (grid, sample)) supplies samples taken
-        earlier and keeps new ones whose grid stays below the gap floor's
-        point cap, so is the same under any larger cap.  Returns
-        {cell: [one reduction per window]}.
+        L and W are derived once per k and Q once per cell, into work arrays
+        of the window (`_Scratch`) that each cell then reduces into; every
+        cell overwrites the arrays of the one before, so read them before
+        taking the next.
         """
-        rows = {}
-        with np.errstate(all="ignore"):
-            for i, (a, b) in enumerate(windows):
-                cells = None if wanted is None else wanted[i]
-                if cells is not None and not cells:
-                    continue
-                if held is not None and i in held:
-                    r, sample = held.pop(i)
-                else:
-                    r, sample = sample_window(self.sample, a, b, n_max=n_max)
-                    if held is not None and r.size < _EXTREME_POINTS:
-                        held[i] = r, sample
-                s = _Scratch(r.size)
-                for k in self.ks:
-                    if cells is not None and all(c[0] != k for c in cells):
-                        continue
-                    M, L, W = self.angular(r, sample, k, s)
-                    for lam in self.lams:
-                        if cells is None or (k, lam) in cells:
-                            Q = self.shifted(sample, lam, s)
-                            rows.setdefault((k, lam), []).append(
-                                reduce(k, Q, M, L, W, s))
-        return rows
+        s = _Scratch(r.size)
+        for k in self.ks:
+            if only is not None and all(c[0] != k for c in only):
+                continue
+            if k is None:
+                M, L, W = sample[1:]
+            else:
+                M, L = sample[1], np.divide(k, r, out=s.L)
+                W = np.hypot(M, L, out=s.W)
+            for lam in self.lams:
+                if only is None or (k, lam) in only:
+                    Q = (sample[0] if lam is None
+                         else np.subtract(sample[0], lam, out=s.Q))
+                    yield (k, lam), Q, M, L, W, s
 
 
 def _finite_floor(g):
     return g if np.isfinite(g) else -math.inf
 
 
-def _extreme(k, Q, M, L, W, s):
+def _extreme(Q, W, s):
     # min Q, max Q and max W/Q, with W/Q read as inf where Q is not positive
     s.quotient.fill(np.inf)
     np.divide(W, Q, out=s.quotient, where=np.greater(Q, 0.0, out=s.positive))
@@ -476,6 +450,32 @@ _C3_FORMS = {
 }
 
 
+def _extreme_window(grid, a, b):
+    # a call per window returning plain numbers: the window's sample and
+    # work arrays are gone before the next window is sampled
+    r, sample = sample_window(grid.sample, a, b, n_max=_EXTREME_POINTS)
+    return {cell: _extreme(Q, W, s)
+            for cell, Q, M, L, W, s in grid.cells(r, sample)}
+
+
+def _tail_window(grid, forms, a, b):
+    """The gap floor of every cell on one tail window and the C3 reduction
+    of the cells whose floor is positive there, read as `_extreme_window`
+    reads its window."""
+    r, sample = sample_window(grid.sample, a, b, n_max=_EXTREME_POINTS)
+    floors = {cell: _finite_floor(_min_gap(Q, W, s))
+              for cell, Q, M, L, W, s in grid.cells(r, sample)}
+    positive = {cell for cell, floor in floors.items() if floor > 0.0}
+    if positive and r.size == _EXTREME_POINTS:
+        # the floor's point cap applied: the quotients read their own finer
+        # grid, sampled once the coarse one is dropped
+        del r, sample
+        r, sample = sample_window(grid.sample, a, b)
+    return floors, {cell: forms[cell][2](Q, M, L, W, s)
+                    for cell, Q, M, L, W, s in grid.cells(r, sample,
+                                                          only=positive)}
+
+
 def check_c_conditions(source, k_set=(), lambda_grid=(), *,
                        extreme_ladder: WindowLadder = EXTREME_LADDER,
                        tail_ladder: WindowLadder = TAIL_LADDER):
@@ -488,42 +488,36 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     which returns its reports.  The channels of a model differ only in
     Q = q - lambda and L = k/r, so each window grid is sampled once for all
     cells: q and m once per window, L and W = hypot(m, L) once per k, and Q
-    per cell from the shared q.  Every derived array is written into work
-    arrays of the window (`_Scratch`), which die with this call.
+    per cell from the shared q (`_ChannelGrid.cells`).  Every derived array
+    is written into work arrays of the window (`_Scratch`), which die with
+    the window.  One pass over the tail ladder reads, per window, the gap
+    floor min(Q - W) of every cell on a grid of at most 100,000 points and
+    the C3 quotients where that floor is positive, on the finer grid if the
+    cap applied; C3 then needs a positive floor on two or more windows,
+    the last among them, on the coarse grids and then on the fine ones.
     """
     grid = _ChannelGrid(source, k_set, lambda_grid)
     ew = extreme_ladder.windows()
     tw = tail_ladder.windows()
-
-    extremes = grid.per_window(ew, _extreme, n_max=_EXTREME_POINTS)
-
-    # identify vanishing coefficients on a probe grid
     probe = np.geomspace(tw[0][0], tw[-1][1], 512)
-    forms = {}
     with np.errstate(all="ignore"):
-        sample = grid.sample(probe)
-        for k in grid.ks:
-            M, L, _ = grid.angular(probe, sample, k, _Scratch(probe.size))
-            forms[k] = _C3_FORMS["m_zero" if np.all(M == 0.0) else
+        extremes = [_extreme_window(grid, a, b) for a, b in ew]
+        # identify vanishing coefficients on a probe grid
+        forms = {cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
                                  "l_zero" if np.all(L == 0.0) else "general"]
-
-    held = {}
-    gaps = grid.per_window(tw, lambda k, Q, M, L, W, s: _min_gap(Q, W, s),
-                           n_max=_EXTREME_POINTS, held=held)
+                 for cell, _, M, L, _, _ in grid.cells(probe,
+                                                       grid.sample(probe))}
+        floors, rungs = zip(*(_tail_window(grid, forms, a, b)
+                              for a, b in tw))
 
     def reaches_tail(use):
         # the quotients are read on at least two windows, the last among them
         return len(use) >= 2 and use[-1] == len(tw) - 1
 
-    def skipped(cell):
-        return HypothesisReport(
-            "C3", INCONCLUSIVE, {"q_minus_w_window_minima": gaps[cell]},
-            _listify(tw),
-            note="Q - W not positive on the tail; quotients skipped")
-
-    reports, usable = {}, {}
-    for cell, rows in extremes.items():
-        q_min, q_max, ratio_max = (np.asarray(x) for x in zip(*rows))
+    reports = {}
+    for cell, (cid, names, _) in forms.items():
+        q_min, q_max, ratio_max = (np.asarray(x) for x in
+                                   zip(*(window[cell] for window in extremes)))
         verdict, note = _limsup_below_verdict(ratio_max)
         reports[cell] = [
             _divergence_report("C1", q_min, q_max, ew),
@@ -531,35 +525,27 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
                              {"w_over_q_window_maxima": ratio_max.tolist()},
                              _listify(ew), note),
         ]
-        gaps[cell] = [_finite_floor(g) for g in gaps[cell]]
-        use = [i for i, g in enumerate(gaps[cell]) if g > 0.0]
+        gaps = [window[cell] for window in floors]
+        use = [i for i, g in enumerate(gaps) if g > 0.0]
         if reaches_tail(use):
-            usable[cell] = use
-        else:
-            reports[cell].append(skipped(cell))
-
-    rungs = grid.per_window(
-        tw, lambda k, *coeffs: forms[k][2](*coeffs), held=held,
-        wanted=[{c for c, use in usable.items() if i in use}
-                for i in range(len(tw))])
-    for cell, use in usable.items():
-        by_window = dict(zip(use, rungs[cell]))
-        # the quotient grids are finer than the gap floor's point cap, so
-        # Q - W can dip to zero at nodes the floor never saw; such a window
-        # leaves the ladder under the same rule as one the floor caught
-        for i, (floor, *_) in by_window.items():
-            floor = _finite_floor(floor)
-            if floor <= 0.0:
-                gaps[cell][i] = floor
-        use = [i for i in use if gaps[cell][i] > 0.0]
+            # the quotient grids are finer than the gap floor's point cap,
+            # so Q - W can dip to zero at nodes the floor never saw; such a
+            # window leaves the ladder under the same rule as one the floor
+            # caught
+            for i in use:
+                floor = _finite_floor(rungs[i][cell][0])
+                if floor <= 0.0:
+                    gaps[i] = floor
+            use = [i for i in use if gaps[i] > 0.0]
+        evidence = {"q_minus_w_window_minima": gaps}
         if not reaches_tail(use):
-            reports[cell].append(skipped(cell))
+            reports[cell].append(HypothesisReport(
+                "C3", INCONCLUSIVE, evidence, _listify(tw),
+                note="Q - W not positive on the tail; quotients skipped"))
             continue
-        quotients = zip(*(by_window[i][1:] for i in use))
-        cid, names, _ = forms[cell[0]]
-        evidence = {"q_minus_w_window_minima": gaps[cell]}
         verdicts, notes = [], []
-        for name, values in zip(names, quotients):
+        for name, values in zip(names,
+                                zip(*(rungs[i][cell][1:] for i in use))):
             values = np.asarray(values)
             evidence[name + "_rung_variations"] = values.tolist()
             v, n = _tail_verdict(values)
@@ -580,16 +566,15 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     """Diagnostics for gamma = 2q - lambda: variation and decay of
     gamma'/gamma^(3/2) and integrability of gamma'/(r gamma^(3/2)).
 
-    Windows on which gamma fails to stay positive are skipped; if no window
-    survives, the model/lambda pair is rejected.
+    Windows on which gamma fails to stay positive are skipped: the floor
+    min(2q - lambda) of each window is read off the same (q, q') sample as
+    its values.  If fewer than two tail windows survive, the model/lambda
+    pair is rejected.
     """
     equal, where = models_equal(model)
     if not equal:
         raise ValueError(f"gamma diagnostics require m == q; first mismatch "
                          f"near r = {where:g}")
-
-    def gamma(r):
-        return 2.0 * model.q.value(r) - lam
 
     def q_and_derivative(r):
         return model.q.value(r), model.q.derivative(r)
@@ -597,19 +582,22 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     def slope(r, q, dq):
         return 2.0 * dq / (2.0 * q - lam) ** 1.5
 
-    tw = [w for w in tail_ladder.windows()
-          if np.min(gamma(np.linspace(*w, 512))) > 0.0]
+    def positive(windows, *reductions, **kw):
+        floors, *rows = _per_window(
+            q_and_derivative, windows,
+            lambda r, q, dq: np.min(2.0 * q - lam), *reductions, **kw)
+        keep = floors > 0.0
+        return ([w for w, k in zip(windows, keep) if k],
+                *(row[keep] for row in rows))
+
+    tw, variations, integrals = positive(
+        tail_ladder.windows(),
+        lambda *s: window_variation(slope(*s)),
+        lambda r, *s: window_integral(r, np.abs(slope(r, *s) / r)))
     if len(tw) < 2:
         raise ValueError("gamma = 2q - lambda is not positive on the probe "
                          "ladder")
-    variations, integrals = _per_window(
-        q_and_derivative, tw,
-        lambda *s: window_variation(slope(*s)),
-        lambda r, *s: window_integral(r, np.abs(slope(r, *s) / r)))
-
-    ew = [w for w in extreme_ladder.windows()
-          if np.min(gamma(np.linspace(*w, 512))) > 0.0]
-    maxima, = _per_window(q_and_derivative, ew,
+    ew, maxima = positive(extreme_ladder.windows(),
                           lambda *s: np.max(np.abs(slope(*s))),
                           n_max=_EXTREME_POINTS)
     return [_tail_report("G1", "rung_variations", variations, tw),

@@ -203,10 +203,11 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
     A step that would shrink below `_MIN_STEP * |r|` ends the solve at the
     node before it.  So does a non-finite step whose convergence length
     pi / max|A| is below that; other non-finite steps are halved.  Returns,
-    for the kept steps in travel order, their start radii t, a mask of those
-    ending on a node, their half steps E1, E2 (`_magnus_exp` rows) and their
-    products P = E2 E1 (entry rows); then the number of radii evaluated and
-    None or a message naming the radius where the solve ended.
+    for the kept steps in travel order, their start radii t and a mask of
+    those ending on a node; their half steps H as `_magnus_exp` rows whose
+    columns run in travel order, each step's two halves side by side; then
+    the number of radii evaluated and None or a message naming the radius
+    where the solve ended.
     """
     h = np.diff(nodes)
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
@@ -249,7 +250,7 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
                 failure = f"Magnus step failed at r = {t[i]:.10g}"
             keep = seg < n_seg
             done, split = ok & keep, ~ok & keep
-            kept.append((seg[done], t[done], np.stack(E1 + E2 + P)[:, done]))
+            kept.append((seg[done], t[done], np.stack(E1 + E2)[:, done]))
             seg = np.repeat(seg[split], 2)
             t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
             h = np.repeat(half[split], 2)
@@ -259,9 +260,10 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
     seg, t, E = (np.concatenate(x, axis=-1) for x in zip(*kept))
     order = np.lexsort((t * np.sign(nodes[-1] - nodes[0]), seg))
     order = order[seg[order] < n_seg]
-    seg, E = seg[order], E[:, order]
+    seg = seg[order]
     ends = np.diff(seg, append=n_seg) != 0
-    return t[order], ends, E[:5], E[5:10], E[10:], nfev, failure
+    H = E[:, order].reshape(2, 5, -1).transpose(1, 2, 0).reshape(5, -1)
+    return t[order], ends, H, nfev, failure
 
 
 def _transfer(channel, nodes, rtol, max_step=math.inf):
@@ -269,7 +271,8 @@ def _transfer(channel, nodes, rtol, max_step=math.inf):
     `_steps` multiplied in travel order.  Returns (phi, nfev, failure), phi
     of shape (n, 2, 2) for the first n nodes; an overflowing product ends
     the solve like a failed step."""
-    _, ends, _, _, P, nfev, failure = _steps(channel, nodes, rtol, max_step)
+    _, ends, H, nfev, failure = _steps(channel, nodes, rtol, max_step)
+    P = np.stack(_mul(H[:4, 1::2], H[:4, ::2]))
     phi = [(1.0, 0.0, 0.0, 1.0)]
     now = phi[0]
     for step, end in zip(zip(*P.tolist()), ends.tolist()):
@@ -290,14 +293,13 @@ def cumulative_norms(channel, U0, nodes, rtol):
     solutions starting from the columns of U0, at nodes[1:]; shape
     (2, n - 1).  Each Magnus step of `_steps` adds Simpson's rule on |u|^2
     at its start, midpoint and end."""
-    t, ends, E1, E2, _, _, failure = _steps(channel, nodes, rtol)
+    t, ends, H, _, failure = _steps(channel, nodes, rtol)
     if failure is not None:
         raise PreconditionError(f"cumulative norms failed: {failure}")
     h = np.diff(np.append(t, nodes[-1]))
-    E = np.stack((E1[:4], E2[:4]), axis=-1).reshape(4, -1)
     (x, y), (v, w) = np.asarray(U0, dtype=float).tolist()
     f = [(x * x + v * v, y * y + w * w)]
-    for a, b, c, d in zip(*E.tolist()):
+    for a, b, c, d in zip(*H[:4].tolist()):
         x, y, v, w = a * x + b * v, a * y + b * w, c * x + d * v, c * y + d * w
         f.append((x * x + v * v, y * y + w * w))
     f = np.array(f).T
@@ -360,12 +362,10 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
-    t, ends, E1, E2, _, nfev, failure = _steps(channel, grid, cfg.rtol,
-                                               cfg.max_step)
-    E = np.stack((E1, E2), axis=-1).reshape(5, -1)
+    t, ends, H, nfev, failure = _steps(channel, grid, cfg.rtol, cfg.max_step)
     x, y = math.cos(theta0), math.sin(theta0)
     states = [(x, y, 1.0)]
-    for a, b, c, d in zip(*E[:4].tolist()):
+    for a, b, c, d in zip(*H[:4].tolist()):
         x, y = a * x + b * y, c * x + d * y
         n = math.hypot(x, y)
         x, y = x / n, y / n
@@ -375,7 +375,7 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     # gain is the angle nearest pi * turns congruent to the principal one
     gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
                       x[:-1] * x[1:] + y[:-1] * y[1:])
-    gain += 2.0 * np.pi * np.rint((np.pi * E[4] - gain) / (2.0 * np.pi))
+    gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
     theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
     log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
     at = np.flatnonzero(np.append(True, ends))

@@ -388,7 +388,9 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
     mismatch between them at the turning-point radius changes sign exactly
-    at an eigenvalue; each sign change is refined with Brent's method.
+    at an eigenvalue; each sign change is refined with Brent's method.  The
+    scan samples both bracket ends but lambda = 0, where the direction
+    recessive at infinity (`decaying_direction`) divides by lambda.
     """
     from scipy.optimize import brentq
 
@@ -416,7 +418,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
         return float(num / (np.hypot(*u_f) * np.hypot(*u_b)))
 
     n = max(8, int(math.ceil((b - a) / scan_step)))
-    grid = a + (b - a) * np.arange(1, n + 1) / n
+    grid = a + (b - a) * np.arange(0 if a > 0.0 else 1, n + 1) / n
     values = [mismatch(l) for l in grid]
     scanned = dict(zip(grid.tolist(), values))
 

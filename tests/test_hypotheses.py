@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestCConditions:
         # one (q, m) sample per window, L and W per k and Q per lambda give
         # every cell the reports of its channel's own coefficients, with
         # and without usable gap windows
-        ks, lams = [1, -2], [-1.0, 0.0, 30.0]
+        ks, lams = [1, -2], [-1.0, 0.0, 2.0, 30.0]
         grid = check_c_conditions(MODULATED, ks, lams)
         assert list(grid) == [(k, lam) for k in ks for lam in lams]
         skipped = set()
@@ -231,6 +232,17 @@ class TestCConditions:
                 [r.to_dict() for r in own], (k, lam)
             skipped.add(reports[-1].note.endswith("quotients skipped"))
         assert skipped == {True, False}
+        # at lambda = 2 the gap floor changes sign along the ladder (about
+        # -0.66, 1.00, 4.08): the quotients are read on the last two windows
+        tw = [[250.0, 2500.0], [2500.0, 25000.0]]
+        for k in ks:
+            c3 = by_id(grid[k, 2.0])["C3"]
+            minima = c3.evidence["q_minus_w_window_minima"]
+            assert minima[0] < 0.0 < minima[1] < minima[2], k
+            assert c3.windows == tw
+            for name in ("w", "m", "l"):
+                key = f"{name}_over_q_minus_w_rung_variations"
+                assert len(c3.evidence[key]) == 2
 
     def test_model_grid_samples_q_and_m_once_per_window(self, monkeypatch):
         seen = []
@@ -254,6 +266,41 @@ class TestCConditions:
         # q and m once on each grid: 4 extreme windows, the probe, 3 gap
         # windows and the one quotient grid the gap floor did not share
         assert len(one) == len(set(one)) == 2 * 9
+
+    def test_model_grid_skips_quotients_on_the_coarse_floors(self,
+                                                              monkeypatch):
+        # q = r, m = 0.17 r^1.2: Q - W is positive on [25, 250] and
+        # [250, 2500] (floors about 17 and 122) but not on [2500, 25000]
+        # (about -7209), so C3 is skipped on the gap floor's own grids and
+        # the quotients' 180,000-point grid of the last window is never
+        # sampled
+        model = CoefficientModel(q=power(1, 1), m=power(0.17, 1.2))
+        sizes = []
+        value = CoefficientFunction.value
+
+        def counting(self, r):
+            sizes.append(np.size(r))
+            return value(self, r)
+
+        monkeypatch.setattr(CoefficientFunction, "value", counting)
+        ks, lams = [1, -2], [0.0, 1.0]
+        grid = check_c_conditions(model, ks, lams)
+        # q and m once on each grid: 4 extreme windows, the probe and 3 tail
+        # windows, the last capped at 100,000 points
+        assert sizes.count(100_000) == 2
+        assert len(sizes) == 2 * 8 and 180_000 not in sizes
+        monkeypatch.undo()
+        coarse = np.linspace(2500.0, 25000.0, 100_000)
+        q, m = model.q.value(coarse), model.m.value(coarse)
+        for (k, lam), reports in grid.items():
+            c3 = reports[-1]
+            assert c3.condition_id == "C3" and c3.verdict == INCONCLUSIVE
+            assert c3.note == ("Q - W not positive on the tail; "
+                               "quotients skipped")
+            assert list(c3.evidence) == ["q_minus_w_window_minima"]
+            minima = c3.evidence["q_minus_w_window_minima"]
+            assert minima[0] > 0.0 and minima[1] > 0.0
+            assert minima[2] == np.min((q - lam) - np.hypot(m, k / coarse))
 
     def test_single_quotient_form_on_a_grid(self):
         # with m == 0 every cell reads C3' on L/(Q - L) = k/(r (r - lam) - k),
@@ -361,6 +408,35 @@ class TestGammaDiagnostics:
     def test_rejects_mismatched_model(self):
         with pytest.raises(ValueError):
             gamma_diagnostics(LINEAR, -1.0)
+
+    def test_windows_with_a_gamma_dip_are_skipped(self):
+        # q = m = r except at one node of the [250, 2500] window grid, where
+        # q = -5 and gamma = 2q + 1 < 0; a coarser positivity grid misses
+        # the node, and G1 and G2 would read nan on that window
+        dip = np.linspace(250.0, 2500.0, 18_000)[7777]
+
+        class DippedLine:
+            family = "tabulated"
+
+            def value(self, r):
+                return np.where(r == dip, -5.0, r)
+
+            def derivative(self, r):
+                return np.ones_like(r)
+
+        line = DippedLine()
+        reports = by_id(gamma_diagnostics(SimpleNamespace(q=line, m=line),
+                                          -1.0))
+        exact = by_id(gamma_diagnostics(EQUAL_LINEAR, -1.0))
+        for cid, key in (("G1", "rung_variations"),
+                         ("G2", "rung_integrals")):
+            assert reports[cid].windows == [[25.0, 250.0],
+                                            [2500.0, 25000.0]]
+            values = reports[cid].evidence[key]
+            assert np.all(np.isfinite(values))
+            assert np.allclose(values, np.asarray(exact[cid].evidence[key])
+                               [[0, 2]], rtol=1e-9, atol=0.0)
+            assert reports[cid].verdict == SATISFIED
 
     def test_rejects_gamma_nonpositive(self):
         with pytest.raises(ValueError):

@@ -323,6 +323,15 @@ class TestEigenShoot:
         assert len(eigs) == 3
         assert np.max(np.abs(np.asarray(eigs) - exact)) < 1e-8
 
+    def test_root_just_above_the_lower_end(self):
+        # the first Airy eigenvalue 2.674... lies below the first interior
+        # scan point 2.71125 of (2.67, 3.0); the scan samples the lower end
+        # of a positive bracket, so this sign change is not lost
+        exact = math.sqrt(2.0) * abs(ai_zeros(1)[0][0]) ** 0.75
+        eigs = eigen_shoot(EQUAL, -1, (2.67, 3.0))
+        assert len(eigs) == 1
+        assert abs(eigs[0] - exact) < 1e-8
+
     def test_refinement_reuses_scan_values(self, monkeypatch):
         # one frobenius_radius call per mismatch evaluation: 110 on the scan
         # grid and 14 refining the 3 roots; brentq starts from the bracket

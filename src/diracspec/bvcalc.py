@@ -28,11 +28,14 @@ __all__ = [
     "refinement_trend",
     "variation_report",
     "tail_trend",
+    "window_points",
     "sample_window",
     "window_variation",
     "window_integral",
     "check_product_bound",
     "check_quotient_bounds",
+    "trichotomy_window",
+    "classify_trichotomy",
     "lambda_trichotomy_probe",
 ]
 
@@ -225,18 +228,24 @@ EXTREME_LADDER = WindowLadder(25.0, 2.0, 4)
 TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
 
 
+def window_points(a: float, b: float, *, points_per_unit: float = 8.0,
+                  n_min: int = 2048, n_max: int = 400_000) -> int:
+    """Number of points of the window grid [a, b]."""
+    return int(np.clip(points_per_unit * (b - a), n_min, n_max))
+
+
 def sample_window(fn: Callable, a: float, b: float, *,
                   points_per_unit: float = 8.0, n_min: int = 2048,
                   n_max: int = 400_000) -> tuple:
     """Sample fn once on the window grid [a, b].
 
-    fn returns the tuple of coefficient arrays a diagnostic reads; the
-    arrays are passed through uncopied, so every quantity derived from one
-    window comes from one evaluation.
+    fn returns the coefficient arrays a diagnostic reads (a tuple, or a dict
+    by name); they are passed through uncopied, so every quantity derived
+    from one window comes from one evaluation.
     """
-    n = int(np.clip(points_per_unit * (b - a), n_min, n_max))
-    grid = np.linspace(a, b, n)
-    return grid, tuple(np.asarray(v, dtype=float) for v in fn(grid))
+    grid = np.linspace(a, b, window_points(
+        a, b, points_per_unit=points_per_unit, n_min=n_min, n_max=n_max))
+    return grid, fn(grid)
 
 
 def window_variation(values, out=None) -> float:
@@ -374,37 +383,31 @@ class TrichotomyProbe:
                 "consistent": self.consistent}
 
 
-def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
-                            tail_start: float = 25.0, *, factor: float = 10.0,
-                            rungs: int = 3,
-                            points_per_unit: float = 8.0) -> TrichotomyProbe:
-    """Windowed tail variation of m/(q - lambda) for each probe lambda.
+def trichotomy_window(q, m, lambdas: Sequence[float], variations) -> list:
+    """One window of the trichotomy probe.
 
-    Each lambda is classified BV-convergent or BV-divergent from the trend
-    of the rung variations; the observed set of convergent lambdas is then
-    compared against the admissible patterns: none, exactly one, or all.
+    Appends the variation of m/(q - lambda) on the window sample (q, m) to
+    the rungs of each lambda and returns the rungs; a lambda whose q - lambda
+    is not positive on some sample has rungs None from then on.  The
+    quotient and its increments go to two work arrays of the window.
     """
-    ladder = WindowLadder(tail_start, factor, rungs)
-    windows = ladder.windows()
-    lambdas = [float(lam) for lam in lambdas]
-    # one (q, m) sample per window serves every lambda: m/(q - lambda) and
-    # its increments go to two work arrays of the window; a lambda whose
-    # q - lambda is not positive on some sample gets no rungs
-    variations = [[] for _ in lambdas]
-    with np.errstate(all="ignore"):
-        for a, b in windows:
-            r, (q, m) = sample_window(
-                lambda r: (model.q.value(r), model.m.value(r)), a, b,
-                points_per_unit=points_per_unit)
-            floor = float(np.min(q))
-            variations = [None if rungs is None or not floor - lam > 0.0
-                          else rungs for lam, rungs in zip(lambdas, variations)]
-            quotient, inc = np.empty(r.size), np.empty(r.size - 1)
-            for lam, rungs in zip(lambdas, variations):
-                if rungs is not None:
-                    np.subtract(q, lam, out=quotient)
-                    np.divide(m, quotient, out=quotient)
-                    rungs.append(window_variation(quotient, out=inc))
+    floor = float(np.min(q))
+    variations = [None if rungs is None or not floor - lam > 0.0 else rungs
+                  for lam, rungs in zip(lambdas, variations)]
+    quotient, inc = np.empty(q.size), np.empty(q.size - 1)
+    for lam, rungs in zip(lambdas, variations):
+        if rungs is not None:
+            np.subtract(q, lam, out=quotient)
+            np.divide(m, quotient, out=quotient)
+            rungs.append(window_variation(quotient, out=inc))
+    return variations
+
+
+def classify_trichotomy(lambdas: Sequence[float], windows,
+                        variations) -> TrichotomyProbe:
+    """Classify each lambda BV-convergent or BV-divergent from the trend of
+    its rungs, and the observed set of convergent lambdas against the
+    admissible patterns: none, exactly one, or all."""
     entries = []
     for lam, rungs in zip(lambdas, variations):
         if rungs is None:
@@ -438,3 +441,24 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
         pattern = "inconsistent"
     return TrichotomyProbe(entries=entries, pattern=pattern,
                            consistent=pattern != "inconsistent")
+
+
+def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
+                            tail_start: float = 25.0, *, factor: float = 10.0,
+                            rungs: int = 3,
+                            points_per_unit: float = 8.0) -> TrichotomyProbe:
+    """Windowed tail variation of m/(q - lambda) for each probe lambda.
+
+    One (q, m) sample per window serves every lambda (`trichotomy_window`);
+    the rungs are then classified (`classify_trichotomy`).
+    """
+    windows = WindowLadder(tail_start, factor, rungs).windows()
+    lambdas = [float(lam) for lam in lambdas]
+    variations = [[] for _ in lambdas]
+    with np.errstate(all="ignore"):
+        for a, b in windows:
+            r, (q, m) = sample_window(
+                lambda r: (model.q.value(r), model.m.value(r)), a, b,
+                points_per_unit=points_per_unit)
+            variations = trichotomy_window(q, m, lambdas, variations)
+    return classify_trichotomy(lambdas, windows, variations)

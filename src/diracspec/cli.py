@@ -50,14 +50,7 @@ from .coefficients import (
     model_from_dict,
     models_equal,
 )
-from .hypotheses import (
-    VIOLATED,
-    check_a_conditions,
-    check_b_conditions,
-    check_c_conditions,
-    check_derivative_sufficiency,
-    gamma_diagnostics,
-)
+from .hypotheses import VIOLATED, check_c_conditions, check_hypotheses
 from .solver import (
     PreconditionError,
     SolveConfig,
@@ -248,9 +241,23 @@ def fixture_path(name: str) -> Path:
 # deterministic writers
 
 
+def _finite(obj):
+    """obj with every non-finite float (nan, inf) replaced by None, which
+    JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, obj):
+    # strict JSON: parsers reject the bare NaN and Infinity of json.dumps
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_finite(obj), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _write_rows(path: Path, header: str, rows, comment: str = ""):
@@ -303,31 +310,13 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     model = cfg.model
     doc = {"kind": "hypotheses", "model": model.to_dict(), "conditions": [],
            "channels": {}}
-    reports = check_a_conditions(model, cfg.lambda_grid,
-                                 extreme_ladder=cfg.ladder,
-                                 tail_ladder=cfg.tail_ladder)
-    if model.m.has_derivative and model.q.has_derivative:
-        reports += check_derivative_sufficiency(model,
-                                                tail_ladder=cfg.tail_ladder)
-    equal, _ = models_equal(model)
-    if equal:
-        reports += check_b_conditions(model, extreme_ladder=cfg.ladder,
-                                      tail_ladder=cfg.tail_ladder)
-        for lam in cfg.lambda_grid:
-            try:
-                reports += gamma_diagnostics(model, lam,
-                                             tail_ladder=cfg.tail_ladder,
-                                             extreme_ladder=cfg.ladder)
-                break  # one representative spectral parameter is enough
-            except ValueError:
-                continue
+    reports, c_reports = check_hypotheses(model, cfg.k_set, cfg.lambda_grid,
+                                          extreme_ladder=cfg.ladder,
+                                          tail_ladder=cfg.tail_ladder)
     doc["conditions"] = [r.to_dict() for r in reports]
     _print_table("model conditions:", reports)
 
     violated = any(r.verdict == VIOLATED and not r.auxiliary for r in reports)
-    c_reports = check_c_conditions(model, cfg.k_set, cfg.lambda_grid,
-                                   extreme_ladder=cfg.ladder,
-                                   tail_ladder=cfg.tail_ladder)
     for k in cfg.k_set:
         for lam in cfg.lambda_grid:
             creps = c_reports[k, lam]

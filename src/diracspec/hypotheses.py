@@ -5,15 +5,17 @@ variation) is probed on a geometric ladder of windows and classified as
 satisfied, violated, or inconclusive; the checker never extrapolates beyond
 the ladder, so "inconclusive" is a first-class verdict.
 
-A window sample is the coefficient values on one window grid: each check
-samples the coefficients it reads once per window (`sample_window` passes
-the tuple of arrays through uncopied) and derives and reduces every
-quantity from that sample, one quantity at a time.  The C checks of all
-(k, lambda) channels of a model share one (q, m) sample per window, and
-write L, W, Q, Q - W, each quotient and its increments into work arrays
-made once per window (`_Scratch`) and reused by every cell; they die with
-the window, so no check holds memory between calls.  A condition made of
-several ladders takes the worst of their verdicts.
+A window sample is the coefficient values on one window grid.  The checks
+of a model share them in one pass over each ladder (`_run`): per window,
+q, m and only the derivatives some check reads are evaluated once, and
+every check derives and reduces its quantities from that sample, one at a
+time, before the next window is sampled.  Each public check runs the pass
+with its own reductions only; `check_hypotheses` runs it with all of them.
+The C checks of all (k, lambda) channels of a model share the sample's q
+and m, and write L, W, Q, Q - W, each quotient and its increments into
+work arrays made once per window (`_Scratch`) and reused by every cell;
+they die with the window, so no check holds memory between calls.  A
+condition made of several ladders takes the worst of their verdicts.
 
 Condition vocabulary (the ids appearing in reports and CLI tables):
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +52,12 @@ from .bvcalc import (
     TREND_FLAT,
     TREND_GROWING,
     WindowLadder,
-    lambda_trichotomy_probe,
+    classify_trichotomy,
     sample_window,
     tail_trend,
+    trichotomy_window,
     window_integral,
+    window_points,
     window_variation,
 )
 from .coefficients import (
@@ -72,6 +76,7 @@ __all__ = [
     "check_b_conditions",
     "check_c_conditions",
     "gamma_diagnostics",
+    "check_hypotheses",
     "worst_verdict",
 ]
 
@@ -117,29 +122,129 @@ def worst_verdict(reports: Sequence[HypothesisReport],
 
 
 # ---------------------------------------------------------------------------
-# window evaluation
+# window samples
 
 # window grids for suprema and infima are capped below the tail-rung grids
 _EXTREME_POINTS = 100_000
 
+# the arrays a model's window sample can hold, in evaluation order: q, m,
+# m', q' and q''
+_READS = ("q", "m", "dm", "dq", "d2q")
+_DERIVATIVES = _READS[2:]
 
-def _per_window(fn: Callable, windows, *reductions,
-                n_max: int = 400_000) -> list:
-    """Sample the coefficients once per window and reduce each quantity.
 
-    fn maps a window grid to the tuple of coefficient arrays a check reads;
-    each reduction maps (r, *arrays) to one number, forming at most one
-    derived array, so derived quantities are reduced one at a time rather
-    than held side by side.  Returns one array of per-window numbers per
-    reduction.
+def _model_sampler(model):
+    """The window sampler of a model: maps a grid and the names of the
+    arrays read to {name: array}, each evaluated once; a derivative the data
+    does not have is left out."""
+    q, m = model.q, model.m
+    evaluate = {"q": q.value, "m": m.value, "dm": m.derivative,
+                "dq": q.derivative, "d2q": lambda r: q.derivative(r, order=2)}
+
+    def sample(r, reads):
+        arrays = {}
+        for name in _READS:
+            if name in reads:
+                try:
+                    arrays[name] = evaluate[name](r)
+                except MissingDerivativeError:
+                    pass
+        return arrays
+    return sample
+
+
+def _channel_sampler(channel):
+    # a channel's (Q, M, L, W) as q, m, L and W, whatever is read
+    return lambda r, reads: dict(zip(("q", "m", "L", "W"), channel.coeffs(r)))
+
+
+def _rows(per_window):
+    """One array per reduction from the per-window tuples of reductions."""
+    return [np.asarray(row) for row in zip(*per_window)]
+
+
+class _Check:
+    """One condition set in a ladder pass: the arrays it reads of each
+    window sample of either ladder and its reduction of one window sample,
+    which keeps plain numbers only.  A check that misses an array it needs
+    on some window sets `missing`."""
+
+    extreme_reads = tail_reads = ()
+    missing = False
+
+    def extreme(self, r, s):
+        pass
+
+    def tail(self, r, s):
+        pass
+
+    def _has(self, s, *names):
+        self.missing = self.missing or any(name not in s for name in names)
+        return not self.missing
+
+
+def _run(sample, checks, channels, extreme_ladder, tail_ladder):
+    """One pass over each ladder, with the window sampler `sample`, for all
+    `checks` and the C checks of a channel grid (`channels`, or None).
+
+    Each array some check reads is evaluated once per window grid, and
+    every check reduces that window sample before the next one is taken.
+    On a tail window whose grid holds more points than the C gap floor's
+    cap, the floor reads its own coarse (q, m) sample first, which is
+    dropped before the fine one is taken.  A derivative array lives from
+    the first check that reads it to the last, so the C work arrays never
+    meet one, and a window's arrays die with its call.
     """
-    rows = [[] for _ in reductions]
+    every = checks + ([channels] if channels is not None else [])
+    extreme_reads = {x for check in every for x in check.extreme_reads}
+    tail_reads = {x for check in every for x in check.tail_reads}
+
+    def derivatives(check, others):
+        # the derivatives a check reads and none of the others does
+        return [name for name in _DERIVATIVES if name in check.tail_reads
+                and all(name not in other.tail_reads for other in others)]
+
+    # a tail window's derivative arrays are evaluated for the first check
+    # that reads them and dropped after the last
+    lifetimes = [(derivatives(check, checks[:i]),
+                  derivatives(check, checks[i + 1:]))
+                 for i, check in enumerate(checks)]
+
+    def window(a, b, reads, n_max=400_000):
+        return sample_window(lambda r: sample(r, reads), a, b, n_max=n_max)
+
+    def extreme_window(a, b):
+        r, s = window(a, b, extreme_reads, _EXTREME_POINTS)
+        for check in every:
+            check.extreme(r, s)
+
+    def tail_window(a, b):
+        coarse = channels is not None and (
+            window_points(a, b, n_max=_EXTREME_POINTS) < window_points(a, b))
+        wanted = coarse and channels.gap_floors(
+            *window(a, b, channels.tail_reads, _EXTREME_POINTS))
+        if coarse and not (wanted or checks):
+            return  # no check reads the fine grid
+        r, s = window(a, b, tail_reads.difference(_DERIVATIVES))
+        for check, (first, last) in zip(checks, lifetimes):
+            s.update(sample(r, first))
+            check.tail(r, s)
+            for name in last:
+                s.pop(name, None)
+        if channels is not None:
+            if not coarse:
+                wanted = channels.gap_floors(r, s)
+            if wanted:
+                channels.quotients(r, s)
+
     with np.errstate(all="ignore"):
-        for a, b in windows:
-            r, sample = sample_window(fn, a, b, n_max=n_max)
-            for row, reduce in zip(rows, reductions):
-                row.append(float(reduce(r, *sample)))
-    return [np.asarray(row) for row in rows]
+        if extreme_reads:
+            for a, b in extreme_ladder.windows():
+                extreme_window(a, b)
+        if channels is not None:
+            channels.identify_forms(sample, tail_ladder.windows())
+        for a, b in tail_ladder.windows():
+            tail_window(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -211,139 +316,203 @@ def _tail_report(cid, key, rungs, windows, auxiliary=False):
 
 
 # ---------------------------------------------------------------------------
-# condition sets
+# model condition sets: per-window reductions and report builders
 
 
-def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
-                       extreme_ladder: WindowLadder = EXTREME_LADDER,
-                       tail_ladder: WindowLadder = TAIL_LADDER):
-    """Diagnose the dominant-potential hypotheses A1-A4 (plus the auxiliary
-    stronger probe A4'). The angular index enters none of them."""
-    ew = extreme_ladder.windows()
-    tw = tail_ladder.windows()
+class _AChecks(_Check):
+    """A1-A4 and A4' (see `check_a_conditions`)."""
 
-    q_min, q_max, m_min, ratio_max = _per_window(
-        lambda r: (model.q.value(r), model.m.value(r)), ew,
-        lambda r, q, m: np.min(q), lambda r, q, m: np.max(q),
-        lambda r, q, m: np.min(np.abs(m)),
-        lambda r, q, m: np.max(np.abs(m / q)), n_max=_EXTREME_POINTS)
-    v1, n1 = _liminf_positive_verdict(m_min)
-    v2, n2 = _limsup_below_verdict(ratio_max)
-    reports = [
-        _divergence_report("A1", q_min, q_max, ew),
-        HypothesisReport(
-            "A2", _worst((v1, v2)),
-            {"abs_m_window_minima": m_min.tolist(),
-             "m_over_q_window_maxima": ratio_max.tolist()},
-            _listify(ew), note="; ".join(x for x in (n1, n2) if x)),
-    ]
+    extreme_reads, tail_reads = ("q", "m"), ("q", "m", "dm")
 
-    probe = lambda_trichotomy_probe(model, lambdas, tail_ladder.start,
-                                    factor=tail_ladder.factor,
-                                    rungs=tail_ladder.rungs)
-    for entry in probe.entries:
-        cls = entry["classification"]
-        verdict = {"convergent": SATISFIED, "divergent": VIOLATED}.get(
-            cls, INCONCLUSIVE)
-        reports.append(HypothesisReport(
-            f"A3[lambda={entry['lambda']:g}]", verdict,
-            {"rung_variations": entry["variations"], "trend": entry["trend"]},
-            _listify(entry["windows"]), note=entry.get("note", "")))
+    def __init__(self, lambdas):
+        self.lambdas = [float(lam) for lam in lambdas]
+        self.extremes, self.integrals = [], []
+        self.variations = [[] for _ in self.lambdas]
 
-    def mixed(r, dm, m, q):
-        return window_integral(
-            r, np.where(dm == 0.0, 0.0, np.abs(dm / (r * m * q))))
+    def extreme(self, r, s):
+        q, m = s["q"], s["m"]
+        self.extremes.append((float(np.min(q)), float(np.max(q)),
+                              float(np.min(np.abs(m))),
+                              float(np.max(np.abs(m / q)))))
 
-    def stronger(r, dm, m, q):
-        return window_integral(
-            r, np.where(dm == 0.0, 0.0, np.abs(dm / (r * m ** 2))))
+    def tail(self, r, s):
+        q, m = s["q"], s["m"]
+        self.variations = trichotomy_window(q, m, self.lambdas,
+                                            self.variations)
+        if self._has(s, "dm"):
+            dm = s["dm"]
+            self.integrals.append((
+                window_integral(r, np.where(dm == 0.0, 0.0,
+                                            np.abs(dm / (r * m * q)))),
+                window_integral(r, np.where(dm == 0.0, 0.0,
+                                            np.abs(dm / (r * m ** 2))))))
 
-    try:
-        a4, a4p = _per_window(
-            lambda r: (model.m.derivative(r), model.m.value(r),
-                       model.q.value(r)), tw, mixed, stronger)
-    except MissingDerivativeError:
-        reports.append(HypothesisReport(
-            "A4", INCONCLUSIVE, {}, [],
-            note="mass coefficient has no usable derivative"))
+    def reports(self, ew, tw):
+        q_min, q_max, m_min, ratio_max = _rows(self.extremes)
+        v1, n1 = _liminf_positive_verdict(m_min)
+        v2, n2 = _limsup_below_verdict(ratio_max)
+        reports = [
+            _divergence_report("A1", q_min, q_max, ew),
+            HypothesisReport(
+                "A2", _worst((v1, v2)),
+                {"abs_m_window_minima": m_min.tolist(),
+                 "m_over_q_window_maxima": ratio_max.tolist()},
+                _listify(ew), note="; ".join(x for x in (n1, n2) if x)),
+        ]
+        probe = classify_trichotomy(self.lambdas, tw, self.variations)
+        for entry in probe.entries:
+            cls = entry["classification"]
+            verdict = {"convergent": SATISFIED, "divergent": VIOLATED}.get(
+                cls, INCONCLUSIVE)
+            reports.append(HypothesisReport(
+                f"A3[lambda={entry['lambda']:g}]", verdict,
+                {"rung_variations": entry["variations"],
+                 "trend": entry["trend"]},
+                _listify(entry["windows"]), note=entry.get("note", "")))
+        if self.missing:
+            reports.append(HypothesisReport(
+                "A4", INCONCLUSIVE, {}, [],
+                note="mass coefficient has no usable derivative"))
+            return reports
+        a4, a4p = _rows(self.integrals)
+        reports.append(_tail_report("A4", "rung_integrals", a4, tw))
+        reports.append(_tail_report("A4'", "rung_integrals", a4p, tw,
+                                    auxiliary=True))
         return reports
-    reports.append(_tail_report("A4", "rung_integrals", a4, tw))
-    reports.append(_tail_report("A4'", "rung_integrals", a4p, tw,
-                                auxiliary=True))
-    return reports
 
 
-def check_derivative_sufficiency(model: CoefficientModel, *,
-                                 tail_ladder: WindowLadder = TAIL_LADDER):
-    """Tail integrability of m'/q and m q'/q^2.  When both converge, the
-    quotient m/(q - lambda) is of bounded variation for every lambda, so the
-    per-lambda probes must all report convergent."""
-    tw = tail_ladder.windows()
-    try:
-        d1, d2 = _per_window(
-            lambda r: (model.m.derivative(r), model.m.value(r),
-                       model.q.derivative(r), model.q.value(r)), tw,
-            lambda r, dm, m, dq, q: window_integral(r, np.abs(dm / q)),
-            lambda r, dm, m, dq, q: window_integral(
-                r, np.abs(m * dq / q ** 2)))
-    except MissingDerivativeError:
-        return [HypothesisReport(
-            "D1", INCONCLUSIVE, {}, [], "derivatives unavailable",
-            auxiliary=True)]
-    reports = [_tail_report("D1", "rung_integrals", d1, tw, auxiliary=True),
-               _tail_report("D2", "rung_integrals", d2, tw, auxiliary=True)]
-    if all(r.verdict == SATISFIED for r in reports):
-        reports[-1] = replace(
-            reports[-1], note="with D1 this forces the BV quotient condition "
-                              "for every lambda")
-    return reports
+class _DChecks(_Check):
+    """D1 and D2 (see `check_derivative_sufficiency`)."""
+
+    tail_reads = ("q", "m", "dm", "dq")
+
+    def __init__(self):
+        self.integrals = []
+
+    def tail(self, r, s):
+        if self._has(s, "dm", "dq"):
+            dm, m, dq, q = s["dm"], s["m"], s["dq"], s["q"]
+            self.integrals.append((
+                window_integral(r, np.abs(dm / q)),
+                window_integral(r, np.abs(m * dq / q ** 2))))
+
+    def reports(self, ew, tw):
+        if self.missing:
+            return [HypothesisReport(
+                "D1", INCONCLUSIVE, {}, [], "derivatives unavailable",
+                auxiliary=True)]
+        d1, d2 = _rows(self.integrals)
+        reports = [_tail_report("D1", "rung_integrals", d1, tw,
+                                auxiliary=True),
+                   _tail_report("D2", "rung_integrals", d2, tw,
+                                auxiliary=True)]
+        if all(r.verdict == SATISFIED for r in reports):
+            reports[-1] = replace(
+                reports[-1], note="with D1 this forces the BV quotient "
+                                  "condition for every lambda")
+        return reports
 
 
-def check_b_conditions(model: CoefficientModel, *,
-                       extreme_ladder: WindowLadder = EXTREME_LADDER,
-                       tail_ladder: WindowLadder = TAIL_LADDER):
-    """Diagnose the borderline-case hypotheses B1-B2 (m identically q),
-    plus the auxiliary second-derivative variant B2'."""
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"the borderline checks require m == q; first "
-                         f"mismatch near r = {where:g}")
-    ew = extreme_ladder.windows()
-    tw = tail_ladder.windows()
+class _BChecks(_Check):
+    """B1, B2 and B2' (see `check_b_conditions`)."""
 
-    q_min, q_max = _per_window(
-        lambda r: (model.q.value(r),), ew,
-        lambda r, q: np.min(q), lambda r, q: np.max(q),
-        n_max=_EXTREME_POINTS)
-    reports = [_divergence_report("B1", q_min, q_max, ew)]
+    extreme_reads, tail_reads = ("q",), ("q", "dq", "d2q")
 
-    try:
+    def __init__(self):
+        self.extremes, self.rungs = [], []
+
+    def extreme(self, r, s):
+        q = s["q"]
+        self.extremes.append((float(np.min(q)), float(np.max(q))))
+
+    def tail(self, r, s):
         # tabulated data without a derivative raises on the first order
         # already, so a usable q' always comes with a usable q''
-        var_rungs, l2_rungs, second, squared = _per_window(
-            lambda r: (model.q.value(r), model.q.derivative(r),
-                       model.q.derivative(r, order=2)), tw,
-            lambda r, q, dq, d2q: window_variation(dq / q ** 1.5),
-            lambda r, q, dq, d2q: window_integral(r, (dq / q ** 1.5) ** 2),
-            lambda r, q, dq, d2q: window_integral(r, np.abs(d2q / q ** 1.5)),
-            lambda r, q, dq, d2q: window_integral(r, dq ** 2 / q ** 2.5))
-    except MissingDerivativeError:
+        if self._has(s, "dq", "d2q"):
+            q, dq, d2q = s["q"], s["dq"], s["d2q"]
+            self.rungs.append((
+                window_variation(dq / q ** 1.5),
+                window_integral(r, (dq / q ** 1.5) ** 2),
+                window_integral(r, np.abs(d2q / q ** 1.5)),
+                window_integral(r, dq ** 2 / q ** 2.5)))
+
+    def reports(self, ew, tw):
+        reports = [_divergence_report("B1", *_rows(self.extremes), ew)]
+        if self.missing:
+            reports.append(HypothesisReport(
+                "B2", INCONCLUSIVE, {}, [], "derivative unavailable"))
+            return reports
+        var_rungs, l2_rungs, second, squared = _rows(self.rungs)
+        v1, n1 = _tail_verdict(var_rungs)
+        v2, n2 = _tail_verdict(l2_rungs)
         reports.append(HypothesisReport(
-            "B2", INCONCLUSIVE, {}, [], "derivative unavailable"))
+            "B2", _worst((v1, v2)),
+            {"rung_variations": var_rungs.tolist(),
+             "rung_square_integrals": l2_rungs.tolist()},
+            _listify(tw), note="; ".join(x for x in (n1, n2) if x)))
+        reports.append(HypothesisReport(
+            "B2'", _worst((_tail_verdict(second)[0],
+                           _tail_verdict(squared)[0])),
+            {"rung_second_derivative_integrals": second.tolist(),
+             "rung_squared_slope_integrals": squared.tolist()},
+            _listify(tw), auxiliary=True))
         return reports
-    v1, n1 = _tail_verdict(var_rungs)
-    v2, n2 = _tail_verdict(l2_rungs)
-    reports.append(HypothesisReport(
-        "B2", _worst((v1, v2)),
-        {"rung_variations": var_rungs.tolist(),
-         "rung_square_integrals": l2_rungs.tolist()},
-        _listify(tw), note="; ".join(x for x in (n1, n2) if x)))
-    reports.append(HypothesisReport(
-        "B2'", _worst((_tail_verdict(second)[0], _tail_verdict(squared)[0])),
-        {"rung_second_derivative_integrals": second.tolist(),
-         "rung_squared_slope_integrals": squared.tolist()},
-        _listify(tw), auxiliary=True))
-    return reports
+
+
+class _GChecks(_Check):
+    """G1-G3 for one lambda (see `gamma_diagnostics`).
+
+    A window counts only where gamma = 2q - lambda is positive; its floor
+    min(2q - lambda) is read as 2 min(q) - lambda, the same number, since
+    rounding is monotone.  So the tail floors of q also tell which lambda
+    of a grid leaves G two tail windows (`windows`).
+    """
+
+    extreme_reads = tail_reads = ("q", "dq")
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.q_floors = {"extreme": [], "tail": []}
+        self.rows = {"extreme": [], "tail": []}
+
+    def _reduce(self, ladder, s, reduce):
+        q_floor = float(np.min(s["q"]))
+        self.q_floors[ladder].append(q_floor)
+        if self._has(s, "dq") and 2.0 * q_floor - self.lam > 0.0:
+            slope = 2.0 * s["dq"] / (2.0 * s["q"] - self.lam) ** 1.5
+            self.rows[ladder].append(reduce(slope))
+
+    def extreme(self, r, s):
+        self._reduce("extreme", s, lambda slope: float(np.max(np.abs(slope))))
+
+    def tail(self, r, s):
+        self._reduce("tail", s, lambda slope: (
+            window_variation(slope),
+            window_integral(r, np.abs(slope / r))))
+
+    def windows(self, ladder, lam):
+        """Indices of the windows of a ladder on which 2q - lam > 0."""
+        return [i for i, q_floor in enumerate(self.q_floors[ladder])
+                if 2.0 * q_floor - lam > 0.0]
+
+    def reports(self, ew, tw):
+        if self.missing:
+            raise MissingDerivativeError("gamma diagnostics need q'")
+        keep = self.windows("tail", self.lam)
+        if len(keep) < 2:
+            raise ValueError("gamma = 2q - lambda is not positive on the "
+                             "probe ladder")
+        variations, integrals = _rows(self.rows["tail"])
+        maxima = np.asarray(self.rows["extreme"], dtype=float)
+        ew = [ew[i] for i in self.windows("extreme", self.lam)]
+        tw = [tw[i] for i in keep]
+        return [_tail_report("G1", "rung_variations", variations, tw),
+                _tail_report("G2", "rung_integrals", integrals, tw),
+                _tail_report("G3", "abs_slope_window_maxima", maxima, ew)]
+
+
+# ---------------------------------------------------------------------------
+# channel conditions
 
 
 class _Scratch:
@@ -364,18 +533,15 @@ class _Scratch:
 
 class _ChannelGrid:
     """The (k, lambda) cells of one C check and how one window sample serves
-    them all: `sample` evaluates a window grid once and `cells` derives the
-    channel coefficients of every cell from it.  A single channel is the
-    one-cell grid (None, None) of its own `coeffs`."""
+    them all: `cells` derives the channel coefficients of every cell from
+    the sample's q and m.  A single channel is the one-cell grid
+    (None, None) of its own sample of (Q, M, L, W)."""
 
     def __init__(self, source, k_set, lambda_grid):
         if isinstance(source, CoefficientModel):
-            q, m = source.q, source.m
-            self.sample = lambda r: (q.value(r), m.value(r))
             self.ks = list(dict.fromkeys(int(k) for k in k_set))
             self.lams = list(dict.fromkeys(float(lam) for lam in lambda_grid))
         else:
-            self.sample = source.coeffs
             self.ks, self.lams = [None], [None]
 
     def cells(self, r, sample, only=None):
@@ -388,18 +554,18 @@ class _ChannelGrid:
         taking the next.
         """
         s = _Scratch(r.size)
+        q, M = sample["q"], sample["m"]
         for k in self.ks:
             if only is not None and all(c[0] != k for c in only):
                 continue
             if k is None:
-                M, L, W = sample[1:]
+                L, W = sample["L"], sample["W"]
             else:
-                M, L = sample[1], np.divide(k, r, out=s.L)
+                L = np.divide(k, r, out=s.L)
                 W = np.hypot(M, L, out=s.W)
             for lam in self.lams:
                 if only is None or (k, lam) in only:
-                    Q = (sample[0] if lam is None
-                         else np.subtract(sample[0], lam, out=s.Q))
+                    Q = q if lam is None else np.subtract(q, lam, out=s.Q)
                     yield (k, lam), Q, M, L, W, s
 
 
@@ -450,114 +616,145 @@ _C3_FORMS = {
 }
 
 
-def _extreme_window(grid, a, b):
-    # a call per window returning plain numbers: the window's sample and
-    # work arrays are gone before the next window is sampled
-    r, sample = sample_window(grid.sample, a, b, n_max=_EXTREME_POINTS)
-    return {cell: _extreme(Q, W, s)
-            for cell, Q, M, L, W, s in grid.cells(r, sample)}
+class _CChecks:
+    """C1-C3 of every cell of a channel grid (see `check_c_conditions`).
+
+    A tail window is read in two steps: the gap floor of every cell
+    (`gap_floors`), then the C3 quotients of the cells whose floor is
+    positive there (`quotients`), on the same sample or a finer one.
+    """
+
+    extreme_reads = tail_reads = ("q", "m")
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.extremes, self.floors, self.rungs = [], [], []
+
+    def extreme(self, r, s):
+        self.extremes.append({
+            cell: _extreme(Q, W, sc)
+            for cell, Q, M, L, W, sc in self.grid.cells(r, s)})
+
+    def identify_forms(self, sample, tw):
+        # identify vanishing coefficients on a probe grid
+        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
+        self.forms = {
+            cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
+                            "l_zero" if np.all(L == 0.0) else "general"]
+            for cell, _, M, L, _, _ in self.grid.cells(
+                probe, sample(probe, self.tail_reads))}
+
+    def gap_floors(self, r, s):
+        """Read the gap floor of every cell on the next tail window; returns
+        whether any is positive, so that its quotients are read."""
+        floors = {cell: _finite_floor(_min_gap(Q, W, sc))
+                  for cell, Q, M, L, W, sc in self.grid.cells(r, s)}
+        self.floors.append(floors)
+        self.rungs.append({})
+        return any(floor > 0.0 for floor in floors.values())
+
+    def quotients(self, r, s):
+        """The C3 reduction, on this window sample, of the cells whose gap
+        floor on the last window read is positive."""
+        positive = {cell for cell, floor in self.floors[-1].items()
+                    if floor > 0.0}
+        self.rungs[-1] = {
+            cell: self.forms[cell][2](Q, M, L, W, sc)
+            for cell, Q, M, L, W, sc in self.grid.cells(r, s, only=positive)}
+
+    def reports(self, ew, tw):
+        """{cell: [C1, C2, C3 or C3']} in grid order."""
+
+        def reaches_tail(use):
+            # the quotients are read on at least two windows, the last among
+            # them
+            return len(use) >= 2 and use[-1] == len(tw) - 1
+
+        reports = {}
+        for cell, (cid, names, _) in self.forms.items():
+            q_min, q_max, ratio_max = _rows(window[cell]
+                                            for window in self.extremes)
+            verdict, note = _limsup_below_verdict(ratio_max)
+            reports[cell] = [
+                _divergence_report("C1", q_min, q_max, ew),
+                HypothesisReport(
+                    "C2", verdict,
+                    {"w_over_q_window_maxima": ratio_max.tolist()},
+                    _listify(ew), note),
+            ]
+            gaps = [window[cell] for window in self.floors]
+            use = [i for i, g in enumerate(gaps) if g > 0.0]
+            if reaches_tail(use):
+                # the quotient grids are finer than the gap floor's point
+                # cap, so Q - W can dip to zero at nodes the floor never saw;
+                # such a window leaves the ladder under the same rule as one
+                # the floor caught
+                for i in use:
+                    floor = _finite_floor(self.rungs[i][cell][0])
+                    if floor <= 0.0:
+                        gaps[i] = floor
+                use = [i for i in use if gaps[i] > 0.0]
+            evidence = {"q_minus_w_window_minima": gaps}
+            if not reaches_tail(use):
+                reports[cell].append(HypothesisReport(
+                    "C3", INCONCLUSIVE, evidence, _listify(tw),
+                    note="Q - W not positive on the tail; quotients skipped"))
+                continue
+            verdicts, notes = [], []
+            for name, values in zip(names, _rows(self.rungs[i][cell][1:]
+                                                 for i in use)):
+                evidence[name + "_rung_variations"] = values.tolist()
+                v, n = _tail_verdict(values)
+                verdicts.append(v)
+                if n:
+                    notes.append(f"{name}: {n}")
+            reports[cell].append(HypothesisReport(
+                cid, _worst(verdicts), evidence,
+                _listify([tw[i] for i in use]), note="; ".join(notes)))
+        return reports
 
 
-def _tail_window(grid, forms, a, b):
-    """The gap floor of every cell on one tail window and the C3 reduction
-    of the cells whose floor is positive there, read as `_extreme_window`
-    reads its window."""
-    r, sample = sample_window(grid.sample, a, b, n_max=_EXTREME_POINTS)
-    floors = {cell: _finite_floor(_min_gap(Q, W, s))
-              for cell, Q, M, L, W, s in grid.cells(r, sample)}
-    positive = {cell for cell, floor in floors.items() if floor > 0.0}
-    if positive and r.size == _EXTREME_POINTS:
-        # the floor's point cap applied: the quotients read their own finer
-        # grid, sampled once the coarse one is dropped
-        del r, sample
-        r, sample = sample_window(grid.sample, a, b)
-    return floors, {cell: forms[cell][2](Q, M, L, W, s)
-                    for cell, Q, M, L, W, s in grid.cells(r, sample,
-                                                          only=positive)}
+# ---------------------------------------------------------------------------
+# public checks: each runs the ladder pass with its own reductions only
 
 
-def check_c_conditions(source, k_set=(), lambda_grid=(), *,
+def _model_checks(model, checks, extreme_ladder, tail_ladder):
+    _run(_model_sampler(model), checks, None, extreme_ladder, tail_ladder)
+    ew, tw = extreme_ladder.windows(), tail_ladder.windows()
+    return [rep for check in checks for rep in check.reports(ew, tw)]
+
+
+def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
                        extreme_ladder: WindowLadder = EXTREME_LADDER,
                        tail_ladder: WindowLadder = TAIL_LADDER):
-    """Diagnose the channel conditions C1-C3 (C3' when one coefficient
-    vanishes identically).
+    """Diagnose the dominant-potential hypotheses A1-A4 (plus the auxiliary
+    stronger probe A4'). The angular index enters none of them."""
+    return _model_checks(model, [_AChecks(lambdas)], extreme_ladder,
+                         tail_ladder)
 
-    `source` is a CoefficientModel, checked on every cell of the grid
-    k_set x lambda_grid, which returns {(k, lambda): reports} in grid order;
-    or one channel (anything with `coeffs`), checked as a one-cell grid,
-    which returns its reports.  The channels of a model differ only in
-    Q = q - lambda and L = k/r, so each window grid is sampled once for all
-    cells: q and m once per window, L and W = hypot(m, L) once per k, and Q
-    per cell from the shared q (`_ChannelGrid.cells`).  Every derived array
-    is written into work arrays of the window (`_Scratch`), which die with
-    the window.  One pass over the tail ladder reads, per window, the gap
-    floor min(Q - W) of every cell on a grid of at most 100,000 points and
-    the C3 quotients where that floor is positive, on the finer grid if the
-    cap applied; C3 then needs a positive floor on two or more windows,
-    the last among them, on the coarse grids and then on the fine ones.
-    """
-    grid = _ChannelGrid(source, k_set, lambda_grid)
-    ew = extreme_ladder.windows()
-    tw = tail_ladder.windows()
-    probe = np.geomspace(tw[0][0], tw[-1][1], 512)
-    with np.errstate(all="ignore"):
-        extremes = [_extreme_window(grid, a, b) for a, b in ew]
-        # identify vanishing coefficients on a probe grid
-        forms = {cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
-                                 "l_zero" if np.all(L == 0.0) else "general"]
-                 for cell, _, M, L, _, _ in grid.cells(probe,
-                                                       grid.sample(probe))}
-        floors, rungs = zip(*(_tail_window(grid, forms, a, b)
-                              for a, b in tw))
 
-    def reaches_tail(use):
-        # the quotients are read on at least two windows, the last among them
-        return len(use) >= 2 and use[-1] == len(tw) - 1
+def check_derivative_sufficiency(model: CoefficientModel, *,
+                                 tail_ladder: WindowLadder = TAIL_LADDER):
+    """Tail integrability of m'/q and m q'/q^2.  When both converge, the
+    quotient m/(q - lambda) is of bounded variation for every lambda, so the
+    per-lambda probes must all report convergent."""
+    return _model_checks(model, [_DChecks()], EXTREME_LADDER, tail_ladder)
 
-    reports = {}
-    for cell, (cid, names, _) in forms.items():
-        q_min, q_max, ratio_max = (np.asarray(x) for x in
-                                   zip(*(window[cell] for window in extremes)))
-        verdict, note = _limsup_below_verdict(ratio_max)
-        reports[cell] = [
-            _divergence_report("C1", q_min, q_max, ew),
-            HypothesisReport("C2", verdict,
-                             {"w_over_q_window_maxima": ratio_max.tolist()},
-                             _listify(ew), note),
-        ]
-        gaps = [window[cell] for window in floors]
-        use = [i for i, g in enumerate(gaps) if g > 0.0]
-        if reaches_tail(use):
-            # the quotient grids are finer than the gap floor's point cap,
-            # so Q - W can dip to zero at nodes the floor never saw; such a
-            # window leaves the ladder under the same rule as one the floor
-            # caught
-            for i in use:
-                floor = _finite_floor(rungs[i][cell][0])
-                if floor <= 0.0:
-                    gaps[i] = floor
-            use = [i for i in use if gaps[i] > 0.0]
-        evidence = {"q_minus_w_window_minima": gaps}
-        if not reaches_tail(use):
-            reports[cell].append(HypothesisReport(
-                "C3", INCONCLUSIVE, evidence, _listify(tw),
-                note="Q - W not positive on the tail; quotients skipped"))
-            continue
-        verdicts, notes = [], []
-        for name, values in zip(names,
-                                zip(*(rungs[i][cell][1:] for i in use))):
-            values = np.asarray(values)
-            evidence[name + "_rung_variations"] = values.tolist()
-            v, n = _tail_verdict(values)
-            verdicts.append(v)
-            if n:
-                notes.append(f"{name}: {n}")
-        reports[cell].append(HypothesisReport(
-            cid, _worst(verdicts), evidence, _listify([tw[i] for i in use]),
-            note="; ".join(notes)))
-    if isinstance(source, CoefficientModel):
-        return reports
-    return reports[None, None]
+
+def _require_equal(model, what):
+    equal, where = models_equal(model)
+    if not equal:
+        raise ValueError(f"{what} require m == q; first mismatch near "
+                         f"r = {where:g}")
+
+
+def check_b_conditions(model: CoefficientModel, *,
+                       extreme_ladder: WindowLadder = EXTREME_LADDER,
+                       tail_ladder: WindowLadder = TAIL_LADDER):
+    """Diagnose the borderline-case hypotheses B1-B2 (m identically q),
+    plus the auxiliary second-derivative variant B2'."""
+    _require_equal(model, "the borderline checks")
+    return _model_checks(model, [_BChecks()], extreme_ladder, tail_ladder)
 
 
 def gamma_diagnostics(model: CoefficientModel, lam: float, *,
@@ -571,35 +768,69 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     its values.  If fewer than two tail windows survive, the model/lambda
     pair is rejected.
     """
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"gamma diagnostics require m == q; first mismatch "
-                         f"near r = {where:g}")
+    _require_equal(model, "gamma diagnostics")
+    return _model_checks(model, [_GChecks(lam)], extreme_ladder, tail_ladder)
 
-    def q_and_derivative(r):
-        return model.q.value(r), model.q.derivative(r)
 
-    def slope(r, q, dq):
-        return 2.0 * dq / (2.0 * q - lam) ** 1.5
+def check_c_conditions(source, k_set=(), lambda_grid=(), *,
+                       extreme_ladder: WindowLadder = EXTREME_LADDER,
+                       tail_ladder: WindowLadder = TAIL_LADDER):
+    """Diagnose the channel conditions C1-C3 (C3' when one coefficient
+    vanishes identically).
 
-    def positive(windows, *reductions, **kw):
-        floors, *rows = _per_window(
-            q_and_derivative, windows,
-            lambda r, q, dq: np.min(2.0 * q - lam), *reductions, **kw)
-        keep = floors > 0.0
-        return ([w for w, k in zip(windows, keep) if k],
-                *(row[keep] for row in rows))
+    `source` is a CoefficientModel, checked on every cell of the grid
+    k_set x lambda_grid, which returns {(k, lambda): reports} in grid order;
+    or one channel (anything with `coeffs`), checked as a one-cell grid,
+    which returns its reports.  The channels of a model differ only in
+    Q = q - lambda and L = k/r, so one (q, m) sample per window serves all
+    cells (`_ChannelGrid.cells`).  Per tail window the gap floor
+    min(Q - W) of every cell is read on a grid of at most 100,000 points,
+    and the C3 quotients where that floor is positive, on the finer grid
+    if the cap applied; C3 then needs a positive floor on two or more
+    windows, the last among them, on the coarse grids and then on the fine
+    ones.
+    """
+    model = isinstance(source, CoefficientModel)
+    channels = _CChecks(_ChannelGrid(source, k_set, lambda_grid))
+    sample = _model_sampler(source) if model else _channel_sampler(source)
+    _run(sample, [], channels, extreme_ladder, tail_ladder)
+    reports = channels.reports(extreme_ladder.windows(), tail_ladder.windows())
+    return reports if model else reports[None, None]
 
-    tw, variations, integrals = positive(
-        tail_ladder.windows(),
-        lambda *s: window_variation(slope(*s)),
-        lambda r, *s: window_integral(r, np.abs(slope(r, *s) / r)))
-    if len(tw) < 2:
-        raise ValueError("gamma = 2q - lambda is not positive on the probe "
-                         "ladder")
-    ew, maxima = positive(extreme_ladder.windows(),
-                          lambda *s: np.max(np.abs(slope(*s))),
-                          n_max=_EXTREME_POINTS)
-    return [_tail_report("G1", "rung_variations", variations, tw),
-            _tail_report("G2", "rung_integrals", integrals, tw),
-            _tail_report("G3", "abs_slope_window_maxima", maxima, ew)]
+
+def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
+                     lambda_grid: Sequence[float], *,
+                     extreme_ladder: WindowLadder = EXTREME_LADDER,
+                     tail_ladder: WindowLadder = TAIL_LADDER):
+    """Every condition of one model in one pass over each ladder.
+
+    Returns the model reports, in order A1-A4 (`check_a_conditions`), D1/D2
+    when both coefficients have derivatives, and B1-B2 and G1-G3 when
+    m == q, and the C reports {(k, lambda): reports} of the grid
+    k_set x lambda_grid (`check_c_conditions`); each report equals the one
+    its own check makes.  G is read for the first lambda of the grid that
+    leaves it two tail windows: the pass reduces it for the first lambda,
+    and only if that one leaves fewer does a second, G-only pass run.
+    """
+    lambdas = [float(lam) for lam in lambda_grid]
+    equal, _ = models_equal(model)
+    checks = [_AChecks(lambdas)]
+    if model.m.has_derivative and model.q.has_derivative:
+        checks.append(_DChecks())
+    if equal:
+        checks.append(_BChecks())
+    gamma = [_GChecks(lambdas[0])] if equal and lambdas else []
+    channels = _CChecks(_ChannelGrid(model, k_set, lambdas))
+    sample = _model_sampler(model)
+    _run(sample, checks + gamma, channels, extreme_ladder, tail_ladder)
+    ew, tw = extreme_ladder.windows(), tail_ladder.windows()
+    reports = [rep for check in checks for rep in check.reports(ew, tw)]
+    if gamma and not gamma[0].missing:
+        first = next((i for i, lam in enumerate(lambdas)
+                      if len(gamma[0].windows("tail", lam)) >= 2), None)
+        if first is not None:
+            if first > 0:
+                gamma = [_GChecks(lambdas[first])]
+                _run(sample, gamma, None, extreme_ladder, tail_ladder)
+            reports += gamma[0].reports(ew, tw)
+    return reports, channels.reports(ew, tw)

@@ -10,8 +10,20 @@ import pytest
 
 import diracspec
 from diracspec.bvcalc import trapezoid
-from diracspec.cli import ConfigError, fixture_path, load_config, main
-from diracspec.coefficients import CoefficientModel, assemble_channel, power
+from diracspec.cli import (
+    ConfigError,
+    cmd_hypotheses,
+    fixture_path,
+    load_config,
+    main,
+)
+from diracspec.coefficients import (
+    CoefficientFunction,
+    CoefficientModel,
+    DomainError,
+    assemble_channel,
+    power,
+)
 from diracspec.solver import prefer_pruefer
 
 
@@ -151,6 +163,79 @@ class TestHypothesesCommand:
         code = run(["hypotheses", "--config", cfg, "--out", tmp_path / "o"])
         assert code == 2
         assert "'m'" in capsys.readouterr().err
+
+    def test_report_is_strict_json(self, tmp_path):
+        # q = m = e^r overflows on the far windows: the nonfinite evidence is
+        # written as null, which strict parsers accept
+        exp = {"family": "exp", "params": {"c": 1.0, "a": 1.0}}
+        cfg = write_config(tmp_path, {"model": {"q": exp, "m": exp},
+                                      "k_set": [1], "lambda_grid": [-1.0]})
+        run(["hypotheses", "--config", cfg, "--out", tmp_path / "o"])
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads((tmp_path / "o" / "hypotheses.json").read_text(),
+                         parse_constant=reject)
+        c3 = doc["channels"]["k=1_lambda=-1"][-1]
+        assert c3["evidence"]["q_minus_w_window_minima"][1:] == [None, None]
+
+    def test_gamma_domain_error_propagates(self, tmp_path):
+        # q = m = r whose derivative is undefined on the extreme windows past
+        # r = 50, which only G3 reads: the error is raised, not taken for a
+        # lambda that G rejects
+        class Line:
+            family = "tabulated"
+            has_derivative = True
+
+            def value(self, r):
+                return r * 1.0
+
+            def derivative(self, r, order=1):
+                if r[0] >= 50.0 and r[-1] <= 400.0:
+                    raise DomainError("derivative undefined on [50, 400]")
+                return np.full_like(r, 1.0 if order == 1 else 0.0)
+
+            def to_dict(self):
+                return {"family": "line"}
+
+        cfg = load_config(write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0, 0.0]}))
+        cfg.model = CoefficientModel(q=Line(), m=Line())
+        with pytest.raises(DomainError, match="undefined"):
+            cmd_hypotheses(cfg, tmp_path / "o", False)
+
+    def test_each_window_grid_evaluated_once(self, tmp_path, monkeypatch):
+        seen = []
+        value = CoefficientFunction.value
+        derivative = CoefficientFunction.derivative
+
+        def key(f, order, r):
+            return id(f), order, np.size(r), float(r[0]), float(r[-1])
+
+        def counting_value(self, r):
+            seen.append(key(self, 0, r))
+            return value(self, r)
+
+        def counting_derivative(self, r, order=1):
+            seen.append(key(self, order, r))
+            return derivative(self, r, order=order)
+
+        monkeypatch.setattr(CoefficientFunction, "value", counting_value)
+        monkeypatch.setattr(CoefficientFunction, "derivative",
+                            counting_derivative)
+        model = {"q": {"family": "power", "params": {"c": 1.1, "p": 0.8}},
+                 "m": {"family": "power", "params": {"c": 0.9, "p": 0.0}}}
+        cfg = write_config(tmp_path, {"model": model, "k_set": [1, -2],
+                                      "lambda_grid": [-1.0, 0.0, 2.0]})
+        assert run(["hypotheses", "--config", cfg,
+                    "--out", tmp_path / "o"]) == 0
+        assert len(seen) == len(set(seen))
+        # the last tail window's fine grid serves q, m, m' and q' for every
+        # model check and the C3 quotients; the C gap floor reads its own
+        # 100,000-point (q, m) sample there
+        sizes = [size for _, _, size, _, _ in seen]
+        assert sizes.count(180_000) == 4 and sizes.count(100_000) == 2
 
 
 class TestGoldenHypotheses:

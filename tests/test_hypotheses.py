@@ -4,7 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diracspec.bvcalc import WindowLadder, lambda_trichotomy_probe
+from diracspec.bvcalc import (
+    EXTREME_LADDER,
+    TAIL_LADDER,
+    WindowLadder,
+    lambda_trichotomy_probe,
+)
+from diracspec.cli import fixture_path, load_config
 from diracspec.coefficients import (
     ChannelSystem,
     CoefficientFunction,
@@ -12,6 +18,7 @@ from diracspec.coefficients import (
     assemble_channel,
     coefficient,
     constant,
+    models_equal,
     power,
 )
 from diracspec.hypotheses import (
@@ -22,6 +29,7 @@ from diracspec.hypotheses import (
     check_b_conditions,
     check_c_conditions,
     check_derivative_sufficiency,
+    check_hypotheses,
     gamma_diagnostics,
     worst_verdict,
 )
@@ -441,3 +449,109 @@ class TestGammaDiagnostics:
     def test_rejects_gamma_nonpositive(self):
         with pytest.raises(ValueError):
             gamma_diagnostics(EQUAL_LINEAR, 1e9)
+
+
+def _tabulated_without_derivative():
+    grid = np.geomspace(0.5, 30_000.0, 60)
+    return coefficient("tabulated", grid=list(grid), values=list(grid ** 1.1),
+                       derivative="none")
+
+
+class TestOnePass:
+    """`check_hypotheses` reads every condition of a model in one pass over
+    each ladder; each report must equal the one its own check makes."""
+
+    @staticmethod
+    def standalone(model, ks, lams, ladders):
+        reports = check_a_conditions(model, lams, **ladders)
+        if model.m.has_derivative and model.q.has_derivative:
+            reports += check_derivative_sufficiency(
+                model, tail_ladder=ladders["tail_ladder"])
+        if models_equal(model)[0]:
+            reports += check_b_conditions(model, **ladders)
+            # G reads the first lambda that gamma_diagnostics accepts
+            for lam in lams:
+                try:
+                    reports += gamma_diagnostics(model, lam, **ladders)
+                    break
+                except ValueError:
+                    continue
+        return reports, check_c_conditions(model, ks, lams, **ladders)
+
+    def assert_matches(self, model, ks, lams, extreme_ladder=EXTREME_LADDER,
+                       tail_ladder=TAIL_LADDER):
+        ladders = {"extreme_ladder": extreme_ladder,
+                   "tail_ladder": tail_ladder}
+        reports, channels = check_hypotheses(model, ks, lams, **ladders)
+        expect, expect_channels = self.standalone(model, ks, lams, ladders)
+        assert [r.to_dict() for r in reports] == \
+            [r.to_dict() for r in expect]
+        assert list(channels) == list(expect_channels)
+        for cell, creps in channels.items():
+            assert [r.to_dict() for r in creps] == \
+                [r.to_dict() for r in expect_channels[cell]], cell
+        return reports
+
+    @pytest.mark.parametrize("name", ["dominant_linear", "modulated_quarter",
+                                      "sqrt_periodic", "borderline_linear"])
+    def test_golden_fixtures(self, name):
+        cfg = load_config(fixture_path(name))
+        self.assert_matches(cfg.model, cfg.k_set, cfg.lambda_grid,
+                            extreme_ladder=cfg.ladder,
+                            tail_ladder=cfg.tail_ladder)
+
+    def test_equal_power_model(self):
+        model = CoefficientModel(q=power(1.3, 1), m=power(1.3, 1))
+        reports = by_id(self.assert_matches(model, [1, -2], [-1.0, 0.5]))
+        assert {"B1", "B2", "B2'", "G1", "G2", "G3"} <= set(reports)
+
+    def test_gamma_falls_back_to_the_next_lambda(self):
+        # 2q - 1e4 is positive on the last tail window only, so G reads
+        # lambda = 300, on the last two, in a G-only pass
+        model = CoefficientModel(q=power(1, 1), m=power(1, 1))
+        reports = by_id(self.assert_matches(model, [1], [1e4, 300.0, -1.0]))
+        assert reports["G1"].windows == [[250.0, 2500.0], [2500.0, 25000.0]]
+
+    def test_gamma_skipped_when_no_lambda_leaves_two_windows(self):
+        model = CoefficientModel(q=power(1, 1), m=power(1, 1))
+        reports = by_id(self.assert_matches(model, [1], [1e4, 1e5]))
+        assert "B2" in reports and "G1" not in reports
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_tabulated_without_derivative(self, wrap):
+        # a sum of one tabulated term claims a derivative, so D1 runs and
+        # finds none; the bare tabulated data skips D
+        line = _tabulated_without_derivative()
+        if wrap:
+            line = coefficient("sum", terms=[line])
+        model = CoefficientModel(q=line, m=line)
+        reports = by_id(self.assert_matches(model, [1, -2], [-1.0, 0.5]))
+        assert reports["A4"].note == "mass coefficient has no usable derivative"
+        assert reports["B2"].note == "derivative unavailable"
+        assert ("D1" in reports) == wrap
+        if wrap:
+            assert reports["D1"].note == "derivatives unavailable"
+        assert "G1" not in reports
+
+    def test_work_arrays_live_for_one_call(self):
+        model = CoefficientModel(q=power(1.1, 0.8), m=constant(0.9))
+        ks, lams = [1, -2], [-1.0, 0.0, 2.0]
+
+        def memory(check):
+            check(model, ks, lams)  # first-call allocations
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                check(model, ks, lams)
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return after - before, peak - before
+
+        kept, peak = memory(check_hypotheses)
+        c_kept, c_peak = memory(check_c_conditions)
+        assert kept < 2 ** 20
+        # the derivative arrays die before the C work arrays are made: one
+        # window's arrays at a time, at most one 180,000-point array above
+        # the C checks alone
+        assert peak <= c_peak + 180_000 * 8

@@ -204,12 +204,12 @@ def auto_start_radius(channel, margin: float = 0.05, lo: float = 0.5,
     """First probe radius past which Q - W stays above margin * Q."""
     rs = np.geomspace(lo, hi, 400)
     Q, _, _, W = channel.coeffs(rs)
-    good = (Q > 0.0) & (Q - W >= margin * Q)
-    for i in range(len(rs)):
-        if np.all(good[i:]):
-            return float(rs[i])
-    raise PreconditionError("Q - W does not stabilize above the margin on "
-                            "the probe range")
+    bad = np.flatnonzero(~((Q > 0.0) & (Q - W >= margin * Q)))
+    first = int(bad[-1]) + 1 if bad.size else 0
+    if first == len(rs):
+        raise PreconditionError("Q - W does not stabilize above the margin "
+                                "on the probe range")
+    return float(rs[first])
 
 
 def comparability_constant(ta: Trajectory, tb: Trajectory,

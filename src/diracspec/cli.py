@@ -449,13 +449,14 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.model is not None, "scan needs a 'model'")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
-    doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid)
+    ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
+    doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid, **ladders)
     payloads = [{"model": cfg.model.to_dict(), "k_set": [k],
                  "lambda_grid": cfg.lambda_grid,
                  "equal": doc["equal_coefficients"],
                  "heuristic": doc["heuristic"],
                  "r_end": cfg.subordinacy["r_end"],
-                 "delta": cfg.subordinacy["delta"]}
+                 "delta": cfg.subordinacy["delta"], **ladders}
                 for k in sorted(set(cfg.k_set))]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor

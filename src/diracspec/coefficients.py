@@ -5,6 +5,11 @@ that every evaluation is auditable: powers, logarithms, sinusoidally
 modulated powers, exponentials, affine sums of those, and tabulated samples
 with monotone-cubic interpolation.  All functions live on the open half-line
 r > 0; the origin is a singular endpoint and is always rejected.
+
+Each family has one implementation, for a float radius and an array of
+radii alike, so the solver's one-radius-at-a-time `scalar_qml` and the
+window checks read the same values.  Tabulated data declared non-smooth, and
+any sum holding it, has no derivative (`has_derivative`).
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ def _zero_like(r):
 
 
 # ---------------------------------------------------------------------------
-# family builders: each returns (value, d1, d2, derivative_exact, scalar_value)
-# where scalar_value is an unvalidated pure-float fast path for solver loops
+# family builders: each returns (value, d1, d2, derivative_exact), one
+# implementation for a float radius and for an array of radii; d1 and d2 are
+# None when the function has no derivative
 
 _FAMILY_PARAMS = {
     "power": {"c", "p"},
@@ -82,18 +88,9 @@ def _build_power(params):
 
     if p == 0.0:
         d1 = _zero_like
-
-        def scalar(r):
-            return c
     else:
         def d1(r):
             return (c * p) * r ** (p - 1.0)
-
-        if p == 1.0:
-            def scalar(r):
-                return c * r
-        else:
-            scalar = value
 
     if p in (0.0, 1.0):
         d2 = _zero_like
@@ -101,7 +98,7 @@ def _build_power(params):
         def d2(r):
             return (c * p * (p - 1.0)) * r ** (p - 2.0)
 
-    return value, d1, d2, True, scalar
+    return value, d1, d2, True
 
 
 def _build_log(params):
@@ -111,7 +108,6 @@ def _build_log(params):
         lambda r: c / (1.0 + r),
         lambda r: -c / (1.0 + r) ** 2,
         True,
-        lambda r: c * math.log1p(r),
     )
 
 
@@ -121,13 +117,6 @@ def _build_modulated(params):
 
     def value(r):
         return (a + b * np.sin(omega * r)) * c * r ** p
-
-    if p == 0.0:
-        def scalar(r):
-            return (a + b * math.sin(omega * r)) * c
-    else:
-        def scalar(r):
-            return (a + b * math.sin(omega * r)) * c * r ** p
 
     def d1(r):
         out = (b * omega * c) * np.cos(omega * r) * r ** p
@@ -144,7 +133,7 @@ def _build_modulated(params):
             out = out + (a + b * s) * (c * p * (p - 1.0)) * r ** (p - 2.0)
         return out
 
-    return value, d1, d2, True, scalar
+    return value, d1, d2, True
 
 
 def _build_exp(params):
@@ -154,7 +143,6 @@ def _build_exp(params):
         lambda r: (c * a) * np.exp(a * r),
         lambda r: (c * a * a) * np.exp(a * r),
         True,
-        lambda r: c * math.exp(a * r),
     )
 
 
@@ -162,7 +150,7 @@ def _build_sum(params):
     terms = tuple(params["terms"])
     if not terms:
         raise ValueError("sum family needs at least one term")
-    scalars = None
+    exact = all(t.derivative_exact for t in terms)
 
     def value(r):
         out = terms[0].value(r)
@@ -170,8 +158,8 @@ def _build_sum(params):
             out = out + t.value(r)
         return out
 
-    def scalar(r):
-        return sum(s(r) for s in scalars)
+    if not all(t.has_derivative for t in terms):
+        return value, None, None, exact
 
     def d1(r):
         out = terms[0].derivative(r)
@@ -185,8 +173,7 @@ def _build_sum(params):
             out = out + t.derivative(r, order=2)
         return out
 
-    scalars = tuple(t._scalar for t in terms)
-    return value, d1, d2, all(t.derivative_exact for t in terms), scalar
+    return value, d1, d2, exact
 
 
 def _build_tabulated(params):
@@ -206,8 +193,6 @@ def _build_tabulated(params):
         raise DomainError("tabulated grid must lie in r > 0")
 
     pp = PchipInterpolator(grid, values, extrapolate=True)
-    dpp = pp.derivative()
-    d2pp = pp.derivative(2)
 
     def _shape(out, r):
         return float(out) if isinstance(r, float) else out
@@ -216,17 +201,16 @@ def _build_tabulated(params):
         return _shape(pp(r), r)
 
     if mode == "none":
-        def d1(r):
-            raise MissingDerivativeError("tabulated data declared non-smooth")
-        d2 = d1
-    else:
-        def d1(r):
-            return _shape(dpp(r), r)
+        return value, None, None, False
+    dpp, d2pp = pp.derivative(), pp.derivative(2)
 
-        def d2(r):
-            return _shape(d2pp(r), r)
+    def d1(r):
+        return _shape(dpp(r), r)
 
-    return value, d1, d2, False, lambda r: float(pp(r))
+    def d2(r):
+        return _shape(d2pp(r), r)
+
+    return value, d1, d2, False
 
 
 _BUILDERS = {
@@ -253,23 +237,22 @@ class CoefficientFunction:
     def __post_init__(self):
         if self.family not in _BUILDERS:
             raise ValueError(f"unknown function family {self.family!r}")
-        value, d1, d2, exact, scalar = _BUILDERS[self.family](self.params)
+        value, d1, d2, exact = _BUILDERS[self.family](self.params)
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_d1", d1)
         object.__setattr__(self, "_d2", d2)
         object.__setattr__(self, "_exact", exact)
-        object.__setattr__(self, "_scalar", scalar)
 
     def value(self, r):
         return self._value(_check_radius(r))
 
     def derivative(self, r, order: int = 1):
         r = _check_radius(r)
-        if order == 1:
-            return self._d1(r)
-        if order == 2:
-            return self._d2(r)
-        raise ValueError("only first and second derivatives are available")
+        if order not in (1, 2):
+            raise ValueError("only first and second derivatives are available")
+        if self._d1 is None:
+            raise MissingDerivativeError("tabulated data declared non-smooth")
+        return self._d1(r) if order == 1 else self._d2(r)
 
     @property
     def derivative_exact(self) -> bool:
@@ -277,8 +260,7 @@ class CoefficientFunction:
 
     @property
     def has_derivative(self) -> bool:
-        return not (self.family == "tabulated"
-                    and self.params.get("derivative") == "none")
+        return self._d1 is not None
 
     def to_dict(self) -> dict:
         if self.family == "sum":
@@ -465,9 +447,9 @@ class ChannelSystem:
         return Q, m, L, W
 
     def scalar_qml(self, r):
-        # unvalidated fast path for solver inner loops (r checked upstream)
-        return (self.model.q._scalar(r) - self.lam,
-                self.model.m._scalar(r), self.k / r)
+        # (Q, M, L) at one float radius, for the one-radius-at-a-time RHS
+        return (self.model.q.value(r) - self.lam, self.model.m.value(r),
+                self.k / r)
 
     def label(self) -> str:
         return f"k={self.k},lambda={self.lam:g}"

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boundedness import auto_start_radius, comparability_constant
+from .bvcalc import EXTREME_LADDER, TAIL_LADDER, WindowLadder
 from .coefficients import CoefficientModel, assemble_channel, models_equal
 from .hypotheses import (
     SATISFIED,
@@ -100,9 +101,9 @@ class TransformedChannel:
         return Q, z, L, np.abs(L)
 
     def scalar_qml(self, r):
-        g = 2.0 * self.model.q._scalar(r) - self.lam
+        g = 2.0 * self.model.q.value(r) - self.lam
         Q = math.sqrt(self.Lambda * g)
-        L = self.k / r - float(self.model.q._d1(r)) / (2.0 * g)
+        L = self.k / r - float(self.model.q.derivative(r)) / (2.0 * g)
         return Q, 0.0, L
 
     def scale(self, r):
@@ -446,15 +447,18 @@ _TRACEBACK_LINES = 8
 
 
 def spectrum_hypotheses(model: CoefficientModel,
-                        lambda_grid: Sequence[float]) -> dict:
+                        lambda_grid: Sequence[float], *,
+                        extreme_ladder: WindowLadder = EXTREME_LADDER,
+                        tail_ladder: WindowLadder = TAIL_LADDER) -> dict:
     """The scan document without its cells: the model-level hypotheses
     (A1-A4, or B1-B2 when m == q) and whether they leave the cells
     heuristic.  A scan runs them once, whatever its chunks."""
     equal, _ = models_equal(model)
+    ladders = {"extreme_ladder": extreme_ladder, "tail_ladder": tail_ladder}
     if equal:
-        hyp = check_b_conditions(model)
+        hyp = check_b_conditions(model, **ladders)
     else:
-        hyp = check_a_conditions(model, sorted(set(lambda_grid)))
+        hyp = check_a_conditions(model, sorted(set(lambda_grid)), **ladders)
     return {"kind": "scan", "model": model.to_dict(),
             "equal_coefficients": equal,
             "hypotheses": [h.to_dict() for h in hyp],
@@ -464,7 +468,9 @@ def spectrum_hypotheses(model: CoefficientModel,
 def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                    lambda_grid: Sequence[float], *, equal: bool,
                    heuristic: bool, r_end: float = 120.0,
-                   delta: float = 1e-3, rtol: float = 1e-9) -> list:
+                   delta: float = 1e-3, rtol: float = 1e-9,
+                   extreme_ladder: WindowLadder = EXTREME_LADDER,
+                   tail_ladder: WindowLadder = TAIL_LADDER) -> list:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
 
     Dominant-potential models go through the boundedness certificate, with
@@ -477,7 +483,9 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
     if not equal:
-        c_reports = check_c_conditions(model, ks, lams)
+        c_reports = check_c_conditions(model, ks, lams,
+                                       extreme_ladder=extreme_ladder,
+                                       tail_ladder=tail_ladder)
     cells = []
     for k in ks:
         for lam in lams:

@@ -187,3 +187,32 @@ class TestComparability:
             nsq = u1 ** 2 + u2 ** 2
             assert np.max(nsq) <= 2 * basis_C * nsq[0] * (1 + 1e-9)
             assert np.min(nsq) >= nsq[0] / (2 * basis_C) * (1 - 1e-9)
+
+
+class GapChannel:
+    """Stub channel with Q = 1 whose gap Q - W is 1 on the probes and 0
+    (below the margin) on the probe indices in `bad`."""
+
+    def __init__(self, bad=()):
+        self.bad = list(bad)
+
+    def coeffs(self, r):
+        W = np.zeros_like(r)
+        W[self.bad] = 1.0
+        return np.ones_like(r), W, 0.0 * r, W
+
+
+class TestAutoStartRadius:
+    PROBES = np.geomspace(0.5, 50.0, 400)
+
+    def test_good_everywhere_starts_at_first_probe(self):
+        assert auto_start_radius(GapChannel()) == 0.5
+
+    def test_late_stabilization_starts_past_last_bad_probe(self):
+        # bad on the first 40 probes and on probe 300 alone
+        channel = GapChannel([*range(40), 300])
+        assert auto_start_radius(channel) == float(self.PROBES[301])
+
+    def test_bad_last_probe_refused(self):
+        with pytest.raises(PreconditionError, match="does not stabilize"):
+            auto_start_radius(GapChannel([399]))

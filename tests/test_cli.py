@@ -323,6 +323,36 @@ class TestScanCommand:
         assert (tmp_path / "seq" / "scan.json").read_bytes() == \
             (tmp_path / "par" / "scan.json").read_bytes()
 
+    def test_config_ladders_reach_every_check(self, tmp_path):
+        # the A reports of scan equal those of hypotheses, and each cell's C
+        # reports those of boundedness, on the config's ladders
+        cfg = write_config(tmp_path, {
+            "model": LINEAR_MODEL, "k_set": [1, -1], "lambda_grid": [0.0],
+            "ladder": {"start": 30.0, "factor": 3.0, "rungs": 3},
+            "tail_ladder": {"start": 40.0, "factor": 5.0, "rungs": 3},
+            "solver": {"r_end": 20.0}, "subordinacy": {"r_end": 20.0}})
+        for command in ("scan", "hypotheses", "boundedness"):
+            run([command, "--config", cfg, "--out", tmp_path / command,
+                 "--workers", 2])
+        scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
+        hyp = json.loads((tmp_path / "hypotheses" / "hypotheses.json")
+                         .read_text())
+        assert scan["hypotheses"] == [r for r in hyp["conditions"]
+                                      if r["condition"].startswith("A")]
+        extreme = [[30.0, 90.0], [90.0, 270.0], [270.0, 810.0]]
+        tail = [[40.0, 200.0], [200.0, 1000.0], [1000.0, 5000.0]]
+        windows = {r["condition"]: r["windows"] for r in scan["hypotheses"]}
+        assert windows["A1"] == extreme and windows["A4"] == tail
+        for cell in scan["cells"]:
+            name = f"k={cell['k']}_lambda=0"
+            bound = json.loads((tmp_path / "boundedness" /
+                                f"boundedness_{name}.json").read_text())
+            assert cell["channel_conditions"] == bound["conditions"] == \
+                hyp["channels"][name]
+            windows = {r["condition"]: r["windows"]
+                       for r in cell["channel_conditions"]}
+            assert windows["C1"] == extreme and windows["C3"] == tail
+
     def test_unresolvable_cell_marked_and_run_continues(self, tmp_path):
         # exponential growth overflows the far probe windows, so the cell
         # cannot be certified; the scan still completes and records the cell

@@ -8,6 +8,7 @@ from diracspec.coefficients import (
     CoefficientModel,
     ConstantChannel,
     DomainError,
+    MissingDerivativeError,
     assemble_channel,
     coefficient,
     constant,
@@ -19,6 +20,7 @@ from diracspec.coefficients import (
     models_equal,
     power,
 )
+from diracspec.subordinacy import TransformedChannel
 
 
 def linear_model():
@@ -73,6 +75,18 @@ class TestEval:
                         derivative="none")
         res = eval_model(CoefficientModel(q=q, m=constant(1)), 1.5)
         assert res.dq is None
+
+    def test_sum_with_nonsmooth_term_has_no_derivative(self):
+        rough = coefficient("tabulated", grid=[1.0, 2.0], values=[1.0, 2.0],
+                            derivative="none")
+        f = coefficient("sum", terms=[power(1, 1), rough])
+        assert not rough.has_derivative and not f.has_derivative
+        for order in (1, 2):
+            with pytest.raises(MissingDerivativeError):
+                f.derivative(1.5, order=order)
+        assert f.value(1.5) == 3.0
+        smooth = coefficient("sum", terms=[power(1, 1), coefficient("log", c=1)])
+        assert smooth.has_derivative
 
 
 class TestChannelAssembly:
@@ -173,3 +187,57 @@ class TestConstantChannel:
         Q, M, L, W = ch.coeffs(np.array([1.0, 5.0]))
         assert np.all(Q == 2.0) and np.all(M == 1.0) and np.all(L == 0.0)
         assert np.all(W == 1.0)
+
+
+# one function per family; those under CLOSE take a non-integer power, where
+# a float's ** and numpy's array power may round differently
+_GRID = np.geomspace(0.01, 500.0, 80)
+EXACT = {
+    "power p=0": power(1.3, 0.0),
+    "power p=1": power(1.3, 1.0),
+    "log": coefficient("log", c=0.8),
+    "modulated p=0": coefficient("modulated", a=2, b=1, omega=1.7, c=1.1, p=0),
+    "exp": coefficient("exp", c=1.3, a=0.9),
+    "sum": coefficient("sum", terms=[power(1.3, 1.0), coefficient("log", c=0.8),
+                                     coefficient("exp", c=1.3, a=0.9)]),
+    "tabulated": coefficient("tabulated", grid=list(_GRID),
+                             values=list(_GRID ** 1.1)),
+}
+CLOSE = {
+    "power p=0.7": power(1.3, 0.7),
+    "modulated p=0.25": coefficient("modulated", a=2, b=1, omega=1.7, c=1.1,
+                                    p=0.25),
+}
+
+
+def scalar_and_vector(f):
+    """For the plain and the rescaled channel of q = m = f, yields the
+    channel and three rows of (Q, M, L) on 4,000 random radii: `scalar_qml`
+    at each float radius, `coeffs` on the array of them, and the magnitude
+    an ulp is taken of (L - k/r is a separate term of the rescaled L)."""
+    r = np.exp(np.random.default_rng(0).uniform(math.log(0.01),
+                                                math.log(400.0), 4000))
+    model = CoefficientModel(q=f, m=f)
+    # lambda = 0 makes Q = q; k = -1 keeps both terms of the rescaled L of
+    # one sign
+    for channel in (assemble_channel(model, 1, 0.0),
+                    TransformedChannel(model, -1, -1.5)):
+        vector = np.array(channel.coeffs(r)[:3])
+        scalar = np.array([channel.scalar_qml(x) for x in r.tolist()]).T
+        angular = channel.k / r
+        scale = np.abs([vector[0], vector[1], angular])
+        scale[2] += np.abs(vector[2] - angular)
+        yield channel, scalar, vector, scale
+
+
+class TestScalarAgreesWithVector:
+    @pytest.mark.parametrize("name", list(EXACT))
+    def test_bit_for_bit(self, name):
+        for channel, scalar, vector, _ in scalar_and_vector(EXACT[name]):
+            assert np.array_equal(scalar, vector), channel.label()
+
+    @pytest.mark.parametrize("name", list(CLOSE))
+    def test_non_integer_power_within_two_ulp(self, name):
+        for channel, scalar, vector, scale in scalar_and_vector(CLOSE[name]):
+            assert np.all(np.abs(scalar - vector) <= 2.0 * np.spacing(scale)), \
+                channel.label()

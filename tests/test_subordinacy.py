@@ -191,7 +191,7 @@ def dop853_norms(channel, U0, nodes, rtol):
         Q, M, L = channel.scalar_qml(r)
         wa = wb = 1.0
         if rescaled:
-            wb = math.sqrt((2.0 * model.q._scalar(r) - lam) / channel.Lambda)
+            wb = math.sqrt((2.0 * model.q.value(r) - lam) / channel.Lambda)
             wa = 1.0 / wb
         out = []
         for th, lr in (y[:2], y[3:5]):

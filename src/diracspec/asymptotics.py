@@ -33,7 +33,6 @@ __all__ = [
     "wkb_reference",
     "compare_asymptotics",
     "second_order_check",
-    "first_order_check",
     "defect_convergence",
     "borderline_trajectory",
 ]
@@ -149,21 +148,6 @@ def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
     defect = -d2 + 2.0 * lam * q * mid + k * (k + 1) / r ** 2 * mid \
         - lam ** 2 * mid
     scale = float(np.max(np.abs(lam ** 2 * mid) + np.abs(2.0 * lam * q * mid)))
-    if scale == 0.0:
-        return {"max_defect": 0.0, "stride": h}
-    return {"max_defect": float(np.max(np.abs(defect)) / scale), "stride": h}
-
-
-def first_order_check(traj: Trajectory, model: CoefficientModel, k: int,
-                      lam: float) -> dict:
-    """Scaled defect of u1' + (k/r) u1 - lambda u2 with u1' by centered
-    differences."""
-    h = _uniform_stride(traj.grid)
-    r = traj.grid[1:-1]
-    d1 = (traj.u1[2:] - traj.u1[:-2]) / (2.0 * h)
-    mid1, mid2 = traj.u1[1:-1], traj.u2[1:-1]
-    defect = d1 + (k / r) * mid1 - lam * mid2
-    scale = float(np.max(np.abs(lam * mid2) + np.abs(k / r * mid1)))
     if scale == 0.0:
         return {"max_defect": 0.0, "stride": h}
     return {"max_defect": float(np.max(np.abs(defect)) / scale), "stride": h}

@@ -19,14 +19,20 @@ Special forms exist when one coefficient vanishes identically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bvcalc import cumulative_variation
 from .hypotheses import VIOLATED, HypothesisReport
-from .solver import PreconditionError, Trajectory, wronskian
+from .solver import (
+    PreconditionError,
+    SolveConfig,
+    Trajectory,
+    integrate_fundamental,
+    wronskian,
+)
 
 __all__ = [
     "RTrace",
@@ -38,6 +44,7 @@ __all__ = [
     "almost_monotone_check",
     "comparability_constant",
     "auto_start_radius",
+    "certify",
 ]
 
 GENERAL = "general"
@@ -252,3 +259,17 @@ def comparability_constant(ta: Trajectory, tb: Trajectory,
     sup_R = float(np.max(r_trace(ta).R))
     return BoundednessCertificate(r0=float(ta.grid[0]), r_end=float(ta.grid[-1]),
                                   sup_R=sup_R, C=C)
+
+
+def certify(channel, solver: SolveConfig,
+            reports: Optional[Sequence[HypothesisReport]] = None):
+    """The boundedness certificate of one channel, as `boundedness` and
+    `scan` give it: the fundamental pair is solved with the window end,
+    stride and step cap of `solver` from `auto_start_radius`, with rtol
+    floored at 1e-10, then `comparability_constant` certifies it (refused
+    when `reports` mark C2/C3 violated).  Returns the pair's first
+    trajectory, for the envelope trace, and the certificate."""
+    cfg = replace(solver, r_start=auto_start_radius(channel),
+                  rtol=max(solver.rtol, 1e-10))
+    ta, tb = integrate_fundamental(channel, cfg)
+    return ta, comparability_constant(ta, tb, reports=reports)

@@ -17,7 +17,6 @@ from .coefficients import CoefficientModel
 
 __all__ = [
     "SampledFunction",
-    "VariationReport",
     "WindowLadder",
     "ProductBoundResult",
     "QuotientBoundResult",
@@ -25,8 +24,6 @@ __all__ = [
     "variation",
     "cumulative_variation",
     "jordan_decompose",
-    "refinement_trend",
-    "variation_report",
     "tail_trend",
     "window_points",
     "sample_window",
@@ -73,13 +70,6 @@ class SampledFunction:
 
     def __len__(self):
         return self.grid.size
-
-
-def sample(fn: Callable, a: float, b: float, n: int,
-           dfn: Callable = None) -> SampledFunction:
-    grid = np.linspace(a, b, n)
-    deriv = None if dfn is None else np.asarray(dfn(grid), dtype=float)
-    return SampledFunction(grid, np.asarray(fn(grid), dtype=float), deriv)
 
 
 def variation(f: SampledFunction) -> float:
@@ -143,61 +133,6 @@ def tail_trend(values: Sequence[float], *, ratio_converged: float = 0.6,
     if np.all(last >= flat_band) and np.all(v[-2:] > 100.0 * abs_tol):
         return TREND_FLAT
     return TREND_INCONCLUSIVE
-
-
-def refinement_trend(fn: Callable, a: float, b: float, *, n0: int = 128,
-                     levels: int = 8, rel_tol: float = 1e-3,
-                     grow_tol: float = 1e-2):
-    """Variation of fn on [a, b] under dyadic grid refinement.
-
-    Returns (trend, variations); the variations are nondecreasing in the
-    refinement level, so 'converged' means the increments have died out and
-    'growing' means each refinement keeps discovering new variation.
-    """
-    variations = []
-    n = n0
-    for _ in range(levels):
-        s = sample(fn, a, b, n + 1)
-        variations.append(variation(s))
-        n *= 2
-    v = np.asarray(variations)
-    rel_inc = np.diff(v) / np.maximum(v[1:], np.finfo(float).tiny)
-    if v[-1] == 0.0 or rel_inc[-1] <= rel_tol:
-        trend = TREND_CONVERGED
-    elif np.all(rel_inc[-2:] >= grow_tol):
-        trend = TREND_GROWING
-    else:
-        trend = TREND_INCONCLUSIVE
-    return trend, variations
-
-
-@dataclass(frozen=True)
-class VariationReport:
-    window: tuple
-    variation: float
-    refinement_trend: str
-    tail_windows: list  # (T, variation on [T, b]) pairs
-
-    def __post_init__(self):
-        if self.variation < 0:
-            raise ValueError("variation must be nonnegative")
-
-
-def variation_report(fn: Callable, a: float, b: float, *, n: int = 4096,
-                     tails: int = 4, refine_levels: int = 6) -> VariationReport:
-    s = sample(fn, a, b, n)
-    cum = cumulative_variation(s.values)
-    total = float(cum[-1])
-    starts = np.geomspace(a, b * 0.5, tails) if a > 0 else np.linspace(a, b * 0.5, tails)
-    tail_windows = []
-    for T in starts:
-        i = int(np.searchsorted(s.grid, T))
-        i = min(i, len(s.grid) - 2)
-        tail_windows.append((float(s.grid[i]), float(total - cum[i])))
-    trend, _ = refinement_trend(fn, a, b, n0=max(64, n // 16),
-                                levels=refine_levels)
-    return VariationReport(window=(a, b), variation=total,
-                           refinement_trend=trend, tail_windows=tail_windows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,16 @@ commands; unknown keys are rejected so that runs stay auditable.  Outputs
 are deterministic given config and seed: repeated runs produce byte-equal
 files.
 
-Exit codes: 0 success; 1 the analysis found violations or subordinate
-behaviour where the invocation demanded none; 2 usage or config error.
+Flags: `--workers` sizes the pool of `scan` (one process per k chunk at
+most); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
+sets `solver.rtol`, read by `solve`, `boundedness` and the dominant cells
+of `scan` (the last two floor it at 1e-10); no other command reads them.
+
+Exit codes: 0 success; 1 findings; 2 usage or config error.  `solve`,
+`boundedness`, `subordinacy`, `scan`, `bv-verify` and `asymptotics` exit 1
+on findings only under `--assert`; `hypotheses` exits 1 on any
+non-auxiliary violated verdict, with or without it; `eigen` and `plotdata`
+always exit 0 on a config or input they accept.
 """
 
 from __future__ import annotations
@@ -28,12 +36,7 @@ from .asymptotics import (
     defect_convergence,
     wkb_reference,
 )
-from .boundedness import (
-    almost_monotone_check,
-    auto_start_radius,
-    comparability_constant,
-    r_trace,
-)
+from .boundedness import almost_monotone_check, certify, r_trace
 from .bvcalc import (
     SampledFunction,
     WindowLadder,
@@ -55,16 +58,14 @@ from .solver import (
     PreconditionError,
     SolveConfig,
     integrate_cartesian,
-    integrate_fundamental,
     integrate_pruefer,
     prefer_pruefer,
 )
 from .subordinacy import (
-    _eigen_side_cell,
+    borderline_cell,
     classify_cells,
     eigen_shoot,
     spectrum_hypotheses,
-    subordinacy_ratio,
     summarize_cells,
 )
 
@@ -101,10 +102,8 @@ class RunConfig:
     seed: int
     workers: int
 
-    def solve_config(self, **overrides) -> SolveConfig:
-        kw = dict(self.solver)
-        kw.update(overrides)
-        return SolveConfig(**kw)
+    def solve_config(self) -> SolveConfig:
+        return SolveConfig(**self.solver)
 
 
 def _check_keys(obj, allowed, where):
@@ -372,17 +371,13 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         doc = {"kind": "boundedness", "channel": channel.label(),
                "conditions": [r.to_dict() for r in creps]}
         try:
-            r0 = auto_start_radius(channel)
-            scfg = cfg.solve_config(r_start=r0,
-                                    rtol=max(cfg.solver["rtol"], 1e-10))
-            ta, tb = integrate_fundamental(channel, scfg)
+            ta, cert = certify(channel, cfg.solve_config(), creps)
             trace = r_trace(ta)
             trace.to_csv(out / f"rtrace_{name}.csv")
             verdicts = almost_monotone_check(trace)
             doc["almost_monotone"] = {
                 "pairs": len(verdicts),
                 "failures": [v.__dict__ for v in verdicts if not v.ok]}
-            cert = comparability_constant(ta, tb, reports=creps)
             doc["certificate"] = cert.to_dict()
             findings = findings or bool(doc["almost_monotone"]["failures"])
             print(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
@@ -404,21 +399,15 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         for lam in cfg.lambda_grid:
             if lam == 0.0:
                 continue  # boundary point carries no claim
-            if lam < 0.0:
-                rep = subordinacy_ratio(
-                    cfg.model, k, lam, [1.0, 0.0], [0.0, 1.0],
-                    cfg.subordinacy["r0"], cfg.subordinacy["r_end"],
-                    delta=cfg.subordinacy["delta"], with_census=True)
-                findings = findings or rep.classification != "no-subordinate"
-                doc = rep.to_dict()
-                verdict = (f"{rep.classification} "
-                           f"(liminf ~ {rep.liminf_estimate:.4g})")
-            else:
-                cell = _eigen_side_cell(cfg.model, k, lam,
-                                        cfg.subordinacy["delta"], 1e-9)
-                doc, verdict = cell["report"], cell["classification"]
-            _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", doc)
-            print(f"k={k} lambda={lam:g}: {verdict}")
+            cell = borderline_cell(cfg.model, k, lam, cfg.subordinacy,
+                                   with_census=True)
+            # the claim: no subordinate solution below 0, one above
+            claim = "ac-candidate" if lam < 0.0 else "subordinate-found"
+            findings = findings or cell["classification"] != claim
+            rep = cell["report"]
+            _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", rep)
+            print(f"k={k} lambda={lam:g}: {rep['classification']} "
+                  f"(liminf ~ {rep['liminf_estimate']:.4g})")
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
 
@@ -455,8 +444,8 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                  "lambda_grid": cfg.lambda_grid,
                  "equal": doc["equal_coefficients"],
                  "heuristic": doc["heuristic"],
-                 "r_end": cfg.subordinacy["r_end"],
-                 "delta": cfg.subordinacy["delta"], **ladders}
+                 "solver": cfg.solve_config(),
+                 "subordinacy": cfg.subordinacy, **ladders}
                 for k in sorted(set(cfg.k_set))]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor

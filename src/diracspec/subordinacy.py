@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boundedness import auto_start_radius, comparability_constant
+from .boundedness import certify
 from .bvcalc import EXTREME_LADDER, TAIL_LADDER, WindowLadder
 from .coefficients import CoefficientModel, assemble_channel, models_equal
 from .hypotheses import (
@@ -47,7 +47,6 @@ from .solver import (
     cumulative_integral,
     cumulative_norms,
     frobenius_radius,
-    integrate_fundamental,
     integrate_pruefer,
     propagate,
     s_reparam,
@@ -64,6 +63,7 @@ __all__ = [
     "eigen_shoot",
     "classify_spectrum",
     "classify_cells",
+    "borderline_cell",
     "spectrum_hypotheses",
     "summarize_cells",
     "decaying_direction",
@@ -467,18 +467,16 @@ def spectrum_hypotheses(model: CoefficientModel,
 
 def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                    lambda_grid: Sequence[float], *, equal: bool,
-                   heuristic: bool, r_end: float = 120.0,
-                   delta: float = 1e-3, rtol: float = 1e-9,
+                   heuristic: bool, solver: SolveConfig, subordinacy: dict,
                    extreme_ladder: WindowLadder = EXTREME_LADDER,
                    tail_ladder: WindowLadder = TAIL_LADDER) -> list:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
 
-    Dominant-potential models go through the boundedness certificate, with
-    the channel conditions of all cells checked in one pass; borderline
-    (m == q) models go through the cumulative-ratio pipeline, with the sign
-    of lambda selecting the expected behaviour.  Lambda = 0 is excluded for
-    borderline models (no claim is made at the boundary point).  `equal`
-    and `heuristic` come from `spectrum_hypotheses`.
+    Dominant-potential models go through the boundedness certificate of
+    `boundedness.certify` on the `solver` settings, with the channel
+    conditions of all cells checked in one pass; borderline (m == q) models
+    go through `borderline_cell` on the `subordinacy` section (r0, r_end,
+    delta).  `equal` and `heuristic` come from `spectrum_hypotheses`.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
@@ -491,16 +489,11 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
         for lam in lams:
             cell = {"k": k, "lambda": lam, "heuristic": heuristic}
             try:
-                if not equal:
-                    cell.update(_dominant_cell(model, k, lam, r_end,
-                                               c_reports[k, lam]))
-                elif lam == 0.0:
-                    cell.update({"classification": "excluded",
-                                 "path": "boundary-point"})
-                elif lam < 0.0:
-                    cell.update(_ratio_cell(model, k, lam, r_end, delta, rtol))
+                if equal:
+                    cell.update(borderline_cell(model, k, lam, subordinacy))
                 else:
-                    cell.update(_eigen_side_cell(model, k, lam, delta, rtol))
+                    cell.update(_dominant_cell(model, k, lam, solver,
+                                               c_reports[k, lam]))
             except Exception as err:  # per-cell isolation: scan must go on
                 cell.update({"classification": "error", "path": "none",
                              "error": f"{type(err).__name__}: {err}",
@@ -512,43 +505,57 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
 
 def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
                       lambda_grid: Sequence[float], *,
-                      r_end: float = 120.0, delta: float = 1e-3,
-                      rtol: float = 1e-9) -> dict:
+                      r_end: float = 120.0, delta: float = 1e-3) -> dict:
     """The scan document of a model: `spectrum_hypotheses` and the
-    `classify_cells` of every (k, lambda) cell, with their summary."""
+    `classify_cells` of every (k, lambda) cell, with their summary.  The
+    certificates and the ratios both run to `r_end`, the ratios from 1."""
     doc = spectrum_hypotheses(model, lambda_grid)
     doc["cells"] = classify_cells(
         model, k_set, lambda_grid, equal=doc["equal_coefficients"],
-        heuristic=doc["heuristic"], r_end=r_end, delta=delta, rtol=rtol)
+        heuristic=doc["heuristic"],
+        solver=SolveConfig(r_start=1.0, r_end=r_end),
+        subordinacy={"r0": 1.0, "r_end": r_end, "delta": delta})
     doc["summary"] = summarize_cells(doc["cells"])
     return doc
 
 
-def _dominant_cell(model, k, lam, r_end, reports):
-    """One dominant-potential cell, given its channel condition reports."""
-    if worst_verdict(reports) != SATISFIED:
-        return {"path": "boundedness", "classification": "inconclusive",
-                "channel_conditions": [r.to_dict() for r in reports]}
-    channel = assemble_channel(model, k, lam)
-    cfg = SolveConfig(r_start=auto_start_radius(channel), r_end=r_end,
-                      rtol=1e-10)
-    cert = comparability_constant(*integrate_fundamental(channel, cfg))
-    return {"path": "boundedness", "classification": "ac-candidate",
-            "certificate": cert.to_dict(),
+def _dominant_cell(model, k, lam, solver, reports):
+    """One dominant-potential cell, given its channel condition reports: an
+    ac-candidate with its certificate when every report is satisfied,
+    inconclusive and unsolved otherwise."""
+    cell = {"path": "boundedness", "classification": "inconclusive",
             "channel_conditions": [r.to_dict() for r in reports]}
+    if worst_verdict(reports) == SATISFIED:
+        _, cert = certify(assemble_channel(model, k, lam), solver, reports)
+        cell.update(classification="ac-candidate",
+                    certificate=cert.to_dict())
+    return cell
 
 
-def _ratio_cell(model, k, lam, r_end, delta, rtol):
-    report = subordinacy_ratio(model, k, lam, [1.0, 0.0], [0.0, 1.0],
-                               1.0, r_end, delta=delta, rtol=rtol)
-    cls = {"no-subordinate": "ac-candidate",
-           "subordinate-found": "subordinate-found"}.get(
-        report.classification, "inconclusive")
-    return {"path": "subordinacy", "classification": cls,
-            "report": report.to_dict()}
+def borderline_cell(model: CoefficientModel, k: int, lam: float,
+                    subordinacy: dict, *, with_census: bool = False) -> dict:
+    """One m == q cell, as `subordinacy` and `scan` classify it.
+
+    lambda < 0: the ratio of the solutions started along the axes, from
+    the `subordinacy` section's r0 to its r_end, an ac-candidate when
+    neither is subordinate (with the phase census when `with_census`);
+    lambda > 0: `_eigen_side_cell`; lambda = 0 is excluded, since no claim
+    is made at the boundary point.
+    """
+    if lam == 0.0:
+        return {"classification": "excluded", "path": "boundary-point"}
+    if lam > 0.0:
+        return _eigen_side_cell(model, k, lam, subordinacy["delta"])
+    return _subordinacy_cell(subordinacy_ratio(
+        model, k, lam, [1.0, 0.0], [0.0, 1.0], subordinacy["r0"],
+        subordinacy["r_end"], delta=subordinacy["delta"],
+        with_census=with_census))
 
 
-def _eigen_side_cell(model, k, lam, delta, rtol):
+def _eigen_side_cell(model, k, lam, delta):
+    """The ratio of the solution recessive at infinity to its orthogonal
+    complement, from r = 1 to where the WKB exponent past the turning point
+    reaches 15: subordinate-found when the recessive one is subordinate."""
     r0 = 1.0
     r_star = _turning_radius(model, lam)
     r_far = _shoot_range(model, k, lam, max(r_star, r0 * 1.5), 15.0)
@@ -557,10 +564,14 @@ def _eigen_side_cell(model, k, lam, delta, rtol):
                       rtol=1e-10)
     u_dec = u_dec / np.hypot(*u_dec)
     generic = np.array([-u_dec[1], u_dec[0]])
-    report = subordinacy_ratio(model, k, lam, u_dec, generic, r0, r_far,
-                               delta=delta, rtol=rtol)
-    cls = {"subordinate-found": "subordinate-found",
-           "no-subordinate": "ac-candidate"}.get(
+    return _subordinacy_cell(subordinacy_ratio(
+        model, k, lam, u_dec, generic, r0, r_far, delta=delta, rtol=1e-9))
+
+
+def _subordinacy_cell(report):
+    # a subordinate solution marks the point spectrum, none the a.c. one
+    cls = {"no-subordinate": "ac-candidate",
+           "subordinate-found": "subordinate-found"}.get(
         report.classification, "inconclusive")
     return {"path": "subordinacy", "classification": cls,
             "report": report.to_dict()}

@@ -7,7 +7,6 @@ from diracspec.asymptotics import (
     borderline_trajectory,
     compare_asymptotics,
     defect_convergence,
-    first_order_check,
     second_order_check,
     wkb_reference,
 )
@@ -119,17 +118,6 @@ class TestDefects:
                           u2=np.zeros_like(grid), rho=np.zeros_like(grid),
                           theta=None, mode="synthetic", channel=None)
         assert second_order_check(traj, EQUAL, 1, -1.0)["max_defect"] == 0.0
-        assert first_order_check(traj, EQUAL, 1, -1.0)["max_defect"] == 0.0
-
-    def test_first_order_relation_small_and_converging(self):
-        defects = []
-        for h in (0.01, 0.005):
-            cfg = SolveConfig(r_start=5.0, r_end=30.0, rtol=1e-12, atol=1e-14,
-                              stride=h)
-            traj = borderline_trajectory(EQUAL, 1, -1.0, cfg)
-            defects.append(first_order_check(traj, EQUAL, 1, -1.0)["max_defect"])
-        assert defects[0] < 2e-3
-        assert defects[1] < defects[0] / 3.0
 
     def test_requires_equal_coefficients(self):
         model = CoefficientModel(q=power(1, 1), m=constant(1))

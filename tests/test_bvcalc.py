@@ -12,11 +12,9 @@ from diracspec.bvcalc import (
     cumulative_variation,
     jordan_decompose,
     lambda_trichotomy_probe,
-    refinement_trend,
     sample_window,
     tail_trend,
     variation,
-    variation_report,
     window_variation,
 )
 from diracspec.coefficients import (
@@ -44,15 +42,6 @@ class TestVariation:
             s = sampled(lambda r: 1.0 / r, 1.0, 10.0, n)
             assert variation(s) == pytest.approx(0.9, abs=1e-15)
 
-    def test_oscillator_grows_under_refinement(self):
-        trend, vs = refinement_trend(lambda r: r * np.sin(1.0 / r), 1e-6, 1e-2)
-        assert trend == "growing"
-        assert all(b > a for a, b in zip(vs, vs[1:]))
-
-    def test_smooth_converges_under_refinement(self):
-        trend, _ = refinement_trend(np.sin, 0.0, 2 * np.pi)
-        assert trend == "converged"
-
     def test_refinement_monotonicity_on_nested_grids(self):
         rng = np.random.default_rng(7)
         vals = rng.normal(size=513)
@@ -77,15 +66,6 @@ class TestVariation:
             SampledFunction(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             SampledFunction(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
-
-    def test_report_fields(self):
-        rep = variation_report(np.sin, 0.0, 2 * np.pi)
-        assert rep.variation == pytest.approx(4.0, abs=1e-3)
-        assert rep.refinement_trend == "converged"
-        assert all(v >= 0 for _, v in rep.tail_windows)
-        # tail windows shrink as the window shrinks
-        tails = [v for _, v in rep.tail_windows]
-        assert all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
 
 
 class TestJordan:

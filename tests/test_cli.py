@@ -151,6 +151,7 @@ class TestHypothesesCommand:
         assert doc["kind"] == "hypotheses"
 
     def test_violation_exits_one(self, tmp_path, capsys):
+        # without --assert: the exit code of hypotheses is its verdict
         code = run(["hypotheses", "--config", fixture_path("modulated_quarter"),
                     "--out", tmp_path / "o"])
         assert code == 1
@@ -353,6 +354,55 @@ class TestScanCommand:
                        for r in cell["channel_conditions"]}
             assert windows["C1"] == extreme and windows["C3"] == tail
 
+    def test_cells_match_the_commands(self, tmp_path):
+        # scan classifies each cell with the functions boundedness and
+        # subordinacy run: the certificates read the solver section and the
+        # m == q ratios the subordinacy section, also where the two differ
+        sections = {"solver": {"r_end": 30.0, "stride": 0.1},
+                    "subordinacy": {"r0": 1.5, "r_end": 40.0, "delta": 2e-3}}
+        dominant = write_config(tmp_path, {
+            "model": LINEAR_MODEL, "k_set": [1, -2],
+            "lambda_grid": [-1.0, 1.0], **sections}, name="dominant.json")
+        borderline = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1, -1],
+            "lambda_grid": [-1.0, 0.0, 1.0], **sections},
+            name="borderline.json")
+        for command, cfg in (("scan", dominant), ("boundedness", dominant),
+                             ("scan", borderline),
+                             ("subordinacy", borderline)):
+            assert run([command, "--config", cfg,
+                        "--out", tmp_path / cfg.stem / command]) == 0
+
+        def read(cfg, command, name):
+            return json.loads((tmp_path / cfg.stem / command / name)
+                              .read_text())
+
+        def name(cell):
+            return f"k={cell['k']}_lambda={cell['lambda']:g}"
+
+        cells = read(dominant, "scan", "scan.json")["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            bound = read(dominant, "boundedness",
+                         f"boundedness_{name(cell)}.json")
+            assert cell["classification"] == "ac-candidate"
+            assert cell["certificate"] == bound["certificate"]
+            assert cell["certificate"]["r_end"] == 30.0
+            assert cell["channel_conditions"] == bound["conditions"]
+        cells = read(borderline, "scan", "scan.json")["cells"]
+        assert len(cells) == 6
+        for cell in cells:
+            if cell["lambda"] == 0.0:
+                assert cell["classification"] == "excluded"
+                continue
+            report = read(borderline, "subordinacy",
+                          f"subordinacy_{name(cell)}.json")
+            assert (report["census"] is not None) == (cell["lambda"] < 0.0)
+            assert cell["report"] == {**report, "census": None}
+            if cell["lambda"] < 0.0:
+                assert (report["r0"], report["r_end"], report["delta"]) == \
+                    (1.5, 40.0, 2e-3)
+
     def test_unresolvable_cell_marked_and_run_continues(self, tmp_path):
         # exponential growth overflows the far probe windows, so the cell
         # cannot be certified; the scan still completes and records the cell
@@ -372,10 +422,10 @@ class TestScanCommand:
 
         dominant_cell = sub._dominant_cell
 
-        def failing_for_k2(model, k, lam, r_end, reports):
+        def failing_for_k2(model, k, lam, solver, reports):
             if k == 2:
                 raise TypeError("synthetic cell failure")
-            return dominant_cell(model, k, lam, r_end, reports)
+            return dominant_cell(model, k, lam, solver, reports)
 
         monkeypatch.setattr(sub, "_dominant_cell", failing_for_k2)
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
@@ -457,6 +507,35 @@ class TestOtherCommands:
         assert doc["product_bound_failures"] == []
         assert doc["quotient_bound_failures"] == []
         assert doc["jordan_failures"] == []
+
+    def test_subordinacy_assert_counts_positive_lambda(self, tmp_path,
+                                                      monkeypatch):
+        # a lambda > 0 cell that finds no subordinate solution is a finding
+        import diracspec.subordinacy as sub
+
+        eigen_side_cell = sub._eigen_side_cell
+
+        def inconclusive(*args):
+            return {**eigen_side_cell(*args), "classification": "inconclusive"}
+
+        cfg = fixture_path("borderline_linear")
+        assert run(["subordinacy", "--config", cfg, "--out", tmp_path / "a",
+                    "--assert"]) == 0
+        monkeypatch.setattr(sub, "_eigen_side_cell", inconclusive)
+        assert run(["subordinacy", "--config", cfg, "--out", tmp_path / "b",
+                    "--assert"]) == 1
+        assert run(["subordinacy", "--config", cfg,
+                    "--out", tmp_path / "c"]) == 0
+
+    @pytest.mark.parametrize("command, fixture, code", [
+        ("hypotheses", "modulated_quarter", 1),
+        ("eigen", "borderline_linear", 0),
+    ])
+    def test_exit_code_ignores_assert(self, tmp_path, command, fixture, code):
+        # hypotheses exits 1 on a non-auxiliary violated verdict and eigen
+        # exits 0, with --assert as without it (TestHypothesesCommand)
+        assert run([command, "--config", fixture_path(fixture),
+                    "--out", tmp_path / "o", "--assert"]) == code
 
     def test_subordinacy_requires_equal_model(self, tmp_path):
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],

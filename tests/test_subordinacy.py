@@ -402,12 +402,12 @@ class TestClassify:
         assert a == b
 
     def test_cell_failure_is_isolated(self, monkeypatch):
-        import diracspec.subordinacy as sub
+        import diracspec.boundedness as bnd
 
         def boom(*a, **kw):
             raise RuntimeError("synthetic solver failure")
 
-        monkeypatch.setattr(sub, "comparability_constant", boom)
+        monkeypatch.setattr(bnd, "comparability_constant", boom)
         res = classify_spectrum(LINEAR, [1, 2], [0.5], r_end=50.0)
         assert all(c["classification"] == "error" for c in res["cells"])
         assert all("synthetic solver failure" in c["error"]

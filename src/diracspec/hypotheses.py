@@ -14,8 +14,10 @@ with its own reductions only; `check_hypotheses` runs it with all of them.
 The C checks of all (k, lambda) channels of a model share the sample's q
 and m, and write L, W, Q, Q - W, each quotient and its increments into
 work arrays made once per window (`_Scratch`) and reused by every cell;
-they die with the window, so no check holds memory between calls.  A
-condition made of several ladders takes the worst of their verdicts.
+they die with the window, so no check holds memory between calls.  The C
+gap floor and the C3 quotients read the same window sample, so there is
+one grid per window.  A condition made of several ladders takes the worst
+of their verdicts.
 
 Condition vocabulary (the ids appearing in reports and CLI tables):
 
@@ -57,7 +59,6 @@ from .bvcalc import (
     tail_trend,
     trichotomy_window,
     window_integral,
-    window_points,
     window_variation,
 )
 from .coefficients import (
@@ -183,21 +184,18 @@ class _Check:
         return not self.missing
 
 
-def _run(sample, checks, channels, extreme_ladder, tail_ladder):
-    """One pass over each ladder, with the window sampler `sample`, for all
-    `checks` and the C checks of a channel grid (`channels`, or None).
+def _run(sample, checks, extreme_ladder, tail_ladder):
+    """One pass over each ladder for all `checks`, with the window sampler
+    `sample`.
 
     Each array some check reads is evaluated once per window grid, and
     every check reduces that window sample before the next one is taken.
-    On a tail window whose grid holds more points than the C gap floor's
-    cap, the floor reads its own coarse (q, m) sample first, which is
-    dropped before the fine one is taken.  A derivative array lives from
-    the first check that reads it to the last, so the C work arrays never
-    meet one, and a window's arrays die with its call.
+    A derivative array lives from the first check that reads it to the
+    last, so the C work arrays, made by the last check, never meet one, and
+    a window's arrays die with its call.
     """
-    every = checks + ([channels] if channels is not None else [])
-    extreme_reads = {x for check in every for x in check.extreme_reads}
-    tail_reads = {x for check in every for x in check.tail_reads}
+    extreme_reads = {x for check in checks for x in check.extreme_reads}
+    tail_reads = {x for check in checks for x in check.tail_reads}
 
     def derivatives(check, others):
         # the derivatives a check reads and none of the others does
@@ -213,38 +211,20 @@ def _run(sample, checks, channels, extreme_ladder, tail_ladder):
     def window(a, b, reads, n_max=400_000):
         return sample_window(lambda r: sample(r, reads), a, b, n_max=n_max)
 
-    def extreme_window(a, b):
-        r, s = window(a, b, extreme_reads, _EXTREME_POINTS)
-        for check in every:
-            check.extreme(r, s)
-
-    def tail_window(a, b):
-        coarse = channels is not None and (
-            window_points(a, b, n_max=_EXTREME_POINTS) < window_points(a, b))
-        wanted = coarse and channels.gap_floors(
-            *window(a, b, channels.tail_reads, _EXTREME_POINTS))
-        if coarse and not (wanted or checks):
-            return  # no check reads the fine grid
-        r, s = window(a, b, tail_reads.difference(_DERIVATIVES))
-        for check, (first, last) in zip(checks, lifetimes):
-            s.update(sample(r, first))
-            check.tail(r, s)
-            for name in last:
-                s.pop(name, None)
-        if channels is not None:
-            if not coarse:
-                wanted = channels.gap_floors(r, s)
-            if wanted:
-                channels.quotients(r, s)
-
     with np.errstate(all="ignore"):
         if extreme_reads:
             for a, b in extreme_ladder.windows():
-                extreme_window(a, b)
-        if channels is not None:
-            channels.identify_forms(sample, tail_ladder.windows())
+                r, s = window(a, b, extreme_reads, _EXTREME_POINTS)
+                for check in checks:
+                    check.extreme(r, s)
         for a, b in tail_ladder.windows():
-            tail_window(a, b)
+            r, s = window(a, b, tail_reads.difference(_DERIVATIVES))
+            for check, (first, last) in zip(checks, lifetimes):
+                if first:
+                    s.update(sample(r, first))
+                check.tail(r, s)
+                for name in last:
+                    s.pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +497,8 @@ class _GChecks(_Check):
 
 class _Scratch:
     """Work arrays of one window grid of n points, reused by every cell
-    reduced on it and dropped with the window: L and W per k, Q per cell, and
-    per reduction the gap Q - W, one derived quotient and its n - 1
-    increments."""
+    reduced on it and dropped with the window: L and W per k, and per cell
+    Q, the gap Q - W, one derived quotient and its n - 1 increments."""
 
     def __init__(self, n):
         # one array each, no larger than a sample array: freeing a single
@@ -544,9 +523,9 @@ class _ChannelGrid:
         else:
             self.ks, self.lams = [None], [None]
 
-    def cells(self, r, sample, only=None):
+    def cells(self, r, sample):
         """Yield (cell, Q, M, L, W, scratch) for each cell of one window
-        sample in grid order, or for the cells in `only`.
+        sample in grid order.
 
         L and W are derived once per k and Q once per cell, into work arrays
         of the window (`_Scratch`) that each cell then reduces into; every
@@ -556,21 +535,14 @@ class _ChannelGrid:
         s = _Scratch(r.size)
         q, M = sample["q"], sample["m"]
         for k in self.ks:
-            if only is not None and all(c[0] != k for c in only):
-                continue
             if k is None:
                 L, W = sample["L"], sample["W"]
             else:
                 L = np.divide(k, r, out=s.L)
                 W = np.hypot(M, L, out=s.W)
             for lam in self.lams:
-                if only is None or (k, lam) in only:
-                    Q = q if lam is None else np.subtract(q, lam, out=s.Q)
-                    yield (k, lam), Q, M, L, W, s
-
-
-def _finite_floor(g):
-    return g if np.isfinite(g) else -math.inf
+                Q = q if lam is None else np.subtract(q, lam, out=s.Q)
+                yield (k, lam), Q, M, L, W, s
 
 
 def _extreme(Q, W, s):
@@ -580,32 +552,27 @@ def _extreme(Q, W, s):
     return float(np.min(Q)), float(np.max(Q)), float(np.max(s.quotient))
 
 
-def _min_gap(Q, W, s):
-    return float(np.min(np.subtract(Q, W, out=s.gap)))
-
-
 def _general_quotients(Q, M, L, W, s):
-    gap = np.subtract(Q, W, out=s.gap)
-    return (float(np.min(gap)),) + tuple(
-        window_variation(np.divide(x, gap, out=s.quotient), out=s.inc)
-        for x in (W, M, L))
+    # the gap Q - W is in s.gap already
+    return tuple(window_variation(np.divide(x, s.gap, out=s.quotient),
+                                  out=s.inc)
+                 for x in (W, M, L))
 
 
 def _single_quotient(pick):
     """C3' on x/(Q - x) for the coefficient x = pick(M, L) that does not
-    vanish, after the window minimum of Q - W."""
+    vanish."""
 
     def reduce(Q, M, L, W, s):
         x = pick(M, L)
         quotient = np.subtract(Q, x, out=s.quotient)
         np.divide(x, quotient, out=quotient)
-        return _min_gap(Q, W, s), window_variation(quotient, out=s.inc)
+        return (window_variation(quotient, out=s.inc),)
     return reduce
 
 
 # C3 by the coefficient that vanishes identically, if any: the condition id,
-# the quotients' evidence names and their window reduction, which returns
-# the window minimum of Q - W ahead of the quotients' variations
+# the quotients' evidence names and their window reduction
 _C3_FORMS = {
     "general": ("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
                        "l_over_q_minus_w"), _general_quotients),
@@ -616,60 +583,47 @@ _C3_FORMS = {
 }
 
 
-class _CChecks:
+class _CChecks(_Check):
     """C1-C3 of every cell of a channel grid (see `check_c_conditions`).
 
-    A tail window is read in two steps: the gap floor of every cell
-    (`gap_floors`), then the C3 quotients of the cells whose floor is
-    positive there (`quotients`), on the same sample or a finer one.
+    The C3 form of each cell is fixed up front, on a probe grid of the tail
+    ladder's span drawn with `sample`.  A tail window is read in one loop
+    over the cells: the gap floor min(Q - W) of each, and where that floor
+    is positive, its C3 quotients on the same window sample.
     """
 
     extreme_reads = tail_reads = ("q", "m")
 
-    def __init__(self, grid):
+    def __init__(self, grid, sample, tail_ladder):
         self.grid = grid
         self.extremes, self.floors, self.rungs = [], [], []
+        # identify vanishing coefficients on a probe grid
+        tw = tail_ladder.windows()
+        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
+        with np.errstate(all="ignore"):
+            self.forms = {
+                cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
+                                "l_zero" if np.all(L == 0.0) else "general"]
+                for cell, _, M, L, _, _ in grid.cells(
+                    probe, sample(probe, self.tail_reads))}
 
     def extreme(self, r, s):
         self.extremes.append({
             cell: _extreme(Q, W, sc)
             for cell, Q, M, L, W, sc in self.grid.cells(r, s)})
 
-    def identify_forms(self, sample, tw):
-        # identify vanishing coefficients on a probe grid
-        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
-        self.forms = {
-            cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
-                            "l_zero" if np.all(L == 0.0) else "general"]
-            for cell, _, M, L, _, _ in self.grid.cells(
-                probe, sample(probe, self.tail_reads))}
-
-    def gap_floors(self, r, s):
-        """Read the gap floor of every cell on the next tail window; returns
-        whether any is positive, so that its quotients are read."""
-        floors = {cell: _finite_floor(_min_gap(Q, W, sc))
-                  for cell, Q, M, L, W, sc in self.grid.cells(r, s)}
+    def tail(self, r, s):
+        floors, rungs = {}, {}
+        for cell, Q, M, L, W, sc in self.grid.cells(r, s):
+            gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
+            floors[cell] = floor = gap if np.isfinite(gap) else -math.inf
+            if floor > 0.0:
+                rungs[cell] = self.forms[cell][2](Q, M, L, W, sc)
         self.floors.append(floors)
-        self.rungs.append({})
-        return any(floor > 0.0 for floor in floors.values())
-
-    def quotients(self, r, s):
-        """The C3 reduction, on this window sample, of the cells whose gap
-        floor on the last window read is positive."""
-        positive = {cell for cell, floor in self.floors[-1].items()
-                    if floor > 0.0}
-        self.rungs[-1] = {
-            cell: self.forms[cell][2](Q, M, L, W, sc)
-            for cell, Q, M, L, W, sc in self.grid.cells(r, s, only=positive)}
+        self.rungs.append(rungs)
 
     def reports(self, ew, tw):
         """{cell: [C1, C2, C3 or C3']} in grid order."""
-
-        def reaches_tail(use):
-            # the quotients are read on at least two windows, the last among
-            # them
-            return len(use) >= 2 and use[-1] == len(tw) - 1
-
         reports = {}
         for cell, (cid, names, _) in self.forms.items():
             q_min, q_max, ratio_max = _rows(window[cell]
@@ -684,24 +638,15 @@ class _CChecks:
             ]
             gaps = [window[cell] for window in self.floors]
             use = [i for i, g in enumerate(gaps) if g > 0.0]
-            if reaches_tail(use):
-                # the quotient grids are finer than the gap floor's point
-                # cap, so Q - W can dip to zero at nodes the floor never saw;
-                # such a window leaves the ladder under the same rule as one
-                # the floor caught
-                for i in use:
-                    floor = _finite_floor(self.rungs[i][cell][0])
-                    if floor <= 0.0:
-                        gaps[i] = floor
-                use = [i for i in use if gaps[i] > 0.0]
             evidence = {"q_minus_w_window_minima": gaps}
-            if not reaches_tail(use):
+            # the quotients need two windows or more, the last among them
+            if len(use) < 2 or use[-1] != len(tw) - 1:
                 reports[cell].append(HypothesisReport(
                     "C3", INCONCLUSIVE, evidence, _listify(tw),
                     note="Q - W not positive on the tail; quotients skipped"))
                 continue
             verdicts, notes = [], []
-            for name, values in zip(names, _rows(self.rungs[i][cell][1:]
+            for name, values in zip(names, _rows(self.rungs[i][cell]
                                                  for i in use)):
                 evidence[name + "_rung_variations"] = values.tolist()
                 v, n = _tail_verdict(values)
@@ -719,7 +664,7 @@ class _CChecks:
 
 
 def _model_checks(model, checks, extreme_ladder, tail_ladder):
-    _run(_model_sampler(model), checks, None, extreme_ladder, tail_ladder)
+    _run(_model_sampler(model), checks, extreme_ladder, tail_ladder)
     ew, tw = extreme_ladder.windows(), tail_ladder.windows()
     return [rep for check in checks for rep in check.reports(ew, tw)]
 
@@ -784,16 +729,15 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     which returns its reports.  The channels of a model differ only in
     Q = q - lambda and L = k/r, so one (q, m) sample per window serves all
     cells (`_ChannelGrid.cells`).  Per tail window the gap floor
-    min(Q - W) of every cell is read on a grid of at most 100,000 points,
-    and the C3 quotients where that floor is positive, on the finer grid
-    if the cap applied; C3 then needs a positive floor on two or more
-    windows, the last among them, on the coarse grids and then on the fine
-    ones.
+    min(Q - W) of every cell and, where it is positive, the C3 quotients
+    are read on the same window grid; C3 then needs a positive floor on
+    two or more windows, the last among them.
     """
     model = isinstance(source, CoefficientModel)
-    channels = _CChecks(_ChannelGrid(source, k_set, lambda_grid))
     sample = _model_sampler(source) if model else _channel_sampler(source)
-    _run(sample, [], channels, extreme_ladder, tail_ladder)
+    channels = _CChecks(_ChannelGrid(source, k_set, lambda_grid), sample,
+                        tail_ladder)
+    _run(sample, [channels], extreme_ladder, tail_ladder)
     reports = channels.reports(extreme_ladder.windows(), tail_ladder.windows())
     return reports if model else reports[None, None]
 
@@ -820,9 +764,12 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
     if equal:
         checks.append(_BChecks())
     gamma = [_GChecks(lambdas[0])] if equal and lambdas else []
-    channels = _CChecks(_ChannelGrid(model, k_set, lambdas))
     sample = _model_sampler(model)
-    _run(sample, checks + gamma, channels, extreme_ladder, tail_ladder)
+    channels = _CChecks(_ChannelGrid(model, k_set, lambdas), sample,
+                        tail_ladder)
+    # the C checks go last: every derivative array is dropped before their
+    # work arrays are made
+    _run(sample, checks + gamma + [channels], extreme_ladder, tail_ladder)
     ew, tw = extreme_ladder.windows(), tail_ladder.windows()
     reports = [rep for check in checks for rep in check.reports(ew, tw)]
     if gamma and not gamma[0].missing:
@@ -831,6 +778,6 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
         if first is not None:
             if first > 0:
                 gamma = [_GChecks(lambdas[first])]
-                _run(sample, gamma, None, extreme_ladder, tail_ladder)
+                _run(sample, gamma, extreme_ladder, tail_ladder)
             reports += gamma[0].reports(ew, tw)
     return reports, channels.reports(ew, tw)

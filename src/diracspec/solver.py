@@ -86,9 +86,11 @@ class SolveConfig:
     def __post_init__(self):
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
-        if not self.r_start < self.r_end:
-            raise ValueError("r_start must be below r_end")
-        if self.stride <= 0.0:
+        if not 0.0 < self.r_start < self.r_end:
+            raise ValueError("need 0 < r_start < r_end")
+        if not self.max_step > 0.0:
+            raise ValueError("max_step must be positive")
+        if not self.stride > 0.0:
             raise ValueError("stride must be positive")
 
     def grid(self) -> np.ndarray:

@@ -232,11 +232,10 @@ class TestHypothesesCommand:
         assert run(["hypotheses", "--config", cfg,
                     "--out", tmp_path / "o"]) == 0
         assert len(seen) == len(set(seen))
-        # the last tail window's fine grid serves q, m, m' and q' for every
-        # model check and the C3 quotients; the C gap floor reads its own
-        # 100,000-point (q, m) sample there
+        # the last tail window's grid serves q, m, m' and q' for every model
+        # check, the C gap floor and the C3 quotients
         sizes = [size for _, _, size, _, _ in seen]
-        assert sizes.count(180_000) == 4 and sizes.count(100_000) == 2
+        assert sizes.count(180_000) == 4 and 100_000 not in sizes
 
 
 class TestGoldenHypotheses:
@@ -481,6 +480,47 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "o" / "boundedness_const.json").read_text())
         assert doc["certificate"]["C"] == pytest.approx(3.0, rel=0.05)
         assert doc["almost_monotone"]["failures"] == []
+
+    def test_boundedness_refuses_before_solving(self, tmp_path, capsys,
+                                                monkeypatch):
+        # modulated_quarter reads C3 violated at k = 1, lambda = 1: that
+        # cell is refused without a fundamental solve
+        import diracspec.boundedness as boundedness
+
+        solved = []
+        solve = boundedness.integrate_fundamental
+
+        def counting(channel, cfg):
+            solved.append(channel.label())
+            return solve(channel, cfg)
+
+        monkeypatch.setattr(boundedness, "integrate_fundamental", counting)
+        assert run(["boundedness", "--config",
+                    fixture_path("modulated_quarter"), "--out", tmp_path]) == 0
+        assert solved == ["k=1,lambda=0"]
+        refusal = "certificate refused: C3 reported violated"
+        assert f"k=1,lambda=1: refused ({refusal})" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "boundedness_k=1_lambda=1.json")
+                         .read_text())
+        assert doc["refused"] == refusal
+        assert sorted(doc) == ["channel", "conditions", "kind", "refused"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "boundedness_k=1_lambda=0.json", "boundedness_k=1_lambda=1.json",
+            "rtrace_k=1_lambda=0.csv"]
+
+    @pytest.mark.parametrize("command,solver", [
+        ("boundedness", {"max_step": 0.0}),
+        ("boundedness", {"max_step": -1.0}),
+        ("solve", {"r_start": 0.0}),
+        ("solve", {"r_start": -1.0}),
+    ])
+    def test_solver_range_and_step_must_be_positive(self, tmp_path, capsys,
+                                                    command, solver):
+        cfg = write_config(tmp_path, {
+            "channel": {"Q": 2.0, "M": 1.0, "L": 0.0},
+            "solver": {"r_start": 1.0, "r_end": 101.0, **solver}})
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert "config error: config.solver: " in capsys.readouterr().err
 
     def test_eigen_outputs(self, tmp_path):
         assert run(["eigen", "--config", fixture_path("borderline_linear"),

@@ -220,11 +220,9 @@ class TestCConditions:
         monkeypatch.setattr(ChannelSystem, "coeffs", counting)
         reports = by_id(check_c_conditions(assemble_channel(LINEAR, -1, 0.0)))
         assert reports["C3"].verdict == SATISFIED
-        # 4 extreme windows (C1 and C2), 1 vanishing-coefficient probe,
-        # 3 gap-floor windows and 1 quotient window: the quotients reuse the
-        # gap floor's samples of [25, 250] and [250, 2500], whose grids are
-        # the same under both point caps
-        assert len(calls) == 9
+        # 4 extreme windows (C1 and C2), 1 vanishing-coefficient probe and
+        # 3 tail windows, each sample serving the gap floor and the quotients
+        assert len(calls) == 8
 
     def test_model_grid_matches_each_channel(self):
         # one (q, m) sample per window, L and W per k and Q per lambda give
@@ -271,17 +269,29 @@ class TestCConditions:
 
         one = evaluations([1], [0.0])
         assert evaluations([1, -1, 2, -2], [-1.0, 0.0, 0.5, 1.0, 2.0]) == one
-        # q and m once on each grid: 4 extreme windows, the probe, 3 gap
-        # windows and the one quotient grid the gap floor did not share
-        assert len(one) == len(set(one)) == 2 * 9
+        # q and m once on each grid: 4 extreme windows, the probe and 3 tail
+        # windows
+        assert len(one) == len(set(one)) == 2 * 8
+
+    def test_gap_floor_reads_the_quotients_grid(self):
+        # on the last default tail window the floor of Q - W is the minimum
+        # over the window's 180,000-point grid, where the quotients are read
+        ks, lams = [1, -2], [0.0, 2.0]
+        grid = check_c_conditions(MODULATED, ks, lams)
+        fine = np.linspace(2500.0, 25000.0, 180_000)
+        q, m = MODULATED.q.value(fine), MODULATED.m.value(fine)
+        for (k, lam), reports in grid.items():
+            c3 = reports[-1]
+            assert "w_over_q_minus_w_rung_variations" in c3.evidence
+            assert c3.windows[-1] == [2500.0, 25000.0]
+            minima = c3.evidence["q_minus_w_window_minima"]
+            assert minima[-1] == np.min((q - lam) - np.hypot(m, k / fine))
 
     def test_model_grid_skips_quotients_on_the_coarse_floors(self,
                                                               monkeypatch):
         # q = r, m = 0.17 r^1.2: Q - W is positive on [25, 250] and
         # [250, 2500] (floors about 17 and 122) but not on [2500, 25000]
-        # (about -7209), so C3 is skipped on the gap floor's own grids and
-        # the quotients' 180,000-point grid of the last window is never
-        # sampled
+        # (about -7209), so C3 is skipped
         model = CoefficientModel(q=power(1, 1), m=power(0.17, 1.2))
         sizes = []
         value = CoefficientFunction.value
@@ -294,12 +304,11 @@ class TestCConditions:
         ks, lams = [1, -2], [0.0, 1.0]
         grid = check_c_conditions(model, ks, lams)
         # q and m once on each grid: 4 extreme windows, the probe and 3 tail
-        # windows, the last capped at 100,000 points
-        assert sizes.count(100_000) == 2
-        assert len(sizes) == 2 * 8 and 180_000 not in sizes
+        # windows, the last of 180,000 points
+        assert sizes.count(180_000) == 2 and len(sizes) == 2 * 8
         monkeypatch.undo()
-        coarse = np.linspace(2500.0, 25000.0, 100_000)
-        q, m = model.q.value(coarse), model.m.value(coarse)
+        fine = np.linspace(2500.0, 25000.0, 180_000)
+        q, m = model.q.value(fine), model.m.value(fine)
         for (k, lam), reports in grid.items():
             c3 = reports[-1]
             assert c3.condition_id == "C3" and c3.verdict == INCONCLUSIVE
@@ -308,7 +317,7 @@ class TestCConditions:
             assert list(c3.evidence) == ["q_minus_w_window_minima"]
             minima = c3.evidence["q_minus_w_window_minima"]
             assert minima[0] > 0.0 and minima[1] > 0.0
-            assert minima[2] == np.min((q - lam) - np.hypot(m, k / coarse))
+            assert minima[2] == np.min((q - lam) - np.hypot(m, k / fine))
 
     def test_single_quotient_form_on_a_grid(self):
         # with m == 0 every cell reads C3' on L/(Q - L) = k/(r (r - lam) - k),
@@ -332,8 +341,8 @@ class TestCConditions:
     @staticmethod
     def dipping_channel():
         # Q - W dips below zero at one node of the [2500, 25000] window's
-        # 180,000-point quotient grid that the gap floor's 100,000-point grid
-        # does not hold; the quotients must not be read across it
+        # 180,000-point grid that a grid capped at 100,000 points misses;
+        # the quotients must not be read across it
         grid = np.linspace(2500.0, 25000.0, 180_000)
         dip = grid[90_001]
         assert not np.isin(dip, np.linspace(2500.0, 25000.0, 100_000))

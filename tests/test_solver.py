@@ -447,6 +447,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolveConfig(r_start=1.0, r_end=2.0, rtol=2.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"r_start": 0.0}, {"r_start": -1.0}, {"max_step": 0.0},
+        {"max_step": -1.0}, {"max_step": math.nan}, {"stride": math.nan}])
+    def test_range_and_step_must_be_positive(self, bad):
+        with pytest.raises(ValueError):
+            SolveConfig(**{"r_start": 1.0, "r_end": 2.0, **bad})
+
     def test_representation_heuristic(self):
         assert prefer_pruefer(LINEAR, 50.0, 200.0)
         assert not prefer_pruefer(LINEAR, 0.1, 1.0)

@@ -219,16 +219,8 @@ def auto_start_radius(channel, margin: float = 0.05, lo: float = 0.5,
     return float(rs[first])
 
 
-def _refuse_violated(reports):
-    for rep in reports or ():
-        if rep.condition_id.startswith(("C2", "C3")) and rep.verdict == VIOLATED:
-            raise PreconditionError(
-                f"certificate refused: {rep.condition_id} reported violated")
-
-
-def comparability_constant(ta: Trajectory, tb: Trajectory,
-                           reports: Optional[Sequence[HypothesisReport]] = None
-                           ) -> BoundednessCertificate:
+def comparability_constant(ta: Trajectory,
+                           tb: Trajectory) -> BoundednessCertificate:
     """Certify |y(r0)|^2 / C <= |y(r)|^2 <= C |y(r0)|^2 on the grid of a
     solved fundamental pair (ta, tb).
 
@@ -246,10 +238,8 @@ def comparability_constant(ta: Trajectory, tb: Trajectory,
     rotation, where F^2 - 4 D^2 cancels to rounding noise.
 
     C is the maximum over the grid of sigma_max^2 and 1 / sigma_min^2: exact
-    at the grid points, not a bound between them.  Refused when the supplied
-    hypothesis reports mark the envelope conditions C2/C3 violated.
+    at the grid points, not a bound between them.
     """
-    _refuse_violated(reports)
     if not (ta.ok and tb.ok):
         raise PreconditionError(f"fundamental solve failed: {ta.message}")
     phi = np.array([[ta.u1, tb.u1], [ta.u2, tb.u2]]).transpose(2, 0, 1)
@@ -270,11 +260,14 @@ def certify(channel, solver: SolveConfig,
     `scan` give it: the fundamental pair is solved with the window end,
     stride and step cap of `solver` from `auto_start_radius`, with rtol
     floored at 1e-10, then `comparability_constant` certifies it.  A channel
-    whose `reports` mark C2/C3 violated is refused before the solve.
-    Returns the pair's first trajectory, for the envelope trace, and the
-    certificate."""
+    whose `reports` mark the envelope conditions C2/C3 violated is refused
+    before anything is solved.  Returns the pair's first trajectory, for the
+    envelope trace, and the certificate."""
+    for rep in reports or ():
+        if rep.condition_id.startswith(("C2", "C3")) and rep.verdict == VIOLATED:
+            raise PreconditionError(
+                f"certificate refused: {rep.condition_id} reported violated")
     cfg = replace(solver, r_start=auto_start_radius(channel),
                   rtol=max(solver.rtol, 1e-10))
-    _refuse_violated(reports)
     ta, tb = integrate_fundamental(channel, cfg)
     return ta, comparability_constant(ta, tb)

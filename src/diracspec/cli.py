@@ -217,6 +217,10 @@ def load_config(path) -> RunConfig:
                   [(_real(lo), _real(hi)) for lo, hi in ws])
     _checked("config.asymptotics", SolveConfig, r_start=asy["r_start"],
              r_end=asy["r_end"], stride=asy["stride"])
+    _require(all(asy["r_start"] <= lo < hi <= asy["r_end"]
+                 for lo, hi in asy["windows"] or ()),
+             "config.asymptotics: each window [lo, hi] needs "
+             "r_start <= lo < hi <= r_end")
     bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed, workers = _checked("config", lambda: (

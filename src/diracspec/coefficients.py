@@ -27,6 +27,7 @@ __all__ = [
     "CoefficientModel",
     "EvalResult",
     "ChannelSystem",
+    "ChannelBatch",
     "ConstantChannel",
     "coefficient",
     "constant",
@@ -453,6 +454,37 @@ class ChannelSystem:
 
     def label(self) -> str:
         return f"k={self.k},lambda={self.lam:g}"
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelBatch:
+    """The channels of one model and k at the spectral parameters `lams`,
+    which the solver steps together; channel i is the `ChannelSystem` at
+    lams[i]."""
+
+    model: CoefficientModel
+    k: int
+    lams: np.ndarray
+
+    def __post_init__(self):
+        if int(self.k) != self.k or self.k == 0:
+            raise ValueError("angular quantum number k must be a nonzero integer")
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "lams", np.array(self.lams, dtype=float,
+                                                  ndmin=1))
+
+    def __len__(self) -> int:
+        return self.lams.size
+
+    def qml(self, r, owner):
+        """(Q, M, L) at the radii r, whose last axis runs over the channels
+        `owner`: q and m once on all radii, then Q = q - lams[owner]."""
+        r = _check_radius(r)
+        return (self.model.q.value(r) - self.lams[owner], self.model.m.value(r),
+                self.k / r)
+
+    def label(self, i: int) -> str:
+        return f"k={self.k},lambda={self.lams[i]:g}"
 
 
 @dataclass(frozen=True)

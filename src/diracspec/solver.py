@@ -20,8 +20,12 @@ Casas, Oteo & Ros, Phys. Rep. 470, 2009); every factor has determinant 1,
 so det Phi = 1 holds to rounding.  Because the system is linear, the
 step-doubling error estimate of a step does not depend on the state, and
 the steps are refined for all radii at once; `rtol` is that per-step
-tolerance.  `integrate_cartesian` still steps its one state with adaptive
-DOP853.
+tolerance.  The steps are multiplied into Phi by a pairwise product tree.
+`propagate` also takes a `ChannelBatch`, one model and k at many spectral
+parameters: each of its channels has its own range and direction, and
+every refinement round evaluates q and m once on the radii of all of them.
+A lone channel is a batch of one, stepped by the same code.
+`integrate_cartesian` still steps its one state with adaptive DOP853.
 
 The polar form, preferred on long ranges where Q dominates
 W = sqrt(M^2 + L^2), is read off the same Magnus steps: each half step
@@ -38,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import ChannelSystem
+from .coefficients import ChannelBatch, ChannelSystem
 
 __all__ = [
     "SolveConfig",
@@ -192,42 +196,59 @@ def _mul(x, y):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _steps(channel, nodes, rtol, max_step=math.inf):
-    """Fourth-order Magnus steps from nodes[0] across the nodes, which run
-    monotonically in the direction of travel.
+def _qml(channel):
+    """(Q, M, L) at radii r, of shape (m, S), whose columns belong to the
+    channels `owner` (S,) of a batch: a `ChannelBatch` evaluates q and m
+    once on all radii, any other channel is a batch of one read off its
+    `coeffs`."""
+    if isinstance(channel, ChannelBatch):
+        return channel.qml
+    return lambda r, owner: channel.coeffs(r)[:3]
+
+
+def _steps(qml, nodes, rtol, max_step=math.inf):
+    """Fourth-order Magnus steps of a batch of channels: channel i starts at
+    nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
+    its direction of travel; `qml` is the batch's `_qml`.
 
     The node intervals, cut into pieces no longer than `max_step`, are the
     first trial steps.  Each round evaluates the coefficients once on the
-    Gauss nodes of every open step, keeps the step as two half steps where
-    |e^Omega_h - P| / |P| <= rtol for their product P and halves the other
-    steps.
+    Gauss nodes of every open step of every channel, keeps the step as two
+    half steps where |e^Omega_h - P| / |P| <= rtol for their product P and
+    halves the other steps.
 
-    A step that would shrink below `_MIN_STEP * |r|` ends the solve at the
-    node before it.  So does a non-finite step whose convergence length
-    pi / max|A| is below that; other non-finite steps are halved.  Returns,
-    for the kept steps in travel order, their start radii t and a mask of
-    those ending on a node; their half steps H as `_magnus_exp` rows whose
-    columns run in travel order, each step's two halves side by side; then
-    the number of radii evaluated and None or a message naming the radius
-    where the solve ended.
+    A step that would shrink below `_MIN_STEP * |r|` ends its channel's
+    solve at the node before it.  So does a non-finite step whose
+    convergence length pi / max|A| is below that; other non-finite steps
+    are halved.  Returns, for the kept steps channel by channel in travel
+    order, their start radii t and node intervals seg (interval j of
+    channel i is i (n - 1) + j for n nodes a channel); their half steps H as
+    `_magnus_exp` rows whose columns run in that order, each step's two
+    halves side by side; then the number of radii evaluated and, per
+    channel, None or a message naming the radius where its solve ended.
     """
-    h = np.diff(nodes)
+    nodes = np.atleast_2d(nodes)
+    n_int = nodes.shape[1] - 1
+    h = np.diff(nodes, axis=1).ravel()
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
     seg = np.repeat(np.arange(h.size), pieces)
     first = np.cumsum(pieces) - pieces
     h = (h / pieces)[seg]
-    t = nodes[seg] + (np.arange(seg.size) - first[seg]) * h
-    n_seg, failure, nfev = nodes.size - 1, None, 0
+    t = nodes[:, :-1].ravel()[seg] + (np.arange(seg.size) - first[seg]) * h
+    # per channel, the first interval past the kept ones
+    n_seg = n_int * np.arange(1, len(nodes) + 1)
+    failures, nfev = [None] * len(nodes), 0
     E, kept = None, []
     with np.errstate(all="ignore"):
         while seg.size:
+            owner = seg // n_int
             half = 0.5 * h
             r = [t + g * h for g in _GAUSS] if E is None else []
-            r += [t + (i + g) * half for i in (0, 1) for g in _GAUSS]
-            r = np.concatenate(r)
+            r = np.stack(r + [t + (i + g) * half for i in (0, 1)
+                              for g in _GAUSS])
             nfev += r.size
-            Q, M, L, _ = channel.coeffs(r)
-            p, b, c = (x.reshape(-1, seg.size) for x in (-L, M - Q, Q + M))
+            Q, M, L = qml(r, owner)
+            p, b, c = -L, M - Q, Q + M
             if E is None:
                 E = _magnus_exp(h, p[:2], b[:2], c[:2])[:4]
                 p, b, c = p[2:], b[2:], c[2:]
@@ -247,12 +268,17 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
                               axis=0)
                 bad[wild] |= ~(np.pi / size >= _MIN_STEP * np.abs(t[wild]))
             if bad.any():
-                i = np.argmin(np.where(bad, np.abs(t - nodes[0]), np.inf))
-                n_seg = seg[i]
-                failure = f"Magnus step failed at r = {t[i]:.10g}"
-            keep = seg < n_seg
+                # each channel ends at its failed step nearest its start
+                i = np.flatnonzero(bad)
+                i = i[np.lexsort((np.abs(t[i] - nodes[owner[i], 0]),
+                                  owner[i]))]
+                for j in i[np.diff(owner[i], prepend=-1) != 0].tolist():
+                    n_seg[owner[j]] = seg[j]
+                    failures[owner[j]] = f"Magnus step failed at r = {t[j]:.10g}"
+            keep = seg < n_seg[owner]
             done, split = ok & keep, ~ok & keep
-            kept.append((seg[done], t[done], np.stack(E1 + E2)[:, done]))
+            kept.append((seg[done], t[done],
+                         np.stack([e[done] for e in E1 + E2])))
             seg = np.repeat(seg[split], 2)
             t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
             h = np.repeat(half[split], 2)
@@ -260,34 +286,66 @@ def _steps(channel, nodes, rtol, max_step=math.inf):
                       for e1, e2 in zip(E1[:4], E2[:4]))
 
     seg, t, E = (np.concatenate(x, axis=-1) for x in zip(*kept))
-    order = np.lexsort((t * np.sign(nodes[-1] - nodes[0]), seg))
-    order = order[seg[order] < n_seg]
-    seg = seg[order]
-    ends = np.diff(seg, append=n_seg) != 0
-    H = E[:, order].reshape(2, 5, -1).transpose(1, 2, 0).reshape(5, -1)
-    return t[order], ends, H, nfev, failure
+    del kept
+    owner = seg // n_int
+    travel = np.sign(nodes[:, -1] - nodes[:, 0])
+    order = np.lexsort((t * travel[owner], seg))
+    order = order[seg[order] < n_seg[owner[order]]]
+    H = np.empty((5, 2 * order.size))
+    H[:, ::2], H[:, 1::2] = E[:5, order], E[5:, order]
+    return t[order], seg[order], H, nfev, failures
 
 
-def _transfer(channel, nodes, rtol, max_step=math.inf):
-    """Transfer matrices Phi(r, nodes[0]) at the nodes, the kept steps of
-    `_steps` multiplied in travel order.  Returns (phi, nfev, failure), phi
-    of shape (n, 2, 2) for the first n nodes; an overflowing product ends
-    the solve like a failed step."""
-    _, ends, H, nfev, failure = _steps(channel, nodes, rtol, max_step)
-    P = np.stack(_mul(H[:4, 1::2], H[:4, ::2]))
-    phi = [(1.0, 0.0, 0.0, 1.0)]
-    now = phi[0]
-    for step, end in zip(zip(*P.tolist()), ends.tolist()):
-        now = _mul(step, now)
-        if end:
-            phi.append(now)
-    phi = np.array(phi).reshape(-1, 2, 2)
-    finite = np.all(np.isfinite(phi), axis=(1, 2))
-    if not finite.all():
-        n = int(np.argmin(finite))
-        phi = phi[:n]
-        failure = f"solution overflows before r = {nodes[n]:.10g}"
-    return phi, nfev, failure
+def _ends(seg):
+    """Mask of the steps that end on a node: the last of their interval."""
+    return np.diff(seg, append=-1) != 0
+
+
+def _transfer(qml, nodes, rtol, max_step=math.inf):
+    """Transfer matrices Phi(r, nodes[i, 0]) at the nodes of each channel i
+    of a batch (see `_steps`).
+
+    Each node interval's kept steps are multiplied by a pairwise product
+    tree, all intervals of the batch at once: a round multiplies the steps
+    of every interval pairwise in travel order, an odd last step passing
+    through.  The interval products are then chained by doubling, vectorized
+    across the batch: at distances d = 1, 2, 4, ... each running product
+    takes on the one d intervals before it, intervals past the nodes a
+    channel reached padded with identities.  Returns (phi, reached, nfev,
+    failures): phi of shape (B, n, 2, 2), NaN past the reached[i] nodes
+    channel i reached.  An overflowing product ends the solve like a failed
+    step.
+    """
+    nodes = np.atleast_2d(nodes)
+    B, n = nodes.shape
+    _, seg, H, nfev, failures = _steps(qml, nodes, rtol, max_step)
+    X = np.stack(_mul(H[:4, 1::2], H[:4, ::2]))
+    with np.errstate(all="ignore"):
+        while seg.size and not _ends(seg).all():
+            first = np.append(True, seg[1:] != seg[:-1])
+            i = np.arange(seg.size)
+            left = (i - np.maximum.accumulate(np.where(first, i, 0))) % 2 == 0
+            pair = np.flatnonzero(left & ~np.append(first[1:], True))
+            X[:, pair] = _mul(X[:, pair + 1], X[:, pair])
+            X, seg = X[:, left], seg[left]
+        reached = 1 + np.bincount(seg // (n - 1), minlength=B)
+        Y = np.zeros((4, B * (n - 1)))
+        Y[0] = Y[3] = 1.0
+        Y[:, seg] = X
+        Y = Y.reshape(4, B, n - 1)
+        d = 1
+        while d < n - 1:
+            Y[:, :, d:] = _mul(Y[:, :, d:], Y[:, :, :-d])
+            d *= 2
+    phi = np.concatenate((np.eye(2).reshape(4, 1, 1).repeat(B, axis=1), Y),
+                         axis=2).transpose(1, 2, 0).reshape(B, n, 2, 2)
+    phi[np.arange(n) >= reached[:, None]] = np.nan
+    lost = ~np.all(np.isfinite(phi), axis=(2, 3)) & \
+        (np.arange(n) < reached[:, None])
+    for i in np.flatnonzero(lost.any(axis=1)).tolist():
+        reached[i] = np.argmax(lost[i])
+        failures[i] = f"solution overflows before r = {nodes[i, reached[i]]:.10g}"
+    return phi, reached, nfev, failures
 
 
 def cumulative_norms(channel, U0, nodes, rtol):
@@ -295,7 +353,7 @@ def cumulative_norms(channel, U0, nodes, rtol):
     solutions starting from the columns of U0, at nodes[1:]; shape
     (2, n - 1).  Each Magnus step of `_steps` adds Simpson's rule on |u|^2
     at its start, midpoint and end."""
-    t, ends, H, _, failure = _steps(channel, nodes, rtol)
+    t, seg, H, _, (failure,) = _steps(_qml(channel), nodes, rtol)
     if failure is not None:
         raise PreconditionError(f"cumulative norms failed: {failure}")
     h = np.diff(np.append(t, nodes[-1]))
@@ -306,7 +364,7 @@ def cumulative_norms(channel, U0, nodes, rtol):
         f.append((x * x + v * v, y * y + w * w))
     f = np.array(f).T
     I = np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
-                  axis=1)[:, ends]
+                  axis=1)[:, _ends(seg)]
     if not np.all(np.isfinite(I)):
         raise PreconditionError("cumulative norms overflow")
     return I
@@ -364,7 +422,8 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
-    t, ends, H, nfev, failure = _steps(channel, grid, cfg.rtol, cfg.max_step)
+    t, seg, H, nfev, (failure,) = _steps(_qml(channel), grid, cfg.rtol,
+                                          cfg.max_step)
     x, y = math.cos(theta0), math.sin(theta0)
     states = [(x, y, 1.0)]
     for a, b, c, d in zip(*H[:4].tolist()):
@@ -380,7 +439,7 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
     theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
     log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
-    at = np.flatnonzero(np.append(True, ends))
+    at = np.flatnonzero(np.append(True, _ends(seg)))
     with np.errstate(over="ignore"):
         rho = np.exp(log_rho[at])
     return Trajectory(grid=grid[:at.size], u1=rho * np.cos(theta[at]),
@@ -403,9 +462,10 @@ def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
     """
     U0 = np.eye(2) if U0 is None else np.asarray(U0, dtype=float)
     grid = cfg.grid()
-    phi, nfev, failure = _transfer(channel, grid, cfg.rtol, cfg.max_step)
-    grid = grid[:len(phi)]
-    U = phi @ U0
+    phi, (n,), nfev, (failure,) = _transfer(_qml(channel), grid, cfg.rtol,
+                                             cfg.max_step)
+    grid = grid[:n]
+    U = phi[0, :n] @ U0
     return tuple(Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
                             theta=_safe_unwrap(u1, u2), mode="cartesian",
                             channel=channel,
@@ -414,18 +474,31 @@ def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
                  for u1, u2 in zip(U[:, 0].T, U[:, 1].T))
 
 
-def propagate(channel, u0, r0: float, r1: float,
-              rtol: float = 1e-10) -> np.ndarray:
+def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:
     """Carry a state vector from r0 to r1 (either direction) and return the
     endpoint value; used by shooting-style searches.  The Magnus steps
     start from `_COARSE` geometrically graded pieces of the range, short
-    near the end closer to the origin where k/r varies fastest."""
-    phi, _, failure = _transfer(channel, np.geomspace(r0, r1, _COARSE + 1),
-                                rtol)
-    if failure is not None:
-        raise PreconditionError(f"propagation from {r0:g} to {r1:g} failed: "
-                                f"{failure}")
-    return phi[-1] @ np.asarray(u0, dtype=float)
+    near the end closer to the origin where k/r varies fastest.
+
+    A `ChannelBatch` of B channels is carried in one call: channel i takes
+    u0[i] from r0[i] to r1[i] (u0 of shape (B, 2); r0 and r1 may be shared
+    scalars), and the values come back with shape (B, 2).  The first
+    channel whose solve fails raises, naming its label.
+    """
+    batch = isinstance(channel, ChannelBatch)
+    B = len(channel) if batch else 1
+    r0, r1 = (np.broadcast_to(np.asarray(x, dtype=float), (B,))
+              for x in (r0, r1))
+    phi, _, _, failures = _transfer(
+        _qml(channel), np.geomspace(r0, r1, _COARSE + 1, axis=1), rtol)
+    for i, failure in enumerate(failures):
+        if failure is not None:
+            which = f" of {channel.label(i)}" if batch else ""
+            raise PreconditionError(f"propagation{which} from {r0[i]:g} to "
+                                    f"{r1[i]:g} failed: {failure}")
+    u = np.einsum("bij,bj->bi", phi[:, -1],
+                  np.reshape(np.asarray(u0, dtype=float), (B, 2)))
+    return u if batch else u[0]
 
 
 def wronskian(t1: Trajectory, t2: Trajectory) -> np.ndarray:

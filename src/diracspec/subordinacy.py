@@ -33,7 +33,12 @@ import numpy as np
 
 from .boundedness import certify
 from .bvcalc import EXTREME_LADDER, TAIL_LADDER, WindowLadder
-from .coefficients import CoefficientModel, assemble_channel, models_equal
+from .coefficients import (
+    ChannelBatch,
+    CoefficientModel,
+    assemble_channel,
+    models_equal,
+)
 from .hypotheses import (
     SATISFIED,
     check_a_conditions,
@@ -345,38 +350,89 @@ def decaying_direction(model: CoefficientModel, k: int, lam: float,
 
 
 def _turning_radius(model, lam, lo=1e-6, hi=1.0):
-    # q is increasing toward infinity on these models; bisect q(r) = lam/2
-    target = lam / 2.0
-    while model.q.value(hi) < target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise PreconditionError("no turning radius found")
-    if model.q.value(lo) >= target:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.q.value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * (1.0 + hi):
+    # q is increasing toward infinity on these models; bisect q(r) = lam/2,
+    # all lam in lockstep, each on its own bracket
+    lam = np.asarray(lam, dtype=float)
+    target = lam.ravel() / 2.0
+    hi = np.full(target.shape, hi)
+    while True:
+        low = model.q.value(hi) < target
+        if not low.any():
             break
-    return 0.5 * (lo + hi)
+        hi[low] *= 2.0
+        if np.any(hi > 1e9):
+            raise PreconditionError("no turning radius found")
+    at_lo = model.q.value(lo) >= target
+    lo = np.full(target.shape, lo)
+    open_ = ~at_lo
+    for _ in range(200):
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        below = model.q.value(mid) < target
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+        open_ &= ~(hi - lo < 1e-12 * (1.0 + hi))
+    return np.where(at_lo, lo, 0.5 * (lo + hi)).reshape(lam.shape)[()]
 
 
 def _shoot_range(model, k, lam, r_star, exponent):
     # march until the semiclassical exponent past the turning point reaches
-    # the requested budget
-    total, r = 0.0, r_star
-    step = max(r_star * 0.05, 0.01)
-    while total < exponent:
-        S = 2.0 * lam * model.q.value(r + step) - lam ** 2 + (k / (r + step)) ** 2
-        if S > 0.0:
-            total += math.sqrt(S) * step
-        r += step
-        if r > 1e6:
-            break
-    return r
+    # the requested budget; the radii and the exponent are running sums,
+    # added in march order, `chunk` steps of all lam at once
+    chunk = 256
+    lam, r = np.broadcast_arrays(np.asarray(lam, dtype=float), r_star)
+    shape, lam, r = lam.shape, lam.ravel(), r.astype(float).ravel()
+    step = np.maximum(r * 0.05, 0.01)
+    total = np.zeros(r.shape)
+    going = np.flatnonzero(total < exponent)
+    while going.size:
+        l, h = lam[going, None], step[going, None]
+        rs = np.cumsum(np.column_stack((r[going], np.repeat(h, chunk, axis=1))),
+                       axis=1)[:, 1:]
+        S = 2.0 * l * model.q.value(rs) - l ** 2 + (k / rs) ** 2
+        gain = np.where(S > 0.0, np.sqrt(np.maximum(S, 0.0)) * h, 0.0)
+        sums = np.cumsum(np.column_stack((total[going], gain)), axis=1)[:, 1:]
+        stop = (sums >= exponent) | (rs > 1e6)
+        at = np.where(stop.any(axis=1), np.argmax(stop, axis=1), chunk - 1)
+        rows = np.arange(going.size)
+        r[going], total[going] = rs[rows, at], sums[rows, at]
+        going = going[~stop.any(axis=1)]
+    return r.reshape(shape)[()]
+
+
+def _refine_roots(f, lo, hi, f_lo, f_hi, tol):
+    """Roots of f in the sign-change brackets [lo, hi], refined in
+    lockstep by false position with the Anderson-Bjorck weights: each round
+    calls f once on the open brackets, at their false-position points held
+    tol/2 inside the bracket, and keeps each sign change.  An end kept twice
+    in a row has its value scaled by 1 - f(x)/f(moved end), or halved when
+    that is not positive.  A bracket closes when it is no wider than tol, at
+    its false-position point, or when f vanishes."""
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float)
+                          for x in (lo, hi, f_lo, f_hi))
+    roots = np.full(lo.shape, np.nan)
+    last = np.zeros(lo.shape)  # +1 when lo moved last, -1 when hi did
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        done = np.isnan(roots) & (hi - lo <= tol)
+        roots[done] = x[done]
+        i = np.flatnonzero(np.isnan(roots))
+        if not i.size:
+            return roots
+        x = np.clip(x[i], lo[i] + 0.5 * tol, hi[i] - 0.5 * tol)
+        fx = np.asarray(f(x), dtype=float)
+        roots[i[fx == 0.0]] = x[fx == 0.0]
+        up = np.sign(fx) == np.sign(f_lo[i])
+        moved = np.where(up, f_lo[i], f_hi[i])
+        m = 1.0 - fx / moved
+        weight = np.where(m > 0.0, m, 0.5)
+        again = np.where(up, last[i] > 0, last[i] < 0)
+        f_hi[i[up & again]] *= weight[up & again]
+        f_lo[i[~up & again]] *= weight[~up & again]
+        lo[i[up]], f_lo[i[up]] = x[up], fx[up]
+        hi[i[~up]], f_hi[i[~up]] = x[~up], fx[~up]
+        last[i] = np.where(up, 1.0, -1.0)
 
 
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
@@ -389,12 +445,13 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
     mismatch between them at the turning-point radius changes sign exactly
-    at an eigenvalue; each sign change is refined with Brent's method.  The
-    scan samples both bracket ends but lambda = 0, where the direction
-    recessive at infinity (`decaying_direction`) divides by lambda.
+    at an eigenvalue.  The mismatch of many lambda is one `propagate` call
+    of a `ChannelBatch` holding both directions of each: one for the whole
+    scan grid, then one a round while `_refine_roots` narrows every sign
+    change in lockstep to `tol_lambda`.  The scan samples both bracket ends
+    but lambda = 0, where the direction recessive at infinity
+    (`decaying_direction`) divides by lambda.
     """
-    from scipy.optimize import brentq
-
     equal, where = models_equal(model)
     if not equal:
         raise ValueError(f"eigenvalue shooting requires m == q; first "
@@ -405,37 +462,32 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     if not (tol_lambda > 0.0 and scan_step > 0.0):
         raise ValueError("tol_lambda and scan_step must be positive")
 
-    def mismatch(lam):
-        ch = assemble_channel(model, k, lam)
-        init = frobenius_radius(ch, dominance_factor=dominance,
-                                r_init=min(1e-3, 0.01 / (1.0 + lam)))
-        r_star = _turning_radius(model, lam)
-        r_match = max(r_star * match_radius_factor, 4.0 * init.r0)
-        r_far = _shoot_range(model, k, lam, max(r_star, r_match), wkb_exponent)
-        u_f = propagate(ch, init.u0, init.r0, r_match, rtol=rtol)
-        u_b = propagate(ch, decaying_direction(model, k, lam, r_far),
-                        r_far, r_match, rtol=rtol)
-        num = u_f[0] * u_b[1] - u_f[1] * u_b[0]
-        return float(num / (np.hypot(*u_f) * np.hypot(*u_b)))
+    def mismatch(lams):
+        inits = [frobenius_radius(assemble_channel(model, k, lam),
+                                  dominance_factor=dominance,
+                                  r_init=min(1e-3, 0.01 / (1.0 + lam)))
+                 for lam in lams.tolist()]
+        r0 = np.array([init.r0 for init in inits])
+        r_star = _turning_radius(model, lams)
+        r_match = np.maximum(r_star * match_radius_factor, 4.0 * r0)
+        r_far = _shoot_range(model, k, lams, np.maximum(r_star, r_match),
+                             wkb_exponent)
+        u0 = [init.u0 for init in inits] + [
+            decaying_direction(model, k, lam, r)
+            for lam, r in zip(lams.tolist(), r_far.tolist())]
+        u = propagate(ChannelBatch(model, k, np.tile(lams, 2)), u0,
+                      np.append(r0, r_far), np.tile(r_match, 2), rtol=rtol)
+        u_f, u_b = u[:lams.size], u[lams.size:]
+        num = u_f[:, 0] * u_b[:, 1] - u_f[:, 1] * u_b[:, 0]
+        return num / (np.hypot(*u_f.T) * np.hypot(*u_b.T))
 
     n = max(8, int(math.ceil((b - a) / scan_step)))
     grid = a + (b - a) * np.arange(0 if a > 0.0 else 1, n + 1) / n
-    values = [mismatch(l) for l in grid]
-    scanned = dict(zip(grid.tolist(), values))
-
-    def refine(lam):
-        # brentq starts from the bracket ends, which the scan already has
-        return scanned[lam] if lam in scanned else mismatch(lam)
-
-    roots = []
-    for (l1, f1), (l2, f2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if f1 == 0.0:
-            roots.append(float(l1))
-        elif f1 * f2 < 0.0:
-            roots.append(float(brentq(refine, l1, l2, xtol=tol_lambda)))
-    if values and values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots)
+    values = mismatch(grid)
+    cross = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    roots = _refine_roots(mismatch, grid[cross], grid[cross + 1],
+                          values[cross], values[cross + 1], tol_lambda)
+    return sorted(roots.tolist() + grid[values == 0.0].tolist())
 
 
 # ---------------------------------------------------------------------------

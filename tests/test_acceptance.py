@@ -149,7 +149,7 @@ def test_criterion_4_dominant_potential_desk_scale():
             ta, tb = integrate_fundamental(channel, cfg)
             verdicts = almost_monotone_check(r_trace(ta), n_grid=32)
             monotone_ok &= all(v.ok for v in verdicts)
-            cert = comparability_constant(ta, tb, reports=creps)
+            cert = comparability_constant(ta, tb)
             # no initial direction (721 of the half circle) exceeds C
             worst = 0.0
             for phi in np.linspace(0.0, np.pi, 721):

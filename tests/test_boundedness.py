@@ -5,6 +5,7 @@ from diracspec.boundedness import (
     BoundednessCertificate,
     almost_monotone_check,
     auto_start_radius,
+    certify,
     comparability_constant,
     completed_square,
     envelope_form,
@@ -165,9 +166,8 @@ class TestComparability:
                                      m=coefficient("exp", c=1, a=1))
         ch = assemble_channel(exp_model, 1, 0.0)
         reports = check_c_conditions(ch)
-        ta, tb = pair(ch, 1.0, 2.0)
         with pytest.raises(PreconditionError, match="refused"):
-            comparability_constant(ta, tb, reports=reports)
+            certify(ch, SolveConfig(r_start=1.0, r_end=2.0), reports)
 
     def test_certificate_requires_c_at_least_one(self):
         with pytest.raises(ValueError):

@@ -522,6 +522,23 @@ class TestOtherCommands:
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error: config.solver: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("windows", [[[30.0, 20.0]], [[20.0, 20.0]],
+                                         [[10.0, 20.0], [2.0, 8.0]],
+                                         [[20.0, 30.0]]])
+    def test_asymptotics_windows_inside_the_range(self, tmp_path, capsys,
+                                                  windows):
+        # a reversed or outside window would leave no residual to compare,
+        # and --assert would pass on an empty list
+        cfg = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+            "asymptotics": {"r_start": 5.0, "r_end": 25.0,
+                            "windows": windows}})
+        assert run(["asymptotics", "--config", cfg, "--out", tmp_path / "o",
+                    "--assert"]) == 2
+        assert "config error: config.asymptotics: each window" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_eigen_outputs(self, tmp_path):
         assert run(["eigen", "--config", fixture_path("borderline_linear"),
                     "--out", tmp_path / "o"]) == 0
@@ -672,26 +689,28 @@ class TestScipyFreeStart:
             ("hypotheses", small), ("bv-verify", small),
             ("boundedness", small), ("scan", {**small, "workers": 1}),
             ("subordinacy", equal), ("asymptotics", equal),
-            ("solve", polar)])
+            ("solve", polar),
+            ("eigen", {**equal, "bracket": [0.5, 2.0],
+                       "eigen": {"scan_step": 0.25}})])
         assert [tuple(step) for step in steps] == [
             ("import", 0, []), ("hypotheses", 0, []), ("bv-verify", 0, []),
             ("boundedness", 0, []), ("scan", 0, []), ("subordinacy", 0, []),
-            ("asymptotics", 0, []), ("solve", 0, [])]
+            ("asymptotics", 0, []), ("solve", 0, []), ("eigen", 0, [])]
         census = json.loads(
             (tmp_path / "o4" / "subordinacy_k=1_lambda=-1.json").read_text())
         assert census["census"] is not None
         assert (tmp_path / "o5" / "residuals_k=1_lambda=-1.csv").exists()
         assert (tmp_path / "o6" / "trajectory_k=1_lambda=-1.csv").exists()
+        assert (tmp_path / "o7" / "eigenvalues.json").exists()
 
     def test_scipy_commands_still_run(self, tmp_path):
+        # the Cartesian solve steps with scipy's DOP853
         small = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
-                 "bracket": [0.5, 2.0], "eigen": {"scan_step": 0.25},
                  "solver": {"r_end": 25.0}}
-        steps = self._fresh(tmp_path, [("eigen", small), ("solve", small)])
+        steps = self._fresh(tmp_path, [("solve", small)])
         assert [(cmd, rc) for cmd, rc, _ in steps] == [
-            ("import", 0), ("eigen", 0), ("solve", 0)]
-        assert (tmp_path / "o0" / "eigenvalues.json").exists()
-        assert (tmp_path / "o1" / "trajectory_k=1_lambda=-1.csv").exists()
+            ("import", 0), ("solve", 0)]
+        assert (tmp_path / "o0" / "trajectory_k=1_lambda=-1.csv").exists()
 
     def test_trapezoid_helpers_match_scipy_bit_for_bit(self):
         from scipy.integrate import trapezoid as scipy_trapezoid

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from diracspec.asymptotics import wkb_reference
 from diracspec.coefficients import (
+    ChannelBatch,
     CoefficientModel,
     ConstantChannel,
     assemble_channel,
@@ -17,6 +18,9 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    _qml,
+    _steps,
+    _transfer,
     cumulative_integral,
     cumulative_norms,
     frobenius_init,
@@ -175,6 +179,61 @@ class TestMagnus:
         u0 = np.array([1.0, 0.0])
         u1 = propagate(LINEAR, u0, 1.0, 200.0)
         assert np.max(np.abs(propagate(LINEAR, u1, 200.0, 1.0) - u0)) <= 1e-10
+
+
+class TestBatch:
+    def test_batch_matches_single_calls(self):
+        # Phi of every lambda: the batch carries each unit vector once
+        lams = np.array([0.5, 1.7, 2.9, 4.1])
+        n = lams.size
+        U = propagate(ChannelBatch(EQUAL, 1, np.tile(lams, 2)),
+                      np.repeat(np.eye(2), n, axis=0), 0.5, 3.0)
+        phi = np.stack((U[:n], U[n:]), axis=2)
+        single = np.array([[propagate(assemble_channel(EQUAL, 1, lam), e,
+                                      0.5, 3.0) for e in np.eye(2)]
+                           for lam in lams]).transpose(0, 2, 1)
+        assert np.max(np.abs(phi - single) / np.abs(single).max()) <= 1e-13
+        det = np.linalg.det(phi)
+        assert np.all(np.abs(det - 1.0) <=
+                      1e-14 * np.max(np.abs(phi), axis=(1, 2)) ** 2)
+
+    def test_own_range_and_direction_per_channel(self):
+        lams = np.array([0.5, 2.0, 3.5])
+        r0, r1 = np.array([0.5, 6.0, 1.0]), np.array([3.0, 1.5, 1.2])
+        u0 = np.array([[1.0, 0.0], [0.3, -0.7], [0.0, 1.0]])
+        got = propagate(ChannelBatch(EQUAL, -1, lams), u0, r0, r1)
+        assert got.shape == (3, 2)
+        for lam, a, b, u, g in zip(lams, r0, r1, u0, got):
+            one = propagate(assemble_channel(EQUAL, -1, lam), u, a, b)
+            assert np.max(np.abs(g - one)) <= 1e-13 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("max_step", [math.inf, 0.02])
+    def test_tree_product_matches_sequential_product(self, max_step):
+        # reference: the kept steps multiplied one at a time in travel order
+        grid = cfg(1.0, 60.0).grid()
+        _, seg, H, _, _ = _steps(_qml(LINEAR), grid, 1e-12, max_step)
+        now, ref = np.eye(2), [np.eye(2)]
+        for j, end in enumerate(np.diff(seg, append=-1) != 0):
+            for half in (2 * j, 2 * j + 1):
+                now = H[:4, half].reshape(2, 2) @ now
+            if end:
+                ref.append(now)
+        phi, reached, _, _ = _transfer(_qml(LINEAR), grid, 1e-12, max_step)
+        ref = np.array(ref)
+        assert reached[0] == len(ref) == grid.size
+        scale = np.max(np.abs(ref), axis=(1, 2))
+        assert np.all(np.max(np.abs(phi[0] - ref), axis=(1, 2))
+                      <= 1e-13 * scale)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_channel_is_named(self):
+        # q = e^r blows up on [700, 720] only; the other channel is fine
+        model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
+                                 m=constant(1))
+        batch = ChannelBatch(model, 1, [0.5, 2.0])
+        with pytest.raises(PreconditionError,
+                           match=r"of k=1,lambda=2 from 700 to 720 failed"):
+            propagate(batch, np.eye(2), [1.0, 700.0], [2.0, 720.0])
 
 
 class TestCumulativeNorms:

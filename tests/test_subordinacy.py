@@ -298,7 +298,57 @@ class TestRatio:
         assert rep.classification == "no-subordinate"
 
 
+def scalar_turning_radius(model, lam, lo=1e-6, hi=1.0):
+    # reference: one lambda, one float radius at a time
+    target = lam / 2.0
+    while model.q.value(hi) < target:
+        hi *= 2.0
+    if model.q.value(lo) >= target:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if model.q.value(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * (1.0 + hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def scalar_shoot_range(model, k, lam, r_star, exponent):
+    # reference: the march one step at a time
+    total, r = 0.0, r_star
+    step = max(r_star * 0.05, 0.01)
+    while total < exponent:
+        S = 2.0 * lam * model.q.value(r + step) - lam ** 2 + \
+            (k / (r + step)) ** 2
+        if S > 0.0:
+            total += math.sqrt(S) * step
+        r += step
+        if r > 1e6:
+            break
+    return r
+
+
 class TestEigenShoot:
+    @pytest.mark.parametrize("model", [
+        EQUAL, CoefficientModel(q=power(0.8, 1), m=power(0.8, 1))])
+    def test_array_march_matches_scalar_reference(self, model):
+        # the batched bisection and march reach each lambda's radii bit for
+        # bit, whatever the lambda batched with it
+        lams = np.linspace(0.05, 5.0, 100)
+        r_star = _turning_radius(model, lams)
+        for k, floor, exponent in ((1, 0.004, 27.0), (-1, 1.5, 15.0)):
+            r_far = _shoot_range(model, k, lams, np.maximum(r_star, floor),
+                                 exponent)
+            for lam, rs, rf in zip(lams.tolist(), r_star, r_far):
+                ref = scalar_turning_radius(model, lam)
+                assert rs == ref
+                assert rf == scalar_shoot_range(model, k, lam,
+                                                max(ref, floor), exponent)
+        assert _turning_radius(model, 2.0) == scalar_turning_radius(model, 2.0)
+
     def test_bracket_nonempty_and_stable(self):
         eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
         assert len(eigs) >= 1
@@ -334,8 +384,9 @@ class TestEigenShoot:
 
     def test_refinement_reuses_scan_values(self, monkeypatch):
         # one frobenius_radius call per mismatch evaluation: 110 on the scan
-        # grid and 14 refining the 3 roots; brentq starts from the bracket
-        # ends the scan already has, which took 2 more calls per root
+        # grid and 13 refining the 3 roots; the refinement starts from the
+        # bracket ends the scan already has, which would take 2 more calls
+        # per root
         import diracspec.subordinacy as sub
 
         calls = []
@@ -347,7 +398,38 @@ class TestEigenShoot:
 
         monkeypatch.setattr(sub, "frobenius_radius", counting)
         assert len(eigen_shoot(EQUAL, -1, (0.0, 5.5))) == 3
-        assert len(calls) == 124
+        assert len(calls) == 123
+
+    def test_close_pair_in_adjacent_brackets(self):
+        # two roots 1e-6 apart, in brackets that share an end: each is
+        # found, inside its own bracket, within the tolerance
+        roots = np.array([1.0, 1.0 + 1e-6])
+        seen = []
+
+        def f(x):
+            seen.append(x.size)
+            return np.tanh(1e3 * (x - roots[0])) * np.tanh(1e3 * (x - roots[1]))
+
+        lo, hi = np.array([0.9, 1.0 + 4e-7]), np.array([1.0 + 4e-7, 1.2])
+        got = subordinacy._refine_roots(f, lo, hi, f(lo), f(hi), 1e-10)
+        assert np.all(np.abs(got - roots) <= 1e-10)
+        assert np.all((lo < got) & (got < hi))
+        # lockstep: every round evaluates both open brackets in one call
+        assert seen[2] == 2
+
+    def test_refinement_stays_inside_its_bracket(self):
+        # a steep step far from the linear guess: every evaluation stays
+        # inside the sign-change bracket
+        seen = []
+
+        def f(x):
+            seen.extend(x.tolist())
+            return np.tanh(50.0 * (x - 0.97))
+
+        got = subordinacy._refine_roots(f, [0.0], [1.0], f(np.array([0.0])),
+                                        f(np.array([1.0])), 1e-9)
+        assert abs(got[0] - 0.97) <= 1e-9
+        assert all(0.0 <= x <= 1.0 for x in seen)
 
     def test_negative_bracket_rejected(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,11 @@ __all__ = [
     "second_order_check",
     "defect_convergence",
     "borderline_trajectory",
+    "DEFECT_STRIDES",
 ]
+
+# the stride ladder of `defect_convergence`, coarsest first
+DEFECT_STRIDES = (0.04, 0.02, 0.01)
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
 
 
 def defect_convergence(model: CoefficientModel, k: int, lam: float,
-                       r_lo: float, r_hi: float, strides=(0.04, 0.02, 0.01),
+                       r_lo: float, r_hi: float, strides=DEFECT_STRIDES,
                        rtol: float = 1e-11) -> dict:
     """Second-order defect across a ladder of stride halvings; the observed
     convergence orders should sit near 2."""

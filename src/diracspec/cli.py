@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    DEFECT_STRIDES,
     borderline_trajectory,
     compare_asymptotics,
     defect_convergence,
@@ -221,6 +222,10 @@ def load_config(path) -> RunConfig:
                  for lo, hi in asy["windows"] or ()),
              "config.asymptotics: each window [lo, hi] needs "
              "r_start <= lo < hi <= r_end")
+    lo, hi = _defect_window(asy)
+    _require(hi - lo >= 2.0 * max(DEFECT_STRIDES),
+             f"config.asymptotics: the defect window [{lo:g}, {hi:g}] is "
+             f"shorter than two strides of {max(DEFECT_STRIDES):g}")
     bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed, workers = _checked("config", lambda: (
@@ -232,6 +237,11 @@ def load_config(path) -> RunConfig:
                      ladder=ladder, tail_ladder=tail_ladder, subordinacy=sub,
                      eigen=eigen, asymptotics=asy, bv=bv, seed=seed,
                      workers=workers)
+
+
+def _defect_window(asy) -> tuple:
+    """The range [lo, hi] of the defect convergence of `asymptotics`."""
+    return max(asy["r_start"], 10.0), min(asy["r_end"], 50.0)
 
 
 def fixture_path(name: str) -> Path:
@@ -562,8 +572,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                         [(w["center"], w["residual"]) for w in res],
                         comment="# kind=residuals")
             conv = defect_convergence(cfg.model, k, lam,
-                                      max(scfg.r_start, 10.0),
-                                      min(scfg.r_end, 50.0))
+                                      *_defect_window(cfg.asymptotics))
             _write_json(out / f"defects_{name}.json",
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]
@@ -583,8 +592,9 @@ def cmd_plotdata(inputs, out: Path) -> int:
         if not path.exists():
             raise ConfigError(f"input not found: {path}")
         if path.suffix == ".json":
-            doc = json.loads(path.read_text())
-            kind = doc.get("kind")
+            doc = _checked(f"{path}: not valid JSON", json.loads,
+                           path.read_text())
+            kind = doc.get("kind") if isinstance(doc, dict) else None
         else:
             with open(path) as fh:
                 first = fh.readline().strip()

@@ -20,18 +20,17 @@ Casas, Oteo & Ros, Phys. Rep. 470, 2009); every factor has determinant 1,
 so det Phi = 1 holds to rounding.  Because the system is linear, the
 step-doubling error estimate of a step does not depend on the state, and
 the steps are refined for all radii at once; `rtol` is that per-step
-tolerance.  The steps are multiplied into Phi by a pairwise product tree.
-`propagate` also takes a `ChannelBatch`, one model and k at many spectral
-parameters: each of its channels has its own range and direction, and
-every refinement round evaluates q and m once on the radii of all of them.
-A lone channel is a batch of one, stepped by the same code.
-`integrate_cartesian` still steps its one state with adaptive DOP853.
+tolerance.  `propagate` also takes a `ChannelBatch`, one model and k at
+many spectral parameters: each of its channels has its own range and
+direction, and every refinement round evaluates q and m once on the radii
+of all of them.  A lone channel is a batch of one, stepped by the same
+code.  `integrate_cartesian` still steps its one state with adaptive DOP853.
 
-The polar form, preferred on long ranges where Q dominates
-W = sqrt(M^2 + L^2), is read off the same Magnus steps: each half step
-turns the state by an angle known in closed form.  `cumulative_norms` runs
-on the same steps too, adding Simpson's rule for int |u|^2 over each.
-Every phase integral is the composite Simpson rule `cumulative_integral`.
+Steps become products only in the log-depth scan `_running`.  The polar
+form, preferred on long ranges where Q dominates W = sqrt(M^2 + L^2), and
+`cumulative_norms` (Simpson's rule for int |u|^2 over each step) read their
+states off its running products of the same half steps.  Every phase
+integral is the composite Simpson rule `cumulative_integral`.
 """
 
 from __future__ import annotations
@@ -301,47 +300,47 @@ def _ends(seg):
     return np.diff(seg, append=-1) != 0
 
 
+def _running(X, first):
+    """Running products X[i] ... X[first[i]] of 2x2 matrices stored as the
+    4-entry columns of X; column i's run starts at first[i] <= i (one int:
+    a single run).  Hillis-Steele doubling: at d = 1, 2, 4, ... each column
+    takes on the column d before it inside its run.  Each product is scaled
+    by a power of two, which is exact, so that its largest entry lies in
+    [1/2, 1): column i's product is R[:, i] 2^e[i] of the returned (R, e)."""
+    R, e = X.copy(), np.zeros(X.shape[1], dtype=int)
+    pos, d = np.arange(X.shape[1]) - first, 1
+    while d <= np.max(pos, initial=0):
+        P = np.stack(_mul(R[:, d:], R[:, :-d]))
+        _, x = np.frexp(np.max(np.abs(P), axis=0))
+        P, ed = np.ldexp(P, -x), e[d:] + e[:-d] + x
+        on = pos[d:] >= d
+        if not on.all():
+            P, ed = np.where(on, P, R[:, d:]), np.where(on, ed, e[d:])
+        R[:, d:], e[d:] = P, ed
+        d *= 2
+    return R, e
+
+
 def _transfer(qml, nodes, rtol, max_step=math.inf):
     """Transfer matrices Phi(r, nodes[i, 0]) at the nodes of each channel i
-    of a batch (see `_steps`).
-
-    Each node interval's kept steps are multiplied by a pairwise product
-    tree, all intervals of the batch at once: a round multiplies the steps
-    of every interval pairwise in travel order, an odd last step passing
-    through.  The interval products are then chained by doubling, vectorized
-    across the batch: at distances d = 1, 2, 4, ... each running product
-    takes on the one d intervals before it, intervals past the nodes a
-    channel reached padded with identities.  Returns (phi, reached, nfev,
-    failures): phi of shape (B, n, 2, 2), NaN past the reached[i] nodes
-    channel i reached.  An overflowing product ends the solve like a failed
-    step.
-    """
+    of a batch (see `_steps`): the running products of its steps, read at
+    the node ends.  Returns (phi, reached, nfev, failures): phi of shape
+    (B, n, 2, 2), NaN past the reached[i] nodes channel i reached.  A
+    product past the float range ends the solve like a failed step."""
     nodes = np.atleast_2d(nodes)
     B, n = nodes.shape
     _, seg, H, nfev, failures = _steps(qml, nodes, rtol, max_step)
-    X = np.stack(_mul(H[:4, 1::2], H[:4, ::2]))
-    with np.errstate(all="ignore"):
-        while seg.size and not _ends(seg).all():
-            first = np.append(True, seg[1:] != seg[:-1])
-            i = np.arange(seg.size)
-            left = (i - np.maximum.accumulate(np.where(first, i, 0))) % 2 == 0
-            pair = np.flatnonzero(left & ~np.append(first[1:], True))
-            X[:, pair] = _mul(X[:, pair + 1], X[:, pair])
-            X, seg = X[:, left], seg[left]
-        reached = 1 + np.bincount(seg // (n - 1), minlength=B)
-        Y = np.zeros((4, B * (n - 1)))
-        Y[0] = Y[3] = 1.0
-        Y[:, seg] = X
-        Y = Y.reshape(4, B, n - 1)
-        d = 1
-        while d < n - 1:
-            Y[:, :, d:] = _mul(Y[:, :, d:], Y[:, :, :-d])
-            d *= 2
-    phi = np.concatenate((np.eye(2).reshape(4, 1, 1).repeat(B, axis=1), Y),
-                         axis=2).transpose(1, 2, 0).reshape(B, n, 2, 2)
-    phi[np.arange(n) >= reached[:, None]] = np.nan
-    lost = ~np.all(np.isfinite(phi), axis=(2, 3)) & \
-        (np.arange(n) < reached[:, None])
+    owner = seg // (n - 1)
+    R, e = _running(np.stack(_mul(H[:4, 1::2], H[:4, ::2])),
+                    np.searchsorted(owner, owner))
+    end = _ends(seg)
+    reached = 1 + np.bincount(owner[end], minlength=B)
+    phi = np.full((B * n, 4), np.nan)
+    phi[::n] = (1.0, 0.0, 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        phi[(seg + owner + 1)[end]] = np.ldexp(R[:, end], e[end]).T
+    phi = phi.reshape(B, n, 2, 2)
+    lost = np.any(np.isinf(phi), axis=(2, 3))
     for i in np.flatnonzero(lost.any(axis=1)).tolist():
         reached[i] = np.argmax(lost[i])
         failures[i] = f"solution overflows before r = {nodes[i, reached[i]]:.10g}"
@@ -351,20 +350,19 @@ def _transfer(qml, nodes, rtol, max_step=math.inf):
 def cumulative_norms(channel, U0, nodes, rtol):
     """Cumulative squared norms I(r) = int_{nodes[0]}^r |u|^2 of the two
     solutions starting from the columns of U0, at nodes[1:]; shape
-    (2, n - 1).  Each Magnus step of `_steps` adds Simpson's rule on |u|^2
-    at its start, midpoint and end."""
+    (2, n - 1): Simpson's rule on each Magnus step of `_steps`, |u|^2 read
+    off the running products of its half steps."""
     t, seg, H, _, (failure,) = _steps(_qml(channel), nodes, rtol)
     if failure is not None:
         raise PreconditionError(f"cumulative norms failed: {failure}")
     h = np.diff(np.append(t, nodes[-1]))
-    (x, y), (v, w) = np.asarray(U0, dtype=float).tolist()
-    f = [(x * x + v * v, y * y + w * w)]
-    for a, b, c, d in zip(*H[:4].tolist()):
-        x, y, v, w = a * x + b * v, a * y + b * w, c * x + d * v, c * y + d * w
-        f.append((x * x + v * v, y * y + w * w))
-    f = np.array(f).T
-    I = np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
-                  axis=1)[:, _ends(seg)]
+    R, e = _running(H[:4], 0)
+    a, b, c, d = _mul(R, np.ravel(U0))
+    with np.errstate(over="ignore"):
+        f = np.column_stack((np.sum(np.square(U0), axis=0), np.ldexp(
+            np.stack((a * a + c * c, b * b + d * d)), 2 * e)))
+        I = np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
+                      axis=1)[:, _ends(seg)]
     if not np.all(np.isfinite(I)):
         raise PreconditionError("cumulative norms overflow")
     return I
@@ -414,31 +412,28 @@ def _safe_unwrap(u1, u2):
 
 def integrate_pruefer(channel, rho0: float, theta0: float,
                       cfg: SolveConfig) -> Trajectory:
-    """Integrate the polar form on the Magnus steps of `_steps`, carrying a
-    unit vector and ln rho so that rho cannot overflow on the way (`log_rho`
-    stays finite where rho does not).  Each half step adds its exact angle
-    gain, so theta is unwrapped whatever the stride; `accepted_r` and
-    `accepted_theta` hold the step ends."""
+    """Integrate the polar form on the Magnus steps of `_steps`, applying
+    the running products of their half steps to the unit vector at theta0.
+    Each half step adds its exact angle gain, which ignores the products'
+    scale, so theta is unwrapped whatever the stride; ln rho adds their
+    powers of two, so `log_rho` stays finite where rho does not.
+    `accepted_r` and `accepted_theta` hold the step ends."""
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
     t, seg, H, nfev, (failure,) = _steps(_qml(channel), grid, cfg.rtol,
                                           cfg.max_step)
-    x, y = math.cos(theta0), math.sin(theta0)
-    states = [(x, y, 1.0)]
-    for a, b, c, d in zip(*H[:4].tolist()):
-        x, y = a * x + b * y, c * x + d * y
-        n = math.hypot(x, y)
-        x, y = x / n, y / n
-        states.append((x, y, n))
-    x, y, n = np.array(states).T
+    R, e = _running(H[:4], 0)
+    c, s = math.cos(theta0), math.sin(theta0)
+    x, y = np.append(c, R[0] * c + R[1] * s), np.append(s, R[2] * c + R[3] * s)
     # a half step turns by less than pi beyond its whole half turns, so its
     # gain is the angle nearest pi * turns congruent to the principal one
     gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
                       x[:-1] * x[1:] + y[:-1] * y[1:])
     gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
     theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
-    log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
+    log_rho = math.log(rho0) + np.append(
+        0.0, np.log(np.hypot(x[1:], y[1:])) + e * math.log(2.0))[::2]
     at = np.flatnonzero(np.append(True, _ends(seg)))
     with np.errstate(over="ignore"):
         rho = np.exp(log_rho[at])

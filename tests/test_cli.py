@@ -539,6 +539,31 @@ class TestOtherCommands:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("r_start,r_end", [(60.0, 100.0), (49.99, 60.0),
+                                               (5.0, 10.05)])
+    def test_asymptotics_defect_window_of_two_strides(self, tmp_path, capsys,
+                                                      r_start, r_end):
+        # the defect convergence runs on [max(r_start, 10), min(r_end, 50)]
+        # at strides down from 0.04; a shorter window has no interior point
+        cfg = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+            "asymptotics": {"r_start": r_start, "r_end": r_end}})
+        assert run(["asymptotics", "--config", cfg, "--out", tmp_path / "o",
+                    "--assert"]) == 2
+        assert "config error: config.asymptotics: the defect window" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_asymptotics_short_defect_window_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+            "asymptotics": {"r_start": 5.0, "r_end": 10.1}})
+        assert run(["asymptotics", "--config", cfg,
+                    "--out", tmp_path / "o"]) == 0
+        doc = json.loads((tmp_path / "o" / "defects_k=1_lambda=-1.json")
+                         .read_text())
+        assert len(doc["defects"]) == 3
+
     def test_eigen_outputs(self, tmp_path):
         assert run(["eigen", "--config", fixture_path("borderline_linear"),
                     "--out", tmp_path / "o"]) == 0
@@ -625,6 +650,13 @@ class TestPlotData:
         bogus = tmp_path / "thing.json"
         bogus.write_text(json.dumps({"kind": "mystery"}))
         assert run(["plotdata", bogus, "--out", tmp_path / "p"]) == 2
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_json_exits_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["plotdata", bad, "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: ")
 
     def test_multiple_inputs_named_by_stem(self, tmp_path):
         out = tmp_path / "art"

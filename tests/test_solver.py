@@ -18,7 +18,9 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    _ends,
     _qml,
+    _running,
     _steps,
     _transfer,
     cumulative_integral,
@@ -236,7 +238,75 @@ class TestBatch:
             propagate(batch, np.eye(2), [1.0, 700.0], [2.0, 720.0])
 
 
+def exp_of(x):
+    """The power of two that scales the largest entry of x into [1/2, 1)."""
+    return int(np.frexp(np.max(np.abs(x)))[1])
+
+
+class TestRunning:
+    def test_products_stay_inside_their_runs(self):
+        # runs of 1, 7, 2 and 40 matrices of size ~1e30: the longest run's
+        # product is far past the float range
+        rng = np.random.default_rng(3)
+        sizes = [1, 7, 2, 40]
+        X = 1e30 * rng.standard_normal((4, sum(sizes)))
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        R, e = _running(X, first)
+        for i, j in enumerate(first):
+            now, exp = np.eye(2), 0
+            for x in X[:, j:i + 1].T:
+                now = x.reshape(2, 2) @ now
+                k = exp_of(now)
+                now, exp = np.ldexp(now, -k), exp + k
+            got = np.ldexp(R[:, i], e[i] - exp).reshape(2, 2)
+            assert np.max(np.abs(got - now)) <= 1e-13 * np.max(np.abs(now))
+
+    def test_products_scale_past_the_float_range(self):
+        # diag(2^300, 2^-300) forty times: the last product is 2^12000
+        X = np.tile([[2.0 ** 300], [0.0], [0.0], [2.0 ** -300]], 40)
+        R, e = _running(X, 0)
+        assert np.all(np.abs(R[:, 1:]) < 1.0)
+        assert np.array_equal(np.log2(R[0]) + e, 300.0 * np.arange(1, 41))
+
+    def test_products_of_a_conjugated_rotation(self):
+        # S rot(t) S^-1 taken 20000 times: every product has norm about
+        # 2^16, while the norms of the two halves of a product multiply to
+        # 2^32, so unscaled products would underflow
+        S, t, n = np.diag([256.0, 1.0 / 256.0]), 0.01, np.arange(1, 20001)
+        rot = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        X = np.tile((S @ rot @ np.linalg.inv(S)).reshape(4, 1), n.size)
+        R, e = _running(X, 0)
+        exact = np.array([np.cos(n * t), -2.0 ** 16 * np.sin(n * t),
+                          np.sin(n * t) / 2.0 ** 16, np.cos(n * t)])
+        assert np.max(np.abs(np.ldexp(R, e) - exact)) <= 1e-12 * 2.0 ** 16
+
+
+def sequential_norms(channel, U0, nodes, rtol):
+    """Reference `cumulative_norms`: the states carried through the half
+    steps one at a time, and Simpson's rule on |u|^2 over each step."""
+    t, seg, H, _, _ = _steps(_qml(channel), nodes, rtol)
+    h = np.diff(np.append(t, nodes[-1]))
+    (x, y), (v, w) = np.asarray(U0, dtype=float).tolist()
+    f = [(x * x + v * v, y * y + w * w)]
+    for a, b, c, d in zip(*H[:4].tolist()):
+        x, y, v, w = a * x + b * v, a * y + b * w, c * x + d * v, c * y + d * w
+        f.append((x * x + v * v, y * y + w * w))
+    f = np.array(f).T
+    return np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
+                     axis=1)[:, _ends(seg)]
+
+
 class TestCumulativeNorms:
+    @pytest.mark.parametrize("channel", [
+        LINEAR, assemble_channel(EQUAL, 1, -1.0),
+        assemble_channel(EQUAL, -1, 2.0)])
+    def test_matches_sequential_carry(self, channel):
+        U0 = np.array([[0.3, 2.0], [-0.7, 0.5]])
+        nodes = np.geomspace(1.0, 30.0, 15)
+        I = cumulative_norms(channel, U0, nodes, 1e-10)
+        ref = sequential_norms(channel, U0, nodes, 1e-10)
+        assert np.all(np.abs(I - ref) <= 1e-12 * ref)
+
     def test_rotation_closed_form(self):
         # |u| is constant under a pure rotation, so I = |u0|^2 (r - r0)
         U0 = np.array([[0.3, 2.0], [-0.7, 0.5]])
@@ -269,7 +339,41 @@ def dop853_polar(channel, rho0, theta0, grid):
     return sol.y
 
 
+def sequential_pruefer(channel, rho0, theta0, c):
+    """Reference `integrate_pruefer` (theta, ln rho) on the grid: a unit
+    vector carried through the half steps one at a time, renormalized after
+    each, ln rho summing the logs of the norms."""
+    grid = c.grid()
+    _, seg, H, _, _ = _steps(_qml(channel), grid, c.rtol, c.max_step)
+    x, y = math.cos(theta0), math.sin(theta0)
+    states = [(x, y, 1.0)]
+    for a, b, cc, d in zip(*H[:4].tolist()):
+        x, y = a * x + b * y, cc * x + d * y
+        n = math.hypot(x, y)
+        x, y = x / n, y / n
+        states.append((x, y, n))
+    x, y, n = np.array(states).T
+    gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
+                      x[:-1] * x[1:] + y[:-1] * y[1:])
+    gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
+    at = np.flatnonzero(np.append(True, _ends(seg)))
+    theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
+    log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
+    return theta[at], log_rho[at]
+
+
 class TestPruefer:
+    @pytest.mark.parametrize("channel,r1", [
+        (LINEAR, 60.0), (assemble_channel(EQUAL, 1, -1.0), 60.0),
+        (assemble_channel(EQUAL, -1, 2.0), 12.0)])
+    def test_matches_sequential_carry(self, channel, r1):
+        c = cfg(1.0, r1)
+        traj = integrate_pruefer(channel, 2.0, 0.3, c)
+        theta, log_rho = sequential_pruefer(channel, 2.0, 0.3, c)
+        assert traj.ok
+        for got, ref in ((traj.theta, theta), (traj.log_rho, log_rho)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_matches_dop853_oracle_when_stride_turns_past_pi(self):
         traj = integrate_pruefer(LINEAR, 1.0, 0.1, cfg(40.0, 90.0))
         assert traj.ok and traj.grid[-1] == 90.0

@@ -55,6 +55,10 @@ L_ZERO = "L_zero"
 def envelope_form(channel, r_probe) -> str:
     """Pick the envelope form from coefficients that vanish identically."""
     _, M, L, _ = channel.coeffs(np.asarray(r_probe, dtype=float))
+    return _form(M, L)
+
+
+def _form(M, L) -> str:
     if np.all(M == 0.0):
         return M_ZERO
     if np.all(L == 0.0):
@@ -109,83 +113,65 @@ class RTrace:
     R: np.ndarray
     usq: np.ndarray
     form: str
-    quotient_cumvar: dict  # name -> prefix sums of |increments|
+    cumvar: np.ndarray  # prefix sums of the quotients' summed |increments|
     epsilon: float  # sup |L|/Q on the grid (used by the M == 0 variant)
 
-    def to_csv(self, path, bound: Optional[np.ndarray] = None):
-        bound = self.R if bound is None else bound
+    def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("# kind=rtrace\n")
             fh.write("r,R,usq,bound\n")
-            for row in zip(self.grid, self.R, self.usq, bound):
+            for row in zip(self.grid, self.R, self.usq, self.R):
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def r_trace(traj: Trajectory, form: Optional[str] = None) -> RTrace:
-    channel = traj.channel
-    coeffs = channel.coeffs(traj.grid)
-    if form is None:
-        form = envelope_form(channel, traj.grid)
+def r_trace(traj: Trajectory) -> RTrace:
+    Q, M, L, W = coeffs = traj.channel.coeffs(traj.grid)
+    form = _form(M, L)
     R = r_eval((traj.u1, traj.u2), coeffs, form)
-    Q, M, L, W = coeffs
     if form == M_ZERO:
-        quotients = {"L/(Q-L)": L / (Q - L)}
+        quotients = (L / (Q - L),)
     elif form == L_ZERO:
-        quotients = {"W/(Q-W)": W / (Q - W), "M/(Q-W)": M / (Q - W)}
+        quotients = (W / (Q - W), M / (Q - W))
     else:
-        quotients = {"W/(Q-W)": W / (Q - W), "M/(Q-W)": M / (Q - W),
-                     "L/(Q-W)": L / (Q - W)}
-    cumvar = {name: cumulative_variation(vals) for name, vals in quotients.items()}
+        quotients = (W / (Q - W), M / (Q - W), L / (Q - W))
     eps = float(np.max(np.abs(L) / Q))
     return RTrace(grid=traj.grid, R=np.asarray(R), usq=traj.norm_sq(),
-                  form=form, quotient_cumvar=cumvar, epsilon=eps)
+                  form=form, cumvar=sum(map(cumulative_variation, quotients)),
+                  epsilon=eps)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    t1: float
-    t2: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def almost_monotone_check(trace: RTrace, pairs=None, n_grid: int = 32,
-                          rel_tol: float = 1e-9):
+def almost_monotone_check(trace: RTrace, n_grid: int = 32) -> np.recarray:
     """Check R(t2) - R(t1) <= (sum of quotient variations) * sup R over
-    [t1, t2] for pairs along an envelope trace (see `r_trace`).
+    [t1, t2] for every pair t1 < t2 of about `n_grid` geometric points of
+    an envelope trace (see `r_trace`), each snapped to the grid point at or
+    above it.  Returns one record (t1, t2, lhs, rhs, ok) per pair, in the
+    order (t1, t2) of its grid indices; a pair holds within 1e-9 max |R|.
 
     For M == 0 channels the single-quotient variant with the factor
     2 (1 + eps)/(1 - eps) is used.  A false verdict is a finding, not an
     error.
     """
-    grid = trace.grid
-    if pairs is None:
-        pts = np.geomspace(grid[0], grid[-1], n_grid)
-        idx = sorted(set(int(i) for i in np.searchsorted(grid, pts)))
-        idx = [min(i, len(grid) - 1) for i in idx]
-    else:
-        idx = sorted(set(int(np.argmin(np.abs(grid - t))) for t in pairs))
+    grid, R = trace.grid, trace.R
+    pts = np.geomspace(grid[0], grid[-1], n_grid)
+    idx = np.unique(np.minimum(np.searchsorted(grid, pts), len(grid) - 1))
     if trace.form == M_ZERO:
         eps = trace.epsilon
         factor = 2.0 * (1.0 + eps) / (1.0 - eps) if eps < 1.0 else math.inf
     else:
         factor = 1.0
-    # running maximum of R for sup over [t1, t2] via prefix maxima per pair
-    results = []
-    R = trace.R
-    tol_scale = rel_tol * float(np.max(np.abs(R)))
-    for a_pos, i in enumerate(idx):
-        for j in idx[a_pos + 1:]:
-            var_sum = sum(float(cv[j] - cv[i])
-                          for cv in trace.quotient_cumvar.values())
-            sup_R = float(np.max(R[i:j + 1]))
-            lhs = float(R[j] - R[i])
-            rhs = factor * var_sum * sup_R
-            results.append(PairVerdict(t1=float(grid[i]), t2=float(grid[j]),
-                                       lhs=lhs, rhs=rhs,
-                                       ok=bool(lhs <= rhs + tol_scale)))
-    return results
+    n = len(idx)
+    a, b = np.triu_indices(n, 1)
+    i, j = idx[a], idx[b]
+    # sup R over [grid[i], grid[j]]: the running maximum of the maxima of
+    # the blocks R[idx[c]:idx[c + 1]] from c = a to b - 1, then R[j]
+    blocks = np.where(np.arange(n) >= np.arange(n)[:, None],
+                      np.maximum.reduceat(R, idx), -np.inf)
+    sup_R = np.maximum(np.maximum.accumulate(blocks, axis=1)[a, b - 1], R[j])
+    lhs = R[j] - R[i]
+    rhs = factor * (trace.cumvar[j] - trace.cumvar[i]) * sup_R
+    ok = lhs <= rhs + 1e-9 * float(np.max(np.abs(R)))
+    return np.rec.fromarrays([grid[i], grid[j], lhs, rhs, ok],
+                             names="t1,t2,lhs,rhs,ok")
 
 
 @dataclass(frozen=True)
@@ -219,10 +205,11 @@ def auto_start_radius(channel, margin: float = 0.05, lo: float = 0.5,
     return float(rs[first])
 
 
-def comparability_constant(ta: Trajectory,
-                           tb: Trajectory) -> BoundednessCertificate:
+def comparability_constant(ta: Trajectory, tb: Trajectory,
+                           trace: RTrace) -> BoundednessCertificate:
     """Certify |y(r0)|^2 / C <= |y(r)|^2 <= C |y(r0)|^2 on the grid of a
-    solved fundamental pair (ta, tb).
+    solved fundamental pair (ta, tb); `sup_R` is read off `trace`, the
+    envelope trace `r_trace(ta)`.
 
     Every solution is y(r) = P(r) y(r0) with the propagator
     P(r) = Phi(r) Phi(r0)^-1 = [[a, b], [c, d]], Phi = [ta | tb].  The
@@ -249,7 +236,7 @@ def comparability_constant(ta: Trajectory,
     w = wronskian(ta, tb)
     D = w / w[0]
     C = float(np.max(np.maximum(smax_sq, smax_sq / D ** 2)))
-    sup_R = float(np.max(r_trace(ta).R))
+    sup_R = float(np.max(trace.R))
     return BoundednessCertificate(r0=float(ta.grid[0]), r_end=float(ta.grid[-1]),
                                   sup_R=sup_R, C=C)
 
@@ -259,15 +246,23 @@ def certify(channel, solver: SolveConfig,
     """The boundedness certificate of one channel, as `boundedness` and
     `scan` give it: the fundamental pair is solved with the window end,
     stride and step cap of `solver` from `auto_start_radius`, with rtol
-    floored at 1e-10, then `comparability_constant` certifies it.  A channel
-    whose `reports` mark the envelope conditions C2/C3 violated is refused
-    before anything is solved.  Returns the pair's first trajectory, for the
-    envelope trace, and the certificate."""
+    floored at 1e-10, then `comparability_constant` certifies it with the
+    envelope trace of the pair's first trajectory.  A channel whose
+    `reports` mark the envelope conditions C2/C3 violated, or whose start
+    radius is not below the window end, is refused before anything is
+    solved.  Returns the envelope trace and the certificate."""
     for rep in reports or ():
         if rep.condition_id.startswith(("C2", "C3")) and rep.verdict == VIOLATED:
             raise PreconditionError(
                 f"certificate refused: {rep.condition_id} reported violated")
-    cfg = replace(solver, r_start=auto_start_radius(channel),
-                  rtol=max(solver.rtol, 1e-10))
-    ta, tb = integrate_fundamental(channel, cfg)
-    return ta, comparability_constant(ta, tb)
+    r0 = auto_start_radius(channel)
+    if r0 >= solver.r_end:
+        raise PreconditionError(f"certificate refused: start radius "
+                                f"r0 = {r0:g} is not below r_end = "
+                                f"{solver.r_end:g}")
+    ta, tb = integrate_fundamental(
+        channel, replace(solver, r_start=r0, rtol=max(solver.rtol, 1e-10)))
+    if not ta.ok:
+        raise PreconditionError(f"fundamental solve failed: {ta.message}")
+    trace = r_trace(ta)
+    return trace, comparability_constant(ta, tb, trace)

@@ -37,7 +37,7 @@ from .asymptotics import (
     defect_convergence,
     wkb_reference,
 )
-from .boundedness import almost_monotone_check, certify, r_trace
+from .boundedness import almost_monotone_check, certify
 from .bvcalc import (
     SampledFunction,
     WindowLadder,
@@ -385,13 +385,13 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         doc = {"kind": "boundedness", "channel": channel.label(),
                "conditions": [r.to_dict() for r in creps]}
         try:
-            ta, cert = certify(channel, cfg.solve_config(), creps)
-            trace = r_trace(ta)
+            trace, cert = certify(channel, cfg.solve_config(), creps)
             trace.to_csv(out / f"rtrace_{name}.csv")
             verdicts = almost_monotone_check(trace)
             doc["almost_monotone"] = {
                 "pairs": len(verdicts),
-                "failures": [v.__dict__ for v in verdicts if not v.ok]}
+                "failures": [{f: v[f].item() for f in verdicts.dtype.names}
+                             for v in verdicts[~verdicts.ok]]}
             doc["certificate"] = cert.to_dict()
             findings = findings or bool(doc["almost_monotone"]["failures"])
             print(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
@@ -602,44 +602,45 @@ def cmd_plotdata(inputs, out: Path) -> int:
                 else None
         if kind not in _PLOT_KINDS:
             raise ConfigError(f"{path}: unknown artifact kind {kind!r}")
+        if path.suffix == ".json":
+            try:
+                rows = _json_rows(kind, doc)
+            except ConfigError:
+                raise
+            except (KeyError, TypeError, ValueError) as err:
+                raise ConfigError(f"{path}: malformed {kind} document: "
+                                  f"{type(err).__name__}: {err}") from None
+        else:
+            rows = _csv_rows(path)
         target = out / (path.stem + ".dat")
         target.parent.mkdir(parents=True, exist_ok=True)
-        if path.suffix == ".json":
-            _json_to_dat(kind, doc, target)
-        else:
-            _csv_to_dat(path, target)
+        target.write_text("".join(row + "\n" for row in rows))
         print(f"wrote {target}")
     return EXIT_OK
 
 
-def _csv_to_dat(path: Path, target: Path):
+def _csv_rows(path: Path) -> list:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header_idx = 1 if lines[0].startswith("#") else 0
-    cols = lines[header_idx].split(",")
-    with open(target, "w") as fh:
-        fh.write("# " + " ".join(cols) + "\n")
-        for ln in lines[header_idx + 1:]:
-            fh.write(" ".join(ln.split(",")) + "\n")
+    _require(len(lines) > header_idx, f"{path}: no header row")
+    return ["# " + " ".join(lines[header_idx].split(","))] + \
+        [" ".join(ln.split(",")) for ln in lines[header_idx + 1:]]
 
 
-def _json_to_dat(kind: str, doc: dict, target: Path):
-    with open(target, "w") as fh:
-        if kind == "subordinacy":
-            fh.write("# r ratio\n")
-            for r, v in doc["ratio_tail"]:
-                fh.write(f"{_fmt(r)} {_fmt(v)}\n")
-        elif kind == "census":
-            fh.write("# n J_length K_length\n")
-            for n, J, K in zip(doc["ns"], doc["J_lengths"], doc["K_lengths"]):
-                fh.write(f"{n} {_fmt(J)} {_fmt(K)}\n")
-        elif kind == "scan":
-            fh.write("# k lambda classification\n")
-            for cell in doc["cells"]:
-                fh.write(f"{cell['k']} {_fmt(cell['lambda'])} "
-                         f"{cell['classification']}\n")
-        else:
-            raise ConfigError(f"no plot-data emitter for kind {kind!r}")
+def _json_rows(kind: str, doc: dict) -> list:
+    if kind == "subordinacy":
+        return ["# r ratio"] + [f"{_fmt(r)} {_fmt(v)}"
+                                for r, v in doc["ratio_tail"]]
+    if kind == "census":
+        return ["# n J_length K_length"] + [
+            f"{n} {_fmt(J)} {_fmt(K)}"
+            for n, J, K in zip(doc["ns"], doc["J_lengths"], doc["K_lengths"])]
+    if kind == "scan":
+        return ["# k lambda classification"] + [
+            f"{cell['k']} {_fmt(cell['lambda'])} {cell['classification']}"
+            for cell in doc["cells"]]
+    raise ConfigError(f"no plot-data emitter for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

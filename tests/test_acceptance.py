@@ -147,9 +147,10 @@ def test_criterion_4_dominant_potential_desk_scale():
             r0 = max(2.0, auto_start_radius(channel))
             cfg = SolveConfig(r_start=r0, r_end=200.0, rtol=1e-6, atol=1e-9)
             ta, tb = integrate_fundamental(channel, cfg)
-            verdicts = almost_monotone_check(r_trace(ta), n_grid=32)
+            trace = r_trace(ta)
+            verdicts = almost_monotone_check(trace, n_grid=32)
             monotone_ok &= all(v.ok for v in verdicts)
-            cert = comparability_constant(ta, tb)
+            cert = comparability_constant(ta, tb, trace)
             # no initial direction (721 of the half circle) exceeds C
             worst = 0.0
             for phi in np.linspace(0.0, np.pi, 721):

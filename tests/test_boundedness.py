@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,25 +130,95 @@ class TestAlmostMonotone:
         assert all(v.ok for v in verdicts)
 
 
+def reference_pairs(trace, n_grid=32, rel_tol=1e-9):
+    """The almost-monotone check pair by pair: (t1, t2, lhs, rhs, ok) for
+    every pair of the snapped geometric points."""
+    grid, R = trace.grid, trace.R
+    pts = np.geomspace(grid[0], grid[-1], n_grid)
+    idx = sorted(set(int(i) for i in np.searchsorted(grid, pts)))
+    idx = [min(i, len(grid) - 1) for i in idx]
+    eps = trace.epsilon
+    factor = 2.0 * (1.0 + eps) / (1.0 - eps) if trace.form == "M_zero" else 1.0
+    tol_scale = rel_tol * float(np.max(np.abs(R)))
+    rows = []
+    for a_pos, i in enumerate(idx):
+        for j in idx[a_pos + 1:]:
+            var_sum = float(trace.cumvar[j] - trace.cumvar[i])
+            sup_R = float(np.max(R[i:j + 1]))
+            lhs = float(R[j] - R[i])
+            rhs = factor * var_sum * sup_R
+            rows.append((float(grid[i]), float(grid[j]), lhs, rhs,
+                         lhs <= rhs + tol_scale))
+    return rows
+
+
+def raised(trace):
+    # R lifted by a tenth of its maximum at the last grid point, which every
+    # pair set contains: pairs ending there whose quotient variation is
+    # small grow by more than the bound allows; and by a fifth just past
+    # the middle of the grid, between two pair points, where only the sup
+    # of the pairs around it sees it
+    R = trace.R.copy()
+    R[-1] += 0.1 * np.max(R)
+    R[len(R) // 2 + 1] += 0.2 * np.max(R)
+    return replace(trace, R=R)
+
+
+class TestAlmostMonotoneReference:
+    """The array reduction reproduces the pair-by-pair check exactly."""
+
+    @pytest.mark.parametrize("channel,r0,r1,n_grid,alter", [
+        (LINEAR, 2.0, 120.0, 32, None),
+        (CONST, 1.0, 41.0, 32, None),
+        (ConstantChannel(5.0, 0.0, 1.0), 1.0, 30.0, 32, None),
+        (LINEAR, 2.0, 2.3, 32, None),
+        (LINEAR, 2.0, 120.0, 32, raised),
+        (ConstantChannel(5.0, 0.0, 1.0), 1.0, 30.0, 9, raised),
+    ], ids=["linear", "constant-L0", "M0", "short-grid", "raised-R",
+            "raised-R-M0"])
+    def test_matches_pair_loop(self, channel, r0, r1, n_grid, alter):
+        trace = r_trace(pair(channel, r0, r1)[0])
+        if alter is not None:
+            trace = alter(trace)
+        got = almost_monotone_check(trace, n_grid=n_grid)
+        want = reference_pairs(trace, n_grid=n_grid)
+        assert len(got) == len(want) > 0
+        for name, column in zip(("t1", "t2", "lhs", "rhs", "ok"),
+                                zip(*want)):
+            np.testing.assert_array_equal(got[name], column, err_msg=name)
+        if alter is not None:
+            assert 0 < np.count_nonzero(~got.ok) < len(got)
+        if len(trace.grid) < n_grid:
+            assert len(got) < n_grid * (n_grid - 1) // 2
+
+    def test_cumvar_sums_the_quotient_variations(self):
+        traj = pair(LINEAR, 2.0, 60.0)[0]
+        Q, M, L, W = LINEAR.coeffs(traj.grid)
+        want = sum(np.sum(np.abs(np.diff(q)))
+                   for q in (W / (Q - W), M / (Q - W), L / (Q - W)))
+        assert r_trace(traj).cumvar[-1] == pytest.approx(want, rel=1e-12)
+
+
 class TestComparability:
     def test_constant_channel_exact_ratio(self):
         # envelope R = 3 u1^2 + u2^2 is conserved, so norms range over
         # [R/3, R] and the extreme ratio is exactly 3; it is reached where
         # sqrt(3) (r - 1) is an odd multiple of pi/2, as at the range's end
         r_end = 1.0 + 111 * np.pi / (2.0 * np.sqrt(3.0))
-        cert = comparability_constant(*pair(CONST, 1.0, r_end))
+        ta, tb = pair(CONST, 1.0, r_end)
+        cert = comparability_constant(ta, tb, r_trace(ta))
         assert cert.C == pytest.approx(3.0, rel=1e-8)
         assert cert.to_dict()["verdict"] == "bounded"
 
     def test_free_channel_is_isometric(self):
-        cert = comparability_constant(*pair(FREE, 1.0, 51.0, rtol=1e-12,
-                                            atol=1e-14))
+        ta, tb = pair(FREE, 1.0, 51.0, rtol=1e-12, atol=1e-14)
+        cert = comparability_constant(ta, tb, r_trace(ta))
         assert cert.C == pytest.approx(1.0, rel=1e-10)
 
     def test_linear_channel_certificate(self):
         r0 = auto_start_radius(LINEAR)
         ta, tb = pair(LINEAR, r0, 200.0)
-        cert = comparability_constant(ta, tb)
+        cert = comparability_constant(ta, tb, r_trace(ta))
         assert np.isfinite(cert.C) and cert.C >= 1.0
         assert np.max(direction_ratios(ta, tb)) <= cert.C * (1 + 1e-9)
 
@@ -154,11 +226,11 @@ class TestComparability:
         # q = r, m = 1, k = 1, lambda = 0: no initial direction exceeds C,
         # and the sweep's worst direction reaches it
         ta, tb = pair(LINEAR, auto_start_radius(LINEAR), 22.0)
-        cert = comparability_constant(ta, tb)
+        cert = comparability_constant(ta, tb, r_trace(ta))
         worst = float(np.max(direction_ratios(ta, tb)))
         assert worst <= cert.C * (1 + 1e-9)
         assert worst >= cert.C * (1 - 1e-6)
-        assert comparability_constant(ta, tb).C == cert.C
+        assert comparability_constant(ta, tb, r_trace(ta)).C == cert.C
 
     def test_refused_on_violated_reports(self):
         from diracspec.coefficients import coefficient

@@ -494,10 +494,20 @@ class TestOtherCommands:
             solved.append(channel.label())
             return solve(channel, cfg)
 
+        traced = []
+        trace = boundedness.r_trace
+
+        def counting_trace(traj):
+            traced.append(traj.channel.label())
+            return trace(traj)
+
         monkeypatch.setattr(boundedness, "integrate_fundamental", counting)
+        monkeypatch.setattr(boundedness, "r_trace", counting_trace)
         assert run(["boundedness", "--config",
                     fixture_path("modulated_quarter"), "--out", tmp_path]) == 0
         assert solved == ["k=1,lambda=0"]
+        # one envelope trace per certified cell, none for the refused one
+        assert traced == ["k=1,lambda=0"]
         refusal = "certificate refused: C3 reported violated"
         assert f"k=1,lambda=1: refused ({refusal})" in capsys.readouterr().out
         doc = json.loads((tmp_path / "boundedness_k=1_lambda=1.json")
@@ -507,6 +517,32 @@ class TestOtherCommands:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "boundedness_k=1_lambda=0.json", "boundedness_k=1_lambda=1.json",
             "rtrace_k=1_lambda=0.csv"]
+
+    def test_start_radius_past_window_end_refused(self, tmp_path, capsys):
+        # q = r, m = 1, k = 1: the automatic start radius is 1.33 at
+        # lambda = 0 and 0.76 at lambda = -1, so with r_end = 1.2 the first
+        # cell is refused and the next one is still certified
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                      "lambda_grid": [0.0, -1.0],
+                                      "solver": {"r_end": 1.2}})
+        refusal = ("certificate refused: start radius r0 = 1.33363 is not "
+                   "below r_end = 1.2")
+        assert run(["boundedness", "--config", cfg, "--out",
+                    tmp_path / "b", "--assert"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"k=1,lambda=0: refused ({refusal})",
+            "k=1,lambda=-1: C=3.01607 sup_R=27.1586 verdict=bounded"]
+        doc = json.loads((tmp_path / "b" / "boundedness_k=1_lambda=0.json")
+                         .read_text())
+        assert doc["refused"] == refusal
+        doc = json.loads((tmp_path / "b" / "boundedness_k=1_lambda=-1.json")
+                         .read_text())
+        assert doc["certificate"]["verdict"] == "bounded"
+        assert run(["scan", "--config", cfg, "--out", tmp_path / "s"]) == 0
+        cells = json.loads((tmp_path / "s" / "scan.json").read_text())["cells"]
+        assert [(c["lambda"], c["classification"]) for c in cells] == \
+            [(-1.0, "ac-candidate"), (0.0, "error")]
+        assert cells[1]["error"] == f"PreconditionError: {refusal}"
 
     @pytest.mark.parametrize("command,solver", [
         ("boundedness", {"max_step": 0.0}),
@@ -632,7 +668,10 @@ class TestPlotData:
              "--out", tmp_path / "o"])
         target = tmp_path / "o" / "cells" / "cell_k=1_lambda=-1.json"
         assert run(["plotdata", target, tmp_path / "o" / "scan.csv",
-                    "--out", tmp_path / "p1"]) == 2 or True
+                    "--out", tmp_path / "p1"]) == 2
+        assert run(["plotdata", tmp_path / "o" / "scan.csv",
+                    "--out", tmp_path / "p1"]) == 0
+        assert (tmp_path / "p1" / "scan.dat").read_text().startswith("# k\\")
         # per-cell files carry no plot kind; use the report artifacts instead
         sub_out = tmp_path / "sub"
         run(["subordinacy", "--config", fixture_path("borderline_linear"),
@@ -650,6 +689,19 @@ class TestPlotData:
         bogus = tmp_path / "thing.json"
         bogus.write_text(json.dumps({"kind": "mystery"}))
         assert run(["plotdata", bogus, "--out", tmp_path / "p"]) == 2
+
+    @pytest.mark.parametrize("name,text", [
+        ("rtrace_x.csv", "# kind=rtrace\n"),
+        ("scan.json", json.dumps({"kind": "scan"})),
+        ("census.json", json.dumps({"kind": "census", "ns": [1],
+                                    "J_lengths": [2.0]})),
+    ], ids=["csv-no-header", "scan-no-cells", "census-no-K"])
+    def test_truncated_artifact_exits_two(self, tmp_path, capsys, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert run(["plotdata", bad, "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: ")
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_malformed_json_exits_two(self, tmp_path, capsys, text):

@@ -6,8 +6,8 @@ commands; unknown keys are rejected so that runs stay auditable.  Outputs
 are deterministic given config and seed: repeated runs produce byte-equal
 files.
 
-Flags: `--workers` sizes the pool of `scan` (one process per k chunk at
-most); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
+Flags: `--workers` sizes the pool of `scan` (one process per |k| chunk
+at most); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
 sets `solver.rtol`, read by `solve`, `boundedness` and the dominant cells
 of `scan` (the last two floor it at 1e-10); no other command reads them.
 
@@ -454,19 +454,21 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
     ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
     doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid, **ladders)
-    payloads = [{"model": cfg.model.to_dict(), "k_set": [k],
+    # one chunk per |k|: its C checks reduce k and -k once
+    payloads = [{"model": cfg.model.to_dict(),
+                 "k_set": [k for k in cfg.k_set if abs(k) == size],
                  "lambda_grid": cfg.lambda_grid,
                  "equal": doc["equal_coefficients"],
                  "heuristic": doc["heuristic"],
                  "solver": cfg.solve_config(),
                  "subordinacy": cfg.subordinacy, **ladders}
-                for k in sorted(set(cfg.k_set))]
-    if cfg.workers > 1:
+                for size in sorted({abs(k) for k in cfg.k_set})]
+    workers = min(cfg.workers, len(payloads))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers up front: one per k chunk at most
-        with ProcessPoolExecutor(
-                max_workers=min(cfg.workers, len(payloads))) as pool:
+        # the pool forks all its workers up front: one per chunk at most
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, payloads))
     else:
         results = [_scan_chunk(p) for p in payloads]

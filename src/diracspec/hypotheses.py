@@ -522,10 +522,12 @@ class _ChannelGrid:
             self.lams = list(dict.fromkeys(float(lam) for lam in lambda_grid))
         else:
             self.ks, self.lams = [None], [None]
+        # the k reduced for each k: itself, or |k| once `_CChecks` mirrors
+        self.read = {k: k for k in self.ks}
 
     def cells(self, r, sample):
-        """Yield (cell, Q, M, L, W, scratch) for each cell of one window
-        sample in grid order.
+        """Yield (cell, Q, M, L, W, scratch) for each cell reduced on one
+        window sample, in grid order.
 
         L and W are derived once per k and Q once per cell, into work arrays
         of the window (`_Scratch`) that each cell then reduces into; every
@@ -534,7 +536,7 @@ class _ChannelGrid:
         """
         s = _Scratch(r.size)
         q, M = sample["q"], sample["m"]
-        for k in self.ks:
+        for k in dict.fromkeys(self.read.values()):
             if k is None:
                 L, W = sample["L"], sample["W"]
             else:
@@ -587,9 +589,10 @@ class _CChecks(_Check):
     """C1-C3 of every cell of a channel grid (see `check_c_conditions`).
 
     The C3 form of each cell is fixed up front, on a probe grid of the tail
-    ladder's span drawn with `sample`.  A tail window is read in one loop
-    over the cells: the gap floor min(Q - W) of each, and where that floor
-    is positive, its C3 quotients on the same window sample.
+    ladder's span drawn with `sample`, and the grid is mirrored when all are
+    general.  A tail window is read in one loop over the reduced cells: the
+    gap floor min(Q - W) of each, and where that floor is positive, its C3
+    quotients on the same window sample.
     """
 
     extreme_reads = tail_reads = ("q", "m")
@@ -606,6 +609,11 @@ class _CChecks(_Check):
                                 "l_zero" if np.all(L == 0.0) else "general"]
                 for cell, _, M, L, _, _ in grid.cells(
                     probe, sample(probe, self.tail_reads))}
+        if None not in grid.read and all(
+                form is _C3_FORMS["general"] for form in self.forms.values()):
+            grid.read = {k: abs(k) for k in grid.ks}
+            self.forms = {(grid.read[k], lam): form
+                          for (k, lam), form in self.forms.items()}
 
     def extreme(self, r, s):
         self.extremes.append({
@@ -623,7 +631,7 @@ class _CChecks(_Check):
         self.rungs.append(rungs)
 
     def reports(self, ew, tw):
-        """{cell: [C1, C2, C3 or C3']} in grid order."""
+        """{cell: [C1, C2, C3 or C3']} in grid order (-k shares |k|'s)."""
         reports = {}
         for cell, (cid, names, _) in self.forms.items():
             q_min, q_max, ratio_max = _rows(window[cell]
@@ -656,7 +664,8 @@ class _CChecks(_Check):
             reports[cell].append(HypothesisReport(
                 cid, _worst(verdicts), evidence,
                 _listify([tw[i] for i in use]), note="; ".join(notes)))
-        return reports
+        return {(k, lam): reports[self.grid.read[k], lam]
+                for k in self.grid.ks for lam in self.grid.lams}
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +741,11 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     min(Q - W) of every cell and, where it is positive, the C3 quotients
     are read on the same window grid; C3 then needs a positive floor on
     two or more windows, the last among them.
+
+    With m not identically 0 no C condition sees the sign of k (-k/r is the
+    exact negation of k/r), so each (|k|, lambda) is reduced once and the
+    cells of k and -k share its reports, bit for bit those of their own
+    channels; C3' on L/(Q - L) (m == 0) does see it and reduces every k.
     """
     model = isinstance(source, CoefficientModel)
     sample = _model_sampler(source) if model else _channel_sampler(source)

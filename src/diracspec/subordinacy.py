@@ -573,15 +573,18 @@ def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
 
 def _dominant_cell(model, k, lam, solver, reports):
     """One dominant-potential cell, given its channel condition reports: an
-    ac-candidate with its certificate when every report is satisfied,
-    inconclusive and unsolved otherwise."""
+    ac-candidate with its certificate when every report is satisfied and
+    `certify` grants it, inconclusive (with any refusal) otherwise."""
     cell = {"path": "boundedness", "classification": "inconclusive",
             "channel_conditions": [r.to_dict() for r in reports]}
-    if worst_verdict(reports) == SATISFIED:
+    if worst_verdict(reports) != SATISFIED:
+        return cell
+    try:
         _, cert = certify(assemble_channel(model, k, lam), solver, reports)
-        cell.update(classification="ac-candidate",
-                    certificate=cert.to_dict())
-    return cell
+    except PreconditionError as err:
+        return {**cell, "refused": str(err)}
+    return {**cell, "classification": "ac-candidate",
+            "certificate": cert.to_dict()}
 
 
 def borderline_cell(model: CoefficientModel, k: int, lam: float,

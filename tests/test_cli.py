@@ -312,16 +312,34 @@ class TestScanCommand:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlineExecutor)
+        # one chunk per |k|: a single chunk runs in this process
+        for i, (k_set, pools) in enumerate((([1, -1, 1], []),
+                                            ([1, -1, 2], [2]))):
+            sizes.clear()
+            out = tmp_path / str(i)
+            cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                          "k_set": k_set,
+                                          "lambda_grid": [-1.0],
+                                          "subordinacy": {"r_end": 20.0}})
+            run(["scan", "--config", cfg, "--out", out / "seq"])
+            assert run(["scan", "--config", cfg, "--out", out / "par",
+                        "--workers", 5000]) == 0
+            assert sizes == pools
+            assert (out / "seq" / "scan.json").read_bytes() == \
+                (out / "par" / "scan.json").read_bytes()
+
+    def test_worker_pool_over_abs_k_chunks_matches_sequential(self, tmp_path):
+        # k = 1 and -1 share a chunk, k = 2 has its own: two worker processes
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
-                                      "k_set": [1, -1, 1],
-                                      "lambda_grid": [-1.0],
-                                      "subordinacy": {"r_end": 20.0}})
+                                      "k_set": [1, -1, 2],
+                                      "lambda_grid": [-1.0, 0.5],
+                                      "solver": {"r_end": 20.0}})
         run(["scan", "--config", cfg, "--out", tmp_path / "seq"])
         assert run(["scan", "--config", cfg, "--out", tmp_path / "par",
-                    "--workers", 5000]) == 0
-        assert sizes == [2]
-        assert (tmp_path / "seq" / "scan.json").read_bytes() == \
-            (tmp_path / "par" / "scan.json").read_bytes()
+                    "--workers", 2]) == 0
+        for rel in ("scan.csv", "scan.json"):
+            assert (tmp_path / "seq" / rel).read_bytes() == \
+                (tmp_path / "par" / rel).read_bytes()
 
     def test_config_ladders_reach_every_check(self, tmp_path):
         # the A reports of scan equal those of hypotheses, and each cell's C
@@ -538,11 +556,15 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "b" / "boundedness_k=1_lambda=-1.json")
                          .read_text())
         assert doc["certificate"]["verdict"] == "bounded"
+        # scan records the same refusal, not a program fault
         assert run(["scan", "--config", cfg, "--out", tmp_path / "s"]) == 0
-        cells = json.loads((tmp_path / "s" / "scan.json").read_text())["cells"]
+        doc = json.loads((tmp_path / "s" / "scan.json").read_text())
+        cells = doc["cells"]
         assert [(c["lambda"], c["classification"]) for c in cells] == \
-            [(-1.0, "ac-candidate"), (0.0, "error")]
-        assert cells[1]["error"] == f"PreconditionError: {refusal}"
+            [(-1.0, "ac-candidate"), (0.0, "inconclusive")]
+        assert cells[1]["refused"] == refusal
+        assert "error" not in cells[1] and "traceback" not in cells[1]
+        assert doc["summary"]["n_errors"] == 0
 
     @pytest.mark.parametrize("command,solver", [
         ("boundedness", {"max_step": 0.0}),

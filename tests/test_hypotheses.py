@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from diracspec import hypotheses
 from diracspec.bvcalc import (
     EXTREME_LADDER,
     TAIL_LADDER,
@@ -45,6 +46,12 @@ EQUAL_LINEAR = CoefficientModel(q=power(1, 1), m=power(1, 1))
 EQUAL_SQUARE = CoefficientModel(q=power(1, 2), m=power(1, 2))
 EQUAL_EXP = CoefficientModel(q=coefficient("exp", c=1, a=1),
                              m=coefficient("exp", c=1, a=1))
+
+
+def _tabulated_without_derivative():
+    grid = np.geomspace(0.5, 30_000.0, 60)
+    return coefficient("tabulated", grid=list(grid), values=list(grid ** 1.1),
+                       derivative="none")
 
 
 def by_id(reports):
@@ -338,6 +345,60 @@ class TestCConditions:
                 c3.evidence["l_over_q_minus_l_rung_variations"], expect,
                 rtol=1e-9, atol=0.0), (k, lam)
 
+    MIRRORED = {
+        "power": LINEAR,
+        "modulated": MODULATED,
+        "sum": CoefficientModel(
+            q=coefficient("sum", terms=[power(1, 1), power(0.5, 0.5)]),
+            m=coefficient("sum", terms=[constant(0.5),
+                                        coefficient("modulated", a=1, b=0.5,
+                                                    omega=1, c=1, p=0)])),
+        "tabulated": CoefficientModel(q=_tabulated_without_derivative(),
+                                      m=constant(1)),
+    }
+
+    @pytest.mark.parametrize("name", list(MIRRORED))
+    @pytest.mark.parametrize("ks", [[1, -1, -2, 2], [-1, -3], [2, -2, 2, -1]])
+    def test_mirrored_grid_matches_each_channel(self, name, ks):
+        # with m not identically 0 a grid reduces each (|k|, lambda) once;
+        # every cell still equals the one-cell check of its own channel,
+        # which reduces k itself
+        model = self.MIRRORED[name]
+        lams = [-1.0, 2.0]
+        grid = check_c_conditions(model, ks, lams)
+        assert list(grid) == [(k, lam) for k in dict.fromkeys(ks)
+                              for lam in lams]
+        for (k, lam), reports in grid.items():
+            own = check_c_conditions(assemble_channel(model, k, lam))
+            assert [r.to_dict() for r in reports] == \
+                [r.to_dict() for r in own], (k, lam)
+
+    @pytest.mark.parametrize("m, reduced", [(constant(1), [1, 2]),
+                                            (constant(0), [1, -1, 2, -2])])
+    def test_general_form_reduces_each_abs_k_once(self, monkeypatch, m,
+                                                  reduced):
+        # one C3 reduction per (|k|, lambda) and tail window in the general
+        # form; C3' on L/(Q - L) reads the sign of k, so m == 0 reduces
+        # every (k, lambda)
+        ks, lams = [1, -1, 2, -2], [-1.0, 0.0, 0.5]
+        seen = []
+        for form, (cid, names, reduce) in list(hypotheses._C3_FORMS.items()):
+            def counting(Q, M, L, W, s, reduce=reduce):
+                # q = r on a uniform window grid: k = L r, and r[0] is the
+                # step Q[1] - Q[0] over L[0]/L[1] - 1
+                seen.append(round(float(L[0] * L[1] * (Q[1] - Q[0])
+                                        / (L[0] - L[1]))))
+                return reduce(Q, M, L, W, s)
+            monkeypatch.setitem(hypotheses._C3_FORMS, form,
+                                (cid, names, counting))
+        grid = check_c_conditions(CoefficientModel(q=power(1, 1), m=m),
+                                  ks, lams)
+        for reports in grid.values():
+            assert reports[-1].verdict == SATISFIED
+            assert len(reports[-1].windows) == 3
+        assert seen == [k for _ in range(3) for k in reduced
+                        for _ in lams]
+
     @staticmethod
     def dipping_channel():
         # Q - W dips below zero at one node of the [2500, 25000] window's
@@ -458,12 +519,6 @@ class TestGammaDiagnostics:
     def test_rejects_gamma_nonpositive(self):
         with pytest.raises(ValueError):
             gamma_diagnostics(EQUAL_LINEAR, 1e9)
-
-
-def _tabulated_without_derivative():
-    grid = np.geomspace(0.5, 30_000.0, 60)
-    return coefficient("tabulated", grid=list(grid), values=list(grid ** 1.1),
-                       derivative="none")
 
 
 class TestOnePass:

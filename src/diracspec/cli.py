@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -293,12 +294,21 @@ def _cell_name(k, lam):
     return f"k={k}_lambda={lam:g}"
 
 
+def _say(line):
+    """Print a report line.  Once a reader closes stdout (`| head`), the
+    rest goes to the null device and the command writes every artifact."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_table(title, reports):
-    print(title)
+    _say(title)
     for rep in reports:
         aux = " (aux)" if rep.auxiliary else ""
         note = f"  [{rep.note}]" if rep.note else ""
-        print(f"  {rep.condition_id:<18} {rep.verdict:<13}{aux}{note}")
+        _say(f"  {rep.condition_id:<18} {rep.verdict:<13}{aux}{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +373,8 @@ def cmd_solve(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         name = "const" if k is None else _cell_name(k, lam)
         traj.to_csv(out / f"trajectory_{name}.csv")
         stop = "" if traj.ok else f" last_r={traj.grid[-1]:.10g}"
-        print(f"solved {channel.label()}: mode={traj.mode} "
-              f"status={traj.status} points={len(traj.grid)}{stop}")
+        _say(f"solved {channel.label()}: mode={traj.mode} "
+             f"status={traj.status} points={len(traj.grid)}{stop}")
         failed = failed or traj.status != 0
     return EXIT_FINDINGS if (assert_mode and failed) else EXIT_OK
 
@@ -394,12 +404,12 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                              for v in verdicts[~verdicts.ok]]}
             doc["certificate"] = cert.to_dict()
             findings = findings or bool(doc["almost_monotone"]["failures"])
-            print(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
-                  "verdict=bounded")
+            _say(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
+                 "verdict=bounded")
         except PreconditionError as err:
             doc["refused"] = str(err)
             findings = True
-            print(f"{channel.label()}: refused ({err})")
+            _say(f"{channel.label()}: refused ({err})")
         _write_json(out / f"boundedness_{name}.json", doc)
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
@@ -420,8 +430,8 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             findings = findings or cell["classification"] != claim
             rep = cell["report"]
             _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", rep)
-            print(f"k={k} lambda={lam:g}: {rep['classification']} "
-                  f"(liminf ~ {rep['liminf_estimate']:.4g})")
+            _say(f"k={k} lambda={lam:g}: {rep['classification']} "
+                 f"(liminf ~ {rep['liminf_estimate']:.4g})")
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
 
@@ -437,8 +447,8 @@ def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                            tol_lambda=cfg.eigen["tol"],
                            scan_step=cfg.eigen["scan_step"])
         doc["by_k"][str(k)] = eigs
-        print(f"k={k}: {len(eigs)} eigenvalue(s) in {cfg.bracket}: "
-              + ", ".join(f"{e:.8f}" for e in eigs))
+        _say(f"k={k}: {len(eigs)} eigenvalue(s) in {cfg.bracket}: "
+             + ", ".join(f"{e:.8f}" for e in eigs))
     _write_json(out / "eigenvalues.json", doc)
     return EXIT_OK
 
@@ -491,9 +501,9 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         _write_json(out / "cells" /
                     f"cell_{_cell_name(cell['k'], cell['lambda'])}.json", cell)
     _write_json(out / "scan.json", doc)
-    print(f"scan: {len(doc['cells'])} cells, "
-          f"{doc['summary']['n_errors']} errors; "
-          f"ac-candidate lambdas: {doc['summary']['ac_candidate_lambdas']}")
+    _say(f"scan: {len(doc['cells'])} cells, "
+         f"{doc['summary']['n_errors']} errors; "
+         f"ac-candidate lambdas: {doc['summary']['ac_candidate_lambdas']}")
     bad = any(c["classification"] in ("error", "inconclusive")
               for c in doc["cells"])
     return EXIT_FINDINGS if (assert_mode and bad) else EXIT_OK
@@ -547,10 +557,10 @@ def cmd_bv_verify(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                                         factor=cfg.tail_ladder.factor,
                                         rungs=cfg.tail_ladder.rungs)
         doc["trichotomy"] = probe.to_dict()
-        print(f"trichotomy pattern: {probe.pattern}")
+        _say(f"trichotomy pattern: {probe.pattern}")
     _write_json(out / "bv_report.json", doc)
     failures = len(product_fail) + len(quotient_fail) + len(jordan_fail)
-    print(f"bv-verify: {n} instances, {failures} failures")
+    _say(f"bv-verify: {n} instances, {failures} failures")
     return EXIT_FINDINGS if (assert_mode and failures) else EXIT_OK
 
 
@@ -579,9 +589,9 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]
             trend_ok = trend_ok and (len(resid) < 2 or resid[-1] <= resid[0])
-            print(f"k={k} lambda={lam:g}: residuals "
-                  + " ".join(f"{x:.3g}" for x in resid)
-                  + f"; defect orders { [round(o, 3) for o in conv['orders']] }")
+            _say(f"k={k} lambda={lam:g}: residuals "
+                 + " ".join(f"{x:.3g}" for x in resid)
+                 + f"; defect orders { [round(o, 3) for o in conv['orders']] }")
     return EXIT_FINDINGS if (assert_mode and not trend_ok) else EXIT_OK
 
 
@@ -617,7 +627,7 @@ def cmd_plotdata(inputs, out: Path) -> int:
         target = out / (path.stem + ".dat")
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("".join(row + "\n" for row in rows))
-        print(f"wrote {target}")
+        _say(f"wrote {target}")
     return EXIT_OK
 
 

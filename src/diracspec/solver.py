@@ -12,25 +12,21 @@ u = rho (cos theta, sin theta), where
     (ln rho)' = M sin(2 theta) - L cos(2 theta).
 
 The system u' = A u, with A = [[-L, M - Q], [Q + M, L]], is linear and
-traceless.  `integrate_fundamental`, `propagate` and `integrate_pruefer`
-step it with one propagator: a product of fourth-order Magnus steps
+traceless.  `integrate_cartesian` steps one state with adaptive DOP853.
+Every other solve is one record, `_Solve`, of fourth-order Magnus steps
 exp(Omega), each built in closed form from A at two Gauss nodes and one
 commutator (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 2009); every factor has determinant 1,
-so det Phi = 1 holds to rounding.  Because the system is linear, the
-step-doubling error estimate of a step does not depend on the state, and
-the steps are refined for all radii at once; `rtol` is that per-step
-tolerance.  `propagate` also takes a `ChannelBatch`, one model and k at
-many spectral parameters: each of its channels has its own range and
-direction, and every refinement round evaluates q and m once on the radii
-of all of them.  A lone channel is a batch of one, stepped by the same
-code.  `integrate_cartesian` still steps its one state with adaptive DOP853.
-
-Steps become products only in the log-depth scan `_running`.  The polar
-form, preferred on long ranges where Q dominates W = sqrt(M^2 + L^2), and
-`cumulative_norms` (Simpson's rule for int |u|^2 over each step) read their
-states off its running products of the same half steps.  Every phase
-integral is the composite Simpson rule `cumulative_integral`.
+Casas, Oteo & Ros, Phys. Rep. 470, 2009); each has determinant 1, so
+det Phi = 1 holds to rounding.  As the system is linear, the doubling
+error estimate of a step does not depend on the state, and the steps are
+refined for all radii at once; `rtol` is that per-step tolerance.  A
+`ChannelBatch` (one model and k at many spectral parameters, each channel
+with its own range and direction) has q and m evaluated once per round on
+the radii of all its channels.  One log-depth scan `_running` of the step
+products gives Phi at the nodes (`integrate_fundamental`, `propagate`);
+with each step's first half, the states that carry the polar form (for
+long ranges where Q dominates W = sqrt(M^2 + L^2)) and `cumulative_norms`.
+Every phase integral is the composite Simpson rule `cumulative_integral`.
 """
 
 from __future__ import annotations
@@ -195,20 +191,11 @@ def _mul(x, y):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _qml(channel):
-    """(Q, M, L) at radii r, of shape (m, S), whose columns belong to the
-    channels `owner` (S,) of a batch: a `ChannelBatch` evaluates q and m
-    once on all radii, any other channel is a batch of one read off its
-    `coeffs`."""
-    if isinstance(channel, ChannelBatch):
-        return channel.qml
-    return lambda r, owner: channel.coeffs(r)[:3]
-
-
 def _steps(qml, nodes, rtol, max_step=math.inf):
     """Fourth-order Magnus steps of a batch of channels: channel i starts at
     nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
-    its direction of travel; `qml` is the batch's `_qml`.
+    its direction of travel; `qml(r, owner)` gives (Q, M, L) at radii r, of
+    shape (m, S), whose columns belong to the channels `owner` (S,).
 
     The node intervals, cut into pieces no longer than `max_step`, are the
     first trial steps.  Each round evaluates the coefficients once on the
@@ -219,14 +206,9 @@ def _steps(qml, nodes, rtol, max_step=math.inf):
     A step that would shrink below `_MIN_STEP * |r|` ends its channel's
     solve at the node before it.  So does a non-finite step whose
     convergence length pi / max|A| is below that; other non-finite steps
-    are halved.  Returns, for the kept steps channel by channel in travel
-    order, their start radii t and node intervals seg (interval j of
-    channel i is i (n - 1) + j for n nodes a channel); their half steps H as
-    `_magnus_exp` rows whose columns run in that order, each step's two
-    halves side by side; then the number of radii evaluated and, per
-    channel, None or a message naming the radius where its solve ended.
+    are halved.  Returns (t, seg, X, nfev, failures) of `_Solve`, the rows
+    of X its P, half and turns.
     """
-    nodes = np.atleast_2d(nodes)
     n_int = nodes.shape[1] - 1
     h = np.diff(nodes, axis=1).ravel()
     pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
@@ -276,28 +258,21 @@ def _steps(qml, nodes, rtol, max_step=math.inf):
                     failures[owner[j]] = f"Magnus step failed at r = {t[j]:.10g}"
             keep = seg < n_seg[owner]
             done, split = ok & keep, ~ok & keep
-            kept.append((seg[done], t[done],
-                         np.stack([e[done] for e in E1 + E2])))
+            kept.append((seg[done], t[done], np.stack(
+                [x[done] for x in P + E1[:4] + (E1[4], E2[4])])))
             seg = np.repeat(seg[split], 2)
             t = np.stack((t[split], t[split] + half[split]), axis=1).ravel()
             h = np.repeat(half[split], 2)
             E = tuple(np.stack((e1[split], e2[split]), axis=1).ravel()
                       for e1, e2 in zip(E1[:4], E2[:4]))
 
-    seg, t, E = (np.concatenate(x, axis=-1) for x in zip(*kept))
+    seg, t, X = (np.concatenate(x, axis=-1) for x in zip(*kept))
     del kept
     owner = seg // n_int
     travel = np.sign(nodes[:, -1] - nodes[:, 0])
     order = np.lexsort((t * travel[owner], seg))
     order = order[seg[order] < n_seg[owner[order]]]
-    H = np.empty((5, 2 * order.size))
-    H[:, ::2], H[:, 1::2] = E[:5, order], E[5:, order]
-    return t[order], seg[order], H, nfev, failures
-
-
-def _ends(seg):
-    """Mask of the steps that end on a node: the last of their interval."""
-    return np.diff(seg, append=-1) != 0
+    return t[order], seg[order], X[:, order], nfev, failures
 
 
 def _running(X, first):
@@ -321,48 +296,73 @@ def _running(X, first):
     return R, e
 
 
-def _transfer(qml, nodes, rtol, max_step=math.inf):
-    """Transfer matrices Phi(r, nodes[i, 0]) at the nodes of each channel i
-    of a batch (see `_steps`): the running products of its steps, read at
-    the node ends.  Returns (phi, reached, nfev, failures): phi of shape
-    (B, n, 2, 2), NaN past the reached[i] nodes channel i reached.  A
-    product past the float range ends the solve like a failed step."""
-    nodes = np.atleast_2d(nodes)
-    B, n = nodes.shape
-    _, seg, H, nfev, failures = _steps(qml, nodes, rtol, max_step)
-    owner = seg // (n - 1)
-    R, e = _running(np.stack(_mul(H[:4, 1::2], H[:4, ::2])),
-                    np.searchsorted(owner, owner))
-    end = _ends(seg)
-    reached = 1 + np.bincount(owner[end], minlength=B)
-    phi = np.full((B * n, 4), np.nan)
-    phi[::n] = (1.0, 0.0, 0.0, 1.0)
-    with np.errstate(over="ignore"):
-        phi[(seg + owner + 1)[end]] = np.ldexp(R[:, end], e[end]).T
-    phi = phi.reshape(B, n, 2, 2)
-    lost = np.any(np.isinf(phi), axis=(2, 3))
-    for i in np.flatnonzero(lost.any(axis=1)).tolist():
-        reached[i] = np.argmax(lost[i])
-        failures[i] = f"solution overflows before r = {nodes[i, reached[i]]:.10g}"
-    return phi, reached, nfev, failures
+class _Solve:
+    """One Magnus solve of a batch of channels across their nodes (see
+    `_steps`; a lone channel is a batch of one).  Its kept steps run channel
+    by channel in travel order: their start radii `t`, node intervals `seg`
+    (interval j of channel i is i (n - 1) + j for n nodes a channel),
+    products `P`, first halves `half`, the half `turns` of both halves and
+    the running products (`R`, `e`) of `_running` over each channel's steps.
+    `failures` holds per channel None or why its solve ended early."""
+
+    def __init__(self, channel, nodes, rtol, max_step=math.inf):
+        self.nodes = np.atleast_2d(nodes)
+        self.t, self.seg, X, self.nfev, self.failures = _steps(
+            channel.qml if isinstance(channel, ChannelBatch) else
+            lambda r, owner: channel.coeffs(r)[:3], self.nodes, rtol, max_step)
+        self.P, self.half, self.turns = X[:4], X[4:8], X[8:]
+        owner = self.owner = self.seg // (self.nodes.shape[1] - 1)
+        self.R, self.e = _running(self.P, np.searchsorted(owner, owner))
+        self.end = np.diff(self.seg, append=-1) != 0  # ends on a node
+
+    def transfer(self):
+        """Phi(r, nodes[i, 0]) at the nodes of each channel i: (phi, reached,
+        failures), phi of shape (B, n, 2, 2), NaN past the reached[i] nodes
+        channel i reached.  A product past the float range ends the solve
+        like a failed step."""
+        (B, n), owner, end = self.nodes.shape, self.owner, self.end
+        reached = 1 + np.bincount(owner[end], minlength=B)
+        phi = np.full((B * n, 4), np.nan)
+        phi[::n] = (1.0, 0.0, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            phi[(self.seg + owner + 1)[end]] = np.ldexp(self.R[:, end],
+                                                        self.e[end]).T
+        phi = phi.reshape(B, n, 2, 2)
+        lost = np.any(np.isinf(phi), axis=(2, 3))
+        for i in np.flatnonzero(lost.any(axis=1)).tolist():
+            reached[i] = np.argmax(lost[i])
+            self.failures[i] = (f"solution overflows before r = "
+                                f"{self.nodes[i, reached[i]]:.10g}")
+        return phi, reached, self.failures
+
+    def states(self, U0):
+        """The states of a one-channel solve from U0 (a vector, or one per
+        column) at the start of each of its N steps, past its first half and
+        at its end: (U, e) with U[..., j, i] 2^e[j, i] the state; past a
+        first half it is that half times the state before its step."""
+        R = np.column_stack(((1.0, 0.0, 0.0, 1.0), self.R)).reshape(2, 2, -1)
+        e = np.append(0, self.e)
+        U = np.einsum("ijn,j...->i...n", R, U0)
+        mid = np.einsum("ijn,j...n->i...n", self.half.reshape(2, 2, -1),
+                        U[..., :-1])
+        return (np.stack((U[..., :-1], mid, U[..., 1:]), axis=-2),
+                np.stack((e[:-1], e[:-1], e[1:])))
 
 
 def cumulative_norms(channel, U0, nodes, rtol):
     """Cumulative squared norms I(r) = int_{nodes[0]}^r |u|^2 of the two
-    solutions starting from the columns of U0, at nodes[1:]; shape
-    (2, n - 1): Simpson's rule on each Magnus step of `_steps`, |u|^2 read
-    off the running products of its half steps."""
-    t, seg, H, _, (failure,) = _steps(_qml(channel), nodes, rtol)
+    solutions from the columns of U0 at nodes[1:], shape (2, n - 1), by
+    Simpson's rule on the states of each step of one Magnus solve."""
+    solve = _Solve(channel, nodes, rtol)
+    (failure,) = solve.failures
     if failure is not None:
         raise PreconditionError(f"cumulative norms failed: {failure}")
-    h = np.diff(np.append(t, nodes[-1]))
-    R, e = _running(H[:4], 0)
-    a, b, c, d = _mul(R, np.ravel(U0))
+    h = np.diff(np.append(solve.t, nodes[-1]))
+    U, e = solve.states(np.asarray(U0, dtype=float))
     with np.errstate(over="ignore"):
-        f = np.column_stack((np.sum(np.square(U0), axis=0), np.ldexp(
-            np.stack((a * a + c * c, b * b + d * d)), 2 * e)))
-        I = np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
-                      axis=1)[:, _ends(seg)]
+        f = np.ldexp(np.sum(np.square(U), axis=0), 2 * e)
+        I = np.cumsum(h / 6.0 * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2]),
+                      axis=1)[:, solve.end]
     if not np.all(np.isfinite(I)):
         raise PreconditionError("cumulative norms overflow")
     return I
@@ -412,60 +412,56 @@ def _safe_unwrap(u1, u2):
 
 def integrate_pruefer(channel, rho0: float, theta0: float,
                       cfg: SolveConfig) -> Trajectory:
-    """Integrate the polar form on the Magnus steps of `_steps`, applying
-    the running products of their half steps to the unit vector at theta0.
-    Each half step adds its exact angle gain, which ignores the products'
-    scale, so theta is unwrapped whatever the stride; ln rho adds their
+    """Integrate the polar form on the states of one Magnus solve from the
+    unit vector at theta0.  Each half step adds its exact angle gain, which
+    ignores the states' scale, so theta is unwrapped whatever the stride;
+    each theta then moves onto its state's angle.  ln rho adds the states'
     powers of two, so `log_rho` stays finite where rho does not.
     `accepted_r` and `accepted_theta` hold the step ends."""
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
-    t, seg, H, nfev, (failure,) = _steps(_qml(channel), grid, cfg.rtol,
-                                          cfg.max_step)
-    R, e = _running(H[:4], 0)
-    c, s = math.cos(theta0), math.sin(theta0)
-    x, y = np.append(c, R[0] * c + R[1] * s), np.append(s, R[2] * c + R[3] * s)
+    solve = _Solve(channel, grid, cfg.rtol, cfg.max_step)
+    (failure,) = solve.failures
+    (x, y), e = solve.states(np.array([math.cos(theta0), math.sin(theta0)]))
     # a half step turns by less than pi beyond its whole half turns, so its
     # gain is the angle nearest pi * turns congruent to the principal one
     gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
                       x[:-1] * x[1:] + y[:-1] * y[1:])
-    gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
-    theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
+    gain += 2.0 * np.pi * np.rint((np.pi * solve.turns - gain)
+                                  / (2.0 * np.pi))
+    theta = theta0 + np.append(0.0, np.cumsum(gain[0] + gain[1]))
+    phase = np.arctan2(y[2], x[2])
+    theta[1:] = phase + 2.0 * np.pi * np.rint((theta[1:] - phase)
+                                              / (2.0 * np.pi))
     log_rho = math.log(rho0) + np.append(
-        0.0, np.log(np.hypot(x[1:], y[1:])) + e * math.log(2.0))[::2]
-    at = np.flatnonzero(np.append(True, _ends(seg)))
+        0.0, np.log(np.hypot(x[2], y[2])) + e[2] * math.log(2.0))
+    at = np.flatnonzero(np.append(True, solve.end))
     with np.errstate(over="ignore"):
         rho = np.exp(log_rho[at])
     return Trajectory(grid=grid[:at.size], u1=rho * np.cos(theta[at]),
                       u2=rho * np.sin(theta[at]), rho=rho, theta=theta[at],
                       mode="pruefer", channel=channel,
-                      accepted_r=np.append(t, grid[at.size - 1]),
+                      accepted_r=np.append(solve.t, grid[at.size - 1]),
                       accepted_theta=theta, status=0 if failure is None else -1,
-                      message=failure or "", nfev=nfev, log_rho=log_rho[at])
+                      message=failure or "", nfev=solve.nfev,
+                      log_rho=log_rho[at])
 
 
 def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
-    """Integrate a fundamental system (the columns of U0, default the
-    identity) in one pass of the Magnus propagator.
-
-    The trajectories stop at the last grid point reached, all with status
-    -1, when the solve fails.
-
-    Returns a pair of trajectories sharing the same grid, suitable for
-    Wronskian checks and for building arbitrary solutions by superposition.
-    """
+    """A fundamental system (the columns of U0, default the identity): a
+    pair of trajectories on one grid, read off one Magnus solve, for
+    Wronskian checks and superposition.  They stop at the last grid point
+    reached, both with status -1, when the solve fails."""
     U0 = np.eye(2) if U0 is None else np.asarray(U0, dtype=float)
-    grid = cfg.grid()
-    phi, (n,), nfev, (failure,) = _transfer(_qml(channel), grid, cfg.rtol,
-                                             cfg.max_step)
-    grid = grid[:n]
+    solve = _Solve(channel, cfg.grid(), cfg.rtol, cfg.max_step)
+    phi, (n,), (failure,) = solve.transfer()
     U = phi[0, :n] @ U0
-    return tuple(Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
-                            theta=_safe_unwrap(u1, u2), mode="cartesian",
-                            channel=channel,
+    return tuple(Trajectory(grid=solve.nodes[0, :n], u1=u1, u2=u2,
+                            rho=np.hypot(u1, u2), theta=_safe_unwrap(u1, u2),
+                            mode="cartesian", channel=channel,
                             status=0 if failure is None else -1,
-                            message=failure or "", nfev=nfev)
+                            message=failure or "", nfev=solve.nfev)
                  for u1, u2 in zip(U[:, 0].T, U[:, 1].T))
 
 
@@ -484,8 +480,8 @@ def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:
     B = len(channel) if batch else 1
     r0, r1 = (np.broadcast_to(np.asarray(x, dtype=float), (B,))
               for x in (r0, r1))
-    phi, _, _, failures = _transfer(
-        _qml(channel), np.geomspace(r0, r1, _COARSE + 1, axis=1), rtol)
+    phi, _, failures = _Solve(
+        channel, np.geomspace(r0, r1, _COARSE + 1, axis=1), rtol).transfer()
     for i, failure in enumerate(failures):
         if failure is not None:
             which = f" of {channel.label(i)}" if batch else ""

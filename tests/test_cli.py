@@ -566,6 +566,34 @@ class TestOtherCommands:
         assert "error" not in cells[1] and "traceback" not in cells[1]
         assert doc["summary"]["n_errors"] == 0
 
+    def test_closed_stdout_does_not_end_the_command(self, tmp_path):
+        # a reader that closed the pipe (`| head`) before the first line:
+        # every artifact is still written, with the exit code of a run whose
+        # stdout stays open, and no traceback
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                      "lambda_grid": [0.0, -1.0],
+                                      "solver": {"r_end": 1.2}})
+        assert run(["boundedness", "--config", cfg, "--out",
+                    tmp_path / "open"]) == 0
+        src = str(Path(diracspec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "diracspec.cli", "boundedness",
+                 "--config", str(cfg), "--out", str(tmp_path / "closed")],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                stdin=subprocess.DEVNULL, timeout=300)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "open").iterdir())
+
     @pytest.mark.parametrize("command,solver", [
         ("boundedness", {"max_step": 0.0}),
         ("boundedness", {"max_step": -1.0}),

@@ -18,11 +18,8 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
-    _ends,
-    _qml,
     _running,
-    _steps,
-    _transfer,
+    _Solve,
     cumulative_integral,
     cumulative_norms,
     frobenius_init,
@@ -210,17 +207,16 @@ class TestBatch:
             assert np.max(np.abs(g - one)) <= 1e-13 * np.max(np.abs(one))
 
     @pytest.mark.parametrize("max_step", [math.inf, 0.02])
-    def test_tree_product_matches_sequential_product(self, max_step):
+    def test_running_product_matches_sequential_product(self, max_step):
         # reference: the kept steps multiplied one at a time in travel order
-        grid = cfg(1.0, 60.0).grid()
-        _, seg, H, _, _ = _steps(_qml(LINEAR), grid, 1e-12, max_step)
+        solve = _Solve(LINEAR, cfg(1.0, 60.0).grid(), 1e-12, max_step)
+        grid = solve.nodes[0]
         now, ref = np.eye(2), [np.eye(2)]
-        for j, end in enumerate(np.diff(seg, append=-1) != 0):
-            for half in (2 * j, 2 * j + 1):
-                now = H[:4, half].reshape(2, 2) @ now
+        for P, end in zip(solve.P.T, solve.end):
+            now = P.reshape(2, 2) @ now
             if end:
                 ref.append(now)
-        phi, reached, _, _ = _transfer(_qml(LINEAR), grid, 1e-12, max_step)
+        phi, reached, _ = solve.transfer()
         ref = np.array(ref)
         assert reached[0] == len(ref) == grid.size
         scale = np.max(np.abs(ref), axis=(1, 2))
@@ -282,18 +278,20 @@ class TestRunning:
 
 
 def sequential_norms(channel, U0, nodes, rtol):
-    """Reference `cumulative_norms`: the states carried through the half
-    steps one at a time, and Simpson's rule on |u|^2 over each step."""
-    t, seg, H, _, _ = _steps(_qml(channel), nodes, rtol)
-    h = np.diff(np.append(t, nodes[-1]))
-    (x, y), (v, w) = np.asarray(U0, dtype=float).tolist()
-    f = [(x * x + v * v, y * y + w * w)]
-    for a, b, c, d in zip(*H[:4].tolist()):
-        x, y, v, w = a * x + b * v, a * y + b * w, c * x + d * v, c * y + d * w
-        f.append((x * x + v * v, y * y + w * w))
+    """Reference `cumulative_norms`: the states carried through the steps of
+    the solve one at a time, each past its first half and to its end, and
+    Simpson's rule on |u|^2 over each step."""
+    solve = _Solve(channel, nodes, rtol)
+    h = np.diff(np.append(solve.t, nodes[-1]))
+    U = np.asarray(U0, dtype=float)
+    f = [np.sum(U * U, axis=0)]
+    for half, P in zip(solve.half.T, solve.P.T):
+        mid = half.reshape(2, 2) @ U
+        U = P.reshape(2, 2) @ U
+        f += [np.sum(mid * mid, axis=0), np.sum(U * U, axis=0)]
     f = np.array(f).T
     return np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
-                     axis=1)[:, _ends(seg)]
+                     axis=1)[:, solve.end]
 
 
 class TestCumulativeNorms:
@@ -341,24 +339,26 @@ def dop853_polar(channel, rho0, theta0, grid):
 
 def sequential_pruefer(channel, rho0, theta0, c):
     """Reference `integrate_pruefer` (theta, ln rho) on the grid: a unit
-    vector carried through the half steps one at a time, renormalized after
-    each, ln rho summing the logs of the norms."""
-    grid = c.grid()
-    _, seg, H, _, _ = _steps(_qml(channel), grid, c.rtol, c.max_step)
-    x, y = math.cos(theta0), math.sin(theta0)
-    states = [(x, y, 1.0)]
-    for a, b, cc, d in zip(*H[:4].tolist()):
-        x, y = a * x + b * y, cc * x + d * y
-        n = math.hypot(x, y)
-        x, y = x / n, y / n
-        states.append((x, y, n))
-    x, y, n = np.array(states).T
+    vector carried through the steps of the solve one at a time, each past
+    its first half and to its end, renormalized after each step, ln rho
+    summing the logs of the norms."""
+    solve = _Solve(channel, c.grid(), c.rtol, c.max_step)
+    v = np.array([math.cos(theta0), math.sin(theta0)])
+    states, norms = [v], [1.0]
+    for half, P in zip(solve.half.T, solve.P.T):
+        mid = half.reshape(2, 2) @ v
+        v = P.reshape(2, 2) @ v
+        norms.append(math.hypot(*v))
+        v = v / norms[-1]
+        states += [mid, v]
+    x, y = np.array(states).T
     gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],
                       x[:-1] * x[1:] + y[:-1] * y[1:])
-    gain += 2.0 * np.pi * np.rint((np.pi * H[4] - gain) / (2.0 * np.pi))
-    at = np.flatnonzero(np.append(True, _ends(seg)))
+    gain += 2.0 * np.pi * np.rint((np.pi * solve.turns.T.ravel() - gain)
+                                  / (2.0 * np.pi))
+    at = np.flatnonzero(np.append(True, solve.end))
     theta = theta0 + np.append(0.0, np.cumsum(gain))[::2]
-    log_rho = math.log(rho0) + np.cumsum(np.log(n))[::2]
+    log_rho = math.log(rho0) + np.cumsum(np.log(norms))
     return theta[at], log_rho[at]
 
 
@@ -432,10 +432,27 @@ class TestPruefer:
                            ref.J_lengths + ref.K_lengths, rtol=0.0, atol=1e-9)
 
     def test_uniform_rotation_phase(self):
-        c = cfg(1.0, 30.0)
-        traj = integrate_pruefer(ROTATION, 2.5, 0.3, c)
-        assert np.max(np.abs(traj.theta - (0.3 + traj.grid - 1.0))) < 1e-10
-        assert np.max(np.abs(traj.rho - 2.5)) < 1e-10
+        # the long range takes 1.2e5 half steps, whose angle gains would
+        # drift by 6.5e-9 in their sum were theta not set on its state angle
+        for c, tol in ((cfg(1.0, 30.0), 1e-10),
+                       (cfg(1.0, 3000.0, max_step=0.05, stride=0.5), 4e-12)):
+            traj = integrate_pruefer(ROTATION, 2.5, 0.3, c)
+            assert np.max(np.abs(traj.theta - (0.3 + traj.grid - 1.0))) <= tol
+            assert np.max(np.abs(traj.rho - 2.5)) < 1e-10
+
+    @pytest.mark.parametrize("channel", [LINEAR,
+                                         assemble_channel(EQUAL, 1, -1.0)])
+    def test_states_match_fundamental_solve(self, channel):
+        # two readers of the same solve: the polar states at the nodes and
+        # Phi applied to the unit vector at theta0
+        c = cfg(1.0, 60.0, rtol=1e-12)
+        traj = integrate_pruefer(channel, 1.0, 0.3, c)
+        ta, tb = integrate_fundamental(channel, c)
+        u = np.array([ta.u1, ta.u2]) * math.cos(0.3) + \
+            np.array([tb.u1, tb.u2]) * math.sin(0.3)
+        assert traj.ok and np.array_equal(traj.grid, ta.grid)
+        err = np.hypot(traj.u1 - u[0], traj.u2 - u[1])
+        assert np.all(err <= 1e-12 * np.hypot(*u))
 
     def test_phase_derivative_envelope_constant(self):
         traj = integrate_pruefer(CONST, 1.0, 0.0, cfg(1.0, 60.0))

@@ -10,9 +10,7 @@ from .coefficients import (  # noqa: F401
     assemble_channel,
     coefficient,
     constant,
-    eval_model,
     model_from_dict,
-    model_to_dict,
     power,
 )
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientModel, assemble_channel, models_equal
+from .coefficients import CoefficientModel, assemble_channel, require_equal
 from .solver import (SolveConfig, Trajectory, cumulative_integral,
                      integrate_pruefer)
 from .subordinacy import transform
@@ -139,10 +139,7 @@ def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
     """Scaled defect of -u1'' + 2 lambda q u1 + k(k+1)/r^2 u1 - lambda^2 u1
     with u1'' by centered differences; the defect vanishes at second order
     in the stride."""
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"second-order reduction requires m == q; first "
-                         f"mismatch near r = {where:g}")
+    require_equal(model, "second_order_check")
     h = _uniform_stride(traj.grid)
     r = traj.grid[1:-1]
     u1 = traj.u1

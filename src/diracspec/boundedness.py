@@ -18,14 +18,14 @@ Special forms exist when one coefficient vanishes identically:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bvcalc import cumulative_variation
-from .hypotheses import VIOLATED, HypothesisReport
+from .hypotheses import (ENVELOPE_FORMS, GENERAL, L_ZERO, M_ZERO, VIOLATED,
+                         HypothesisReport, envelope_form)
 from .solver import (
     PreconditionError,
     SolveConfig,
@@ -39,32 +39,12 @@ __all__ = [
     "BoundednessCertificate",
     "r_eval",
     "completed_square",
-    "envelope_form",
     "r_trace",
     "almost_monotone_check",
     "comparability_constant",
     "auto_start_radius",
     "certify",
 ]
-
-GENERAL = "general"
-M_ZERO = "M_zero"
-L_ZERO = "L_zero"
-
-
-def envelope_form(channel, r_probe) -> str:
-    """Pick the envelope form from coefficients that vanish identically."""
-    _, M, L, _ = channel.coeffs(np.asarray(r_probe, dtype=float))
-    return _form(M, L)
-
-
-def _form(M, L) -> str:
-    if np.all(M == 0.0):
-        return M_ZERO
-    if np.all(L == 0.0):
-        return L_ZERO
-    return GENERAL
-
 
 def r_eval(u, coeffs, form: str = GENERAL):
     """Envelope value for a state u = (u1, u2) given (Q, M, L, W) at the
@@ -112,9 +92,9 @@ class RTrace:
     grid: np.ndarray
     R: np.ndarray
     usq: np.ndarray
-    form: str
+    form: str  # the envelope form, a key of `hypotheses.ENVELOPE_FORMS`
     cumvar: np.ndarray  # prefix sums of the quotients' summed |increments|
-    epsilon: float  # sup |L|/Q on the grid (used by the M == 0 variant)
+    epsilon: float  # sup |x|/Q of a single-quotient form's x; 0 if general
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -125,19 +105,16 @@ class RTrace:
 
 
 def r_trace(traj: Trajectory) -> RTrace:
+    """The envelope trace of a trajectory, in the form its channel's (M, L)
+    pick on the trajectory grid, with the C3 quotients of that form."""
     Q, M, L, W = coeffs = traj.channel.coeffs(traj.grid)
-    form = _form(M, L)
+    form = envelope_form(M, L)
     R = r_eval((traj.u1, traj.u2), coeffs, form)
-    if form == M_ZERO:
-        quotients = (L / (Q - L),)
-    elif form == L_ZERO:
-        quotients = (W / (Q - W), M / (Q - W))
-    else:
-        quotients = (W / (Q - W), M / (Q - W), L / (Q - W))
-    eps = float(np.max(np.abs(L) / Q))
+    quotients = ENVELOPE_FORMS[form].quotients(Q, M, L, W, Q - W,
+                                               np.empty(Q.shape))
     return RTrace(grid=traj.grid, R=np.asarray(R), usq=traj.norm_sq(),
                   form=form, cumvar=sum(map(cumulative_variation, quotients)),
-                  epsilon=eps)
+                  epsilon=ENVELOPE_FORMS[form].epsilon(Q, M, L))
 
 
 def almost_monotone_check(trace: RTrace, n_grid: int = 32) -> np.recarray:
@@ -147,18 +124,14 @@ def almost_monotone_check(trace: RTrace, n_grid: int = 32) -> np.recarray:
     above it.  Returns one record (t1, t2, lhs, rhs, ok) per pair, in the
     order (t1, t2) of its grid indices; a pair holds within 1e-9 max |R|.
 
-    For M == 0 channels the single-quotient variant with the factor
-    2 (1 + eps)/(1 - eps) is used.  A false verdict is a finding, not an
-    error.
+    A single-quotient form (M == 0 or L == 0) takes the factor
+    2 (1 + eps)/(1 - eps) on its variation (`EnvelopeForm.factor`).  A false
+    verdict is a finding, not an error.
     """
     grid, R = trace.grid, trace.R
     pts = np.geomspace(grid[0], grid[-1], n_grid)
     idx = np.unique(np.minimum(np.searchsorted(grid, pts), len(grid) - 1))
-    if trace.form == M_ZERO:
-        eps = trace.epsilon
-        factor = 2.0 * (1.0 + eps) / (1.0 - eps) if eps < 1.0 else math.inf
-    else:
-        factor = 1.0
+    factor = ENVELOPE_FORMS[trace.form].factor(trace.epsilon)
     n = len(idx)
     a, b = np.triu_indices(n, 1)
     i, j = idx[a], idx[b]

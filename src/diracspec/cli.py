@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -53,7 +53,7 @@ from .coefficients import (
     ConstantChannel,
     assemble_channel,
     model_from_dict,
-    models_equal,
+    require_equal,
 )
 from .hypotheses import VIOLATED, check_c_conditions, check_hypotheses
 from .solver import (
@@ -94,7 +94,7 @@ class RunConfig:
     k_set: list
     lambda_grid: list
     bracket: list | None
-    solver: dict
+    solver: SolveConfig
     ladder: WindowLadder
     tail_ladder: WindowLadder
     subordinacy: dict
@@ -103,9 +103,6 @@ class RunConfig:
     bv: dict
     seed: int
     workers: int
-
-    def solve_config(self) -> SolveConfig:
-        return SolveConfig(**self.solver)
 
 
 def _check_keys(obj, allowed, where):
@@ -198,10 +195,9 @@ def load_config(path) -> RunConfig:
                 k: casts.get(k, _real)(v) for k, v in raw[key].items()}))
         return out
 
-    solver = section("solver", {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12,
-                                "atol": 1e-14, "max_step": math.inf,
-                                "stride": 0.05})
-    _checked("config.solver", SolveConfig, **solver)
+    solver = _checked("config.solver", SolveConfig, **section(
+        "solver", {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12,
+                   "atol": 1e-14, "max_step": math.inf, "stride": 0.05}))
     ladder = _checked("config.ladder", WindowLadder, **section(
         "ladder", {"start": 25.0, "factor": 2.0, "rungs": 4}, rungs=_int))
     tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
@@ -322,9 +318,10 @@ def _require(cond, message):
 
 def _require_equal_model(cfg: RunConfig, command: str):
     _require(cfg.model is not None, f"{command} needs a 'model'")
-    equal, where = models_equal(cfg.model)
-    _require(equal, f"{command} needs m == q (first mismatch near "
-                    f"r = {where if where else 0:g})")
+    try:
+        require_equal(cfg.model, command)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
@@ -365,11 +362,10 @@ def _channels_from(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     failed = False
     for k, lam, channel in _channels_from(cfg):
-        scfg = cfg.solve_config()
-        if prefer_pruefer(channel, scfg.r_start, scfg.r_end):
-            traj = integrate_pruefer(channel, 1.0, 0.0, scfg)
+        if prefer_pruefer(channel, cfg.solver.r_start, cfg.solver.r_end):
+            traj = integrate_pruefer(channel, 1.0, 0.0, cfg.solver)
         else:
-            traj = integrate_cartesian(channel, [1.0, 0.0], scfg)
+            traj = integrate_cartesian(channel, [1.0, 0.0], cfg.solver)
         name = "const" if k is None else _cell_name(k, lam)
         traj.to_csv(out / f"trajectory_{name}.csv")
         stop = "" if traj.ok else f" last_r={traj.grid[-1]:.10g}"
@@ -395,7 +391,7 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
         doc = {"kind": "boundedness", "channel": channel.label(),
                "conditions": [r.to_dict() for r in creps]}
         try:
-            trace, cert = certify(channel, cfg.solve_config(), creps)
+            trace, cert = certify(channel, cfg.solver, creps)
             trace.to_csv(out / f"rtrace_{name}.csv")
             verdicts = almost_monotone_check(trace)
             doc["almost_monotone"] = {
@@ -470,7 +466,7 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                  "lambda_grid": cfg.lambda_grid,
                  "equal": doc["equal_coefficients"],
                  "heuristic": doc["heuristic"],
-                 "solver": cfg.solve_config(),
+                 "solver": cfg.solver,
                  "subordinacy": cfg.subordinacy, **ladders}
                 for size in sorted({abs(k) for k in cfg.k_set})]
     workers = min(cfg.workers, len(payloads))
@@ -595,7 +591,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     return EXIT_FINDINGS if (assert_mode and not trend_ok) else EXIT_OK
 
 
-_PLOT_KINDS = {"rtrace", "residuals", "subordinacy", "census", "scan"}
+_PLOT_KINDS = {"rtrace", "residuals", "subordinacy", "scan"}
 
 
 def cmd_plotdata(inputs, out: Path) -> int:
@@ -644,10 +640,6 @@ def _json_rows(kind: str, doc: dict) -> list:
     if kind == "subordinacy":
         return ["# r ratio"] + [f"{_fmt(r)} {_fmt(v)}"
                                 for r, v in doc["ratio_tail"]]
-    if kind == "census":
-        return ["# n J_length K_length"] + [
-            f"{n} {_fmt(J)} {_fmt(K)}"
-            for n, J, K in zip(doc["ns"], doc["J_lengths"], doc["K_lengths"])]
     if kind == "scan":
         return ["# k lambda classification"] + [
             f"{cell['k']} {_fmt(cell['lambda'])} {cell['classification']}"
@@ -658,15 +650,27 @@ def _json_rows(kind: str, doc: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
+# the commands that read a config, in the order of the usage text; plotdata
+# reads artifacts instead
+_COMMANDS = {
+    "hypotheses": cmd_hypotheses,
+    "solve": cmd_solve,
+    "boundedness": cmd_boundedness,
+    "subordinacy": cmd_subordinacy,
+    "eigen": cmd_eigen,
+    "scan": cmd_scan,
+    "bv-verify": cmd_bv_verify,
+    "asymptotics": cmd_asymptotics,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="diracspec",
         description="numerical spectral diagnostics for half-line Dirac "
                     "systems with unbounded potentials")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("hypotheses", "solve", "boundedness", "subordinacy", "eigen",
-                "scan", "bv-verify", "asymptotics", "plotdata")
-    for name in commands:
+    for name in (*_COMMANDS, "plotdata"):
         p = sub.add_parser(name)
         if name == "plotdata":
             p.add_argument("inputs", nargs="+")
@@ -690,20 +694,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.tolerance is not None:
-            cfg.solver["rtol"] = args.tolerance
-            _checked("--tolerance", cfg.solve_config)
+            cfg.solver = _checked("--tolerance", replace, cfg.solver,
+                                  rtol=args.tolerance)
         out.mkdir(parents=True, exist_ok=True)
-        dispatch = {
-            "hypotheses": cmd_hypotheses,
-            "solve": cmd_solve,
-            "boundedness": cmd_boundedness,
-            "subordinacy": cmd_subordinacy,
-            "eigen": cmd_eigen,
-            "scan": cmd_scan,
-            "bv-verify": cmd_bv_verify,
-            "asymptotics": cmd_asymptotics,
-        }
-        return dispatch[args.command](cfg, out, args.assert_mode)
+        return _COMMANDS[args.command](cfg, out, args.assert_mode)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

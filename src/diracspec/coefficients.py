@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "MissingDerivativeError",
     "CoefficientFunction",
     "CoefficientModel",
-    "EvalResult",
     "ChannelSystem",
     "ChannelBatch",
     "ConstantChannel",
@@ -33,12 +31,11 @@ __all__ = [
     "constant",
     "power",
     "assemble_channel",
-    "eval_model",
     "function_from_dict",
     "model_from_dict",
-    "model_to_dict",
     "descriptors_equal",
     "models_equal",
+    "require_equal",
 ]
 
 
@@ -337,35 +334,6 @@ class CoefficientModel:
         return {"q": self.q.to_dict(), "m": self.m.to_dict()}
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    q: float
-    m: float
-    dq: Optional[float]
-    dm: Optional[float]
-    derivatives_exact: bool
-
-
-def eval_model(model: CoefficientModel, r) -> EvalResult:
-    """Evaluate q, m and their derivatives at a radius r > 0.
-
-    Derivatives are None when the underlying data is declared non-smooth;
-    they are flagged approximate when they come from an interpolant.
-    """
-    qv = model.q.value(r)
-    mv = model.m.value(r)
-    try:
-        dq = model.q.derivative(r)
-    except MissingDerivativeError:
-        dq = None
-    try:
-        dm = model.m.derivative(r)
-    except MissingDerivativeError:
-        dm = None
-    return EvalResult(qv, mv, dq, dm,
-                      model.q.derivative_exact and model.m.derivative_exact)
-
-
 def model_from_dict(d: dict, where: str = "model") -> CoefficientModel:
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected an object with 'q' and 'm'")
@@ -377,10 +345,6 @@ def model_from_dict(d: dict, where: str = "model") -> CoefficientModel:
             raise ValueError(f"{where}: missing required field '{key}'")
     return CoefficientModel(q=function_from_dict(d["q"], f"{where}.q"),
                             m=function_from_dict(d["m"], f"{where}.m"))
-
-
-def model_to_dict(model: CoefficientModel) -> dict:
-    return model.to_dict()
 
 
 def descriptors_equal(f: CoefficientFunction, g: CoefficientFunction) -> bool:
@@ -416,6 +380,15 @@ def models_equal(model: CoefficientModel, rs=None, tol: float = 1e-12):
     if np.any(bad):
         return False, float(np.asarray(rs)[bad][0])
     return True, None
+
+
+def require_equal(model: CoefficientModel, what: str):
+    """Refuse, with a ValueError naming `what`, a model whose m and q differ
+    (`models_equal`), at the first mismatch radius."""
+    equal, where = models_equal(model)
+    if not equal:
+        raise ValueError(f"{what} needs m == q (first mismatch near "
+                         f"r = {where:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .coefficients import (
     CoefficientModel,
     MissingDerivativeError,
     models_equal,
+    require_equal,
 )
 
 __all__ = [
@@ -72,6 +73,12 @@ __all__ = [
     "VIOLATED",
     "INCONCLUSIVE",
     "HypothesisReport",
+    "GENERAL",
+    "M_ZERO",
+    "L_ZERO",
+    "EnvelopeForm",
+    "ENVELOPE_FORMS",
+    "envelope_form",
     "check_a_conditions",
     "check_derivative_sufficiency",
     "check_b_conditions",
@@ -492,6 +499,63 @@ class _GChecks(_Check):
 
 
 # ---------------------------------------------------------------------------
+# envelope forms: C3 here, the envelope trace in `boundedness`
+
+GENERAL, M_ZERO, L_ZERO = "general", "M_zero", "L_zero"
+
+
+def envelope_form(M, L) -> str:
+    """The envelope form of a channel from its M and L on one grid: M_ZERO
+    or L_ZERO when that coefficient vanishes on the whole grid, else
+    GENERAL."""
+    if np.all(M == 0.0):
+        return M_ZERO
+    if np.all(L == 0.0):
+        return L_ZERO
+    return GENERAL
+
+
+@dataclass(frozen=True)
+class EnvelopeForm:
+    """An envelope form: its C3 condition id, the evidence names of its
+    quotients and, in a single-quotient form, the coefficient x(M, L) that
+    does not vanish."""
+
+    condition_id: str
+    names: tuple
+    single: Optional[Callable] = None  # None in the general form
+
+    def quotients(self, Q, M, L, W, gap, out):
+        """Yield W, M and L over the gap Q - W, or x/(Q - x), each written
+        into the work array `out` over the one before."""
+        if self.single is None:
+            yield from (np.divide(x, gap, out=out) for x in (W, M, L))
+        else:
+            x = self.single(M, L)
+            yield np.divide(x, np.subtract(Q, x, out=out), out=out)
+
+    def epsilon(self, Q, M, L) -> float:
+        """sup |x|/Q of a single-quotient form, 0 in the general form."""
+        return 0.0 if self.single is None else float(
+            np.max(np.abs(self.single(M, L)) / Q))
+
+    def factor(self, eps: float) -> float:
+        """The almost-monotone bound's factor on the quotient variation:
+        2 (1 + eps)/(1 - eps) in a single-quotient form."""
+        if self.single is None:
+            return 1.0
+        return 2.0 * (1.0 + eps) / (1.0 - eps) if eps < 1.0 else math.inf
+
+
+ENVELOPE_FORMS = {
+    GENERAL: EnvelopeForm("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
+                                 "l_over_q_minus_w")),
+    M_ZERO: EnvelopeForm("C3'", ("l_over_q_minus_l",), lambda M, L: L),
+    L_ZERO: EnvelopeForm("C3'", ("m_over_q_minus_m",), lambda M, L: M),
+}
+
+
+# ---------------------------------------------------------------------------
 # channel conditions
 
 
@@ -554,37 +618,6 @@ def _extreme(Q, W, s):
     return float(np.min(Q)), float(np.max(Q)), float(np.max(s.quotient))
 
 
-def _general_quotients(Q, M, L, W, s):
-    # the gap Q - W is in s.gap already
-    return tuple(window_variation(np.divide(x, s.gap, out=s.quotient),
-                                  out=s.inc)
-                 for x in (W, M, L))
-
-
-def _single_quotient(pick):
-    """C3' on x/(Q - x) for the coefficient x = pick(M, L) that does not
-    vanish."""
-
-    def reduce(Q, M, L, W, s):
-        x = pick(M, L)
-        quotient = np.subtract(Q, x, out=s.quotient)
-        np.divide(x, quotient, out=quotient)
-        return (window_variation(quotient, out=s.inc),)
-    return reduce
-
-
-# C3 by the coefficient that vanishes identically, if any: the condition id,
-# the quotients' evidence names and their window reduction
-_C3_FORMS = {
-    "general": ("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
-                       "l_over_q_minus_w"), _general_quotients),
-    "m_zero": ("C3'", ("l_over_q_minus_l",),
-               _single_quotient(lambda M, L: L)),
-    "l_zero": ("C3'", ("m_over_q_minus_m",),
-               _single_quotient(lambda M, L: M)),
-}
-
-
 class _CChecks(_Check):
     """C1-C3 of every cell of a channel grid (see `check_c_conditions`).
 
@@ -605,12 +638,12 @@ class _CChecks(_Check):
         probe = np.geomspace(tw[0][0], tw[-1][1], 512)
         with np.errstate(all="ignore"):
             self.forms = {
-                cell: _C3_FORMS["m_zero" if np.all(M == 0.0) else
-                                "l_zero" if np.all(L == 0.0) else "general"]
+                cell: ENVELOPE_FORMS[envelope_form(M, L)]
                 for cell, _, M, L, _, _ in grid.cells(
                     probe, sample(probe, self.tail_reads))}
         if None not in grid.read and all(
-                form is _C3_FORMS["general"] for form in self.forms.values()):
+                form is ENVELOPE_FORMS[GENERAL]
+                for form in self.forms.values()):
             grid.read = {k: abs(k) for k in grid.ks}
             self.forms = {(grid.read[k], lam): form
                           for (k, lam), form in self.forms.items()}
@@ -626,14 +659,17 @@ class _CChecks(_Check):
             gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
             floors[cell] = floor = gap if np.isfinite(gap) else -math.inf
             if floor > 0.0:
-                rungs[cell] = self.forms[cell][2](Q, M, L, W, sc)
+                rungs[cell] = tuple(
+                    window_variation(quotient, out=sc.inc)
+                    for quotient in self.forms[cell].quotients(
+                        Q, M, L, W, sc.gap, sc.quotient))
         self.floors.append(floors)
         self.rungs.append(rungs)
 
     def reports(self, ew, tw):
         """{cell: [C1, C2, C3 or C3']} in grid order (-k shares |k|'s)."""
         reports = {}
-        for cell, (cid, names, _) in self.forms.items():
+        for cell, form in self.forms.items():
             q_min, q_max, ratio_max = _rows(window[cell]
                                             for window in self.extremes)
             verdict, note = _limsup_below_verdict(ratio_max)
@@ -654,7 +690,7 @@ class _CChecks(_Check):
                     note="Q - W not positive on the tail; quotients skipped"))
                 continue
             verdicts, notes = [], []
-            for name, values in zip(names, _rows(self.rungs[i][cell]
+            for name, values in zip(form.names, _rows(self.rungs[i][cell]
                                                  for i in use)):
                 evidence[name + "_rung_variations"] = values.tolist()
                 v, n = _tail_verdict(values)
@@ -662,7 +698,7 @@ class _CChecks(_Check):
                 if n:
                     notes.append(f"{name}: {n}")
             reports[cell].append(HypothesisReport(
-                cid, _worst(verdicts), evidence,
+                form.condition_id, _worst(verdicts), evidence,
                 _listify([tw[i] for i in use]), note="; ".join(notes)))
         return {(k, lam): reports[self.grid.read[k], lam]
                 for k in self.grid.ks for lam in self.grid.lams}
@@ -695,19 +731,12 @@ def check_derivative_sufficiency(model: CoefficientModel, *,
     return _model_checks(model, [_DChecks()], EXTREME_LADDER, tail_ladder)
 
 
-def _require_equal(model, what):
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"{what} require m == q; first mismatch near "
-                         f"r = {where:g}")
-
-
 def check_b_conditions(model: CoefficientModel, *,
                        extreme_ladder: WindowLadder = EXTREME_LADDER,
                        tail_ladder: WindowLadder = TAIL_LADDER):
     """Diagnose the borderline-case hypotheses B1-B2 (m identically q),
     plus the auxiliary second-derivative variant B2'."""
-    _require_equal(model, "the borderline checks")
+    require_equal(model, "check_b_conditions")
     return _model_checks(model, [_BChecks()], extreme_ladder, tail_ladder)
 
 
@@ -722,7 +751,7 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     its values.  If fewer than two tail windows survive, the model/lambda
     pair is rejected.
     """
-    _require_equal(model, "gamma diagnostics")
+    require_equal(model, "gamma_diagnostics")
     return _model_checks(model, [_GChecks(lam)], extreme_ladder, tail_ladder)
 
 

@@ -38,6 +38,7 @@ from .coefficients import (
     CoefficientModel,
     assemble_channel,
     models_equal,
+    require_equal,
 )
 from .hypotheses import (
     SATISFIED,
@@ -66,7 +67,6 @@ __all__ = [
     "census_from_phase",
     "subordinacy_ratio",
     "eigen_shoot",
-    "classify_spectrum",
     "classify_cells",
     "borderline_cell",
     "spectrum_hypotheses",
@@ -129,13 +129,7 @@ class TransformedChannel:
 
 def transform(model: CoefficientModel, k: int, lam: float) -> TransformedChannel:
     """Build the rescaled channel; requires m == q and lam < 0."""
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"the rescaling requires m == q; first mismatch "
-                         f"near r = {where:g}")
-    if lam >= 0.0:
-        raise ValueError("the rescaling is defined for negative spectral "
-                         "parameters only")
+    require_equal(model, "transform")
     return TransformedChannel(model=model, k=k, lam=float(lam))
 
 
@@ -452,10 +446,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     but lambda = 0, where the direction recessive at infinity
     (`decaying_direction`) divides by lambda.
     """
-    equal, where = models_equal(model)
-    if not equal:
-        raise ValueError(f"eigenvalue shooting requires m == q; first "
-                         f"mismatch near r = {where:g}")
+    require_equal(model, "eigen_shoot")
     a, b = float(bracket[0]), float(bracket[1])
     if a < 0.0 or b <= a:
         raise ValueError("bracket must lie inside the positive half-line")
@@ -553,22 +544,6 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                              [-_TRACEBACK_LINES:]})
             cells.append(cell)
     return cells
-
-
-def classify_spectrum(model: CoefficientModel, k_set: Sequence[int],
-                      lambda_grid: Sequence[float], *,
-                      r_end: float = 120.0, delta: float = 1e-3) -> dict:
-    """The scan document of a model: `spectrum_hypotheses` and the
-    `classify_cells` of every (k, lambda) cell, with their summary.  The
-    certificates and the ratios both run to `r_end`, the ratios from 1."""
-    doc = spectrum_hypotheses(model, lambda_grid)
-    doc["cells"] = classify_cells(
-        model, k_set, lambda_grid, equal=doc["equal_coefficients"],
-        heuristic=doc["heuristic"],
-        solver=SolveConfig(r_start=1.0, r_end=r_end),
-        subordinacy={"r0": 1.0, "r_end": r_end, "delta": delta})
-    doc["summary"] = summarize_cells(doc["cells"])
-    return doc
 
 
 def _dominant_cell(model, k, lam, solver, reports):

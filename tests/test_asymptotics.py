@@ -119,15 +119,6 @@ class TestDefects:
                           theta=None, mode="synthetic", channel=None)
         assert second_order_check(traj, EQUAL, 1, -1.0)["max_defect"] == 0.0
 
-    def test_requires_equal_coefficients(self):
-        model = CoefficientModel(q=power(1, 1), m=constant(1))
-        grid = np.linspace(1.0, 5.0, 101)
-        traj = Trajectory(grid=grid, u1=np.sin(grid), u2=np.cos(grid),
-                          rho=np.ones_like(grid), theta=None,
-                          mode="synthetic", channel=None)
-        with pytest.raises(ValueError):
-            second_order_check(traj, model, 1, -1.0)
-
     def test_nonuniform_grid_rejected(self):
         grid = np.geomspace(1.0, 5.0, 101)
         traj = Trajectory(grid=grid, u1=np.sin(grid), u2=np.cos(grid),

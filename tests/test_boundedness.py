@@ -10,10 +10,10 @@ from diracspec.boundedness import (
     certify,
     comparability_constant,
     completed_square,
-    envelope_form,
     r_eval,
     r_trace,
 )
+from diracspec.bvcalc import cumulative_variation
 from diracspec.coefficients import (
     CoefficientModel,
     ConstantChannel,
@@ -21,7 +21,7 @@ from diracspec.coefficients import (
     constant,
     power,
 )
-from diracspec.hypotheses import check_c_conditions
+from diracspec.hypotheses import check_c_conditions, envelope_form
 from diracspec.solver import (
     PreconditionError,
     SolveConfig,
@@ -101,9 +101,10 @@ class TestREval:
             r_eval((1.0, 0.0), (1.0, 2.0, 0.0, 2.0))
 
     def test_form_detection(self):
-        assert envelope_form(CONST, np.linspace(1, 10, 32)) == "L_zero"
-        assert envelope_form(FREE, np.linspace(1, 10, 32)) == "M_zero"
-        assert envelope_form(LINEAR, np.linspace(1, 10, 32)) == "general"
+        r = np.linspace(1, 10, 32)
+        assert envelope_form(*CONST.coeffs(r)[1:3]) == "L_zero"
+        assert envelope_form(*FREE.coeffs(r)[1:3]) == "M_zero"
+        assert envelope_form(*LINEAR.coeffs(r)[1:3]) == "general"
 
 
 class TestAlmostMonotone:
@@ -129,6 +130,34 @@ class TestAlmostMonotone:
         verdicts = almost_monotone_check(r_trace(traj))
         assert all(v.ok for v in verdicts)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["M<0", "M>0"])
+    def test_l_zero_variant_on_a_varying_channel(self, sign):
+        # L == 0: the trace sums the C3' quotient M/(Q - M) of R's own gap
+        # and bounds it with the factor of the M == 0 variant, eps the sup
+        # of |M|/Q
+        ch = VaryingMassChannel(sign)
+        traj = pair(ch, 1.0, 40.0)[0]
+        Q, M, _, _ = ch.coeffs(traj.grid)
+        trace = r_trace(traj)
+        assert trace.form == "L_zero"
+        np.testing.assert_array_equal(trace.cumvar,
+                                      cumulative_variation(M / (Q - M)))
+        assert trace.epsilon == np.max(np.abs(M) / Q)
+        assert all(almost_monotone_check(trace).ok)
+
+
+class VaryingMassChannel:
+    """Q = r + 3, M = sign (1.2 + sin r)/2 and L = 0: a channel of the
+    L == 0 form whose quotient varies; with M < 0 the gap Q - |M| = Q - W of
+    the general quotients is not the gap Q - M of R."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def coeffs(self, r):
+        M = self.sign * (1.2 + np.sin(r)) / 2.0
+        return r + 3.0, M, 0.0 * r, np.abs(M)
+
 
 def reference_pairs(trace, n_grid=32, rel_tol=1e-9):
     """The almost-monotone check pair by pair: (t1, t2, lhs, rhs, ok) for
@@ -138,7 +167,7 @@ def reference_pairs(trace, n_grid=32, rel_tol=1e-9):
     idx = sorted(set(int(i) for i in np.searchsorted(grid, pts)))
     idx = [min(i, len(grid) - 1) for i in idx]
     eps = trace.epsilon
-    factor = 2.0 * (1.0 + eps) / (1.0 - eps) if trace.form == "M_zero" else 1.0
+    factor = 1.0 if trace.form == "general" else 2.0 * (1.0 + eps) / (1.0 - eps)
     tol_scale = rel_tol * float(np.max(np.abs(R)))
     rows = []
     for a_pos, i in enumerate(idx):

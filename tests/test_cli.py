@@ -743,9 +743,9 @@ class TestPlotData:
     @pytest.mark.parametrize("name,text", [
         ("rtrace_x.csv", "# kind=rtrace\n"),
         ("scan.json", json.dumps({"kind": "scan"})),
-        ("census.json", json.dumps({"kind": "census", "ns": [1],
-                                    "J_lengths": [2.0]})),
-    ], ids=["csv-no-header", "scan-no-cells", "census-no-K"])
+        ("subordinacy_x.json", json.dumps({"kind": "subordinacy",
+                                           "lambda": -1.0, "k": 1})),
+    ], ids=["csv-no-header", "scan-no-cells", "subordinacy-no-ratio-tail"])
     def test_truncated_artifact_exits_two(self, tmp_path, capsys, name, text):
         bad = tmp_path / name
         bad.write_text(text)

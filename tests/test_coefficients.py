@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from diracspec.coefficients import (
     coefficient,
     constant,
     descriptors_equal,
-    eval_model,
     function_from_dict,
     model_from_dict,
-    model_to_dict,
     models_equal,
     power,
 )
+from diracspec import asymptotics, hypotheses, subordinacy
+from diracspec.solver import Trajectory
 from diracspec.subordinacy import TransformedChannel
 
 
@@ -35,33 +36,35 @@ def modulated_model():
 
 class TestEval:
     def test_linear_model_point(self):
-        res = eval_model(linear_model(), 2.0)
-        assert (res.q, res.m, res.dq, res.dm) == (2.0, 1.0, 1.0, 0.0)
+        q, m = linear_model().q, linear_model().m
+        assert (q.value(2.0), m.value(2.0), q.derivative(2.0),
+                m.derivative(2.0)) == (2.0, 1.0, 1.0, 0.0)
 
     def test_origin_rejected(self):
+        model = modulated_model()
+        for evaluate in (model.q.value, model.m.value, model.q.derivative,
+                         model.m.derivative):
+            with pytest.raises(DomainError):
+                evaluate(0.0)
         with pytest.raises(DomainError):
-            eval_model(modulated_model(), 0.0)
-        with pytest.raises(DomainError):
-            modulated_model().q.value(-1.0)
+            model.q.value(-1.0)
 
     def test_modulated_point(self):
         r = math.pi / 2
-        res = eval_model(modulated_model(), r)
-        assert res.m == pytest.approx(3.0, abs=1e-14)
-        assert res.q == pytest.approx(r ** 0.25 * 3.0, rel=1e-14)
+        model = modulated_model()
+        assert model.m.value(r) == pytest.approx(3.0, abs=1e-14)
+        assert model.q.value(r) == pytest.approx(r ** 0.25 * 3.0, rel=1e-14)
 
     def test_tabulated_interpolation_and_derivative(self):
         q = coefficient("tabulated", grid=[1.0, 2.0, 3.0], values=[1.0, 4.0, 9.0])
-        model = CoefficientModel(q=q, m=constant(1))
-        res = eval_model(model, 2.0)
-        assert res.q == 4.0
-        assert not res.derivatives_exact
+        assert q.value(2.0) == 4.0
+        assert q.has_derivative and not q.derivative_exact
         # interpolant derivative against a centered difference of the
         # interpolant itself; h small enough that the curvature jump at the
         # knot contributes below tolerance
         h = 1e-7
         fd = (q.value(2.0 + h) - q.value(2.0 - h)) / (2 * h)
-        assert res.dq == pytest.approx(fd, abs=1e-6)
+        assert q.derivative(2.0) == pytest.approx(fd, abs=1e-6)
 
     def test_tabulated_knots_exact(self):
         grid = [0.5, 1.25, 2.0, 7.5]
@@ -73,8 +76,10 @@ class TestEval:
     def test_nonsmooth_tabulated_has_no_derivative(self):
         q = coefficient("tabulated", grid=[1.0, 2.0], values=[1.0, 2.0],
                         derivative="none")
-        res = eval_model(CoefficientModel(q=q, m=constant(1)), 1.5)
-        assert res.dq is None
+        assert not q.has_derivative
+        for order in (1, 2):
+            with pytest.raises(MissingDerivativeError):
+                q.derivative(1.5, order=order)
 
     def test_sum_with_nonsmooth_term_has_no_derivative(self):
         rough = coefficient("tabulated", grid=[1.0, 2.0], values=[1.0, 2.0],
@@ -139,8 +144,7 @@ class TestChannelAssembly:
 class TestSerialization:
     def test_round_trip(self):
         model = modulated_model()
-        d = model_to_dict(model)
-        back = model_from_dict(d)
+        back = model_from_dict(model.to_dict())
         assert descriptors_equal(model.q, back.q)
         assert descriptors_equal(model.m, back.m)
 
@@ -172,6 +176,32 @@ class TestModelEquality:
     def test_mismatch_located(self):
         eq, where = models_equal(modulated_model())
         assert not eq and where is not None
+
+    @pytest.mark.parametrize("name", [
+        "check_b_conditions", "gamma_diagnostics", "transform", "eigen_shoot",
+        "second_order_check"])
+    def test_borderline_entry_refuses_mismatch(self, name):
+        # every m == q computation refuses a model with m != q in the words
+        # of `require_equal`, at the first mismatch radius
+        model = linear_model()
+        grid = np.linspace(1.0, 5.0, 101)
+        traj = Trajectory(grid=grid, u1=np.sin(grid), u2=np.cos(grid),
+                          rho=np.ones_like(grid), theta=None,
+                          mode="synthetic", channel=None)
+        call = {
+            "check_b_conditions": lambda: hypotheses.check_b_conditions(model),
+            "gamma_diagnostics": lambda: hypotheses.gamma_diagnostics(model,
+                                                                      -1.0),
+            "transform": lambda: subordinacy.transform(model, 1, -1.0),
+            "eigen_shoot": lambda: subordinacy.eigen_shoot(model, 1,
+                                                           (0.0, 2.0)),
+            "second_order_check": lambda: asymptotics.second_order_check(
+                traj, model, 1, -1.0),
+        }[name]
+        where = models_equal(model)[1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} needs m == q (first mismatch near r = {where:g})")):
+            call()
 
     def test_tabulated_pointwise(self):
         rr = np.linspace(1, 10, 40)

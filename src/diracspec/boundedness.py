@@ -26,13 +26,7 @@ import numpy as np
 from .bvcalc import cumulative_variation
 from .hypotheses import (ENVELOPE_FORMS, GENERAL, L_ZERO, M_ZERO, VIOLATED,
                          HypothesisReport, envelope_form)
-from .solver import (
-    PreconditionError,
-    SolveConfig,
-    Trajectory,
-    integrate_fundamental,
-    wronskian,
-)
+from .solver import PreconditionError, SolveConfig, integrate_fundamental
 
 __all__ = [
     "RTrace",
@@ -104,15 +98,17 @@ class RTrace:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def r_trace(traj: Trajectory) -> RTrace:
-    """The envelope trace of a trajectory, in the form its channel's (M, L)
-    pick on the trajectory grid, with the C3 quotients of that form."""
-    Q, M, L, W = coeffs = traj.channel.coeffs(traj.grid)
+def r_trace(channel, grid, u) -> RTrace:
+    """The envelope trace of one solution u = (u1, u2) of `channel` on
+    `grid`, in the form the channel's (M, L) pick there, with the C3
+    quotients of that form."""
+    Q, M, L, W = coeffs = channel.coeffs(grid)
     form = envelope_form(M, L)
-    R = r_eval((traj.u1, traj.u2), coeffs, form)
+    R = r_eval(u, coeffs, form)
+    u1, u2 = u
     quotients = ENVELOPE_FORMS[form].quotients(Q, M, L, W, Q - W,
                                                np.empty(Q.shape))
-    return RTrace(grid=traj.grid, R=np.asarray(R), usq=traj.norm_sq(),
+    return RTrace(grid=grid, R=np.asarray(R), usq=u1 ** 2 + u2 ** 2,
                   form=form, cumvar=sum(map(cumulative_variation, quotients)),
                   epsilon=ENVELOPE_FORMS[form].epsilon(Q, M, L))
 
@@ -178,49 +174,42 @@ def auto_start_radius(channel, margin: float = 0.05, lo: float = 0.5,
     return float(rs[first])
 
 
-def comparability_constant(ta: Trajectory, tb: Trajectory,
-                           trace: RTrace) -> BoundednessCertificate:
-    """Certify |y(r0)|^2 / C <= |y(r)|^2 <= C |y(r0)|^2 on the grid of a
-    solved fundamental pair (ta, tb); `sup_R` is read off `trace`, the
-    envelope trace `r_trace(ta)`.
+def comparability_constant(phi, trace: RTrace) -> BoundednessCertificate:
+    """Certify |y(r0)|^2 / C <= |y(r)|^2 <= C |y(r0)|^2 on the grid of
+    `trace` from the fundamental system phi = Phi(r, r0) there, (n, 2, 2)
+    with phi[0] the identity; `sup_R` is read off `trace`.
 
-    Every solution is y(r) = P(r) y(r0) with the propagator
-    P(r) = Phi(r) Phi(r0)^-1 = [[a, b], [c, d]], Phi = [ta | tb].  The
+    Every solution is y(r) = Phi(r) y(r0), Phi = [[a, b], [c, d]].  The
     extreme ratios over all initial data are the squared singular values of
-    P.  With F = ||P||_F^2 and D = det P (the Wronskian normalised at r0,
-    1 up to solver drift because trace A = 0):
+    Phi.  With F = ||Phi||_F^2 and D = det Phi (1 up to solver drift because
+    trace A = 0):
 
         sigma_max^2 = (F + sqrt(F^2 - 4 D^2)) / 2
                     = (|(a + d, c - b)| + |(a - d, b + c)|)^2 / 4,
         sigma_min^2 = D^2 / sigma_max^2.
 
-    The second form is used: it keeps full precision when P is nearly a
+    The second form is used: it keeps full precision when Phi is nearly a
     rotation, where F^2 - 4 D^2 cancels to rounding noise.
 
     C is the maximum over the grid of sigma_max^2 and 1 / sigma_min^2: exact
     at the grid points, not a bound between them.
     """
-    if not (ta.ok and tb.ok):
-        raise PreconditionError(f"fundamental solve failed: {ta.message}")
-    phi = np.array([[ta.u1, tb.u1], [ta.u2, tb.u2]]).transpose(2, 0, 1)
-    P = phi @ np.linalg.inv(phi[0])
-    a, b, c, d = P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], P[:, 1, 1]
+    a, b, c, d = phi[:, 0, 0], phi[:, 0, 1], phi[:, 1, 0], phi[:, 1, 1]
     smax_sq = 0.25 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) ** 2
-    w = wronskian(ta, tb)
-    D = w / w[0]
+    D = a * d - c * b
     C = float(np.max(np.maximum(smax_sq, smax_sq / D ** 2)))
     sup_R = float(np.max(trace.R))
-    return BoundednessCertificate(r0=float(ta.grid[0]), r_end=float(ta.grid[-1]),
-                                  sup_R=sup_R, C=C)
+    return BoundednessCertificate(r0=float(trace.grid[0]),
+                                  r_end=float(trace.grid[-1]), sup_R=sup_R, C=C)
 
 
 def certify(channel, solver: SolveConfig,
             reports: Optional[Sequence[HypothesisReport]] = None):
     """The boundedness certificate of one channel, as `boundedness` and
-    `scan` give it: the fundamental pair is solved with the window end,
-    stride and step cap of `solver` from `auto_start_radius`, with rtol
+    `scan` give it: the fundamental system Phi is solved with the window
+    end, stride and step cap of `solver` from `auto_start_radius`, with rtol
     floored at 1e-10, then `comparability_constant` certifies it with the
-    envelope trace of the pair's first trajectory.  A channel whose
+    envelope trace of Phi's first column.  A channel whose
     `reports` mark the envelope conditions C2/C3 violated, or whose start
     radius is not below the window end, is refused before anything is
     solved.  Returns the envelope trace and the certificate."""
@@ -233,9 +222,9 @@ def certify(channel, solver: SolveConfig,
         raise PreconditionError(f"certificate refused: start radius "
                                 f"r0 = {r0:g} is not below r_end = "
                                 f"{solver.r_end:g}")
-    ta, tb = integrate_fundamental(
+    grid, phi, failure = integrate_fundamental(
         channel, replace(solver, r_start=r0, rtol=max(solver.rtol, 1e-10)))
-    if not ta.ok:
-        raise PreconditionError(f"fundamental solve failed: {ta.message}")
-    trace = r_trace(ta)
-    return trace, comparability_constant(ta, tb, trace)
+    if failure is not None:
+        raise PreconditionError(f"fundamental solve failed: {failure}")
+    trace = r_trace(channel, grid, phi[:, :, 0].T)
+    return trace, comparability_constant(phi, trace)

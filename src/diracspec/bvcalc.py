@@ -379,21 +379,20 @@ def classify_trichotomy(lambdas: Sequence[float], windows,
 
 
 def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
-                            tail_start: float = 25.0, *, factor: float = 10.0,
-                            rungs: int = 3,
-                            points_per_unit: float = 8.0) -> TrichotomyProbe:
-    """Windowed tail variation of m/(q - lambda) for each probe lambda.
+                            tail_ladder: WindowLadder = TAIL_LADDER
+                            ) -> TrichotomyProbe:
+    """Windowed tail variation of m/(q - lambda) for each probe lambda on
+    the windows of `tail_ladder`.
 
     One (q, m) sample per window serves every lambda (`trichotomy_window`);
     the rungs are then classified (`classify_trichotomy`).
     """
-    windows = WindowLadder(tail_start, factor, rungs).windows()
+    windows = tail_ladder.windows()
     lambdas = [float(lam) for lam in lambdas]
     variations = [[] for _ in lambdas]
     with np.errstate(all="ignore"):
         for a, b in windows:
             r, (q, m) = sample_window(
-                lambda r: (model.q.value(r), model.m.value(r)), a, b,
-                points_per_unit=points_per_unit)
+                lambda r: (model.q.value(r), model.m.value(r)), a, b)
             variations = trichotomy_window(q, m, lambdas, variations)
     return classify_trichotomy(lambdas, windows, variations)

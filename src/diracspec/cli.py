@@ -66,6 +66,7 @@ from .solver import (
 from .subordinacy import (
     borderline_cell,
     classify_cells,
+    eigen_bracket,
     eigen_shoot,
     spectrum_hypotheses,
     summarize_cells,
@@ -181,9 +182,9 @@ def load_config(path) -> RunConfig:
     bracket = raw.get("bracket")
     if bracket is not None:
         _require(isinstance(bracket, list) and len(bracket) == 2
-                 and all(map(_is_real, bracket)) and bracket[0] < bracket[1],
-                 "config.bracket: expected finite reals [lo, hi] with lo < hi")
-        bracket = [float(b) for b in bracket]
+                 and all(map(_is_real, bracket)),
+                 "config.bracket: expected finite reals [lo, hi]")
+        bracket = list(_checked("config.bracket", eigen_bracket, bracket))
 
     def section(key, defaults, **casts):
         # the defaults name every allowed key; values are finite reals
@@ -434,8 +435,6 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require_equal_model(cfg, "eigen")
     _require(cfg.bracket is not None, "eigen needs a 'bracket'")
-    _require(cfg.bracket[0] >= 0.0,
-             "eigen needs a bracket inside the positive half-line")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     doc = {"kind": "eigenvalues", "bracket": cfg.bracket, "by_k": {}}
     for k in cfg.k_set:
@@ -549,9 +548,7 @@ def cmd_bv_verify(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
            "jordan_failures": jordan_fail}
     if cfg.model is not None and cfg.lambda_grid:
         probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid,
-                                        cfg.tail_ladder.start,
-                                        factor=cfg.tail_ladder.factor,
-                                        rungs=cfg.tail_ladder.rungs)
+                                        cfg.tail_ladder)
         doc["trichotomy"] = probe.to_dict()
         _say(f"trichotomy pattern: {probe.pattern}")
     _write_json(out / "bv_report.json", doc)

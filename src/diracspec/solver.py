@@ -49,7 +49,6 @@ __all__ = [
     "integrate_fundamental",
     "propagate",
     "cumulative_norms",
-    "wronskian",
     "frobenius_init",
     "frobenius_radius",
     "cumulative_integral",
@@ -130,9 +129,6 @@ class Trajectory:
     @property
     def ok(self) -> bool:
         return self.status == 0
-
-    def norm_sq(self) -> np.ndarray:
-        return self.u1 ** 2 + self.u2 ** 2
 
     def to_csv(self, path):
         Q, M, L, W = self.channel.coeffs(self.grid)
@@ -448,21 +444,14 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
                       log_rho=log_rho[at])
 
 
-def integrate_fundamental(channel, cfg: SolveConfig, U0=None):
-    """A fundamental system (the columns of U0, default the identity): a
-    pair of trajectories on one grid, read off one Magnus solve, for
-    Wronskian checks and superposition.  They stop at the last grid point
-    reached, both with status -1, when the solve fails."""
-    U0 = np.eye(2) if U0 is None else np.asarray(U0, dtype=float)
+def integrate_fundamental(channel, cfg: SolveConfig):
+    """The fundamental system Phi(r, r_start) on the grid of `cfg`, read off
+    one Magnus solve: (grid, phi, failure), phi of shape (n, 2, 2) with
+    phi[0] the identity.  When the solve fails, grid and phi stop at the
+    last grid point reached and `failure` says why; otherwise it is None."""
     solve = _Solve(channel, cfg.grid(), cfg.rtol, cfg.max_step)
     phi, (n,), (failure,) = solve.transfer()
-    U = phi[0, :n] @ U0
-    return tuple(Trajectory(grid=solve.nodes[0, :n], u1=u1, u2=u2,
-                            rho=np.hypot(u1, u2), theta=_safe_unwrap(u1, u2),
-                            mode="cartesian", channel=channel,
-                            status=0 if failure is None else -1,
-                            message=failure or "", nfev=solve.nfev)
-                 for u1, u2 in zip(U[:, 0].T, U[:, 1].T))
+    return solve.nodes[0, :n], phi[0, :n], failure
 
 
 def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:
@@ -490,15 +479,6 @@ def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:
     u = np.einsum("bij,bj->bi", phi[:, -1],
                   np.reshape(np.asarray(u0, dtype=float), (B, 2)))
     return u if batch else u[0]
-
-
-def wronskian(t1: Trajectory, t2: Trajectory) -> np.ndarray:
-    """u1(1) u2(2) - u2(1) u1(2) on the shared grid; its relative drift
-    measures integration quality because the exact value is constant."""
-    if not np.array_equal(t1.grid, t2.grid):
-        raise ValueError("trajectories must share a grid; re-interpolation "
-                         "is not supported")
-    return t1.u1 * t2.u2 - t1.u2 * t2.u1
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ __all__ = [
     "theta_census",
     "census_from_phase",
     "subordinacy_ratio",
+    "eigen_bracket",
     "eigen_shoot",
     "classify_cells",
     "borderline_cell",
@@ -429,6 +430,15 @@ def _refine_roots(f, lo, hi, f_lo, f_hi, tol):
         last[i] = np.where(up, 1.0, -1.0)
 
 
+def eigen_bracket(bracket) -> tuple:
+    """The search bracket (lo, hi) of `eigen_shoot` as floats; refused
+    unless 0 <= lo < hi."""
+    lo, hi = map(float, bracket)
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"need a bracket 0 <= lo < hi, got [{lo:g}, {hi:g}]")
+    return lo, hi
+
+
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
                 rtol: float = 1e-10, dominance: float = 1e3,
@@ -447,9 +457,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     (`decaying_direction`) divides by lambda.
     """
     require_equal(model, "eigen_shoot")
-    a, b = float(bracket[0]), float(bracket[1])
-    if a < 0.0 or b <= a:
-        raise ValueError("bracket must lie inside the positive half-line")
+    a, b = eigen_bracket(bracket)
     if not (tol_lambda > 0.0 and scan_step > 0.0):
         raise ValueError("tol_lambda and scan_step must be positive")
 

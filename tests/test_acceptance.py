@@ -42,7 +42,6 @@ from diracspec.solver import (
     integrate_pruefer,
     phase_derivative,
     s_reparam,
-    wronskian,
 )
 from diracspec.subordinacy import (
     eigen_shoot,
@@ -73,7 +72,7 @@ def test_criterion_1_constant_coefficient_conservation():
     worst = 0.0
     for phi in rng.uniform(0.0, 2.0 * np.pi, 16):
         traj = integrate_cartesian(CONST, [math.cos(phi), math.sin(phi)], cfg)
-        trace = r_trace(traj)
+        trace = r_trace(CONST, traj.grid, (traj.u1, traj.u2))
         worst = max(worst, float(np.max(np.abs(trace.R - trace.R[0]))
                                  / trace.R[0]))
     traj = integrate_cartesian(CONST, [1.0, 0.0], cfg)
@@ -106,12 +105,12 @@ def test_criterion_2_wronskian_drift():
     worst, worst_name = 0.0, ""
     for name, channel in channels:
         # start where the channel is elliptic (Q > W); below that radius a
-        # fundamental pair separates exponentially and the Wronskian loses
-        # digits to cancellation regardless of integrator quality
+        # fundamental system's columns separate exponentially and det Phi
+        # loses digits to cancellation regardless of integrator quality
         r0 = max(1.0, elliptic_start(channel))
         cfg = SolveConfig(r_start=r0, r_end=r0 + 200.0)  # default tolerances
-        ta, tb = integrate_fundamental(channel, cfg)
-        w = wronskian(ta, tb)
+        _, phi, _ = integrate_fundamental(channel, cfg)
+        w = phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 1, 0] * phi[:, 0, 1]
         drift = float(np.max(np.abs(w - w[0])) / abs(w[0]))
         if drift > worst:
             worst, worst_name = drift, name
@@ -146,16 +145,17 @@ def test_criterion_4_dominant_potential_desk_scale():
             channels_ok &= all(r.verdict == SATISFIED for r in creps)
             r0 = max(2.0, auto_start_radius(channel))
             cfg = SolveConfig(r_start=r0, r_end=200.0, rtol=1e-6, atol=1e-9)
-            ta, tb = integrate_fundamental(channel, cfg)
-            trace = r_trace(ta)
+            grid, phi, _ = integrate_fundamental(channel, cfg)
+            trace = r_trace(channel, grid, phi[:, :, 0].T)
             verdicts = almost_monotone_check(trace, n_grid=32)
             monotone_ok &= all(v.ok for v in verdicts)
-            cert = comparability_constant(ta, tb, trace)
-            # no initial direction (721 of the half circle) exceeds C
+            cert = comparability_constant(phi, trace)
+            # no initial direction Phi (cos t, sin t), t over 721 of the
+            # half circle, exceeds C
             worst = 0.0
-            for phi in np.linspace(0.0, np.pi, 721):
-                u1 = np.cos(phi) * ta.u1 + np.sin(phi) * tb.u1
-                u2 = np.cos(phi) * ta.u2 + np.sin(phi) * tb.u2
+            for t in np.linspace(0.0, np.pi, 721):
+                u1 = np.cos(t) * phi[:, 0, 0] + np.sin(t) * phi[:, 0, 1]
+                u2 = np.cos(t) * phi[:, 1, 0] + np.sin(t) * phi[:, 1, 1]
                 nsq = u1 ** 2 + u2 ** 2
                 worst = max(worst, np.max(nsq) / nsq[0], nsq[0] / np.min(nsq))
             certified &= bool(np.isfinite(cert.C)) and \

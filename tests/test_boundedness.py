@@ -41,17 +41,29 @@ def cfg(r0, r1, **kw):
     return SolveConfig(r_start=r0, r_end=r1, **kw)
 
 
-def pair(channel, r0, r1, **kw):
-    return integrate_fundamental(channel, cfg(r0, r1, **kw))
+def fundamental(channel, r0, r1, **kw):
+    """(grid, Phi) of a fundamental solve that reaches r1."""
+    grid, phi, failure = integrate_fundamental(channel, cfg(r0, r1, **kw))
+    assert failure is None
+    return grid, phi
 
 
-def direction_ratios(ta, tb, n=721):
-    """Extreme two-sided norm ratio on the grid for the solutions starting at
-    (cos phi, sin phi), phi over n directions of the half circle."""
+def first_trace(channel, grid, phi):
+    # the envelope trace `certify` takes: Phi's first column
+    return r_trace(channel, grid, phi[:, :, 0].T)
+
+
+def traj_trace(traj):
+    return r_trace(traj.channel, traj.grid, (traj.u1, traj.u2))
+
+
+def direction_ratios(phi, n=721):
+    """Extreme two-sided norm ratio on the grid for the solutions
+    Phi (cos t, sin t), t over n directions of the half circle."""
     out = []
-    for phi in np.linspace(0.0, np.pi, n):
-        u1 = np.cos(phi) * ta.u1 + np.sin(phi) * tb.u1
-        u2 = np.cos(phi) * ta.u2 + np.sin(phi) * tb.u2
+    for t in np.linspace(0.0, np.pi, n):
+        u1 = np.cos(t) * phi[:, 0, 0] + np.sin(t) * phi[:, 0, 1]
+        u2 = np.cos(t) * phi[:, 1, 0] + np.sin(t) * phi[:, 1, 1]
         nsq = u1 ** 2 + u2 ** 2
         out.append(max(np.max(nsq) / nsq[0], nsq[0] / np.min(nsq)))
     return np.array(out)
@@ -70,7 +82,7 @@ class TestREval:
 
     def test_conserved_along_constant_solution(self):
         traj = integrate_cartesian(CONST, [1.0, 0.0], cfg(1.0, 101.0))
-        trace = r_trace(traj)
+        trace = traj_trace(traj)
         assert trace.form == "L_zero"
         drift = np.max(np.abs(trace.R - trace.R[0])) / trace.R[0]
         assert drift < 1e-8
@@ -85,13 +97,13 @@ class TestREval:
 
     def test_general_form_dominates_norm(self):
         traj = integrate_cartesian(LINEAR, [0.1, 1.0], cfg(2.0, 60.0))
-        trace = r_trace(traj)
+        trace = traj_trace(traj)
         assert np.all(trace.R >= trace.usq * (1 - 1e-12))
 
     def test_m_zero_lower_bound(self):
         ch = ConstantChannel(4.0, 0.0, 1.0)
         traj = integrate_cartesian(ch, [1.0, -1.0], cfg(1.0, 30.0))
-        trace = r_trace(traj)
+        trace = traj_trace(traj)
         eps = trace.epsilon
         floor = (1 - eps) / (1 + eps)
         assert np.all(trace.R >= floor * trace.usq * (1 - 1e-12))
@@ -110,7 +122,7 @@ class TestREval:
 class TestAlmostMonotone:
     def test_constant_coefficients_zero_rhs(self):
         traj = integrate_cartesian(CONST, [1.0, 0.0], cfg(1.0, 41.0))
-        verdicts = almost_monotone_check(r_trace(traj), n_grid=8)
+        verdicts = almost_monotone_check(traj_trace(traj), n_grid=8)
         assert all(v.ok for v in verdicts)
         assert all(v.rhs == 0.0 for v in verdicts)
         # with zero variation the envelope cannot grow at all
@@ -120,14 +132,14 @@ class TestAlmostMonotone:
         r0 = auto_start_radius(LINEAR)
         traj = integrate_cartesian(LINEAR, [1.0, 0.0],
                                    cfg(max(2.0, r0), 200.0, rtol=1e-9))
-        verdicts = almost_monotone_check(r_trace(traj), n_grid=32)
+        verdicts = almost_monotone_check(traj_trace(traj), n_grid=32)
         assert len(verdicts) == 32 * 31 // 2
         assert all(v.ok for v in verdicts)
 
     def test_m_zero_variant(self):
         ch = ConstantChannel(5.0, 0.0, 1.0)
         traj = integrate_cartesian(ch, [1.0, 2.0], cfg(1.0, 30.0))
-        verdicts = almost_monotone_check(r_trace(traj))
+        verdicts = almost_monotone_check(traj_trace(traj))
         assert all(v.ok for v in verdicts)
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["M<0", "M>0"])
@@ -136,9 +148,9 @@ class TestAlmostMonotone:
         # and bounds it with the factor of the M == 0 variant, eps the sup
         # of |M|/Q
         ch = VaryingMassChannel(sign)
-        traj = pair(ch, 1.0, 40.0)[0]
-        Q, M, _, _ = ch.coeffs(traj.grid)
-        trace = r_trace(traj)
+        grid, phi = fundamental(ch, 1.0, 40.0)
+        Q, M, _, _ = ch.coeffs(grid)
+        trace = first_trace(ch, grid, phi)
         assert trace.form == "L_zero"
         np.testing.assert_array_equal(trace.cumvar,
                                       cumulative_variation(M / (Q - M)))
@@ -206,7 +218,7 @@ class TestAlmostMonotoneReference:
     ], ids=["linear", "constant-L0", "M0", "short-grid", "raised-R",
             "raised-R-M0"])
     def test_matches_pair_loop(self, channel, r0, r1, n_grid, alter):
-        trace = r_trace(pair(channel, r0, r1)[0])
+        trace = first_trace(channel, *fundamental(channel, r0, r1))
         if alter is not None:
             trace = alter(trace)
         got = almost_monotone_check(trace, n_grid=n_grid)
@@ -221,11 +233,12 @@ class TestAlmostMonotoneReference:
             assert len(got) < n_grid * (n_grid - 1) // 2
 
     def test_cumvar_sums_the_quotient_variations(self):
-        traj = pair(LINEAR, 2.0, 60.0)[0]
-        Q, M, L, W = LINEAR.coeffs(traj.grid)
+        grid, phi = fundamental(LINEAR, 2.0, 60.0)
+        Q, M, L, W = LINEAR.coeffs(grid)
         want = sum(np.sum(np.abs(np.diff(q)))
                    for q in (W / (Q - W), M / (Q - W), L / (Q - W)))
-        assert r_trace(traj).cumvar[-1] == pytest.approx(want, rel=1e-12)
+        assert first_trace(LINEAR, grid, phi).cumvar[-1] == \
+            pytest.approx(want, rel=1e-12)
 
 
 class TestComparability:
@@ -234,32 +247,33 @@ class TestComparability:
         # [R/3, R] and the extreme ratio is exactly 3; it is reached where
         # sqrt(3) (r - 1) is an odd multiple of pi/2, as at the range's end
         r_end = 1.0 + 111 * np.pi / (2.0 * np.sqrt(3.0))
-        ta, tb = pair(CONST, 1.0, r_end)
-        cert = comparability_constant(ta, tb, r_trace(ta))
+        grid, phi = fundamental(CONST, 1.0, r_end)
+        cert = comparability_constant(phi, first_trace(CONST, grid, phi))
         assert cert.C == pytest.approx(3.0, rel=1e-8)
         assert cert.to_dict()["verdict"] == "bounded"
 
     def test_free_channel_is_isometric(self):
-        ta, tb = pair(FREE, 1.0, 51.0, rtol=1e-12, atol=1e-14)
-        cert = comparability_constant(ta, tb, r_trace(ta))
+        grid, phi = fundamental(FREE, 1.0, 51.0, rtol=1e-12, atol=1e-14)
+        cert = comparability_constant(phi, first_trace(FREE, grid, phi))
         assert cert.C == pytest.approx(1.0, rel=1e-10)
 
     def test_linear_channel_certificate(self):
         r0 = auto_start_radius(LINEAR)
-        ta, tb = pair(LINEAR, r0, 200.0)
-        cert = comparability_constant(ta, tb, r_trace(ta))
+        grid, phi = fundamental(LINEAR, r0, 200.0)
+        cert = comparability_constant(phi, first_trace(LINEAR, grid, phi))
         assert np.isfinite(cert.C) and cert.C >= 1.0
-        assert np.max(direction_ratios(ta, tb)) <= cert.C * (1 + 1e-9)
+        assert np.max(direction_ratios(phi)) <= cert.C * (1 + 1e-9)
 
     def test_linear_channel_exact_against_direction_sweep(self):
         # q = r, m = 1, k = 1, lambda = 0: no initial direction exceeds C,
         # and the sweep's worst direction reaches it
-        ta, tb = pair(LINEAR, auto_start_radius(LINEAR), 22.0)
-        cert = comparability_constant(ta, tb, r_trace(ta))
-        worst = float(np.max(direction_ratios(ta, tb)))
+        grid, phi = fundamental(LINEAR, auto_start_radius(LINEAR), 22.0)
+        trace = first_trace(LINEAR, grid, phi)
+        cert = comparability_constant(phi, trace)
+        worst = float(np.max(direction_ratios(phi)))
         assert worst <= cert.C * (1 + 1e-9)
         assert worst >= cert.C * (1 - 1e-6)
-        assert comparability_constant(ta, tb, r_trace(ta)).C == cert.C
+        assert comparability_constant(phi, trace).C == cert.C
 
     def test_refused_on_violated_reports(self):
         from diracspec.coefficients import coefficient
@@ -277,17 +291,46 @@ class TestComparability:
     def test_transitivity_on_samples(self):
         # any combination of two basis solutions obeys the two-sided bound
         # with twice the basis constant
-        from diracspec.solver import integrate_fundamental
-        c = cfg(1.0, 101.0)
-        ta, tb = integrate_fundamental(CONST, c)
+        _, phi = fundamental(CONST, 1.0, 101.0)
         basis_C = 3.0
         rng = np.random.default_rng(3)
-        for phi in rng.uniform(0, 2 * np.pi, 8):
-            u1 = np.cos(phi) * ta.u1 + np.sin(phi) * tb.u1
-            u2 = np.cos(phi) * ta.u2 + np.sin(phi) * tb.u2
+        for t in rng.uniform(0, 2 * np.pi, 8):
+            u1 = np.cos(t) * phi[:, 0, 0] + np.sin(t) * phi[:, 0, 1]
+            u2 = np.cos(t) * phi[:, 1, 0] + np.sin(t) * phi[:, 1, 1]
             nsq = u1 ** 2 + u2 ** 2
             assert np.max(nsq) <= 2 * basis_C * nsq[0] * (1 + 1e-9)
             assert np.min(nsq) >= nsq[0] / (2 * basis_C) * (1 - 1e-9)
+
+
+class TestCertify:
+    @pytest.mark.parametrize("channel", [CONST, LINEAR,
+                                         assemble_channel(LINEAR_MODEL, -2,
+                                                          1.0)])
+    def test_one_fundamental_solve_and_no_trajectory(self, channel,
+                                                     monkeypatch):
+        import diracspec.boundedness as boundedness
+        from diracspec.solver import Trajectory
+
+        solves, built = [], []
+        solve, init = boundedness.integrate_fundamental, Trajectory.__init__
+
+        def counting_solve(*args):
+            solves.append(solve(*args))
+            return solves[-1]
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(boundedness, "integrate_fundamental",
+                            counting_solve)
+        monkeypatch.setattr(Trajectory, "__init__", counting_init)
+        trace, cert = certify(channel, SolveConfig(r_start=1.0, r_end=40.0))
+        assert len(solves) == 1 and built == []
+        ((grid, phi, _),) = solves
+        assert trace.grid is grid and cert.r_end == grid[-1] == 40.0
+        assert cert == comparability_constant(phi, first_trace(channel,
+                                                               grid, phi))
 
 
 class GapChannel:

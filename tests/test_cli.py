@@ -515,9 +515,9 @@ class TestOtherCommands:
         traced = []
         trace = boundedness.r_trace
 
-        def counting_trace(traj):
-            traced.append(traj.channel.label())
-            return trace(traj)
+        def counting_trace(channel, grid, u):
+            traced.append(channel.label())
+            return trace(channel, grid, u)
 
         monkeypatch.setattr(boundedness, "integrate_fundamental", counting)
         monkeypatch.setattr(boundedness, "r_trace", counting_trace)
@@ -656,14 +656,18 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "o" / "eigenvalues.json").read_text())
         assert len(doc["by_k"]["1"]) >= 1
 
-    @pytest.mark.parametrize("doc", [
-        {"model": EQUAL_MODEL, "k_set": [1], "bracket": [-1.0, 1.0]},
-        {"model": LINEAR_MODEL, "k_set": [1], "bracket": [0.0, 1.0]},
-    ])
-    def test_eigen_refused_input_exits_two(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, refusal", [
+        ({"model": EQUAL_MODEL, "k_set": [1], "bracket": [-1.0, 1.0]},
+         "config error: config.bracket: need a bracket 0 <= lo < hi, "
+         "got [-1, 1]"),
+        ({"model": LINEAR_MODEL, "k_set": [1], "bracket": [0.0, 1.0]},
+         "config error: eigen needs m == q"),
+    ], ids=["doc0", "doc1"])
+    def test_eigen_refused_input_exits_two(self, tmp_path, capsys, doc,
+                                           refusal):
         cfg = write_config(tmp_path, doc)
         assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
-        assert "config error: eigen needs" in capsys.readouterr().err
+        assert refusal in capsys.readouterr().err
 
     def test_bv_verify_seeded(self, tmp_path):
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,

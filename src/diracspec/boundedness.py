@@ -24,9 +24,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bvcalc import cumulative_variation
+from .coefficients import ChannelBatch, assemble_channel
 from .hypotheses import (ENVELOPE_FORMS, GENERAL, L_ZERO, M_ZERO, VIOLATED,
                          HypothesisReport, envelope_form)
-from .solver import PreconditionError, SolveConfig, integrate_fundamental
+from .solver import (PreconditionError, SolveConfig, _float_column,
+                     _write_columns, integrate_fundamental)
 
 __all__ = [
     "RTrace",
@@ -91,11 +93,9 @@ class RTrace:
     epsilon: float  # sup |x|/Q of a single-quotient form's x; 0 if general
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# kind=rtrace\n")
-            fh.write("r,R,usq,bound\n")
-            for row in zip(self.grid, self.R, self.usq, self.R):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        R = _float_column(self.R)  # also the bound column
+        _write_columns(path, "# kind=rtrace\nr,R,usq,bound",
+                       [_float_column(self.grid), R, _float_column(self.usq), R])
 
 
 def r_trace(channel, grid, u) -> RTrace:
@@ -204,27 +204,55 @@ def comparability_constant(phi, trace: RTrace) -> BoundednessCertificate:
 
 
 def certify(channel, solver: SolveConfig,
-            reports: Optional[Sequence[HypothesisReport]] = None):
-    """The boundedness certificate of one channel, as `boundedness` and
-    `scan` give it: the fundamental system Phi is solved with the window
-    end, stride and step cap of `solver` from `auto_start_radius`, with rtol
-    floored at 1e-10, then `comparability_constant` certifies it with the
-    envelope trace of Phi's first column.  A channel whose
-    `reports` mark the envelope conditions C2/C3 violated, or whose start
-    radius is not below the window end, is refused before anything is
-    solved.  Returns the envelope trace and the certificate."""
-    for rep in reports or ():
-        if rep.condition_id.startswith(("C2", "C3")) and rep.verdict == VIOLATED:
-            raise PreconditionError(
-                f"certificate refused: {rep.condition_id} reported violated")
-    r0 = auto_start_radius(channel)
-    if r0 >= solver.r_end:
-        raise PreconditionError(f"certificate refused: start radius "
-                                f"r0 = {r0:g} is not below r_end = "
-                                f"{solver.r_end:g}")
-    grid, phi, failure = integrate_fundamental(
-        channel, replace(solver, r_start=r0, rtol=max(solver.rtol, 1e-10)))
-    if failure is not None:
-        raise PreconditionError(f"fundamental solve failed: {failure}")
-    trace = r_trace(channel, grid, phi[:, :, 0].T)
-    return trace, comparability_constant(phi, trace)
+            reports: Optional[Sequence[Sequence[HypothesisReport]]] = None):
+    """The boundedness certificates of the cells of one k, as `boundedness`
+    and `scan` give them: `channel` is a `ChannelBatch`, or a lone channel
+    as a batch of one, and reports[i] holds the condition reports of its
+    channel i.
+
+    A channel whose reports mark the envelope conditions C2/C3 violated, or
+    whose `auto_start_radius` is missing or not below the window end, is
+    refused before anything is solved.  The fundamental systems Phi of the
+    others are one `integrate_fundamental` solve, each from its own start
+    radius with the window end, stride and step cap of `solver` and rtol
+    floored at 1e-10; `comparability_constant` certifies each with the
+    envelope trace of Phi's first column.  Returns per channel its envelope
+    trace and certificate, or the PreconditionError that refuses it; one
+    channel's refusal leaves the others as they are."""
+    batch = isinstance(channel, ChannelBatch)
+    cells = ([assemble_channel(channel.model, channel.k, lam)
+              for lam in channel.lams.tolist()] if batch else [channel])
+    results, starts = [None] * len(cells), {}
+    for i, (cell, reps) in enumerate(zip(cells, reports or [()] * len(cells))):
+        try:
+            for rep in reps:
+                if (rep.condition_id.startswith(("C2", "C3"))
+                        and rep.verdict == VIOLATED):
+                    raise PreconditionError(f"certificate refused: "
+                                            f"{rep.condition_id} reported "
+                                            f"violated")
+            r0 = auto_start_radius(cell)
+            if r0 >= solver.r_end:
+                raise PreconditionError(f"certificate refused: start radius "
+                                        f"r0 = {r0:g} is not below r_end = "
+                                        f"{solver.r_end:g}")
+        except PreconditionError as err:
+            results[i] = err
+        else:
+            starts[i] = r0
+    if not starts:
+        return results
+    solved = (replace(channel, lams=channel.lams[list(starts)]) if batch
+              else channel)
+    solves = integrate_fundamental(
+        solved, replace(solver, rtol=max(solver.rtol, 1e-10)),
+        list(starts.values()))
+    for i, (grid, phi, failure) in zip(starts, solves if batch else [solves]):
+        try:
+            if failure is not None:
+                raise PreconditionError(f"fundamental solve failed: {failure}")
+            trace = r_trace(cells[i], grid, phi[:, :, 0].T)
+            results[i] = trace, comparability_constant(phi, trace)
+        except PreconditionError as err:
+            results[i] = err
+    return results

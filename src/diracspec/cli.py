@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from .bvcalc import (
     variation,
 )
 from .coefficients import (
+    ChannelBatch,
     CoefficientModel,
     ConstantChannel,
     assemble_channel,
@@ -386,28 +388,34 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     else:
         c_reports = check_c_conditions(cfg.model, cfg.k_set, cfg.lambda_grid,
                                        **ladders)
-    for k, lam, channel in channels:
-        name = "const" if k is None else _cell_name(k, lam)
-        creps = c_reports[k, lam]
-        doc = {"kind": "boundedness", "channel": channel.label(),
-               "conditions": [r.to_dict() for r in creps]}
-        try:
-            trace, cert = certify(channel, cfg.solver, creps)
-            trace.to_csv(out / f"rtrace_{name}.csv")
-            verdicts = almost_monotone_check(trace)
-            doc["almost_monotone"] = {
-                "pairs": len(verdicts),
-                "failures": [{f: v[f].item() for f in verdicts.dtype.names}
-                             for v in verdicts[~verdicts.ok]]}
-            doc["certificate"] = cert.to_dict()
-            findings = findings or bool(doc["almost_monotone"]["failures"])
-            _say(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
-                 "verdict=bounded")
-        except PreconditionError as err:
-            doc["refused"] = str(err)
-            findings = True
-            _say(f"{channel.label()}: refused ({err})")
-        _write_json(out / f"boundedness_{name}.json", doc)
+    # one certify call, and so one fundamental solve, per k
+    for k, cells in groupby(channels, key=lambda cell: cell[0]):
+        cells = list(cells)
+        creps = [c_reports[k, lam] for _, lam, _ in cells]
+        batch = (cfg.channel_const if k is None else
+                 ChannelBatch(cfg.model, k, [lam for _, lam, _ in cells]))
+        for (_, lam, channel), reps, result in zip(
+                cells, creps, certify(batch, cfg.solver, creps)):
+            name = "const" if k is None else _cell_name(k, lam)
+            doc = {"kind": "boundedness", "channel": channel.label(),
+                   "conditions": [r.to_dict() for r in reps]}
+            if isinstance(result, PreconditionError):
+                doc["refused"] = str(result)
+                findings = True
+                _say(f"{channel.label()}: refused ({result})")
+            else:
+                trace, cert = result
+                trace.to_csv(out / f"rtrace_{name}.csv")
+                verdicts = almost_monotone_check(trace)
+                doc["almost_monotone"] = {
+                    "pairs": len(verdicts),
+                    "failures": [{f: v[f].item() for f in verdicts.dtype.names}
+                                 for v in verdicts[~verdicts.ok]]}
+                doc["certificate"] = cert.to_dict()
+                findings = findings or bool(doc["almost_monotone"]["failures"])
+                _say(f"{channel.label()}: C={cert.C:.6g} sup_R={cert.sup_R:.6g} "
+                     "verdict=bounded")
+            _write_json(out / f"boundedness_{name}.json", doc)
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
 

@@ -133,13 +133,21 @@ class Trajectory:
     def to_csv(self, path):
         Q, M, L, W = self.channel.coeffs(self.grid)
         theta = self.theta if self.theta is not None else np.full_like(self.grid, np.nan)
-        header = "r,u1,u2,rho,theta,Q,M,L,W"
-        data = np.column_stack([self.grid, self.u1, self.u2, self.rho, theta,
-                                Q, M, L, W])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        columns = (self.grid, self.u1, self.u2, self.rho, theta, Q, M, L, W)
+        _write_columns(path, "r,u1,u2,rho,theta,Q,M,L,W",
+                       [_float_column(x) for x in columns])
+
+
+def _float_column(a) -> list:
+    """The entries of `a` as strings, each repr(float(x)) of its float x."""
+    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+
+
+def _write_columns(path, header: str, columns):
+    """Write the `header` lines, then row i of the `columns` (equally long
+    lists of strings) comma-separated, for every i, in one call."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
 
 
 # Gauss-Legendre nodes on [0, 1] and the commutator weight of the
@@ -150,6 +158,10 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 _MIN_STEP = 1e-12
 # geometric pieces of the first partition of a `propagate` range (no grid)
 _COARSE = 16
+# columns of a `_running` block: its work arrays and the columns it reads
+# (about 1.3 MB) fit a 2 MB L2 cache; on a 2-core Xeon VM such blocks made
+# the scan of three 26,000-step channels a third faster than whole levels
+_BLOCK = 8192
 
 
 def _magnus_exp(h, p, b, c):
@@ -277,17 +289,39 @@ def _running(X, first):
     a single run).  Hillis-Steele doubling: at d = 1, 2, 4, ... each column
     takes on the column d before it inside its run.  Each product is scaled
     by a power of two, which is exact, so that its largest entry lies in
-    [1/2, 1): column i's product is R[:, i] 2^e[i] of the returned (R, e)."""
-    R, e = X.copy(), np.zeros(X.shape[1], dtype=int)
-    pos, d = np.arange(X.shape[1]) - first, 1
+    [1/2, 1): column i's product is R[:, i] 2^e[i] of the returned (R, e).
+
+    A level runs over blocks of `_BLOCK` columns from the right, so that
+    each block reads the columns d before it as the level before left
+    them; each block is formed in work arrays made once per call."""
+    n = X.shape[1]
+    R, e = X.copy(), np.zeros(n, dtype=int)
+    pos, d, w = np.arange(n) - first, 1, min(n, _BLOCK)
+    # P and T hold a block's products as [[a e, a f], [c e, c f]] +
+    # [[b g, b h], [d g, d h]], the sums of `_mul`
+    P, T = np.empty((2, 2, w)), np.empty((2, 2, w))
+    big, frac = np.empty(w), np.empty(w)
+    x, ed = np.empty(w, dtype=np.intc), np.empty(w, dtype=int)
+    on = np.empty(w, dtype=bool)
+    R2 = R.reshape(2, 2, n)
     while d <= np.max(pos, initial=0):
-        P = np.stack(_mul(R[:, d:], R[:, :-d]))
-        _, x = np.frexp(np.max(np.abs(P), axis=0))
-        P, ed = np.ldexp(P, -x), e[d:] + e[:-d] + x
-        on = pos[d:] >= d
-        if not on.all():
-            P, ed = np.where(on, P, R[:, d:]), np.where(on, ed, e[d:])
-        R[:, d:], e[d:] = P, ed
+        for b in range(n, d, -w):
+            a = max(b - w, d)
+            m, c = b - a, slice(a - d, b - d)
+            p, t = P[..., :m], T[..., :m]
+            np.multiply(R2[:, :1, a:b], R2[:1, :, c], out=p)
+            np.multiply(R2[:, 1:, a:b], R2[1:, :, c], out=t)
+            np.add(p, t, out=p)
+            np.abs(p, out=t)
+            np.max(t.reshape(4, m), axis=0, out=big[:m])
+            np.frexp(big[:m], out=(frac[:m], x[:m]))
+            np.add(e[a:b], e[c], out=ed[:m])
+            np.add(ed[:m], x[:m], out=ed[:m])
+            np.negative(x[:m], out=x[:m])
+            np.ldexp(p, x[:m], out=p)
+            np.greater_equal(pos[a:b], d, out=on[:m])
+            np.copyto(R2[..., a:b], p, where=on[:m])
+            np.copyto(e[a:b], ed[:m], where=on[:m])
         d *= 2
     return R, e
 
@@ -444,14 +478,32 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
                       log_rho=log_rho[at])
 
 
-def integrate_fundamental(channel, cfg: SolveConfig):
-    """The fundamental system Phi(r, r_start) on the grid of `cfg`, read off
-    one Magnus solve: (grid, phi, failure), phi of shape (n, 2, 2) with
-    phi[0] the identity.  When the solve fails, grid and phi stop at the
-    last grid point reached and `failure` says why; otherwise it is None."""
-    solve = _Solve(channel, cfg.grid(), cfg.rtol, cfg.max_step)
-    phi, (n,), (failure,) = solve.transfer()
-    return solve.nodes[0, :n], phi[0, :n], failure
+def integrate_fundamental(channel, cfg: SolveConfig, r_start=None):
+    """The fundamental system Phi(r, r0) on the grid of `cfg` from r0,
+    read off one Magnus solve: (grid, phi, failure), phi of shape (n, 2, 2)
+    with phi[0] the identity.  When the solve fails, grid and phi stop at
+    the last grid point reached and `failure` says why; otherwise it is
+    None.  r0 is `cfg.r_start` unless `r_start` gives it.
+
+    A `ChannelBatch` is solved in one call, channel i from r_start[i]
+    (`cfg.r_start` when None), and gives one (grid, phi, failure) a
+    channel.  Shorter grids are padded with their end radius; each padded
+    interval is one zero-length step, exactly the identity, after all the
+    channel's nodes, so each channel's Phi is that of its lone solve, bit
+    for bit."""
+    batch = isinstance(channel, ChannelBatch)
+    starts = np.broadcast_to(cfg.r_start if r_start is None else r_start,
+                             (len(channel) if batch else 1,))
+    grids = [replace(cfg, r_start=r0).grid() for r0 in starts.tolist()]
+    sizes = [grid.size for grid in grids]
+    nodes = np.stack([np.pad(grid, (0, max(sizes) - grid.size), mode="edge")
+                      for grid in grids])
+    phi, reached, failures = _Solve(channel, nodes, cfg.rtol,
+                                    cfg.max_step).transfer()
+    out = [(grid[:n], phi[i, :n], failure) for i, (grid, n, failure) in
+           enumerate(zip(grids, np.minimum(reached, sizes).tolist(),
+                         failures))]
+    return out if batch else out[0]
 
 
 def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:

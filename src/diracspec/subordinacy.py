@@ -525,9 +525,11 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
 
     Dominant-potential models go through the boundedness certificate of
     `boundedness.certify` on the `solver` settings, with the channel
-    conditions of all cells checked in one pass; borderline (m == q) models
-    go through `borderline_cell` on the `subordinacy` section (r0, r_end,
-    delta).  `equal` and `heuristic` come from `spectrum_hypotheses`.
+    conditions of all cells checked in one pass and one `certify` call per
+    k (`_dominant_cells`; an error there marks every cell of that k);
+    borderline (m == q) models go through `borderline_cell` on the
+    `subordinacy` section (r0, r_end, delta), each cell isolated.  `equal`
+    and `heuristic` come from `spectrum_hypotheses`.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
@@ -537,37 +539,55 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                                        tail_ladder=tail_ladder)
     cells = []
     for k in ks:
-        for lam in lams:
-            cell = {"k": k, "lambda": lam, "heuristic": heuristic}
-            try:
-                if equal:
-                    cell.update(borderline_cell(model, k, lam, subordinacy))
-                else:
-                    cell.update(_dominant_cell(model, k, lam, solver,
-                                               c_reports[k, lam]))
-            except Exception as err:  # per-cell isolation: scan must go on
-                cell.update({"classification": "error", "path": "none",
-                             "error": f"{type(err).__name__}: {err}",
-                             "traceback": traceback.format_exc().splitlines()
-                             [-_TRACEBACK_LINES:]})
-            cells.append(cell)
+        row = [{"k": k, "lambda": lam, "heuristic": heuristic}
+               for lam in lams]
+        if equal:
+            for cell in row:
+                _isolated([cell], lambda: [borderline_cell(
+                    model, k, cell["lambda"], subordinacy)])
+        else:
+            _isolated(row, lambda: _dominant_cells(
+                model, k, lams, solver, [c_reports[k, lam] for lam in lams]))
+        cells += row
     return cells
 
 
-def _dominant_cell(model, k, lam, solver, reports):
-    """One dominant-potential cell, given its channel condition reports: an
-    ac-candidate with its certificate when every report is satisfied and
-    `certify` grants it, inconclusive (with any refusal) otherwise."""
-    cell = {"path": "boundedness", "classification": "inconclusive",
-            "channel_conditions": [r.to_dict() for r in reports]}
-    if worst_verdict(reports) != SATISFIED:
-        return cell
+def _isolated(cells, records):
+    """Update each of `cells` with its record from `records()`, or, when
+    that raises, with the error record of the exception: per-cell
+    isolation, so that a scan goes on."""
     try:
-        _, cert = certify(assemble_channel(model, k, lam), solver, reports)
-    except PreconditionError as err:
-        return {**cell, "refused": str(err)}
-    return {**cell, "classification": "ac-candidate",
-            "certificate": cert.to_dict()}
+        updates = records()
+    except Exception as err:
+        updates = [{"classification": "error", "path": "none",
+                    "error": f"{type(err).__name__}: {err}",
+                    "traceback": traceback.format_exc().splitlines()
+                    [-_TRACEBACK_LINES:]}] * len(cells)
+    for cell, update in zip(cells, updates):
+        cell.update(update)
+
+
+def _dominant_cells(model, k, lams, solver, reports):
+    """The dominant-potential cells of one k, given their channel condition
+    reports: each an ac-candidate with its certificate when every report
+    is satisfied and `certify` grants it, inconclusive (with any refusal)
+    otherwise.  The cells with satisfied reports share one `certify`
+    call."""
+    cells = [{"path": "boundedness", "classification": "inconclusive",
+              "channel_conditions": [r.to_dict() for r in reps]}
+             for reps in reports]
+    ready = [i for i, reps in enumerate(reports)
+             if worst_verdict(reps) == SATISFIED]
+    if ready:
+        results = certify(ChannelBatch(model, k, [lams[i] for i in ready]),
+                          solver, [reports[i] for i in ready])
+        for i, result in zip(ready, results):
+            if isinstance(result, PreconditionError):
+                cells[i]["refused"] = str(result)
+            else:
+                cells[i].update(classification="ac-candidate",
+                                certificate=result[1].to_dict())
+    return cells
 
 
 def borderline_cell(model: CoefficientModel, k: int, lam: float,

@@ -5,6 +5,7 @@ import pytest
 
 from diracspec.boundedness import (
     BoundednessCertificate,
+    RTrace,
     almost_monotone_check,
     auto_start_radius,
     certify,
@@ -15,13 +16,16 @@ from diracspec.boundedness import (
 )
 from diracspec.bvcalc import cumulative_variation
 from diracspec.coefficients import (
+    ChannelBatch,
     CoefficientModel,
     ConstantChannel,
     assemble_channel,
+    coefficient,
     constant,
     power,
 )
-from diracspec.hypotheses import check_c_conditions, envelope_form
+from diracspec.hypotheses import (GENERAL, VIOLATED, check_c_conditions,
+                                  envelope_form)
 from diracspec.solver import (
     PreconditionError,
     SolveConfig,
@@ -281,8 +285,10 @@ class TestComparability:
                                      m=coefficient("exp", c=1, a=1))
         ch = assemble_channel(exp_model, 1, 0.0)
         reports = check_c_conditions(ch)
-        with pytest.raises(PreconditionError, match="refused"):
-            certify(ch, SolveConfig(r_start=1.0, r_end=2.0), reports)
+        (refusal,) = certify(ch, SolveConfig(r_start=1.0, r_end=2.0),
+                             [reports])
+        assert isinstance(refusal, PreconditionError)
+        assert "refused" in str(refusal)
 
     def test_certificate_requires_c_at_least_one(self):
         with pytest.raises(ValueError):
@@ -302,35 +308,107 @@ class TestComparability:
             assert np.min(nsq) >= nsq[0] / (2 * basis_C) * (1 - 1e-9)
 
 
+def lone_channels(channel):
+    """The channels of a batch one by one; a lone channel is a batch of
+    one."""
+    if isinstance(channel, ChannelBatch):
+        return [assemble_channel(channel.model, channel.k, lam)
+                for lam in channel.lams.tolist()]
+    return [channel]
+
+
+def recording_solves(monkeypatch):
+    """Record each `integrate_fundamental` result `certify` takes, and each
+    `Trajectory` built meanwhile."""
+    import diracspec.boundedness as boundedness
+    from diracspec.solver import Trajectory
+
+    solves, built = [], []
+    solve, init = boundedness.integrate_fundamental, Trajectory.__init__
+
+    def counting_solve(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(boundedness, "integrate_fundamental", counting_solve)
+    monkeypatch.setattr(Trajectory, "__init__", counting_init)
+    return solves, built
+
+
 class TestCertify:
-    @pytest.mark.parametrize("channel", [CONST, LINEAR,
-                                         assemble_channel(LINEAR_MODEL, -2,
-                                                          1.0)])
+    @pytest.mark.parametrize("channel", [
+        CONST, LINEAR, assemble_channel(LINEAR_MODEL, -2, 1.0),
+        ChannelBatch(LINEAR_MODEL, -2, [1.0, 0.0, -1.5])])
     def test_one_fundamental_solve_and_no_trajectory(self, channel,
                                                      monkeypatch):
-        import diracspec.boundedness as boundedness
-        from diracspec.solver import Trajectory
-
-        solves, built = [], []
-        solve, init = boundedness.integrate_fundamental, Trajectory.__init__
-
-        def counting_solve(*args):
-            solves.append(solve(*args))
-            return solves[-1]
-
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(boundedness, "integrate_fundamental",
-                            counting_solve)
-        monkeypatch.setattr(Trajectory, "__init__", counting_init)
-        trace, cert = certify(channel, SolveConfig(r_start=1.0, r_end=40.0))
+        # one solve per k: a batch's channels share it
+        solves, built = recording_solves(monkeypatch)
+        results = certify(channel, SolveConfig(r_start=1.0, r_end=40.0))
         assert len(solves) == 1 and built == []
-        ((grid, phi, _),) = solves
-        assert trace.grid is grid and cert.r_end == grid[-1] == 40.0
-        assert cert == comparability_constant(phi, first_trace(channel,
-                                                               grid, phi))
+        solved = solves[0] if isinstance(channel, ChannelBatch) else solves
+        cells = lone_channels(channel)
+        assert len(results) == len(solved) == len(cells)
+        for cell, (trace, cert), (grid, phi, _) in zip(cells, results,
+                                                       solved):
+            assert trace.grid is grid and cert.r_end == grid[-1] == 40.0
+            assert cert == comparability_constant(phi, first_trace(cell,
+                                                                   grid, phi))
+
+    def test_batch_equals_lone_path_bit_for_bit(self, monkeypatch):
+        # q = r, m = 1, k = 1: the start radius grows with lambda; lambda
+        # = 25 starts past r_end = 20, Q - W never stabilizes at lambda =
+        # 60, and the reports of lambda = 0.5 mark C3 violated
+        lams = [-1.0, 0.5, 25.0, 2.0, 60.0, 0.0]
+        solver = SolveConfig(r_start=1.0, r_end=20.0, rtol=1e-12)
+        reports = [check_c_conditions(assemble_channel(LINEAR_MODEL, 1, lam))
+                   for lam in lams]
+        reports[1] = [replace(reports[1][0], condition_id="C3",
+                              verdict=VIOLATED)]
+        solves, _ = recording_solves(monkeypatch)
+        batch = certify(ChannelBatch(LINEAR_MODEL, 1, lams), solver, reports)
+        (batch_phi,) = solves
+        lone = [certify(assemble_channel(LINEAR_MODEL, 1, lam), solver,
+                        [reps])[0] for lam, reps in zip(lams, reports)]
+        lone_phi = solves[1:]
+        refused = [isinstance(x, PreconditionError) for x in batch]
+        assert refused == [False, True, True, False, True, False]
+        assert "C3 reported violated" in str(batch[1])
+        assert "is not below r_end = 20" in str(batch[2])
+        assert "does not stabilize" in str(batch[4])
+        starts = {float(trace.grid[0]) for trace, _ in
+                  (x for x, bad in zip(batch, refused) if not bad)}
+        assert len(starts) == 3
+        assert len(batch_phi) == 3 and len(lone_phi) == 3
+        for (grid, phi, failure), (g, p, f) in zip(batch_phi, lone_phi):
+            assert np.array_equal(grid, g) and np.array_equal(phi, p)
+            assert failure is None and f is None
+        for got, want, bad in zip(batch, lone, refused):
+            if bad:
+                assert str(got) == str(want)
+                continue
+            (trace, cert), (trace1, cert1) = got, want
+            assert cert == cert1  # C, sup_R, r0 and r_end exactly
+            for name in ("grid", "R", "usq", "cumvar"):
+                assert np.array_equal(getattr(trace, name),
+                                      getattr(trace1, name))
+            assert (trace.form, trace.epsilon) == (trace1.form,
+                                                   trace1.epsilon)
+
+    def test_failed_solve_refuses_its_cell_only(self):
+        # q = e^r overflows the Magnus steps well before r = 750 at every
+        # lambda; each cell carries its own refusal
+        model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
+                                 m=constant(1))
+        solver = SolveConfig(r_start=1.0, r_end=750.0, stride=5.0)
+        with np.errstate(all="ignore"):
+            results = certify(ChannelBatch(model, 1, [0.0, 1.0]), solver)
+        for result in results:
+            assert isinstance(result, PreconditionError)
+            assert str(result).startswith("fundamental solve failed: ")
 
 
 class GapChannel:
@@ -344,6 +422,21 @@ class GapChannel:
         W = np.zeros_like(r)
         W[self.bad] = 1.0
         return np.ones_like(r), W, 0.0 * r, W
+
+
+class TestRTraceCsv:
+    def test_columns_written_as_rows_of_reprs(self, tmp_path):
+        special = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf,
+                            0.1, -2.5e-310])
+        grid, R, usq = (np.roll(special, -i) for i in range(3))
+        trace = RTrace(grid=grid, R=R, usq=usq, form=GENERAL,
+                       cumvar=np.zeros(8), epsilon=0.0)
+        trace.to_csv(tmp_path / "r.csv")
+        want = "# kind=rtrace\nr,R,usq,bound\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n"
+            for row in zip(grid, R, usq, R))
+        assert (tmp_path / "r.csv").read_bytes() == want.encode()
+        assert "-0.0,5e-324,1e+22,5e-324" in want
 
 
 class TestAutoStartRadius:

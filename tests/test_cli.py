@@ -437,14 +437,14 @@ class TestScanCommand:
     def test_failed_cell_keeps_traceback(self, tmp_path, monkeypatch):
         import diracspec.subordinacy as sub
 
-        dominant_cell = sub._dominant_cell
+        dominant_cells = sub._dominant_cells
 
-        def failing_for_k2(model, k, lam, solver, reports):
+        def failing_for_k2(model, k, lams, solver, reports):
             if k == 2:
                 raise TypeError("synthetic cell failure")
-            return dominant_cell(model, k, lam, solver, reports)
+            return dominant_cells(model, k, lams, solver, reports)
 
-        monkeypatch.setattr(sub, "_dominant_cell", failing_for_k2)
+        monkeypatch.setattr(sub, "_dominant_cells", failing_for_k2)
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
                                       "k_set": [1, 2], "lambda_grid": [-1.0],
                                       "subordinacy": {"r_end": 20.0}})
@@ -502,15 +502,15 @@ class TestOtherCommands:
     def test_boundedness_refuses_before_solving(self, tmp_path, capsys,
                                                 monkeypatch):
         # modulated_quarter reads C3 violated at k = 1, lambda = 1: that
-        # cell is refused without a fundamental solve
+        # cell is refused, and the one solve of k = 1 holds only lambda = 0
         import diracspec.boundedness as boundedness
 
         solved = []
         solve = boundedness.integrate_fundamental
 
-        def counting(channel, cfg):
-            solved.append(channel.label())
-            return solve(channel, cfg)
+        def counting(channel, cfg, r_start=None):
+            solved.append([channel.label(i) for i in range(len(channel))])
+            return solve(channel, cfg, r_start)
 
         traced = []
         trace = boundedness.r_trace
@@ -523,7 +523,7 @@ class TestOtherCommands:
         monkeypatch.setattr(boundedness, "r_trace", counting_trace)
         assert run(["boundedness", "--config",
                     fixture_path("modulated_quarter"), "--out", tmp_path]) == 0
-        assert solved == ["k=1,lambda=0"]
+        assert solved == [["k=1,lambda=0"]]
         # one envelope trace per certified cell, none for the refused one
         assert traced == ["k=1,lambda=0"]
         refusal = "certificate refused: C3 reported violated"

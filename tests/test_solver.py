@@ -18,6 +18,7 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    _magnus_exp,
     _running,
     _Solve,
     cumulative_integral,
@@ -249,6 +250,65 @@ class TestBatch:
                            match=r"of k=1,lambda=2 from 700 to 720 failed"):
             propagate(batch, np.eye(2), [1.0, 700.0], [2.0, 720.0])
 
+    def test_fundamental_batch_equals_lone_solves(self):
+        # each channel from its own start radius, so the node rows differ
+        # in length; the shorter ones are padded
+        lams, starts = [0.0, 2.5, -1.0], [1.0, 3.7, 0.55]
+        c = cfg(1.0, 30.0, rtol=1e-11, stride=0.1)
+        got = integrate_fundamental(ChannelBatch(EQUAL, -1, lams), c, starts)
+        assert len(got) == len(lams)
+        for lam, r0, (grid, phi, failure) in zip(lams, starts, got):
+            want = integrate_fundamental(assemble_channel(EQUAL, -1, lam),
+                                         cfg(r0, 30.0, rtol=1e-11,
+                                             stride=0.1))
+            assert np.array_equal(grid, want[0])
+            assert np.array_equal(phi, want[1])
+            assert failure is None and want[2] is None
+
+    def test_padded_interval_is_an_exact_identity_step(self):
+        # the zero-length Magnus step is I, whatever A
+        rng = np.random.default_rng(5)
+        e11, e12, e21, e22, turns = _magnus_exp(
+            0.0, *rng.standard_normal((3, 2, 6)))
+        assert np.all(e11 == 1.0) and np.all(e22 == 1.0)
+        assert np.all(e12 == 0.0) and np.all(e21 == 0.0)
+        assert np.all(turns == 0.0)
+        # nodes padded with their end radius: one kept step each, exactly
+        # I, after the grid's nodes, whose Phi stays bit for bit
+        grid = cfg(1.0, 12.0).grid()
+        phi, reached, _ = _Solve(LINEAR, grid, 1e-12).transfer()
+        padded = np.append(grid, [grid[-1]] * 3)
+        solve = _Solve(LINEAR, padded, 1e-12)
+        phi2, reached2, _ = solve.transfer()
+        pad = solve.seg >= grid.size - 1
+        assert np.sum(pad) == 3
+        assert np.array_equal(solve.P[:, pad], np.tile([[1.0], [0.0], [0.0],
+                                                        [1.0]], 3))
+        assert (reached[0], reached2[0]) == (grid.size, padded.size)
+        assert np.array_equal(phi2[0, :grid.size], phi[0])
+
+
+def parent_running(X, first):
+    """Oracle: the allocating Hillis-Steele scan `_running` replaced, the
+    same operations in the same order."""
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+    R, e = X.copy(), np.zeros(X.shape[1], dtype=int)
+    pos, d = np.arange(X.shape[1]) - first, 1
+    while d <= np.max(pos, initial=0):
+        P = np.stack(mul(R[:, d:], R[:, :-d]))
+        _, x = np.frexp(np.max(np.abs(P), axis=0))
+        P, ed = np.ldexp(P, -x), e[d:] + e[:-d] + x
+        on = pos[d:] >= d
+        if not on.all():
+            P, ed = np.where(on, P, R[:, d:]), np.where(on, ed, e[d:])
+        R[:, d:], e[d:] = P, ed
+        d *= 2
+    return R, e
+
 
 def exp_of(x):
     """The power of two that scales the largest entry of x into [1/2, 1)."""
@@ -256,6 +316,32 @@ def exp_of(x):
 
 
 class TestRunning:
+    @pytest.mark.parametrize("sizes", [[1000], [1, 7, 2, 40, 300, 3],
+                                       [5, 0, 64, 1], [20000],
+                                       [9000, 300, 12000, 1]])
+    def test_bit_identical_to_allocating_scan(self, sizes):
+        # in one run every column takes on its partner at every level; in
+        # mixed runs the first columns of a run keep theirs (the masked
+        # path); the last two span several blocks; entries span many
+        # binades
+        rng = np.random.default_rng(11)
+        n = sum(sizes)
+        X = rng.standard_normal((4, n)) * np.exp2(rng.integers(-60, 60, n))
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        for start in (first, 0) if len(sizes) == 1 else (first,):
+            R, e = _running(X, start)
+            R0, e0 = parent_running(X, start)
+            assert np.array_equal(R, R0) and np.array_equal(e, e0)
+            assert e.dtype == e0.dtype
+
+    def test_bit_identical_on_a_solve(self):
+        solve = _Solve(ChannelBatch(EQUAL, 1, [-2.0, 0.5]),
+                       np.array([cfg(1.0, 25.0).grid(),
+                                 cfg(1.0, 25.0).grid()]), 1e-12)
+        first = np.searchsorted(solve.owner, solve.owner)
+        R0, e0 = parent_running(solve.P, first)
+        assert np.array_equal(solve.R, R0) and np.array_equal(solve.e, e0)
+
     def test_products_stay_inside_their_runs(self):
         # runs of 1, 7, 2 and 40 matrices of size ~1e30: the longest run's
         # product is far past the float range
@@ -291,6 +377,41 @@ class TestRunning:
         exact = np.array([np.cos(n * t), -2.0 ** 16 * np.sin(n * t),
                           np.sin(n * t) / 2.0 ** 16, np.cos(n * t)])
         assert np.max(np.abs(np.ldexp(R, e) - exact)) <= 1e-12 * 2.0 ** 16
+
+
+# floats whose repr is easy to get wrong: signed zero, a subnormal, a
+# large power of ten, nan and both infinities
+SPECIAL = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf, 0.1,
+                    -2.5e-310])
+
+
+class SpecialChannel:
+    """Stub channel whose (Q, M, L, W) run through `SPECIAL` shifted."""
+
+    def coeffs(self, r):
+        return tuple(np.roll(SPECIAL, i)[:len(r)] for i in range(1, 5))
+
+
+class TestTrajectoryCsv:
+    def test_columns_written_as_rows_of_reprs(self, tmp_path):
+        cols = [np.roll(SPECIAL, -i) for i in range(5)]
+        traj = Trajectory(grid=cols[0], u1=cols[1], u2=cols[2], rho=cols[3],
+                          theta=cols[4], mode="cartesian",
+                          channel=SpecialChannel())
+        traj.to_csv(tmp_path / "t.csv")
+        rows = zip(*cols, *SpecialChannel().coeffs(cols[0]))
+        want = "r,u1,u2,rho,theta,Q,M,L,W\n" + "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+        assert "-0.0,5e-324,1e+22,nan,inf" in want
+
+    def test_missing_theta_written_as_nan(self, tmp_path):
+        grid = np.array([1.0, 2.0])
+        traj = Trajectory(grid=grid, u1=grid, u2=grid, rho=grid, theta=None,
+                          mode="cartesian", channel=ROTATION)
+        traj.to_csv(tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[1] == "1.0,1.0,1.0,1.0,nan,1.0,0.0,0.0,0.0"
 
 
 def sequential_norms(channel, U0, nodes, rtol):

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import CoefficientModel, assemble_channel, require_equal
 from .solver import (SolveConfig, Trajectory, cumulative_integral,
                      integrate_pruefer)
-from .subordinacy import transform
+from .subordinacy import _RESCALED_RTOL, transform
 
 __all__ = [
     "WkbReference",
@@ -76,19 +76,18 @@ def wkb_reference(model: CoefficientModel, lam: float, r_grid) -> WkbReference:
 
 
 def compare_asymptotics(traj: Trajectory, ref: WkbReference,
-                        windows: Optional[Sequence] = None,
-                        n_windows: int = 6, cond_limit: float = 1e12):
+                        windows: Optional[Sequence] = None):
     """Relative least-squares projection residual of the numeric components
-    onto the span of the reference pair, per window.
+    onto the span of the reference pair, per window (default: 6 geometric).
 
     Returns a list of dicts (window, center, residual); windows whose
-    reference columns are numerically dependent are skipped.
+    reference columns have condition number above 1e12 are skipped.
     """
     if not np.array_equal(traj.grid, ref.grid):
         raise ValueError("trajectory and reference must share a grid")
     grid = traj.grid
     if windows is None:
-        edges = np.geomspace(grid[0], grid[-1], n_windows + 1)
+        edges = np.geomspace(grid[0], grid[-1], 7)
         windows = list(zip(edges[:-1], edges[1:]))
     out = []
     for a, b in windows:
@@ -99,16 +98,13 @@ def compare_asymptotics(traj: Trajectory, ref: WkbReference,
             np.concatenate([ref.col_cos[0][sel], ref.col_cos[1][sel]]),
             np.concatenate([ref.col_sin[0][sel], ref.col_sin[1][sel]])])
         rhs = np.concatenate([traj.u1[sel], traj.u2[sel]])
-        norm = float(np.linalg.norm(rhs))
-        if norm == 0.0:
-            out.append({"window": (float(a), float(b)),
-                        "center": float(math.sqrt(a * b)), "residual": 0.0})
-            continue
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[0] <= 0.0 or sv[0] / max(sv[-1], 1e-300) > cond_limit:
-            continue
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        residual = float(np.linalg.norm(rhs - A @ coef) / norm)
+        norm, residual = float(np.linalg.norm(rhs)), 0.0
+        if norm != 0.0:
+            sv = np.linalg.svd(A, compute_uv=False)
+            if sv[0] <= 0.0 or sv[0] / max(sv[-1], 1e-300) > 1e12:
+                continue
+            coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            residual = float(np.linalg.norm(rhs - A @ coef) / norm)
         out.append({"window": (float(a), float(b)),
                     "center": float(math.sqrt(a * b)), "residual": residual})
     return out
@@ -155,13 +151,14 @@ def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
 
 
 def defect_convergence(model: CoefficientModel, k: int, lam: float,
-                       r_lo: float, r_hi: float, strides=DEFECT_STRIDES,
-                       rtol: float = 1e-11) -> dict:
+                       r_lo: float, r_hi: float,
+                       strides=DEFECT_STRIDES) -> dict:
     """Second-order defect across a ladder of stride halvings; the observed
     convergence orders should sit near 2."""
     defects = []
     for h in strides:
-        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=rtol, stride=h)
+        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=_RESCALED_RTOL,
+                          stride=h)
         traj = borderline_trajectory(model, k, lam, cfg)
         defects.append(second_order_check(traj, model, k, lam)["max_defect"])
     orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]

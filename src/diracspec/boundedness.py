@@ -161,12 +161,11 @@ class BoundednessCertificate:
                 "verdict": "bounded"}
 
 
-def auto_start_radius(channel, margin: float = 0.05, lo: float = 0.5,
-                      hi: float = 50.0) -> float:
-    """First probe radius past which Q - W stays above margin * Q."""
-    rs = np.geomspace(lo, hi, 400)
+def auto_start_radius(channel) -> float:
+    """First of 400 geometric probes in [0.5, 50] past which Q - W >= 0.05 Q."""
+    rs = np.geomspace(0.5, 50.0, 400)
     Q, _, _, W = channel.coeffs(rs)
-    bad = np.flatnonzero(~((Q > 0.0) & (Q - W >= margin * Q)))
+    bad = np.flatnonzero(~((Q > 0.0) & (Q - W >= 0.05 * Q)))
     first = int(bad[-1]) + 1 if bad.size else 0
     if first == len(rs):
         raise PreconditionError("Q - W does not stabilize above the margin "

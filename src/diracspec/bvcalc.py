@@ -25,7 +25,6 @@ __all__ = [
     "cumulative_variation",
     "jordan_decompose",
     "tail_trend",
-    "window_points",
     "sample_window",
     "window_variation",
     "window_integral",
@@ -108,29 +107,27 @@ def jordan_decompose(f: SampledFunction):
 # trends
 
 
-def tail_trend(values: Sequence[float], *, ratio_converged: float = 0.6,
-               ratio_growing: float = 2.0, abs_tol: float = 1e-3,
-               flat_band: float = 0.8) -> str:
+def tail_trend(values: Sequence[float]) -> str:
     """Classify a ladder of nonnegative rung quantities.
 
     converged: the last two rungs decay geometrically (ratio <= 0.6) or sit
-    below the absolute tolerance; growing: they grow by a factor >= 2;
-    flat: they neither decay nor grow while staying well above tolerance
-    (evidence of a non-summable, e.g. logarithmically divergent, tail).
+    at or below 1e-3; growing: they grow by a factor >= 2; flat: ratios >=
+    0.8 on rungs above 0.1 (evidence of a non-summable, e.g. logarithmically
+    divergent, tail).
     """
     v = np.asarray(values, dtype=float)
     if v.size < 2 or not np.all(np.isfinite(v)):
         return TREND_INCONCLUSIVE
-    if np.all(v[-2:] <= abs_tol):
+    if np.all(v[-2:] <= 1e-3):
         return TREND_CONVERGED
     prev = v[:-1]
     ratios = np.where(prev > 0.0, v[1:] / np.where(prev > 0.0, prev, 1.0), np.inf)
     last = ratios[-2:] if ratios.size >= 2 else ratios
-    if np.all(last <= ratio_converged):
+    if np.all(last <= 0.6):
         return TREND_CONVERGED
-    if np.all(last >= ratio_growing):
+    if np.all(last >= 2.0):
         return TREND_GROWING
-    if np.all(last >= flat_band) and np.all(v[-2:] > 100.0 * abs_tol):
+    if np.all(last >= 0.8) and np.all(v[-2:] > 0.1):
         return TREND_FLAT
     return TREND_INCONCLUSIVE
 
@@ -163,23 +160,16 @@ EXTREME_LADDER = WindowLadder(25.0, 2.0, 4)
 TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
 
 
-def window_points(a: float, b: float, *, points_per_unit: float = 8.0,
-                  n_min: int = 2048, n_max: int = 400_000) -> int:
-    """Number of points of the window grid [a, b]."""
-    return int(np.clip(points_per_unit * (b - a), n_min, n_max))
-
-
 def sample_window(fn: Callable, a: float, b: float, *,
-                  points_per_unit: float = 8.0, n_min: int = 2048,
                   n_max: int = 400_000) -> tuple:
-    """Sample fn once on the window grid [a, b].
+    """Sample fn once on the window grid [a, b]: 8 points per unit length,
+    at least 2048 and at most `n_max`.
 
     fn returns the coefficient arrays a diagnostic reads (a tuple, or a dict
     by name); they are passed through uncopied, so every quantity derived
     from one window comes from one evaluation.
     """
-    grid = np.linspace(a, b, window_points(
-        a, b, points_per_unit=points_per_unit, n_min=n_min, n_max=n_max))
+    grid = np.linspace(a, b, int(np.clip(8.0 * (b - a), 2048, n_max)))
     return grid, fn(grid)
 
 
@@ -224,29 +214,30 @@ class ProductBoundResult:
                 "allowance": self.allowance, "holds": self.holds}
 
 
-def check_product_bound(f: SampledFunction, g: SampledFunction,
-                        tol: float = 1e-6) -> ProductBoundResult:
+def check_product_bound(f: SampledFunction,
+                        g: SampledFunction) -> ProductBoundResult:
     """Verify Var(fg) <= int |f' g| + sup|f| * Var(g) on a common grid.
 
-    The integral is composite trapezoid; the allowance combines a Richardson
-    error estimate on a half-resolution grid with a mesh term that accounts
-    for evaluating g at cell endpoints rather than throughout each cell.
+    The integral is composite trapezoid; the allowance is 1e-6 of the
+    right-hand side plus a Richardson error estimate on a half-resolution
+    grid and a mesh term that accounts for evaluating g at cell endpoints
+    rather than throughout each cell.
     """
     if f.deriv is None:
         raise ValueError("f must carry derivative samples")
     if not np.array_equal(f.grid, g.grid):
         raise ValueError("f and g must share a common grid")
     grid = f.grid
-    lhs = float(np.sum(np.abs(np.diff(f.values * g.values))))
+    lhs = window_variation(f.values * g.values)
     integrand = np.abs(f.deriv * g.values)
     integral = float(trapezoid(integrand, grid))
     integral_coarse = float(trapezoid(integrand[::2], grid[::2]))
     sup_f = float(np.max(np.abs(f.values)))
-    var_g = float(np.sum(np.abs(np.diff(g.values))))
+    var_g = window_variation(g.values)
     rhs = integral + sup_f * var_g
     h_max = float(np.max(np.diff(grid)))
     mesh_term = float(np.max(np.abs(f.deriv))) * h_max * var_g
-    allowance = tol * rhs + abs(integral - integral_coarse) + mesh_term
+    allowance = 1e-6 * rhs + abs(integral - integral_coarse) + mesh_term
     return ProductBoundResult(lhs=lhs, rhs=rhs, integral=integral, sup_f=sup_f,
                               var_g=var_g, allowance=allowance,
                               holds=bool(lhs <= rhs + allowance))
@@ -273,28 +264,29 @@ class QuotientBoundResult:
                 "holds": self.holds, "precondition_met": self.precondition_met}
 
 
-def check_quotient_bounds(f: SampledFunction, g: SampledFunction,
-                          tol: float = 1e-9) -> QuotientBoundResult:
+def check_quotient_bounds(f: SampledFunction,
+                          g: SampledFunction) -> QuotientBoundResult:
     """Verify the two-sided bound
     (1-eps)^2 Var(f/(g-f)) <= Var(f/g) <= (1+eps)^2 Var(f/(g-f))
     with eps = sup |f|/g, on the common grid.
 
     This inequality holds partition-wise, so no quadrature allowance is
-    needed; tol only absorbs floating-point rounding.
+    needed; a slack of 1e-9 (1 + both variations) only absorbs
+    floating-point rounding.
     """
     if not np.array_equal(f.grid, g.grid):
         raise ValueError("f and g must share a common grid")
     if np.any(g.values <= 0.0):
         raise ValueError("g must be strictly positive on the grid")
     eps = float(np.max(np.abs(f.values) / g.values))
-    var_fg = float(np.sum(np.abs(np.diff(f.values / g.values))))
+    var_fg = window_variation(f.values / g.values)
     if eps >= 1.0:
         return QuotientBoundResult(eps=eps, var_fg=var_fg,
                                    var_f_over_g_minus_f=float("nan"),
                                    lower_holds=None, upper_holds=None,
                                    precondition_met=False)
-    var_q = float(np.sum(np.abs(np.diff(f.values / (g.values - f.values)))))
-    slack = tol * (1.0 + var_fg + var_q)
+    var_q = window_variation(f.values / (g.values - f.values))
+    slack = 1e-9 * (1.0 + var_fg + var_q)
     lower = (1.0 - eps) ** 2 * var_q <= var_fg + slack
     upper = var_fg <= (1.0 + eps) ** 2 * var_q + slack
     return QuotientBoundResult(eps=eps, var_fg=var_fg,

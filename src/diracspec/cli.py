@@ -66,6 +66,7 @@ from .solver import (
     prefer_pruefer,
 )
 from .subordinacy import (
+    _RESCALED_RTOL,
     borderline_cell,
     classify_cells,
     eigen_bracket,
@@ -134,6 +135,13 @@ def _int(x) -> int:
     # a strict cast: int() would also take true, 2.7 and "3"
     if not _is_int(x):
         raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _seed(x) -> int:
+    # README's U64: numpy's generators refuse a negative seed
+    if not (_is_int(x) and 0 <= x < 2 ** 64):
+        raise ValueError(f"expected an integer in [0, 2^64), got {x!r}")
     return x
 
 
@@ -228,8 +236,8 @@ def load_config(path) -> RunConfig:
              f"shorter than two strides of {max(DEFECT_STRIDES):g}")
     bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
-    seed, workers = _checked("config", lambda: (
-        _int(raw.get("seed", 0)), _int(raw.get("workers", 1))))
+    seed = _checked("config.seed", _seed, raw.get("seed", 0))
+    workers = _checked("config", _int, raw.get("workers", 1))
     _require(workers >= 1, "config.workers: must be at least 1")
 
     return RunConfig(model=model, channel_const=channel_const, k_set=k_set,
@@ -570,12 +578,12 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
+    scfg = SolveConfig(r_start=cfg.asymptotics["r_start"],
+                       r_end=cfg.asymptotics["r_end"], rtol=_RESCALED_RTOL,
+                       stride=cfg.asymptotics["stride"])
     trend_ok = True
     for k in cfg.k_set:
         for lam in neg:
-            scfg = SolveConfig(r_start=cfg.asymptotics["r_start"],
-                               r_end=cfg.asymptotics["r_end"],
-                               rtol=1e-11, stride=cfg.asymptotics["stride"])
             traj = borderline_trajectory(cfg.model, k, lam, scfg)
             ref = wkb_reference(cfg.model, lam, traj.grid)
             res = compare_asymptotics(traj, ref,
@@ -697,7 +705,7 @@ def main(argv=None) -> int:
             _require(args.workers >= 1, "--workers: must be at least 1")
             cfg.workers = args.workers
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _checked("--seed", _seed, args.seed)
         if args.tolerance is not None:
             cfg.solver = _checked("--tolerance", replace, cfg.solver,
                                   rtol=args.tolerance)

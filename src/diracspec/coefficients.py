@@ -361,11 +361,11 @@ def descriptors_equal(f: CoefficientFunction, g: CoefficientFunction) -> bool:
     return all(float(f.params[k]) == float(g.params[k]) for k in f.params)
 
 
-def models_equal(model: CoefficientModel, rs=None, tol: float = 1e-12):
+def models_equal(model: CoefficientModel, rs=None):
     """Decide whether q and m coincide; returns (equal, first_mismatch_r).
 
     Parametric descriptors are compared structurally; tabulated or mixed
-    descriptors fall back to a pointwise probe.
+    descriptors fall back to a pointwise probe at `rs`, tolerance 1e-12.
     """
     if model.q.family != "tabulated" and model.m.family != "tabulated":
         if descriptors_equal(model.q, model.m):
@@ -376,7 +376,7 @@ def models_equal(model: CoefficientModel, rs=None, tol: float = 1e-12):
         qv = np.asarray(model.q.value(rs), dtype=float)
         mv = np.asarray(model.m.value(rs), dtype=float)
         scale = 1.0 + np.maximum(np.abs(qv), np.abs(mv))
-        bad = ~(np.abs(qv - mv) <= tol * scale)
+        bad = ~(np.abs(qv - mv) <= 1e-12 * scale)
     if np.any(bad):
         return False, float(np.asarray(rs)[bad][0])
     return True, None

@@ -123,10 +123,9 @@ def _worst(verdicts) -> str:
     return max(verdicts, key=_SEVERITY.__getitem__, default=SATISFIED)
 
 
-def worst_verdict(reports: Sequence[HypothesisReport],
-                  include_auxiliary: bool = False) -> str:
-    return _worst(r.verdict for r in reports
-                  if include_auxiliary or not r.auxiliary)
+def worst_verdict(reports: Sequence[HypothesisReport]) -> str:
+    """Combined verdict of the reports that are not auxiliary."""
+    return _worst(r.verdict for r in reports if not r.auxiliary)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,8 @@ def _run(sample, checks, extreme_ladder, tail_ladder):
     a window's arrays die with its call.
     """
     extreme_reads = {x for check in checks for x in check.extreme_reads}
-    tail_reads = {x for check in checks for x in check.tail_reads}
+    tail_reads = {x for check in checks for x in check.tail_reads
+                  if x not in _DERIVATIVES}
 
     def derivatives(check, others):
         # the derivatives a check reads and none of the others does
@@ -215,17 +215,15 @@ def _run(sample, checks, extreme_ladder, tail_ladder):
                   derivatives(check, checks[i + 1:]))
                  for i, check in enumerate(checks)]
 
-    def window(a, b, reads, n_max=400_000):
-        return sample_window(lambda r: sample(r, reads), a, b, n_max=n_max)
-
     with np.errstate(all="ignore"):
         if extreme_reads:
             for a, b in extreme_ladder.windows():
-                r, s = window(a, b, extreme_reads, _EXTREME_POINTS)
+                r, s = sample_window(lambda r: sample(r, extreme_reads),
+                                     a, b, n_max=_EXTREME_POINTS)
                 for check in checks:
                     check.extreme(r, s)
         for a, b in tail_ladder.windows():
-            r, s = window(a, b, tail_reads.difference(_DERIVATIVES))
+            r, s = sample_window(lambda r: sample(r, tail_reads), a, b)
             for check, (first, last) in zip(checks, lifetimes):
                 if first:
                     s.update(sample(r, first))
@@ -238,34 +236,34 @@ def _run(sample, checks, extreme_ladder, tail_ladder):
 # verdict rules
 
 
-def _divergence_verdict(minima, maxima, growth: float = 1.5):
+def _divergence_verdict(minima, maxima):
     if not np.all(np.isfinite(minima)):
         return INCONCLUSIVE, "nonfinite evaluations on the ladder"
     increasing = np.all(np.diff(minima) > 0.0)
     if increasing and (minima[0] <= 0.0 < minima[-1]
-                       or minima[-1] >= growth * abs(minima[0])):
+                       or minima[-1] >= 1.5 * abs(minima[0])):
         return SATISFIED, ""
     if np.all(np.isfinite(maxima)) and maxima[-1] <= maxima[0] * (1 + 1e-9):
         return VIOLATED, "window suprema do not grow"
     return INCONCLUSIVE, ""
 
 
-def _limsup_below_verdict(maxima, bound: float = 1.0, margin: float = 0.02):
+def _limsup_below_verdict(maxima):
     if not np.all(np.isfinite(maxima)):
         return INCONCLUSIVE, "nonfinite evaluations on the ladder"
-    if np.all(maxima[-2:] <= bound - margin):
+    if np.all(maxima[-2:] <= 0.98):
         return SATISFIED, ""
-    # suprema in [bound - margin, bound) fit a limit below the bound
-    if np.all(maxima[-2:] >= bound) and maxima[-1] >= maxima[-2] * 0.999:
-        return VIOLATED, f"window suprema stay at or above {bound:g}"
+    # suprema in (0.98, 1) fit a limit below 1
+    if np.all(maxima[-2:] >= 1.0) and maxima[-1] >= maxima[-2] * 0.999:
+        return VIOLATED, "window suprema stay at or above 1"
     return INCONCLUSIVE, ""
 
 
-def _liminf_positive_verdict(minima, floor: float = 1e-2):
+def _liminf_positive_verdict(minima):
     if not np.all(np.isfinite(minima)):
         return INCONCLUSIVE, "nonfinite evaluations on the ladder"
     start = max(abs(minima[0]), np.finfo(float).tiny)
-    if np.all(minima[-2:] >= floor) and minima[-1] >= 0.25 * start:
+    if np.all(minima[-2:] >= 1e-2) and minima[-1] >= 0.25 * start:
         return SATISFIED, ""
     # small minima that do not fall from their start fit a positive limit
     if minima[-1] <= 0.1 * start:

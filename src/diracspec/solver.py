@@ -158,6 +158,8 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 _MIN_STEP = 1e-12
 # geometric pieces of the first partition of a `propagate` range (no grid)
 _COARSE = 16
+# |k|/r0 over the regular coefficients that `frobenius_init` requires
+_DOMINANCE = 1e3
 # columns of a `_running` block: its work arrays and the columns it reads
 # (about 1.3 MB) fit a 2 MB L2 cache; on a 2-core Xeon VM such blocks made
 # the scan of three 26,000-step channels a third faster than whole levels
@@ -541,14 +543,13 @@ class FrobeniusInit:
     dominance: float
 
 
-def frobenius_init(channel: ChannelSystem, r0: float,
-                   dominance_factor: float = 1e3) -> FrobeniusInit:
+def frobenius_init(channel: ChannelSystem, r0: float) -> FrobeniusInit:
     """Initial data for the solution recessive at the origin.
 
     Near r = 0 the angular term k/r dominates and the recessive solution
     scales like r^|k|; the leading component and its first correction follow
     from matching powers of r in the system.  Requires |k|/r0 to dominate
-    the regular part of the coefficients by `dominance_factor`.
+    the regular part of the coefficients by the factor `_DOMINANCE` = 1e3.
     """
     if not isinstance(channel, ChannelSystem):
         raise TypeError("recessive initialization needs an angular channel")
@@ -556,11 +557,11 @@ def frobenius_init(channel: ChannelSystem, r0: float,
     Q0, M0, _, _ = channel.coeffs(r0)
     bound = max(abs(Q0 - M0), abs(Q0 + M0), 1e-300)
     dominance = (abs(k) / r0) / bound
-    if dominance < dominance_factor:
-        suggestion = abs(k) / (dominance_factor * bound)
+    if dominance < _DOMINANCE:
+        suggestion = abs(k) / (_DOMINANCE * bound)
         raise PreconditionError(
             f"|k|/r0 = {abs(k) / r0:.3g} does not dominate the regular "
-            f"coefficients (need factor {dominance_factor:g}); "
+            f"coefficients (need factor {_DOMINANCE:g}); "
             f"try r0 <= {suggestion:.3g}", suggestion=suggestion)
     if k > 0:
         u0 = np.array([-(Q0 - M0) * r0 / (2 * k + 1), 1.0])
@@ -571,13 +572,13 @@ def frobenius_init(channel: ChannelSystem, r0: float,
                          dominance=float(dominance))
 
 
-def frobenius_radius(channel: ChannelSystem, dominance_factor: float = 1e3,
-                     r_init: float = 1e-3, max_iter: int = 60) -> FrobeniusInit:
-    """Shrink r0 from `r_init` until the dominance guard accepts it."""
+def frobenius_radius(channel: ChannelSystem,
+                     r_init: float = 1e-3) -> FrobeniusInit:
+    """Shrink r0 from `r_init`, 60 tries at most, until the guard accepts it."""
     r0 = r_init
-    for _ in range(max_iter):
+    for _ in range(60):
         try:
-            return frobenius_init(channel, r0, dominance_factor)
+            return frobenius_init(channel, r0)
         except PreconditionError as err:
             r0 = min(err.suggestion * 0.5, r0 * 0.25)
     raise PreconditionError("could not find an admissible starting radius")
@@ -621,8 +622,8 @@ def phase_derivative(channel, r, theta):
     return Q + M * np.cos(2.0 * theta) + L * np.sin(2.0 * theta)
 
 
-def prefer_pruefer(channel, r_lo: float, r_hi: float, factor: float = 10.0) -> bool:
-    """Heuristic representation choice: polar once Q dominates W."""
+def prefer_pruefer(channel, r_lo: float, r_hi: float) -> bool:
+    """Heuristic representation choice: polar once Q > 10 W on 16 probes."""
     rs = np.geomspace(max(r_lo, 1e-12), r_hi, 16)
     Q, _, _, W = channel.coeffs(rs)
-    return bool(np.all(Q > factor * W))
+    return bool(np.all(Q > 10.0 * W))

@@ -75,6 +75,9 @@ __all__ = [
     "decaying_direction",
 ]
 
+# the per-step tolerance of every polar solve of a `TransformedChannel`
+_RESCALED_RTOL = 1e-11
+
 
 @dataclass(frozen=True)
 class TransformedChannel:
@@ -186,11 +189,11 @@ def census_from_phase(s, theta, guard_max: float = 0.0) -> CensusResult:
                         s_offset=float(sj[0]) if ns else 0.0)
 
 
-def theta_census(traj, guard: float = 0.5) -> CensusResult:
+def theta_census(traj) -> CensusResult:
     """Census of a solved phase in the s-variable.
 
     Requires the trajectory to carry the s-reparameterization and the
-    channel to satisfy |L|/Q <= guard on the whole range (this pins the
+    channel to satisfy |L|/Q <= 1/2 on the whole range (this pins the
     phase speed dTheta/ds inside [1/2, 3/2]).
     """
     if traj.s is None:
@@ -201,9 +204,9 @@ def theta_census(traj, guard: float = 0.5) -> CensusResult:
     Q, _, L, _ = traj.channel.coeffs(traj.grid)
     ratio = np.abs(L) / Q
     worst = float(np.max(ratio))
-    if worst > guard:
-        bad = float(traj.grid[int(np.argmax(ratio > guard))])
-        raise PreconditionError(f"|L|/Q exceeds {guard:g} at r = {bad:g}; "
+    if worst > 0.5:
+        bad = float(traj.grid[int(np.argmax(ratio > 0.5))])
+        raise PreconditionError(f"|L|/Q exceeds 0.5 at r = {bad:g}; "
                                 f"census refused")
     return census_from_phase(traj.s, traj.theta, guard_max=worst)
 
@@ -250,10 +253,9 @@ def _fit_log_decay(r, logv):
 
 def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
-                      delta: float = 1e-3, n_ladder: int = 48,
-                      rtol: float = 1e-10,
+                      delta: float = 1e-3, rtol: float = 1e-10,
                       with_census: bool = False) -> SubordinacyReport:
-    """Cumulative squared-norm ratio of two solutions on a geometric ladder.
+    """Cumulative squared-norm ratio of two solutions at 48 geometric radii.
 
     Classification: `no-subordinate` when both orientations of the ratio
     stay above delta on the tail; `subordinate-found` when one orientation
@@ -270,7 +272,7 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
         raise ValueError("initial conditions are numerically dependent")
 
     ladder = np.geomspace(max(r0 * 1.25, r0 + 1e-3 * (r_end - r0)), r_end,
-                          n_ladder)
+                          48)
     I_a, I_b = cumulative_norms(assemble_channel(model, k, lam),
                                 np.column_stack((u0_a, u0_b)),
                                 np.append(r0, ladder), rtol)
@@ -282,11 +284,10 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     fit = None
     # decay-law window: past the midpoint, where transients have died out
     half = ladder >= r0 + 0.5 * (r_end - r0)
-    if float(np.min(ratio_ab[tail])) >= delta and \
-            float(np.min(ratio_ba[tail])) >= delta:
+    if liminf >= delta and float(np.min(ratio_ba[tail])) >= delta:
         classification = "no-subordinate"
     else:
-        cand = ratio_ab if np.min(ratio_ab[tail]) < delta else ratio_ba
+        cand = ratio_ab if liminf < delta else ratio_ba
         tail_vals = cand[half]
         monotone = bool(np.all(np.diff(tail_vals) <= np.abs(tail_vals[:-1]) * 1e-6))
         fit = _fit_log_decay(ladder[half], np.log(tail_vals))
@@ -308,11 +309,11 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
         census=census)
 
 
-def _census_for(model, k, lam, r0, n_max: int = 60):
+def _census_for(model, k, lam, r0):
     tch = transform(model, k, lam)
-    # range long enough to cover n_max full turns at unit phase speed; each
-    # candidate adds s over its own segment, on 64 Simpson pieces
-    need = (n_max + 2) * math.pi
+    # range long enough to cover 60 full turns at unit phase speed, and two
+    # more; each candidate adds s over its own segment, on 64 Simpson pieces
+    need = 62 * math.pi
     lo, hi, s = r0, r0 + 1.0, 0.0
     while True:
         s += cumulative_integral(lambda r: tch.coeffs(r)[0],
@@ -320,11 +321,9 @@ def _census_for(model, k, lam, r0, n_max: int = 60):
         if s >= need or hi >= 1e6:
             break
         lo, hi = hi, hi * 1.6
-    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=1e-11,
+    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=_RESCALED_RTOL,
                       stride=min(0.05, (hi - r0) / 4000.0))
-    traj = integrate_pruefer(tch, 1.0, 0.0, cfg)
-    traj = s_reparam(tch, traj)
-    return theta_census(traj)
+    return theta_census(s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +333,10 @@ def _census_for(model, k, lam, r0, n_max: int = 60):
 def decaying_direction(model: CoefficientModel, k: int, lam: float,
                        r_at: float) -> np.ndarray:
     """Unit vector along the locally decaying direction of the frozen
-    system at r_at (positive spectral parameter, beyond the turning point).
+    system at r_at (positive spectral parameter, beyond the turning point):
+    the eigenvector of A(r_at) for its eigenvalue -sqrt(`_decay_rate_sq`).
     """
-    S = 2.0 * lam * model.q.value(r_at) - lam ** 2 + (k / r_at) ** 2
+    S = _decay_rate_sq(model, k, lam, r_at)
     if S <= 0.0:
         raise PreconditionError(f"no decaying direction at r = {r_at:g}; "
                                 f"still inside the oscillatory region")
@@ -344,12 +344,17 @@ def decaying_direction(model: CoefficientModel, k: int, lam: float,
     return v / np.hypot(v[0], v[1])
 
 
-def _turning_radius(model, lam, lo=1e-6, hi=1.0):
-    # q is increasing toward infinity on these models; bisect q(r) = lam/2,
-    # all lam in lockstep, each on its own bracket
+def _decay_rate_sq(model, k, lam, r):
+    # -det A(r) = L^2 + M^2 - Q^2 when m == q, positive past the turning point
+    return 2.0 * lam * model.q.value(r) - lam ** 2 + (k / r) ** 2
+
+
+def _turning_radius(model, lam):
+    # q is increasing toward infinity on these models; bisect q(r) = lam/2
+    # on [1e-6, 2^n], n >= 0 the least that brackets it, all lam in lockstep
     lam = np.asarray(lam, dtype=float)
     target = lam.ravel() / 2.0
-    hi = np.full(target.shape, hi)
+    hi = np.full(target.shape, 1.0)
     while True:
         low = model.q.value(hi) < target
         if not low.any():
@@ -357,8 +362,8 @@ def _turning_radius(model, lam, lo=1e-6, hi=1.0):
         hi[low] *= 2.0
         if np.any(hi > 1e9):
             raise PreconditionError("no turning radius found")
-    at_lo = model.q.value(lo) >= target
-    lo = np.full(target.shape, lo)
+    at_lo = model.q.value(1e-6) >= target
+    lo = np.full(target.shape, 1e-6)
     open_ = ~at_lo
     for _ in range(200):
         if not open_.any():
@@ -385,7 +390,7 @@ def _shoot_range(model, k, lam, r_star, exponent):
         l, h = lam[going, None], step[going, None]
         rs = np.cumsum(np.column_stack((r[going], np.repeat(h, chunk, axis=1))),
                        axis=1)[:, 1:]
-        S = 2.0 * l * model.q.value(rs) - l ** 2 + (k / rs) ** 2
+        S = _decay_rate_sq(model, k, l, rs)
         gain = np.where(S > 0.0, np.sqrt(np.maximum(S, 0.0)) * h, 0.0)
         sums = np.cumsum(np.column_stack((total[going], gain)), axis=1)[:, 1:]
         stop = (sums >= exponent) | (rs > 1e6)
@@ -441,20 +446,20 @@ def eigen_bracket(bracket) -> tuple:
 
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
-                rtol: float = 1e-10, dominance: float = 1e3,
-                match_radius_factor: float = 1.0,
-                wkb_exponent: float = 27.0) -> list:
+                rtol: float = 1e-10,
+                match_radius_factor: float = 1.0) -> list:
     """Locate discrete spectral points inside a positive bracket.
 
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
     mismatch between them at the turning-point radius changes sign exactly
-    at an eigenvalue.  The mismatch of many lambda is one `propagate` call
-    of a `ChannelBatch` holding both directions of each: one for the whole
-    scan grid, then one a round while `_refine_roots` narrows every sign
-    change in lockstep to `tol_lambda`.  The scan samples both bracket ends
-    but lambda = 0, where the direction recessive at infinity
-    (`decaying_direction`) divides by lambda.
+    at an eigenvalue; the inward one starts where the WKB exponent past
+    the matching radius reaches 27.  The mismatch of many lambda is one
+    `propagate` call of a `ChannelBatch` holding both directions of each:
+    one for the whole scan grid, then one a round while `_refine_roots`
+    narrows every sign change in lockstep to `tol_lambda`.  The scan
+    samples both bracket ends but lambda = 0, where the direction recessive
+    at infinity (`decaying_direction`) divides by lambda.
     """
     require_equal(model, "eigen_shoot")
     a, b = eigen_bracket(bracket)
@@ -463,14 +468,13 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
 
     def mismatch(lams):
         inits = [frobenius_radius(assemble_channel(model, k, lam),
-                                  dominance_factor=dominance,
                                   r_init=min(1e-3, 0.01 / (1.0 + lam)))
                  for lam in lams.tolist()]
         r0 = np.array([init.r0 for init in inits])
         r_star = _turning_radius(model, lams)
         r_match = np.maximum(r_star * match_radius_factor, 4.0 * r0)
         r_far = _shoot_range(model, k, lams, np.maximum(r_star, r_match),
-                             wkb_exponent)
+                             27.0)
         u0 = [init.u0 for init in inits] + [
             decaying_direction(model, k, lam, r)
             for lam, r in zip(lams.tolist(), r_far.tolist())]

@@ -130,6 +130,26 @@ class TestConfig:
         assert code == 2
         assert "config error: --tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-3, 2 ** 64])
+    def test_config_seed_outside_u64_exits_two(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                       "lambda_grid": [0.0], "seed": seed,
+                                       "bv": {"instances": 2}})
+        code = run(["bv-verify", "--config", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert "config error: config.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_outside_u64_exits_two(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                       "lambda_grid": [0.0],
+                                       "bv": {"instances": 2}})
+        code = run(["bv-verify", "--config", path, "--out", tmp_path / "o",
+                    "--seed", seed])
+        assert code == 2
+        assert "config error: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_workers_flag_below_one_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
                                        "lambda_grid": [-1.0]})

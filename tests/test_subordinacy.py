@@ -327,6 +327,29 @@ def scalar_shoot_range(model, k, lam, r_star, exponent):
     return r
 
 
+class TestDecayingDirection:
+    @pytest.mark.parametrize("k", [1, -1, 2, -2])
+    @pytest.mark.parametrize("lam, r", [(0.5, 0.5), (0.5, 7.0), (2.0, 2.0),
+                                        (2.0, 9.0), (4.5, 4.0), (4.5, 30.0)])
+    def test_eigenvector_of_the_frozen_matrix(self, k, lam, r):
+        # A(r) = [[-L, M - Q], [Q + M, L]] is traceless, so its eigenvalues
+        # are +-sqrt(S) with S = L^2 + M^2 - Q^2 = -det A
+        Q, M, L, _ = assemble_channel(EQUAL, k, lam).coeffs(r)
+        A = np.array([[-L, M - Q], [Q + M, L]])
+        S = -np.linalg.det(A)
+        assert S > 0.0
+        v = decaying_direction(EQUAL, k, lam, r)
+        assert np.hypot(*v) == pytest.approx(1.0, abs=1e-15)
+        scale = np.max(np.abs(A))
+        assert np.max(np.abs(A @ v + math.sqrt(S) * v)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("k", [1, -1, 2, -2])
+    def test_refused_inside_the_oscillatory_region(self, k):
+        # lam = 4 at r = 1: S = 2 lam q - lam^2 + (k/r)^2 = k^2 - 8 < 0
+        with pytest.raises(PreconditionError, match="no decaying direction"):
+            decaying_direction(EQUAL, k, 4.0, 1.0)
+
+
 class TestEigenShoot:
     @pytest.mark.parametrize("model", [
         EQUAL, CoefficientModel(q=power(0.8, 1), m=power(0.8, 1))])

@@ -1,19 +1,17 @@
 """Boundedness certificates built from the channel's envelope function.
 
-For a solution u of the channel system the scalar
+For a solution u of the channel system the envelope
 
     R = ((u1^2 + u2^2) Q + (u1^2 - u2^2) M + 2 u1 u2 L) / (Q - W)
 
-dominates |u|^2 and is almost monotone: its growth between two radii is
-bounded by the variation of the coefficient quotients times its running
-supremum.  When those variations have small tails, R (and hence every
-solution) stays bounded, and a two-sided comparability constant links the
-size of any solution at any radius back to its initial size.
-
-Special forms exist when one coefficient vanishes identically:
-
-    M == 0:  R = u1^2 + u2^2 + L/(Q - L) (u1 + u2)^2
-    L == 0:  R = u1^2 + u2^2 + 2M/(Q - M) u1^2
+(the general form; the formula and denominator of each form, the
+single-quotient forms of M == 0 or L == 0 included, are one entry of
+`hypotheses.ENVELOPE_FORMS`) dominates |u|^2 and is almost monotone: its
+growth between two radii is bounded by the variation of the coefficient
+quotients times its running supremum.  When those variations have small
+tails, R (and hence every solution) stays bounded, and a two-sided
+comparability constant links the size of any solution at any radius back
+to its initial size.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ import numpy as np
 
 from .bvcalc import cumulative_variation
 from .coefficients import ChannelBatch, assemble_channel
-from .hypotheses import (ENVELOPE_FORMS, GENERAL, L_ZERO, M_ZERO, VIOLATED,
-                         HypothesisReport, envelope_form)
+from .hypotheses import (ENVELOPE_FORMS, GENERAL, VIOLATED, HypothesisReport,
+                         envelope_form)
 from .solver import (PreconditionError, SolveConfig, _float_column,
                      _write_columns, integrate_fundamental)
 
@@ -45,22 +43,20 @@ __all__ = [
 def r_eval(u, coeffs, form: str = GENERAL):
     """Envelope value for a state u = (u1, u2) given (Q, M, L, W) at the
     same radius; vectorized over samples."""
+    return _envelope(u, coeffs, form)[0]
+
+
+def _envelope(u, coeffs, form):
+    # R, |u|^2 and the denominator of the envelope form
+    if form not in ENVELOPE_FORMS:
+        raise ValueError(f"unknown envelope form {form!r}")
+    env = ENVELOPE_FORMS[form]
     u1, u2 = u
     Q, M, L, W = coeffs
+    den = env.denominator(Q, M, L, W)
+    _require_positive(den, env.den_name)
     usq = u1 ** 2 + u2 ** 2
-    if form == GENERAL:
-        den = Q - W
-        _require_positive(den, "Q - W")
-        return (usq * Q + (u1 ** 2 - u2 ** 2) * M + 2.0 * u1 * u2 * L) / den
-    if form == M_ZERO:
-        den = Q - L
-        _require_positive(den, "Q - L")
-        return usq + L / den * (u1 + u2) ** 2
-    if form == L_ZERO:
-        den = Q - M
-        _require_positive(den, "Q - M")
-        return usq + 2.0 * M / den * u1 ** 2
-    raise ValueError(f"unknown envelope form {form!r}")
+    return env.envelope(u1, u2, usq, Q, M, L, den), usq, den
 
 
 def _require_positive(den, label):
@@ -104,13 +100,12 @@ def r_trace(channel, grid, u) -> RTrace:
     quotients of that form."""
     Q, M, L, W = coeffs = channel.coeffs(grid)
     form = envelope_form(M, L)
-    R = r_eval(u, coeffs, form)
-    u1, u2 = u
-    quotients = ENVELOPE_FORMS[form].quotients(Q, M, L, W, Q - W,
-                                               np.empty(Q.shape))
-    return RTrace(grid=grid, R=np.asarray(R), usq=u1 ** 2 + u2 ** 2,
-                  form=form, cumvar=sum(map(cumulative_variation, quotients)),
-                  epsilon=ENVELOPE_FORMS[form].epsilon(Q, M, L))
+    R, usq, den = _envelope(u, coeffs, form)
+    env = ENVELOPE_FORMS[form]
+    return RTrace(grid=grid, R=np.asarray(R), usq=usq, form=form,
+                  cumvar=sum(map(cumulative_variation, env.quotients(
+                      Q, M, L, W, den, np.empty(Q.shape)))),
+                  epsilon=env.epsilon(Q, M, L))
 
 
 def almost_monotone_check(trace: RTrace, n_grid: int = 32) -> np.recarray:

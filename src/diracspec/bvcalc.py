@@ -67,9 +67,6 @@ class SampledFunction:
                 raise ValueError("derivative samples must match the grid shape")
             object.__setattr__(self, "deriv", deriv)
 
-    def __len__(self):
-        return self.grid.size
-
 
 def variation(f: SampledFunction) -> float:
     """Partition sum of |increments| over the sample grid."""
@@ -140,9 +137,9 @@ def tail_trend(values: Sequence[float]) -> str:
 class WindowLadder:
     """Geometric ladder of tail windows [T, factor*T]."""
 
-    start: float = 25.0
-    factor: float = 2.0
-    rungs: int = 4
+    start: float
+    factor: float
+    rungs: int
 
     def __post_init__(self):
         if self.start <= 0 or self.factor <= 1 or self.rungs < 2:
@@ -202,16 +199,10 @@ def window_integral(grid, values) -> float:
 class ProductBoundResult:
     lhs: float
     rhs: float
-    integral: float
     sup_f: float
     var_g: float
     allowance: float
     holds: bool
-
-    def to_dict(self):
-        return {"lhs": self.lhs, "rhs": self.rhs, "integral": self.integral,
-                "sup_f": self.sup_f, "var_g": self.var_g,
-                "allowance": self.allowance, "holds": self.holds}
 
 
 def check_product_bound(f: SampledFunction,
@@ -238,8 +229,8 @@ def check_product_bound(f: SampledFunction,
     h_max = float(np.max(np.diff(grid)))
     mesh_term = float(np.max(np.abs(f.deriv))) * h_max * var_g
     allowance = 1e-6 * rhs + abs(integral - integral_coarse) + mesh_term
-    return ProductBoundResult(lhs=lhs, rhs=rhs, integral=integral, sup_f=sup_f,
-                              var_g=var_g, allowance=allowance,
+    return ProductBoundResult(lhs=lhs, rhs=rhs, sup_f=sup_f, var_g=var_g,
+                              allowance=allowance,
                               holds=bool(lhs <= rhs + allowance))
 
 
@@ -257,11 +248,6 @@ class QuotientBoundResult:
         if not self.precondition_met:
             return None
         return self.lower_holds and self.upper_holds
-
-    def to_dict(self):
-        return {"eps": self.eps, "var_fg": self.var_fg,
-                "var_f_over_g_minus_f": self.var_f_over_g_minus_f,
-                "holds": self.holds, "precondition_met": self.precondition_met}
 
 
 def check_quotient_bounds(f: SampledFunction,

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
@@ -41,6 +41,8 @@ from .asymptotics import (
 )
 from .boundedness import almost_monotone_check, certify
 from .bvcalc import (
+    EXTREME_LADDER,
+    TAIL_LADDER,
     SampledFunction,
     WindowLadder,
     check_product_bound,
@@ -66,6 +68,7 @@ from .solver import (
     prefer_pruefer,
 )
 from .subordinacy import (
+    _RATIO_START,
     _RESCALED_RTOL,
     borderline_cell,
     classify_cells,
@@ -207,16 +210,16 @@ def load_config(path) -> RunConfig:
         return out
 
     solver = _checked("config.solver", SolveConfig, **section(
-        "solver", {"r_start": 1.0, "r_end": 100.0, "rtol": 1e-12,
-                   "atol": 1e-14, "max_step": math.inf, "stride": 0.05}))
+        "solver", asdict(SolveConfig(r_start=1.0, r_end=100.0))))
     ladder = _checked("config.ladder", WindowLadder, **section(
-        "ladder", {"start": 25.0, "factor": 2.0, "rungs": 4}, rungs=_int))
+        "ladder", EXTREME_LADDER.to_dict(), rungs=_int))
     tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
-        "tail_ladder", {"start": 25.0, "factor": 10.0, "rungs": 3},
-        rungs=_int))
+        "tail_ladder", TAIL_LADDER.to_dict(), rungs=_int))
     sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, "delta": 1e-3})
-    _require(0.0 < sub["r0"] < sub["r_end"] and sub["delta"] > 0.0,
-             "config.subordinacy: need 0 < r0 < r_end and delta > 0")
+    _require(0.0 < sub["r0"] and _RATIO_START * sub["r0"] < sub["r_end"]
+             and sub["delta"] > 0.0, f"config.subordinacy: need 0 < r0, "
+             f"r_end > {_RATIO_START:g} r0 (where the ratio ladder starts) "
+             f"and delta > 0")
     eigen = section("eigen", {"scan_step": 0.05, "tol": 1e-8})
     _require(eigen["scan_step"] > 0.0 and eigen["tol"] > 0.0,
              "config.eigen: scan_step and tol must be positive")

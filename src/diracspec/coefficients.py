@@ -33,7 +33,6 @@ __all__ = [
     "assemble_channel",
     "function_from_dict",
     "model_from_dict",
-    "descriptors_equal",
     "models_equal",
     "require_equal",
 ]
@@ -347,29 +346,16 @@ def model_from_dict(d: dict, where: str = "model") -> CoefficientModel:
                             m=function_from_dict(d["m"], f"{where}.m"))
 
 
-def descriptors_equal(f: CoefficientFunction, g: CoefficientFunction) -> bool:
-    """Structural equality of two function descriptors."""
-    if f.family != g.family:
-        return False
-    if f.family == "sum":
-        ft, gt = f.params["terms"], g.params["terms"]
-        return len(ft) == len(gt) and all(
-            descriptors_equal(a, b) for a, b in zip(ft, gt))
-    if f.family == "tabulated":
-        return (list(f.params["grid"]) == list(g.params["grid"])
-                and list(f.params["values"]) == list(g.params["values"]))
-    return all(float(f.params[k]) == float(g.params[k]) for k in f.params)
-
-
 def models_equal(model: CoefficientModel, rs=None):
     """Decide whether q and m coincide; returns (equal, first_mismatch_r).
 
-    Parametric descriptors are compared structurally; tabulated or mixed
-    descriptors fall back to a pointwise probe at `rs`, tolerance 1e-12.
+    Parametric descriptors are compared by `to_dict`; tabulated, mixed or
+    differing descriptors fall back to a pointwise probe at `rs`, tolerance
+    1e-12.
     """
-    if model.q.family != "tabulated" and model.m.family != "tabulated":
-        if descriptors_equal(model.q, model.m):
-            return True, None
+    if (model.q.family != "tabulated" and model.m.family != "tabulated"
+            and model.q.to_dict() == model.m.to_dict()):
+        return True, None
     if rs is None:
         rs = np.geomspace(0.1, 1000.0, 64)
     with np.errstate(all="ignore"):

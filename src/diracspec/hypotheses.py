@@ -516,21 +516,27 @@ def envelope_form(M, L) -> str:
 @dataclass(frozen=True)
 class EnvelopeForm:
     """An envelope form: its C3 condition id, the evidence names of its
-    quotients and, in a single-quotient form, the coefficient x(M, L) that
-    does not vanish."""
+    quotients, the name of its denominator Q - x (x = W in the general
+    form), its value R(u1, u2, |u|^2, Q, M, L, Q - x) and, in a
+    single-quotient form, the coefficient x(M, L) that does not vanish."""
 
     condition_id: str
     names: tuple
+    den_name: str
+    envelope: Callable
     single: Optional[Callable] = None  # None in the general form
 
-    def quotients(self, Q, M, L, W, gap, out):
-        """Yield W, M and L over the gap Q - W, or x/(Q - x), each written
-        into the work array `out` over the one before."""
-        if self.single is None:
-            yield from (np.divide(x, gap, out=out) for x in (W, M, L))
-        else:
-            x = self.single(M, L)
-            yield np.divide(x, np.subtract(Q, x, out=out), out=out)
+    def denominator(self, Q, M, L, W, out=None):
+        """Q - x, written into `out` when one is given."""
+        x = W if self.single is None else self.single(M, L)
+        return np.subtract(Q, x, out=out)
+
+    def quotients(self, Q, M, L, W, den, out):
+        """Yield W, M and L over the form's denominator den, or x/den, each
+        written into the work array `out` over the one before (den may be
+        `out` in a single-quotient form)."""
+        xs = (W, M, L) if self.single is None else (self.single(M, L),)
+        yield from (np.divide(x, den, out=out) for x in xs)
 
     def epsilon(self, Q, M, L) -> float:
         """sup |x|/Q of a single-quotient form, 0 in the general form."""
@@ -546,10 +552,18 @@ class EnvelopeForm:
 
 
 ENVELOPE_FORMS = {
-    GENERAL: EnvelopeForm("C3", ("w_over_q_minus_w", "m_over_q_minus_w",
-                                 "l_over_q_minus_w")),
-    M_ZERO: EnvelopeForm("C3'", ("l_over_q_minus_l",), lambda M, L: L),
-    L_ZERO: EnvelopeForm("C3'", ("m_over_q_minus_m",), lambda M, L: M),
+    GENERAL: EnvelopeForm(
+        "C3", ("w_over_q_minus_w", "m_over_q_minus_w", "l_over_q_minus_w"),
+        "Q - W", lambda u1, u2, usq, Q, M, L, den:
+        (usq * Q + (u1 ** 2 - u2 ** 2) * M + 2.0 * u1 * u2 * L) / den),
+    M_ZERO: EnvelopeForm(
+        "C3'", ("l_over_q_minus_l",), "Q - L",
+        lambda u1, u2, usq, Q, M, L, den: usq + L / den * (u1 + u2) ** 2,
+        lambda M, L: L),
+    L_ZERO: EnvelopeForm(
+        "C3'", ("m_over_q_minus_m",), "Q - M",
+        lambda u1, u2, usq, Q, M, L, den: usq + 2.0 * M / den * u1 ** 2,
+        lambda M, L: M),
 }
 
 
@@ -657,10 +671,14 @@ class _CChecks(_Check):
             gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
             floors[cell] = floor = gap if np.isfinite(gap) else -math.inf
             if floor > 0.0:
+                form = self.forms[cell]
+                # the general form's denominator is the gap itself
+                den = (sc.gap if form.single is None else
+                       form.denominator(Q, M, L, W, out=sc.quotient))
                 rungs[cell] = tuple(
                     window_variation(quotient, out=sc.inc)
-                    for quotient in self.forms[cell].quotients(
-                        Q, M, L, W, sc.gap, sc.quotient))
+                    for quotient in form.quotients(Q, M, L, W, den,
+                                                   sc.quotient))
         self.floors.append(floors)
         self.rungs.append(rungs)
 

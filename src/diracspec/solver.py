@@ -61,10 +61,6 @@ __all__ = [
 class PreconditionError(RuntimeError):
     """A solver operation was invoked outside its validity region."""
 
-    def __init__(self, message, suggestion=None):
-        super().__init__(message)
-        self.suggestion = suggestion
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -122,7 +118,6 @@ class Trajectory:
     accepted_r: Optional[np.ndarray] = None
     accepted_theta: Optional[np.ndarray] = None
     status: int = 0
-    message: str = ""
     nfev: int = 0
     log_rho: Optional[np.ndarray] = None
 
@@ -432,7 +427,7 @@ def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
     return Trajectory(grid=grid, u1=u1, u2=u2, rho=np.hypot(u1, u2),
                       theta=_safe_unwrap(u1, u2), mode="cartesian",
                       channel=channel, status=int(sol.status),
-                      message=str(sol.message), nfev=int(sol.nfev))
+                      nfev=int(sol.nfev))
 
 
 def _safe_unwrap(u1, u2):
@@ -476,7 +471,7 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
                       mode="pruefer", channel=channel,
                       accepted_r=np.append(solve.t, grid[at.size - 1]),
                       accepted_theta=theta, status=0 if failure is None else -1,
-                      message=failure or "", nfev=solve.nfev,
+                      nfev=solve.nfev,
                       log_rho=log_rho[at])
 
 
@@ -539,8 +534,25 @@ def propagate(channel, u0, r0, r1, rtol: float = 1e-10) -> np.ndarray:
 class FrobeniusInit:
     u0: np.ndarray
     r0: float
-    exponent: int
-    dominance: float
+
+
+def _frobenius(channel: ChannelSystem, r0: float):
+    """(init, None) when |k|/r0 dominates the regular coefficients at r0 by
+    the factor `_DOMINANCE`, else (None, the r0 at which |k|/r0 would reach
+    that factor over their values at r0)."""
+    if not isinstance(channel, ChannelSystem):
+        raise TypeError("recessive initialization needs an angular channel")
+    k = channel.k
+    Q0, M0, _, _ = channel.coeffs(r0)
+    bound = max(abs(Q0 - M0), abs(Q0 + M0), 1e-300)
+    if (abs(k) / r0) / bound < _DOMINANCE:
+        return None, abs(k) / (_DOMINANCE * bound)
+    if k > 0:
+        u0 = np.array([-(Q0 - M0) * r0 / (2 * k + 1), 1.0])
+    else:
+        u0 = np.array([1.0, (Q0 + M0) * r0 / (2 * abs(k) + 1)])
+    u0 /= np.hypot(u0[0], u0[1])
+    return FrobeniusInit(u0=u0, r0=float(r0)), None
 
 
 def frobenius_init(channel: ChannelSystem, r0: float) -> FrobeniusInit:
@@ -551,25 +563,13 @@ def frobenius_init(channel: ChannelSystem, r0: float) -> FrobeniusInit:
     from matching powers of r in the system.  Requires |k|/r0 to dominate
     the regular part of the coefficients by the factor `_DOMINANCE` = 1e3.
     """
-    if not isinstance(channel, ChannelSystem):
-        raise TypeError("recessive initialization needs an angular channel")
-    k = channel.k
-    Q0, M0, _, _ = channel.coeffs(r0)
-    bound = max(abs(Q0 - M0), abs(Q0 + M0), 1e-300)
-    dominance = (abs(k) / r0) / bound
-    if dominance < _DOMINANCE:
-        suggestion = abs(k) / (_DOMINANCE * bound)
+    init, limit = _frobenius(channel, r0)
+    if init is None:
         raise PreconditionError(
-            f"|k|/r0 = {abs(k) / r0:.3g} does not dominate the regular "
-            f"coefficients (need factor {_DOMINANCE:g}); "
-            f"try r0 <= {suggestion:.3g}", suggestion=suggestion)
-    if k > 0:
-        u0 = np.array([-(Q0 - M0) * r0 / (2 * k + 1), 1.0])
-    else:
-        u0 = np.array([1.0, (Q0 + M0) * r0 / (2 * abs(k) + 1)])
-    u0 /= np.hypot(u0[0], u0[1])
-    return FrobeniusInit(u0=u0, r0=float(r0), exponent=abs(k),
-                         dominance=float(dominance))
+            f"|k|/r0 = {abs(channel.k) / r0:.3g} does not dominate the "
+            f"regular coefficients (need factor {_DOMINANCE:g}); "
+            f"try r0 <= {limit:.3g}")
+    return init
 
 
 def frobenius_radius(channel: ChannelSystem,
@@ -577,10 +577,10 @@ def frobenius_radius(channel: ChannelSystem,
     """Shrink r0 from `r_init`, 60 tries at most, until the guard accepts it."""
     r0 = r_init
     for _ in range(60):
-        try:
-            return frobenius_init(channel, r0)
-        except PreconditionError as err:
-            r0 = min(err.suggestion * 0.5, r0 * 0.25)
+        init, limit = _frobenius(channel, r0)
+        if init is not None:
+            return init
+        r0 = min(limit * 0.5, r0 * 0.25)
     raise PreconditionError("could not find an admissible starting radius")
 
 

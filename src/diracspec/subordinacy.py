@@ -77,6 +77,8 @@ __all__ = [
 
 # the per-step tolerance of every polar solve of a `TransformedChannel`
 _RESCALED_RTOL = 1e-11
+# the ratio ladder of `subordinacy_ratio` starts at this multiple of r0
+_RATIO_START = 1.25
 
 
 @dataclass(frozen=True)
@@ -255,15 +257,17 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
                       delta: float = 1e-3, rtol: float = 1e-10,
                       with_census: bool = False) -> SubordinacyReport:
-    """Cumulative squared-norm ratio of two solutions at 48 geometric radii.
+    """Cumulative squared-norm ratio of two solutions at 48 geometric radii
+    from max(1.25 r0, r0 + (r_end - r0)/1000) to r_end > 1.25 r0.
 
     Classification: `no-subordinate` when both orientations of the ratio
     stay above delta on the tail; `subordinate-found` when one orientation
     decays monotonically below delta and follows a clean log-linear decay
     law; `inconclusive` otherwise.
     """
-    if not 0.0 < r0 < r_end:
-        raise ValueError("the ratio range needs 0 < r0 < r_end")
+    if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end):
+        raise ValueError(f"the ratio range needs 0 < r0 < r_end and r_end > "
+                         f"{_RATIO_START:g} r0, where its ladder starts")
     u0_a = np.asarray(u0_a, dtype=float)
     u0_b = np.asarray(u0_b, dtype=float)
     cross = u0_a[0] * u0_b[1] - u0_a[1] * u0_b[0]
@@ -271,8 +275,8 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     if abs(cross) < 1e-10 * norms:
         raise ValueError("initial conditions are numerically dependent")
 
-    ladder = np.geomspace(max(r0 * 1.25, r0 + 1e-3 * (r_end - r0)), r_end,
-                          48)
+    ladder = np.geomspace(max(r0 * _RATIO_START, r0 + 1e-3 * (r_end - r0)),
+                          r_end, 48)
     I_a, I_b = cumulative_norms(assemble_channel(model, k, lam),
                                 np.column_stack((u0_a, u0_b)),
                                 np.append(r0, ladder), rtol)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import diracspec
-from diracspec.bvcalc import trapezoid
+from diracspec.bvcalc import EXTREME_LADDER, TAIL_LADDER, trapezoid
 from diracspec.cli import (
     ConfigError,
     cmd_hypotheses,
@@ -24,7 +24,7 @@ from diracspec.coefficients import (
     assemble_channel,
     power,
 )
-from diracspec.solver import prefer_pruefer
+from diracspec.solver import SolveConfig, prefer_pruefer
 
 
 def run(args):
@@ -121,6 +121,27 @@ class TestConfig:
         code = run(["hypotheses", "--config", path, "--out", tmp_path / "o"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"model": LINEAR_MODEL}))
+        assert cfg.solver == SolveConfig(r_start=1.0, r_end=100.0)
+        assert cfg.ladder == EXTREME_LADDER
+        assert cfg.tail_ladder == TAIL_LADDER
+
+    @pytest.mark.parametrize("r_end", [1.2, 1.25])
+    def test_ratio_range_below_ladder_start_exits_two(self, tmp_path, capsys,
+                                                      r_end):
+        # the ratio ladder starts at 1.25 r0, so [1, 1.2] would run it
+        # outside the range
+        path = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+            "subordinacy": {"r0": 1.0, "r_end": r_end}})
+        code = run(["subordinacy", "--config", path, "--out", tmp_path / "o"])
+        assert code == 2
+        assert ("config error: config.subordinacy: need 0 < r0, r_end > "
+                "1.25 r0 (where the ratio ladder starts)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_tolerance_flag_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],

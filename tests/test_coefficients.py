@@ -13,7 +13,6 @@ from diracspec.coefficients import (
     assemble_channel,
     coefficient,
     constant,
-    descriptors_equal,
     function_from_dict,
     model_from_dict,
     models_equal,
@@ -145,8 +144,8 @@ class TestSerialization:
     def test_round_trip(self):
         model = modulated_model()
         back = model_from_dict(model.to_dict())
-        assert descriptors_equal(model.q, back.q)
-        assert descriptors_equal(model.m, back.m)
+        assert back.q.to_dict() == model.q.to_dict()
+        assert back.m.to_dict() == model.m.to_dict()
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="'m'"):
@@ -202,6 +201,32 @@ class TestModelEquality:
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} needs m == q (first mismatch near r = {where:g})")):
             call()
+
+    def test_identical_tabulated_equal(self):
+        rr = np.geomspace(0.05, 2000.0, 50)
+        q, m = (coefficient("tabulated", grid=list(rr), values=list(rr ** 2))
+                for _ in range(2))
+        assert models_equal(CoefficientModel(q=q, m=m)) == (True, None)
+
+    def test_descriptors_differ_values_agree(self):
+        # two sums whose tabulated terms differ only in derivative mode:
+        # their descriptors differ, so the pointwise probe decides
+        rr = np.geomspace(0.05, 2000.0, 50)
+        q, m = (coefficient("sum", terms=[
+            power(1, 1), coefficient("tabulated", grid=list(rr),
+                                     values=list(np.sqrt(rr)), **mode)])
+            for mode in ({}, {"derivative": "none"}))
+        assert q.to_dict() != m.to_dict()
+        assert models_equal(CoefficientModel(q=q, m=m)) == (True, None)
+
+    def test_first_mismatch_radius(self):
+        # m - q = 1e-15 e^(r/50) first exceeds the probe's tolerance at the
+        # 62nd of its 64 radii
+        m = coefficient("sum", terms=[power(1, 1),
+                                      coefficient("exp", c=1e-15, a=0.02)])
+        eq, where = models_equal(CoefficientModel(q=power(1, 1), m=m))
+        assert not eq and where == np.geomspace(0.1, 1000.0, 64)[61]
+        assert where == 746.4760408417113
 
     def test_tabulated_pointwise(self):
         rr = np.linspace(1, 10, 40)

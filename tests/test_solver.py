@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -664,11 +665,50 @@ class TestFrobenius:
 
     def test_dominance_guard(self):
         ch = assemble_channel(EQUAL, 1, 5.0)
-        with pytest.raises(PreconditionError) as err:
+        with pytest.raises(PreconditionError,
+                           match="does not dominate") as err:
             frobenius_init(ch, 1e-2)
-        assert err.value.suggestion < 1e-2
-        init = frobenius_init(ch, err.value.suggestion * 0.9)
-        assert init.dominance >= 1e3
+        # the refusal names a smaller radius, and the guard accepts below it
+        suggested = float(re.search(r"try r0 <= (\S+)$",
+                                    str(err.value)).group(1))
+        assert suggested < 1e-2
+        init = frobenius_init(ch, suggested * 0.9)
+        Q0, M0, _, _ = ch.coeffs(init.r0)
+        assert (1.0 / init.r0) / max(abs(Q0 - M0), abs(Q0 + M0)) >= 1e3
+
+    @pytest.mark.parametrize("k", [1, -1, 3, -3])
+    @pytest.mark.parametrize("lam", [0.25, 2.0, 4.6])
+    def test_radius_search_matches_refusal_driven_search(self, k, lam):
+        # the search as a loop over refusals that carry the radius they
+        # suggest, each shrinking r0 to min(suggestion / 2, r0 / 4)
+        class Refused(Exception):
+            def __init__(self, suggestion):
+                super().__init__()
+                self.suggestion = suggestion
+
+        def reference_init(channel, r0):
+            Q0, M0, _, _ = channel.coeffs(r0)
+            bound = max(abs(Q0 - M0), abs(Q0 + M0), 1e-300)
+            if (abs(channel.k) / r0) / bound < 1e3:
+                raise Refused(abs(channel.k) / (1e3 * bound))
+            if channel.k > 0:
+                u0 = np.array([-(Q0 - M0) * r0 / (2 * channel.k + 1), 1.0])
+            else:
+                u0 = np.array([1.0, (Q0 + M0) * r0 / (2 * abs(channel.k) + 1)])
+            return u0 / np.hypot(u0[0], u0[1]), float(r0)
+
+        def reference_radius(channel, r0=1e-3):
+            for _ in range(60):
+                try:
+                    return reference_init(channel, r0)
+                except Refused as err:
+                    r0 = min(err.suggestion * 0.5, r0 * 0.25)
+            raise AssertionError("no admissible radius")
+
+        ch = assemble_channel(EQUAL, k, lam)
+        u0, r0 = reference_radius(ch)
+        init = frobenius_radius(ch)
+        assert init.r0 == r0 and init.u0.tobytes() == u0.tobytes()
 
     def test_constant_channel_rejected(self):
         with pytest.raises(TypeError):

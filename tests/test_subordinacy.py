@@ -267,6 +267,14 @@ class TestRatio:
         with pytest.raises(ValueError, match="0 < r0 < r_end"):
             subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], r0, r_end)
 
+    @pytest.mark.parametrize("r_end", [1.2, 1.25])
+    def test_range_below_ladder_start_refused(self, r_end):
+        # the ladder starts at 1.25 r0: [1, 1.2] would run it from 1.25
+        # down to 1.2, outside the range
+        with pytest.raises(ValueError,
+                           match="r_end > 1.25 r0, where its ladder starts"):
+            subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, r_end)
+
     def test_positive_lambda_subordinate_found(self):
         u_dec, generic, r_far = eigen_side_data(1, 1.0)
         rep = subordinacy_ratio(EQUAL, 1, 1.0, u_dec, generic, 1.0, r_far)

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import CoefficientModel, assemble_channel, require_equal
 from .solver import (SolveConfig, Trajectory, cumulative_integral,
                      integrate_pruefer)
-from .subordinacy import _RESCALED_RTOL, transform
+from .subordinacy import RESCALED_RTOL, transform
 
 __all__ = [
     "WkbReference",
@@ -157,7 +157,7 @@ def defect_convergence(model: CoefficientModel, k: int, lam: float,
     convergence orders should sit near 2."""
     defects = []
     for h in strides:
-        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=_RESCALED_RTOL,
+        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=RESCALED_RTOL,
                           stride=h)
         traj = borderline_trajectory(model, k, lam, cfg)
         defects.append(second_order_check(traj, model, k, lam)["max_defect"])

@@ -16,7 +16,7 @@ to its initial size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,8 +25,8 @@ from .bvcalc import cumulative_variation
 from .coefficients import ChannelBatch, assemble_channel
 from .hypotheses import (ENVELOPE_FORMS, GENERAL, VIOLATED, HypothesisReport,
                          envelope_form)
-from .solver import (PreconditionError, SolveConfig, _float_column,
-                     _write_columns, integrate_fundamental)
+from .solver import (PreconditionError, SolveConfig, float_column,
+                     integrate_fundamental, write_columns)
 
 __all__ = [
     "RTrace",
@@ -89,9 +89,9 @@ class RTrace:
     epsilon: float  # sup |x|/Q of a single-quotient form's x; 0 if general
 
     def to_csv(self, path):
-        R = _float_column(self.R)  # also the bound column
-        _write_columns(path, "# kind=rtrace\nr,R,usq,bound",
-                       [_float_column(self.grid), R, _float_column(self.usq), R])
+        R = float_column(self.R)  # also the bound column
+        write_columns(path, "# kind=rtrace\nr,R,usq,bound",
+                      [float_column(self.grid), R, float_column(self.usq), R])
 
 
 def r_trace(channel, grid, u) -> RTrace:
@@ -151,8 +151,7 @@ class BoundednessCertificate:
 
     def to_dict(self):
         # a certificate is only issued for a bounded channel; refusals raise
-        return {"kind": "boundedness_certificate", "r0": self.r0,
-                "r_end": self.r_end, "sup_R": self.sup_R, "C": self.C,
+        return {"kind": "boundedness_certificate", **asdict(self),
                 "verdict": "bounded"}
 
 

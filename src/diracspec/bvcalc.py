@@ -149,9 +149,6 @@ class WindowLadder:
         return [(self.start * self.factor ** j, self.start * self.factor ** (j + 1))
                 for j in range(self.rungs)]
 
-    def to_dict(self):
-        return {"start": self.start, "factor": self.factor, "rungs": self.rungs}
-
 
 EXTREME_LADDER = WindowLadder(25.0, 2.0, 4)
 TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
@@ -290,10 +287,6 @@ class TrichotomyProbe:
     entries: list
     pattern: str
     consistent: bool
-
-    def to_dict(self):
-        return {"entries": self.entries, "pattern": self.pattern,
-                "consistent": self.consistent}
 
 
 def trichotomy_window(q, m, lambdas: Sequence[float], variations) -> list:

@@ -21,6 +21,7 @@ always exit 0 on a config or input they accept.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -66,15 +67,17 @@ from .solver import (
     integrate_cartesian,
     integrate_pruefer,
     prefer_pruefer,
+    write_columns,
 )
 from .subordinacy import (
-    _RATIO_START,
-    _RESCALED_RTOL,
+    RESCALED_RTOL,
     borderline_cell,
     classify_cells,
     eigen_bracket,
     eigen_shoot,
+    ratio_range,
     spectrum_hypotheses,
+    subordinacy_ratio,
     summarize_cells,
 )
 
@@ -159,6 +162,12 @@ def _real(x) -> float:
     return float(x)
 
 
+def _defaults(fn, **keys) -> dict:
+    """{config key: the default of the parameter of `fn` that it names}."""
+    params = inspect.signature(fn).parameters
+    return {key: params[name].default for key, name in keys.items()}
+
+
 def load_config(path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -212,15 +221,14 @@ def load_config(path) -> RunConfig:
     solver = _checked("config.solver", SolveConfig, **section(
         "solver", asdict(SolveConfig(r_start=1.0, r_end=100.0))))
     ladder = _checked("config.ladder", WindowLadder, **section(
-        "ladder", EXTREME_LADDER.to_dict(), rungs=_int))
+        "ladder", asdict(EXTREME_LADDER), rungs=_int))
     tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
-        "tail_ladder", TAIL_LADDER.to_dict(), rungs=_int))
-    sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, "delta": 1e-3})
-    _require(0.0 < sub["r0"] and _RATIO_START * sub["r0"] < sub["r_end"]
-             and sub["delta"] > 0.0, f"config.subordinacy: need 0 < r0, "
-             f"r_end > {_RATIO_START:g} r0 (where the ratio ladder starts) "
-             f"and delta > 0")
-    eigen = section("eigen", {"scan_step": 0.05, "tol": 1e-8})
+        "tail_ladder", asdict(TAIL_LADDER), rungs=_int))
+    sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, **_defaults(
+        subordinacy_ratio, delta="delta")})
+    _checked("config.subordinacy", ratio_range, **sub)
+    eigen = section("eigen", _defaults(eigen_shoot, scan_step="scan_step",
+                                       tol="tol_lambda"))
     _require(eigen["scan_step"] > 0.0 and eigen["tol"] > 0.0,
              "config.eigen: scan_step and tol must be positive")
     asy = section("asymptotics", {"windows": None, "r_start": 5.0,
@@ -240,7 +248,7 @@ def load_config(path) -> RunConfig:
     bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed = _checked("config.seed", _seed, raw.get("seed", 0))
-    workers = _checked("config", _int, raw.get("workers", 1))
+    workers = _checked("config.workers", _int, raw.get("workers", 1))
     _require(workers >= 1, "config.workers: must be at least 1")
 
     return RunConfig(model=model, channel_const=channel_const, k_set=k_set,
@@ -284,14 +292,9 @@ def _write_json(path: Path, obj):
                                allow_nan=False) + "\n")
 
 
-def _write_rows(path: Path, header: str, rows, comment: str = ""):
+def _write_rows(path: Path, header: str, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(comment + "\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write_columns(path, header, [list(map(_fmt, col)) for col in zip(*rows)])
 
 
 def _fmt(x):
@@ -503,14 +506,14 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     codes = {"ac-candidate": "ac", "subordinate-found": "sub",
              "excluded": "excl", "inconclusive": "inc", "error": "error"}
     lams = sorted(set(cfg.lambda_grid))
-    header = "k\\lambda," + ",".join(f"{l:g}" for l in lams)
+    header = "# kind=scan\nk\\lambda," + ",".join(f"{l:g}" for l in lams)
     by_k = {}
     for cell in doc["cells"]:
         by_k.setdefault(cell["k"], {})[cell["lambda"]] = \
             codes.get(cell["classification"], "inc")
     rows = [[str(k)] + [by_k[k].get(l, "") for l in lams]
             for k in sorted(by_k)]
-    _write_rows(out / "scan.csv", header, rows, comment="# kind=scan")
+    _write_rows(out / "scan.csv", header, rows)
     for cell in doc["cells"]:
         _write_json(out / "cells" /
                     f"cell_{_cell_name(cell['k'], cell['lambda'])}.json", cell)
@@ -568,7 +571,7 @@ def cmd_bv_verify(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     if cfg.model is not None and cfg.lambda_grid:
         probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid,
                                         cfg.tail_ladder)
-        doc["trichotomy"] = probe.to_dict()
+        doc["trichotomy"] = asdict(probe)
         _say(f"trichotomy pattern: {probe.pattern}")
     _write_json(out / "bv_report.json", doc)
     failures = len(product_fail) + len(quotient_fail) + len(jordan_fail)
@@ -582,7 +585,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
     scfg = SolveConfig(r_start=cfg.asymptotics["r_start"],
-                       r_end=cfg.asymptotics["r_end"], rtol=_RESCALED_RTOL,
+                       r_end=cfg.asymptotics["r_end"], rtol=RESCALED_RTOL,
                        stride=cfg.asymptotics["stride"])
     trend_ok = True
     for k in cfg.k_set:
@@ -592,9 +595,9 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             res = compare_asymptotics(traj, ref,
                                       windows=cfg.asymptotics["windows"])
             name = _cell_name(k, lam)
-            _write_rows(out / f"residuals_{name}.csv", "center,residual",
-                        [(w["center"], w["residual"]) for w in res],
-                        comment="# kind=residuals")
+            _write_rows(out / f"residuals_{name}.csv",
+                        "# kind=residuals\ncenter,residual",
+                        [(w["center"], w["residual"]) for w in res])
             conv = defect_convergence(cfg.model, k, lam,
                                       *_defect_window(cfg.asymptotics))
             _write_json(out / f"defects_{name}.json",

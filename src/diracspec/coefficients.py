@@ -14,6 +14,7 @@ any sum holding it, has no derivative (`has_derivative`).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -63,22 +64,14 @@ def _zero_like(r):
 
 
 # ---------------------------------------------------------------------------
-# family builders: each returns (value, d1, d2, derivative_exact), one
-# implementation for a float radius and for an array of radii; d1 and d2 are
-# None when the function has no derivative
-
-_FAMILY_PARAMS = {
-    "power": {"c", "p"},
-    "log": {"c"},
-    "modulated": {"a", "b", "omega", "c", "p"},
-    "exp": {"c", "a"},
-    "sum": {"terms"},
-    "tabulated": {"grid", "values", "derivative"},
-}
+# family builders: each takes its family's parameters (its signature is the
+# schema of `function_from_dict`) and returns (value, d1, d2,
+# derivative_exact), one implementation for a float radius and for an array
+# of radii; d1 and d2 are None when the function has no derivative
 
 
-def _build_power(params):
-    c, p = float(params["c"]), float(params["p"])
+def _build_power(c, p):
+    c, p = float(c), float(p)
 
     def value(r):
         return c * r ** p
@@ -98,8 +91,8 @@ def _build_power(params):
     return value, d1, d2, True
 
 
-def _build_log(params):
-    c = float(params["c"])
+def _build_log(c):
+    c = float(c)
     return (
         lambda r: c * np.log1p(r),
         lambda r: c / (1.0 + r),
@@ -108,9 +101,8 @@ def _build_log(params):
     )
 
 
-def _build_modulated(params):
-    a, b = float(params["a"]), float(params["b"])
-    omega, c, p = float(params["omega"]), float(params["c"]), float(params["p"])
+def _build_modulated(a, b, omega, c, p):
+    a, b, omega, c, p = map(float, (a, b, omega, c, p))
 
     def value(r):
         return (a + b * np.sin(omega * r)) * c * r ** p
@@ -133,8 +125,8 @@ def _build_modulated(params):
     return value, d1, d2, True
 
 
-def _build_exp(params):
-    c, a = float(params["c"]), float(params["a"])
+def _build_exp(c, a):
+    c, a = float(c), float(a)
     return (
         lambda r: c * np.exp(a * r),
         lambda r: (c * a) * np.exp(a * r),
@@ -143,8 +135,8 @@ def _build_exp(params):
     )
 
 
-def _build_sum(params):
-    terms = tuple(params["terms"])
+def _build_sum(terms):
+    terms = tuple(terms)
     if not terms:
         raise ValueError("sum family needs at least one term")
     exact = all(t.derivative_exact for t in terms)
@@ -173,15 +165,14 @@ def _build_sum(params):
     return value, d1, d2, exact
 
 
-def _build_tabulated(params):
+def _build_tabulated(grid, values, derivative="interpolant"):
     from scipy.interpolate import PchipInterpolator
 
-    grid = np.asarray(params["grid"], dtype=float)
-    values = np.asarray(params["values"], dtype=float)
-    mode = params.get("derivative", "interpolant")
-    if mode not in ("interpolant", "none"):
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if derivative not in ("interpolant", "none"):
         raise ValueError(f"tabulated derivative mode must be "
-                         f"'interpolant' or 'none', got {mode!r}")
+                         f"'interpolant' or 'none', got {derivative!r}")
     if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
         raise ValueError("tabulated data needs matching 1-d grid/values, length >= 2")
     if not np.all(np.diff(grid) > 0.0):
@@ -197,7 +188,7 @@ def _build_tabulated(params):
     def value(r):
         return _shape(pp(r), r)
 
-    if mode == "none":
+    if derivative == "none":
         return value, None, None, False
     dpp, d2pp = pp.derivative(), pp.derivative(2)
 
@@ -234,7 +225,7 @@ class CoefficientFunction:
     def __post_init__(self):
         if self.family not in _BUILDERS:
             raise ValueError(f"unknown function family {self.family!r}")
-        value, d1, d2, exact = _BUILDERS[self.family](self.params)
+        value, d1, d2, exact = _BUILDERS[self.family](**self.params)
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_d1", d1)
         object.__setattr__(self, "_d2", d2)
@@ -266,8 +257,8 @@ class CoefficientFunction:
         if self.family == "tabulated":
             out = {"grid": list(map(float, self.params["grid"])),
                    "values": list(map(float, self.params["values"]))}
-            if self.params.get("derivative", "interpolant") != "interpolant":
-                out["derivative"] = self.params["derivative"]
+            if not self.has_derivative:
+                out["derivative"] = "none"
             return {"family": "tabulated", "params": out}
         return {"family": self.family,
                 "params": {k: float(v) for k, v in self.params.items()}}
@@ -297,10 +288,10 @@ def function_from_dict(d: dict, where: str = "function") -> CoefficientFunction:
     params = d.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"{where}.params: expected an object")
-    if family not in _FAMILY_PARAMS:
+    if family not in _BUILDERS:
         raise ValueError(f"{where}: unknown family {family!r}")
-    allowed = _FAMILY_PARAMS[family]
-    bad = set(params) - allowed
+    allowed = inspect.signature(_BUILDERS[family]).parameters
+    bad = set(params) - set(allowed)
     if bad:
         raise ValueError(f"{where}.params: unknown keys {sorted(bad)} for "
                          f"family {family!r}")
@@ -311,8 +302,8 @@ def function_from_dict(d: dict, where: str = "function") -> CoefficientFunction:
         built = [function_from_dict(t, f"{where}.terms[{i}]")
                  for i, t in enumerate(terms)]
         return coefficient("sum", terms=built)
-    required = allowed - {"derivative"}
-    missing = required - set(params)
+    missing = {name for name, p in allowed.items()
+               if p.default is p.empty} - set(params)
     if missing:
         raise ValueError(f"{where}.params: missing keys {sorted(missing)}")
     return CoefficientFunction(family, dict(params))
@@ -381,6 +372,14 @@ def require_equal(model: CoefficientModel, what: str):
 # channels
 
 
+def angular_number(k) -> int:
+    """The angular quantum number k of a channel as an int; refused unless
+    a nonzero integer."""
+    if int(k) != k or k == 0:
+        raise ValueError("angular quantum number k must be a nonzero integer")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class ChannelSystem:
     """Coefficient bundle (Q, M, L, W) for one angular channel at one
@@ -392,9 +391,7 @@ class ChannelSystem:
     lam: float
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k == 0:
-            raise ValueError("angular quantum number k must be a nonzero integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", angular_number(self.k))
         object.__setattr__(self, "lam", float(self.lam))
 
     def coeffs(self, r):
@@ -426,9 +423,7 @@ class ChannelBatch:
     lams: np.ndarray
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k == 0:
-            raise ValueError("angular quantum number k must be a nonzero integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", angular_number(self.k))
         object.__setattr__(self, "lams", np.array(self.lams, dtype=float,
                                                   ndmin=1))
 

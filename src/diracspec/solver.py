@@ -129,18 +129,19 @@ class Trajectory:
         Q, M, L, W = self.channel.coeffs(self.grid)
         theta = self.theta if self.theta is not None else np.full_like(self.grid, np.nan)
         columns = (self.grid, self.u1, self.u2, self.rho, theta, Q, M, L, W)
-        _write_columns(path, "r,u1,u2,rho,theta,Q,M,L,W",
-                       [_float_column(x) for x in columns])
+        write_columns(path, "r,u1,u2,rho,theta,Q,M,L,W",
+                      [float_column(x) for x in columns])
 
 
-def _float_column(a) -> list:
+def float_column(a) -> list:
     """The entries of `a` as strings, each repr(float(x)) of its float x."""
     return list(map(repr, np.asarray(a, dtype=float).tolist()))
 
 
-def _write_columns(path, header: str, columns):
+def write_columns(path, header: str, columns):
     """Write the `header` lines, then row i of the `columns` (equally long
-    lists of strings) comma-separated, for every i, in one call."""
+    lists of strings) comma-separated, for every i, in one call: the writer
+    of every CSV artifact.  It is no solve, so it stays out of `__all__`."""
     with open(path, "w") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
 
@@ -196,7 +197,7 @@ def _mul(x, y):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _steps(qml, nodes, rtol, max_step=math.inf):
+def _steps(qml, nodes, rtol, max_step):
     """Fourth-order Magnus steps of a batch of channels: channel i starts at
     nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
     its direction of travel; `qml(r, owner)` gives (Q, M, L) at radii r, of

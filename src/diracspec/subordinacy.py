@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .boundedness import certify
-from .bvcalc import EXTREME_LADDER, TAIL_LADDER, WindowLadder
+from .bvcalc import WindowLadder
 from .coefficients import (
     ChannelBatch,
     CoefficientModel,
+    angular_number,
     assemble_channel,
     models_equal,
     require_equal,
@@ -66,6 +67,7 @@ __all__ = [
     "theta_census",
     "census_from_phase",
     "subordinacy_ratio",
+    "ratio_range",
     "eigen_bracket",
     "eigen_shoot",
     "classify_cells",
@@ -73,10 +75,11 @@ __all__ = [
     "spectrum_hypotheses",
     "summarize_cells",
     "decaying_direction",
+    "RESCALED_RTOL",
 ]
 
 # the per-step tolerance of every polar solve of a `TransformedChannel`
-_RESCALED_RTOL = 1e-11
+RESCALED_RTOL = 1e-11
 # the ratio ladder of `subordinacy_ratio` starts at this multiple of r0
 _RATIO_START = 1.25
 
@@ -93,8 +96,7 @@ class TransformedChannel:
         if self.lam >= 0.0:
             raise ValueError("the rescaling is defined for negative spectral "
                              "parameters only")
-        if int(self.k) == 0:
-            raise ValueError("angular quantum number k must be nonzero")
+        object.__setattr__(self, "k", angular_number(self.k))
 
     @property
     def Lambda(self) -> float:
@@ -155,10 +157,7 @@ class CensusResult:
     s_offset: float
 
     def to_dict(self):
-        return {"kind": "census", "ns": self.ns, "J_lengths": self.J_lengths,
-                "K_lengths": self.K_lengths, "violations": self.violations,
-                "s_resolution": self.s_resolution, "guard_max": self.guard_max,
-                "n_first": self.n_first, "s_offset": self.s_offset}
+        return {"kind": "census", **asdict(self)}
 
 
 def census_from_phase(s, theta, guard_max: float = 0.0) -> CensusResult:
@@ -265,9 +264,7 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     decays monotonically below delta and follows a clean log-linear decay
     law; `inconclusive` otherwise.
     """
-    if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end):
-        raise ValueError(f"the ratio range needs 0 < r0 < r_end and r_end > "
-                         f"{_RATIO_START:g} r0, where its ladder starts")
+    ratio_range(r0, r_end, delta)
     u0_a = np.asarray(u0_a, dtype=float)
     u0_b = np.asarray(u0_b, dtype=float)
     cross = u0_a[0] * u0_b[1] - u0_a[1] * u0_b[0]
@@ -313,6 +310,16 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
         census=census)
 
 
+def ratio_range(r0: float, r_end: float, delta: float) -> None:
+    """Refuse the range and threshold of `subordinacy_ratio` unless
+    0 < r0 < r_end, r_end > 1.25 r0 (where its ladder starts) and
+    delta > 0."""
+    if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end and delta > 0.0):
+        raise ValueError(f"the ratio range needs 0 < r0 < r_end and r_end > "
+                         f"{_RATIO_START:g} r0, where its ladder starts, and "
+                         f"a threshold delta > 0")
+
+
 def _census_for(model, k, lam, r0):
     tch = transform(model, k, lam)
     # range long enough to cover 60 full turns at unit phase speed, and two
@@ -325,7 +332,7 @@ def _census_for(model, k, lam, r0):
         if s >= need or hi >= 1e6:
             break
         lo, hi = hi, hi * 1.6
-    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=_RESCALED_RTOL,
+    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=RESCALED_RTOL,
                       stride=min(0.05, (hi - r0) / 4000.0))
     return theta_census(s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg)))
 
@@ -507,8 +514,8 @@ _TRACEBACK_LINES = 8
 
 def spectrum_hypotheses(model: CoefficientModel,
                         lambda_grid: Sequence[float], *,
-                        extreme_ladder: WindowLadder = EXTREME_LADDER,
-                        tail_ladder: WindowLadder = TAIL_LADDER) -> dict:
+                        extreme_ladder: WindowLadder,
+                        tail_ladder: WindowLadder) -> dict:
     """The scan document without its cells: the model-level hypotheses
     (A1-A4, or B1-B2 when m == q) and whether they leave the cells
     heuristic.  A scan runs them once, whatever its chunks."""
@@ -527,8 +534,8 @@ def spectrum_hypotheses(model: CoefficientModel,
 def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                    lambda_grid: Sequence[float], *, equal: bool,
                    heuristic: bool, solver: SolveConfig, subordinacy: dict,
-                   extreme_ladder: WindowLadder = EXTREME_LADDER,
-                   tail_ladder: WindowLadder = TAIL_LADDER) -> list:
+                   extreme_ladder: WindowLadder,
+                   tail_ladder: WindowLadder) -> list:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
 
     Dominant-potential models go through the boundedness certificate of

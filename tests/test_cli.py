@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from diracspec.coefficients import (
     power,
 )
 from diracspec.solver import SolveConfig, prefer_pruefer
+from diracspec.subordinacy import eigen_shoot, ratio_range, subordinacy_ratio
 
 
 def run(args):
@@ -127,6 +129,31 @@ class TestConfig:
         assert cfg.solver == SolveConfig(r_start=1.0, r_end=100.0)
         assert cfg.ladder == EXTREME_LADDER
         assert cfg.tail_ladder == TAIL_LADDER
+        shoot = inspect.signature(eigen_shoot).parameters
+        ratio = inspect.signature(subordinacy_ratio).parameters
+        assert cfg.eigen == {"scan_step": shoot["scan_step"].default,
+                             "tol": shoot["tol_lambda"].default}
+        assert cfg.subordinacy == {"r0": 1.0, "r_end": 120.0,
+                                   "delta": ratio["delta"].default}
+
+    def test_workers_refusal_names_its_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "workers": True})
+        assert run(["scan", "--config", path, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.workers: expected an integer, got True\n")
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_ratio_threshold_refusal_is_the_library_text(self, tmp_path,
+                                                         capsys, delta):
+        path = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
+            "subordinacy": {"delta": delta}})
+        with pytest.raises(ValueError) as library:
+            ratio_range(1.0, 120.0, delta)
+        assert run(["subordinacy", "--config", path,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config.subordinacy: {library.value}\n")
 
     @pytest.mark.parametrize("r_end", [1.2, 1.25])
     def test_ratio_range_below_ladder_start_exits_two(self, tmp_path, capsys,
@@ -138,8 +165,8 @@ class TestConfig:
             "subordinacy": {"r0": 1.0, "r_end": r_end}})
         code = run(["subordinacy", "--config", path, "--out", tmp_path / "o"])
         assert code == 2
-        assert ("config error: config.subordinacy: need 0 < r0, r_end > "
-                "1.25 r0 (where the ratio ladder starts)"
+        assert ("config error: config.subordinacy: the ratio range needs "
+                "0 < r0 < r_end and r_end > 1.25 r0, where its ladder starts"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracspec.coefficients import (
+    ChannelBatch,
     CoefficientModel,
     ConstantChannel,
     DomainError,
@@ -93,6 +94,58 @@ class TestEval:
         assert smooth.has_derivative
 
 
+class TestSecondDerivatives:
+    """The second derivative of each family against mpmath.diff of the
+    same function in extended precision."""
+
+    RADII = (0.3, 1.7, 5.0, 23.0)
+
+    @staticmethod
+    def assert_matches(f, reference):
+        mpmath = pytest.importorskip("mpmath")
+        for r in TestSecondDerivatives.RADII:
+            ref = float(mpmath.diff(reference, mpmath.mpf(r), 2))
+            assert f.derivative(r, order=2) == pytest.approx(ref, rel=1e-13), r
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.25, 2.0])
+    def test_modulated(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        f = coefficient("modulated", a=2, b=1.5, omega=1.3, c=0.7, p=p)
+        self.assert_matches(f, lambda r: (2 + 1.5 * mpmath.sin(1.3 * r))
+                            * 0.7 * mpmath.power(r, p))
+
+    def test_sum(self):
+        mpmath = pytest.importorskip("mpmath")
+        f = coefficient("sum", terms=[
+            power(1.5, 0.5), coefficient("log", c=2),
+            coefficient("exp", c=0.3, a=-0.1),
+            coefficient("modulated", a=1, b=0.5, omega=2, c=1, p=1)])
+        self.assert_matches(f, lambda r: (
+            1.5 * mpmath.sqrt(r) + 2 * mpmath.log(1 + r)
+            + 0.3 * mpmath.exp(-0.1 * r) + (1 + 0.5 * mpmath.sin(2 * r)) * r))
+
+    def test_tabulated_interpolant(self):
+        # on each grid interval the interpolant is the cubic Hermite
+        # polynomial of the knot values and knot slopes
+        mpmath = pytest.importorskip("mpmath")
+        grid = [0.2, 1.0, 2.5, 4.0, 9.0, 30.0]
+        f = coefficient("tabulated", grid=grid, values=[
+            0.5, 1.5, 1.2, 3.0, 4.5, 20.0])
+
+        def hermite(r):
+            i = int(np.searchsorted(grid, float(r))) - 1
+            x0, x1 = grid[i], grid[i + 1]
+            h, t = x1 - x0, (r - x0) / (x1 - x0)
+            y0, y1 = f.value(x0), f.value(x1)
+            m0, m1 = f.derivative(x0), f.derivative(x1)
+            return ((2 * t ** 3 - 3 * t ** 2 + 1) * y0
+                    + (t ** 3 - 2 * t ** 2 + t) * h * m0
+                    + (-2 * t ** 3 + 3 * t ** 2) * y1
+                    + (t ** 3 - t ** 2) * h * m1)
+
+        self.assert_matches(f, hermite)
+
+
 class TestChannelAssembly:
     def test_linear_channel_point(self):
         ch = assemble_channel(linear_model(), k=1, lam=0.0)
@@ -103,6 +156,24 @@ class TestChannelAssembly:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             assemble_channel(linear_model(), k=0, lam=0.0)
+
+    @pytest.mark.parametrize("k", [0, 1.5, -0.5])
+    def test_every_channel_class_refuses_k_alike(self, k):
+        # one check for the plain, the batched and the rescaled channel
+        model = CoefficientModel(q=power(1, 1), m=power(1, 1))
+        for build in (lambda: assemble_channel(model, k, -1.0),
+                      lambda: ChannelBatch(model, k, [-1.0, -2.0]),
+                      lambda: TransformedChannel(model, k, -1.0)):
+            with pytest.raises(ValueError, match="^angular quantum number k "
+                               "must be a nonzero integer$"):
+                build()
+
+    def test_integral_k_kept_as_int(self):
+        model = CoefficientModel(q=power(1, 1), m=power(1, 1))
+        for channel in (assemble_channel(model, 2.0, -1.0),
+                        ChannelBatch(model, np.int64(2), [-1.0]),
+                        TransformedChannel(model, 2.0, -1.0)):
+            assert type(channel.k) is int and channel.k == 2
 
     def test_equal_coefficients_channel_point(self):
         model = CoefficientModel(q=power(1, 1), m=power(1, 1))
@@ -158,6 +229,26 @@ class TestSerialization:
                              "typo": 1})
         with pytest.raises(ValueError, match="unknown"):
             function_from_dict({"family": "power", "params": {"c": 1, "p": 1, "x": 2}})
+
+    def test_tabulated_schema_from_builder(self):
+        # grid and values are required; derivative defaults to the
+        # interpolant and is written only when it is "none"
+        with pytest.raises(ValueError, match=re.escape(
+                "function.params: missing keys ['values']")):
+            function_from_dict({"family": "tabulated",
+                                "params": {"grid": [1.0, 2.0]}})
+        with pytest.raises(ValueError, match=re.escape(
+                "function.params: unknown keys ['slope'] for family "
+                "'tabulated'")):
+            function_from_dict({"family": "tabulated", "params": {
+                "grid": [1.0, 2.0], "values": [1.0, 2.0], "slope": 1.0}})
+        for mode, written in (("interpolant", {}), ("none", {"derivative": "none"})):
+            f = coefficient("tabulated", grid=[1.0, 2.0], values=[1.0, 3.0],
+                            derivative=mode)
+            assert f.to_dict()["params"] == {"grid": [1.0, 2.0],
+                                             "values": [1.0, 3.0], **written}
+            assert function_from_dict(f.to_dict()).has_derivative == \
+                (mode == "interpolant")
 
     def test_sum_family_round_trip(self):
         f = coefficient("sum", terms=[power(1, 1), constant(2)])

@@ -124,6 +124,13 @@ class TestDerivativeSufficiency:
         reports = by_id(check_derivative_sufficiency(MODULATED))
         assert reports["D1"].verdict == VIOLATED
 
+    def test_mass_without_derivative_leaves_d1_inconclusive(self):
+        model = CoefficientModel(q=power(1, 1),
+                                 m=_tabulated_without_derivative())
+        (d1,) = check_derivative_sufficiency(model)
+        assert (d1.condition_id, d1.verdict, d1.note, d1.auxiliary) == \
+            ("D1", INCONCLUSIVE, "derivatives unavailable", True)
+
     def test_implication_toward_quotient_probe(self):
         # whenever both derivative integrals converge, every probed lambda
         # must classify convergent

@@ -805,3 +805,29 @@ class TestConfig:
     def test_representation_heuristic(self):
         assert prefer_pruefer(LINEAR, 50.0, 200.0)
         assert not prefer_pruefer(LINEAR, 0.1, 1.0)
+
+
+class TestOverflow:
+    """A = [[0, 10], [10, 0]] grows like e^(10 r): past r of about 72 no
+    state is a float, and every solve says so."""
+
+    STEEP = ConstantChannel(0.0, 10.0, 0.0)
+
+    def test_fundamental_stops_at_last_finite_node(self):
+        grid, phi, failure = integrate_fundamental(
+            self.STEEP, cfg(1.0, 100.0, stride=1.0))
+        assert grid[-1] == 72.0 and len(phi) == len(grid) == 72
+        assert np.all(np.isfinite(phi))
+        assert failure == "solution overflows before r = 73"
+
+    def test_propagate_raises(self):
+        with pytest.raises(PreconditionError, match=re.escape(
+                "propagation from 1 to 100 failed: solution overflows "
+                "before r = 74.98942093")):
+            propagate(self.STEEP, [1.0, 0.0], 1.0, 100.0)
+
+    def test_cumulative_norms_raise(self):
+        with pytest.raises(PreconditionError,
+                           match="^cumulative norms overflow$"):
+            cumulative_norms(self.STEEP, np.eye(2), np.linspace(1.0, 100.0, 10),
+                             1e-10)

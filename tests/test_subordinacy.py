@@ -107,6 +107,13 @@ class TestCensus:
         assert np.allclose(cen.J_lengths, math.pi / 2, atol=1e-9)
         assert np.allclose(cen.K_lengths, math.pi / 2, atol=1e-9)
 
+    @pytest.mark.parametrize("theta", [[0.0, 1.0, 1.0, 2.0],
+                                       [0.0, 2.0, 1.0, 3.0]])
+    def test_phase_not_increasing_refused(self, theta):
+        with pytest.raises(PreconditionError,
+                           match="phase must be strictly increasing"):
+            census_from_phase(np.arange(4.0), theta)
+
     def test_extremal_synthetic_envelope(self):
         # dTheta/ds = 1 + sin(2 Theta)/2 is the extreme phase law allowed by
         # the census guard
@@ -274,6 +281,12 @@ class TestRatio:
         with pytest.raises(ValueError,
                            match="r_end > 1.25 r0, where its ladder starts"):
             subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, r_end)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3])
+    def test_threshold_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="a threshold delta > 0"):
+            subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 50.0,
+                              delta=delta)
 
     def test_positive_lambda_subordinate_found(self):
         u_dec, generic, r_far = eigen_side_data(1, 1.0)

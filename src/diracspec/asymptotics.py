@@ -100,10 +100,9 @@ def compare_asymptotics(traj: Trajectory, ref: WkbReference,
         rhs = np.concatenate([traj.u1[sel], traj.u2[sel]])
         norm, residual = float(np.linalg.norm(rhs)), 0.0
         if norm != 0.0:
-            sv = np.linalg.svd(A, compute_uv=False)
+            coef, _, _, sv = np.linalg.lstsq(A, rhs, rcond=None)
             if sv[0] <= 0.0 or sv[0] / max(sv[-1], 1e-300) > 1e12:
                 continue
-            coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             residual = float(np.linalg.norm(rhs - A @ coef) / norm)
         out.append({"window": (float(a), float(b)),
                     "center": float(math.sqrt(a * b)), "residual": residual})
@@ -113,13 +112,14 @@ def compare_asymptotics(traj: Trajectory, ref: WkbReference,
 def borderline_trajectory(model: CoefficientModel, k: int, lam: float,
                           cfg: SolveConfig) -> Trajectory:
     """Solve the borderline channel for lam < 0 through the rescaled polar
-    form and map back to the original components."""
+    form and map back to the original components; the angles of the
+    rescaled channel (`theta`, `accepted_theta`) are not carried over."""
     tch = transform(model, k, lam)
     vtraj = integrate_pruefer(tch, 1.0, 0.0, cfg)
     u1, u2 = tch.inverse(vtraj.grid, vtraj.u1, vtraj.u2)
     return replace(vtraj, u1=u1, u2=u2, rho=np.hypot(u1, u2), theta=None,
-                   mode="transformed", channel=assemble_channel(model, k, lam),
-                   log_rho=None)
+                   accepted_theta=None, mode="transformed",
+                   channel=assemble_channel(model, k, lam), log_rho=None)
 
 
 def _uniform_stride(grid):

@@ -26,7 +26,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
@@ -75,6 +76,7 @@ from .subordinacy import (
     classify_cells,
     eigen_bracket,
     eigen_shoot,
+    eigen_steps,
     ratio_range,
     spectrum_hypotheses,
     subordinacy_ratio,
@@ -92,15 +94,10 @@ class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {"model", "channel", "k_set", "lambda_grid", "bracket", "solver",
-             "ladder", "tail_ladder", "subordinacy", "eigen", "asymptotics",
-             "bv", "seed", "workers"}
-
-
 @dataclass
 class RunConfig:
     model: CoefficientModel | None
-    channel_const: ConstantChannel | None
+    channel: ConstantChannel | None
     k_set: list
     lambda_grid: list
     bracket: list | None
@@ -175,7 +172,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw, {f.name for f in fields(RunConfig)}, "config")
 
     model = None
     if "model" in raw:
@@ -183,13 +180,13 @@ def load_config(path) -> RunConfig:
             model = model_from_dict(raw["model"])
         except ValueError as err:
             raise ConfigError(str(err))
-    channel_const = None
+    channel = None
     if "channel" in raw:
         _check_keys(raw["channel"], {"Q", "M", "L"}, "config.channel")
         missing = sorted({"Q", "M", "L"} - set(raw["channel"]))
         if missing:
             raise ConfigError(f"config.channel: missing keys {missing}")
-        channel_const = _checked("config.channel", lambda: ConstantChannel(
+        channel = _checked("config.channel", lambda: ConstantChannel(
             *(_real(raw["channel"][key]) for key in ("Q", "M", "L"))))
 
     k_set = raw.get("k_set", [])
@@ -229,19 +226,20 @@ def load_config(path) -> RunConfig:
     _checked("config.subordinacy", ratio_range, **sub)
     eigen = section("eigen", _defaults(eigen_shoot, scan_step="scan_step",
                                        tol="tol_lambda"))
-    _require(eigen["scan_step"] > 0.0 and eigen["tol"] > 0.0,
-             "config.eigen: scan_step and tol must be positive")
+    _checked("config.eigen", eigen_steps, eigen["tol"], eigen["scan_step"])
     asy = section("asymptotics", {"windows": None, "r_start": 5.0,
                                   "r_end": 210.0, "stride": 0.02},
                   windows=lambda ws: None if ws is None else
                   [(_real(lo), _real(hi)) for lo, hi in ws])
-    _checked("config.asymptotics", SolveConfig, r_start=asy["r_start"],
-             r_end=asy["r_end"], stride=asy["stride"])
-    _require(all(asy["r_start"] <= lo < hi <= asy["r_end"]
+    # the range becomes the config of the section's rescaled solves
+    scfg = asy["solve"] = _checked(
+        "config.asymptotics", SolveConfig, r_start=asy.pop("r_start"),
+        r_end=asy.pop("r_end"), rtol=RESCALED_RTOL, stride=asy.pop("stride"))
+    _require(all(scfg.r_start <= lo < hi <= scfg.r_end
                  for lo, hi in asy["windows"] or ()),
              "config.asymptotics: each window [lo, hi] needs "
              "r_start <= lo < hi <= r_end")
-    lo, hi = _defect_window(asy)
+    lo, hi = _defect_window(scfg)
     _require(hi - lo >= 2.0 * max(DEFECT_STRIDES),
              f"config.asymptotics: the defect window [{lo:g}, {hi:g}] is "
              f"shorter than two strides of {max(DEFECT_STRIDES):g}")
@@ -251,16 +249,16 @@ def load_config(path) -> RunConfig:
     workers = _checked("config.workers", _int, raw.get("workers", 1))
     _require(workers >= 1, "config.workers: must be at least 1")
 
-    return RunConfig(model=model, channel_const=channel_const, k_set=k_set,
+    return RunConfig(model=model, channel=channel, k_set=k_set,
                      lambda_grid=lambda_grid, bracket=bracket, solver=solver,
                      ladder=ladder, tail_ladder=tail_ladder, subordinacy=sub,
                      eigen=eigen, asymptotics=asy, bv=bv, seed=seed,
                      workers=workers)
 
 
-def _defect_window(asy) -> tuple:
+def _defect_window(scfg: SolveConfig) -> tuple:
     """The range [lo, hi] of the defect convergence of `asymptotics`."""
-    return max(asy["r_start"], 10.0), min(asy["r_end"], 50.0)
+    return max(scfg.r_start, 10.0), min(scfg.r_end, 50.0)
 
 
 def fixture_path(name: str) -> Path:
@@ -366,8 +364,8 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 
 
 def _channels_from(cfg: RunConfig):
-    if cfg.channel_const is not None:
-        return [(None, None, cfg.channel_const)]
+    if cfg.channel is not None:
+        return [(None, None, cfg.channel)]
     _require(cfg.model is not None,
              "need either a 'model' or a constant 'channel' in the config")
     _require(cfg.k_set, "need a nonempty 'k_set'")
@@ -396,9 +394,8 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     findings = False
     channels = _channels_from(cfg)
     ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
-    if cfg.channel_const is not None:
-        c_reports = {(None, None): check_c_conditions(cfg.channel_const,
-                                                      **ladders)}
+    if cfg.channel is not None:
+        c_reports = {(None, None): check_c_conditions(cfg.channel, **ladders)}
     else:
         c_reports = check_c_conditions(cfg.model, cfg.k_set, cfg.lambda_grid,
                                        **ladders)
@@ -406,7 +403,7 @@ def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     for k, cells in groupby(channels, key=lambda cell: cell[0]):
         cells = list(cells)
         creps = [c_reports[k, lam] for _, lam, _ in cells]
-        batch = (cfg.channel_const if k is None else
+        batch = (cfg.channel if k is None else
                  ChannelBatch(cfg.model, k, [lam for _, lam, _ in cells]))
         for (_, lam, channel), reps, result in zip(
                 cells, creps, certify(batch, cfg.solver, creps)):
@@ -470,36 +467,28 @@ def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     return EXIT_OK
 
 
-def _scan_chunk(payload):
-    kwargs = dict(payload)
-    return classify_cells(model_from_dict(kwargs.pop("model")), **kwargs)
-
-
 def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.model is not None, "scan needs a 'model'")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
     ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
     doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid, **ladders)
+    chunk = partial(classify_cells, cfg.model, lambda_grid=cfg.lambda_grid,
+                    solver=cfg.solver, subordinacy=cfg.subordinacy, **ladders)
     # one chunk per |k|: its C checks reduce k and -k once
-    payloads = [{"model": cfg.model.to_dict(),
-                 "k_set": [k for k in cfg.k_set if abs(k) == size],
-                 "lambda_grid": cfg.lambda_grid,
-                 "equal": doc["equal_coefficients"],
-                 "heuristic": doc["heuristic"],
-                 "solver": cfg.solver,
-                 "subordinacy": cfg.subordinacy, **ladders}
-                for size in sorted({abs(k) for k in cfg.k_set})]
-    workers = min(cfg.workers, len(payloads))
+    k_sets = [[k for k in cfg.k_set if abs(k) == size]
+              for size in sorted({abs(k) for k in cfg.k_set})]
+    workers = min(cfg.workers, len(k_sets))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers up front: one per chunk at most
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, payloads))
+            results = list(pool.map(chunk, k_sets))
     else:
-        results = [_scan_chunk(p) for p in payloads]
-    doc["cells"] = sorted((c for cells in results for c in cells),
+        results = list(map(chunk, k_sets))
+    doc["cells"] = sorted(({**c, "heuristic": doc["heuristic"]}
+                           for cells in results for c in cells),
                           key=lambda c: (c["k"], c["lambda"]))
     doc["summary"] = summarize_cells(doc["cells"])
 
@@ -584,9 +573,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
-    scfg = SolveConfig(r_start=cfg.asymptotics["r_start"],
-                       r_end=cfg.asymptotics["r_end"], rtol=RESCALED_RTOL,
-                       stride=cfg.asymptotics["stride"])
+    scfg = cfg.asymptotics["solve"]
     trend_ok = True
     for k in cfg.k_set:
         for lam in neg:
@@ -598,8 +585,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             _write_rows(out / f"residuals_{name}.csv",
                         "# kind=residuals\ncenter,residual",
                         [(w["center"], w["residual"]) for w in res])
-            conv = defect_convergence(cfg.model, k, lam,
-                                      *_defect_window(cfg.asymptotics))
+            conv = defect_convergence(cfg.model, k, lam, *_defect_window(scfg))
             _write_json(out / f"defects_{name}.json",
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]

@@ -65,9 +65,9 @@ def _zero_like(r):
 
 # ---------------------------------------------------------------------------
 # family builders: each takes its family's parameters (its signature is the
-# schema of `function_from_dict`) and returns (value, d1, d2,
-# derivative_exact), one implementation for a float radius and for an array
-# of radii; d1 and d2 are None when the function has no derivative
+# schema of `function_from_dict`) and returns (value, d1, d2), one
+# implementation for a float radius and for an array of radii; d1 and d2
+# are None when the function has no derivative
 
 
 def _build_power(c, p):
@@ -88,7 +88,7 @@ def _build_power(c, p):
         def d2(r):
             return (c * p * (p - 1.0)) * r ** (p - 2.0)
 
-    return value, d1, d2, True
+    return value, d1, d2
 
 
 def _build_log(c):
@@ -97,7 +97,6 @@ def _build_log(c):
         lambda r: c * np.log1p(r),
         lambda r: c / (1.0 + r),
         lambda r: -c / (1.0 + r) ** 2,
-        True,
     )
 
 
@@ -122,7 +121,7 @@ def _build_modulated(a, b, omega, c, p):
             out = out + (a + b * s) * (c * p * (p - 1.0)) * r ** (p - 2.0)
         return out
 
-    return value, d1, d2, True
+    return value, d1, d2
 
 
 def _build_exp(c, a):
@@ -131,7 +130,6 @@ def _build_exp(c, a):
         lambda r: c * np.exp(a * r),
         lambda r: (c * a) * np.exp(a * r),
         lambda r: (c * a * a) * np.exp(a * r),
-        True,
     )
 
 
@@ -139,7 +137,6 @@ def _build_sum(terms):
     terms = tuple(terms)
     if not terms:
         raise ValueError("sum family needs at least one term")
-    exact = all(t.derivative_exact for t in terms)
 
     def value(r):
         out = terms[0].value(r)
@@ -148,7 +145,7 @@ def _build_sum(terms):
         return out
 
     if not all(t.has_derivative for t in terms):
-        return value, None, None, exact
+        return value, None, None
 
     def d1(r):
         out = terms[0].derivative(r)
@@ -162,7 +159,7 @@ def _build_sum(terms):
             out = out + t.derivative(r, order=2)
         return out
 
-    return value, d1, d2, exact
+    return value, d1, d2
 
 
 def _build_tabulated(grid, values, derivative="interpolant"):
@@ -189,7 +186,7 @@ def _build_tabulated(grid, values, derivative="interpolant"):
         return _shape(pp(r), r)
 
     if derivative == "none":
-        return value, None, None, False
+        return value, None, None
     dpp, d2pp = pp.derivative(), pp.derivative(2)
 
     def d1(r):
@@ -198,7 +195,7 @@ def _build_tabulated(grid, values, derivative="interpolant"):
     def d2(r):
         return _shape(d2pp(r), r)
 
-    return value, d1, d2, False
+    return value, d1, d2
 
 
 _BUILDERS = {
@@ -215,8 +212,8 @@ _BUILDERS = {
 class CoefficientFunction:
     """One member of the closed function-family vocabulary.
 
-    Instances are immutable and evaluation is pure, so they are safe to
-    share across worker processes.
+    Instances are immutable and evaluation is pure; they pickle as their
+    family and parameters, and rebuild their closures when unpickled.
     """
 
     family: str
@@ -225,11 +222,13 @@ class CoefficientFunction:
     def __post_init__(self):
         if self.family not in _BUILDERS:
             raise ValueError(f"unknown function family {self.family!r}")
-        value, d1, d2, exact = _BUILDERS[self.family](**self.params)
+        value, d1, d2 = _BUILDERS[self.family](**self.params)
         object.__setattr__(self, "_value", value)
         object.__setattr__(self, "_d1", d1)
         object.__setattr__(self, "_d2", d2)
-        object.__setattr__(self, "_exact", exact)
+
+    def __reduce__(self):
+        return CoefficientFunction, (self.family, self.params)
 
     def value(self, r):
         return self._value(_check_radius(r))
@@ -241,10 +240,6 @@ class CoefficientFunction:
         if self._d1 is None:
             raise MissingDerivativeError("tabulated data declared non-smooth")
         return self._d1(r) if order == 1 else self._d2(r)
-
-    @property
-    def derivative_exact(self) -> bool:
-        return self._exact
 
     @property
     def has_derivative(self) -> bool:

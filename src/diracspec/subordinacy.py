@@ -69,6 +69,7 @@ __all__ = [
     "subordinacy_ratio",
     "ratio_range",
     "eigen_bracket",
+    "eigen_steps",
     "eigen_shoot",
     "classify_cells",
     "borderline_cell",
@@ -455,6 +456,13 @@ def eigen_bracket(bracket) -> tuple:
     return lo, hi
 
 
+def eigen_steps(tol_lambda: float, scan_step: float) -> None:
+    """Refuse the root tolerance and the scan step of `eigen_shoot` unless
+    both are positive."""
+    if not (tol_lambda > 0.0 and scan_step > 0.0):
+        raise ValueError("need a positive root tolerance and scan step")
+
+
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
                 rtol: float = 1e-10,
@@ -474,8 +482,7 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     """
     require_equal(model, "eigen_shoot")
     a, b = eigen_bracket(bracket)
-    if not (tol_lambda > 0.0 and scan_step > 0.0):
-        raise ValueError("tol_lambda and scan_step must be positive")
+    eigen_steps(tol_lambda, scan_step)
 
     def mismatch(lams):
         inits = [frobenius_radius(assemble_channel(model, k, lam),
@@ -532,9 +539,8 @@ def spectrum_hypotheses(model: CoefficientModel,
 
 
 def classify_cells(model: CoefficientModel, k_set: Sequence[int],
-                   lambda_grid: Sequence[float], *, equal: bool,
-                   heuristic: bool, solver: SolveConfig, subordinacy: dict,
-                   extreme_ladder: WindowLadder,
+                   lambda_grid: Sequence[float], *, solver: SolveConfig,
+                   subordinacy: dict, extreme_ladder: WindowLadder,
                    tail_ladder: WindowLadder) -> list:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
 
@@ -543,19 +549,19 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
     conditions of all cells checked in one pass and one `certify` call per
     k (`_dominant_cells`; an error there marks every cell of that k);
     borderline (m == q) models go through `borderline_cell` on the
-    `subordinacy` section (r0, r_end, delta), each cell isolated.  `equal`
-    and `heuristic` come from `spectrum_hypotheses`.
+    `subordinacy` section (r0, r_end, delta), each cell isolated;
+    `models_equal` tells the two apart.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
+    equal, _ = models_equal(model)
     if not equal:
         c_reports = check_c_conditions(model, ks, lams,
                                        extreme_ladder=extreme_ladder,
                                        tail_ladder=tail_ladder)
     cells = []
     for k in ks:
-        row = [{"k": k, "lambda": lam, "heuristic": heuristic}
-               for lam in lams]
+        row = [{"k": k, "lambda": lam} for lam in lams]
         if equal:
             for cell in row:
                 _isolated([cell], lambda: [borderline_cell(

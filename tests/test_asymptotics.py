@@ -106,6 +106,16 @@ class TestProjection:
             compare_asymptotics(traj, ref)
 
 
+class TestBorderlineTrajectory:
+    def test_no_angle_of_the_rescaled_channel(self):
+        # the polar solve runs on the rescaled (v1, v2); its angles are not
+        # those of the returned (u1, u2)
+        cfg = SolveConfig(r_start=5.0, r_end=40.0, rtol=1e-11)
+        traj = borderline_trajectory(EQUAL, 1, -1.0, cfg)
+        assert traj.mode == "transformed"
+        assert traj.theta is None and traj.accepted_theta is None
+
+
 class TestDefects:
     def test_second_order_convergence(self):
         conv = defect_convergence(EQUAL, 1, -1.0, 10.0, 50.0)

@@ -49,6 +49,15 @@ EQUAL_MODEL = {
     "q": {"family": "power", "params": {"c": 1.0, "p": 1.0}},
     "m": {"family": "power", "params": {"c": 1.0, "p": 1.0}},
 }
+# q = r plus tabulated data, linear between its samples and beyond them
+SUM_TABULATED_MODEL = {
+    "q": {"family": "sum", "params": {"terms": [
+        LINEAR_MODEL["q"],
+        {"family": "tabulated",
+         "params": {"grid": [0.5, 2.0, 8.0, 32.0],
+                    "values": [0.05, 0.2, 0.8, 3.2]}}]}},
+    "m": LINEAR_MODEL["m"],
+}
 
 
 class TestConfig:
@@ -56,7 +65,7 @@ class TestConfig:
         for name in ("dominant_linear", "borderline_linear", "modulated_quarter",
                      "sqrt_periodic", "constant_coeff"):
             cfg = load_config(fixture_path(name))
-            assert cfg.model is not None or cfg.channel_const is not None
+            assert cfg.model is not None or cfg.channel is not None
 
     def test_missing_field_named(self, tmp_path):
         path = write_config(tmp_path, {"model": {"q": LINEAR_MODEL["q"]}})
@@ -396,9 +405,14 @@ class TestScanCommand:
             assert (out / "seq" / "scan.json").read_bytes() == \
                 (out / "par" / "scan.json").read_bytes()
 
-    def test_worker_pool_over_abs_k_chunks_matches_sequential(self, tmp_path):
+    @pytest.mark.parametrize("model", [
+        LINEAR_MODEL, SUM_TABULATED_MODEL,
+        json.loads(fixture_path("modulated_quarter").read_text())["model"],
+    ], ids=["linear", "sum_tabulated", "modulated_quarter"])
+    def test_worker_pool_over_abs_k_chunks_matches_sequential(self, tmp_path,
+                                                              model):
         # k = 1 and -1 share a chunk, k = 2 has its own: two worker processes
-        cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+        cfg = write_config(tmp_path, {"model": model,
                                       "k_set": [1, -1, 2],
                                       "lambda_grid": [-1.0, 0.5],
                                       "solver": {"r_end": 20.0}})
@@ -736,6 +750,20 @@ class TestOtherCommands:
         cfg = write_config(tmp_path, doc)
         assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert refusal in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol, scan_step", [(0.0, 0.05), (1e-8, -0.05)])
+    def test_eigen_steps_refusal_is_the_library_one(self, tmp_path, capsys,
+                                                    tol, scan_step):
+        cfg = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [1],
+                                      "bracket": [0.0, 1.0], "eigen": {
+                                          "tol": tol, "scan_step": scan_step}})
+        assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        with pytest.raises(ValueError) as refusal:
+            eigen_shoot(CoefficientModel(q=power(1.0, 1.0), m=power(1.0, 1.0)),
+                        1, [0.0, 1.0], tol_lambda=tol, scan_step=scan_step)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.eigen: ")
+        assert err.endswith(f": {refusal.value}\n")
 
     def test_bv_verify_seeded(self, tmp_path):
         cfg = write_config(tmp_path, {"model": LINEAR_MODEL,

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -58,7 +59,7 @@ class TestEval:
     def test_tabulated_interpolation_and_derivative(self):
         q = coefficient("tabulated", grid=[1.0, 2.0, 3.0], values=[1.0, 4.0, 9.0])
         assert q.value(2.0) == 4.0
-        assert q.has_derivative and not q.derivative_exact
+        assert q.has_derivative
         # interpolant derivative against a centered difference of the
         # interpolant itself; h small enough that the curvature jump at the
         # knot contributes below tolerance
@@ -255,6 +256,50 @@ class TestSerialization:
         back = function_from_dict(f.to_dict())
         assert back.value(3.0) == 5.0
         assert back.derivative(3.0) == 1.0
+
+
+_PICKLE_GRID = np.geomspace(0.5, 40.0, 12)
+PICKLED = {
+    "power": power(1.3, 0.7),
+    "log": coefficient("log", c=0.8),
+    "modulated": coefficient("modulated", a=2, b=1, omega=1.7, c=1.1, p=0.25),
+    "exp": coefficient("exp", c=1.3, a=0.2),
+    "sum": coefficient("sum", terms=[power(1.3, 1.0),
+                                     coefficient("log", c=0.8)]),
+    "tabulated interpolant": coefficient(
+        "tabulated", grid=list(_PICKLE_GRID), values=list(_PICKLE_GRID ** 1.1)),
+    "tabulated none": coefficient(
+        "tabulated", grid=list(_PICKLE_GRID), values=list(_PICKLE_GRID ** 1.1),
+        derivative="none"),
+}
+
+
+def assert_same_function(back, f):
+    r = np.geomspace(0.3, 60.0, 97)
+    assert back.to_dict() == f.to_dict()
+    assert back.has_derivative == f.has_derivative
+    assert np.array_equal(back.value(r), f.value(r))
+    if f.has_derivative:
+        for order in (1, 2):
+            assert np.array_equal(back.derivative(r, order=order),
+                                  f.derivative(r, order=order))
+
+
+class TestPickle:
+    # a scan hands its model to worker processes pickled
+    @pytest.mark.parametrize("name", list(PICKLED))
+    def test_function_round_trip(self, name):
+        f = PICKLED[name]
+        assert_same_function(pickle.loads(pickle.dumps(f)), f)
+
+    def test_model_round_trip(self):
+        model = CoefficientModel(q=PICKLED["sum"],
+                                 m=PICKLED["tabulated interpolant"])
+        back = pickle.loads(pickle.dumps(model))
+        assert isinstance(back, CoefficientModel)
+        assert back.to_dict() == model.to_dict()
+        assert_same_function(back.q, model.q)
+        assert_same_function(back.m, model.m)
 
 
 class TestModelEquality:

@@ -6,8 +6,8 @@ commands; unknown keys are rejected so that runs stay auditable.  Outputs
 are deterministic given config and seed: repeated runs produce byte-equal
 files.
 
-Flags: `--workers` sizes the pool of `scan` (one process per |k| chunk
-at most); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
+Flags: `--workers` sizes the pool of `scan` (one chunk of whole |k| pairs
+each); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
 sets `solver.rtol`, read by `solve`, `boundedness` and the dominant cells
 of `scan` (the last two floor it at 1e-10); no other command reads them.
 
@@ -61,7 +61,12 @@ from .coefficients import (
     model_from_dict,
     require_equal,
 )
-from .hypotheses import VIOLATED, check_c_conditions, check_hypotheses
+from .hypotheses import (
+    VIOLATED,
+    check_c_conditions,
+    check_hypotheses,
+    worst_verdict,
+)
 from .solver import (
     PreconditionError,
     SolveConfig,
@@ -197,6 +202,11 @@ def load_config(path) -> RunConfig:
     _require(isinstance(lambda_grid, list) and all(map(_is_real, lambda_grid)),
              "config.lambda_grid: expected a list of finite reals")
     lambda_grid = [float(l) for l in lambda_grid]
+    named = {}
+    for lam in lambda_grid:
+        first = named.setdefault(name := _lambda_name(lam), lam)
+        _require(first == lam, f"config.lambda_grid: {first!r} and {lam!r} "
+                 f"share the artifact name {name!r}")
 
     bracket = raw.get("bracket")
     if bracket is not None:
@@ -302,7 +312,12 @@ def _fmt(x):
 
 
 def _cell_name(k, lam):
-    return f"k={k}_lambda={lam:g}"
+    return f"k={k}_{_lambda_name(lam)}"
+
+
+def _lambda_name(lam):
+    # 6 significant digits: `load_config` refuses two lambdas of one name
+    return f"lambda={lam:g}"
 
 
 def _say(line):
@@ -351,14 +366,13 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     doc["conditions"] = [r.to_dict() for r in reports]
     _print_table("model conditions:", reports)
 
-    violated = any(r.verdict == VIOLATED and not r.auxiliary for r in reports)
+    violated = worst_verdict(reports) == VIOLATED
     for k in cfg.k_set:
         for lam in cfg.lambda_grid:
             creps = c_reports[k, lam]
             doc["channels"][_cell_name(k, lam)] = [r.to_dict() for r in creps]
             _print_table(f"channel k={k},lambda={lam:g}:", creps)
-            violated = violated or any(
-                r.verdict == VIOLATED and not r.auxiliary for r in creps)
+            violated = violated or worst_verdict(creps) == VIOLATED
     _write_json(out / "hypotheses.json", doc)
     return EXIT_FINDINGS if violated else EXIT_OK
 
@@ -475,14 +489,15 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid, **ladders)
     chunk = partial(classify_cells, cfg.model, lambda_grid=cfg.lambda_grid,
                     solver=cfg.solver, subordinacy=cfg.subordinacy, **ladders)
-    # one chunk per |k|: its C checks reduce k and -k once
-    k_sets = [[k for k in cfg.k_set if abs(k) == size]
-              for size in sorted({abs(k) for k in cfg.k_set})]
-    workers = min(cfg.workers, len(k_sets))
+    # one chunk of whole |k| pairs per worker, each checked in one C pass
+    sizes = sorted({abs(k) for k in cfg.k_set})
+    workers = min(cfg.workers, len(sizes))
+    k_sets = [[k for k in cfg.k_set if abs(k) in sizes[i::workers]]
+              for i in range(workers)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers up front: one per chunk at most
+        # the pool forks all its workers up front, one per chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, k_sets))
     else:

@@ -586,29 +586,54 @@ class _Scratch:
         self.positive = np.empty(n, dtype=bool)
 
 
-class _ChannelGrid:
-    """The (k, lambda) cells of one C check and how one window sample serves
-    them all: `cells` derives the channel coefficients of every cell from
-    the sample's q and m.  A single channel is the one-cell grid
-    (None, None) of its own sample of (Q, M, L, W)."""
+def _extreme(Q, W, s):
+    # min Q, max Q and max W/Q, with W/Q read as inf where Q is not positive
+    s.quotient.fill(np.inf)
+    np.divide(W, Q, out=s.quotient, where=np.greater(Q, 0.0, out=s.positive))
+    return float(np.min(Q)), float(np.max(Q)), float(np.max(s.quotient))
 
-    def __init__(self, source, k_set, lambda_grid):
-        if isinstance(source, CoefficientModel):
-            self.ks = list(dict.fromkeys(int(k) for k in k_set))
-            self.lams = list(dict.fromkeys(float(lam) for lam in lambda_grid))
-        else:
-            self.ks, self.lams = [None], [None]
-        # the k reduced for each k: itself, or |k| once `_CChecks` mirrors
-        self.read = {k: k for k in self.ks}
+
+class _CChecks(_Check):
+    """C1-C3 of every (k, lambda) cell of one grid (see `check_c_conditions`):
+    a model's k_set x lambda_grid, whose cells derive their coefficients
+    from each window sample's q and m, or a channel, the one cell
+    (None, None) of its own sample of (Q, M, L, W).
+
+    The grid has one C3 form, fixed up front on a probe grid of the tail
+    ladder's span drawn with `sample`: a model's from m alone (L = k/r
+    vanishes nowhere), a channel's from its M and L; the general form
+    reduces each |k| once.  A tail window is read in one loop over the
+    reduced cells: the gap floor min(Q - W) of each, and where that floor
+    is positive, its C3 quotients on the same window sample.
+    """
+
+    extreme_reads = tail_reads = ("q", "m")
+
+    def __init__(self, source, k_set, lambda_grid, sample, tail_ladder):
+        self.extremes, self.floors, self.rungs = [], [], []
+        # identify a vanishing coefficient on a probe grid
+        tw = tail_ladder.windows()
+        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
+        with np.errstate(all="ignore"):
+            s = sample(probe, self.tail_reads)
+        model = isinstance(source, CoefficientModel)
+        form = envelope_form(s["m"], 1.0 if model else s["L"])
+        self.form = ENVELOPE_FORMS[form]
+        self.read, self.lams = {None: None}, [None]
+        if model:
+            # the k reduced for each k of the grid: |k| in the general form
+            self.read = {k: abs(k) if form == GENERAL else k
+                         for k in map(int, k_set)}
+            self.lams = list(dict.fromkeys(map(float, lambda_grid)))
 
     def cells(self, r, sample):
         """Yield (cell, Q, M, L, W, scratch) for each cell reduced on one
         window sample, in grid order.
 
-        L and W are derived once per k and Q once per cell, into work arrays
-        of the window (`_Scratch`) that each cell then reduces into; every
-        cell overwrites the arrays of the one before, so read them before
-        taking the next.
+        L and W are derived once per reduced k and Q once per cell, into
+        work arrays of the window (`_Scratch`) that each cell then reduces
+        into; every cell overwrites the arrays of the one before, so read
+        them before taking the next.
         """
         s = _Scratch(r.size)
         q, M = sample["q"], sample["m"]
@@ -622,56 +647,16 @@ class _ChannelGrid:
                 Q = q if lam is None else np.subtract(q, lam, out=s.Q)
                 yield (k, lam), Q, M, L, W, s
 
-
-def _extreme(Q, W, s):
-    # min Q, max Q and max W/Q, with W/Q read as inf where Q is not positive
-    s.quotient.fill(np.inf)
-    np.divide(W, Q, out=s.quotient, where=np.greater(Q, 0.0, out=s.positive))
-    return float(np.min(Q)), float(np.max(Q)), float(np.max(s.quotient))
-
-
-class _CChecks(_Check):
-    """C1-C3 of every cell of a channel grid (see `check_c_conditions`).
-
-    The C3 form of each cell is fixed up front, on a probe grid of the tail
-    ladder's span drawn with `sample`, and the grid is mirrored when all are
-    general.  A tail window is read in one loop over the reduced cells: the
-    gap floor min(Q - W) of each, and where that floor is positive, its C3
-    quotients on the same window sample.
-    """
-
-    extreme_reads = tail_reads = ("q", "m")
-
-    def __init__(self, grid, sample, tail_ladder):
-        self.grid = grid
-        self.extremes, self.floors, self.rungs = [], [], []
-        # identify vanishing coefficients on a probe grid
-        tw = tail_ladder.windows()
-        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
-        with np.errstate(all="ignore"):
-            self.forms = {
-                cell: ENVELOPE_FORMS[envelope_form(M, L)]
-                for cell, _, M, L, _, _ in grid.cells(
-                    probe, sample(probe, self.tail_reads))}
-        if None not in grid.read and all(
-                form is ENVELOPE_FORMS[GENERAL]
-                for form in self.forms.values()):
-            grid.read = {k: abs(k) for k in grid.ks}
-            self.forms = {(grid.read[k], lam): form
-                          for (k, lam), form in self.forms.items()}
-
     def extreme(self, r, s):
-        self.extremes.append({
-            cell: _extreme(Q, W, sc)
-            for cell, Q, M, L, W, sc in self.grid.cells(r, s)})
+        self.extremes.append({cell: _extreme(Q, W, sc)
+                              for cell, Q, M, L, W, sc in self.cells(r, s)})
 
     def tail(self, r, s):
-        floors, rungs = {}, {}
-        for cell, Q, M, L, W, sc in self.grid.cells(r, s):
+        form, floors, rungs = self.form, {}, {}
+        for cell, Q, M, L, W, sc in self.cells(r, s):
             gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
             floors[cell] = floor = gap if np.isfinite(gap) else -math.inf
             if floor > 0.0:
-                form = self.forms[cell]
                 # the general form's denominator is the gap itself
                 den = (sc.gap if form.single is None else
                        form.denominator(Q, M, L, W, out=sc.quotient))
@@ -685,7 +670,7 @@ class _CChecks(_Check):
     def reports(self, ew, tw):
         """{cell: [C1, C2, C3 or C3']} in grid order (-k shares |k|'s)."""
         reports = {}
-        for cell, form in self.forms.items():
+        for cell in self.extremes[0]:  # the reduced cells, in grid order
             q_min, q_max, ratio_max = _rows(window[cell]
                                             for window in self.extremes)
             verdict, note = _limsup_below_verdict(ratio_max)
@@ -706,18 +691,18 @@ class _CChecks(_Check):
                     note="Q - W not positive on the tail; quotients skipped"))
                 continue
             verdicts, notes = [], []
-            for name, values in zip(form.names, _rows(self.rungs[i][cell]
-                                                 for i in use)):
+            for name, values in zip(self.form.names,
+                                    _rows(self.rungs[i][cell] for i in use)):
                 evidence[name + "_rung_variations"] = values.tolist()
                 v, n = _tail_verdict(values)
                 verdicts.append(v)
                 if n:
                     notes.append(f"{name}: {n}")
             reports[cell].append(HypothesisReport(
-                form.condition_id, _worst(verdicts), evidence,
+                self.form.condition_id, _worst(verdicts), evidence,
                 _listify([tw[i] for i in use]), note="; ".join(notes)))
-        return {(k, lam): reports[self.grid.read[k], lam]
-                for k in self.grid.ks for lam in self.grid.lams}
+        return {(k, lam): reports[self.read[k], lam]
+                for k in self.read for lam in self.lams}
 
 
 # ---------------------------------------------------------------------------
@@ -782,20 +767,20 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     or one channel (anything with `coeffs`), checked as a one-cell grid,
     which returns its reports.  The channels of a model differ only in
     Q = q - lambda and L = k/r, so one (q, m) sample per window serves all
-    cells (`_ChannelGrid.cells`).  Per tail window the gap floor
+    cells (`_CChecks.cells`).  Per tail window the gap floor
     min(Q - W) of every cell and, where it is positive, the C3 quotients
     are read on the same window grid; C3 then needs a positive floor on
     two or more windows, the last among them.
 
-    With m not identically 0 no C condition sees the sign of k (-k/r is the
+    A model's C3 form is m's alone, since L = k/r vanishes nowhere.  With
+    m not identically 0 no C condition sees the sign of k (-k/r is the
     exact negation of k/r), so each (|k|, lambda) is reduced once and the
     cells of k and -k share its reports, bit for bit those of their own
     channels; C3' on L/(Q - L) (m == 0) does see it and reduces every k.
     """
     model = isinstance(source, CoefficientModel)
     sample = _model_sampler(source) if model else _channel_sampler(source)
-    channels = _CChecks(_ChannelGrid(source, k_set, lambda_grid), sample,
-                        tail_ladder)
+    channels = _CChecks(source, k_set, lambda_grid, sample, tail_ladder)
     _run(sample, [channels], extreme_ladder, tail_ladder)
     reports = channels.reports(extreme_ladder.windows(), tail_ladder.windows())
     return reports if model else reports[None, None]
@@ -824,8 +809,7 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
         checks.append(_BChecks())
     gamma = [_GChecks(lambdas[0])] if equal and lambdas else []
     sample = _model_sampler(model)
-    channels = _CChecks(_ChannelGrid(model, k_set, lambdas), sample,
-                        tail_ladder)
+    channels = _CChecks(model, k_set, lambdas, sample, tail_ladder)
     # the C checks go last: every derivative array is dropped before their
     # work arrays are made
     _run(sample, checks + gamma + [channels], extreme_ladder, tail_ladder)

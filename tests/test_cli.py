@@ -145,6 +145,22 @@ class TestConfig:
         assert cfg.subordinacy == {"r0": 1.0, "r_end": 120.0,
                                    "delta": ratio["delta"].default}
 
+    def test_lambdas_of_one_artifact_name_refused(self, tmp_path, capsys):
+        # artifact names keep 6 significant digits of lambda: two lambdas
+        # that print alike would overwrite each other's files
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                       "lambda_grid": [0.5000001, 0.5000004],
+                                       "solver": {"r_end": 20.0}})
+        assert run(["boundedness", "--config", path,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.lambda_grid: 0.5000001 and 0.5000004 "
+            "share the artifact name 'lambda=0.5'\n")
+        # an exact repeat is one cell
+        path = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                       "lambda_grid": [0.5, 1, 0.5, 1.0]})
+        assert load_config(path).lambda_grid == [0.5, 1.0, 0.5, 1.0]
+
     def test_workers_refusal_names_its_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "workers": True})
         assert run(["scan", "--config", path, "--out", tmp_path / "o"]) == 2
@@ -371,10 +387,11 @@ class TestScanCommand:
     def test_pool_sized_by_k_chunks(self, tmp_path, monkeypatch):
         import concurrent.futures
 
-        sizes = []
+        sizes, chunks = [], []
 
         class InlineExecutor:
-            # records the pool size and runs the chunks in this process
+            # records the pool size and its chunks, and runs the chunks in
+            # this process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -385,14 +402,20 @@ class TestScanCommand:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                chunks.extend(items)
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlineExecutor)
-        # one chunk per |k|: a single chunk runs in this process
-        for i, (k_set, pools) in enumerate((([1, -1, 1], []),
-                                            ([1, -1, 2], [2]))):
+        # one chunk per worker, each of whole |k| pairs: a single chunk runs
+        # in this process
+        for i, (k_set, workers, pools, parts) in enumerate((
+                ([1, -1, 1], 5000, [], []),
+                ([1, -1, 2], 5000, [2], [[1, -1], [2]]),
+                ([1, -1, 2, 3, -3], 2, [2], [[1, -1, 3, -3], [2]]))):
             sizes.clear()
+            chunks.clear()
             out = tmp_path / str(i)
             cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
                                           "k_set": k_set,
@@ -400,10 +423,27 @@ class TestScanCommand:
                                           "subordinacy": {"r_end": 20.0}})
             run(["scan", "--config", cfg, "--out", out / "seq"])
             assert run(["scan", "--config", cfg, "--out", out / "par",
-                        "--workers", 5000]) == 0
+                        "--workers", workers]) == 0
             assert sizes == pools
+            assert chunks == parts
             assert (out / "seq" / "scan.json").read_bytes() == \
                 (out / "par" / "scan.json").read_bytes()
+
+    def test_one_c_pass_per_process(self, tmp_path, monkeypatch):
+        # the sequential scan checks the channel conditions of all its cells
+        # in one pass, k and -k included
+        import diracspec.subordinacy as sub
+
+        ks, check = [], sub.check_c_conditions
+
+        def counting(model, k_set, *args, **kwargs):
+            ks.append(list(k_set))
+            return check(model, k_set, *args, **kwargs)
+
+        monkeypatch.setattr(sub, "check_c_conditions", counting)
+        assert run(["scan", "--config", fixture_path("dominant_linear"),
+                    "--out", tmp_path / "o"]) == 0
+        assert ks == [[-2, -1, 1, 2]]
 
     @pytest.mark.parametrize("model", [
         LINEAR_MODEL, SUM_TABULATED_MODEL,

@@ -348,6 +348,25 @@ class TestCConditions:
                 c3.evidence["l_over_q_minus_l_rung_variations"], expect,
                 rtol=1e-9, atol=0.0), (k, lam)
 
+    def test_model_form_is_read_off_m_on_the_whole_probe(self):
+        # m is 0 up to r = 100, inside the probe span [25, 25000], and 1
+        # from r = 200 on: every cell reads the general C3, as its lone
+        # channel does, and k and -k share the reports of |k|
+        m = coefficient("tabulated", grid=[1.0, 100.0, 200.0, 30_000.0],
+                        values=[0.0, 0.0, 1.0, 1.0])
+        model = CoefficientModel(q=power(1, 1), m=m)
+        ks, lams = [1, -1, 2, -2], [-1.0, 0.5]
+        grid = check_c_conditions(model, ks, lams)
+        assert list(grid) == [(k, lam) for k in ks for lam in lams]
+        for (k, lam), reports in grid.items():
+            c3 = reports[-1]
+            assert c3.condition_id == "C3" and c3.verdict == SATISFIED
+            assert "w_over_q_minus_w_rung_variations" in c3.evidence
+            own = check_c_conditions(assemble_channel(model, k, lam))
+            assert [r.to_dict() for r in reports] == \
+                [r.to_dict() for r in own], (k, lam)
+            assert reports is grid[-k, lam]
+
     MIRRORED = {
         "power": LINEAR,
         "modulated": MODULATED,

@@ -198,6 +198,8 @@ def load_config(path) -> RunConfig:
     _require(isinstance(k_set, list) and all(
         _is_int(k) and k != 0 for k in k_set),
         "config.k_set: expected a list of nonzero integers")
+    # an exact repeat of k or lambda is one cell, kept where it first occurs
+    k_set = list(dict.fromkeys(k_set))
     lambda_grid = raw.get("lambda_grid", [])
     _require(isinstance(lambda_grid, list) and all(map(_is_real, lambda_grid)),
              "config.lambda_grid: expected a list of finite reals")
@@ -207,6 +209,7 @@ def load_config(path) -> RunConfig:
         first = named.setdefault(name := _lambda_name(lam), lam)
         _require(first == lam, f"config.lambda_grid: {first!r} and {lam!r} "
                  f"share the artifact name {name!r}")
+    lambda_grid = list(named.values())
 
     bracket = raw.get("bracket")
     if bracket is not None:

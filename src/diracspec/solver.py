@@ -13,11 +13,11 @@ u = rho (cos theta, sin theta), where
 
 The system u' = A u, with A = [[-L, M - Q], [Q + M, L]], is linear and
 traceless.  `integrate_cartesian` steps one state with adaptive DOP853.
-Every other solve is one record, `_Solve`, of fourth-order Magnus steps
-exp(Omega), each built in closed form from A at two Gauss nodes and one
-commutator (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 2009); each has determinant 1, so
-det Phi = 1 holds to rounding.  As the system is linear, the doubling
+Every other solve is one record, `_Solve`, of sixth-order Magnus steps
+exp(Omega), each built in closed form from A at three Gauss nodes and
+three commutators (Blanes, Casas & Ros, BIT 40, 2000; Iserles,
+Munthe-Kaas, Norsett & Zanna, Acta Numer. 9, 2000); each has determinant
+1, so det Phi = 1 holds to rounding.  As the system is linear, the doubling
 error estimate of a step does not depend on the state, and the steps are
 refined for all radii at once; `rtol` is that per-step tolerance.  A
 `ChannelBatch` (one model and k at many spectral parameters, each channel
@@ -146,12 +146,16 @@ def write_columns(path, header: str, columns):
         fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
 
 
-# Gauss-Legendre nodes on [0, 1] and the commutator weight of the
-# fourth-order Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009)
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+# Gauss-Legendre nodes on [0, 1] of the sixth-order Magnus step (Blanes,
+# Casas & Ros, BIT 40, 2000)
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # a step that would have to shrink below this fraction of |r| ends the solve
 _MIN_STEP = 1e-12
+# a channel with more open steps than this in one round ends its solve:
+# the nested commutators of the sixth-order step grow like (h |A|)^2, so
+# where A grows about as fast as it turns (q = e^r) steps must shrink to
+# h |A| < 1 and their count would grow without bound
+_MAX_OPEN = 2 ** 18
 # geometric pieces of the first partition of a `propagate` range (no grid)
 _COARSE = 16
 # |k|/r0 over the regular coefficients that `frobenius_init` requires
@@ -163,20 +167,43 @@ _BLOCK = 8192
 
 
 def _magnus_exp(h, p, b, c):
-    """exp(Omega) of one fourth-order Magnus step of signed length h.
+    """exp(Omega) of one sixth-order Magnus step of signed length h.
 
-    Rows 0 and 1 of p, b, c hold the generator A = [[p, b], [c, -p]] at the
-    step's two Gauss nodes.  Omega is traceless, so Omega^2 = s^2 I with
+    Rows 0, 1 and 2 of p, b, c hold the generator A = [[p, b], [c, -p]] at
+    the step's three Gauss nodes, A1, A2 and A3.  With a1 = h A2,
+    a2 = sqrt(15) h/3 (A3 - A1), a3 = 10 h/3 (A3 - 2 A2 + A1),
+    C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60,
+
+        Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240
+
+    (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 2009), whose local error is O(h^7).  The commutator of
+    traceless X and Y has the entries (xb yc - yb xc, 2 (xp yb - xb yp),
+    2 (xc yp - xp yc)).  Omega is traceless, so Omega^2 = s^2 I with
     s^2 = -det Omega and exp(Omega) = cosh(s) I + sinh(s)/s Omega (cos and
     sin when s^2 < 0).  Returns the entries (e11, e12, e21, e22) and the
     signed number of half turns the step makes.
     """
-    (p1, p2), (b1, b2), (c1, c2) = p, b, c
-    half, k = 0.5 * h, _COMMUTATOR * h * h
-    # Omega = h/2 (A1 + A2) + k [A2, A1]
-    op = half * (p1 + p2) + k * (b2 * c1 - b1 * c2)
-    ob = half * (b1 + b2) + 2.0 * k * (p2 * b1 - p1 * b2)
-    oc = half * (c1 + c2) + 2.0 * k * (c2 * p1 - c1 * p2)
+    (p1, p2, p3), (b1, b2, b3), (c1, c2, c3) = p, b, c
+    h2, h3 = math.sqrt(15.0) / 3.0 * h, 10.0 / 3.0 * h
+    # a1 = (xp, xb, xc), a2 = (yp, yb, yc), a3 = (zp, zb, zc)
+    xp, xb, xc = h * p2, h * b2, h * c2
+    yp, yb, yc = h2 * (p3 - p1), h2 * (b3 - b1), h2 * (c3 - c1)
+    zp, zb, zc = (h3 * (p3 - 2.0 * p2 + p1), h3 * (b3 - 2.0 * b2 + b1),
+                  h3 * (c3 - 2.0 * c2 + c1))
+    # C1 = (dp, db, dc) and W = 2 a3 + C1
+    dp, db, dc = (xb * yc - yb * xc, 2.0 * (xp * yb - xb * yp),
+                  2.0 * (xc * yp - xp * yc))
+    wp, wb, wc = 2.0 * zp + dp, 2.0 * zb + db, 2.0 * zc + dc
+    # Y = a2 + C2 = a2 - [a1, W]/60 and X = -20 a1 - a3 + C1
+    yp = yp + (xc * wb - xb * wc) / 60.0
+    yb = yb + (xb * wp - xp * wb) / 30.0
+    yc = yc + (xp * wc - xc * wp) / 30.0
+    vp, vb, vc = dp - 20.0 * xp - zp, db - 20.0 * xb - zb, dc - 20.0 * xc - zc
+    # Omega = a1 + a3/12 + [X, Y]/240
+    op = xp + zp / 12.0 + (vb * yc - yb * vc) / 240.0
+    ob = xb + zb / 12.0 + (vp * yb - vb * yp) / 120.0
+    oc = xc + zc / 12.0 + (vc * yp - vp * yc) / 120.0
     s2 = op * op + ob * oc
     w = np.sqrt(np.abs(s2))
     grows = s2 > 0.0
@@ -198,22 +225,25 @@ def _mul(x, y):
 
 
 def _steps(qml, nodes, rtol, max_step):
-    """Fourth-order Magnus steps of a batch of channels: channel i starts at
+    """Sixth-order Magnus steps of a batch of channels: channel i starts at
     nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
     its direction of travel; `qml(r, owner)` gives (Q, M, L) at radii r, of
     shape (m, S), whose columns belong to the channels `owner` (S,).
 
     The node intervals, cut into pieces no longer than `max_step`, are the
     first trial steps.  Each round evaluates the coefficients once on the
-    Gauss nodes of every open step of every channel, keeps the step as two
-    half steps where |e^Omega_h - P| / |P| <= rtol for their product P and
-    halves the other steps.
+    three Gauss nodes of both halves of every open step of every channel
+    (and of the whole step in the first round; later steps are halves
+    already), forms all their exponentials in one `_magnus_exp` call,
+    keeps the step as two half steps where |e^Omega_h - P| / |P| <= rtol
+    for their product P and halves the other steps.
 
     A step that would shrink below `_MIN_STEP * |r|` ends its channel's
-    solve at the node before it.  So does a non-finite step whose
-    convergence length pi / max|A| is below that; other non-finite steps
-    are halved.  Returns (t, seg, X, nfev, failures) of `_Solve`, the rows
-    of X its P, half and turns.
+    solve at the node before it, and so does every open step of a channel
+    with more than `_MAX_OPEN` open steps in a round.  So does a non-finite
+    step whose convergence length pi / max|A| is below `_MIN_STEP * |r|`;
+    other non-finite steps are halved.  Returns (t, seg, X, nfev,
+    failures) of `_Solve`, the rows of X its P, half and turns.
     """
     n_int = nodes.shape[1] - 1
     h = np.diff(nodes, axis=1).ravel()
@@ -230,29 +260,31 @@ def _steps(qml, nodes, rtol, max_step):
         while seg.size:
             owner = seg // n_int
             half = 0.5 * h
-            r = [t + g * h for g in _GAUSS] if E is None else []
-            r = np.stack(r + [t + (i + g) * half for i in (0, 1)
-                              for g in _GAUSS])
+            # the pieces of a round: both halves of each step, after the
+            # whole step in the first round
+            start = np.stack(([t] if E is None else []) + [t, t + half])
+            length = np.stack(([h] if E is None else []) + [half, half])
+            r = start + np.reshape(_GAUSS, (3, 1, 1)) * length
             nfev += r.size
-            Q, M, L = qml(r, owner)
-            p, b, c = -L, M - Q, Q + M
+            Q, M, L = qml(r.reshape(-1, seg.size), owner)
+            p, b, c = (x.reshape(r.shape) for x in (-L, M - Q, Q + M))
+            X = _magnus_exp(length, p, b, c)
             if E is None:
-                E = _magnus_exp(h, p[:2], b[:2], c[:2])[:4]
-                p, b, c = p[2:], b[2:], c[2:]
-            E1 = _magnus_exp(half, p[:2], b[:2], c[:2])
-            E2 = _magnus_exp(half, p[2:], b[2:], c[2:])
+                E = tuple(x[0] for x in X[:4])
+            E1, E2 = tuple(x[-2] for x in X), tuple(x[-1] for x in X)
             P = _mul(E2[:4], E1[:4])
             err = (np.max(np.abs(np.subtract(E, P)), axis=0)
                    / np.max(np.abs(P), axis=0))
             ok = err <= rtol
-            bad = ~ok & (np.abs(half) < _MIN_STEP * np.abs(t))
+            bad = ~ok & ((np.abs(half) < _MIN_STEP * np.abs(t))
+                         | (np.bincount(owner) > _MAX_OPEN)[owner])
             wild = ~np.isfinite(err)
             if wild.any():
                 # a step far past the Magnus convergence length pi / max|A|
                 # overflows; it is halved unless that length is itself
                 # below the shortest step (or not a number)
-                size = np.max(np.abs(np.concatenate((p, b, c))[:, wild]),
-                              axis=0)
+                size = np.max(np.abs(np.concatenate((p, b, c))[:, -2:, wild]),
+                              axis=(0, 1))
                 bad[wild] |= ~(np.pi / size >= _MIN_STEP * np.abs(t[wild]))
             if bad.any():
                 # each channel ends at its failed step nearest its start
@@ -379,17 +411,30 @@ class _Solve:
 
 def cumulative_norms(channel, U0, nodes, rtol):
     """Cumulative squared norms I(r) = int_{nodes[0]}^r |u|^2 of the two
-    solutions from the columns of U0 at nodes[1:], shape (2, n - 1), by
-    Simpson's rule on the states of each step of one Magnus solve."""
+    solutions from the columns of U0 at nodes[1:], shape (2, n - 1), on the
+    states of each step of one Magnus solve.  A step of length h adds
+
+        h/30 (7 f0 + 16 f1/2 + 7 f1) + h^2/60 (f0' - f1')
+
+    of f = |u|^2 at its start, middle and end, with f' = 2 u^T A u =
+    2 (L (u2^2 - u1^2) + 2 M u1 u2) at its ends (Q cancels): the
+    end-derivative (Hermite-Simpson) rule, exact for quintics."""
     solve = _Solve(channel, nodes, rtol)
     (failure,) = solve.failures
     if failure is not None:
         raise PreconditionError(f"cumulative norms failed: {failure}")
-    h = np.diff(np.append(solve.t, nodes[-1]))
+    r = np.append(solve.t, nodes[-1])
+    h = np.diff(r)
     U, e = solve.states(np.asarray(U0, dtype=float))
-    with np.errstate(over="ignore"):
+    u1, u2 = U[..., ::2, :]  # at each step's start and end
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, M, L, _ = channel.coeffs(r)
+        M, L = (np.stack((x[:-1], x[1:])) for x in (M, L))
         f = np.ldexp(np.sum(np.square(U), axis=0), 2 * e)
-        I = np.cumsum(h / 6.0 * (f[:, 0] + 4.0 * f[:, 1] + f[:, 2]),
+        df = np.ldexp(2.0 * (L * (u2 * u2 - u1 * u1) + 2.0 * M * u1 * u2),
+                      2 * e[::2])
+        I = np.cumsum(h / 30.0 * (7.0 * (f[:, 0] + f[:, 2]) + 16.0 * f[:, 1])
+                      + h * h / 60.0 * (df[:, 0] - df[:, 1]),
                       axis=1)[:, solve.end]
     if not np.all(np.isfinite(I)):
         raise PreconditionError("cumulative norms overflow")

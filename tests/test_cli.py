@@ -159,7 +159,17 @@ class TestConfig:
         # an exact repeat is one cell
         path = write_config(tmp_path, {"model": LINEAR_MODEL,
                                        "lambda_grid": [0.5, 1, 0.5, 1.0]})
-        assert load_config(path).lambda_grid == [0.5, 1.0, 0.5, 1.0]
+        assert load_config(path).lambda_grid == [0.5, 1.0]
+
+    def test_exact_repeats_are_one_cell(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1, 1],
+                                       "lambda_grid": [0.5, 0.5],
+                                       "solver": {"r_end": 20.0}})
+        assert load_config(path).k_set == [1]
+        assert run(["boundedness", "--config", path,
+                    "--out", tmp_path / "o"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("k=1,lambda=0.5: C=")
 
     def test_workers_refusal_names_its_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "workers": True})

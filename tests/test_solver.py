@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from diracspec import solver
 from diracspec.asymptotics import wkb_reference
 from diracspec.coefficients import (
     ChannelBatch,
@@ -19,6 +20,7 @@ from diracspec.solver import (
     PreconditionError,
     SolveConfig,
     Trajectory,
+    _GAUSS,
     _magnus_exp,
     _running,
     _Solve,
@@ -191,11 +193,57 @@ class TestMagnus:
                                  cfg(1.0, 201.0, stride=stride))
         assert traj.ok and traj.grid[-1] == 201.0
 
+    def test_crowded_channel_keeps_what_it_reached(self, monkeypatch):
+        # a channel with more open steps than `_MAX_OPEN` in a round ends
+        # at the node before its first step not yet kept, with the Phi of
+        # the unlimited solve up to there, bit for bit
+        grid, phi, failure = integrate_fundamental(LINEAR, cfg(1.0, 60.0))
+        monkeypatch.setattr(solver, "_MAX_OPEN", 3000)
+        short, phi2, failure2 = integrate_fundamental(LINEAR, cfg(1.0, 60.0))
+        assert failure is None
+        assert failure2.startswith("Magnus step failed at r = ")
+        assert 1 < short.size < grid.size
+        assert np.array_equal(phi2, phi[:short.size])
+
     def test_propagate_refines_overflowing_piece(self):
         # the last geometric piece of [1, 200] is 57 long
         u0 = np.array([1.0, 0.0])
         u1 = propagate(LINEAR, u0, 1.0, 200.0)
         assert np.max(np.abs(propagate(LINEAR, u1, 200.0, 1.0) - u0)) <= 1e-10
+
+
+def one_step(channel, r0, h, n=1):
+    """The product of n equal Magnus steps over [r0, r0 + h], as a 2x2
+    matrix."""
+    hs = h / n
+    r = r0 + hs * (np.arange(n) + np.array(_GAUSS)[:, None])
+    Q, M, L, _ = channel.coeffs(r)
+    E = np.array(_magnus_exp(hs, -L, M - Q, Q + M)[:4])
+    P = np.eye(2)
+    for e in E.T:
+        P = e.reshape(2, 2) @ P
+    return P
+
+
+class TestStep:
+    def test_sixth_order(self):
+        # one step against 4096 substeps: the local error is O(h^7), so
+        # each halving of h divides it by about 2^7 = 128
+        err = [np.max(np.abs(one_step(LINEAR, 1.0, h)
+                             - one_step(LINEAR, 1.0, h, 4096)))
+               for h in (0.4, 0.2, 0.1, 0.05)]
+        assert all(a >= 64.0 * b for a, b in zip(err, err[1:]))
+
+    def test_unit_determinant(self):
+        # random generators at the three nodes, steps of either sign and
+        # of either kind (rotating or growing)
+        rng = np.random.default_rng(7)
+        p, b, c = rng.standard_normal((3, 3, 1000))
+        h = rng.uniform(-3.0, 3.0, 1000)
+        e11, e12, e21, e22, _ = _magnus_exp(h, p, b, c)
+        size = np.max(np.abs([e11, e12, e21, e22]), axis=0)
+        assert np.all(np.abs(e11 * e22 - e12 * e21 - 1.0)
+                      <= 2e-15 * np.maximum(size, 1.0) ** 2)
 
 
 class TestBatch:
@@ -270,7 +318,7 @@ class TestBatch:
         # the zero-length Magnus step is I, whatever A
         rng = np.random.default_rng(5)
         e11, e12, e21, e22, turns = _magnus_exp(
-            0.0, *rng.standard_normal((3, 2, 6)))
+            0.0, *rng.standard_normal((3, 3, 6)))
         assert np.all(e11 == 1.0) and np.all(e22 == 1.0)
         assert np.all(e12 == 0.0) and np.all(e21 == 0.0)
         assert np.all(turns == 0.0)
@@ -418,18 +466,27 @@ class TestTrajectoryCsv:
 def sequential_norms(channel, U0, nodes, rtol):
     """Reference `cumulative_norms`: the states carried through the steps of
     the solve one at a time, each past its first half and to its end, and
-    Simpson's rule on |u|^2 over each step."""
+    the end-derivative rule h/30 (7 f0 + 16 f1/2 + 7 f1) + h^2/60 (f0' - f1')
+    on f = |u|^2 over each step, with f' = 2 u^T A u at its ends."""
     solve = _Solve(channel, nodes, rtol)
-    h = np.diff(np.append(solve.t, nodes[-1]))
+    r = np.append(solve.t, nodes[-1])
+    Q, M, L, _ = channel.coeffs(r)
+    A = np.array([[-L, M - Q], [Q + M, L]]).transpose(2, 0, 1)
     U = np.asarray(U0, dtype=float)
-    f = [np.sum(U * U, axis=0)]
-    for half, P in zip(solve.half.T, solve.P.T):
-        mid = half.reshape(2, 2) @ U
-        U = P.reshape(2, 2) @ U
-        f += [np.sum(mid * mid, axis=0), np.sum(U * U, axis=0)]
-    f = np.array(f).T
-    return np.cumsum(h / 6.0 * (f[:, :-1:2] + 4.0 * f[:, 1::2] + f[:, 2::2]),
-                     axis=1)[:, solve.end]
+    I, out = 0.0, []
+    for i, (half, P, end) in enumerate(zip(solve.half.T, solve.P.T,
+                                           solve.end)):
+        mid, V = half.reshape(2, 2) @ U, P.reshape(2, 2) @ U
+        f0, fm, f1 = (np.sum(x * x, axis=0) for x in (U, mid, V))
+        d0 = 2.0 * np.sum(U * (A[i] @ U), axis=0)
+        d1 = 2.0 * np.sum(V * (A[i + 1] @ V), axis=0)
+        h = r[i + 1] - r[i]
+        I = I + h / 30.0 * (7.0 * f0 + 16.0 * fm + 7.0 * f1) \
+            + h * h / 60.0 * (d0 - d1)
+        if end:
+            out.append(I)
+        U = V
+    return np.array(out).T
 
 
 class TestCumulativeNorms:

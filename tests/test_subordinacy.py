@@ -18,6 +18,7 @@ from diracspec.coefficients import (
 from diracspec.solver import (
     PreconditionError,
     SolveConfig,
+    cumulative_norms,
     integrate_cartesian,
     integrate_pruefer,
     propagate,
@@ -222,6 +223,15 @@ def eigen_side_data(k, lam):
     return u_dec, np.array([-u_dec[1], u_dec[0]]), r_far
 
 
+def pair_args(k, lam, r_end):
+    """(u0_a, u0_b, r0, r_end) of `subordinacy_ratio` on EQUAL: the unit
+    vectors from r = 1 to r_end for lam < 0, else `eigen_side_data`."""
+    if lam < 0.0:
+        return [1.0, 0.0], [0.0, 1.0], 1.0, r_end
+    u_dec, generic, r_far = eigen_side_data(k, lam)
+    return u_dec, generic, 1.0, r_far
+
+
 class TestRatio:
     def test_negative_lambda_no_subordinate(self):
         rep = subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 200.0)
@@ -239,11 +249,7 @@ class TestRatio:
         (LINEAR, 1, -1.0, 120.0), (EQUAL, 1, 1.0, None)],
         ids=["equal-k1", "equal-k-1", "linear-k1", "equal-eigen-side"])
     def test_matches_dop853_pair(self, monkeypatch, model, k, lam, r_end):
-        if lam < 0.0:
-            args = ([1.0, 0.0], [0.0, 1.0], 1.0, r_end)
-        else:
-            u_dec, generic, r_far = eigen_side_data(k, lam)
-            args = (u_dec, generic, 1.0, r_far)
+        args = pair_args(k, lam, r_end)
         got = subordinacy_ratio(model, k, lam, *args)
         monkeypatch.setattr(subordinacy, "cumulative_norms", dop853_norms)
         ref = subordinacy_ratio(model, k, lam, *args)
@@ -252,6 +258,25 @@ class TestRatio:
         r_ref, v_ref = np.transpose(ref.ratio_tail)
         assert np.array_equal(r, r_ref)
         assert np.max(np.abs(v / v_ref - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("k, lam, r_end", [(1, -1.0, 200.0),
+                                               (1, 1.0, None)],
+                             ids=["equal-k1", "equal-eigen-side"])
+    def test_norms_match_tight_dop853(self, monkeypatch, k, lam, r_end):
+        # the norms of the ratio's own call, at its rtol 1e-10, against
+        # DOP853 at 1e-13 on the same nodes
+        calls = []
+
+        def recording(*args):
+            calls.append((args, cumulative_norms(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(subordinacy, "cumulative_norms", recording)
+        subordinacy_ratio(EQUAL, k, lam, *pair_args(k, lam, r_end))
+        ((channel, U0, nodes, rtol), I), = calls
+        assert rtol == 1e-10
+        ref = dop853_norms(channel, U0, nodes, 1e-13)
+        assert np.max(np.abs(I / ref - 1.0)) <= 1e-8
 
     def test_no_scalar_coefficient_calls(self, monkeypatch):
         calls = []

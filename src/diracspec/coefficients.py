@@ -54,7 +54,7 @@ def _check_radius(r):
             raise DomainError(f"radius must satisfy 0 < r < inf, got {r}")
         return r
     arr = np.asarray(r, dtype=float)
-    if arr.size and (not np.all(arr > 0.0) or not np.all(np.isfinite(arr))):
+    if not ((arr > 0.0) & (arr < math.inf)).all():  # nan fails both
         raise DomainError("radius grid must satisfy 0 < r < inf everywhere")
     return arr
 

@@ -207,8 +207,8 @@ def _magnus_exp(h, p, b, c):
     s2 = op * op + ob * oc
     w = np.sqrt(np.abs(s2))
     grows = s2 > 0.0
-    f0 = np.where(grows, np.cosh(w), np.cos(w))
-    f1 = np.divide(np.where(grows, np.sinh(w), np.sin(w)), w,
+    f0 = np.cosh(w, out=np.cos(w), where=grows)
+    f1 = np.divide(np.sinh(w, out=np.sin(w), where=grows), w,
                    out=np.ones_like(w), where=w > 0.0)
     # when det Omega = w^2 > 0, exp(t Omega) turns every state the way of
     # sign(oc) and is -I at t = pi / w

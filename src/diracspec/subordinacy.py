@@ -348,7 +348,7 @@ def decaying_direction(model: CoefficientModel, k: int, lam: float,
     system at r_at (positive spectral parameter, beyond the turning point):
     the eigenvector of A(r_at) for its eigenvalue -sqrt(`_decay_rate_sq`).
     """
-    S = _decay_rate_sq(model, k, lam, r_at)
+    S = _decay_rate_sq(model.q.value(r_at), k, lam, r_at)
     if S <= 0.0:
         raise PreconditionError(f"no decaying direction at r = {r_at:g}; "
                                 f"still inside the oscillatory region")
@@ -356,61 +356,59 @@ def decaying_direction(model: CoefficientModel, k: int, lam: float,
     return v / np.hypot(v[0], v[1])
 
 
-def _decay_rate_sq(model, k, lam, r):
+def _decay_rate_sq(q, k, lam, r):
     # -det A(r) = L^2 + M^2 - Q^2 when m == q, positive past the turning point
-    return 2.0 * lam * model.q.value(r) - lam ** 2 + (k / r) ** 2
+    return 2.0 * lam * q - lam ** 2 + (k / r) ** 2
+
+
+# the radii at which `_turning_radius` and `_shoot_range` read q, 64 a
+# decade; each reads it once, for all the lam of its call
+_PROBE = np.geomspace(1e-6, 1e9, 961)
+
+
+def _probe_q(model):
+    # an overflowing q (an exponential, say) reads inf far out
+    with np.errstate(over="ignore"):
+        return model.q.value(_PROBE)
+
+
+def _first_reach(xs, ys, x):
+    # per row on the probe (one row serves every x), ys where xs first
+    # reaches x, linear from the entry before; nan when it never does
+    xs, ys = (np.broadcast_to(a, (x.size, _PROBE.size)) for a in (xs, ys))
+    above = xs >= x[:, None]
+    hi = np.argmax(above, axis=1)
+    out = np.where(above.any(axis=1), ys[:, 0], np.nan)
+    rows = np.flatnonzero(hi)
+    lo, hi = hi[rows] - 1, hi[rows]
+    out[rows] = ys[rows, lo] + (x[rows] - xs[rows, lo]) * \
+        (ys[rows, hi] - ys[rows, lo]) / (xs[rows, hi] - xs[rows, lo])
+    return out
 
 
 def _turning_radius(model, lam):
-    # q is increasing toward infinity on these models; bisect q(r) = lam/2
-    # on [1e-6, 2^n], n >= 0 the least that brackets it, all lam in lockstep
+    # where q first reaches lam/2 on the probe
     lam = np.asarray(lam, dtype=float)
-    target = lam.ravel() / 2.0
-    hi = np.full(target.shape, 1.0)
-    while True:
-        low = model.q.value(hi) < target
-        if not low.any():
-            break
-        hi[low] *= 2.0
-        if np.any(hi > 1e9):
-            raise PreconditionError("no turning radius found")
-    at_lo = model.q.value(1e-6) >= target
-    lo = np.full(target.shape, 1e-6)
-    open_ = ~at_lo
-    for _ in range(200):
-        if not open_.any():
-            break
-        mid = 0.5 * (lo + hi)
-        below = model.q.value(mid) < target
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-        open_ &= ~(hi - lo < 1e-12 * (1.0 + hi))
-    return np.where(at_lo, lo, 0.5 * (lo + hi)).reshape(lam.shape)[()]
+    r = _first_reach(_probe_q(model), _PROBE, lam.ravel() / 2.0)
+    if np.isnan(r).any():
+        raise PreconditionError("no turning radius found")
+    return r.reshape(lam.shape)[()]
 
 
-def _shoot_range(model, k, lam, r_star, exponent):
-    # march until the semiclassical exponent past the turning point reaches
-    # the requested budget; the radii and the exponent are running sums,
-    # added in march order, `chunk` steps of all lam at once
-    chunk = 256
-    lam, r = np.broadcast_arrays(np.asarray(lam, dtype=float), r_star)
-    shape, lam, r = lam.shape, lam.ravel(), r.astype(float).ravel()
-    step = np.maximum(r * 0.05, 0.01)
-    total = np.zeros(r.shape)
-    going = np.flatnonzero(total < exponent)
-    while going.size:
-        l, h = lam[going, None], step[going, None]
-        rs = np.cumsum(np.column_stack((r[going], np.repeat(h, chunk, axis=1))),
-                       axis=1)[:, 1:]
-        S = _decay_rate_sq(model, k, l, rs)
-        gain = np.where(S > 0.0, np.sqrt(np.maximum(S, 0.0)) * h, 0.0)
-        sums = np.cumsum(np.column_stack((total[going], gain)), axis=1)[:, 1:]
-        stop = (sums >= exponent) | (rs > 1e6)
-        at = np.where(stop.any(axis=1), np.argmax(stop, axis=1), chunk - 1)
-        rows = np.arange(going.size)
-        r[going], total[going] = rs[rows, at], sums[rows, at]
-        going = going[~stop.any(axis=1)]
-    return r.reshape(shape)[()]
+def _shoot_range(model, k, lam, r_start, exponent):
+    # where the semiclassical exponent past r_start, the integral of
+    # sqrt(max(S, 0)), reaches `exponent`, capped at 1e6: cumulative
+    # trapezoids over the probe, read linearly at r_start
+    lam, r_start = np.broadcast_arrays(np.asarray(lam, dtype=float), r_start)
+    shape, lam, r_start = lam.shape, lam.reshape(-1, 1), r_start.ravel()
+    rate = np.sqrt(np.maximum(
+        _decay_rate_sq(_probe_q(model), k, lam, _PROBE), 0.0))
+    sums = np.zeros(rate.shape)
+    np.cumsum(0.5 * (rate[:, 1:] + rate[:, :-1]) * np.diff(_PROBE), axis=1,
+              out=sums[:, 1:])
+    start = _first_reach(_PROBE, sums, r_start)
+    r = _first_reach(sums, _PROBE, start + exponent)
+    return np.fmin(r, 1e6).reshape(shape)[()]
 
 
 def _refine_roots(f, lo, hi, f_lo, f_hi, tol):

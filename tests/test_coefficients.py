@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracspec.coefficients import (
     ChannelBatch,
+    ChannelSystem,
     CoefficientModel,
     ConstantChannel,
     DomainError,
@@ -49,6 +50,25 @@ class TestEval:
                 evaluate(0.0)
         with pytest.raises(DomainError):
             model.q.value(-1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_radius_in_an_array_rejected(self, bad):
+        model = modulated_model()
+        channel = ChannelSystem(model, 1, -1.0)
+        r = np.array([0.5, bad, 2.0])
+        for evaluate in (model.q.value, model.m.value, model.q.derivative,
+                         model.m.derivative, channel.coeffs):
+            with pytest.raises(DomainError, match="radius grid"):
+                evaluate(r)
+
+    def test_empty_array_accepted(self):
+        model = modulated_model()
+        r = np.array([])
+        for evaluate in (model.q.value, model.m.value, model.q.derivative,
+                         model.m.derivative):
+            assert evaluate(r).shape == (0,)
+        assert all(part.shape == (0,)
+                   for part in ChannelSystem(model, 1, -1.0).coeffs(r))
 
     def test_modulated_point(self):
         r = math.pi / 2

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
 from diracspec import cli, subordinacy
@@ -11,6 +12,7 @@ from diracspec.coefficients import (
     ChannelSystem,
     CoefficientModel,
     assemble_channel,
+    coefficient,
     constant,
     models_equal,
     power,
@@ -340,39 +342,6 @@ class TestRatio:
         assert rep.classification == "no-subordinate"
 
 
-def scalar_turning_radius(model, lam, lo=1e-6, hi=1.0):
-    # reference: one lambda, one float radius at a time
-    target = lam / 2.0
-    while model.q.value(hi) < target:
-        hi *= 2.0
-    if model.q.value(lo) >= target:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.q.value(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def scalar_shoot_range(model, k, lam, r_star, exponent):
-    # reference: the march one step at a time
-    total, r = 0.0, r_star
-    step = max(r_star * 0.05, 0.01)
-    while total < exponent:
-        S = 2.0 * lam * model.q.value(r + step) - lam ** 2 + \
-            (k / (r + step)) ** 2
-        if S > 0.0:
-            total += math.sqrt(S) * step
-        r += step
-        if r > 1e6:
-            break
-    return r
-
-
 class TestDecayingDirection:
     @pytest.mark.parametrize("k", [1, -1, 2, -2])
     @pytest.mark.parametrize("lam, r", [(0.5, 0.5), (0.5, 7.0), (2.0, 2.0),
@@ -397,22 +366,66 @@ class TestDecayingDirection:
 
 
 class TestEigenShoot:
-    @pytest.mark.parametrize("model", [
-        EQUAL, CoefficientModel(q=power(0.8, 1), m=power(0.8, 1))])
-    def test_array_march_matches_scalar_reference(self, model):
-        # the batched bisection and march reach each lambda's radii bit for
-        # bit, whatever the lambda batched with it
+    @pytest.mark.parametrize("c", [1.0, 0.8])
+    def test_turning_radius_exact_on_linear_q(self, c):
+        model = CoefficientModel(q=power(c, 1), m=power(c, 1))
         lams = np.linspace(0.05, 5.0, 100)
-        r_star = _turning_radius(model, lams)
-        for k, floor, exponent in ((1, 0.004, 27.0), (-1, 1.5, 15.0)):
-            r_far = _shoot_range(model, k, lams, np.maximum(r_star, floor),
-                                 exponent)
-            for lam, rs, rf in zip(lams.tolist(), r_star, r_far):
-                ref = scalar_turning_radius(model, lam)
-                assert rs == ref
-                assert rf == scalar_shoot_range(model, k, lam,
-                                                max(ref, floor), exponent)
-        assert _turning_radius(model, 2.0) == scalar_turning_radius(model, 2.0)
+        exact = lams / (2.0 * c)
+        err = np.abs(_turning_radius(model, lams) - exact) / exact
+        assert np.max(err) <= 1e-12
+
+    def test_turning_radius_on_nonlinear_q(self):
+        model = CoefficientModel(q=power(1, 1.5), m=power(1, 1.5))
+        lams = np.linspace(0.05, 5.0, 25)
+        got = _turning_radius(model, lams)
+        for lam, r in zip(lams.tolist(), got.tolist()):
+            ref = brentq(lambda x: model.q.value(x) - lam / 2.0, 1e-6, 1e3,
+                         xtol=1e-14, rtol=1e-14)
+            assert r == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("c", [1.0, 0.8])
+    @pytest.mark.parametrize("k, floor, budget", [(1, 0.004, 27.0),
+                                                  (-1, 1.5, 15.0)])
+    def test_wkb_exponent_reaches_the_budget(self, c, k, floor, budget):
+        # the exponent past the start radius, by adaptive quadrature, up to
+        # the far radius
+        model = CoefficientModel(q=power(c, 1), m=power(c, 1))
+        lams = np.linspace(0.05, 5.0, 12)
+        start = np.maximum(_turning_radius(model, lams), floor)
+        far = _shoot_range(model, k, lams, start, budget)
+        for lam, a, b in zip(lams.tolist(), start.tolist(), far.tolist()):
+            def rate(r):
+                S = 2.0 * lam * c * r - lam ** 2 + (k / r) ** 2
+                return math.sqrt(max(S, 0.0))
+
+            exponent, _ = quad(rate, a, b, limit=200, epsabs=0.0,
+                               epsrel=1e-10)
+            assert exponent == pytest.approx(budget, rel=1e-2)
+
+    def test_batched_radii_equal_one_lambda_calls(self):
+        lams = np.linspace(0.05, 5.0, 40)
+        r_star = _turning_radius(EQUAL, lams)
+        r_far = _shoot_range(EQUAL, 1, lams, np.maximum(r_star, 0.004), 27.0)
+        for lam, rs, rf in zip(lams.tolist(), r_star, r_far):
+            one = _turning_radius(EQUAL, lam)
+            assert one == rs
+            assert _shoot_range(EQUAL, 1, lam, max(one, 0.004), 27.0) == rf
+
+    def test_overflowing_q_reads_inf_far_out(self):
+        # e^r overflows on the probe past r = 709 without a warning, and the
+        # radii read off the probe's finite part
+        exp = coefficient("exp", c=1, a=1)
+        model = CoefficientModel(q=exp, m=exp)
+        r_star = _turning_radius(model, 4.0)
+        assert r_star == pytest.approx(math.log(2.0), rel=1e-3)
+        assert r_star < _shoot_range(model, 1, 4.0, r_star, 15.0) < 10.0
+
+    def test_no_turning_radius_on_the_probe(self):
+        # log1p(r) stays below 50 up to r = 1e9, the last probe radius
+        log = coefficient("log", c=1)
+        with pytest.raises(PreconditionError,
+                           match="no turning radius found"):
+            _turning_radius(CoefficientModel(q=log, m=log), 100.0)
 
     def test_bracket_nonempty_and_stable(self):
         eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import CoefficientModel, scale_free
 
 __all__ = [
     "SampledFunction",
@@ -154,16 +154,29 @@ EXTREME_LADDER = WindowLadder(25.0, 2.0, 4)
 TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
 
 
+# the points of every geometric window grid, and the fewest of a linear one
+_WINDOW_POINTS = 2048
+
+
 def sample_window(fn: Callable, a: float, b: float, *,
-                  n_max: int = 400_000) -> tuple:
-    """Sample fn once on the window grid [a, b]: 8 points per unit length,
-    at least 2048 and at most `n_max`.
+                  n_max: int = 400_000, geometric: bool = False) -> tuple:
+    """Sample fn once on the window grid [a, b].
+
+    The grid is `geometric` for a scale-free source
+    (`coefficients.scale_free`: powers, logs and exponentials, whose
+    quotients are eventually monotone, so their grid variations do not
+    depend on the grid): 2048 geometric points on every window.  Anything
+    else gets 8 points per unit length, at least 2048 and at most `n_max`.
 
     fn returns the coefficient arrays a diagnostic reads (a tuple, or a dict
     by name); they are passed through uncopied, so every quantity derived
     from one window comes from one evaluation.
     """
-    grid = np.linspace(a, b, int(np.clip(8.0 * (b - a), 2048, n_max)))
+    if geometric:
+        grid = np.geomspace(a, b, _WINDOW_POINTS)
+    else:
+        grid = np.linspace(a, b, int(np.clip(8.0 * (b - a), _WINDOW_POINTS,
+                                             n_max)))
     return grid, fn(grid)
 
 
@@ -355,15 +368,18 @@ def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
     """Windowed tail variation of m/(q - lambda) for each probe lambda on
     the windows of `tail_ladder`.
 
-    One (q, m) sample per window serves every lambda (`trichotomy_window`);
-    the rungs are then classified (`classify_trichotomy`).
+    One (q, m) sample per window serves every lambda (`trichotomy_window`),
+    on the grid `sample_window` picks for the model; the rungs are then
+    classified (`classify_trichotomy`).
     """
     windows = tail_ladder.windows()
     lambdas = [float(lam) for lam in lambdas]
     variations = [[] for _ in lambdas]
+    geometric = scale_free(model)
     with np.errstate(all="ignore"):
         for a, b in windows:
             r, (q, m) = sample_window(
-                lambda r: (model.q.value(r), model.m.value(r)), a, b)
+                lambda r: (model.q.value(r), model.m.value(r)), a, b,
+                geometric=geometric)
             variations = trichotomy_window(q, m, lambdas, variations)
     return classify_trichotomy(lambdas, windows, variations)

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
@@ -687,7 +687,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once a process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="diracspec",
         description="numerical spectral diagnostics for half-line Dirac "
@@ -704,7 +706,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--assert", dest="assert_mode", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     out = Path(args.out)
 
     try:

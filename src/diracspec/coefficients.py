@@ -9,7 +9,9 @@ r > 0; the origin is a singular endpoint and is always rejected.
 Each family has one implementation, for a float radius and an array of
 radii alike, so the solver's one-radius-at-a-time `scalar_qml` and the
 window checks read the same values.  Tabulated data declared non-smooth, and
-any sum holding it, has no derivative (`has_derivative`).
+any sum holding it, has no derivative (`has_derivative`).  Powers, logs and
+exponentials, and sums of them only, are scale-free (`scale_free`): one
+fixed geometric grid resolves their windows.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "model_from_dict",
     "models_equal",
     "require_equal",
+    "scale_free",
 ]
 
 
@@ -460,3 +463,28 @@ class ConstantChannel:
 
 def assemble_channel(model: CoefficientModel, k: int, lam: float) -> ChannelSystem:
     return ChannelSystem(model=model, k=k, lam=lam)
+
+
+# the families a fixed geometric window grid resolves: eventually monotone
+# (Hardy-field) functions, with no period and no knots
+_SCALE_FREE = frozenset({"power", "log", "exp"})
+
+
+def scale_free(source) -> bool:
+    """Whether a fixed geometric grid resolves every window of `source`
+    (`bvcalc.sample_window`): a power, log or exp function, or a sum of
+    such terms only; a model, or a `ChannelSystem` of one, whose q and m
+    both are; a `ConstantChannel`.  A modulated or tabulated function is
+    not, nor is any other object, such as a duck-typed coefficient or
+    channel."""
+    if isinstance(source, ConstantChannel):
+        return True
+    if isinstance(source, ChannelSystem):
+        source = source.model
+    if isinstance(source, CoefficientModel):
+        return scale_free(source.q) and scale_free(source.m)
+    if not isinstance(source, CoefficientFunction):
+        return False
+    if source.family == "sum":
+        return all(map(scale_free, source.params["terms"]))
+    return source.family in _SCALE_FREE

@@ -5,8 +5,13 @@ variation) is probed on a geometric ladder of windows and classified as
 satisfied, violated, or inconclusive; the checker never extrapolates beyond
 the ladder, so "inconclusive" is a first-class verdict.
 
-A window sample is the coefficient values on one window grid.  The checks
-of a model share them in one pass over each ladder (`_run`): per window,
+A window sample is the coefficient values on one window grid, which
+`bvcalc.sample_window` picks: 2048 geometric points on every window of a
+scale-free model or channel (`coefficients.scale_free`: powers, logs and
+exponentials, whose quotients are eventually monotone), else 8 points per
+unit length, so that a modulated or tabulated coefficient, and any object
+that states nothing of its scale, keeps its resolution.  The checks of a
+model share the samples in one pass over each ladder (`_run`): per window,
 q, m and only the derivatives some check reads are evaluated once, and
 every check derives and reduces its quantities from that sample, one at a
 time, before the next window is sampled.  Each public check runs the pass
@@ -66,6 +71,7 @@ from .coefficients import (
     MissingDerivativeError,
     models_equal,
     require_equal,
+    scale_free,
 )
 
 __all__ = [
@@ -141,9 +147,9 @@ _DERIVATIVES = _READS[2:]
 
 
 def _model_sampler(model):
-    """The window sampler of a model: maps a grid and the names of the
-    arrays read to {name: array}, each evaluated once; a derivative the data
-    does not have is left out."""
+    """The window sampler of a model, which maps a grid and the names of the
+    arrays read to {name: array}, each evaluated once (a derivative the data
+    does not have is left out), and whether the model is scale-free."""
     q, m = model.q, model.m
     evaluate = {"q": q.value, "m": m.value, "dm": m.derivative,
                 "dq": q.derivative, "d2q": lambda r: q.derivative(r, order=2)}
@@ -157,12 +163,15 @@ def _model_sampler(model):
                 except MissingDerivativeError:
                     pass
         return arrays
-    return sample
+    return sample, scale_free(model)
 
 
 def _channel_sampler(channel):
-    # a channel's (Q, M, L, W) as q, m, L and W, whatever is read
-    return lambda r, reads: dict(zip(("q", "m", "L", "W"), channel.coeffs(r)))
+    # a channel's (Q, M, L, W) as q, m, L and W, whatever is read, and
+    # whether the channel is scale-free
+    def sample(r, reads):
+        return dict(zip(("q", "m", "L", "W"), channel.coeffs(r)))
+    return sample, scale_free(channel)
 
 
 def _rows(per_window):
@@ -190,9 +199,10 @@ class _Check:
         return not self.missing
 
 
-def _run(sample, checks, extreme_ladder, tail_ladder):
+def _run(sample, geometric, checks, extreme_ladder, tail_ladder):
     """One pass over each ladder for all `checks`, with the window sampler
-    `sample`.
+    `sample` on the window grids of `sample_window`, `geometric` for a
+    scale-free source.
 
     Each array some check reads is evaluated once per window grid, and
     every check reduces that window sample before the next one is taken.
@@ -219,11 +229,13 @@ def _run(sample, checks, extreme_ladder, tail_ladder):
         if extreme_reads:
             for a, b in extreme_ladder.windows():
                 r, s = sample_window(lambda r: sample(r, extreme_reads),
-                                     a, b, n_max=_EXTREME_POINTS)
+                                     a, b, n_max=_EXTREME_POINTS,
+                                     geometric=geometric)
                 for check in checks:
                     check.extreme(r, s)
         for a, b in tail_ladder.windows():
-            r, s = sample_window(lambda r: sample(r, tail_reads), a, b)
+            r, s = sample_window(lambda r: sample(r, tail_reads), a, b,
+                                 geometric=geometric)
             for check, (first, last) in zip(checks, lifetimes):
                 if first:
                     s.update(sample(r, first))
@@ -710,7 +722,7 @@ class _CChecks(_Check):
 
 
 def _model_checks(model, checks, extreme_ladder, tail_ladder):
-    _run(_model_sampler(model), checks, extreme_ladder, tail_ladder)
+    _run(*_model_sampler(model), checks, extreme_ladder, tail_ladder)
     ew, tw = extreme_ladder.windows(), tail_ladder.windows()
     return [rep for check in checks for rep in check.reports(ew, tw)]
 
@@ -779,9 +791,10 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     channels; C3' on L/(Q - L) (m == 0) does see it and reduces every k.
     """
     model = isinstance(source, CoefficientModel)
-    sample = _model_sampler(source) if model else _channel_sampler(source)
+    sample, geometric = (_model_sampler(source) if model
+                         else _channel_sampler(source))
     channels = _CChecks(source, k_set, lambda_grid, sample, tail_ladder)
-    _run(sample, [channels], extreme_ladder, tail_ladder)
+    _run(sample, geometric, [channels], extreme_ladder, tail_ladder)
     reports = channels.reports(extreme_ladder.windows(), tail_ladder.windows())
     return reports if model else reports[None, None]
 
@@ -808,11 +821,12 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
     if equal:
         checks.append(_BChecks())
     gamma = [_GChecks(lambdas[0])] if equal and lambdas else []
-    sample = _model_sampler(model)
+    sample, geometric = _model_sampler(model)
     channels = _CChecks(model, k_set, lambdas, sample, tail_ladder)
     # the C checks go last: every derivative array is dropped before their
     # work arrays are made
-    _run(sample, checks + gamma + [channels], extreme_ladder, tail_ladder)
+    _run(sample, geometric, checks + gamma + [channels], extreme_ladder,
+         tail_ladder)
     ew, tw = extreme_ladder.windows(), tail_ladder.windows()
     reports = [rep for check in checks for rep in check.reports(ew, tw)]
     if gamma and not gamma[0].missing:
@@ -821,6 +835,6 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
         if first is not None:
             if first > 0:
                 gamma = [_GChecks(lambdas[first])]
-                _run(sample, gamma, extreme_ladder, tail_ladder)
+                _run(sample, geometric, gamma, extreme_ladder, tail_ladder)
             reports += gamma[0].reports(ew, tw)
     return reports, channels.reports(ew, tw)

@@ -362,7 +362,8 @@ def _decay_rate_sq(q, k, lam, r):
 
 
 # the radii at which `_turning_radius` and `_shoot_range` read q, 64 a
-# decade; each reads it once, for all the lam of its call
+# decade; their caller reads q there once (`_probe_q`), for every lam of
+# the call, and hands both the same values
 _PROBE = np.geomspace(1e-6, 1e9, 961)
 
 
@@ -386,23 +387,23 @@ def _first_reach(xs, ys, x):
     return out
 
 
-def _turning_radius(model, lam):
-    # where q first reaches lam/2 on the probe
+def _turning_radius(q, lam):
+    # where q, read on the probe, first reaches lam/2
     lam = np.asarray(lam, dtype=float)
-    r = _first_reach(_probe_q(model), _PROBE, lam.ravel() / 2.0)
+    r = _first_reach(q, _PROBE, lam.ravel() / 2.0)
     if np.isnan(r).any():
         raise PreconditionError("no turning radius found")
     return r.reshape(lam.shape)[()]
 
 
-def _shoot_range(model, k, lam, r_start, exponent):
+def _shoot_range(q, k, lam, r_start, exponent):
     # where the semiclassical exponent past r_start, the integral of
     # sqrt(max(S, 0)), reaches `exponent`, capped at 1e6: cumulative
-    # trapezoids over the probe, read linearly at r_start
+    # trapezoids over the probe, on which q was read, read linearly at
+    # r_start
     lam, r_start = np.broadcast_arrays(np.asarray(lam, dtype=float), r_start)
     shape, lam, r_start = lam.shape, lam.reshape(-1, 1), r_start.ravel()
-    rate = np.sqrt(np.maximum(
-        _decay_rate_sq(_probe_q(model), k, lam, _PROBE), 0.0))
+    rate = np.sqrt(np.maximum(_decay_rate_sq(q, k, lam, _PROBE), 0.0))
     sums = np.zeros(rate.shape)
     np.cumsum(0.5 * (rate[:, 1:] + rate[:, :-1]) * np.diff(_PROBE), axis=1,
               out=sums[:, 1:])
@@ -474,23 +475,25 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
     the matching radius reaches 27.  The mismatch of many lambda is one
     `propagate` call of a `ChannelBatch` holding both directions of each:
     one for the whole scan grid, then one a round while `_refine_roots`
-    narrows every sign change in lockstep to `tol_lambda`.  The scan
-    samples both bracket ends but lambda = 0, where the direction recessive
-    at infinity (`decaying_direction`) divides by lambda.
+    narrows every sign change in lockstep to `tol_lambda`; q is read once a
+    call, on the fixed probe radii that the matching and far radii of every
+    lambda are read off.  The scan samples both bracket ends but
+    lambda = 0, where the direction recessive at infinity
+    (`decaying_direction`) divides by lambda.
     """
     require_equal(model, "eigen_shoot")
     a, b = eigen_bracket(bracket)
     eigen_steps(tol_lambda, scan_step)
+    q = _probe_q(model)
 
     def mismatch(lams):
         inits = [frobenius_radius(assemble_channel(model, k, lam),
                                   r_init=min(1e-3, 0.01 / (1.0 + lam)))
                  for lam in lams.tolist()]
         r0 = np.array([init.r0 for init in inits])
-        r_star = _turning_radius(model, lams)
+        r_star = _turning_radius(q, lams)
         r_match = np.maximum(r_star * match_radius_factor, 4.0 * r0)
-        r_far = _shoot_range(model, k, lams, np.maximum(r_star, r_match),
-                             27.0)
+        r_far = _shoot_range(q, k, lams, np.maximum(r_star, r_match), 27.0)
         u0 = [init.u0 for init in inits] + [
             decaying_direction(model, k, lam, r)
             for lam, r in zip(lams.tolist(), r_far.tolist())]
@@ -633,9 +636,9 @@ def _eigen_side_cell(model, k, lam, delta):
     """The ratio of the solution recessive at infinity to its orthogonal
     complement, from r = 1 to where the WKB exponent past the turning point
     reaches 15: subordinate-found when the recessive one is subordinate."""
-    r0 = 1.0
-    r_star = _turning_radius(model, lam)
-    r_far = _shoot_range(model, k, lam, max(r_star, r0 * 1.5), 15.0)
+    r0, q = 1.0, _probe_q(model)
+    r_star = _turning_radius(q, lam)
+    r_far = _shoot_range(q, k, lam, max(r_star, r0 * 1.5), 15.0)
     u_dec = propagate(assemble_channel(model, k, lam),
                       decaying_direction(model, k, lam, r_far), r_far, r0,
                       rtol=1e-10)

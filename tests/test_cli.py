@@ -335,10 +335,13 @@ class TestHypothesesCommand:
         assert run(["hypotheses", "--config", cfg,
                     "--out", tmp_path / "o"]) == 0
         assert len(seen) == len(set(seen))
-        # the last tail window's grid serves q, m, m' and q' for every model
-        # check, the C gap floor and the C3 quotients
-        sizes = [size for _, _, size, _, _ in seen]
-        assert sizes.count(180_000) == 4 and 100_000 not in sizes
+        # a scale-free model: every window grid has 2048 points, beside the
+        # 64-point probe of models_equal and the 512-point probe of the C3
+        # form; the last tail window's grid serves q, m, m' and q' for every
+        # model check, the C gap floor and the C3 quotients
+        assert {size for _, _, size, _, _ in seen} == {64, 512, 2048}
+        last = [x for x in seen if x[2:] == (2048, 2500.0, 25000.0)]
+        assert len(last) == 4
 
 
 class TestGoldenHypotheses:
@@ -860,6 +863,25 @@ class TestOtherCommands:
                                       "lambda_grid": [-1.0]})
         assert run(["subordinacy", "--config", cfg,
                     "--out", tmp_path / "o"]) == 2
+
+    def test_each_call_reads_its_own_flags(self, tmp_path, monkeypatch):
+        # one parser serves every call of a process; no flag of one call
+        # may reach the next
+        seen = []
+
+        def record(cfg, out, assert_mode):
+            seen.append((cfg.seed, out, assert_mode))
+            return 0
+
+        monkeypatch.setitem(diracspec.cli._COMMANDS, "hypotheses", record)
+        cfg = fixture_path("dominant_linear")
+        seed = load_config(cfg).seed
+        assert run(["hypotheses", "--config", cfg, "--assert",
+                    "--seed", seed + 1, "--out", tmp_path / "a"]) == 0
+        assert run(["hypotheses", "--config", cfg,
+                    "--out", tmp_path / "b"]) == 0
+        assert seen == [(seed + 1, tmp_path / "a", True),
+                        (seed, tmp_path / "b", False)]
 
 
 class TestPlotData:

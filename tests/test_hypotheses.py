@@ -4,18 +4,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diracspec import hypotheses
+from diracspec import bvcalc, hypotheses
 from diracspec.bvcalc import (
     EXTREME_LADDER,
     TAIL_LADDER,
     WindowLadder,
     lambda_trichotomy_probe,
+    sample_window,
 )
 from diracspec.cli import fixture_path, load_config
 from diracspec.coefficients import (
     ChannelSystem,
     CoefficientFunction,
     CoefficientModel,
+    ConstantChannel,
     assemble_channel,
     coefficient,
     constant,
@@ -56,6 +58,22 @@ def _tabulated_without_derivative():
 
 def by_id(reports):
     return {r.condition_id: r for r in reports}
+
+
+class Duck:
+    """A duck-typed coefficient: the values, derivatives and descriptor of
+    the function it wraps, but no statement of its scale, so its windows
+    keep the linear grid."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+
+def duck(model):
+    return CoefficientModel(q=Duck(model.q), m=Duck(model.m))
 
 
 class TestAConditions:
@@ -313,11 +331,11 @@ class TestCConditions:
         monkeypatch.setattr(CoefficientFunction, "value", counting)
         ks, lams = [1, -2], [0.0, 1.0]
         grid = check_c_conditions(model, ks, lams)
-        # q and m once on each grid: 4 extreme windows, the probe and 3 tail
-        # windows, the last of 180,000 points
-        assert sizes.count(180_000) == 2 and len(sizes) == 2 * 8
+        # q and m once on each grid: the 512-point probe, and 4 extreme and
+        # 3 tail windows of 2048 geometric points each (a scale-free model)
+        assert sizes.count(2048) == 2 * 7 and len(sizes) == 2 * 8
         monkeypatch.undo()
-        fine = np.linspace(2500.0, 25000.0, 180_000)
+        fine = np.geomspace(2500.0, 25000.0, 2048)
         q, m = model.q.value(fine), model.m.value(fine)
         for (k, lam), reports in grid.items():
             c3 = reports[-1]
@@ -512,19 +530,27 @@ class TestGammaDiagnostics:
         # the node, and G1 and G2 would read nan on that window
         dip = np.linspace(250.0, 2500.0, 18_000)[7777]
 
-        class DippedLine:
+        class Line:
+            # q = m = r, a duck-typed coefficient: it keeps the linear
+            # window grid, whose [250, 2500] window holds the dip's node
             family = "tabulated"
 
             def value(self, r):
-                return np.where(r == dip, -5.0, r)
+                return r * 1.0
 
             def derivative(self, r):
                 return np.ones_like(r)
 
+        class DippedLine(Line):
+            def value(self, r):
+                return np.where(r == dip, -5.0, r)
+
         line = DippedLine()
         reports = by_id(gamma_diagnostics(SimpleNamespace(q=line, m=line),
                                           -1.0))
-        exact = by_id(gamma_diagnostics(EQUAL_LINEAR, -1.0))
+        # the reference, q = m = r without the dip, on the same grids
+        exact = by_id(gamma_diagnostics(SimpleNamespace(q=Line(), m=Line()),
+                                        -1.0))
         for cid, key in (("G1", "rung_variations"),
                          ("G2", "rung_integrals")):
             assert reports[cid].windows == [[25.0, 250.0],
@@ -615,7 +641,8 @@ class TestOnePass:
         assert "G1" not in reports
 
     def test_work_arrays_live_for_one_call(self):
-        model = CoefficientModel(q=power(1.1, 0.8), m=constant(0.9))
+        # on the linear grid, whose last tail window has 180,000 points
+        model = duck(CoefficientModel(q=power(1.1, 0.8), m=constant(0.9)))
         ks, lams = [1, -2], [-1.0, 0.0, 2.0]
 
         def memory(check):
@@ -636,3 +663,129 @@ class TestOnePass:
         # window's arrays at a time, at most one 180,000-point array above
         # the C checks alone
         assert peak <= c_peak + 180_000 * 8
+
+
+def _sum(*terms):
+    return coefficient("sum", terms=list(terms))
+
+
+_LOG, _EXP = coefficient("log", c=3), coefficient("exp", c=1, a=1e-3)
+_WAVE = coefficient("modulated", a=2, b=1, omega=1, c=1, p=0)
+_TABLE = coefficient("tabulated", grid=list(np.geomspace(0.5, 3e4, 60)),
+                     values=list(np.geomspace(0.5, 3e4, 60)))
+
+
+class TestWindowGrids:
+    """A scale-free source is sampled on 2048 geometric points a window,
+    anything else on the linear grid of 8 points per unit length."""
+
+    SCALE_FREE = {
+        "power": LINEAR,
+        "log": CoefficientModel(q=_LOG, m=coefficient("log", c=1)),
+        "exp": CoefficientModel(q=_EXP, m=coefficient("exp", c=1, a=-0.01)),
+        "sum": CoefficientModel(q=_sum(power(1, 1), _LOG),
+                                m=_sum(constant(1), _EXP)),
+        "channel": ChannelSystem(LINEAR, 1, 0.5),
+        "constant": ConstantChannel(5.0, 1.0, 1.0),
+    }
+    LINEAR_GRID = {
+        "modulated": MODULATED,
+        "tabulated": CoefficientModel(q=_TABLE, m=constant(1)),
+        "sum with modulated": CoefficientModel(q=_sum(power(1, 1), _WAVE),
+                                               m=constant(1)),
+        "sum with tabulated": CoefficientModel(q=_sum(power(1, 1), _TABLE),
+                                               m=constant(1)),
+        "duck-typed": CoefficientModel(q=Duck(power(1, 1)), m=constant(1)),
+        "modulated channel": ChannelSystem(MODULATED, 1, 0.5),
+        "duck-typed channel": SimpleNamespace(
+            coeffs=ChannelSystem(LINEAR, 1, 0.5).coeffs),
+    }
+
+    @staticmethod
+    def grids(monkeypatch, source):
+        """The window grids of every check of `source`, the trichotomy
+        probe of a model included."""
+        grids = []
+
+        def recording(fn, a, b, **kwargs):
+            r, s = sample_window(fn, a, b, **kwargs)
+            grids.append(r)
+            return r, s
+
+        monkeypatch.setattr(hypotheses, "sample_window", recording)
+        monkeypatch.setattr(bvcalc, "sample_window", recording)
+        if isinstance(source, CoefficientModel):
+            check_hypotheses(source, [1, -2], [-1.0, 0.5])
+            lambda_trichotomy_probe(source, [-1.0, 0.5])
+            assert len(grids) == 4 + 3 + 3
+        else:
+            check_c_conditions(source)
+            assert len(grids) == 4 + 3
+        return grids
+
+    @pytest.mark.parametrize("name", SCALE_FREE)
+    def test_scale_free_sources_read_geometric_grids(self, name,
+                                                     monkeypatch):
+        for r in self.grids(monkeypatch, self.SCALE_FREE[name]):
+            assert np.array_equal(r, np.geomspace(r[0], r[-1], 2048))
+
+    @pytest.mark.parametrize("name", LINEAR_GRID)
+    def test_other_sources_keep_the_linear_grid(self, name, monkeypatch):
+        grids = self.grids(monkeypatch, self.LINEAR_GRID[name])
+        for r in grids:
+            assert np.array_equal(r, np.linspace(r[0], r[-1], r.size))
+        assert np.array_equal(grids[-1],
+                              np.linspace(2500.0, 25000.0, 180_000))
+
+    @staticmethod
+    def random_function(rng, family):
+        c = float(rng.uniform(0.5, 2.0))
+        if family == "power":
+            return power(c, float(rng.uniform(0.0, 1.5)))
+        if family == "log":
+            return coefficient("log", c=c)
+        if family == "exp":
+            return coefficient("exp", c=c, a=float(rng.uniform(1e-4, 1e-3)))
+        return _sum(power(c, float(rng.uniform(0.5, 1.5))),
+                    coefficient("log", c=float(rng.uniform(0.5, 2.0))))
+
+    @staticmethod
+    def assert_close(geometric, linear, where):
+        if isinstance(geometric, dict):
+            assert list(geometric) == list(linear), where
+            for key in geometric:
+                TestWindowGrids.assert_close(geometric[key], linear[key],
+                                             f"{where}.{key}")
+        elif isinstance(geometric, list):
+            assert len(geometric) == len(linear), where
+            for i, (g, x) in enumerate(zip(geometric, linear)):
+                TestWindowGrids.assert_close(g, x, f"{where}[{i}]")
+        elif isinstance(geometric, float):
+            assert geometric == pytest.approx(linear, rel=1e-4, abs=0.0), \
+                where
+        else:
+            assert geometric == linear, where
+
+    @pytest.mark.parametrize("q_family", ["power", "log", "exp", "sum"])
+    def test_geometric_grid_agrees_with_the_linear_one(self, q_family):
+        # q of each scale-free family, m drawn from all of them or equal to
+        # q: every verdict, note and window list is the linear grid's, and
+        # every evidence number is within 1e-4 of it
+        rng = np.random.default_rng(["power", "log", "exp",
+                                     "sum"].index(q_family) + 33)
+        for m_family in ("power", "log", "exp", "sum", "equal"):
+            q = self.random_function(rng, q_family)
+            m = q if m_family == "equal" else self.random_function(
+                rng, m_family)
+            model = CoefficientModel(q=q, m=m)
+            ks, lams = [1, -2], sorted(rng.uniform(-2.0, 2.0, 3).tolist())
+            reports, channels = check_hypotheses(model, ks, lams)
+            expect, expect_channels = check_hypotheses(duck(model), ks, lams)
+            where = f"q {q.to_dict()}, m {m.to_dict()}"
+            self.assert_close([r.to_dict() for r in reports],
+                              [r.to_dict() for r in expect], where)
+            assert list(channels) == list(expect_channels)
+            for cell, creps in channels.items():
+                self.assert_close([r.to_dict() for r in creps],
+                                  [r.to_dict() for r in
+                                   expect_channels[cell]], f"{where} {cell}")

@@ -28,6 +28,7 @@ from diracspec.solver import (
 )
 from diracspec.subordinacy import (
     TransformedChannel,
+    _probe_q,
     _shoot_range,
     _turning_radius,
     census_from_phase,
@@ -216,8 +217,9 @@ def dop853_norms(channel, U0, nodes, rtol):
 def eigen_side_data(k, lam):
     """(u_dec, generic, r_far): the direction decaying toward r_far carried
     back to r = 1, its normal, and r_far."""
-    r_star = _turning_radius(EQUAL, lam)
-    r_far = _shoot_range(EQUAL, k, lam, max(r_star, 1.5), 15.0)
+    q = _probe_q(EQUAL)
+    r_star = _turning_radius(q, lam)
+    r_far = _shoot_range(q, k, lam, max(r_star, 1.5), 15.0)
     ch = assemble_channel(EQUAL, k, lam)
     u_dec = propagate(ch, decaying_direction(EQUAL, k, lam, r_far),
                       r_far, 1.0, rtol=1e-11)
@@ -371,13 +373,13 @@ class TestEigenShoot:
         model = CoefficientModel(q=power(c, 1), m=power(c, 1))
         lams = np.linspace(0.05, 5.0, 100)
         exact = lams / (2.0 * c)
-        err = np.abs(_turning_radius(model, lams) - exact) / exact
+        err = np.abs(_turning_radius(_probe_q(model), lams) - exact) / exact
         assert np.max(err) <= 1e-12
 
     def test_turning_radius_on_nonlinear_q(self):
         model = CoefficientModel(q=power(1, 1.5), m=power(1, 1.5))
         lams = np.linspace(0.05, 5.0, 25)
-        got = _turning_radius(model, lams)
+        got = _turning_radius(_probe_q(model), lams)
         for lam, r in zip(lams.tolist(), got.tolist()):
             ref = brentq(lambda x: model.q.value(x) - lam / 2.0, 1e-6, 1e3,
                          xtol=1e-14, rtol=1e-14)
@@ -391,8 +393,9 @@ class TestEigenShoot:
         # the far radius
         model = CoefficientModel(q=power(c, 1), m=power(c, 1))
         lams = np.linspace(0.05, 5.0, 12)
-        start = np.maximum(_turning_radius(model, lams), floor)
-        far = _shoot_range(model, k, lams, start, budget)
+        q = _probe_q(model)
+        start = np.maximum(_turning_radius(q, lams), floor)
+        far = _shoot_range(q, k, lams, start, budget)
         for lam, a, b in zip(lams.tolist(), start.tolist(), far.tolist()):
             def rate(r):
                 S = 2.0 * lam * c * r - lam ** 2 + (k / r) ** 2
@@ -404,28 +407,30 @@ class TestEigenShoot:
 
     def test_batched_radii_equal_one_lambda_calls(self):
         lams = np.linspace(0.05, 5.0, 40)
-        r_star = _turning_radius(EQUAL, lams)
-        r_far = _shoot_range(EQUAL, 1, lams, np.maximum(r_star, 0.004), 27.0)
+        q = _probe_q(EQUAL)
+        r_star = _turning_radius(q, lams)
+        r_far = _shoot_range(q, 1, lams, np.maximum(r_star, 0.004), 27.0)
         for lam, rs, rf in zip(lams.tolist(), r_star, r_far):
-            one = _turning_radius(EQUAL, lam)
+            one = _turning_radius(q, lam)
             assert one == rs
-            assert _shoot_range(EQUAL, 1, lam, max(one, 0.004), 27.0) == rf
+            assert _shoot_range(q, 1, lam, max(one, 0.004), 27.0) == rf
 
     def test_overflowing_q_reads_inf_far_out(self):
         # e^r overflows on the probe past r = 709 without a warning, and the
         # radii read off the probe's finite part
         exp = coefficient("exp", c=1, a=1)
         model = CoefficientModel(q=exp, m=exp)
-        r_star = _turning_radius(model, 4.0)
+        q = _probe_q(model)
+        r_star = _turning_radius(q, 4.0)
         assert r_star == pytest.approx(math.log(2.0), rel=1e-3)
-        assert r_star < _shoot_range(model, 1, 4.0, r_star, 15.0) < 10.0
+        assert r_star < _shoot_range(q, 1, 4.0, r_star, 15.0) < 10.0
 
     def test_no_turning_radius_on_the_probe(self):
         # log1p(r) stays below 50 up to r = 1e9, the last probe radius
         log = coefficient("log", c=1)
         with pytest.raises(PreconditionError,
                            match="no turning radius found"):
-            _turning_radius(CoefficientModel(q=log, m=log), 100.0)
+            _turning_radius(_probe_q(CoefficientModel(q=log, m=log)), 100.0)
 
     def test_bracket_nonempty_and_stable(self):
         eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))

@@ -4,6 +4,12 @@ Variation on a finite grid is a lower bound of the true variation and is
 nondecreasing under grid refinement; every asymptotic statement about
 membership in BV(.,inf) is therefore turned into a windowed, trend-based
 diagnostic over a geometric ladder of tail windows.
+
+The lemma checkers (`SampledFunction`, `variation`, `jordan_decompose`,
+`check_product_bound`, `check_quotient_bounds`) take one sampled function
+or a stack of them: the last axis is the grid, every reduction runs along
+it, and a result holds a Python scalar for one function and one value per
+row for a stack, each row equal to the call on that row alone.
 """
 
 from __future__ import annotations
@@ -41,35 +47,53 @@ TREND_FLAT = "flat"
 TREND_INCONCLUSIVE = "inconclusive"
 
 
+def _rows(x):
+    """A checker's result: a Python scalar for one sampled function (a 0-d
+    array), the array of one value per row for a stack."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function samples on a strictly increasing grid, optionally with
-    derivative samples on the same grid."""
+    """Finite function samples on a strictly increasing grid, optionally
+    with derivative samples on the same grid.
+
+    A stack: the last axis is the grid, and values (and derivatives) have
+    the grid's shape.  The arrays are stored C-contiguous, so each row
+    reduces in the order of its 1-D call.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     deriv: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = np.ascontiguousarray(self.grid, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be one-dimensional with length >= 2")
+        if grid.ndim < 1 or grid.shape[-1] < 2:
+            raise ValueError("grid needs at least 2 points along its last "
+                             "axis")
         if values.shape != grid.shape:
             raise ValueError("values must match the grid shape")
-        if not np.all(np.diff(grid) > 0.0):
+        if not np.all(np.diff(grid, axis=-1) > 0.0):
             raise ValueError("grid must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if self.deriv is not None:
-            deriv = np.asarray(self.deriv, dtype=float)
+            deriv = np.ascontiguousarray(self.deriv, dtype=float)
             if deriv.shape != grid.shape:
                 raise ValueError("derivative samples must match the grid shape")
+            if not np.all(np.isfinite(deriv)):
+                raise ValueError("derivative samples must be finite")
             object.__setattr__(self, "deriv", deriv)
 
 
-def variation(f: SampledFunction) -> float:
-    """Partition sum of |increments| over the sample grid."""
+def variation(f: SampledFunction):
+    """Partition sum of |increments| over the sample grid (a stack: one
+    sum per row)."""
     return window_variation(f.values)
 
 
@@ -83,20 +107,22 @@ def cumulative_variation(values: np.ndarray) -> np.ndarray:
 
 
 def jordan_decompose(f: SampledFunction):
-    """Split f into nondecreasing parts g_plus - g_minus.
+    """Split f into nondecreasing parts g_plus - g_minus (a stack: row by
+    row).
 
     Canonical choice: running positive/negative variation anchored at
     g_plus(a) = f(a), g_minus(a) = 0, which makes the output deterministic
     and the telescoped sum equal to the grid variation.
     """
-    d = np.diff(f.values)
-    g_plus = np.empty_like(f.values)
-    g_minus = np.empty_like(f.values)
-    g_plus[0] = f.values[0]
-    g_minus[0] = 0.0
-    np.cumsum(np.maximum(d, 0.0), out=g_plus[1:])
-    g_plus[1:] += f.values[0]
-    np.cumsum(np.maximum(-d, 0.0), out=g_minus[1:])
+    v = f.values
+    d = np.diff(v, axis=-1)
+    g_plus = np.empty_like(v)
+    g_minus = np.empty_like(v)
+    g_plus[..., 0] = v[..., 0]
+    g_minus[..., 0] = 0.0
+    np.cumsum(np.maximum(d, 0.0), axis=-1, out=g_plus[..., 1:])
+    g_plus[..., 1:] += v[..., :1]
+    np.cumsum(np.maximum(-d, 0.0), axis=-1, out=g_minus[..., 1:])
     return (SampledFunction(f.grid, g_plus), SampledFunction(f.grid, g_minus))
 
 
@@ -180,20 +206,23 @@ def sample_window(fn: Callable, a: float, b: float, *,
     return grid, fn(grid)
 
 
-def window_variation(values, out=None) -> float:
-    """Grid variation of one window's samples.
+def window_variation(values, out=None):
+    """Grid variation of one window's samples (a stack: the last axis is
+    the grid, one variation per row).
 
-    `out`, an array of len(values) - 1 floats, takes the increments in place
-    of a fresh array; the sum is the same to the last bit either way.
+    `out`, an array of the increments' shape, takes them in place of a
+    fresh array; the sum is the same to the last bit either way.
     """
-    inc = np.subtract(values[1:], values[:-1], out=out)
-    return float(np.sum(np.abs(inc, out=inc)))
+    inc = np.subtract(values[..., 1:], values[..., :-1], out=out)
+    return _rows(np.sum(np.abs(inc, out=inc), axis=-1))
 
 
 def trapezoid(y, x):
     """Composite trapezoid integral of samples y on the grid x, in the
-    operation order of scipy.integrate.trapezoid."""
-    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    operation order of scipy.integrate.trapezoid (a stack: the last axis is
+    the grid)."""
+    return np.sum(np.diff(x, axis=-1) * (y[..., 1:] + y[..., :-1]) / 2.0,
+                  axis=-1)
 
 
 def window_integral(grid, values) -> float:
@@ -207,6 +236,9 @@ def window_integral(grid, values) -> float:
 
 @dataclass(frozen=True)
 class ProductBoundResult:
+    """The product bound on one sampled pair (Python scalars) or on a stack
+    (one value per row)."""
+
     lhs: float
     rhs: float
     sup_f: float
@@ -217,7 +249,8 @@ class ProductBoundResult:
 
 def check_product_bound(f: SampledFunction,
                         g: SampledFunction) -> ProductBoundResult:
-    """Verify Var(fg) <= int |f' g| + sup|f| * Var(g) on a common grid.
+    """Verify Var(fg) <= int |f' g| + sup|f| * Var(g) on a common grid (a
+    stack: the last axis is the grid, row by row).
 
     The integral is composite trapezoid; the allowance is 1e-6 of the
     right-hand side plus a Richardson error estimate on a half-resolution
@@ -231,21 +264,25 @@ def check_product_bound(f: SampledFunction,
     grid = f.grid
     lhs = window_variation(f.values * g.values)
     integrand = np.abs(f.deriv * g.values)
-    integral = float(trapezoid(integrand, grid))
-    integral_coarse = float(trapezoid(integrand[::2], grid[::2]))
-    sup_f = float(np.max(np.abs(f.values)))
+    integral = trapezoid(integrand, grid)
+    integral_coarse = trapezoid(integrand[..., ::2], grid[..., ::2])
+    sup_f = np.max(np.abs(f.values), axis=-1)
     var_g = window_variation(g.values)
     rhs = integral + sup_f * var_g
-    h_max = float(np.max(np.diff(grid)))
-    mesh_term = float(np.max(np.abs(f.deriv))) * h_max * var_g
-    allowance = 1e-6 * rhs + abs(integral - integral_coarse) + mesh_term
-    return ProductBoundResult(lhs=lhs, rhs=rhs, sup_f=sup_f, var_g=var_g,
-                              allowance=allowance,
-                              holds=bool(lhs <= rhs + allowance))
+    h_max = np.max(np.diff(grid, axis=-1), axis=-1)
+    mesh_term = np.max(np.abs(f.deriv), axis=-1) * h_max * var_g
+    allowance = 1e-6 * rhs + np.abs(integral - integral_coarse) + mesh_term
+    return ProductBoundResult(lhs=lhs, rhs=_rows(rhs), sup_f=_rows(sup_f),
+                              var_g=var_g, allowance=_rows(allowance),
+                              holds=_rows(lhs <= rhs + allowance))
 
 
 @dataclass(frozen=True)
 class QuotientBoundResult:
+    """The two-sided quotient bound on one sampled pair (Python scalars) or
+    on a stack (one value per row); a row whose precondition fails has
+    var_f_over_g_minus_f nan and verdicts None."""
+
     eps: float
     var_fg: float
     var_f_over_g_minus_f: float
@@ -255,16 +292,17 @@ class QuotientBoundResult:
 
     @property
     def holds(self) -> Optional[bool]:
-        if not self.precondition_met:
-            return None
-        return self.lower_holds and self.upper_holds
+        both = np.logical_and(np.equal(self.lower_holds, True),
+                              np.equal(self.upper_holds, True))
+        return _rows(np.where(self.precondition_met, both, None))
 
 
 def check_quotient_bounds(f: SampledFunction,
                           g: SampledFunction) -> QuotientBoundResult:
     """Verify the two-sided bound
     (1-eps)^2 Var(f/(g-f)) <= Var(f/g) <= (1+eps)^2 Var(f/(g-f))
-    with eps = sup |f|/g, on the common grid.
+    with eps = sup |f|/g, on the common grid (a stack: the last axis is the
+    grid, row by row).
 
     This inequality holds partition-wise, so no quadrature allowance is
     needed; a slack of 1e-9 (1 + both variations) only absorbs
@@ -272,23 +310,26 @@ def check_quotient_bounds(f: SampledFunction,
     """
     if not np.array_equal(f.grid, g.grid):
         raise ValueError("f and g must share a common grid")
-    if np.any(g.values <= 0.0):
+    if not np.all(g.values > 0.0):
         raise ValueError("g must be strictly positive on the grid")
-    eps = float(np.max(np.abs(f.values) / g.values))
+    eps = np.max(np.abs(f.values) / g.values, axis=-1)
     var_fg = window_variation(f.values / g.values)
-    if eps >= 1.0:
-        return QuotientBoundResult(eps=eps, var_fg=var_fg,
-                                   var_f_over_g_minus_f=float("nan"),
-                                   lower_holds=None, upper_holds=None,
-                                   precondition_met=False)
-    var_q = window_variation(f.values / (g.values - f.values))
+    met = eps < 1.0
+    # a row with eps >= 1 may divide by g - f = 0; its results are masked
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        var_q = np.where(met, window_variation(f.values
+                                               / (g.values - f.values)),
+                         np.nan)
     slack = 1e-9 * (1.0 + var_fg + var_q)
-    lower = (1.0 - eps) ** 2 * var_q <= var_fg + slack
-    upper = var_fg <= (1.0 + eps) ** 2 * var_q + slack
-    return QuotientBoundResult(eps=eps, var_fg=var_fg,
-                               var_f_over_g_minus_f=var_q,
-                               lower_holds=bool(lower), upper_holds=bool(upper),
-                               precondition_met=True)
+    # np.square is x * x for a function and a stack alike; ** 2 is C pow on
+    # a float but x * x on an array, which may differ in the last bit
+    lower = np.square(1.0 - eps) * var_q <= var_fg + slack
+    upper = var_fg <= np.square(1.0 + eps) * var_q + slack
+    return QuotientBoundResult(eps=_rows(eps), var_fg=var_fg,
+                               var_f_over_g_minus_f=_rows(var_q),
+                               lower_holds=_rows(np.where(met, lower, None)),
+                               upper_holds=_rows(np.where(met, upper, None)),
+                               precondition_met=_rows(met))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from diracspec.bvcalc import (
     variation,
     window_variation,
 )
+from diracspec.cli import _bv_instances
 from diracspec.coefficients import (
     CoefficientFunction,
     CoefficientModel,
@@ -66,6 +67,19 @@ class TestVariation:
             SampledFunction(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             SampledFunction(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        grid = np.arange(5.0)
+        samples = np.array([2.0, 2.0, bad, 2.0, 2.0])
+        with pytest.raises(ValueError, match="values must be finite"):
+            SampledFunction(grid, samples)
+        with pytest.raises(ValueError, match="derivative samples must be"):
+            SampledFunction(grid, np.ones(5), deriv=samples)
+        # a stack is refused for one bad sample in any row
+        with pytest.raises(ValueError, match="values must be finite"):
+            SampledFunction(np.stack([grid, grid]),
+                            np.stack([np.ones(5), samples]))
 
 
 class TestJordan:
@@ -171,6 +185,15 @@ class TestQuotientBounds:
         assert 8.0 / 9.0 <= res.var_f_over_g_minus_f <= 8.0
         assert res.var_f_over_g_minus_f == pytest.approx(8.0 / 3.0, abs=1e-7)
         assert res.holds
+
+    def test_nan_denominator_is_refused_not_a_counterexample(self):
+        # NaN passes a test of g <= 0; it must be refused, not read as a
+        # failed bound
+        grid = np.arange(5.0)
+        with pytest.raises(ValueError):
+            check_quotient_bounds(
+                SampledFunction(grid, np.full(5, 0.5)),
+                SampledFunction(grid, np.array([2.0, 2.0, np.nan, 2.0, 2.0])))
 
     def test_precondition_violation_reported(self):
         g = np.linspace(0, 1, 50)
@@ -332,3 +355,75 @@ class TestTailTrend:
         assert cum[0] == 0.0
         assert cum[-1] == pytest.approx(
             variation(SampledFunction(np.arange(100.0), vals)), rel=1e-12)
+
+
+def instance_block(seed, count):
+    """`count` seeded bv-verify instances, one row each."""
+    return _bv_instances(np.random.default_rng(seed), count)
+
+
+class TestStacks:
+    """A stack of sampled functions (the last axis is the grid) gives, row
+    by row, what each row gives alone."""
+
+    @staticmethod
+    def close(stacked, alone):
+        assert stacked == pytest.approx(alone, rel=1e-12, abs=0.0, nan_ok=True)
+
+    @pytest.mark.parametrize("seed, count", [(0, 16), (5, 7), (9, 1)])
+    def test_product_rows(self, seed, count):
+        grid, fv, fd, gv, _, _ = instance_block(seed, count)
+        res = check_product_bound(SampledFunction(grid, fv, deriv=fd),
+                                  SampledFunction(grid, gv))
+        assert res.holds.shape == (count,)
+        for i in range(count):
+            one = check_product_bound(SampledFunction(grid[i], fv[i],
+                                                      deriv=fd[i]),
+                                      SampledFunction(grid[i], gv[i]))
+            assert res.holds[i] == one.holds
+            for name in ("lhs", "rhs", "sup_f", "var_g"):
+                self.close(getattr(res, name)[i], getattr(one, name))
+            # a Richardson difference of near-equal integrals
+            assert abs(res.allowance[i] - one.allowance) <= \
+                1e-12 * (one.rhs + one.allowance)
+
+    @pytest.mark.parametrize("seed, count", [(1, 16), (6, 5)])
+    def test_quotient_rows(self, seed, count):
+        grid, _, _, _, gpos, f2 = instance_block(seed, count)
+        # every other row past the precondition: sup |f| / g = 1.5
+        f2 = np.where(np.arange(count)[:, None] % 2 == 1,
+                      1.5 * gpos, f2)
+        res = check_quotient_bounds(SampledFunction(grid, f2),
+                                    SampledFunction(grid, gpos))
+        assert list(res.precondition_met) == [i % 2 == 0
+                                              for i in range(count)]
+        for i in range(count):
+            one = check_quotient_bounds(SampledFunction(grid[i], f2[i]),
+                                        SampledFunction(grid[i], gpos[i]))
+            for name in ("precondition_met", "lower_holds", "upper_holds",
+                         "holds"):
+                assert getattr(res, name)[i] == getattr(one, name)
+            for name in ("eps", "var_fg", "var_f_over_g_minus_f"):
+                self.close(getattr(res, name)[i], getattr(one, name))
+
+    def test_jordan_and_variation_rows(self):
+        grid, fv, _, gv, _, _ = instance_block(2, 8)
+        stack = SampledFunction(grid[:, ::30], fv[:, ::30] + gv[:, ::30])
+        gp, gm = jordan_decompose(stack)
+        total = variation(stack)
+        for i in range(8):
+            row = SampledFunction(grid[i, ::30], fv[i, ::30] + gv[i, ::30])
+            gp1, gm1 = jordan_decompose(row)
+            assert np.array_equal(gp.values[i], gp1.values)
+            assert np.array_equal(gm.values[i], gm1.values)
+            self.close(total[i], variation(row))
+
+    def test_any_leading_shape(self):
+        grid = np.broadcast_to(np.linspace(0.0, 1.0, 101), (2, 3, 101))
+        values = np.sin(np.arange(1.0, 7.0).reshape(2, 3, 1) * 7.0 * grid)
+        f = SampledFunction(grid, values, deriv=np.zeros_like(values))
+        res = check_product_bound(f, SampledFunction(grid, np.ones_like(grid)))
+        assert res.lhs.shape == res.holds.shape == (2, 3)
+        assert variation(f).shape == (2, 3)
+        assert res.lhs[1, 2] == variation(SampledFunction(grid[1, 2],
+                                                          values[1, 2]))

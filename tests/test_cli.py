@@ -1,16 +1,30 @@
+import dataclasses
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diracspec
-from diracspec.bvcalc import EXTREME_LADDER, TAIL_LADDER, trapezoid
+import diracspec.cli as cli
+from diracspec.bvcalc import (
+    EXTREME_LADDER,
+    TAIL_LADDER,
+    SampledFunction,
+    check_product_bound,
+    check_quotient_bounds,
+    jordan_decompose,
+    lambda_trichotomy_probe,
+    trapezoid,
+    variation,
+)
 from diracspec.cli import (
     ConfigError,
     cmd_hypotheses,
@@ -58,6 +72,66 @@ SUM_TABULATED_MODEL = {
                     "values": [0.05, 0.2, 0.8, 3.2]}}]}},
     "m": LINEAR_MODEL["m"],
 }
+
+
+def bv_instance(rng):
+    """One bv-verify instance from 13 scalar draws: the recipe that each row
+    of `cli._bv_instances` reproduces."""
+    grid = np.linspace(0.0, float(rng.uniform(4.0, 10.0)), 3001)
+    a, b, w = rng.uniform(-2, 2, 3)
+    c = rng.uniform(0.2, 3.0)
+    fv = a + b * np.sin(w * grid) / (1 + c * grid)
+    fd = (b * w * np.cos(w * grid) / (1 + c * grid)
+          - b * c * np.sin(w * grid) / (1 + c * grid) ** 2)
+    gv = rng.uniform(-2, 2) * np.cos(rng.uniform(0.1, 3) * grid) \
+        + rng.uniform(-1, 1)
+    gpos = 1.5 + 0.4 * np.sin(rng.uniform(0.1, 4) * grid) + rng.uniform(0, 2)
+    raw = np.sin(rng.uniform(0.1, 5) * grid + rng.uniform(0, 7))
+    eps = rng.uniform(0.1, 0.8)
+    f2 = raw * eps * float(np.min(gpos)) / float(np.max(np.abs(raw)))
+    return grid, fv, fd, gv, gpos, f2
+
+
+def bv_verify_one_at_a_time(cfg, out, assert_mode):
+    """bv-verify checking one instance per loop pass, the reference for the
+    block-wise command."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.bv["instances"]
+    product_fail, quotient_fail, jordan_fail = [], [], []
+    for i in range(n):
+        grid, fv, fd, gv, gpos, f2 = bv_instance(rng)
+        res = check_product_bound(SampledFunction(grid, fv, deriv=fd),
+                                  SampledFunction(grid, gv))
+        if not res.holds:
+            product_fail.append(i)
+        qres = check_quotient_bounds(SampledFunction(grid, f2),
+                                     SampledFunction(grid, gpos))
+        if not (qres.precondition_met and qres.holds):
+            quotient_fail.append(i)
+        samples = SampledFunction(grid[::30], fv[::30] + gv[::30])
+        gp, gm = jordan_decompose(samples)
+        scale = 1.0 + float(np.max(np.abs(samples.values)))
+        recomp = float(np.max(np.abs(gp.values - gm.values - samples.values)))
+        tele = gp.values[-1] + gm.values[-1] - gp.values[0] - gm.values[0]
+        ok = (np.all(np.diff(gp.values) >= 0)
+              and np.all(np.diff(gm.values) >= 0)
+              and recomp <= 1e-12 * scale
+              and abs(tele - variation(samples)) <= 1e-12 * (1 + tele))
+        if not ok:
+            jordan_fail.append(i)
+    doc = {"kind": "bv_verify", "instances": n, "seed": cfg.seed,
+           "product_bound_failures": product_fail,
+           "quotient_bound_failures": quotient_fail,
+           "jordan_failures": jordan_fail}
+    if cfg.model is not None and cfg.lambda_grid:
+        probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid,
+                                        cfg.tail_ladder)
+        doc["trichotomy"] = asdict(probe)
+        cli._say(f"trichotomy pattern: {probe.pattern}")
+    cli._write_json(out / "bv_report.json", doc)
+    failures = len(product_fail) + len(quotient_fail) + len(jordan_fail)
+    cli._say(f"bv-verify: {n} instances, {failures} failures")
+    return cli.EXIT_FINDINGS if (assert_mode and failures) else cli.EXIT_OK
 
 
 class TestConfig:
@@ -828,6 +902,96 @@ class TestOtherCommands:
         assert doc["product_bound_failures"] == []
         assert doc["quotient_bound_failures"] == []
         assert doc["jordan_failures"] == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bv_verify_blocks_match_one_at_a_time(self, tmp_path, monkeypatch,
+                                                  capsys, seed):
+        for n in (1, 17, 300):
+            cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                          "lambda_grid": [0.0],
+                                          "bv": {"instances": n}},
+                               name=f"bv{n}.json")
+            args = ["bv-verify", "--config", cfg, "--seed", seed, "--assert"]
+            assert run(args + ["--out", tmp_path / f"block{n}"]) == 0
+            stdout = capsys.readouterr().out
+            with monkeypatch.context() as m:
+                m.setitem(cli._COMMANDS, "bv-verify", bv_verify_one_at_a_time)
+                assert run(args + ["--out", tmp_path / f"loop{n}"]) == 0
+            assert capsys.readouterr().out == stdout
+            assert (tmp_path / f"block{n}" / "bv_report.json").read_bytes() \
+                == (tmp_path / f"loop{n}" / "bv_report.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bv_instance_rows_are_the_recipe(self, seed):
+        blocks, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in (cli._BV_BLOCK, 7, 1):
+            block = cli._bv_instances(blocks, count)
+            for i in range(count):
+                for stacked, alone in zip(block, bv_instance(loop)):
+                    assert np.array_equal(stacked[i], alone)
+
+    def test_bv_verify_lists_failing_rows(self, tmp_path, monkeypatch):
+        # failing rows in the second, partial block: a product pair whose
+        # derivative is wrong, a quotient pair with eps >= 1, and a quotient
+        # pair whose bound fails
+        size = cli._BV_BLOCK
+        bad_product, bad_eps, bad_bound = size + 1, size + 3, size + 6
+        instances, quotient = cli._bv_instances, cli.check_quotient_bounds
+
+        def doctored_instances(rng, count):
+            grid, fv, fd, gv, gpos, f2 = instances(rng, count)
+            if count < size:
+                # f = sin 3r with f' = 0 and g = 1: Var(fg) > 0 = rhs
+                i = bad_product - size
+                fv[i], fd[i], gv[i] = np.sin(3.0 * grid[i]), 0.0, 1.0
+                f2[bad_eps - size] = 2.0 * gpos[bad_eps - size]
+            return grid, fv, fd, gv, gpos, f2
+
+        def violated_quotient(f, g):
+            # the two-sided bound holds partition-wise on every valid input,
+            # so the violated row is made by flipping its upper verdict
+            res = quotient(f, g)
+            if res.eps.size < size:
+                upper = res.upper_holds.copy()
+                upper[bad_bound - size] = False
+                res = dataclasses.replace(res, upper_holds=upper)
+            return res
+
+        written, write_json = {}, cli._write_json
+
+        def kept_write_json(path, obj):
+            written[path.name] = obj
+            write_json(path, obj)
+
+        monkeypatch.setattr(cli, "_bv_instances", doctored_instances)
+        monkeypatch.setattr(cli, "check_quotient_bounds", violated_quotient)
+        monkeypatch.setattr(cli, "_write_json", kept_write_json)
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                      "bv": {"instances": size + 7}})
+        assert run(["bv-verify", "--config", cfg, "--out", tmp_path / "o",
+                    "--assert"]) == 1
+        doc = written["bv_report.json"]
+        assert doc["product_bound_failures"] == [bad_product]
+        assert doc["quotient_bound_failures"] == [bad_eps, bad_bound]
+        assert doc["jordan_failures"] == []
+        assert all(type(i) is int for i in doc["product_bound_failures"]
+                   + doc["quotient_bound_failures"])
+
+    def test_bv_verify_memory_does_not_grow_with_instances(self, tmp_path):
+        peaks = []
+        for n in (1, 200, 2000):
+            cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                          "bv": {"instances": n}},
+                               name=f"bv{n}.json")
+            tracemalloc.start()
+            try:
+                assert run(["bv-verify", "--config", cfg,
+                            "--out", tmp_path / f"o{n}"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the run at 1 instance takes the first-call allocations
+        assert peaks[2] <= 1.25 * peaks[1]
 
     def test_subordinacy_assert_counts_positive_lambda(self, tmp_path,
                                                       monkeypatch):

@@ -10,6 +10,10 @@ The lemma checkers (`SampledFunction`, `variation`, `jordan_decompose`,
 or a stack of them: the last axis is the grid, every reduction runs along
 it, and a result holds a Python scalar for one function and one value per
 row for a stack, each row equal to the call on that row alone.
+
+The window primitives and the trichotomy probe's window reduction and
+classes serve the one ladder pass of `hypotheses`, which samples the
+windows; this module evaluates no coefficient.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from .coefficients import CoefficientModel, scale_free
 
 __all__ = [
     "SampledFunction",
@@ -38,7 +40,6 @@ __all__ = [
     "check_quotient_bounds",
     "trichotomy_window",
     "classify_trichotomy",
-    "lambda_trichotomy_probe",
 ]
 
 TREND_CONVERGED = "converged"
@@ -333,7 +334,7 @@ def check_quotient_bounds(f: SampledFunction,
 
 
 # ---------------------------------------------------------------------------
-# the lambda trichotomy probe
+# the lambda trichotomy probe: its window reduction and its classes
 
 
 @dataclass(frozen=True)
@@ -401,26 +402,3 @@ def classify_trichotomy(lambdas: Sequence[float], windows,
         pattern = "inconsistent"
     return TrichotomyProbe(entries=entries, pattern=pattern,
                            consistent=pattern != "inconsistent")
-
-
-def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
-                            tail_ladder: WindowLadder = TAIL_LADDER
-                            ) -> TrichotomyProbe:
-    """Windowed tail variation of m/(q - lambda) for each probe lambda on
-    the windows of `tail_ladder`.
-
-    One (q, m) sample per window serves every lambda (`trichotomy_window`),
-    on the grid `sample_window` picks for the model; the rungs are then
-    classified (`classify_trichotomy`).
-    """
-    windows = tail_ladder.windows()
-    lambdas = [float(lam) for lam in lambdas]
-    variations = [[] for _ in lambdas]
-    geometric = scale_free(model)
-    with np.errstate(all="ignore"):
-        for a, b in windows:
-            r, (q, m) = sample_window(
-                lambda r: (model.q.value(r), model.m.value(r)), a, b,
-                geometric=geometric)
-            variations = trichotomy_window(q, m, lambdas, variations)
-    return classify_trichotomy(lambdas, windows, variations)

@@ -50,7 +50,6 @@ from .bvcalc import (
     check_product_bound,
     check_quotient_bounds,
     jordan_decompose,
-    lambda_trichotomy_probe,
     variation,
 )
 from .coefficients import (
@@ -62,9 +61,12 @@ from .coefficients import (
     require_equal,
 )
 from .hypotheses import (
+    SATISFIED,
     VIOLATED,
     check_c_conditions,
     check_hypotheses,
+    check_scan,
+    lambda_trichotomy_probe,
     worst_verdict,
 )
 from .solver import (
@@ -83,7 +85,6 @@ from .subordinacy import (
     eigen_shoot,
     eigen_steps,
     ratio_range,
-    spectrum_hypotheses,
     subordinacy_ratio,
     summarize_cells,
 )
@@ -170,13 +171,29 @@ def _defaults(fn, **keys) -> dict:
     return {key: params[name].default for key, name in keys.items()}
 
 
-def load_config(path) -> RunConfig:
+def _read_text(path: Path, what: str) -> str:
+    # a missing, unreadable or non-UTF-8 input (say a directory) is refused
     try:
-        raw = json.loads(Path(path).read_text())
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}")
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{what} unreadable: {path}: "
+                          f"{getattr(err, 'strerror', None) or err}") from None
+
+
+def _make_dir(path: Path):
+    # an --out that cannot be a directory (say a file) is refused
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out: cannot make the directory {path}: "
+                          f"{err.strerror or err}") from None
+
+
+def load_config(path) -> RunConfig:
+    raw = _checked("config is not valid JSON", json.loads,
+                   _read_text(Path(path), "config file"))
     _check_keys(raw, {f.name for f in fields(RunConfig)}, "config")
 
     model = None
@@ -488,11 +505,18 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.model is not None, "scan needs a 'model'")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
-    ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
-    doc = spectrum_hypotheses(cfg.model, cfg.lambda_grid, **ladders)
+    # the model and every cell read in one pass, whatever the chunks
+    hyp, c_reports = check_scan(cfg.model, cfg.k_set, cfg.lambda_grid,
+                                extreme_ladder=cfg.ladder,
+                                tail_ladder=cfg.tail_ladder)
+    doc = {"kind": "scan", "model": cfg.model.to_dict(),
+           "equal_coefficients": c_reports is None,
+           "hypotheses": [h.to_dict() for h in hyp],
+           "heuristic": worst_verdict(hyp) != SATISFIED}
     chunk = partial(classify_cells, cfg.model, lambda_grid=cfg.lambda_grid,
-                    solver=cfg.solver, subordinacy=cfg.subordinacy, **ladders)
-    # one chunk of whole |k| pairs per worker, each checked in one C pass
+                    solver=cfg.solver, subordinacy=cfg.subordinacy,
+                    c_reports=c_reports)
+    # one chunk of whole |k| pairs per worker, each classifying its cells
     sizes = sorted({abs(k) for k in cfg.k_set})
     workers = min(cfg.workers, len(sizes))
     k_sets = [[k for k in cfg.k_set if abs(k) in sizes[i::workers]]
@@ -652,15 +676,12 @@ _PLOT_KINDS = {"rtrace", "residuals", "subordinacy", "scan"}
 def cmd_plotdata(inputs, out: Path) -> int:
     for item in inputs:
         path = Path(item)
-        if not path.exists():
-            raise ConfigError(f"input not found: {path}")
+        text = _read_text(path, "input")
         if path.suffix == ".json":
-            doc = _checked(f"{path}: not valid JSON", json.loads,
-                           path.read_text())
+            doc = _checked(f"{path}: not valid JSON", json.loads, text)
             kind = doc.get("kind") if isinstance(doc, dict) else None
         else:
-            with open(path) as fh:
-                first = fh.readline().strip()
+            first = text.split("\n", 1)[0].strip()
             kind = first.removeprefix("# kind=") if first.startswith("# kind=") \
                 else None
         if kind not in _PLOT_KINDS:
@@ -674,17 +695,17 @@ def cmd_plotdata(inputs, out: Path) -> int:
                 raise ConfigError(f"{path}: malformed {kind} document: "
                                   f"{type(err).__name__}: {err}") from None
         else:
-            rows = _csv_rows(path)
+            rows = _csv_rows(path, text)
         target = out / (path.stem + ".dat")
-        target.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         target.write_text("".join(row + "\n" for row in rows))
         _say(f"wrote {target}")
     return EXIT_OK
 
 
-def _csv_rows(path: Path) -> list:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+def _csv_rows(path: Path, text: str) -> list:
+    # the lines of a file read in text mode end at "\n" only
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     header_idx = 1 if lines[0].startswith("#") else 0
     _require(len(lines) > header_idx, f"{path}: no header row")
     return ["# " + " ".join(lines[header_idx].split(","))] + \
@@ -757,7 +778,7 @@ def main(argv=None) -> int:
         if args.tolerance is not None:
             cfg.solver = _checked("--tolerance", replace, cfg.solver,
                                   rtol=args.tolerance)
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         return _COMMANDS[args.command](cfg, out, args.assert_mode)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -11,11 +11,13 @@ scale-free model or channel (`coefficients.scale_free`: powers, logs and
 exponentials, whose quotients are eventually monotone), else 8 points per
 unit length, so that a modulated or tabulated coefficient, and any object
 that states nothing of its scale, keeps its resolution.  The checks of a
-model share the samples in one pass over each ladder (`_run`): per window,
-q, m and only the derivatives some check reads are evaluated once, and
-every check derives and reduces its quantities from that sample, one at a
-time, before the next window is sampled.  Each public check runs the pass
-with its own reductions only; `check_hypotheses` runs it with all of them.
+model share the samples in one pass over each ladder (`_run`, the
+package's only loop over ladder windows): per window, q, m and only the
+derivatives some check reads are evaluated once, and every check derives
+and reduces its quantities from that sample, one at a time, before the
+next window is sampled.  Each public check, the trichotomy probe (A3)
+included, runs the pass with its own reductions only; `check_hypotheses`
+runs it with all of them, and `check_scan` with those of a scan.
 The C checks of all (k, lambda) channels of a model share the sample's q
 and m, and write L, W, Q, Q - W, each quotient and its increments into
 work arrays made once per window (`_Scratch`) and reused by every cell;
@@ -91,6 +93,8 @@ __all__ = [
     "check_c_conditions",
     "gamma_diagnostics",
     "check_hypotheses",
+    "check_scan",
+    "lambda_trichotomy_probe",
     "worst_verdict",
 ]
 
@@ -140,9 +144,14 @@ def worst_verdict(reports: Sequence[HypothesisReport]) -> str:
 # window grids for suprema and infima are capped below the tail-rung grids
 _EXTREME_POINTS = 100_000
 
-# the arrays a model's window sample can hold, in evaluation order: q, m,
-# m', q' and q''
-_READS = ("q", "m", "dm", "dq", "d2q")
+# the arrays a model's window sample can hold, in evaluation order, each
+# looked up only when read, so a coefficient with `value` alone serves q, m
+_EVALUATE = {"q": lambda model, r: model.q.value(r),
+             "m": lambda model, r: model.m.value(r),
+             "dm": lambda model, r: model.m.derivative(r),
+             "dq": lambda model, r: model.q.derivative(r),
+             "d2q": lambda model, r: model.q.derivative(r, order=2)}
+_READS = tuple(_EVALUATE)
 _DERIVATIVES = _READS[2:]
 
 
@@ -150,16 +159,12 @@ def _model_sampler(model):
     """The window sampler of a model, which maps a grid and the names of the
     arrays read to {name: array}, each evaluated once (a derivative the data
     does not have is left out), and whether the model is scale-free."""
-    q, m = model.q, model.m
-    evaluate = {"q": q.value, "m": m.value, "dm": m.derivative,
-                "dq": q.derivative, "d2q": lambda r: q.derivative(r, order=2)}
-
     def sample(r, reads):
         arrays = {}
         for name in _READS:
             if name in reads:
                 try:
-                    arrays[name] = evaluate[name](r)
+                    arrays[name] = _EVALUATE[name](model, r)
                 except MissingDerivativeError:
                     pass
         return arrays
@@ -202,7 +207,7 @@ class _Check:
 def _run(sample, geometric, checks, extreme_ladder, tail_ladder):
     """One pass over each ladder for all `checks`, with the window sampler
     `sample` on the window grids of `sample_window`, `geometric` for a
-    scale-free source.
+    scale-free source: the package's one loop over ladder windows.
 
     Each array some check reads is evaluated once per window grid, and
     every check reduces that window sample before the next one is taken.
@@ -316,15 +321,39 @@ def _tail_report(cid, key, rungs, windows, auxiliary=False):
 # model condition sets: per-window reductions and report builders
 
 
-class _AChecks(_Check):
-    """A1-A4 and A4' (see `check_a_conditions`)."""
+class _A3Checks(_Check):
+    """A3, the lambda trichotomy probe (see `lambda_trichotomy_probe`)."""
+
+    tail_reads = ("q", "m")
+
+    def __init__(self, lambdas):
+        self.lambdas = [float(lam) for lam in lambdas]
+        self.variations = [[] for _ in self.lambdas]
+
+    def tail(self, r, s):
+        self.variations = trichotomy_window(s["q"], s["m"], self.lambdas,
+                                            self.variations)
+
+    def reports(self, ew, tw):
+        verdicts = {"convergent": SATISFIED, "divergent": VIOLATED}
+        return [HypothesisReport(
+            f"A3[lambda={e['lambda']:g}]",
+            verdicts.get(e["classification"], INCONCLUSIVE),
+            {"rung_variations": e["variations"], "trend": e["trend"]},
+            _listify(e["windows"]), note=e.get("note", ""))
+            for e in classify_trichotomy(self.lambdas, tw,
+                                         self.variations).entries]
+
+
+class _AChecks(_A3Checks):
+    """A1-A4 and A4' (see `check_a_conditions`): A3 with the extremes of A1
+    and A2 and the tail integrals of A4 and A4'."""
 
     extreme_reads, tail_reads = ("q", "m"), ("q", "m", "dm")
 
     def __init__(self, lambdas):
-        self.lambdas = [float(lam) for lam in lambdas]
+        super().__init__(lambdas)
         self.extremes, self.integrals = [], []
-        self.variations = [[] for _ in self.lambdas]
 
     def extreme(self, r, s):
         q, m = s["q"], s["m"]
@@ -333,9 +362,8 @@ class _AChecks(_Check):
                               float(np.max(np.abs(m / q)))))
 
     def tail(self, r, s):
+        super().tail(r, s)
         q, m = s["q"], s["m"]
-        self.variations = trichotomy_window(q, m, self.lambdas,
-                                            self.variations)
         if self._has(s, "dm"):
             dm = s["dm"]
             self.integrals.append((
@@ -355,17 +383,7 @@ class _AChecks(_Check):
                 {"abs_m_window_minima": m_min.tolist(),
                  "m_over_q_window_maxima": ratio_max.tolist()},
                 _listify(ew), note="; ".join(x for x in (n1, n2) if x)),
-        ]
-        probe = classify_trichotomy(self.lambdas, tw, self.variations)
-        for entry in probe.entries:
-            cls = entry["classification"]
-            verdict = {"convergent": SATISFIED, "divergent": VIOLATED}.get(
-                cls, INCONCLUSIVE)
-            reports.append(HypothesisReport(
-                f"A3[lambda={entry['lambda']:g}]", verdict,
-                {"rung_variations": entry["variations"],
-                 "trend": entry["trend"]},
-                _listify(entry["windows"]), note=entry.get("note", "")))
+        ] + super().reports(ew, tw)
         if self.missing:
             reports.append(HypothesisReport(
                 "A4", INCONCLUSIVE, {}, [],
@@ -457,27 +475,28 @@ class _BChecks(_Check):
 
 
 class _GChecks(_Check):
-    """G1-G3 for one lambda (see `gamma_diagnostics`).
-
-    A window counts only where gamma = 2q - lambda is positive; its floor
-    min(2q - lambda) is read as 2 min(q) - lambda, the same number, since
-    rounding is monotone.  So the tail floors of q also tell which lambda
-    of a grid leaves G two tail windows (`windows`).
-    """
+    """G1-G3 of the first lambda of a grid that keeps two tail windows (see
+    `gamma_diagnostics`); if none does, or q has no q', `reports` raises
+    when `required` and is empty otherwise.  A window counts for a lambda
+    where gamma = 2q - lambda is positive: its floor is 2 min(q) - lambda,
+    exactly, since rounding is monotone; each window reduces every lambda
+    of a positive floor, so one pass serves whichever comes first."""
 
     extreme_reads = tail_reads = ("q", "dq")
 
-    def __init__(self, lam):
-        self.lam = lam
-        self.q_floors = {"extreme": [], "tail": []}
+    def __init__(self, lambdas, required=True):
+        self.lambdas, self.required = lambdas, required
+        # per window, {index of a lambda with a positive floor: reduction}
         self.rows = {"extreme": [], "tail": []}
 
     def _reduce(self, ladder, s, reduce):
-        q_floor = float(np.min(s["q"]))
-        self.q_floors[ladder].append(q_floor)
-        if self._has(s, "dq") and 2.0 * q_floor - self.lam > 0.0:
-            slope = 2.0 * s["dq"] / (2.0 * s["q"] - self.lam) ** 1.5
-            self.rows[ladder].append(reduce(slope))
+        q_floor, rows = float(np.min(s["q"])), {}
+        if self._has(s, "dq"):
+            for i, lam in enumerate(self.lambdas):
+                if 2.0 * q_floor - lam > 0.0:
+                    rows[i] = reduce(2.0 * s["dq"]
+                                     / (2.0 * s["q"] - lam) ** 1.5)
+        self.rows[ladder].append(rows)
 
     def extreme(self, r, s):
         self._reduce("extreme", s, lambda slope: float(np.max(np.abs(slope))))
@@ -487,25 +506,25 @@ class _GChecks(_Check):
             window_variation(slope),
             window_integral(r, np.abs(slope / r))))
 
-    def windows(self, ladder, lam):
-        """Indices of the windows of a ladder on which 2q - lam > 0."""
-        return [i for i, q_floor in enumerate(self.q_floors[ladder])
-                if 2.0 * q_floor - lam > 0.0]
-
     def reports(self, ew, tw):
-        if self.missing:
-            raise MissingDerivativeError("gamma diagnostics need q'")
-        keep = self.windows("tail", self.lam)
-        if len(keep) < 2:
+        first = next((i for i in range(len(self.lambdas)) if sum(
+            i in rows for rows in self.rows["tail"]) >= 2), None)
+        if first is None or self.missing:
+            if not self.required:
+                return []
+            if self.missing:
+                raise MissingDerivativeError("gamma diagnostics need q'")
             raise ValueError("gamma = 2q - lambda is not positive on the "
                              "probe ladder")
-        variations, integrals = _rows(self.rows["tail"])
-        maxima = np.asarray(self.rows["extreme"], dtype=float)
-        ew = [ew[i] for i in self.windows("extreme", self.lam)]
-        tw = [tw[i] for i in keep]
+        (ew, maxima), (tw, rungs) = (
+            ([w for w, row in zip(windows, self.rows[ladder]) if first in row],
+             [row[first] for row in self.rows[ladder] if first in row])
+            for windows, ladder in ((ew, "extreme"), (tw, "tail")))
+        variations, integrals = _rows(rungs)
         return [_tail_report("G1", "rung_variations", variations, tw),
                 _tail_report("G2", "rung_integrals", integrals, tw),
-                _tail_report("G3", "abs_slope_window_maxima", maxima, ew)]
+                _tail_report("G3", "abs_slope_window_maxima",
+                             np.asarray(maxima, dtype=float), ew)]
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +740,19 @@ class _CChecks(_Check):
 # public checks: each runs the ladder pass with its own reductions only
 
 
-def _model_checks(model, checks, extreme_ladder, tail_ladder):
-    _run(*_model_sampler(model), checks, extreme_ladder, tail_ladder)
+def _ladder_pass(source, checks, extreme_ladder, tail_ladder, cells=None):
+    """The reports of `checks` on one pass over each ladder of `source` (a
+    model, or a channel: anything with `coeffs`) and the C reports of the
+    (k_set, lambdas) grid `cells`, or None; the C checks go last, so every
+    derivative array is dropped before their work arrays are made."""
+    sample, geometric = (_channel_sampler if hasattr(source, "coeffs")
+                         else _model_sampler)(source)
+    channels = [] if cells is None else [
+        _CChecks(source, *cells, sample, tail_ladder)]
+    _run(sample, geometric, checks + channels, extreme_ladder, tail_ladder)
     ew, tw = extreme_ladder.windows(), tail_ladder.windows()
-    return [rep for check in checks for rep in check.reports(ew, tw)]
+    return ([rep for check in checks for rep in check.reports(ew, tw)],
+            channels[0].reports(ew, tw) if channels else None)
 
 
 def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
@@ -732,8 +760,19 @@ def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
                        tail_ladder: WindowLadder = TAIL_LADDER):
     """Diagnose the dominant-potential hypotheses A1-A4 (plus the auxiliary
     stronger probe A4'). The angular index enters none of them."""
-    return _model_checks(model, [_AChecks(lambdas)], extreme_ladder,
-                         tail_ladder)
+    return _ladder_pass(model, [_AChecks(lambdas)], extreme_ladder,
+                        tail_ladder)[0]
+
+
+def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
+                            tail_ladder: WindowLadder = TAIL_LADDER):
+    """A3 alone, bit for bit: the tail variation of m/(q - lambda) for each
+    probe lambda on the windows of `tail_ladder`, classified; it reads the
+    `value` of q and m on the tail windows only."""
+    probe = _A3Checks(lambdas)
+    _run(*_model_sampler(model), [probe], EXTREME_LADDER, tail_ladder)
+    return classify_trichotomy(probe.lambdas, tail_ladder.windows(),
+                               probe.variations)
 
 
 def check_derivative_sufficiency(model: CoefficientModel, *,
@@ -741,7 +780,7 @@ def check_derivative_sufficiency(model: CoefficientModel, *,
     """Tail integrability of m'/q and m q'/q^2.  When both converge, the
     quotient m/(q - lambda) is of bounded variation for every lambda, so the
     per-lambda probes must all report convergent."""
-    return _model_checks(model, [_DChecks()], EXTREME_LADDER, tail_ladder)
+    return _ladder_pass(model, [_DChecks()], EXTREME_LADDER, tail_ladder)[0]
 
 
 def check_b_conditions(model: CoefficientModel, *,
@@ -750,7 +789,7 @@ def check_b_conditions(model: CoefficientModel, *,
     """Diagnose the borderline-case hypotheses B1-B2 (m identically q),
     plus the auxiliary second-derivative variant B2'."""
     require_equal(model, "check_b_conditions")
-    return _model_checks(model, [_BChecks()], extreme_ladder, tail_ladder)
+    return _ladder_pass(model, [_BChecks()], extreme_ladder, tail_ladder)[0]
 
 
 def gamma_diagnostics(model: CoefficientModel, lam: float, *,
@@ -761,11 +800,13 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
 
     Windows on which gamma fails to stay positive are skipped: the floor
     min(2q - lambda) of each window is read off the same (q, q') sample as
-    its values.  If fewer than two tail windows survive, the model/lambda
-    pair is rejected.
+    its values.  A q without q' raises MissingDerivativeError; if fewer
+    than two tail windows survive, the model/lambda pair is rejected with a
+    ValueError.
     """
     require_equal(model, "gamma_diagnostics")
-    return _model_checks(model, [_GChecks(lam)], extreme_ladder, tail_ladder)
+    return _ladder_pass(model, [_GChecks([lam])], extreme_ladder,
+                        tail_ladder)[0]
 
 
 def check_c_conditions(source, k_set=(), lambda_grid=(), *,
@@ -777,12 +818,9 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     `source` is a CoefficientModel, checked on every cell of the grid
     k_set x lambda_grid, which returns {(k, lambda): reports} in grid order;
     or one channel (anything with `coeffs`), checked as a one-cell grid,
-    which returns its reports.  The channels of a model differ only in
-    Q = q - lambda and L = k/r, so one (q, m) sample per window serves all
-    cells (`_CChecks.cells`).  Per tail window the gap floor
-    min(Q - W) of every cell and, where it is positive, the C3 quotients
-    are read on the same window grid; C3 then needs a positive floor on
-    two or more windows, the last among them.
+    which returns its reports.  One (q, m) sample per window serves all
+    cells of a model (`_CChecks.cells`).  C3 needs a positive gap floor
+    min(Q - W) on two or more tail windows, the last among them.
 
     A model's C3 form is m's alone, since L = k/r vanishes nowhere.  With
     m not identically 0 no C condition sees the sign of k (-k/r is the
@@ -790,13 +828,9 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     cells of k and -k share its reports, bit for bit those of their own
     channels; C3' on L/(Q - L) (m == 0) does see it and reduces every k.
     """
-    model = isinstance(source, CoefficientModel)
-    sample, geometric = (_model_sampler(source) if model
-                         else _channel_sampler(source))
-    channels = _CChecks(source, k_set, lambda_grid, sample, tail_ladder)
-    _run(sample, geometric, [channels], extreme_ladder, tail_ladder)
-    reports = channels.reports(extreme_ladder.windows(), tail_ladder.windows())
-    return reports if model else reports[None, None]
+    _, reports = _ladder_pass(source, [], extreme_ladder, tail_ladder,
+                              cells=(k_set, lambda_grid))
+    return reports[None, None] if hasattr(source, "coeffs") else reports
 
 
 def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
@@ -809,9 +843,8 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
     when both coefficients have derivatives, and B1-B2 and G1-G3 when
     m == q, and the C reports {(k, lambda): reports} of the grid
     k_set x lambda_grid (`check_c_conditions`); each report equals the one
-    its own check makes.  G is read for the first lambda of the grid that
-    leaves it two tail windows: the pass reduces it for the first lambda,
-    and only if that one leaves fewer does a second, G-only pass run.
+    its own check makes.  G is that of the first lambda of the grid that
+    keeps two tail windows (`gamma_diagnostics`), and left out if none does.
     """
     lambdas = [float(lam) for lam in lambda_grid]
     equal, _ = models_equal(model)
@@ -820,21 +853,22 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
         checks.append(_DChecks())
     if equal:
         checks.append(_BChecks())
-    gamma = [_GChecks(lambdas[0])] if equal and lambdas else []
-    sample, geometric = _model_sampler(model)
-    channels = _CChecks(model, k_set, lambdas, sample, tail_ladder)
-    # the C checks go last: every derivative array is dropped before their
-    # work arrays are made
-    _run(sample, geometric, checks + gamma + [channels], extreme_ladder,
-         tail_ladder)
-    ew, tw = extreme_ladder.windows(), tail_ladder.windows()
-    reports = [rep for check in checks for rep in check.reports(ew, tw)]
-    if gamma and not gamma[0].missing:
-        first = next((i for i, lam in enumerate(lambdas)
-                      if len(gamma[0].windows("tail", lam)) >= 2), None)
-        if first is not None:
-            if first > 0:
-                gamma = [_GChecks(lambdas[first])]
-                _run(sample, geometric, gamma, extreme_ladder, tail_ladder)
-            reports += gamma[0].reports(ew, tw)
-    return reports, channels.reports(ew, tw)
+        if lambdas:
+            checks.append(_GChecks(lambdas, required=False))
+    return _ladder_pass(model, checks, extreme_ladder, tail_ladder,
+                        cells=(k_set, lambdas))
+
+
+def check_scan(model: CoefficientModel, k_set: Sequence[int],
+               lambda_grid: Sequence[float], *,
+               extreme_ladder: WindowLadder = EXTREME_LADDER,
+               tail_ladder: WindowLadder = TAIL_LADDER):
+    """What a scan reads, in one pass over each ladder: A1-A4 on the sorted
+    distinct lambdas (`check_a_conditions`) and the C reports {(k, lambda):
+    reports} of the grid (`check_c_conditions`); for m == q, B1-B2
+    (`check_b_conditions`) and None, since its cells read no C report."""
+    lambdas = sorted(set(map(float, lambda_grid)))
+    if models_equal(model)[0]:
+        return _ladder_pass(model, [_BChecks()], extreme_ladder, tail_ladder)
+    return _ladder_pass(model, [_AChecks(lambdas)], extreme_ladder,
+                        tail_ladder, cells=(k_set, lambdas))

@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boundedness import certify
-from .bvcalc import WindowLadder
 from .coefficients import (
     ChannelBatch,
     CoefficientModel,
@@ -41,13 +40,7 @@ from .coefficients import (
     models_equal,
     require_equal,
 )
-from .hypotheses import (
-    SATISFIED,
-    check_a_conditions,
-    check_b_conditions,
-    check_c_conditions,
-    worst_verdict,
-)
+from .hypotheses import SATISFIED, worst_verdict
 from .solver import (
     PreconditionError,
     SolveConfig,
@@ -73,7 +66,6 @@ __all__ = [
     "eigen_shoot",
     "classify_cells",
     "borderline_cell",
-    "spectrum_hypotheses",
     "summarize_cells",
     "decaying_direction",
     "RESCALED_RTOL",
@@ -520,50 +512,24 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
 _TRACEBACK_LINES = 8
 
 
-def spectrum_hypotheses(model: CoefficientModel,
-                        lambda_grid: Sequence[float], *,
-                        extreme_ladder: WindowLadder,
-                        tail_ladder: WindowLadder) -> dict:
-    """The scan document without its cells: the model-level hypotheses
-    (A1-A4, or B1-B2 when m == q) and whether they leave the cells
-    heuristic.  A scan runs them once, whatever its chunks."""
-    equal, _ = models_equal(model)
-    ladders = {"extreme_ladder": extreme_ladder, "tail_ladder": tail_ladder}
-    if equal:
-        hyp = check_b_conditions(model, **ladders)
-    else:
-        hyp = check_a_conditions(model, sorted(set(lambda_grid)), **ladders)
-    return {"kind": "scan", "model": model.to_dict(),
-            "equal_coefficients": equal,
-            "hypotheses": [h.to_dict() for h in hyp],
-            "heuristic": worst_verdict(hyp) != SATISFIED}
-
-
 def classify_cells(model: CoefficientModel, k_set: Sequence[int],
                    lambda_grid: Sequence[float], *, solver: SolveConfig,
-                   subordinacy: dict, extreme_ladder: WindowLadder,
-                   tail_ladder: WindowLadder) -> list:
+                   subordinacy: dict, c_reports: Optional[dict]) -> list:
     """Run the appropriate evidence pipeline for each (k, lambda) cell.
 
-    Dominant-potential models go through the boundedness certificate of
-    `boundedness.certify` on the `solver` settings, with the channel
-    conditions of all cells checked in one pass and one `certify` call per
-    k (`_dominant_cells`; an error there marks every cell of that k);
-    borderline (m == q) models go through `borderline_cell` on the
-    `subordinacy` section (r0, r_end, delta), each cell isolated;
-    `models_equal` tells the two apart.
+    Dominant-potential cells, with their channel condition reports
+    `c_reports` (`hypotheses.check_scan`), get the certificate of
+    `boundedness.certify` on the `solver` settings, one call per k
+    (`_dominant_cells`; an error there marks every cell of that k);
+    borderline ones (m == q, `c_reports` None) go through `borderline_cell`
+    on the `subordinacy` section (r0, r_end, delta), each cell isolated.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
-    equal, _ = models_equal(model)
-    if not equal:
-        c_reports = check_c_conditions(model, ks, lams,
-                                       extreme_ladder=extreme_ladder,
-                                       tail_ladder=tail_ladder)
     cells = []
     for k in ks:
         row = [{"k": k, "lambda": lam} for lam in lams]
-        if equal:
+        if c_reports is None:
             for cell in row:
                 _isolated([cell], lambda: [borderline_cell(
                     model, k, cell["lambda"], subordinacy)])

@@ -22,7 +22,6 @@ from diracspec.bvcalc import (
     check_product_bound,
     check_quotient_bounds,
     jordan_decompose,
-    lambda_trichotomy_probe,
     variation,
 )
 from diracspec.cli import fixture_path, main
@@ -34,7 +33,12 @@ from diracspec.coefficients import (
     constant,
     power,
 )
-from diracspec.hypotheses import SATISFIED, check_a_conditions, check_c_conditions
+from diracspec.hypotheses import (
+    SATISFIED,
+    check_a_conditions,
+    check_c_conditions,
+    lambda_trichotomy_probe,
+)
 from diracspec.solver import (
     SolveConfig,
     integrate_cartesian,

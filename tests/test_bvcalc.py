@@ -11,7 +11,6 @@ from diracspec.bvcalc import (
     check_quotient_bounds,
     cumulative_variation,
     jordan_decompose,
-    lambda_trichotomy_probe,
     sample_window,
     tail_trend,
     variation,
@@ -25,6 +24,7 @@ from diracspec.coefficients import (
     constant,
     power,
 )
+from diracspec.hypotheses import lambda_trichotomy_probe
 
 
 def sampled(fn, a, b, n, dfn=None):

@@ -21,7 +21,6 @@ from diracspec.bvcalc import (
     check_product_bound,
     check_quotient_bounds,
     jordan_decompose,
-    lambda_trichotomy_probe,
     trapezoid,
     variation,
 )
@@ -39,6 +38,7 @@ from diracspec.coefficients import (
     assemble_channel,
     power,
 )
+from diracspec.hypotheses import lambda_trichotomy_probe
 from diracspec.solver import SolveConfig, prefer_pruefer
 from diracspec.subordinacy import eigen_shoot, ratio_range, subordinacy_ratio
 
@@ -516,22 +516,6 @@ class TestScanCommand:
             assert (out / "seq" / "scan.json").read_bytes() == \
                 (out / "par" / "scan.json").read_bytes()
 
-    def test_one_c_pass_per_process(self, tmp_path, monkeypatch):
-        # the sequential scan checks the channel conditions of all its cells
-        # in one pass, k and -k included
-        import diracspec.subordinacy as sub
-
-        ks, check = [], sub.check_c_conditions
-
-        def counting(model, k_set, *args, **kwargs):
-            ks.append(list(k_set))
-            return check(model, k_set, *args, **kwargs)
-
-        monkeypatch.setattr(sub, "check_c_conditions", counting)
-        assert run(["scan", "--config", fixture_path("dominant_linear"),
-                    "--out", tmp_path / "o"]) == 0
-        assert ks == [[-2, -1, 1, 2]]
-
     @pytest.mark.parametrize("model", [
         LINEAR_MODEL, SUM_TABULATED_MODEL,
         json.loads(fixture_path("modulated_quarter").read_text())["model"],
@@ -667,6 +651,46 @@ class TestScanCommand:
         assert any("failing_for_k2" in line for line in bad[0]["traceback"])
         assert (tmp_path / "a" / "scan.json").read_bytes() == \
             (tmp_path / "b" / "scan.json").read_bytes()
+
+
+class TestOneLadderPass:
+    """Each command samples each ladder window once: `boundedness` its C
+    pass, `scan` its model and every channel in one pass (`check_scan`),
+    `hypotheses` every condition, G of a later lambda included, and the
+    trichotomy probe of `bv-verify` the tail windows of A3 alone."""
+
+    DOMINANT = {"model": LINEAR_MODEL, "k_set": [1, -1, 2],
+                "lambda_grid": [-1.0, 0.5], "solver": {"r_end": 20.0}}
+    # 2q - 1e4 is positive on the last tail window only, so G reads 300
+    G_FALLBACK = {"model": {"q": LINEAR_MODEL["q"], "m": LINEAR_MODEL["q"]},
+                  "k_set": [1], "lambda_grid": [1e4, 300.0, -1.0]}
+    BV = {**DOMINANT, "bv": {"instances": 16}}
+
+    @pytest.mark.parametrize("command,doc,windows", [
+        ("boundedness", DOMINANT, 4 + 3),
+        ("scan", DOMINANT, 4 + 3),
+        ("hypotheses", DOMINANT, 4 + 3),
+        ("hypotheses", G_FALLBACK, 4 + 3),
+        ("bv-verify", BV, 3),
+    ], ids=["boundedness", "scan", "hypotheses", "hypotheses-g-fallback",
+            "bv-verify"])
+    def test_each_window_sampled_once(self, tmp_path, monkeypatch, command,
+                                      doc, windows):
+        sample_window, calls = diracspec.bvcalc.sample_window, []
+
+        def counting(fn, a, b, **kwargs):
+            calls.append((a, b))
+            return sample_window(fn, a, b, **kwargs)
+
+        # every binding of the sampler, in every module of the package
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "diracspec"
+                    and getattr(mod, "sample_window", None) is sample_window):
+                monkeypatch.setattr(mod, "sample_window", counting)
+        cfg = write_config(tmp_path, doc)
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) in \
+            (0, 1)
+        assert len(calls) == len(set(calls)) == windows
 
 
 class TestOtherCommands:
@@ -1108,6 +1132,56 @@ class TestPlotData:
         made = sorted(p.name for p in (tmp_path / "p").glob("*.dat"))
         assert made == ["residuals_k=1_lambda=-1.dat",
                         "subordinacy_k=1_lambda=-1.dat"]
+
+
+class TestUnreadableInputs:
+    """An input that cannot be read, or an --out that cannot be a
+    directory, is a config error that names the path (exit 2)."""
+
+    @staticmethod
+    def unreadable(path, kind):
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe# kind=scan\n")
+        return path
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_config(self, tmp_path, capsys, kind):
+        path = self.unreadable(tmp_path / "config.json", kind)
+        assert run(["hypotheses", "--config", path,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file unreadable: {path}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("name", ["scan.json", "scan.csv"])
+    def test_plotdata_input(self, tmp_path, capsys, name, kind):
+        path = self.unreadable(tmp_path / name, kind)
+        assert run(["plotdata", path, "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: input unreadable: {path}: ")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["a-file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["hypotheses", "plotdata"])
+    def test_out(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "o" if below else blocker
+        if command == "plotdata":
+            run(["scan", "--config", fixture_path("borderline_linear"),
+                 "--out", tmp_path / "scan"])
+            args = ["plotdata", tmp_path / "scan" / "scan.csv"]
+        else:
+            args = ["hypotheses", "--config", fixture_path("dominant_linear")]
+        capsys.readouterr()
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: --out: cannot make the directory {out}: ")
+        assert blocker.read_text() == ""
 
 
 class TestScipyFreeStart:

@@ -9,7 +9,6 @@ from diracspec.bvcalc import (
     EXTREME_LADDER,
     TAIL_LADDER,
     WindowLadder,
-    lambda_trichotomy_probe,
     sample_window,
 )
 from diracspec.cli import fixture_path, load_config
@@ -33,7 +32,9 @@ from diracspec.hypotheses import (
     check_c_conditions,
     check_derivative_sufficiency,
     check_hypotheses,
+    check_scan,
     gamma_diagnostics,
+    lambda_trichotomy_probe,
     worst_verdict,
 )
 
@@ -566,6 +567,13 @@ class TestGammaDiagnostics:
             gamma_diagnostics(EQUAL_LINEAR, 1e9)
 
 
+def _fixture_grid(name):
+    """The model, k_set, lambda_grid and ladders of a fixture config."""
+    cfg = load_config(fixture_path(name))
+    return cfg.model, cfg.k_set, cfg.lambda_grid, {
+        "extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
+
+
 class TestOnePass:
     """`check_hypotheses` reads every condition of a model in one pass over
     each ladder; each report must equal the one its own check makes."""
@@ -616,7 +624,7 @@ class TestOnePass:
 
     def test_gamma_falls_back_to_the_next_lambda(self):
         # 2q - 1e4 is positive on the last tail window only, so G reads
-        # lambda = 300, on the last two, in a G-only pass
+        # lambda = 300, on the last two, in the same pass
         model = CoefficientModel(q=power(1, 1), m=power(1, 1))
         reports = by_id(self.assert_matches(model, [1], [1e4, 300.0, -1.0]))
         assert reports["G1"].windows == [[250.0, 2500.0], [2500.0, 25000.0]]
@@ -639,6 +647,58 @@ class TestOnePass:
         assert reports["B2"].note == "derivative unavailable"
         assert not any(cid.startswith("D") for cid in reports)
         assert "G1" not in reports
+
+    # the fixture models, and the seed-1 model of the dominant_certify
+    # benchmark workload, with their grids and ladders
+    SCAN_MODELS = {
+        **{name: _fixture_grid(name)
+           for name in ("dominant_linear", "modulated_quarter",
+                        "sqrt_periodic", "borderline_linear")},
+        "dominant_certify seed 1": (
+            CoefficientModel(q=power(0.810281, 1.0), m=power(1.087803, 0.0)),
+            [-2, -1, 1, 2], [-0.6677, -0.1323, 0.8077],
+            {"extreme_ladder": EXTREME_LADDER, "tail_ladder": TAIL_LADDER}),
+    }
+
+    @pytest.mark.parametrize("name", SCAN_MODELS)
+    def test_scan_pass_matches_its_references(self, name):
+        # the model reports of `check_scan` are A's on the sorted distinct
+        # lambdas (B's when m == q), and its C reports those of
+        # `check_c_conditions` on each |k|-pair chunk of a scan
+        model, ks, lams, ladders = self.SCAN_MODELS[name]
+        reports, channels = check_scan(model, ks, lams, **ladders)
+        lams = sorted(set(lams))
+        if models_equal(model)[0]:
+            expect = check_b_conditions(model, **ladders)
+            assert channels is None
+        else:
+            expect = check_a_conditions(model, lams, **ladders)
+            chunks = {}
+            for size in sorted({abs(k) for k in ks}):
+                chunks.update(check_c_conditions(
+                    model, sorted(k for k in ks if abs(k) == size), lams,
+                    **ladders))
+            assert sorted(channels) == sorted(chunks)
+            for cell, creps in chunks.items():
+                assert [r.to_dict() for r in channels[cell]] == \
+                    [r.to_dict() for r in creps], cell
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in expect]
+
+    @pytest.mark.parametrize("name", SCAN_MODELS)
+    def test_trichotomy_probe_is_a3(self, name):
+        # the probe's variations and trends are A3's, bit for bit
+        model, _, lams, ladders = self.SCAN_MODELS[name]
+        probe = lambda_trichotomy_probe(model, lams, ladders["tail_ladder"])
+        a3 = [r for r in check_a_conditions(model, lams, **ladders)
+              if r.condition_id.startswith("A3")]
+        assert len(a3) == len(probe.entries) == len(lams)
+        for entry, report in zip(probe.entries, a3):
+            rungs = report.evidence["rung_variations"]
+            assert (entry["variations"] is None) == (rungs is None)
+            if rungs is not None:
+                assert np.asarray(entry["variations"]).tobytes() == \
+                    np.asarray(rungs).tobytes()
+            assert entry["trend"] == report.evidence["trend"]
 
     def test_work_arrays_live_for_one_call(self):
         # on the linear grid, whose last tail window has 180,000 points

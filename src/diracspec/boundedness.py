@@ -89,9 +89,8 @@ class RTrace:
     epsilon: float  # sup |x|/Q of a single-quotient form's x; 0 if general
 
     def to_csv(self, path):
-        R = float_column(self.R)  # also the bound column
-        write_columns(path, "# kind=rtrace\nr,R,usq,bound",
-                      [float_column(self.grid), R, float_column(self.usq), R])
+        write_columns(path, "# kind=rtrace\nr,R,usq",
+                      [float_column(x) for x in (self.grid, self.R, self.usq)])
 
 
 def r_trace(channel, grid, u) -> RTrace:

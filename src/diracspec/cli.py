@@ -112,7 +112,7 @@ class RunConfig:
     tail_ladder: WindowLadder
     subordinacy: dict
     eigen: dict
-    asymptotics: dict
+    asymptotics: SolveConfig
     bv: dict
     seed: int
     workers: int
@@ -257,19 +257,11 @@ def load_config(path) -> RunConfig:
     eigen = section("eigen", _defaults(eigen_shoot, scan_step="scan_step",
                                        tol="tol_lambda"))
     _checked("config.eigen", eigen_steps, eigen["tol"], eigen["scan_step"])
-    asy = section("asymptotics", {"windows": None, "r_start": 5.0,
-                                  "r_end": 210.0, "stride": 0.02},
-                  windows=lambda ws: None if ws is None else
-                  [(_real(lo), _real(hi)) for lo, hi in ws])
     # the range becomes the config of the section's rescaled solves
-    scfg = asy["solve"] = _checked(
-        "config.asymptotics", SolveConfig, r_start=asy.pop("r_start"),
-        r_end=asy.pop("r_end"), rtol=RESCALED_RTOL, stride=asy.pop("stride"))
-    _require(all(scfg.r_start <= lo < hi <= scfg.r_end
-                 for lo, hi in asy["windows"] or ()),
-             "config.asymptotics: each window [lo, hi] needs "
-             "r_start <= lo < hi <= r_end")
-    lo, hi = _defect_window(scfg)
+    asy = _checked("config.asymptotics", SolveConfig, rtol=RESCALED_RTOL,
+                   **section("asymptotics", {"r_start": 5.0, "r_end": 210.0,
+                                             "stride": 0.02}))
+    lo, hi = _defect_window(asy)
     _require(hi - lo >= 2.0 * max(DEFECT_STRIDES),
              f"config.asymptotics: the defect window [{lo:g}, {hi:g}] is "
              f"shorter than two strides of {max(DEFECT_STRIDES):g}")
@@ -529,8 +521,7 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             results = list(pool.map(chunk, k_sets))
     else:
         results = list(map(chunk, k_sets))
-    doc["cells"] = sorted(({**c, "heuristic": doc["heuristic"]}
-                           for cells in results for c in cells),
+    doc["cells"] = sorted((c for cells in results for c in cells),
                           key=lambda c: (c["k"], c["lambda"]))
     doc["summary"] = summarize_cells(doc["cells"])
 
@@ -545,9 +536,6 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     rows = [[str(k)] + [by_k[k].get(l, "") for l in lams]
             for k in sorted(by_k)]
     _write_rows(out / "scan.csv", header, rows)
-    for cell in doc["cells"]:
-        _write_json(out / "cells" /
-                    f"cell_{_cell_name(cell['k'], cell['lambda'])}.json", cell)
     _write_json(out / "scan.json", doc)
     _say(f"scan: {len(doc['cells'])} cells, "
          f"{doc['summary']['n_errors']} errors; "
@@ -647,14 +635,13 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
-    scfg = cfg.asymptotics["solve"]
+    scfg = cfg.asymptotics
     trend_ok = True
     for k in cfg.k_set:
         for lam in neg:
             traj = borderline_trajectory(cfg.model, k, lam, scfg)
             ref = wkb_reference(cfg.model, lam, traj.grid)
-            res = compare_asymptotics(traj, ref,
-                                      windows=cfg.asymptotics["windows"])
+            res = compare_asymptotics(traj, ref)
             name = _cell_name(k, lam)
             _write_rows(out / f"residuals_{name}.csv",
                         "# kind=residuals\ncenter,residual",
@@ -663,7 +650,8 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             _write_json(out / f"defects_{name}.json",
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]
-            trend_ok = trend_ok and (len(resid) < 2 or resid[-1] <= resid[0])
+            # a trend needs two residual windows; fewer is no evidence
+            trend_ok = trend_ok and len(resid) >= 2 and resid[-1] <= resid[0]
             _say(f"k={k} lambda={lam:g}: residuals "
                  + " ".join(f"{x:.3g}" for x in resid)
                  + f"; defect orders { [round(o, 3) for o in conv['orders']] }")

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -141,28 +143,15 @@ def _build_sum(terms):
     if not terms:
         raise ValueError("sum family needs at least one term")
 
-    def value(r):
-        out = terms[0].value(r)
-        for t in terms[1:]:
-            out = out + t.value(r)
-        return out
+    def total(read):
+        # the terms' values added left to right
+        return lambda r: reduce(operator.add, (read(t, r) for t in terms))
 
+    value = total(lambda t, r: t.value(r))
     if not all(t.has_derivative for t in terms):
         return value, None, None
-
-    def d1(r):
-        out = terms[0].derivative(r)
-        for t in terms[1:]:
-            out = out + t.derivative(r)
-        return out
-
-    def d2(r):
-        out = terms[0].derivative(r, order=2)
-        for t in terms[1:]:
-            out = out + t.derivative(r, order=2)
-        return out
-
-    return value, d1, d2
+    return (value, total(lambda t, r: t.derivative(r)),
+            total(lambda t, r: t.derivative(r, order=2)))
 
 
 def _build_tabulated(grid, values, derivative="interpolant"):

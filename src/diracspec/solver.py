@@ -66,15 +66,15 @@ class PreconditionError(RuntimeError):
 class SolveConfig:
     """Integration window, tolerances and output-grid stride.
 
-    For the Magnus propagator `rtol` is the per-step doubling tolerance and
-    `max_step` caps its first partition; `atol` acts on `integrate_cartesian`.
+    For the Magnus propagator `rtol` is the per-step doubling tolerance,
+    and the grid intervals are its first trial steps; `atol` acts on
+    `integrate_cartesian`.
     """
 
     r_start: float
     r_end: float
     rtol: float = 1e-12
     atol: float = 1e-14
-    max_step: float = math.inf
     stride: float = 0.05
 
     def __post_init__(self):
@@ -82,8 +82,6 @@ class SolveConfig:
             raise ValueError("tolerances must lie in (0, 1)")
         if not 0.0 < self.r_start < self.r_end:
             raise ValueError("need 0 < r_start < r_end")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
         if not self.stride > 0.0:
             raise ValueError("stride must be positive")
 
@@ -224,19 +222,19 @@ def _mul(x, y):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _steps(qml, nodes, rtol, max_step):
+def _steps(qml, nodes, rtol):
     """Sixth-order Magnus steps of a batch of channels: channel i starts at
     nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
     its direction of travel; `qml(r, owner)` gives (Q, M, L) at radii r, of
     shape (m, S), whose columns belong to the channels `owner` (S,).
 
-    The node intervals, cut into pieces no longer than `max_step`, are the
-    first trial steps.  Each round evaluates the coefficients once on the
-    three Gauss nodes of both halves of every open step of every channel
-    (and of the whole step in the first round; later steps are halves
-    already), forms all their exponentials in one `_magnus_exp` call,
-    keeps the step as two half steps where |e^Omega_h - P| / |P| <= rtol
-    for their product P and halves the other steps.
+    The node intervals are the first trial steps.  Each round evaluates
+    the coefficients once on the three Gauss nodes of both halves of every
+    open step of every channel (and of the whole step in the first round;
+    later steps are halves already), forms all their exponentials in one
+    `_magnus_exp` call, keeps the step as two half steps where
+    |e^Omega_h - P| / |P| <= rtol for their product P and halves the
+    other steps.
 
     A step that would shrink below `_MIN_STEP * |r|` ends its channel's
     solve at the node before it, and so does every open step of a channel
@@ -247,11 +245,8 @@ def _steps(qml, nodes, rtol, max_step):
     """
     n_int = nodes.shape[1] - 1
     h = np.diff(nodes, axis=1).ravel()
-    pieces = np.maximum(1, np.ceil(np.abs(h) / max_step)).astype(int)
-    seg = np.repeat(np.arange(h.size), pieces)
-    first = np.cumsum(pieces) - pieces
-    h = (h / pieces)[seg]
-    t = nodes[:, :-1].ravel()[seg] + (np.arange(seg.size) - first[seg]) * h
+    seg = np.arange(h.size)
+    t = nodes[:, :-1].ravel()
     # per channel, the first interval past the kept ones
     n_seg = n_int * np.arange(1, len(nodes) + 1)
     failures, nfev = [None] * len(nodes), 0
@@ -365,11 +360,11 @@ class _Solve:
     the running products (`R`, `e`) of `_running` over each channel's steps.
     `failures` holds per channel None or why its solve ended early."""
 
-    def __init__(self, channel, nodes, rtol, max_step=math.inf):
+    def __init__(self, channel, nodes, rtol):
         self.nodes = np.atleast_2d(nodes)
         self.t, self.seg, X, self.nfev, self.failures = _steps(
             channel.qml if isinstance(channel, ChannelBatch) else
-            lambda r, owner: channel.coeffs(r)[:3], self.nodes, rtol, max_step)
+            lambda r, owner: channel.coeffs(r)[:3], self.nodes, rtol)
         self.P, self.half, self.turns = X[:4], X[4:8], X[8:]
         owner = self.owner = self.seg // (self.nodes.shape[1] - 1)
         self.R, self.e = _running(self.P, np.searchsorted(owner, owner))
@@ -464,8 +459,7 @@ def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
     # a blow-up overflows before the stepper gives up and reports its status
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (cfg.r_start, cfg.r_end), u0, method="DOP853",
-                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step,
-                        t_eval=cfg.grid())
+                        rtol=cfg.rtol, atol=cfg.atol, t_eval=cfg.grid())
     grid, y = sol.t, sol.y
     if np.size(grid) == 0:
         grid, y = np.array([cfg.r_start]), u0[:, None]
@@ -494,7 +488,7 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     if rho0 <= 0.0:
         raise ValueError("rho0 must be positive")
     grid = cfg.grid()
-    solve = _Solve(channel, grid, cfg.rtol, cfg.max_step)
+    solve = _Solve(channel, grid, cfg.rtol)
     (failure,) = solve.failures
     (x, y), e = solve.states(np.array([math.cos(theta0), math.sin(theta0)]))
     # a half step turns by less than pi beyond its whole half turns, so its
@@ -541,8 +535,7 @@ def integrate_fundamental(channel, cfg: SolveConfig, r_start=None):
     sizes = [grid.size for grid in grids]
     nodes = np.stack([np.pad(grid, (0, max(sizes) - grid.size), mode="edge")
                       for grid in grids])
-    phi, reached, failures = _Solve(channel, nodes, cfg.rtol,
-                                    cfg.max_step).transfer()
+    phi, reached, failures = _Solve(channel, nodes, cfg.rtol).transfer()
     out = [(grid[:n], phi[i, :n], failure) for i, (grid, n, failure) in
            enumerate(zip(grids, np.minimum(reached, sizes).tolist(),
                          failures))]

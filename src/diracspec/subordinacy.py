@@ -456,14 +456,14 @@ def eigen_steps(tol_lambda: float, scan_step: float) -> None:
 
 def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
-                rtol: float = 1e-10,
-                match_radius_factor: float = 1.0) -> list:
+                rtol: float = 1e-10) -> list:
     """Locate discrete spectral points inside a positive bracket.
 
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
-    mismatch between them at the turning-point radius changes sign exactly
-    at an eigenvalue; the inward one starts where the WKB exponent past
+    mismatch between them at the matching radius max(r*, 4 r0), r* the
+    turning point where q reaches lambda/2 and r0 the Frobenius start,
+    changes sign exactly at an eigenvalue; the inward one starts where the WKB exponent past
     the matching radius reaches 27.  The mismatch of many lambda is one
     `propagate` call of a `ChannelBatch` holding both directions of each:
     one for the whole scan grid, then one a round while `_refine_roots`
@@ -484,8 +484,8 @@ def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
                  for lam in lams.tolist()]
         r0 = np.array([init.r0 for init in inits])
         r_star = _turning_radius(q, lams)
-        r_match = np.maximum(r_star * match_radius_factor, 4.0 * r0)
-        r_far = _shoot_range(q, k, lams, np.maximum(r_star, r_match), 27.0)
+        r_match = np.maximum(r_star, 4.0 * r0)
+        r_far = _shoot_range(q, k, lams, r_match, 27.0)
         u0 = [init.u0 for init in inits] + [
             decaying_direction(model, k, lam, r)
             for lam, r in zip(lams.tolist(), r_far.tolist())]

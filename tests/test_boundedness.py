@@ -432,11 +432,11 @@ class TestRTraceCsv:
         trace = RTrace(grid=grid, R=R, usq=usq, form=GENERAL,
                        cumvar=np.zeros(8), epsilon=0.0)
         trace.to_csv(tmp_path / "r.csv")
-        want = "# kind=rtrace\nr,R,usq,bound\n" + "".join(
+        want = "# kind=rtrace\nr,R,usq\n" + "".join(
             ",".join(repr(float(x)) for x in row) + "\n"
-            for row in zip(grid, R, usq, R))
+            for row in zip(grid, R, usq))
         assert (tmp_path / "r.csv").read_bytes() == want.encode()
-        assert "-0.0,5e-324,1e+22,5e-324" in want
+        assert "-0.0,5e-324,1e+22\n" in want
 
 
 class TestAutoStartRadius:

@@ -157,6 +157,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rtoll"):
             load_config(path)
 
+    @pytest.mark.parametrize("section", [{"solver": {"max_step": 0.05}},
+                                         {"asymptotics": {"windows": None}}])
+    def test_dropped_keys_are_unknown(self, tmp_path, capsys, section):
+        # the first Magnus partition is the grid and the residual windows
+        # are compare_asymptotics' own; neither is a setting
+        (key, inner), = section.items()
+        path = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [1],
+                                       "lambda_grid": [-1.0], **section})
+        assert run(["asymptotics", "--config", path,
+                    "--out", tmp_path / "o"]) == 2
+        assert f"config error: config.{key}: unknown keys {list(inner)}" in \
+            capsys.readouterr().err
+
     def test_zero_k_rejected(self, tmp_path):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [0]})
         with pytest.raises(ConfigError, match="k_set"):
@@ -175,7 +188,7 @@ class TestConfig:
         {"eigen": {"scan_step": -0.05}},
         {"asymptotics": {"r_start": "x"}},
         {"asymptotics": {"stride": 0.0}},
-        {"asymptotics": {"windows": [[10.0]]}},
+        {"asymptotics": {"windows": [[10.0]]}},  # no key of the section
         {"bv": {"instances": "x"}},
         {"bv": {"instances": 0}},
         {"seed": "x"},
@@ -626,6 +639,19 @@ class TestScanCommand:
         assert doc["cells"][0]["classification"] in ("error", "inconclusive")
         assert (tmp_path / "o" / "scan.csv").exists()
 
+    def test_writes_only_its_table_and_document(self, tmp_path):
+        # each cell is written once, in scan.json, without the scan's
+        # `heuristic` flag
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1, 2],
+                                      "lambda_grid": [-1.0, 0.5],
+                                      "solver": {"r_end": 20.0}})
+        assert run(["scan", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+            ["scan.csv", "scan.json"]
+        doc = json.loads((tmp_path / "o" / "scan.json").read_text())
+        assert "heuristic" in doc and len(doc["cells"]) == 4
+        assert not any("heuristic" in cell for cell in doc["cells"])
+
 
     def test_failed_cell_keeps_traceback(self, tmp_path, monkeypatch):
         import diracspec.subordinacy as sub
@@ -828,8 +854,8 @@ class TestOtherCommands:
             sorted(p.name for p in (tmp_path / "open").iterdir())
 
     @pytest.mark.parametrize("command,solver", [
-        ("boundedness", {"max_step": 0.0}),
-        ("boundedness", {"max_step": -1.0}),
+        ("boundedness", {"stride": 0.0}),
+        ("boundedness", {"stride": -1.0}),
         ("solve", {"r_start": 0.0}),
         ("solve", {"r_start": -1.0}),
     ])
@@ -841,22 +867,22 @@ class TestOtherCommands:
         assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert "config error: config.solver: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("windows", [[[30.0, 20.0]], [[20.0, 20.0]],
-                                         [[10.0, 20.0], [2.0, 8.0]],
-                                         [[20.0, 30.0]]])
-    def test_asymptotics_windows_inside_the_range(self, tmp_path, capsys,
-                                                  windows):
-        # a reversed or outside window would leave no residual to compare,
-        # and --assert would pass on an empty list
+    @pytest.mark.parametrize("stride,residuals", [(0.02, 6), (1.6, 1),
+                                                  (4.0, 0)])
+    def test_asymptotics_trend_needs_two_residuals(self, tmp_path, stride,
+                                                   residuals):
+        # a coarse stride leaves fewer than 8 samples in some of the six
+        # geometric windows, which are skipped; with fewer than two
+        # residuals there is no trend to assert
         cfg = write_config(tmp_path, {
             "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
-            "asymptotics": {"r_start": 5.0, "r_end": 25.0,
-                            "windows": windows}})
-        assert run(["asymptotics", "--config", cfg, "--out", tmp_path / "o",
-                    "--assert"]) == 2
-        assert "config error: config.asymptotics: each window" in \
-            capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+            "asymptotics": {"r_start": 10.0, "r_end": 50.0,
+                            "stride": stride}})
+        code = run(["asymptotics", "--config", cfg, "--out", tmp_path / "o",
+                    "--assert"])
+        rows = (tmp_path / "o" / "residuals_k=1_lambda=-1.csv").read_text()
+        assert len(rows.splitlines()) == 2 + residuals
+        assert code == (0 if residuals >= 2 else 1)
 
     @pytest.mark.parametrize("r_start,r_end", [(60.0, 100.0), (49.99, 60.0),
                                                (5.0, 10.05)])
@@ -1076,13 +1102,16 @@ class TestPlotData:
     def test_kinds_and_stability(self, tmp_path):
         run(["scan", "--config", fixture_path("borderline_linear"),
              "--out", tmp_path / "o"])
-        target = tmp_path / "o" / "cells" / "cell_k=1_lambda=-1.json"
+        # a scan cell on its own carries no plot kind
+        cells = json.loads((tmp_path / "o" / "scan.json").read_text())["cells"]
+        target = tmp_path / "cell.json"
+        target.write_text(json.dumps(cells[0]))
         assert run(["plotdata", target, tmp_path / "o" / "scan.csv",
                     "--out", tmp_path / "p1"]) == 2
         assert run(["plotdata", tmp_path / "o" / "scan.csv",
                     "--out", tmp_path / "p1"]) == 0
         assert (tmp_path / "p1" / "scan.dat").read_text().startswith("# k\\")
-        # per-cell files carry no plot kind; use the report artifacts instead
+        # the report artifacts carry their kind
         sub_out = tmp_path / "sub"
         run(["subordinacy", "--config", fixture_path("borderline_linear"),
              "--out", sub_out])

@@ -138,10 +138,10 @@ def dop853_fundamental(channel, grid):
 
 
 class TestMagnus:
-    @pytest.mark.parametrize("max_step", [math.inf, 0.02])
-    def test_matches_dop853_oracle(self, max_step):
+    @pytest.mark.parametrize("stride", [0.05, 0.02])
+    def test_matches_dop853_oracle(self, stride):
         grid, phi, failure = integrate_fundamental(
-            LINEAR, cfg(1.0, 60.0, max_step=max_step))
+            LINEAR, cfg(1.0, 60.0, stride=stride))
         assert failure is None
         ref = dop853_fundamental(LINEAR, grid)
         got = phi.transpose(1, 2, 0)
@@ -272,10 +272,10 @@ class TestBatch:
             one = propagate(assemble_channel(EQUAL, -1, lam), u, a, b)
             assert np.max(np.abs(g - one)) <= 1e-13 * np.max(np.abs(one))
 
-    @pytest.mark.parametrize("max_step", [math.inf, 0.02])
-    def test_running_product_matches_sequential_product(self, max_step):
+    @pytest.mark.parametrize("stride", [0.05, 0.02])
+    def test_running_product_matches_sequential_product(self, stride):
         # reference: the kept steps multiplied one at a time in travel order
-        solve = _Solve(LINEAR, cfg(1.0, 60.0).grid(), 1e-12, max_step)
+        solve = _Solve(LINEAR, cfg(1.0, 60.0, stride=stride).grid(), 1e-12)
         grid = solve.nodes[0]
         now, ref = np.eye(2), [np.eye(2)]
         for P, end in zip(solve.P.T, solve.end):
@@ -537,7 +537,7 @@ def sequential_pruefer(channel, rho0, theta0, c):
     vector carried through the steps of the solve one at a time, each past
     its first half and to its end, renormalized after each step, ln rho
     summing the logs of the norms."""
-    solve = _Solve(channel, c.grid(), c.rtol, c.max_step)
+    solve = _Solve(channel, c.grid(), c.rtol)
     v = np.array([math.cos(theta0), math.sin(theta0)])
     states, norms = [v], [1.0]
     for half, P in zip(solve.half.T, solve.P.T):
@@ -630,7 +630,7 @@ class TestPruefer:
         # the long range takes 1.2e5 half steps, whose angle gains would
         # drift by 6.5e-9 in their sum were theta not set on its state angle
         for c, tol in ((cfg(1.0, 30.0), 1e-10),
-                       (cfg(1.0, 3000.0, max_step=0.05, stride=0.5), 4e-12)):
+                       (cfg(1.0, 3000.0, stride=0.05), 4e-12)):
             traj = integrate_pruefer(ROTATION, 2.5, 0.3, c)
             assert np.max(np.abs(traj.theta - (0.3 + traj.grid - 1.0))) <= tol
             assert np.max(np.abs(traj.rho - 2.5)) < 1e-10
@@ -853,8 +853,8 @@ class TestConfig:
             SolveConfig(r_start=1.0, r_end=2.0, rtol=2.0)
 
     @pytest.mark.parametrize("bad", [
-        {"r_start": 0.0}, {"r_start": -1.0}, {"max_step": 0.0},
-        {"max_step": -1.0}, {"max_step": math.nan}, {"stride": math.nan}])
+        {"r_start": 0.0}, {"r_start": -1.0}, {"stride": 0.0},
+        {"stride": -1.0}, {"r_end": math.nan}, {"stride": math.nan}])
     def test_range_and_step_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             SolveConfig(**{"r_start": 1.0, "r_end": 2.0, **bad})

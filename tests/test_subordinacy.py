@@ -432,13 +432,17 @@ class TestEigenShoot:
                            match="no turning radius found"):
             _turning_radius(_probe_q(CoefficientModel(q=log, m=log)), 100.0)
 
-    def test_bracket_nonempty_and_stable(self):
+    def test_bracket_nonempty_and_stable(self, monkeypatch):
         eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
         assert len(eigs) >= 1
         tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11)
         assert len(tight) == len(eigs)
         assert max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
-        wide = eigen_shoot(EQUAL, 1, (0.0, 5.0), match_radius_factor=2.0)
+        # matching at twice the turning radius moves no eigenvalue
+        turning = subordinacy._turning_radius
+        monkeypatch.setattr(subordinacy, "_turning_radius",
+                            lambda q, lam: 2.0 * turning(q, lam))
+        wide = eigen_shoot(EQUAL, 1, (0.0, 5.0))
         assert max(abs(a - b) for a, b in zip(eigs, wide)) < 1e-6
 
     def test_partition_invariance(self):

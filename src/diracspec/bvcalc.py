@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "SampledFunction",
-    "WindowLadder",
     "ProductBoundResult",
     "QuotientBoundResult",
     "TrichotomyProbe",
@@ -154,31 +153,6 @@ def tail_trend(values: Sequence[float]) -> str:
     if np.all(last >= 0.8) and np.all(v[-2:] > 0.1):
         return TREND_FLAT
     return TREND_INCONCLUSIVE
-
-
-# ---------------------------------------------------------------------------
-# window ladders over the tail
-
-
-@dataclass(frozen=True)
-class WindowLadder:
-    """Geometric ladder of tail windows [T, factor*T]."""
-
-    start: float
-    factor: float
-    rungs: int
-
-    def __post_init__(self):
-        if self.start <= 0 or self.factor <= 1 or self.rungs < 2:
-            raise ValueError("ladder needs start > 0, factor > 1, rungs >= 2")
-
-    def windows(self):
-        return [(self.start * self.factor ** j, self.start * self.factor ** (j + 1))
-                for j in range(self.rungs)]
-
-
-EXTREME_LADDER = WindowLadder(25.0, 2.0, 4)
-TAIL_LADDER = WindowLadder(25.0, 10.0, 3)
 
 
 # the points of every geometric window grid, and the fewest of a linear one

@@ -43,10 +43,7 @@ from .asymptotics import (
 )
 from .boundedness import almost_monotone_check, certify
 from .bvcalc import (
-    EXTREME_LADDER,
-    TAIL_LADDER,
     SampledFunction,
-    WindowLadder,
     check_product_bound,
     check_quotient_bounds,
     jordan_decompose,
@@ -108,8 +105,6 @@ class RunConfig:
     lambda_grid: list
     bracket: list | None
     solver: SolveConfig
-    ladder: WindowLadder
-    tail_ladder: WindowLadder
     subordinacy: dict
     eigen: dict
     asymptotics: SolveConfig
@@ -195,6 +190,9 @@ def load_config(path) -> RunConfig:
     raw = _checked("config is not valid JSON", json.loads,
                    _read_text(Path(path), "config file"))
     _check_keys(raw, {f.name for f in fields(RunConfig)}, "config")
+    # the commands would disagree on which of the two they read
+    _require(not {"model", "channel"} <= set(raw),
+             "config: names both 'model' and 'channel'; give one")
 
     model = None
     if "model" in raw:
@@ -247,10 +245,6 @@ def load_config(path) -> RunConfig:
 
     solver = _checked("config.solver", SolveConfig, **section(
         "solver", asdict(SolveConfig(r_start=1.0, r_end=100.0))))
-    ladder = _checked("config.ladder", WindowLadder, **section(
-        "ladder", asdict(EXTREME_LADDER), rungs=_int))
-    tail_ladder = _checked("config.tail_ladder", WindowLadder, **section(
-        "tail_ladder", asdict(TAIL_LADDER), rungs=_int))
     sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, **_defaults(
         subordinacy_ratio, delta="delta")})
     _checked("config.subordinacy", ratio_range, **sub)
@@ -273,9 +267,8 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(model=model, channel=channel, k_set=k_set,
                      lambda_grid=lambda_grid, bracket=bracket, solver=solver,
-                     ladder=ladder, tail_ladder=tail_ladder, subordinacy=sub,
-                     eigen=eigen, asymptotics=asy, bv=bv, seed=seed,
-                     workers=workers)
+                     subordinacy=sub, eigen=eigen, asymptotics=asy, bv=bv,
+                     seed=seed, workers=workers)
 
 
 def _defect_window(scfg: SolveConfig) -> tuple:
@@ -372,9 +365,7 @@ def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     model = cfg.model
     doc = {"kind": "hypotheses", "model": model.to_dict(), "conditions": [],
            "channels": {}}
-    reports, c_reports = check_hypotheses(model, cfg.k_set, cfg.lambda_grid,
-                                          extreme_ladder=cfg.ladder,
-                                          tail_ladder=cfg.tail_ladder)
+    reports, c_reports = check_hypotheses(model, cfg.k_set, cfg.lambda_grid)
     doc["conditions"] = [r.to_dict() for r in reports]
     _print_table("model conditions:", reports)
 
@@ -419,12 +410,10 @@ def cmd_solve(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
 def cmd_boundedness(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     findings = False
     channels = _channels_from(cfg)
-    ladders = {"extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
     if cfg.channel is not None:
-        c_reports = {(None, None): check_c_conditions(cfg.channel, **ladders)}
+        c_reports = {(None, None): check_c_conditions(cfg.channel)}
     else:
-        c_reports = check_c_conditions(cfg.model, cfg.k_set, cfg.lambda_grid,
-                                       **ladders)
+        c_reports = check_c_conditions(cfg.model, cfg.k_set, cfg.lambda_grid)
     # one certify call, and so one fundamental solve, per k
     for k, cells in groupby(channels, key=lambda cell: cell[0]):
         cells = list(cells)
@@ -498,9 +487,7 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "scan needs a nonempty 'lambda_grid'")
     # the model and every cell read in one pass, whatever the chunks
-    hyp, c_reports = check_scan(cfg.model, cfg.k_set, cfg.lambda_grid,
-                                extreme_ladder=cfg.ladder,
-                                tail_ladder=cfg.tail_ladder)
+    hyp, c_reports = check_scan(cfg.model, cfg.k_set, cfg.lambda_grid)
     doc = {"kind": "scan", "model": cfg.model.to_dict(),
            "equal_coefficients": c_reports is None,
            "hypotheses": [h.to_dict() for h in hyp],
@@ -620,8 +607,7 @@ def cmd_bv_verify(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
            "quotient_bound_failures": quotient_fail,
            "jordan_failures": jordan_fail}
     if cfg.model is not None and cfg.lambda_grid:
-        probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid,
-                                        cfg.tail_ladder)
+        probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid)
         doc["trichotomy"] = asdict(probe)
         _say(f"trichotomy pattern: {probe.pattern}")
     _write_json(out / "bv_report.json", doc)
@@ -651,10 +637,13 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]
             # a trend needs two residual windows; fewer is no evidence
-            trend_ok = trend_ok and len(resid) >= 2 and resid[-1] <= resid[0]
+            short = len(resid) < 2
+            trend_ok = trend_ok and not short and resid[-1] <= resid[0]
             _say(f"k={k} lambda={lam:g}: residuals "
                  + " ".join(f"{x:.3g}" for x in resid)
-                 + f"; defect orders { [round(o, 3) for o in conv['orders']] }")
+                 + f"; defect orders { [round(o, 3) for o in conv['orders']] }"
+                 + ("; no trend: fewer than two residual windows"
+                    if short else ""))
     return EXIT_FINDINGS if (assert_mode and not trend_ok) else EXIT_OK
 
 

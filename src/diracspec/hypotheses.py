@@ -1,9 +1,12 @@
 """Windowed diagnostics for the spectral hypotheses.
 
 Every asymptotic hypothesis (a limit at infinity, a tail integral, a tail
-variation) is probed on a geometric ladder of windows and classified as
-satisfied, violated, or inconclusive; the checker never extrapolates beyond
-the ladder, so "inconclusive" is a first-class verdict.
+variation) is probed on one of two fixed geometric ladders of windows
+[T, factor T] and classified as satisfied, violated, or inconclusive: the
+suprema and infima on `EXTREME_WINDOWS`, [25, 400] in four doublings, and
+the tail variations and integrals on `TAIL_WINDOWS`, [25, 25000] in three
+decades.  The checker never extrapolates beyond the ladder, so
+"inconclusive" is a first-class verdict.
 
 A window sample is the coefficient values on one window grid, which
 `bvcalc.sample_window` picks: 2048 geometric points on every window of a
@@ -55,12 +58,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bvcalc import (
-    EXTREME_LADDER,
-    TAIL_LADDER,
     TREND_CONVERGED,
     TREND_FLAT,
     TREND_GROWING,
-    WindowLadder,
     classify_trichotomy,
     sample_window,
     tail_trend,
@@ -96,6 +96,8 @@ __all__ = [
     "check_scan",
     "lambda_trichotomy_probe",
     "worst_verdict",
+    "EXTREME_WINDOWS",
+    "TAIL_WINDOWS",
 ]
 
 SATISFIED = "satisfied"
@@ -140,6 +142,13 @@ def worst_verdict(reports: Sequence[HypothesisReport]) -> str:
 
 # ---------------------------------------------------------------------------
 # window samples
+
+# the two ladders of windows [T, factor T] from T = 25 (see the module
+# docstring), the only windows any check reads
+EXTREME_WINDOWS = tuple((25.0 * 2.0 ** j, 25.0 * 2.0 ** (j + 1))
+                        for j in range(4))
+TAIL_WINDOWS = tuple((25.0 * 10.0 ** j, 25.0 * 10.0 ** (j + 1))
+                     for j in range(3))
 
 # window grids for suprema and infima are capped below the tail-rung grids
 _EXTREME_POINTS = 100_000
@@ -204,7 +213,7 @@ class _Check:
         return not self.missing
 
 
-def _run(sample, geometric, checks, extreme_ladder, tail_ladder):
+def _run(sample, geometric, checks):
     """One pass over each ladder for all `checks`, with the window sampler
     `sample` on the window grids of `sample_window`, `geometric` for a
     scale-free source: the package's one loop over ladder windows.
@@ -232,13 +241,13 @@ def _run(sample, geometric, checks, extreme_ladder, tail_ladder):
 
     with np.errstate(all="ignore"):
         if extreme_reads:
-            for a, b in extreme_ladder.windows():
+            for a, b in EXTREME_WINDOWS:
                 r, s = sample_window(lambda r: sample(r, extreme_reads),
                                      a, b, n_max=_EXTREME_POINTS,
                                      geometric=geometric)
                 for check in checks:
                     check.extreme(r, s)
-        for a, b in tail_ladder.windows():
+        for a, b in TAIL_WINDOWS:
             r, s = sample_window(lambda r: sample(r, tail_reads), a, b,
                                  geometric=geometric)
             for check, (first, last) in zip(checks, lifetimes):
@@ -334,14 +343,14 @@ class _A3Checks(_Check):
         self.variations = trichotomy_window(s["q"], s["m"], self.lambdas,
                                             self.variations)
 
-    def reports(self, ew, tw):
+    def reports(self):
         verdicts = {"convergent": SATISFIED, "divergent": VIOLATED}
         return [HypothesisReport(
             f"A3[lambda={e['lambda']:g}]",
             verdicts.get(e["classification"], INCONCLUSIVE),
             {"rung_variations": e["variations"], "trend": e["trend"]},
             _listify(e["windows"]), note=e.get("note", ""))
-            for e in classify_trichotomy(self.lambdas, tw,
+            for e in classify_trichotomy(self.lambdas, TAIL_WINDOWS,
                                          self.variations).entries]
 
 
@@ -372,27 +381,28 @@ class _AChecks(_A3Checks):
                 window_integral(r, np.where(dm == 0.0, 0.0,
                                             np.abs(dm / (r * m ** 2))))))
 
-    def reports(self, ew, tw):
+    def reports(self):
         q_min, q_max, m_min, ratio_max = _rows(self.extremes)
         v1, n1 = _liminf_positive_verdict(m_min)
         v2, n2 = _limsup_below_verdict(ratio_max)
         reports = [
-            _divergence_report("A1", q_min, q_max, ew),
+            _divergence_report("A1", q_min, q_max, EXTREME_WINDOWS),
             HypothesisReport(
                 "A2", _worst((v1, v2)),
                 {"abs_m_window_minima": m_min.tolist(),
                  "m_over_q_window_maxima": ratio_max.tolist()},
-                _listify(ew), note="; ".join(x for x in (n1, n2) if x)),
-        ] + super().reports(ew, tw)
+                _listify(EXTREME_WINDOWS),
+                note="; ".join(x for x in (n1, n2) if x)),
+        ] + super().reports()
         if self.missing:
             reports.append(HypothesisReport(
                 "A4", INCONCLUSIVE, {}, [],
                 note="mass coefficient has no usable derivative"))
             return reports
         a4, a4p = _rows(self.integrals)
-        reports.append(_tail_report("A4", "rung_integrals", a4, tw))
-        reports.append(_tail_report("A4'", "rung_integrals", a4p, tw,
-                                    auxiliary=True))
+        reports.append(_tail_report("A4", "rung_integrals", a4, TAIL_WINDOWS))
+        reports.append(_tail_report("A4'", "rung_integrals", a4p,
+                                    TAIL_WINDOWS, auxiliary=True))
         return reports
 
 
@@ -411,15 +421,15 @@ class _DChecks(_Check):
                 window_integral(r, np.abs(dm / q)),
                 window_integral(r, np.abs(m * dq / q ** 2))))
 
-    def reports(self, ew, tw):
+    def reports(self):
         if self.missing:
             return [HypothesisReport(
                 "D1", INCONCLUSIVE, {}, [], "derivatives unavailable",
                 auxiliary=True)]
         d1, d2 = _rows(self.integrals)
-        reports = [_tail_report("D1", "rung_integrals", d1, tw,
+        reports = [_tail_report("D1", "rung_integrals", d1, TAIL_WINDOWS,
                                 auxiliary=True),
-                   _tail_report("D2", "rung_integrals", d2, tw,
+                   _tail_report("D2", "rung_integrals", d2, TAIL_WINDOWS,
                                 auxiliary=True)]
         if all(r.verdict == SATISFIED for r in reports):
             reports[-1] = replace(
@@ -451,8 +461,9 @@ class _BChecks(_Check):
                 window_integral(r, np.abs(d2q / q ** 1.5)),
                 window_integral(r, dq ** 2 / q ** 2.5)))
 
-    def reports(self, ew, tw):
-        reports = [_divergence_report("B1", *_rows(self.extremes), ew)]
+    def reports(self):
+        reports = [_divergence_report("B1", *_rows(self.extremes),
+                                      EXTREME_WINDOWS)]
         if self.missing:
             reports.append(HypothesisReport(
                 "B2", INCONCLUSIVE, {}, [], "derivative unavailable"))
@@ -464,13 +475,13 @@ class _BChecks(_Check):
             "B2", _worst((v1, v2)),
             {"rung_variations": var_rungs.tolist(),
              "rung_square_integrals": l2_rungs.tolist()},
-            _listify(tw), note="; ".join(x for x in (n1, n2) if x)))
+            _listify(TAIL_WINDOWS), note="; ".join(x for x in (n1, n2) if x)))
         reports.append(HypothesisReport(
             "B2'", _worst((_tail_verdict(second)[0],
                            _tail_verdict(squared)[0])),
             {"rung_second_derivative_integrals": second.tolist(),
              "rung_squared_slope_integrals": squared.tolist()},
-            _listify(tw), auxiliary=True))
+            _listify(TAIL_WINDOWS), auxiliary=True))
         return reports
 
 
@@ -506,7 +517,7 @@ class _GChecks(_Check):
             window_variation(slope),
             window_integral(r, np.abs(slope / r))))
 
-    def reports(self, ew, tw):
+    def reports(self):
         first = next((i for i in range(len(self.lambdas)) if sum(
             i in rows for rows in self.rows["tail"]) >= 2), None)
         if first is None or self.missing:
@@ -519,7 +530,8 @@ class _GChecks(_Check):
         (ew, maxima), (tw, rungs) = (
             ([w for w, row in zip(windows, self.rows[ladder]) if first in row],
              [row[first] for row in self.rows[ladder] if first in row])
-            for windows, ladder in ((ew, "extreme"), (tw, "tail")))
+            for windows, ladder in ((EXTREME_WINDOWS, "extreme"),
+                                    (TAIL_WINDOWS, "tail")))
         variations, integrals = _rows(rungs)
         return [_tail_report("G1", "rung_variations", variations, tw),
                 _tail_report("G2", "rung_integrals", integrals, tw),
@@ -640,11 +652,10 @@ class _CChecks(_Check):
 
     extreme_reads = tail_reads = ("q", "m")
 
-    def __init__(self, source, k_set, lambda_grid, sample, tail_ladder):
+    def __init__(self, source, k_set, lambda_grid, sample):
         self.extremes, self.floors, self.rungs = [], [], []
         # identify a vanishing coefficient on a probe grid
-        tw = tail_ladder.windows()
-        probe = np.geomspace(tw[0][0], tw[-1][1], 512)
+        probe = np.geomspace(TAIL_WINDOWS[0][0], TAIL_WINDOWS[-1][1], 512)
         with np.errstate(all="ignore"):
             s = sample(probe, self.tail_reads)
         model = isinstance(source, CoefficientModel)
@@ -698,7 +709,7 @@ class _CChecks(_Check):
         self.floors.append(floors)
         self.rungs.append(rungs)
 
-    def reports(self, ew, tw):
+    def reports(self):
         """{cell: [C1, C2, C3 or C3']} in grid order (-k shares |k|'s)."""
         reports = {}
         for cell in self.extremes[0]:  # the reduced cells, in grid order
@@ -706,19 +717,19 @@ class _CChecks(_Check):
                                             for window in self.extremes)
             verdict, note = _limsup_below_verdict(ratio_max)
             reports[cell] = [
-                _divergence_report("C1", q_min, q_max, ew),
+                _divergence_report("C1", q_min, q_max, EXTREME_WINDOWS),
                 HypothesisReport(
                     "C2", verdict,
                     {"w_over_q_window_maxima": ratio_max.tolist()},
-                    _listify(ew), note),
+                    _listify(EXTREME_WINDOWS), note),
             ]
             gaps = [window[cell] for window in self.floors]
             use = [i for i, g in enumerate(gaps) if g > 0.0]
             evidence = {"q_minus_w_window_minima": gaps}
             # the quotients need two windows or more, the last among them
-            if len(use) < 2 or use[-1] != len(tw) - 1:
+            if len(use) < 2 or use[-1] != len(TAIL_WINDOWS) - 1:
                 reports[cell].append(HypothesisReport(
-                    "C3", INCONCLUSIVE, evidence, _listify(tw),
+                    "C3", INCONCLUSIVE, evidence, _listify(TAIL_WINDOWS),
                     note="Q - W not positive on the tail; quotients skipped"))
                 continue
             verdicts, notes = [], []
@@ -731,7 +742,8 @@ class _CChecks(_Check):
                     notes.append(f"{name}: {n}")
             reports[cell].append(HypothesisReport(
                 self.form.condition_id, _worst(verdicts), evidence,
-                _listify([tw[i] for i in use]), note="; ".join(notes)))
+                _listify([TAIL_WINDOWS[i] for i in use]),
+                note="; ".join(notes)))
         return {(k, lam): reports[self.read[k], lam]
                 for k in self.read for lam in self.lams}
 
@@ -740,61 +752,49 @@ class _CChecks(_Check):
 # public checks: each runs the ladder pass with its own reductions only
 
 
-def _ladder_pass(source, checks, extreme_ladder, tail_ladder, cells=None):
+def _ladder_pass(source, checks, cells=None):
     """The reports of `checks` on one pass over each ladder of `source` (a
     model, or a channel: anything with `coeffs`) and the C reports of the
     (k_set, lambdas) grid `cells`, or None; the C checks go last, so every
     derivative array is dropped before their work arrays are made."""
     sample, geometric = (_channel_sampler if hasattr(source, "coeffs")
                          else _model_sampler)(source)
-    channels = [] if cells is None else [
-        _CChecks(source, *cells, sample, tail_ladder)]
-    _run(sample, geometric, checks + channels, extreme_ladder, tail_ladder)
-    ew, tw = extreme_ladder.windows(), tail_ladder.windows()
-    return ([rep for check in checks for rep in check.reports(ew, tw)],
-            channels[0].reports(ew, tw) if channels else None)
+    channels = [] if cells is None else [_CChecks(source, *cells, sample)]
+    _run(sample, geometric, checks + channels)
+    return ([rep for check in checks for rep in check.reports()],
+            channels[0].reports() if channels else None)
 
 
-def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float], *,
-                       extreme_ladder: WindowLadder = EXTREME_LADDER,
-                       tail_ladder: WindowLadder = TAIL_LADDER):
+def check_a_conditions(model: CoefficientModel, lambdas: Sequence[float]):
     """Diagnose the dominant-potential hypotheses A1-A4 (plus the auxiliary
     stronger probe A4'). The angular index enters none of them."""
-    return _ladder_pass(model, [_AChecks(lambdas)], extreme_ladder,
-                        tail_ladder)[0]
+    return _ladder_pass(model, [_AChecks(lambdas)])[0]
 
 
-def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float],
-                            tail_ladder: WindowLadder = TAIL_LADDER):
+def lambda_trichotomy_probe(model: CoefficientModel, lambdas: Sequence[float]):
     """A3 alone, bit for bit: the tail variation of m/(q - lambda) for each
-    probe lambda on the windows of `tail_ladder`, classified; it reads the
-    `value` of q and m on the tail windows only."""
+    probe lambda on the tail windows, classified; it reads the `value` of q
+    and m on the tail windows only."""
     probe = _A3Checks(lambdas)
-    _run(*_model_sampler(model), [probe], EXTREME_LADDER, tail_ladder)
-    return classify_trichotomy(probe.lambdas, tail_ladder.windows(),
-                               probe.variations)
+    _run(*_model_sampler(model), [probe])
+    return classify_trichotomy(probe.lambdas, TAIL_WINDOWS, probe.variations)
 
 
-def check_derivative_sufficiency(model: CoefficientModel, *,
-                                 tail_ladder: WindowLadder = TAIL_LADDER):
+def check_derivative_sufficiency(model: CoefficientModel):
     """Tail integrability of m'/q and m q'/q^2.  When both converge, the
     quotient m/(q - lambda) is of bounded variation for every lambda, so the
     per-lambda probes must all report convergent."""
-    return _ladder_pass(model, [_DChecks()], EXTREME_LADDER, tail_ladder)[0]
+    return _ladder_pass(model, [_DChecks()])[0]
 
 
-def check_b_conditions(model: CoefficientModel, *,
-                       extreme_ladder: WindowLadder = EXTREME_LADDER,
-                       tail_ladder: WindowLadder = TAIL_LADDER):
+def check_b_conditions(model: CoefficientModel):
     """Diagnose the borderline-case hypotheses B1-B2 (m identically q),
     plus the auxiliary second-derivative variant B2'."""
     require_equal(model, "check_b_conditions")
-    return _ladder_pass(model, [_BChecks()], extreme_ladder, tail_ladder)[0]
+    return _ladder_pass(model, [_BChecks()])[0]
 
 
-def gamma_diagnostics(model: CoefficientModel, lam: float, *,
-                      tail_ladder: WindowLadder = TAIL_LADDER,
-                      extreme_ladder: WindowLadder = EXTREME_LADDER):
+def gamma_diagnostics(model: CoefficientModel, lam: float):
     """Diagnostics for gamma = 2q - lambda: variation and decay of
     gamma'/gamma^(3/2) and integrability of gamma'/(r gamma^(3/2)).
 
@@ -805,13 +805,10 @@ def gamma_diagnostics(model: CoefficientModel, lam: float, *,
     ValueError.
     """
     require_equal(model, "gamma_diagnostics")
-    return _ladder_pass(model, [_GChecks([lam])], extreme_ladder,
-                        tail_ladder)[0]
+    return _ladder_pass(model, [_GChecks([lam])])[0]
 
 
-def check_c_conditions(source, k_set=(), lambda_grid=(), *,
-                       extreme_ladder: WindowLadder = EXTREME_LADDER,
-                       tail_ladder: WindowLadder = TAIL_LADDER):
+def check_c_conditions(source, k_set=(), lambda_grid=()):
     """Diagnose the channel conditions C1-C3 (C3' when one coefficient
     vanishes identically).
 
@@ -828,15 +825,12 @@ def check_c_conditions(source, k_set=(), lambda_grid=(), *,
     cells of k and -k share its reports, bit for bit those of their own
     channels; C3' on L/(Q - L) (m == 0) does see it and reduces every k.
     """
-    _, reports = _ladder_pass(source, [], extreme_ladder, tail_ladder,
-                              cells=(k_set, lambda_grid))
+    _, reports = _ladder_pass(source, [], cells=(k_set, lambda_grid))
     return reports[None, None] if hasattr(source, "coeffs") else reports
 
 
 def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
-                     lambda_grid: Sequence[float], *,
-                     extreme_ladder: WindowLadder = EXTREME_LADDER,
-                     tail_ladder: WindowLadder = TAIL_LADDER):
+                     lambda_grid: Sequence[float]):
     """Every condition of one model in one pass over each ladder.
 
     Returns the model reports, in order A1-A4 (`check_a_conditions`), D1/D2
@@ -855,20 +849,16 @@ def check_hypotheses(model: CoefficientModel, k_set: Sequence[int],
         checks.append(_BChecks())
         if lambdas:
             checks.append(_GChecks(lambdas, required=False))
-    return _ladder_pass(model, checks, extreme_ladder, tail_ladder,
-                        cells=(k_set, lambdas))
+    return _ladder_pass(model, checks, cells=(k_set, lambdas))
 
 
 def check_scan(model: CoefficientModel, k_set: Sequence[int],
-               lambda_grid: Sequence[float], *,
-               extreme_ladder: WindowLadder = EXTREME_LADDER,
-               tail_ladder: WindowLadder = TAIL_LADDER):
+               lambda_grid: Sequence[float]):
     """What a scan reads, in one pass over each ladder: A1-A4 on the sorted
     distinct lambdas (`check_a_conditions`) and the C reports {(k, lambda):
     reports} of the grid (`check_c_conditions`); for m == q, B1-B2
     (`check_b_conditions`) and None, since its cells read no C report."""
     lambdas = sorted(set(map(float, lambda_grid)))
     if models_equal(model)[0]:
-        return _ladder_pass(model, [_BChecks()], extreme_ladder, tail_ladder)
-    return _ladder_pass(model, [_AChecks(lambdas)], extreme_ladder,
-                        tail_ladder, cells=(k_set, lambdas))
+        return _ladder_pass(model, [_BChecks()])
+    return _ladder_pass(model, [_AChecks(lambdas)], cells=(k_set, lambdas))

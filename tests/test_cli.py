@@ -15,8 +15,6 @@ import pytest
 import diracspec
 import diracspec.cli as cli
 from diracspec.bvcalc import (
-    EXTREME_LADDER,
-    TAIL_LADDER,
     SampledFunction,
     check_product_bound,
     check_quotient_bounds,
@@ -38,7 +36,11 @@ from diracspec.coefficients import (
     assemble_channel,
     power,
 )
-from diracspec.hypotheses import lambda_trichotomy_probe
+from diracspec.hypotheses import (
+    EXTREME_WINDOWS,
+    TAIL_WINDOWS,
+    lambda_trichotomy_probe,
+)
 from diracspec.solver import SolveConfig, prefer_pruefer
 from diracspec.subordinacy import eigen_shoot, ratio_range, subordinacy_ratio
 
@@ -124,8 +126,7 @@ def bv_verify_one_at_a_time(cfg, out, assert_mode):
            "quotient_bound_failures": quotient_fail,
            "jordan_failures": jordan_fail}
     if cfg.model is not None and cfg.lambda_grid:
-        probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid,
-                                        cfg.tail_ladder)
+        probe = lambda_trichotomy_probe(cfg.model, cfg.lambda_grid)
         doc["trichotomy"] = asdict(probe)
         cli._say(f"trichotomy pattern: {probe.pattern}")
     cli._write_json(out / "bv_report.json", doc)
@@ -158,16 +159,22 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("section", [{"solver": {"max_step": 0.05}},
-                                         {"asymptotics": {"windows": None}}])
+                                         {"asymptotics": {"windows": None}},
+                                         {"ladder": {"rungs": 3}},
+                                         {"tail_ladder": {"factor": 5.0}}])
     def test_dropped_keys_are_unknown(self, tmp_path, capsys, section):
-        # the first Magnus partition is the grid and the residual windows
-        # are compare_asymptotics' own; neither is a setting
+        # the first Magnus partition is the grid, the residual windows are
+        # compare_asymptotics' own and the window ladders are constants of
+        # `hypotheses`; none is a setting
         (key, inner), = section.items()
         path = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [1],
                                        "lambda_grid": [-1.0], **section})
         assert run(["asymptotics", "--config", path,
                     "--out", tmp_path / "o"]) == 2
-        assert f"config error: config.{key}: unknown keys {list(inner)}" in \
+        where, unknown = ((f"config.{key}", list(inner))
+                          if key in cli.RunConfig.__dataclass_fields__
+                          else ("config", [key]))
+        assert f"config error: {where}: unknown keys {unknown}" in \
             capsys.readouterr().err
 
     def test_zero_k_rejected(self, tmp_path):
@@ -180,8 +187,8 @@ class TestConfig:
         {"solver": {"rtol": 0.0}},
         {"solver": {"r_start": 5.0, "r_end": 2.0}},
         {"solver": {"stride": -0.1}},
-        {"ladder": {"factor": 0.5}},
-        {"tail_ladder": {"rungs": "many"}},
+        {"solver": {"atol": 1.0}},
+        {"solver": {"rtol": math.inf}},
         {"subordinacy": {"delta": "x"}},
         {"subordinacy": {"r0": 0.0}},
         {"eigen": {"tol": 0}},
@@ -196,35 +203,57 @@ class TestConfig:
         {"bracket": [2.0, 1.0]},
         {"bracket": "12"},
         {"channel": {"Q": "x", "M": 1.0, "L": 0.0}},
+        {"channel": {"Q": 2.0, "M": 1.0}},
         {"k_set": [True]},
+        {"k_set": [1.5]},
+        {"k_set": "1"},
+        {"lambda_grid": "0"},
+        {"lambda_grid": [math.nan]},
+        {"bracket": [0.0, 1.0, 2.0]},
+        {"bracket": [-1.0, 1.0]},
+        {"channel": "x"},
+        {"channel": {"Q": 2.0, "M": 1.0, "L": 0.0, "W": 1.0}},
+        {"solver": []},
         {"lambda_grid": [False]},
         {"bracket": [True, 2.0]},
         {"bracket": [-math.inf, 1.0]},
         {"workers": 0},
         *({key: bad} for key in ("seed", "workers")
           for bad in (True, 2.7, "3")),
+        *({"bv": {"instances": bad}} for bad in (True, 2.7, "3")),
         *({section: {key: bad}} for section, key in (
-            ("ladder", "rungs"), ("tail_ladder", "rungs"),
-            ("bv", "instances")) for bad in (True, 2.7, "3")),
-        *({section: {key: bad}} for section, key in (
-            ("solver", "rtol"), ("ladder", "start"), ("tail_ladder", "factor"),
-            ("subordinacy", "r0"), ("eigen", "tol"),
+            ("solver", "rtol"), ("subordinacy", "r0"), ("eigen", "tol"),
             ("asymptotics", "stride")) for bad in (True, "3")),
         {"asymptotics": {"windows": [[True, 10.0]]}},
         {"channel": {"Q": "3", "M": 1.0, "L": 0.0}},
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, section):
-        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
-                                       "lambda_grid": [0.0], **section})
+        # the refusal names the section; a constant channel stands alone,
+        # since a model beside it is refused first
+        key, = section
+        doc = ({} if key == "channel" else
+               {"model": LINEAR_MODEL, "k_set": [1], "lambda_grid": [0.0]})
+        path = write_config(tmp_path, {**doc, **section})
         code = run(["hypotheses", "--config", path, "--out", tmp_path / "o"])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: config.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["boundedness", "solve", "hypotheses",
+                                         "scan"])
+    def test_model_and_channel_together_exit_two(self, tmp_path, capsys,
+                                                 command):
+        # the channel commands would read the channel, the others the model
+        path = write_config(tmp_path, {
+            "model": LINEAR_MODEL, "k_set": [1], "lambda_grid": [0.0],
+            "channel": {"Q": 2.0, "M": 1.0, "L": 0.0}})
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == ("config error: config: names both "
+                                           "'model' and 'channel'; give one\n")
+        assert not (tmp_path / "o").exists()
 
     def test_defaults_are_the_library_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"model": LINEAR_MODEL}))
         assert cfg.solver == SolveConfig(r_start=1.0, r_end=100.0)
-        assert cfg.ladder == EXTREME_LADDER
-        assert cfg.tail_ladder == TAIL_LADDER
         shoot = inspect.signature(eigen_shoot).parameters
         ratio = inspect.signature(subordinacy_ratio).parameters
         assert cfg.eigen == {"scan_step": shoot["scan_step"].default,
@@ -547,13 +576,12 @@ class TestScanCommand:
             assert (tmp_path / "seq" / rel).read_bytes() == \
                 (tmp_path / "par" / rel).read_bytes()
 
-    def test_config_ladders_reach_every_check(self, tmp_path):
+    def test_every_command_reads_the_constant_windows(self, tmp_path):
         # the A reports of scan equal those of hypotheses, and each cell's C
-        # reports those of boundedness, on the config's ladders
+        # reports those of boundedness and of hypotheses, on the windows of
+        # `hypotheses`
         cfg = write_config(tmp_path, {
             "model": LINEAR_MODEL, "k_set": [1, -1], "lambda_grid": [0.0],
-            "ladder": {"start": 30.0, "factor": 3.0, "rungs": 3},
-            "tail_ladder": {"start": 40.0, "factor": 5.0, "rungs": 3},
             "solver": {"r_end": 20.0}, "subordinacy": {"r_end": 20.0}})
         for command in ("scan", "hypotheses", "boundedness"):
             run([command, "--config", cfg, "--out", tmp_path / command,
@@ -563,8 +591,11 @@ class TestScanCommand:
                          .read_text())
         assert scan["hypotheses"] == [r for r in hyp["conditions"]
                                       if r["condition"].startswith("A")]
-        extreme = [[30.0, 90.0], [90.0, 270.0], [270.0, 810.0]]
-        tail = [[40.0, 200.0], [200.0, 1000.0], [1000.0, 5000.0]]
+        extreme = [list(w) for w in EXTREME_WINDOWS]
+        tail = [list(w) for w in TAIL_WINDOWS]
+        assert extreme == [[25.0, 50.0], [50.0, 100.0], [100.0, 200.0],
+                           [200.0, 400.0]]
+        assert tail == [[25.0, 250.0], [250.0, 2500.0], [2500.0, 25000.0]]
         windows = {r["condition"]: r["windows"] for r in scan["hypotheses"]}
         assert windows["A1"] == extreme and windows["A4"] == tail
         for cell in scan["cells"]:
@@ -869,11 +900,11 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("stride,residuals", [(0.02, 6), (1.6, 1),
                                                   (4.0, 0)])
-    def test_asymptotics_trend_needs_two_residuals(self, tmp_path, stride,
-                                                   residuals):
+    def test_asymptotics_trend_needs_two_residuals(self, tmp_path, capsys,
+                                                   stride, residuals):
         # a coarse stride leaves fewer than 8 samples in some of the six
         # geometric windows, which are skipped; with fewer than two
-        # residuals there is no trend to assert
+        # residuals there is no trend to assert, and the cell's line says so
         cfg = write_config(tmp_path, {
             "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
             "asymptotics": {"r_start": 10.0, "r_end": 50.0,
@@ -883,6 +914,10 @@ class TestOtherCommands:
         rows = (tmp_path / "o" / "residuals_k=1_lambda=-1.csv").read_text()
         assert len(rows.splitlines()) == 2 + residuals
         assert code == (0 if residuals >= 2 else 1)
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("k=1 lambda=-1: residuals ")
+        assert line.endswith("; no trend: fewer than two residual windows") \
+            == (residuals < 2)
 
     @pytest.mark.parametrize("r_start,r_end", [(60.0, 100.0), (49.99, 60.0),
                                                (5.0, 10.05)])
@@ -1247,8 +1282,6 @@ class TestScipyFreeStart:
     def test_scipy_free_commands(self, tmp_path):
         small = {"model": LINEAR_MODEL, "k_set": [1], "lambda_grid": [-1.0],
                  "solver": {"r_end": 25.0},
-                 "ladder": {"start": 10.0, "rungs": 2},
-                 "tail_ladder": {"start": 10.0, "rungs": 2},
                  "subordinacy": {"r_end": 20.0}, "bv": {"instances": 3}}
         # m == q and lambda < 0: subordinacy runs its phase census
         equal = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from diracspec import bvcalc, hypotheses
-from diracspec.bvcalc import (
-    EXTREME_LADDER,
-    TAIL_LADDER,
-    WindowLadder,
-    sample_window,
-)
+from diracspec.bvcalc import sample_window
 from diracspec.cli import fixture_path, load_config
 from diracspec.coefficients import (
     ChannelSystem,
@@ -24,8 +19,10 @@ from diracspec.coefficients import (
     power,
 )
 from diracspec.hypotheses import (
+    EXTREME_WINDOWS,
     INCONCLUSIVE,
     SATISFIED,
+    TAIL_WINDOWS,
     VIOLATED,
     check_a_conditions,
     check_b_conditions,
@@ -442,26 +439,23 @@ class TestCConditions:
                         for _ in lams]
 
     @staticmethod
-    def dipping_channel():
-        # Q - W dips below zero at one node of the [2500, 25000] window's
-        # 180,000-point grid that a grid capped at 100,000 points misses;
-        # the quotients must not be read across it
-        grid = np.linspace(2500.0, 25000.0, 180_000)
-        dip = grid[90_001]
-        assert not np.isin(dip, np.linspace(2500.0, 25000.0, 100_000))
-
+    def dipping_channel(dip):
+        # Q - W dips below zero at the one radius `dip`
         class DippingChannel:
             def coeffs(self, r):
                 Q = np.where(r == dip, 0.5, r)
                 M, L = np.ones_like(r), 1.0 / r
                 return Q, M, L, np.hypot(M, L)
 
-        return DippingChannel(), dip
+        return DippingChannel()
 
     def test_gap_dip_between_floor_nodes_skips_quotients(self):
-        # the dipping window is the last of the default tail ladder
-        channel, dip = self.dipping_channel()
-        reports = by_id(check_c_conditions(channel))
+        # the dip is a node of the last tail window's 180,000-point grid
+        # that a grid capped at 100,000 points misses; the quotients must
+        # not be read across it
+        dip = np.linspace(2500.0, 25000.0, 180_000)[90_001]
+        assert not np.isin(dip, np.linspace(2500.0, 25000.0, 100_000))
+        reports = by_id(check_c_conditions(self.dipping_channel(dip)))
         assert reports["C1"].verdict == SATISFIED
         assert reports["C2"].verdict == SATISFIED
         c3 = reports["C3"]
@@ -472,20 +466,24 @@ class TestCConditions:
         assert minima[2] == 0.5 - np.hypot(1.0, 1.0 / dip)
 
     def test_gap_dip_in_an_inner_window_drops_that_window(self):
-        # on a 4-rung ladder the dipping window is the third: it leaves the
-        # ladder as a window with a dip on the gap floor's grid would, and
-        # the quotients are read on the other three
-        channel, dip = self.dipping_channel()
-        ladder = WindowLadder(25.0, 10.0, 4)
-        c3 = by_id(check_c_conditions(channel, tail_ladder=ladder))["C3"]
-        tw = ladder.windows()
-        assert c3.windows == [list(tw[i]) for i in (0, 1, 3)]
+        # the dip is a node of the middle tail window's 18,000-point grid,
+        # past the extreme windows: that window leaves the ladder as a
+        # window with a dip on the gap floor's grid would, and the
+        # quotients are read on the other two
+        dip = np.linspace(250.0, 2500.0, 18_000)[9_000]
+        assert TAIL_WINDOWS[1] == (250.0, 2500.0)
+        assert EXTREME_WINDOWS[-1][1] < dip
+        reports = by_id(check_c_conditions(self.dipping_channel(dip)))
+        assert reports["C1"].verdict == SATISFIED
+        assert reports["C2"].verdict == SATISFIED
+        c3 = reports["C3"]
+        assert c3.windows == [list(TAIL_WINDOWS[i]) for i in (0, 2)]
         minima = c3.evidence["q_minus_w_window_minima"]
-        assert minima[2] == 0.5 - np.hypot(1.0, 1.0 / dip)
-        assert minima[0] > 0.0 and minima[1] > 0.0 and minima[3] > 0.0
+        assert minima[1] == 0.5 - np.hypot(1.0, 1.0 / dip)
+        assert minima[0] > 0.0 and minima[2] > 0.0
         for name in ("w", "m", "l"):
             variations = c3.evidence[f"{name}_over_q_minus_w_rung_variations"]
-            assert len(variations) == 3 and all(map(np.isfinite, variations))
+            assert len(variations) == 2 and all(map(np.isfinite, variations))
         assert c3.verdict == SATISFIED
 
     def test_work_arrays_live_for_one_call(self):
@@ -568,10 +566,9 @@ class TestGammaDiagnostics:
 
 
 def _fixture_grid(name):
-    """The model, k_set, lambda_grid and ladders of a fixture config."""
+    """The model, k_set and lambda_grid of a fixture config."""
     cfg = load_config(fixture_path(name))
-    return cfg.model, cfg.k_set, cfg.lambda_grid, {
-        "extreme_ladder": cfg.ladder, "tail_ladder": cfg.tail_ladder}
+    return cfg.model, cfg.k_set, cfg.lambda_grid
 
 
 class TestOnePass:
@@ -579,28 +576,24 @@ class TestOnePass:
     each ladder; each report must equal the one its own check makes."""
 
     @staticmethod
-    def standalone(model, ks, lams, ladders):
-        reports = check_a_conditions(model, lams, **ladders)
+    def standalone(model, ks, lams):
+        reports = check_a_conditions(model, lams)
         if model.m.has_derivative and model.q.has_derivative:
-            reports += check_derivative_sufficiency(
-                model, tail_ladder=ladders["tail_ladder"])
+            reports += check_derivative_sufficiency(model)
         if models_equal(model)[0]:
-            reports += check_b_conditions(model, **ladders)
+            reports += check_b_conditions(model)
             # G reads the first lambda that gamma_diagnostics accepts
             for lam in lams:
                 try:
-                    reports += gamma_diagnostics(model, lam, **ladders)
+                    reports += gamma_diagnostics(model, lam)
                     break
                 except ValueError:
                     continue
-        return reports, check_c_conditions(model, ks, lams, **ladders)
+        return reports, check_c_conditions(model, ks, lams)
 
-    def assert_matches(self, model, ks, lams, extreme_ladder=EXTREME_LADDER,
-                       tail_ladder=TAIL_LADDER):
-        ladders = {"extreme_ladder": extreme_ladder,
-                   "tail_ladder": tail_ladder}
-        reports, channels = check_hypotheses(model, ks, lams, **ladders)
-        expect, expect_channels = self.standalone(model, ks, lams, ladders)
+    def assert_matches(self, model, ks, lams):
+        reports, channels = check_hypotheses(model, ks, lams)
+        expect, expect_channels = self.standalone(model, ks, lams)
         assert [r.to_dict() for r in reports] == \
             [r.to_dict() for r in expect]
         assert list(channels) == list(expect_channels)
@@ -612,10 +605,7 @@ class TestOnePass:
     @pytest.mark.parametrize("name", ["dominant_linear", "modulated_quarter",
                                       "sqrt_periodic", "borderline_linear"])
     def test_golden_fixtures(self, name):
-        cfg = load_config(fixture_path(name))
-        self.assert_matches(cfg.model, cfg.k_set, cfg.lambda_grid,
-                            extreme_ladder=cfg.ladder,
-                            tail_ladder=cfg.tail_ladder)
+        self.assert_matches(*_fixture_grid(name))
 
     def test_equal_power_model(self):
         model = CoefficientModel(q=power(1.3, 1), m=power(1.3, 1))
@@ -649,15 +639,14 @@ class TestOnePass:
         assert "G1" not in reports
 
     # the fixture models, and the seed-1 model of the dominant_certify
-    # benchmark workload, with their grids and ladders
+    # benchmark workload, with their grids
     SCAN_MODELS = {
         **{name: _fixture_grid(name)
            for name in ("dominant_linear", "modulated_quarter",
                         "sqrt_periodic", "borderline_linear")},
         "dominant_certify seed 1": (
             CoefficientModel(q=power(0.810281, 1.0), m=power(1.087803, 0.0)),
-            [-2, -1, 1, 2], [-0.6677, -0.1323, 0.8077],
-            {"extreme_ladder": EXTREME_LADDER, "tail_ladder": TAIL_LADDER}),
+            [-2, -1, 1, 2], [-0.6677, -0.1323, 0.8077]),
     }
 
     @pytest.mark.parametrize("name", SCAN_MODELS)
@@ -665,19 +654,18 @@ class TestOnePass:
         # the model reports of `check_scan` are A's on the sorted distinct
         # lambdas (B's when m == q), and its C reports those of
         # `check_c_conditions` on each |k|-pair chunk of a scan
-        model, ks, lams, ladders = self.SCAN_MODELS[name]
-        reports, channels = check_scan(model, ks, lams, **ladders)
+        model, ks, lams = self.SCAN_MODELS[name]
+        reports, channels = check_scan(model, ks, lams)
         lams = sorted(set(lams))
         if models_equal(model)[0]:
-            expect = check_b_conditions(model, **ladders)
+            expect = check_b_conditions(model)
             assert channels is None
         else:
-            expect = check_a_conditions(model, lams, **ladders)
+            expect = check_a_conditions(model, lams)
             chunks = {}
             for size in sorted({abs(k) for k in ks}):
                 chunks.update(check_c_conditions(
-                    model, sorted(k for k in ks if abs(k) == size), lams,
-                    **ladders))
+                    model, sorted(k for k in ks if abs(k) == size), lams))
             assert sorted(channels) == sorted(chunks)
             for cell, creps in chunks.items():
                 assert [r.to_dict() for r in channels[cell]] == \
@@ -687,9 +675,9 @@ class TestOnePass:
     @pytest.mark.parametrize("name", SCAN_MODELS)
     def test_trichotomy_probe_is_a3(self, name):
         # the probe's variations and trends are A3's, bit for bit
-        model, _, lams, ladders = self.SCAN_MODELS[name]
-        probe = lambda_trichotomy_probe(model, lams, ladders["tail_ladder"])
-        a3 = [r for r in check_a_conditions(model, lams, **ladders)
+        model, _, lams = self.SCAN_MODELS[name]
+        probe = lambda_trichotomy_probe(model, lams)
+        a3 = [r for r in check_a_conditions(model, lams)
               if r.condition_id.startswith("A3")]
         assert len(a3) == len(probe.entries) == len(lams)
         for entry, report in zip(probe.entries, a3):

@@ -40,6 +40,10 @@ __all__ = [
     "certify",
 ]
 
+# the per-step tolerance of every certificate solve (`certify`)
+_RTOL = 1e-10
+
+
 def r_eval(u, coeffs, form: str = GENERAL):
     """Envelope value for a state u = (u1, u2) given (Q, M, L, W) at the
     same radius; vectorized over samples."""
@@ -206,8 +210,8 @@ def certify(channel, solver: SolveConfig,
     whose `auto_start_radius` is missing or not below the window end, is
     refused before anything is solved.  The fundamental systems Phi of the
     others are one `integrate_fundamental` solve, each from its own start
-    radius with the window end, stride and step cap of `solver` and rtol
-    floored at 1e-10; `comparability_constant` certifies each with the
+    radius with the window end and stride of `solver`, at a per-step
+    tolerance of 1e-10; `comparability_constant` certifies each with the
     envelope trace of Phi's first column.  Returns per channel its envelope
     trace and certificate, or the PreconditionError that refuses it; one
     channel's refusal leaves the others as they are."""
@@ -237,7 +241,7 @@ def certify(channel, solver: SolveConfig,
     solved = (replace(channel, lams=channel.lams[list(starts)]) if batch
               else channel)
     solves = integrate_fundamental(
-        solved, replace(solver, rtol=max(solver.rtol, 1e-10)),
+        solved, replace(solver, rtol=_RTOL),
         list(starts.values()))
     for i, (grid, phi, failure) in zip(starts, solves if batch else [solves]):
         try:

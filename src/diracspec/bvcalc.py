@@ -160,14 +160,14 @@ _WINDOW_POINTS = 2048
 
 
 def sample_window(fn: Callable, a: float, b: float, *,
-                  n_max: int = 400_000, geometric: bool = False) -> tuple:
+                  geometric: bool = False) -> tuple:
     """Sample fn once on the window grid [a, b].
 
     The grid is `geometric` for a scale-free source
     (`coefficients.scale_free`: powers, logs and exponentials, whose
     quotients are eventually monotone, so their grid variations do not
     depend on the grid): 2048 geometric points on every window.  Anything
-    else gets 8 points per unit length, at least 2048 and at most `n_max`.
+    else gets 8 points per unit length, at least 2048.
 
     fn returns the coefficient arrays a diagnostic reads (a tuple, or a dict
     by name); they are passed through uncopied, so every quantity derived
@@ -176,8 +176,7 @@ def sample_window(fn: Callable, a: float, b: float, *,
     if geometric:
         grid = np.geomspace(a, b, _WINDOW_POINTS)
     else:
-        grid = np.linspace(a, b, int(np.clip(8.0 * (b - a), _WINDOW_POINTS,
-                                             n_max)))
+        grid = np.linspace(a, b, int(max(8.0 * (b - a), _WINDOW_POINTS)))
     return grid, fn(grid)
 
 

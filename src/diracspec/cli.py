@@ -7,9 +7,9 @@ are deterministic given config and seed: repeated runs produce byte-equal
 files.
 
 Flags: `--workers` sizes the pool of `scan` (one chunk of whole |k| pairs
-each); `--seed` seeds the random instances of `bv-verify`; `--tolerance`
-sets `solver.rtol`, read by `solve`, `boundedness` and the dominant cells
-of `scan` (the last two floor it at 1e-10); no other command reads them.
+each); `--seed` seeds the random instances of `bv-verify`; no other command
+reads them.  No flag or config key sets a step tolerance (`SolveConfig`'s
+default, 1e-10 in `boundedness.certify`) or the threshold `subordinacy.DELTA`.
 
 Exit codes: 0 success; 1 findings; 2 usage or config error.  `solve`,
 `boundedness`, `subordinacy`, `scan`, `bv-verify` and `asymptotics` exit 1
@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
 from importlib import resources
 from itertools import groupby
@@ -82,7 +82,6 @@ from .subordinacy import (
     eigen_shoot,
     eigen_steps,
     ratio_range,
-    subordinacy_ratio,
     summarize_cells,
 )
 
@@ -160,12 +159,6 @@ def _real(x) -> float:
     return float(x)
 
 
-def _defaults(fn, **keys) -> dict:
-    """{config key: the default of the parameter of `fn` that it names}."""
-    params = inspect.signature(fn).parameters
-    return {key: params[name].default for key, name in keys.items()}
-
-
 def _read_text(path: Path, what: str) -> str:
     # a missing, unreadable or non-UTF-8 input (say a directory) is refused
     try:
@@ -218,7 +211,8 @@ def load_config(path) -> RunConfig:
     lambda_grid = raw.get("lambda_grid", [])
     _require(isinstance(lambda_grid, list) and all(map(_is_real, lambda_grid)),
              "config.lambda_grid: expected a list of finite reals")
-    lambda_grid = [float(l) for l in lambda_grid]
+    # + 0.0 turns -0.0 into 0.0: one cell, as in every set of lambdas
+    lambda_grid = [float(l) + 0.0 for l in lambda_grid]
     named = {}
     for lam in lambda_grid:
         first = named.setdefault(name := _lambda_name(lam), lam)
@@ -244,12 +238,12 @@ def load_config(path) -> RunConfig:
         return out
 
     solver = _checked("config.solver", SolveConfig, **section(
-        "solver", asdict(SolveConfig(r_start=1.0, r_end=100.0))))
-    sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0, **_defaults(
-        subordinacy_ratio, delta="delta")})
+        "solver", {"r_start": 1.0, "r_end": 100.0}))
+    sub = section("subordinacy", {"r0": 1.0, "r_end": 120.0})
     _checked("config.subordinacy", ratio_range, **sub)
-    eigen = section("eigen", _defaults(eigen_shoot, scan_step="scan_step",
-                                       tol="tol_lambda"))
+    shoot = inspect.signature(eigen_shoot).parameters
+    eigen = section("eigen", {"scan_step": shoot["scan_step"].default,
+                              "tol": shoot["tol_lambda"].default})
     _checked("config.eigen", eigen_steps, eigen["tol"], eigen["scan_step"])
     # the range becomes the config of the section's rescaled solves
     asy = _checked("config.asymptotics", SolveConfig, rtol=RESCALED_RTOL,
@@ -472,9 +466,12 @@ def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     doc = {"kind": "eigenvalues", "bracket": cfg.bracket, "by_k": {}}
     for k in cfg.k_set:
-        eigs = eigen_shoot(cfg.model, k, cfg.bracket,
-                           tol_lambda=cfg.eigen["tol"],
-                           scan_step=cfg.eigen["scan_step"])
+        try:
+            eigs = eigen_shoot(cfg.model, k, cfg.bracket,
+                               tol_lambda=cfg.eigen["tol"],
+                               scan_step=cfg.eigen["scan_step"])
+        except PreconditionError as err:
+            raise ConfigError(f"eigen: k={k}: {err}") from None
         doc["by_k"][str(k)] = eigs
         _say(f"k={k}: {len(eigs)} eigenvalue(s) in {cfg.bracket}: "
              + ", ".join(f"{e:.8f}" for e in eigs))
@@ -734,7 +731,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out")
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--assert", dest="assert_mode", action="store_true")
     return parser
 
@@ -752,9 +748,6 @@ def main(argv=None) -> int:
             cfg.workers = args.workers
         if args.seed is not None:
             cfg.seed = _checked("--seed", _seed, args.seed)
-        if args.tolerance is not None:
-            cfg.solver = _checked("--tolerance", replace, cfg.solver,
-                                  rtol=args.tolerance)
         _make_dir(out)
         return _COMMANDS[args.command](cfg, out, args.assert_mode)
     except ConfigError as err:

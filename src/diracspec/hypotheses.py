@@ -150,9 +150,6 @@ EXTREME_WINDOWS = tuple((25.0 * 2.0 ** j, 25.0 * 2.0 ** (j + 1))
 TAIL_WINDOWS = tuple((25.0 * 10.0 ** j, 25.0 * 10.0 ** (j + 1))
                      for j in range(3))
 
-# window grids for suprema and infima are capped below the tail-rung grids
-_EXTREME_POINTS = 100_000
-
 # the arrays a model's window sample can hold, in evaluation order, each
 # looked up only when read, so a coefficient with `value` alone serves q, m
 _EVALUATE = {"q": lambda model, r: model.q.value(r),
@@ -243,8 +240,7 @@ def _run(sample, geometric, checks):
         if extreme_reads:
             for a, b in EXTREME_WINDOWS:
                 r, s = sample_window(lambda r: sample(r, extreme_reads),
-                                     a, b, n_max=_EXTREME_POINTS,
-                                     geometric=geometric)
+                                     a, b, geometric=geometric)
                 for check in checks:
                     check.extreme(r, s)
         for a, b in TAIL_WINDOWS:
@@ -696,9 +692,8 @@ class _CChecks(_Check):
     def tail(self, r, s):
         form, floors, rungs = self.form, {}, {}
         for cell, Q, M, L, W, sc in self.cells(r, s):
-            gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
-            floors[cell] = floor = gap if np.isfinite(gap) else -math.inf
-            if floor > 0.0:
+            floors[cell] = gap = float(np.min(np.subtract(Q, W, out=sc.gap)))
+            if 0.0 < gap < math.inf:
                 # the general form's denominator is the gap itself
                 den = (sc.gap if form.single is None else
                        form.denominator(Q, M, L, W, out=sc.quotient))
@@ -724,13 +719,17 @@ class _CChecks(_Check):
                     _listify(EXTREME_WINDOWS), note),
             ]
             gaps = [window[cell] for window in self.floors]
-            use = [i for i, g in enumerate(gaps) if g > 0.0]
+            use = [i for i, g in enumerate(gaps) if 0.0 < g < math.inf]
             evidence = {"q_minus_w_window_minima": gaps}
             # the quotients need two windows or more, the last among them
             if len(use) < 2 or use[-1] != len(TAIL_WINDOWS) - 1:
+                # a floor of +inf or nan is an overflow, not a sign
+                why = " or ".join(dict.fromkeys(
+                    "not positive" if g <= 0.0 else "not finite (overflow)"
+                    for i, g in enumerate(gaps) if i not in use))
                 reports[cell].append(HypothesisReport(
                     "C3", INCONCLUSIVE, evidence, _listify(TAIL_WINDOWS),
-                    note="Q - W not positive on the tail; quotients skipped"))
+                    note=f"Q - W {why} on the tail; quotients skipped"))
                 continue
             verdicts, notes = [], []
             for name, values in zip(self.form.names,

@@ -69,10 +69,13 @@ __all__ = [
     "summarize_cells",
     "decaying_direction",
     "RESCALED_RTOL",
+    "DELTA",
 ]
 
 # the per-step tolerance of every polar solve of a `TransformedChannel`
 RESCALED_RTOL = 1e-11
+# the threshold of `subordinacy_ratio`: a ratio below it is subordinate
+DELTA = 1e-3
 # the ratio ladder of `subordinacy_ratio` starts at this multiple of r0
 _RATIO_START = 1.25
 
@@ -215,7 +218,6 @@ class SubordinacyReport:
     k: int
     r0: float
     r_end: float
-    delta: float
     ratio_tail: list  # (r, I_a / I_b)
     liminf_estimate: float
     classification: str
@@ -228,7 +230,7 @@ class SubordinacyReport:
 
     def to_dict(self):
         return {"kind": "subordinacy", "lambda": self.lam, "k": self.k,
-                "r0": self.r0, "r_end": self.r_end, "delta": self.delta,
+                "r0": self.r0, "r_end": self.r_end, "delta": DELTA,
                 "ratio_tail": self.ratio_tail,
                 "liminf_estimate": self.liminf_estimate,
                 "classification": self.classification, "fit": self.fit,
@@ -247,17 +249,17 @@ def _fit_log_decay(r, logv):
 
 def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
-                      delta: float = 1e-3, rtol: float = 1e-10,
+                      rtol: float = 1e-10,
                       with_census: bool = False) -> SubordinacyReport:
     """Cumulative squared-norm ratio of two solutions at 48 geometric radii
     from max(1.25 r0, r0 + (r_end - r0)/1000) to r_end > 1.25 r0.
 
-    Classification: `no-subordinate` when both orientations of the ratio
-    stay above delta on the tail; `subordinate-found` when one orientation
-    decays monotonically below delta and follows a clean log-linear decay
-    law; `inconclusive` otherwise.
+    Classification, against the threshold `DELTA` = 1e-3: `no-subordinate`
+    when both orientations of the ratio stay above it on the tail;
+    `subordinate-found` when one orientation decays monotonically below it
+    and follows a clean log-linear decay law; `inconclusive` otherwise.
     """
-    ratio_range(r0, r_end, delta)
+    ratio_range(r0, r_end)
     u0_a = np.asarray(u0_a, dtype=float)
     u0_b = np.asarray(u0_b, dtype=float)
     cross = u0_a[0] * u0_b[1] - u0_a[1] * u0_b[0]
@@ -278,15 +280,15 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
     fit = None
     # decay-law window: past the midpoint, where transients have died out
     half = ladder >= r0 + 0.5 * (r_end - r0)
-    if liminf >= delta and float(np.min(ratio_ba[tail])) >= delta:
+    if liminf >= DELTA and float(np.min(ratio_ba[tail])) >= DELTA:
         classification = "no-subordinate"
     else:
-        cand = ratio_ab if liminf < delta else ratio_ba
+        cand = ratio_ab if liminf < DELTA else ratio_ba
         tail_vals = cand[half]
         monotone = bool(np.all(np.diff(tail_vals) <= np.abs(tail_vals[:-1]) * 1e-6))
         fit = _fit_log_decay(ladder[half], np.log(tail_vals))
         if monotone and fit["slope"] < 0.0 and fit["r_squared"] > 0.99 \
-                and tail_vals[-1] < delta:
+                and tail_vals[-1] < DELTA:
             classification = "subordinate-found"
         else:
             classification = "inconclusive"
@@ -297,20 +299,17 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
 
     return SubordinacyReport(
         lam=float(lam), k=int(k), r0=float(r0), r_end=float(r_end),
-        delta=delta,
         ratio_tail=[(float(r), float(v)) for r, v in zip(ladder, ratio_ab)],
         liminf_estimate=liminf, classification=classification, fit=fit,
         census=census)
 
 
-def ratio_range(r0: float, r_end: float, delta: float) -> None:
-    """Refuse the range and threshold of `subordinacy_ratio` unless
-    0 < r0 < r_end, r_end > 1.25 r0 (where its ladder starts) and
-    delta > 0."""
-    if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end and delta > 0.0):
+def ratio_range(r0: float, r_end: float) -> None:
+    """Refuse the range of `subordinacy_ratio` unless 0 < r0 < r_end and
+    r_end > 1.25 r0, where its ladder starts."""
+    if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end):
         raise ValueError(f"the ratio range needs 0 < r0 < r_end and r_end > "
-                         f"{_RATIO_START:g} r0, where its ladder starts, and "
-                         f"a threshold delta > 0")
+                         f"{_RATIO_START:g} r0, where its ladder starts")
 
 
 def _census_for(model, k, lam, r0):
@@ -382,9 +381,12 @@ def _first_reach(xs, ys, x):
 def _turning_radius(q, lam):
     # where q, read on the probe, first reaches lam/2
     lam = np.asarray(lam, dtype=float)
-    r = _first_reach(q, _PROBE, lam.ravel() / 2.0)
+    half = lam.ravel() / 2.0
+    r = _first_reach(q, _PROBE, half)
     if np.isnan(r).any():
-        raise PreconditionError("no turning radius found")
+        raise PreconditionError(
+            f"no turning radius found: q never reaches lambda/2 = "
+            f"{half[np.isnan(r)][0]:g} on [{_PROBE[0]:g}, {_PROBE[-1]:g}]")
     return r.reshape(lam.shape)[()]
 
 
@@ -522,7 +524,7 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
     `boundedness.certify` on the `solver` settings, one call per k
     (`_dominant_cells`; an error there marks every cell of that k);
     borderline ones (m == q, `c_reports` None) go through `borderline_cell`
-    on the `subordinacy` section (r0, r_end, delta), each cell isolated.
+    on the `subordinacy` section (r0, r_end), each cell isolated.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
@@ -591,14 +593,13 @@ def borderline_cell(model: CoefficientModel, k: int, lam: float,
     if lam == 0.0:
         return {"classification": "excluded", "path": "boundary-point"}
     if lam > 0.0:
-        return _eigen_side_cell(model, k, lam, subordinacy["delta"])
+        return _eigen_side_cell(model, k, lam)
     return _subordinacy_cell(subordinacy_ratio(
         model, k, lam, [1.0, 0.0], [0.0, 1.0], subordinacy["r0"],
-        subordinacy["r_end"], delta=subordinacy["delta"],
-        with_census=with_census))
+        subordinacy["r_end"], with_census=with_census))
 
 
-def _eigen_side_cell(model, k, lam, delta):
+def _eigen_side_cell(model, k, lam):
     """The ratio of the solution recessive at infinity to its orthogonal
     complement, from r = 1 to where the WKB exponent past the turning point
     reaches 15: subordinate-found when the recessive one is subordinate."""
@@ -611,7 +612,7 @@ def _eigen_side_cell(model, k, lam, delta):
     u_dec = u_dec / np.hypot(*u_dec)
     generic = np.array([-u_dec[1], u_dec[0]])
     return _subordinacy_cell(subordinacy_ratio(
-        model, k, lam, u_dec, generic, r0, r_far, delta=delta, rtol=1e-9))
+        model, k, lam, u_dec, generic, r0, r_far, rtol=1e-9))
 
 
 def _subordinacy_cell(report):

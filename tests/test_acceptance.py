@@ -148,7 +148,7 @@ def test_criterion_4_dominant_potential_desk_scale():
             creps = check_c_conditions(channel)
             channels_ok &= all(r.verdict == SATISFIED for r in creps)
             r0 = max(2.0, auto_start_radius(channel))
-            cfg = SolveConfig(r_start=r0, r_end=200.0, rtol=1e-6, atol=1e-9)
+            cfg = SolveConfig(r_start=r0, r_end=200.0, rtol=1e-6)
             grid, phi, _ = integrate_fundamental(channel, cfg)
             trace = r_trace(channel, grid, phi[:, :, 0].T)
             verdicts = almost_monotone_check(trace, n_grid=32)
@@ -178,7 +178,7 @@ def test_criterion_5_borderline_desk_scale():
         rep.liminf_estimate > 0.0
 
     tch = transform(EQUAL, 1, -1.0)
-    cfg = SolveConfig(r_start=1.0, r_end=33.0, rtol=1e-11, atol=1e-13,
+    cfg = SolveConfig(r_start=1.0, r_end=33.0, rtol=1e-11,
                       stride=0.02)
     traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg))
     census = theta_census(traj)
@@ -249,7 +249,7 @@ def test_criterion_6_variation_calculus_suite():
 
 
 def test_criterion_7_oscillatory_reference():
-    cfg = SolveConfig(r_start=5.0, r_end=210.0, rtol=1e-11, atol=1e-13,
+    cfg = SolveConfig(r_start=5.0, r_end=210.0, rtol=1e-11,
                       stride=0.02)
     traj = borderline_trajectory(EQUAL, 1, -1.0, cfg)
     ref = wkb_reference(EQUAL, -1.0, traj.grid)

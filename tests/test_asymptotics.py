@@ -60,7 +60,7 @@ class TestProjection:
         # O(lambda/q), pushed below tolerance by a tiny spectral parameter
         c, lam = 100.0, -1e-4
         ch = ConstantChannel(c - lam, c, 0.0)
-        cfg = SolveConfig(r_start=1.0, r_end=200.0, rtol=1e-12, atol=1e-14)
+        cfg = SolveConfig(r_start=1.0, r_end=200.0, rtol=1e-12)
         traj = integrate_cartesian(ch, [c ** -0.25, 0.0], cfg)
         model = CoefficientModel(q=constant(c), m=constant(c))
         ref = wkb_reference(model, lam, traj.grid)
@@ -68,7 +68,7 @@ class TestProjection:
         assert res[0]["residual"] < 1e-6
 
     def test_residual_decreases_along_radius(self):
-        cfg = SolveConfig(r_start=5.0, r_end=210.0, rtol=1e-11, atol=1e-13,
+        cfg = SolveConfig(r_start=5.0, r_end=210.0, rtol=1e-11,
                           stride=0.02)
         traj = borderline_trajectory(EQUAL, 1, -1.0, cfg)
         ref = wkb_reference(EQUAL, -1.0, traj.grid)
@@ -85,7 +85,7 @@ class TestProjection:
         assert all(w["residual"] < 1e-12 for w in res)
 
     def test_rescaling_invariance(self):
-        cfg = SolveConfig(r_start=5.0, r_end=60.0, rtol=1e-10, atol=1e-12)
+        cfg = SolveConfig(r_start=5.0, r_end=60.0, rtol=1e-10)
         traj = borderline_trajectory(EQUAL, 1, -1.0, cfg)
         ref = wkb_reference(EQUAL, -1.0, traj.grid)
         res1 = compare_asymptotics(traj, ref, windows=[(10, 50)])

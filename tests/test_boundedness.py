@@ -41,7 +41,6 @@ LINEAR = assemble_channel(LINEAR_MODEL, 1, 0.0)
 
 def cfg(r0, r1, **kw):
     kw.setdefault("rtol", 1e-10)
-    kw.setdefault("atol", 1e-12)
     return SolveConfig(r_start=r0, r_end=r1, **kw)
 
 
@@ -257,7 +256,7 @@ class TestComparability:
         assert cert.to_dict()["verdict"] == "bounded"
 
     def test_free_channel_is_isometric(self):
-        grid, phi = fundamental(FREE, 1.0, 51.0, rtol=1e-12, atol=1e-14)
+        grid, phi = fundamental(FREE, 1.0, 51.0, rtol=1e-12)
         cert = comparability_constant(phi, first_trace(FREE, grid, phi))
         assert cert.C == pytest.approx(1.0, rel=1e-10)
 

@@ -42,7 +42,7 @@ from diracspec.hypotheses import (
     lambda_trichotomy_probe,
 )
 from diracspec.solver import SolveConfig, prefer_pruefer
-from diracspec.subordinacy import eigen_shoot, ratio_range, subordinacy_ratio
+from diracspec.subordinacy import DELTA, eigen_shoot, ratio_range
 
 
 def run(args):
@@ -161,11 +161,16 @@ class TestConfig:
     @pytest.mark.parametrize("section", [{"solver": {"max_step": 0.05}},
                                          {"asymptotics": {"windows": None}},
                                          {"ladder": {"rungs": 3}},
-                                         {"tail_ladder": {"factor": 5.0}}])
+                                         {"tail_ladder": {"factor": 5.0}},
+                                         {"solver": {"rtol": 1e-12}},
+                                         {"solver": {"atol": 1e-14}},
+                                         {"solver": {"stride": 0.05}},
+                                         {"subordinacy": {"delta": 1e-3}}])
     def test_dropped_keys_are_unknown(self, tmp_path, capsys, section):
         # the first Magnus partition is the grid, the residual windows are
-        # compare_asymptotics' own and the window ladders are constants of
-        # `hypotheses`; none is a setting
+        # compare_asymptotics' own, the window ladders are constants of
+        # `hypotheses`, and the step tolerances, the stride and the ratio
+        # threshold are constants of the library; none is a setting
         (key, inner), = section.items()
         path = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [1],
                                        "lambda_grid": [-1.0], **section})
@@ -183,13 +188,13 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("section", [
-        {"solver": {"rtol": "tight"}},
-        {"solver": {"rtol": 0.0}},
+        {"solver": {"r_end": "tight"}},
+        {"solver": {"r_start": 0.0}},
         {"solver": {"r_start": 5.0, "r_end": 2.0}},
-        {"solver": {"stride": -0.1}},
-        {"solver": {"atol": 1.0}},
-        {"solver": {"rtol": math.inf}},
-        {"subordinacy": {"delta": "x"}},
+        {"solver": {"r_end": -0.1}},
+        {"solver": {"r_start": 100.0}},
+        {"solver": {"r_end": math.inf}},
+        {"subordinacy": {"r_end": "x"}},
         {"subordinacy": {"r0": 0.0}},
         {"eigen": {"tol": 0}},
         {"eigen": {"scan_step": -0.05}},
@@ -222,7 +227,7 @@ class TestConfig:
           for bad in (True, 2.7, "3")),
         *({"bv": {"instances": bad}} for bad in (True, 2.7, "3")),
         *({section: {key: bad}} for section, key in (
-            ("solver", "rtol"), ("subordinacy", "r0"), ("eigen", "tol"),
+            ("solver", "r_end"), ("subordinacy", "r0"), ("eigen", "tol"),
             ("asymptotics", "stride")) for bad in (True, "3")),
         {"asymptotics": {"windows": [[True, 10.0]]}},
         {"channel": {"Q": "3", "M": 1.0, "L": 0.0}},
@@ -255,11 +260,9 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, {"model": LINEAR_MODEL}))
         assert cfg.solver == SolveConfig(r_start=1.0, r_end=100.0)
         shoot = inspect.signature(eigen_shoot).parameters
-        ratio = inspect.signature(subordinacy_ratio).parameters
         assert cfg.eigen == {"scan_step": shoot["scan_step"].default,
                              "tol": shoot["tol_lambda"].default}
-        assert cfg.subordinacy == {"r0": 1.0, "r_end": 120.0,
-                                   "delta": ratio["delta"].default}
+        assert cfg.subordinacy == {"r0": 1.0, "r_end": 120.0}
 
     def test_lambdas_of_one_artifact_name_refused(self, tmp_path, capsys):
         # artifact names keep 6 significant digits of lambda: two lambdas
@@ -287,20 +290,44 @@ class TestConfig:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("k=1,lambda=0.5: C=")
 
+    def test_negative_zero_lambda_is_the_zero_cell(self, tmp_path, capsys):
+        # -0.0 == 0.0, so it is an exact repeat: one cell named lambda=0 in
+        # every command, as in scan's set of lambdas
+        path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
+                                       "lambda_grid": [0.0, -0.0],
+                                       "solver": {"r_end": 20.0}})
+        assert load_config(path).lambda_grid == [0.0]
+        assert math.copysign(1.0, load_config(write_config(
+            tmp_path, {"model": LINEAR_MODEL, "lambda_grid": [-0.0]},
+            name="negative.json")).lambda_grid[0]) == 1.0
+        names = {}
+        for command in ("hypotheses", "boundedness", "scan"):
+            out = tmp_path / command
+            assert run([command, "--config", path, "--out", out]) in (0, 1)
+            names[command] = sorted(p.name for p in out.iterdir())
+        doc = json.loads((tmp_path / "hypotheses" / "hypotheses.json")
+                         .read_text())
+        assert list(doc["channels"]) == ["k=1_lambda=0"]
+        assert names["boundedness"] == ["boundedness_k=1_lambda=0.json",
+                                        "rtrace_k=1_lambda=0.csv"]
+        scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
+        assert [(c["k"], c["lambda"]) for c in scan["cells"]] == [(1, 0.0)]
+        assert "lambda=-0" not in capsys.readouterr().out
+
     def test_workers_refusal_names_its_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "workers": True})
         assert run(["scan", "--config", path, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
             "config error: config.workers: expected an integer, got True\n")
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0])
-    def test_ratio_threshold_refusal_is_the_library_text(self, tmp_path,
-                                                         capsys, delta):
+    @pytest.mark.parametrize("r0", [0.0, -1.0])
+    def test_ratio_range_refusal_is_the_library_text(self, tmp_path, capsys,
+                                                     r0):
         path = write_config(tmp_path, {
             "model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
-            "subordinacy": {"delta": delta}})
+            "subordinacy": {"r0": r0}})
         with pytest.raises(ValueError) as library:
-            ratio_range(1.0, 120.0, delta)
+            ratio_range(r0, 120.0)
         assert run(["subordinacy", "--config", path,
                     "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
@@ -321,13 +348,17 @@ class TestConfig:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
-    def test_malformed_tolerance_flag_exits_two(self, tmp_path, capsys):
+    def test_tolerance_flag_exits_two(self, tmp_path, capsys):
+        # the step tolerances are constants: no flag sets one
         path = write_config(tmp_path, {"model": LINEAR_MODEL, "k_set": [1],
                                        "lambda_grid": [0.0]})
-        code = run(["solve", "--config", path, "--out", tmp_path / "o",
-                    "--tolerance", 2.0])
-        assert code == 2
-        assert "config error: --tolerance" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            run(["solve", "--config", path, "--out", tmp_path / "o",
+                 "--tolerance", 1e-10])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --tolerance" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [-3, 2 ** 64])
     def test_config_seed_outside_u64_exits_two(self, tmp_path, capsys, seed):
@@ -612,8 +643,8 @@ class TestScanCommand:
         # scan classifies each cell with the functions boundedness and
         # subordinacy run: the certificates read the solver section and the
         # m == q ratios the subordinacy section, also where the two differ
-        sections = {"solver": {"r_end": 30.0, "stride": 0.1},
-                    "subordinacy": {"r0": 1.5, "r_end": 40.0, "delta": 2e-3}}
+        sections = {"solver": {"r_end": 30.0},
+                    "subordinacy": {"r0": 1.5, "r_end": 40.0}}
         dominant = write_config(tmp_path, {
             "model": LINEAR_MODEL, "k_set": [1, -2],
             "lambda_grid": [-1.0, 1.0], **sections}, name="dominant.json")
@@ -655,7 +686,7 @@ class TestScanCommand:
             assert cell["report"] == {**report, "census": None}
             if cell["lambda"] < 0.0:
                 assert (report["r0"], report["r_end"], report["delta"]) == \
-                    (1.5, 40.0, 2e-3)
+                    (1.5, 40.0, DELTA)
 
     def test_unresolvable_cell_marked_and_run_continues(self, tmp_path):
         # exponential growth overflows the far probe windows, so the cell
@@ -885,8 +916,8 @@ class TestOtherCommands:
             sorted(p.name for p in (tmp_path / "open").iterdir())
 
     @pytest.mark.parametrize("command,solver", [
-        ("boundedness", {"stride": 0.0}),
-        ("boundedness", {"stride": -1.0}),
+        ("boundedness", {"r_end": 1.0}),
+        ("boundedness", {"r_end": -1.0}),
         ("solve", {"r_start": 0.0}),
         ("solve", {"r_start": -1.0}),
     ])
@@ -956,7 +987,13 @@ class TestOtherCommands:
          "got [-1, 1]"),
         ({"model": LINEAR_MODEL, "k_set": [1], "bracket": [0.0, 1.0]},
          "config error: eigen needs m == q"),
-    ], ids=["doc0", "doc1"])
+        # q = m = ln(1 + r) stays below 20.73 on the probe radii, so no
+        # lambda of [41.5, 60] has a turning radius: a refusal, not a crash
+        ({"model": dict.fromkeys("qm", {"family": "log", "params": {"c": 1.0}}),
+          "k_set": [1], "bracket": [0.0, 60.0]},
+         "config error: eigen: k=1: no turning radius found: q never "
+         "reaches lambda/2 = 20.725 on [1e-06, 1e+09]\n"),
+    ], ids=["doc0", "doc1", "doc2"])
     def test_eigen_refused_input_exits_two(self, tmp_path, capsys, doc,
                                            refusal):
         cfg = write_config(tmp_path, doc)

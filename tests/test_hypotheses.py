@@ -6,7 +6,7 @@ import pytest
 
 from diracspec import bvcalc, hypotheses
 from diracspec.bvcalc import sample_window
-from diracspec.cli import fixture_path, load_config
+from diracspec.cli import _finite, fixture_path, load_config
 from diracspec.coefficients import (
     ChannelSystem,
     CoefficientFunction,
@@ -485,6 +485,26 @@ class TestCConditions:
             variations = c3.evidence[f"{name}_over_q_minus_w_rung_variations"]
             assert len(variations) == 2 and all(map(np.isfinite, variations))
         assert c3.verdict == SATISFIED
+
+    def test_overflowing_gap_is_not_read_as_a_sign(self):
+        # q = e^r overflows on the last tail window, where Q - W is +inf:
+        # still no quotients there, but the note names the overflow; the
+        # report writes that floor as null
+        model = CoefficientModel(q=coefficient("exp", c=1, a=1),
+                                 m=constant(1))
+        c3 = by_id(check_c_conditions(model, [1], [1.0])[1, 1.0])["C3"]
+        assert c3.verdict == INCONCLUSIVE
+        assert c3.note == ("Q - W not finite (overflow) on the tail; "
+                           "quotients skipped")
+        minima = c3.evidence["q_minus_w_window_minima"]
+        assert 0.0 < minima[0] < minima[1] < np.inf and minima[2] == np.inf
+        assert _finite(c3.to_dict())["evidence"] == {
+            "q_minus_w_window_minima": [minima[0], minima[1], None]}
+        # q = m = e^r: a zero floor, then inf - inf
+        c3 = by_id(check_c_conditions(EQUAL_EXP, [1], [-1.0])[1, -1.0])["C3"]
+        assert c3.verdict == INCONCLUSIVE
+        assert c3.note == ("Q - W not positive or not finite (overflow) on "
+                           "the tail; quotients skipped")
 
     def test_work_arrays_live_for_one_call(self):
         ks, lams = [1, -2], [-1.0, 0.0, 2.0]

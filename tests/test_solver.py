@@ -75,12 +75,12 @@ class TestCartesian:
         assert np.max(np.abs(traj.rho - 1.0)) < 1e-9
 
     def test_bounded_solution_with_tight_oracle(self):
-        c = cfg(1.0, 200.0, rtol=1e-9, atol=1e-12)
+        c = cfg(1.0, 200.0, rtol=1e-9)
         traj = integrate_cartesian(LINEAR, [1.0, 0.0], c)
         sup = float(np.max(traj.rho))
         assert np.isfinite(sup)
         tight = integrate_cartesian(
-            LINEAR, [1.0, 0.0], cfg(1.0, 200.0, rtol=1e-11, atol=1e-14))
+            LINEAR, [1.0, 0.0], cfg(1.0, 200.0, rtol=1e-11))
         assert sup == pytest.approx(float(np.max(tight.rho)), rel=1e-6)
 
     def test_zero_initial_data_rejected(self):
@@ -614,7 +614,7 @@ class TestPruefer:
 
     def test_census_matches_dop853_oracle(self):
         tch = transform(EQUAL, 1, -1.0)
-        c = cfg(1.0, 33.0, rtol=1e-11, atol=1e-13, stride=0.02)
+        c = cfg(1.0, 33.0, rtol=1e-11, stride=0.02)
         traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, c))
         theta, _ = dop853_polar(tch, 1.0, 0.0, traj.grid)
         got = theta_census(traj)
@@ -679,7 +679,7 @@ class TestPruefer:
     def test_cross_representation_agreement(self):
         # moderately oscillatory channel, both representations from the same
         # initial data
-        c = cfg(1.0, 60.0, rtol=1e-11, atol=1e-13)
+        c = cfg(1.0, 60.0, rtol=1e-11)
         cart = integrate_cartesian(LINEAR, [1.0, 1.0], c)
         prue = integrate_pruefer(LINEAR, math.sqrt(2.0), math.pi / 4, c)
         assert np.max(np.abs(prue.rho - cart.rho) / cart.rho) < 1e-6

@@ -216,8 +216,9 @@ def certify(channel, solver: SolveConfig,
     trace and certificate, or the PreconditionError that refuses it; one
     channel's refusal leaves the others as they are."""
     batch = isinstance(channel, ChannelBatch)
-    cells = ([assemble_channel(channel.model, channel.k, lam)
-              for lam in channel.lams.tolist()] if batch else [channel])
+    cells = ([assemble_channel(channel.model, k, lam) for k, lam in
+              zip(channel.ks.tolist(), channel.lams.tolist())]
+             if batch else [channel])
     results, starts = [None] * len(cells), {}
     for i, (cell, reps) in enumerate(zip(cells, reports or [()] * len(cells))):
         try:
@@ -238,8 +239,9 @@ def certify(channel, solver: SolveConfig,
             starts[i] = r0
     if not starts:
         return results
-    solved = (replace(channel, lams=channel.lams[list(starts)]) if batch
-              else channel)
+    kept = list(starts)
+    solved = (replace(channel, ks=channel.ks[kept], lams=channel.lams[kept])
+              if batch else channel)
     solves = integrate_fundamental(
         solved, replace(solver, rtol=_RTOL),
         list(starts.values()))

@@ -465,14 +465,22 @@ def cmd_eigen(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.bracket is not None, "eigen needs a 'bracket'")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     doc = {"kind": "eigenvalues", "bracket": cfg.bracket, "by_k": {}}
+    shoot = partial(eigen_shoot, cfg.model, bracket=cfg.bracket,
+                    tol_lambda=cfg.eigen["tol"],
+                    scan_step=cfg.eigen["scan_step"])
+    try:
+        pairs = shoot(cfg.k_set)
+    except PreconditionError:
+        # the refusal of the first k, in k_set order, whose own shooting is
+        # refused: each k's shooting is the same in and out of the lockstep
+        for k in cfg.k_set:
+            try:
+                shoot([k])
+            except PreconditionError as err:
+                raise ConfigError(f"eigen: k={k}: {err}") from None
+        raise
     for k in cfg.k_set:
-        try:
-            eigs = eigen_shoot(cfg.model, k, cfg.bracket,
-                               tol_lambda=cfg.eigen["tol"],
-                               scan_step=cfg.eigen["scan_step"])
-        except PreconditionError as err:
-            raise ConfigError(f"eigen: k={k}: {err}") from None
-        doc["by_k"][str(k)] = eigs
+        doc["by_k"][str(k)] = eigs = [lam for key, lam in pairs if key == k]
         _say(f"k={k}: {len(eigs)} eigenvalue(s) in {cfg.bracket}: "
              + ", ".join(f"{e:.8f}" for e in eigs))
     _write_json(out / "eigenvalues.json", doc)

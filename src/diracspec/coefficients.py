@@ -401,31 +401,33 @@ class ChannelSystem:
 
 @dataclass(frozen=True, eq=False)
 class ChannelBatch:
-    """The channels of one model and k at the spectral parameters `lams`,
-    which the solver steps together; channel i is the `ChannelSystem` at
-    lams[i]."""
+    """The channels of one model at the angular numbers `ks` and spectral
+    parameters `lams`, which the solver steps together; channel i is the
+    `ChannelSystem` at (ks[i], lams[i]); an int k serves every channel."""
 
     model: CoefficientModel
-    k: int
+    ks: np.ndarray
     lams: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", angular_number(self.k))
-        object.__setattr__(self, "lams", np.array(self.lams, dtype=float,
-                                                  ndmin=1))
+        lams = np.array(self.lams, dtype=float, ndmin=1)
+        object.__setattr__(self, "lams", lams)
+        object.__setattr__(self, "ks", np.array(list(map(
+            angular_number, np.broadcast_to(self.ks, lams.shape).tolist()))))
 
     def __len__(self) -> int:
         return self.lams.size
 
     def qml(self, r, owner):
         """(Q, M, L) at the radii r, whose last axis runs over the channels
-        `owner`: q and m once on all radii, then Q = q - lams[owner]."""
+        `owner`: q and m once on all radii, then Q = q - lams[owner] and
+        L = ks[owner]/r."""
         r = _check_radius(r)
         return (self.model.q.value(r) - self.lams[owner], self.model.m.value(r),
-                self.k / r)
+                self.ks[owner] / r)
 
     def label(self, i: int) -> str:
-        return f"k={self.k},lambda={self.lams[i]:g}"
+        return f"k={self.ks[i]},lambda={self.lams[i]:g}"
 
 
 @dataclass(frozen=True)

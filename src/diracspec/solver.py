@@ -20,9 +20,9 @@ Munthe-Kaas, Norsett & Zanna, Acta Numer. 9, 2000); each has determinant
 1, so det Phi = 1 holds to rounding.  As the system is linear, the doubling
 error estimate of a step does not depend on the state, and the steps are
 refined for all radii at once; `rtol` is that per-step tolerance.  A
-`ChannelBatch` (one model and k at many spectral parameters, each channel
-with its own range and direction) has q and m evaluated once per round on
-the radii of all its channels.  One log-depth scan `_running` of the step
+`ChannelBatch` (one model at many (k, lambda), each channel with its own
+range and direction) has q and m evaluated once per round on the radii of
+all its channels.  One log-depth scan `_running` of the step
 products gives Phi at the nodes (`integrate_fundamental`, `propagate`);
 with each step's first half, the states that carry the polar form (for
 long ranges where Q dominates W = sqrt(M^2 + L^2)) and `cumulative_norms`.

@@ -394,9 +394,10 @@ def _shoot_range(q, k, lam, r_start, exponent):
     # where the semiclassical exponent past r_start, the integral of
     # sqrt(max(S, 0)), reaches `exponent`, capped at 1e6: cumulative
     # trapezoids over the probe, on which q was read, read linearly at
-    # r_start
-    lam, r_start = np.broadcast_arrays(np.asarray(lam, dtype=float), r_start)
-    shape, lam, r_start = lam.shape, lam.reshape(-1, 1), r_start.ravel()
+    # r_start; one row for each of k, lam and r_start, broadcast
+    k, lam, r_start = np.broadcast_arrays(k, lam, r_start)
+    shape, r_start = lam.shape, r_start.ravel()
+    k, lam = k.reshape(-1, 1), lam.reshape(-1, 1)
     rate = np.sqrt(np.maximum(_decay_rate_sq(q, k, lam, _PROBE), 0.0))
     sums = np.zeros(rate.shape)
     np.cumsum(0.5 * (rate[:, 1:] + rate[:, :-1]) * np.diff(_PROBE), axis=1,
@@ -409,11 +410,11 @@ def _shoot_range(q, k, lam, r_start, exponent):
 def _refine_roots(f, lo, hi, f_lo, f_hi, tol):
     """Roots of f in the sign-change brackets [lo, hi], refined in
     lockstep by false position with the Anderson-Bjorck weights: each round
-    calls f once on the open brackets, at their false-position points held
-    tol/2 inside the bracket, and keeps each sign change.  An end kept twice
-    in a row has its value scaled by 1 - f(x)/f(moved end), or halved when
-    that is not positive.  A bracket closes when it is no wider than tol, at
-    its false-position point, or when f vanishes."""
+    makes one call f(i, x) for the open brackets i, at their false-position
+    points x held tol/2 inside the bracket, and keeps each sign change.  An
+    end kept twice in a row has its value scaled by 1 - f(x)/f(moved end),
+    or halved when that is not positive.  A bracket closes when it is no
+    wider than tol, at its false-position point, or when f vanishes."""
     lo, hi, f_lo, f_hi = (np.array(x, dtype=float)
                           for x in (lo, hi, f_lo, f_hi))
     roots = np.full(lo.shape, np.nan)
@@ -426,7 +427,7 @@ def _refine_roots(f, lo, hi, f_lo, f_hi, tol):
         if not i.size:
             return roots
         x = np.clip(x[i], lo[i] + 0.5 * tol, hi[i] - 0.5 * tol)
-        fx = np.asarray(f(x), dtype=float)
+        fx = np.asarray(f(i, x), dtype=float)
         roots[i[fx == 0.0]] = x[fx == 0.0]
         up = np.sign(fx) == np.sign(f_lo[i])
         moved = np.where(up, f_lo[i], f_hi[i])
@@ -456,54 +457,63 @@ def eigen_steps(tol_lambda: float, scan_step: float) -> None:
         raise ValueError("need a positive root tolerance and scan step")
 
 
-def eigen_shoot(model: CoefficientModel, k: int, bracket, *,
+def eigen_shoot(model: CoefficientModel, k_set: Sequence[int], bracket, *,
                 tol_lambda: float = 1e-8, scan_step: float = 0.05,
                 rtol: float = 1e-10) -> list:
-    """Locate discrete spectral points inside a positive bracket.
+    """Locate the discrete spectral points of the channels `k_set` inside a
+    positive bracket: the sorted (k, lambda) pairs, one per root.
 
     The solution recessive at the origin is continued outward, the solution
     recessive at infinity is continued inward, and the normalized angle
     mismatch between them at the matching radius max(r*, 4 r0), r* the
     turning point where q reaches lambda/2 and r0 the Frobenius start,
     changes sign exactly at an eigenvalue; the inward one starts where the WKB exponent past
-    the matching radius reaches 27.  The mismatch of many lambda is one
-    `propagate` call of a `ChannelBatch` holding both directions of each:
-    one for the whole scan grid, then one a round while `_refine_roots`
-    narrows every sign change in lockstep to `tol_lambda`; q is read once a
-    call, on the fixed probe radii that the matching and far radii of every
-    lambda are read off.  The scan samples both bracket ends but
-    lambda = 0, where the direction recessive at infinity
-    (`decaying_direction`) divides by lambda.
+    the matching radius reaches 27.  The mismatch of many (k, lambda) is
+    one `propagate` call of a `ChannelBatch` holding both directions of
+    each: one for the scan grid of every k, then one a round while
+    `_refine_roots` narrows every sign change of every k in lockstep to
+    `tol_lambda`; q is read once a call, on the fixed probe radii that the
+    matching and far radii of every lambda are read off.  The scan samples
+    both bracket ends but lambda = 0, where the direction recessive at
+    infinity (`decaying_direction`) divides by lambda.
     """
     require_equal(model, "eigen_shoot")
     a, b = eigen_bracket(bracket)
     eigen_steps(tol_lambda, scan_step)
+    ks = np.array(sorted({angular_number(k) for k in k_set}))
+    if not ks.size:
+        raise ValueError("need a nonempty k set")
     q = _probe_q(model)
 
-    def mismatch(lams):
+    def mismatch(ks, lams):
+        pairs = list(zip(ks.tolist(), lams.tolist()))
         inits = [frobenius_radius(assemble_channel(model, k, lam),
                                   r_init=min(1e-3, 0.01 / (1.0 + lam)))
-                 for lam in lams.tolist()]
+                 for k, lam in pairs]
         r0 = np.array([init.r0 for init in inits])
         r_star = _turning_radius(q, lams)
         r_match = np.maximum(r_star, 4.0 * r0)
-        r_far = _shoot_range(q, k, lams, r_match, 27.0)
+        r_far = _shoot_range(q, ks, lams, r_match, 27.0)
         u0 = [init.u0 for init in inits] + [
             decaying_direction(model, k, lam, r)
-            for lam, r in zip(lams.tolist(), r_far.tolist())]
-        u = propagate(ChannelBatch(model, k, np.tile(lams, 2)), u0,
-                      np.append(r0, r_far), np.tile(r_match, 2), rtol=rtol)
+            for (k, lam), r in zip(pairs, r_far.tolist())]
+        u = propagate(ChannelBatch(model, np.tile(ks, 2), np.tile(lams, 2)),
+                      u0, np.append(r0, r_far), np.tile(r_match, 2), rtol=rtol)
         u_f, u_b = u[:lams.size], u[lams.size:]
         num = u_f[:, 0] * u_b[:, 1] - u_f[:, 1] * u_b[:, 0]
         return num / (np.hypot(*u_f.T) * np.hypot(*u_b.T))
 
     n = max(8, int(math.ceil((b - a) / scan_step)))
     grid = a + (b - a) * np.arange(0 if a > 0.0 else 1, n + 1) / n
-    values = mismatch(grid)
-    cross = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-    roots = _refine_roots(mismatch, grid[cross], grid[cross + 1],
-                          values[cross], values[cross + 1], tol_lambda)
-    return sorted(roots.tolist() + grid[values == 0.0].tolist())
+    values = mismatch(np.repeat(ks, grid.size), np.tile(grid, ks.size))
+    values = values.reshape(ks.size, grid.size)
+    row, col = np.nonzero(values[:, :-1] * values[:, 1:] < 0.0)
+    roots = _refine_roots(lambda i, x: mismatch(ks[row[i]], x), grid[col],
+                          grid[col + 1], values[row, col],
+                          values[row, col + 1], tol_lambda)
+    at, on = np.nonzero(values == 0.0)
+    return sorted(zip(ks[np.append(row, at)].tolist(),
+                      roots.tolist() + grid[on].tolist()))
 
 
 # ---------------------------------------------------------------------------

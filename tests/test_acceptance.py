@@ -188,8 +188,9 @@ def test_criterion_5_borderline_desk_scale():
     census_ok = census.ns[-1] >= 50 and \
         all(math.pi / 3 <= v <= math.pi for v in lengths)
 
-    eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
-    tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11)
+    eigs = [lam for _, lam in eigen_shoot(EQUAL, [1], (0.0, 5.0))]
+    tight = [lam for _, lam in eigen_shoot(EQUAL, [1], (0.0, 5.0),
+                                           rtol=5e-11)]
     eig_ok = len(eigs) >= 1 and len(tight) == len(eigs) and \
         max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
     ok = ratio_ok and census_ok and eig_ok

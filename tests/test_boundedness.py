@@ -311,8 +311,8 @@ def lone_channels(channel):
     """The channels of a batch one by one; a lone channel is a batch of
     one."""
     if isinstance(channel, ChannelBatch):
-        return [assemble_channel(channel.model, channel.k, lam)
-                for lam in channel.lams.tolist()]
+        return [assemble_channel(channel.model, k, lam) for k, lam in
+                zip(channel.ks.tolist(), channel.lams.tolist())]
     return [channel]
 
 

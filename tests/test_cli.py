@@ -14,6 +14,7 @@ import pytest
 
 import diracspec
 import diracspec.cli as cli
+import diracspec.subordinacy as subordinacy
 from diracspec.bvcalc import (
     SampledFunction,
     check_product_bound,
@@ -41,7 +42,7 @@ from diracspec.hypotheses import (
     TAIL_WINDOWS,
     lambda_trichotomy_probe,
 )
-from diracspec.solver import SolveConfig, prefer_pruefer
+from diracspec.solver import PreconditionError, SolveConfig, prefer_pruefer
 from diracspec.subordinacy import DELTA, eigen_shoot, ratio_range
 
 
@@ -1000,6 +1001,26 @@ class TestOtherCommands:
         assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert refusal in capsys.readouterr().err
 
+    def test_eigen_refusal_names_the_first_refused_k(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # every k is shot in one lockstep; a refusal names the first k, in
+        # k_set order, whose own shooting is refused, and no k's result
+        # line is printed before it
+        direction = subordinacy.decaying_direction
+
+        def refuse(model, k, lam, r_at):
+            if k > 0:
+                raise PreconditionError(f"refused at k={k}")
+            return direction(model, k, lam, r_at)
+
+        monkeypatch.setattr(subordinacy, "decaying_direction", refuse)
+        cfg = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [-1, 2, 1],
+                                      "bracket": [0.0, 5.0]})
+        assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "config error: eigen: k=2: refused at k=2\n"
+        assert "eigenvalue" not in out
+
     @pytest.mark.parametrize("tol, scan_step", [(0.0, 0.05), (1e-8, -0.05)])
     def test_eigen_steps_refusal_is_the_library_one(self, tmp_path, capsys,
                                                     tol, scan_step):
@@ -1009,7 +1030,7 @@ class TestOtherCommands:
         assert run(["eigen", "--config", cfg, "--out", tmp_path / "o"]) == 2
         with pytest.raises(ValueError) as refusal:
             eigen_shoot(CoefficientModel(q=power(1.0, 1.0), m=power(1.0, 1.0)),
-                        1, [0.0, 1.0], tol_lambda=tol, scan_step=scan_step)
+                        [1], [0.0, 1.0], tol_lambda=tol, scan_step=scan_step)
         err = capsys.readouterr().err
         assert err.startswith("config error: config.eigen: ")
         assert err.endswith(f": {refusal.value}\n")

@@ -192,9 +192,13 @@ class TestChannelAssembly:
     def test_integral_k_kept_as_int(self):
         model = CoefficientModel(q=power(1, 1), m=power(1, 1))
         for channel in (assemble_channel(model, 2.0, -1.0),
-                        ChannelBatch(model, np.int64(2), [-1.0]),
                         TransformedChannel(model, 2.0, -1.0)):
             assert type(channel.k) is int and channel.k == 2
+        # a batch keeps one int k per channel; one k serves them all
+        ks = ChannelBatch(model, [2.0, np.int64(-3)], [-1.0, 0.5]).ks
+        assert ks.dtype.kind == "i" and ks.tolist() == [2, -3]
+        assert ChannelBatch(model, np.int64(2), [-1.0, 0.5]).ks.tolist() == \
+            [2, 2]
 
     def test_equal_coefficients_channel_point(self):
         model = CoefficientModel(q=power(1, 1), m=power(1, 1))
@@ -348,7 +352,7 @@ class TestModelEquality:
             "gamma_diagnostics": lambda: hypotheses.gamma_diagnostics(model,
                                                                       -1.0),
             "transform": lambda: subordinacy.transform(model, 1, -1.0),
-            "eigen_shoot": lambda: subordinacy.eigen_shoot(model, 1,
+            "eigen_shoot": lambda: subordinacy.eigen_shoot(model, [1],
                                                            (0.0, 2.0)),
             "second_order_check": lambda: asymptotics.second_order_check(
                 traj, model, 1, -1.0),

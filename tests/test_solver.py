@@ -298,6 +298,11 @@ class TestBatch:
         with pytest.raises(PreconditionError,
                            match=r"of k=1,lambda=2 from 700 to 720 failed"):
             propagate(batch, np.eye(2), [1.0, 700.0], [2.0, 720.0])
+        # in a batch of mixed k, by its own k
+        batch = ChannelBatch(model, [1, -2], [0.5, 2.0])
+        with pytest.raises(PreconditionError,
+                           match=r"of k=-2,lambda=2 from 700 to 720 failed"):
+            propagate(batch, np.eye(2), [1.0, 700.0], [2.0, 720.0])
 
     def test_fundamental_batch_equals_lone_solves(self):
         # each channel from its own start radius, so the node rows differ
@@ -313,6 +318,29 @@ class TestBatch:
             assert np.array_equal(grid, want[0])
             assert np.array_equal(phi, want[1])
             assert failure is None and want[2] is None
+
+    @pytest.mark.parametrize("model", [
+        EQUAL, CoefficientModel(q=power(1, 1), m=constant(1))],
+        ids=["equal", "dominant_linear"])
+    def test_mixed_k_batch_equals_lone_solves(self, model):
+        # one k per channel: L = ks[owner]/r, and each channel's propagate
+        # and fundamental system are those of its lone solve, bit for bit
+        ks, lams, starts = [-2, 1, 3], [2.5, 0.5, 1.5], [1.0, 2.3, 0.7]
+        batch = ChannelBatch(model, ks, lams)
+        u0 = np.array([[1.0, 0.0], [0.3, -0.7], [0.0, 1.0]])
+        r0, r1 = np.array([0.5, 6.0, 1.0]), np.array([3.0, 1.5, 8.0])
+        got = propagate(batch, u0, r0, r1)
+        fund = integrate_fundamental(
+            batch, cfg(1.0, 12.0, rtol=1e-11, stride=0.1), starts)
+        for i, (k, lam) in enumerate(zip(ks, lams)):
+            lone = assemble_channel(model, k, lam)
+            assert batch.label(i) == lone.label()
+            assert np.array_equal(got[i], propagate(lone, u0[i], r0[i], r1[i]))
+            grid, phi, failure = integrate_fundamental(
+                lone, cfg(starts[i], 12.0, rtol=1e-11, stride=0.1))
+            assert np.array_equal(fund[i][0], grid)
+            assert np.array_equal(fund[i][1], phi)
+            assert fund[i][2] is None and failure is None
 
     def test_padded_interval_is_an_exact_identity_step(self):
         # the zero-length Magnus step is I, whatever A

@@ -43,6 +43,11 @@ EQUAL = CoefficientModel(q=power(1, 1), m=power(1, 1))
 LINEAR = CoefficientModel(q=power(1, 1), m=constant(1))
 
 
+def shoot(k, bracket, **kw):
+    """The eigenvalues of channel k on q = m = r in `bracket`."""
+    return [lam for _, lam in eigen_shoot(EQUAL, [k], bracket, **kw)]
+
+
 class TestTransform:
     def test_point_values(self):
         tch = transform(EQUAL, 1, -1.0)
@@ -427,29 +432,28 @@ class TestEigenShoot:
             _turning_radius(_probe_q(CoefficientModel(q=log, m=log)), 100.0)
 
     def test_bracket_nonempty_and_stable(self, monkeypatch):
-        eigs = eigen_shoot(EQUAL, 1, (0.0, 5.0))
+        eigs = shoot(1, (0.0, 5.0))
         assert len(eigs) >= 1
-        tight = eigen_shoot(EQUAL, 1, (0.0, 5.0), rtol=5e-11)
+        tight = shoot(1, (0.0, 5.0), rtol=5e-11)
         assert len(tight) == len(eigs)
         assert max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
         # matching at twice the turning radius moves no eigenvalue
         turning = subordinacy._turning_radius
         monkeypatch.setattr(subordinacy, "_turning_radius",
                             lambda q, lam: 2.0 * turning(q, lam))
-        wide = eigen_shoot(EQUAL, 1, (0.0, 5.0))
+        wide = shoot(1, (0.0, 5.0))
         assert max(abs(a - b) for a, b in zip(eigs, wide)) < 1e-6
 
     def test_partition_invariance(self):
-        full = eigen_shoot(EQUAL, 1, (0.0, 5.0))
-        halves = eigen_shoot(EQUAL, 1, (0.0, 2.5)) + \
-            eigen_shoot(EQUAL, 1, (2.5, 5.0))
+        full = shoot(1, (0.0, 5.0))
+        halves = shoot(1, (0.0, 2.5)) + shoot(1, (2.5, 5.0))
         assert len(full) == len(halves)
         assert max(abs(a - b) for a, b in zip(full, sorted(halves))) < 1e-6
 
     def test_airy_oracle(self):
         # q = m = r, k = -1 reduces to Airy's equation: the eigenvalues are
         # sqrt(2) |a_n|^(3/4) with a_n the zeros of Ai
-        eigs = eigen_shoot(EQUAL, -1, (0.0, 5.5))
+        eigs = shoot(-1, (0.0, 5.5))
         exact = math.sqrt(2.0) * np.abs(ai_zeros(3)[0]) ** 0.75
         assert len(eigs) == 3
         assert np.max(np.abs(np.asarray(eigs) - exact)) < 1e-8
@@ -459,7 +463,7 @@ class TestEigenShoot:
         # scan point 2.71125 of (2.67, 3.0); the scan samples the lower end
         # of a positive bracket, so this sign change is not lost
         exact = math.sqrt(2.0) * abs(ai_zeros(1)[0][0]) ** 0.75
-        eigs = eigen_shoot(EQUAL, -1, (2.67, 3.0))
+        eigs = shoot(-1, (2.67, 3.0))
         assert len(eigs) == 1
         assert abs(eigs[0] - exact) < 1e-8
 
@@ -478,8 +482,56 @@ class TestEigenShoot:
             return frobenius_radius(*args, **kwargs)
 
         monkeypatch.setattr(sub, "frobenius_radius", counting)
-        assert len(eigen_shoot(EQUAL, -1, (0.0, 5.5))) == 3
+        assert len(shoot(-1, (0.0, 5.5))) == 3
         assert len(calls) == 123
+
+    def test_lockstep_equals_the_calls_per_k(self, monkeypatch):
+        # every k in one lockstep: exactly the roots of the per-k calls,
+        # from one propagate call for the scan grid and one a refinement
+        # round, and one frobenius_radius call per (k, lambda) evaluation
+        calls = {"propagate": 0, "frobenius_radius": 0, "rounds": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def refine(f, *args):
+            return refine_roots(counting("rounds", f), *args)
+
+        refine_roots = subordinacy._refine_roots
+        monkeypatch.setattr(subordinacy, "_refine_roots", refine)
+        for name in ("propagate", "frobenius_radius"):
+            monkeypatch.setattr(subordinacy, name,
+                                counting(name, getattr(subordinacy, name)))
+        k_set, per_k, rounds, evals = (-2, -1, 1, 2), [], [], 0
+        for k in k_set:
+            calls.update(dict.fromkeys(calls, 0))
+            per_k += eigen_shoot(EQUAL, [k], (0.0, 5.0))
+            assert calls["propagate"] == 1 + calls["rounds"]
+            rounds.append(calls["rounds"])
+            evals += calls["frobenius_radius"]
+        calls.update(dict.fromkeys(calls, 0))
+        assert eigen_shoot(EQUAL, k_set, (0.0, 5.0)) == sorted(per_k)
+        assert calls["rounds"] == max(rounds) > 0
+        assert calls["propagate"] == 1 + calls["rounds"]
+        assert calls["frobenius_radius"] == evals
+
+    @pytest.mark.parametrize("q, upper", [
+        (power(0.5, 1), 8.0), (power(1, 1), 8.0), (power(2, 1), 8.0),
+        (power(0.7, 1.5), 6.0)], ids=["0.5r", "r", "2r", "0.7r^1.5"])
+    def test_spin_pairs_share_their_eigenvalues(self, q, upper):
+        # on m = q, channels k and -k - 1 reduce to one radial Schroedinger
+        # equation of angular momentum k (the spin symmetry of equal vector
+        # and scalar potentials; Bell & Ruegg, Nucl. Phys. B 98, 1975)
+        pairs = eigen_shoot(CoefficientModel(q=q, m=q), [1, 2, 3, -2, -3, -4],
+                            (0.0, upper))
+        for k in (1, 2, 3):
+            plus = [lam for kk, lam in pairs if kk == k]
+            minus = [lam for kk, lam in pairs if kk == -k - 1]
+            assert len(plus) == len(minus) >= 1
+            assert np.max(np.abs(np.subtract(plus, minus))) <= 2e-8
 
     def test_close_pair_in_adjacent_brackets(self):
         # two roots 1e-6 apart, in brackets that share an end: each is
@@ -487,12 +539,13 @@ class TestEigenShoot:
         roots = np.array([1.0, 1.0 + 1e-6])
         seen = []
 
-        def f(x):
+        def f(_, x):
             seen.append(x.size)
             return np.tanh(1e3 * (x - roots[0])) * np.tanh(1e3 * (x - roots[1]))
 
         lo, hi = np.array([0.9, 1.0 + 4e-7]), np.array([1.0 + 4e-7, 1.2])
-        got = subordinacy._refine_roots(f, lo, hi, f(lo), f(hi), 1e-10)
+        got = subordinacy._refine_roots(f, lo, hi, f(None, lo),
+                                        f(None, hi), 1e-10)
         assert np.all(np.abs(got - roots) <= 1e-10)
         assert np.all((lo < got) & (got < hi))
         # lockstep: every round evaluates both open brackets in one call
@@ -503,35 +556,36 @@ class TestEigenShoot:
         # inside the sign-change bracket
         seen = []
 
-        def f(x):
+        def f(_, x):
             seen.extend(x.tolist())
             return np.tanh(50.0 * (x - 0.97))
 
-        got = subordinacy._refine_roots(f, [0.0], [1.0], f(np.array([0.0])),
-                                        f(np.array([1.0])), 1e-9)
+        got = subordinacy._refine_roots(f, [0.0], [1.0],
+                                        f(None, np.array([0.0])),
+                                        f(None, np.array([1.0])), 1e-9)
         assert abs(got[0] - 0.97) <= 1e-9
         assert all(0.0 <= x <= 1.0 for x in seen)
 
     def test_negative_bracket_rejected(self):
         with pytest.raises(ValueError):
-            eigen_shoot(EQUAL, 1, (-2.0, -1.0))
+            shoot(1, (-2.0, -1.0))
 
     @pytest.mark.parametrize("kw", [{"tol_lambda": 0.0}, {"tol_lambda": -1e-8},
                                     {"scan_step": 0.0}])
     def test_nonpositive_step_or_tolerance_rejected(self, kw):
         # a zero tolerance could never end the root refinement
         with pytest.raises(ValueError, match="positive"):
-            eigen_shoot(EQUAL, 1, (0.0, 5.0), **kw)
+            shoot(1, (0.0, 5.0), **kw)
 
     def test_no_sign_change_gives_empty_list(self):
-        eigs = eigen_shoot(EQUAL, 1, (0.2, 0.4))
+        eigs = shoot(1, (0.2, 0.4))
         assert eigs == []
 
     def test_bracket_well_posed_at_finer_scan(self):
         # a 2.5x finer scan over the same bracket exposes no additional sign
         # changes: each refinement bracket holds exactly one root
-        coarse = eigen_shoot(EQUAL, 1, (3.3, 4.8))
-        fine = eigen_shoot(EQUAL, 1, (3.3, 4.8), scan_step=0.02)
+        coarse = shoot(1, (3.3, 4.8))
+        fine = shoot(1, (3.3, 4.8), scan_step=0.02)
         assert len(coarse) == len(fine) == 2
         assert max(abs(a - b) for a, b in zip(coarse, fine)) < 1e-6
 

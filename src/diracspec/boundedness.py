@@ -25,7 +25,7 @@ from .bvcalc import cumulative_variation
 from .coefficients import ChannelBatch, assemble_channel
 from .hypotheses import (ENVELOPE_FORMS, GENERAL, VIOLATED, HypothesisReport,
                          envelope_form)
-from .solver import (PreconditionError, SolveConfig, float_column,
+from .solver import (DIGITS, PreconditionError, SolveConfig,
                      integrate_fundamental, write_columns)
 
 __all__ = [
@@ -94,7 +94,7 @@ class RTrace:
 
     def to_csv(self, path):
         write_columns(path, "# kind=rtrace\nr,R,usq",
-                      [float_column(x) for x in (self.grid, self.R, self.usq)])
+                      (self.grid, self.R, self.usq), DIGITS["rtrace"])
 
 
 def r_trace(channel, grid, u) -> RTrace:

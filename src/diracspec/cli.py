@@ -67,6 +67,7 @@ from .hypotheses import (
     worst_verdict,
 )
 from .solver import (
+    DIGITS,
     PreconditionError,
     SolveConfig,
     integrate_cartesian,
@@ -280,33 +281,43 @@ def fixture_path(name: str) -> Path:
 # deterministic writers
 
 
-def _finite(obj):
-    """obj with every non-finite float (nan, inf) replaced by None, which
-    JSON writes as null."""
+def _finite(obj, digits=None, n=None):
+    """obj as strict JSON writes it: every non-finite float (nan, inf)
+    replaced by None, which JSON writes as null, and every other one
+    rounded to n significant digits (kept when n is None).  n is the count
+    that `digits` gives the innermost key above the float; a tuple of
+    counts gives one to each column of a list of rows."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        if not math.isfinite(obj):
+            return None
+        return obj if n is None else float("%.*g" % (n, obj))
     if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
+        return {key: _finite(value, digits,
+                             digits.get(key, n) if digits else n)
+                for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
+        if isinstance(n, tuple):
+            return [[_finite(x, digits, d) for x, d in zip(row, n)]
+                    for row in obj]
+        return [_finite(value, digits, n) for value in obj]
     return obj
 
 
 def _write_json(path: Path, obj):
-    # strict JSON: parsers reject the bare NaN and Infinity of json.dumps
+    # strict JSON: parsers reject the bare NaN and Infinity of json.dumps;
+    # each number to the digits of its kind and key (`solver.DIGITS`)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_finite(obj), indent=2, sort_keys=True,
+    digits = DIGITS.get(obj.get("kind"))
+    path.write_text(json.dumps(_finite(obj, digits), indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
 
 
-def _write_rows(path: Path, header: str, rows):
+def _write_rows(path: Path, header: str, rows, digits=None):
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_columns(path, header, [list(map(_fmt, col)) for col in zip(*rows)])
+    write_columns(path, header, list(zip(*rows)), digits)
 
 
 def _fmt(x):
-    if isinstance(x, str):
-        return x
     return repr(float(x))
 
 
@@ -636,7 +647,8 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
             name = _cell_name(k, lam)
             _write_rows(out / f"residuals_{name}.csv",
                         "# kind=residuals\ncenter,residual",
-                        [(w["center"], w["residual"]) for w in res])
+                        [(w["center"], w["residual"]) for w in res],
+                        DIGITS["residuals"])
             conv = defect_convergence(cfg.model, k, lam, *_defect_window(scfg))
             _write_json(out / f"defects_{name}.json",
                         {"kind": "defects", **conv})

@@ -126,21 +126,49 @@ class Trajectory:
         Q, M, L, W = self.channel.coeffs(self.grid)
         theta = self.theta if self.theta is not None else np.full_like(self.grid, np.nan)
         columns = (self.grid, self.u1, self.u2, self.rho, theta, Q, M, L, W)
-        write_columns(path, "r,u1,u2,rho,theta,Q,M,L,W",
-                      [float_column(x) for x in columns])
+        write_columns(path, "r,u1,u2,rho,theta,Q,M,L,W", columns,
+                      DIGITS["trajectory"])
 
 
-def float_column(a) -> list:
-    """The entries of `a` as strings, each repr(float(x)) of its float x."""
-    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+# The significant digits of each artifact number that comes out of a solve,
+# by artifact kind, then by CSV column or JSON key (a key holding rows of
+# numbers gives one count a column, None for repr).  Each count is
+# ceil(-log10 s) + 1 for the largest relative spread s of that number
+# between the shipped step and root tolerances and a hundredth of them, on
+# the fixtures and the seed 1-3 bench configs (README "Artifact digits");
+# sup_R takes the digits of R, its column, and the radius columns of the
+# CSVs are written to 12.  Every column or key not named, and every kind not
+# named, is written with repr.
+_CERTIFICATE = {"C": 13, "sup_R": 12}
+_RATIOS = {"ratio_tail": (None, 9), "liminf_estimate": 9, "intercept": 10,
+           "slope": 11, "r_squared": 12}
+DIGITS = {
+    "rtrace": {"r": 12, "R": 12, "usq": 12},
+    "trajectory": {"r": 12, "u1": 11, "u2": 11, "rho": 11, "theta": 13},
+    "residuals": {"center": 12, "residual": 13},
+    "boundedness": _CERTIFICATE,
+    "subordinacy": _RATIOS,
+    "scan": {**_CERTIFICATE, **_RATIOS},
+    "eigenvalues": {"by_k": 14},
+    "defects": {"defects": 12, "orders": 13},
+}
 
 
-def write_columns(path, header: str, columns):
+def write_columns(path, header: str, columns, digits=None):
     """Write the `header` lines, then row i of the `columns` (equally long
-    lists of strings) comma-separated, for every i, in one call: the writer
-    of every CSV artifact.  It is no solve, so it stays out of `__all__`."""
+    sequences of floats, or of strings) comma-separated, for every i: the
+    writer of every CSV artifact.  A column that `digits` names, by the
+    last header line, is written to that many significant digits (%.Ng),
+    every other one as str, which is repr for a float.  All rows are
+    formatted in one % call.  It is no solve, so it stays out of
+    `__all__`."""
+    digits = digits or {}
+    row = ",".join(f"%.{digits[name]}g" if name in digits else "%s"
+                   for name in header.rsplit("\n", 1)[-1].split(","))
+    n = len(columns[0]) if columns else 0
+    cells = tuple(np.column_stack(columns).ravel().tolist()) if n else ()
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
+        fh.write(f"{header}\n" + f"{row}\n" * n % cells)
 
 
 # Gauss-Legendre nodes on [0, 1] of the sixth-order Magnus step (Blanes,

@@ -424,18 +424,27 @@ class GapChannel:
 
 
 class TestRTraceCsv:
-    def test_columns_written_as_rows_of_reprs(self, tmp_path):
+    def test_columns_written_to_their_digits(self, tmp_path):
+        # r, R and usq to 12 significant digits (%.12g), on floats whose
+        # format is easy to get wrong: signed zero, a subnormal, a large
+        # power of ten, nan and both infinities
         special = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf,
                             0.1, -2.5e-310])
         grid, R, usq = (np.roll(special, -i) for i in range(3))
         trace = RTrace(grid=grid, R=R, usq=usq, form=GENERAL,
                        cumvar=np.zeros(8), epsilon=0.0)
         trace.to_csv(tmp_path / "r.csv")
-        want = "# kind=rtrace\nr,R,usq\n" + "".join(
-            ",".join(repr(float(x)) for x in row) + "\n"
-            for row in zip(grid, R, usq))
-        assert (tmp_path / "r.csv").read_bytes() == want.encode()
-        assert "-0.0,5e-324,1e+22\n" in want
+        assert (tmp_path / "r.csv").read_text() == (
+            "# kind=rtrace\n"
+            "r,R,usq\n"
+            "-0,4.94065645841e-324,1e+22\n"
+            "4.94065645841e-324,1e+22,nan\n"
+            "1e+22,nan,inf\n"
+            "nan,inf,-inf\n"
+            "inf,-inf,0.1\n"
+            "-inf,0.1,-2.5e-310\n"
+            "0.1,-2.5e-310,-0\n"
+            "-2.5e-310,-0,4.94065645841e-324\n")
 
 
 class TestAutoStartRadius:

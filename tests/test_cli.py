@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import diracspec
+import diracspec.boundedness
 import diracspec.cli as cli
+import diracspec.solver
 import diracspec.subordinacy as subordinacy
 from diracspec.bvcalc import (
     SampledFunction,
@@ -42,7 +44,8 @@ from diracspec.hypotheses import (
     TAIL_WINDOWS,
     lambda_trichotomy_probe,
 )
-from diracspec.solver import PreconditionError, SolveConfig, prefer_pruefer
+from diracspec.solver import (DIGITS, PreconditionError, SolveConfig,
+                              prefer_pruefer)
 from diracspec.subordinacy import DELTA, eigen_shoot, ratio_range
 
 
@@ -1189,6 +1192,100 @@ class TestOtherCommands:
                     "--out", tmp_path / "b"]) == 0
         assert seen == [(seed + 1, tmp_path / "a", True),
                         (seed, tmp_path / "b", False)]
+
+
+def _significant(token: str) -> int:
+    """The significant digits of a written number, as in 1.25e-07 (3)."""
+    return len(token.split("e")[0].lstrip("-").replace(".", "").lstrip("0"))
+
+
+def _agrees(full, back, digits, n=None):
+    """Whether the JSON value `back` read from an artifact holds `full`,
+    each float to the n significant digits that `digits` gives the
+    innermost key above it (exactly when none does), and no more."""
+    if isinstance(full, float):
+        if not math.isfinite(full):
+            return back is None
+        if n is None:
+            return back == full
+        return (abs(back - full) <= 5.0 * 10.0 ** -n * abs(full)
+                and _significant(repr(back)) <= n)
+    if isinstance(full, dict):
+        return full.keys() == back.keys() and all(
+            _agrees(full[key], back[key], digits,
+                    digits.get(key, n) if digits else n) for key in full)
+    if isinstance(full, (list, tuple)):
+        if len(full) != len(back):
+            return False
+        if isinstance(n, tuple):  # rows, one count a column
+            return all(_agrees(x, y, digits, d)
+                       for row, got in zip(full, back)
+                       for x, y, d in zip(row, got, n))
+        return all(_agrees(x, y, digits, n) for x, y in zip(full, back))
+    return full == back
+
+
+class TestArtifactDigits:
+    """Every number the commands write, read back, is the full-precision
+    value to the significant digits `solver.DIGITS` states for its kind
+    and column, and has no more of them; every other number reads back
+    exactly."""
+
+    @pytest.mark.parametrize("command,fixture", [
+        ("boundedness", "dominant_linear"),
+        ("boundedness", "constant_coeff"),
+        ("subordinacy", "borderline_linear"),
+        ("eigen", "borderline_linear"),
+        ("asymptotics", "borderline_linear"),
+        ("scan", "borderline_linear"),
+        ("solve", "constant_coeff"),
+    ])
+    def test_written_numbers_read_back_to_their_digits(
+            self, tmp_path, monkeypatch, command, fixture):
+        docs, tables = {}, {}
+        write_json = cli._write_json
+
+        def kept_write_json(path, obj):
+            docs[path] = obj
+            write_json(path, obj)
+
+        def kept_write_columns(write):
+            def kept(path, header, columns, digits=None):
+                tables[Path(path)] = header, columns, digits or {}
+                write(path, header, columns, digits)
+            return kept
+
+        monkeypatch.setattr(cli, "_write_json", kept_write_json)
+        for module in (cli, diracspec.boundedness, diracspec.solver):
+            monkeypatch.setattr(module, "write_columns", kept_write_columns(
+                module.write_columns))
+        run([command, "--config", fixture_path(fixture),
+             "--out", tmp_path / "o"])
+        assert docs or tables
+        rounded = 0
+        for path, doc in docs.items():
+            digits = DIGITS.get(doc["kind"])
+            rounded += digits is not None
+            assert _agrees(doc, json.loads(path.read_text()), digits), path
+        for path, (header, columns, digits) in tables.items():
+            rounded += bool(digits)
+            names = header.splitlines()[-1].split(",")
+            rows = [line.split(",") for line in
+                    path.read_text().splitlines()[header.count("\n") + 1:]]
+            assert len(rows) == (len(columns[0]) if columns else 0)
+            for name, full, back in zip(names, columns, zip(*rows)):
+                n = digits.get(name)
+                for x, token in zip(np.asarray(full).tolist(), back):
+                    if isinstance(x, str):
+                        assert token == x
+                        continue
+                    y = float(token)
+                    if n is None or not math.isfinite(x):
+                        assert y == x or (math.isnan(x) and math.isnan(y))
+                    else:
+                        assert abs(y - x) <= 5.0 * 10.0 ** -n * abs(x)
+                        assert _significant(token) <= n
+        assert rounded
 
 
 class TestPlotData:

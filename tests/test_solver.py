@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from diracspec import solver
 from diracspec.asymptotics import wkb_reference
 from diracspec.coefficients import (
     ChannelBatch,
+    ChannelSystem,
     CoefficientModel,
     ConstantChannel,
     assemble_channel,
@@ -456,7 +458,7 @@ class TestRunning:
         assert np.max(np.abs(np.ldexp(R, e) - exact)) <= 1e-12 * 2.0 ** 16
 
 
-# floats whose repr is easy to get wrong: signed zero, a subnormal, a
+# floats whose format is easy to get wrong: signed zero, a subnormal, a
 # large power of ten, nan and both infinities
 SPECIAL = np.array([-0.0, 5e-324, 1e22, np.nan, np.inf, -np.inf, 0.1,
                     -2.5e-310])
@@ -470,17 +472,24 @@ class SpecialChannel:
 
 
 class TestTrajectoryCsv:
-    def test_columns_written_as_rows_of_reprs(self, tmp_path):
+    def test_columns_written_to_their_digits(self, tmp_path):
+        # r to 12 significant digits, u1, u2 and rho to 11, theta to 13, and
+        # the coefficients Q, M, L, W, which no solve makes, as repr
         cols = [np.roll(SPECIAL, -i) for i in range(5)]
         traj = Trajectory(grid=cols[0], u1=cols[1], u2=cols[2], rho=cols[3],
                           theta=cols[4], mode="cartesian",
                           channel=SpecialChannel())
         traj.to_csv(tmp_path / "t.csv")
-        rows = zip(*cols, *SpecialChannel().coeffs(cols[0]))
-        want = "r,u1,u2,rho,theta,Q,M,L,W\n" + "".join(
-            ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
-        assert (tmp_path / "t.csv").read_bytes() == want.encode()
-        assert "-0.0,5e-324,1e+22,nan,inf" in want
+        assert (tmp_path / "t.csv").read_text() == (
+            "r,u1,u2,rho,theta,Q,M,L,W\n"
+            "-0,4.9406564584e-324,1e+22,nan,inf,-2.5e-310,0.1,-inf,inf\n"
+            "4.94065645841e-324,1e+22,nan,inf,-inf,-0.0,-2.5e-310,0.1,-inf\n"
+            "1e+22,nan,inf,-inf,0.1,5e-324,-0.0,-2.5e-310,0.1\n"
+            "nan,inf,-inf,0.1,-2.5e-310,1e+22,5e-324,-0.0,-2.5e-310\n"
+            "inf,-inf,0.1,-2.5e-310,-0,nan,1e+22,5e-324,-0.0\n"
+            "-inf,0.1,-2.5e-310,-0,4.940656458412e-324,inf,nan,1e+22,5e-324\n"
+            "0.1,-2.5e-310,-0,4.9406564584e-324,1e+22,-inf,inf,nan,1e+22\n"
+            "-2.5e-310,-0,4.9406564584e-324,1e+22,nan,0.1,-inf,inf,nan\n")
 
     def test_missing_theta_written_as_nan(self, tmp_path):
         grid = np.array([1.0, 2.0])
@@ -488,7 +497,7 @@ class TestTrajectoryCsv:
                           mode="cartesian", channel=ROTATION)
         traj.to_csv(tmp_path / "t.csv")
         lines = (tmp_path / "t.csv").read_text().splitlines()
-        assert lines[1] == "1.0,1.0,1.0,1.0,nan,1.0,0.0,0.0,0.0"
+        assert lines[1] == "1,1,1,1,nan,1.0,0.0,0.0,0.0"
 
 
 def sequential_norms(channel, U0, nodes, rtol):
@@ -711,6 +720,123 @@ class TestPruefer:
         cart = integrate_cartesian(LINEAR, [1.0, 1.0], c)
         prue = integrate_pruefer(LINEAR, math.sqrt(2.0), math.pi / 4, c)
         assert np.max(np.abs(prue.rho - cart.rho) / cart.rho) < 1e-6
+
+
+# initial angles of the trap tests: none on a quarter boundary k pi/2
+TRAP_ANGLES = ((np.arange(8) + 0.5) * math.pi / 8 - math.pi / 2).tolist()
+
+
+def quarters(traj):
+    """The quarter index floor(theta / (pi/2)) at every step end."""
+    return np.floor(traj.accepted_theta / (math.pi / 2))
+
+
+class TestTrappedAngle:
+    """On m = q the polar equation gives theta' = 2q - lambda at theta = 0
+    (mod pi) and theta' = -lambda at theta = pi/2 (mod pi), whatever k, as
+    L sin 2 theta vanishes there.  Past q = lambda/2 with lambda > 0 an
+    angle in an even quarter (n pi, n pi + pi/2) can leave it through
+    neither edge, and one in an odd quarter leaves it through either edge
+    into an even one, so the quarter index changes at most once, by one.
+    For lambda < 0 both edges are crossed upwards only, so the index never
+    falls."""
+
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_positive_lambda_crosses_at_most_one_quarter(self, k):
+        crossed = 0
+        for lam in (0.3, 2.0, 3.5107, 4.0, 7.0):
+            channel = assemble_channel(EQUAL, k, lam)
+            # from r* = lambda/2, where q = lambda/2 on q = m = r
+            c = cfg(lam / 2.0, 40.0, rtol=1e-10)
+            for theta0 in TRAP_ANGLES:
+                traj = integrate_pruefer(channel, 1.0, theta0, c)
+                index = quarters(traj)
+                assert traj.ok
+                assert np.ptp(index) <= 1, (lam, theta0)
+                assert np.count_nonzero(np.diff(index)) <= 1, (lam, theta0)
+                crossed += index[-1] != index[0]
+        assert crossed  # some start leaves its odd quarter
+
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_negative_lambda_never_turns_back_a_quarter(self, k):
+        for lam in (-0.5, -2.0, -5.0):
+            channel = assemble_channel(EQUAL, k, lam)
+            c = cfg(0.5, 40.0, rtol=1e-10)
+            for theta0 in TRAP_ANGLES:
+                traj = integrate_pruefer(channel, 1.0, theta0, c)
+                index = quarters(traj)
+                assert traj.ok
+                assert np.all(np.diff(index) >= 0), (lam, theta0)
+                assert index[-1] - index[0] > 100
+
+
+class WignerVonNeumann:
+    """Duck-typed q and m (like `DippedLine` in test_hypotheses) of a
+    channel with an embedded eigenvalue: with theta(r) = r^2/2, a < -1,
+
+        m = (a/r) sin r^2,
+        q = lambda0 + r - (k/r) sin r^2 - (a/(2r)) sin 2r^2,
+
+    the polar equations hold with theta' = r and
+    (ln rho)' = (a/r) sin^2 r^2 - (k/r) cos r^2, so rho ~ r^(a/2) is L^2 and
+    lambda0 is an eigenvalue of the channel at k, although q dominates m
+    (Wigner & von Neumann, Phys. Z. 30, 1929)."""
+
+    a, lam0, k, r0 = -2.0, 1.0, 1, 3.0
+
+    def __init__(self, part):
+        self.part = part
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        a, k, sine = self.a, self.k, np.sin(r * r)
+        if self.part == "m":
+            return a / r * sine
+        return self.lam0 + r - k / r * sine - a / (2.0 * r) * np.sin(2 * r * r)
+
+    @classmethod
+    def model(cls):
+        return SimpleNamespace(q=cls("q"), m=cls("m"))
+
+    @classmethod
+    def start(cls):
+        """u(r0), the unit vector at the angle theta(r0) = r0^2/2."""
+        theta = cls.r0 ** 2 / 2.0
+        return np.array([math.cos(theta), math.sin(theta)])
+
+
+class TestWignerVonNeumann:
+    W = WignerVonNeumann
+    CHANNEL = ChannelSystem(model=W.model(), k=W.k, lam=W.lam0)
+
+    def test_polar_equations_hold_exactly(self):
+        r = np.linspace(self.W.r0, 300.0, 1000)
+        Q, M, L, _ = self.CHANNEL.coeffs(r)
+        two_theta = r * r
+        dtheta = Q + M * np.cos(two_theta) + L * np.sin(two_theta)
+        dlog_rho = M * np.sin(two_theta) - L * np.cos(two_theta)
+        a, k = self.W.a, self.W.k
+        assert np.max(np.abs(dtheta - r) / r) <= 1e-14
+        assert np.max(np.abs(dlog_rho - (a / r * np.sin(r * r) ** 2
+                                         - k / r * np.cos(r * r)))) <= 1e-15
+
+    def batch(self, n):
+        return ChannelBatch(self.W.model(), self.W.k, np.full(n, self.W.lam0))
+
+    def test_propagate_keeps_the_decay(self):
+        # rho ~ r^(a/2) = 1/r: r |u(r)| tends to a constant, 3.152 from r0
+        r = np.array([10.0, 30.0, 100.0, 300.0])
+        u = propagate(self.batch(r.size), np.tile(self.W.start(), (r.size, 1)),
+                      self.W.r0, r, rtol=1e-12)
+        assert np.all(np.abs(r * np.hypot(*u.T) - 3.152) <= 2e-3)
+
+    def test_propagate_keeps_the_angle(self):
+        r = np.array([5.0, 10.0, 20.0, 30.0])
+        u = propagate(self.batch(r.size), np.tile(self.W.start(), (r.size, 1)),
+                      self.W.r0, r, rtol=1e-12)
+        off = np.arctan2(u[:, 1], u[:, 0]) - r * r / 2.0
+        assert np.all(np.abs((off + math.pi / 2) % math.pi - math.pi / 2)
+                      <= 1e-11)
 
 
 class TestWronskian:

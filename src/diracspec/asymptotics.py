@@ -8,7 +8,8 @@ The reference pair has components
     ( q^(-1/4) sin(Phi), -sqrt(2/|lambda|) q^(1/4) cos(Phi) )
 
 with phase Phi = int sqrt(lambda^2 - 2 lambda q) dr from the first grid
-radius, the census variable s (`solver.cumulative_integral`).  Numeric
+radius, the integral of the rescaled channel's Q (`subordinacy.transform`),
+by `solver.cumulative_integral`.  Numeric
 solutions are compared against the span of the pair by windowed least
 squares; the projection residual is scale-invariant and insensitive to the
 reference phase origin, and its decay along the radius quantifies how fast

@@ -82,6 +82,7 @@ from .subordinacy import (
     eigen_bracket,
     eigen_shoot,
     eigen_steps,
+    phase_band,
     ratio_range,
     summarize_cells,
 )
@@ -364,6 +365,12 @@ def _require_equal_model(cfg: RunConfig, command: str):
         raise ConfigError(str(err)) from None
 
 
+def _require_derivative(cfg: RunConfig, command: str):
+    _require(min(cfg.lambda_grid) >= 0.0 or cfg.model.q.has_derivative,
+             f"{command}: the rescaled channel of lambda < 0 reads q', and q "
+             f"has none (tabulated data declared non-smooth)")
+
+
 def cmd_hypotheses(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.model is not None, "hypotheses needs a 'model' in the config")
     _require(cfg.lambda_grid, "hypotheses needs a nonempty 'lambda_grid'")
@@ -454,17 +461,20 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require_equal_model(cfg, "subordinacy")
     _require(cfg.k_set, "need a nonempty 'k_set'")
     _require(cfg.lambda_grid, "need a nonempty 'lambda_grid'")
+    _require_derivative(cfg, "subordinacy")
     findings = False
     for k in cfg.k_set:
         for lam in cfg.lambda_grid:
             if lam == 0.0:
                 continue  # boundary point carries no claim
-            cell = borderline_cell(cfg.model, k, lam, cfg.subordinacy,
-                                   with_census=True)
+            cell = borderline_cell(cfg.model, k, lam, cfg.subordinacy)
             # the claim: no subordinate solution below 0, one above
             claim = "ac-candidate" if lam < 0.0 else "subordinate-found"
             findings = findings or cell["classification"] != claim
             rep = cell["report"]
+            if lam < 0.0:
+                rep["phase_band"] = phase_band(cfg.model, k, lam,
+                                               **cfg.subordinacy)
             _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", rep)
             _say(f"k={k} lambda={lam:g}: {rep['classification']} "
                  f"(liminf ~ {rep['liminf_estimate']:.4g})")
@@ -637,6 +647,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.k_set, "need a nonempty 'k_set'")
     neg = [l for l in cfg.lambda_grid if l < 0.0]
     _require(neg, "asymptotics needs negative entries in 'lambda_grid'")
+    _require_derivative(cfg, "asymptotics")
     scfg = cfg.asymptotics
     trend_ok = True
     for k in cfg.k_set:

@@ -26,7 +26,7 @@ all its channels.  One log-depth scan `_running` of the step
 products gives Phi at the nodes (`integrate_fundamental`, `propagate`);
 with each step's first half, the states that carry the polar form (for
 long ranges where Q dominates W = sqrt(M^2 + L^2)) and `cumulative_norms`.
-Every phase integral is the composite Simpson rule `cumulative_integral`.
+The WKB phase of `asymptotics` is the Simpson rule `cumulative_integral`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "frobenius_init",
     "frobenius_radius",
     "cumulative_integral",
-    "s_reparam",
     "phase_derivative",
     "prefer_pruefer",
 ]
@@ -111,7 +110,6 @@ class Trajectory:
     theta: Optional[np.ndarray]
     mode: str
     channel: object
-    s: Optional[np.ndarray] = None
     accepted_r: Optional[np.ndarray] = None
     accepted_theta: Optional[np.ndarray] = None
     status: int = 0
@@ -669,20 +667,6 @@ def cumulative_integral(fn, grid) -> np.ndarray:
                      grid[-1]))
     F = np.column_stack((f[:-1].reshape(-1, _REFINE), f[_REFINE::_REFINE]))
     return np.concatenate(([0.0], np.cumsum(h * (F @ _SIMPSON))))
-
-
-def s_reparam(channel, traj: Trajectory) -> Trajectory:
-    """Attach the integrated-coefficient variable s(r) = int_{r0}^r Q by
-    `cumulative_integral` on the trajectory grid.  Requires Q > 0 there so
-    that s is strictly monotone."""
-    def positive_Q(r):
-        Q = channel.coeffs(r)[0]
-        if np.any(Q <= 0.0):
-            bad = float(r[np.argmax(Q <= 0.0)])
-            raise PreconditionError(f"Q is not positive at r = {bad:g}")
-        return Q
-
-    return replace(traj, s=cumulative_integral(positive_Q, traj.grid))
 
 
 def phase_derivative(channel, r, theta):

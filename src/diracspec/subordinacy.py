@@ -14,7 +14,7 @@ whose solutions are all bounded and of comparable size.  The oscillation of
 the rescaled phase then spreads the growing and decaying parts so evenly
 between any two solutions that neither can be negligible against the other:
 cumulative norm ratios stay bounded away from zero.  The rescaled channel
-serves the phase census and `asymptotics`; the ratios themselves need no
+serves the phase band and `asymptotics`; the ratios themselves need no
 rescaling, since |u|^2 = sqrt(Lambda/gamma) v1^2 + sqrt(gamma/Lambda) v2^2
 is an identity, and come from `solver.cumulative_norms` on the original
 channel.  For positive spectral parameters the same machinery exhibits the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,28 +37,22 @@ from .coefficients import (
     CoefficientModel,
     angular_number,
     assemble_channel,
-    models_equal,
     require_equal,
 )
 from .hypotheses import SATISFIED, worst_verdict
 from .solver import (
     PreconditionError,
     SolveConfig,
-    cumulative_integral,
     cumulative_norms,
     frobenius_radius,
-    integrate_pruefer,
     propagate,
-    s_reparam,
 )
 
 __all__ = [
     "TransformedChannel",
-    "CensusResult",
     "SubordinacyReport",
     "transform",
-    "theta_census",
-    "census_from_phase",
+    "phase_band",
     "subordinacy_ratio",
     "ratio_range",
     "eigen_bracket",
@@ -137,75 +131,25 @@ def transform(model: CoefficientModel, k: int, lam: float) -> TransformedChannel
     return TransformedChannel(model=model, k=k, lam=float(lam))
 
 
-# ---------------------------------------------------------------------------
-# phase census
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    ns: list
-    J_lengths: list
-    K_lengths: list
-    violations: list
-    s_resolution: float
-    guard_max: float
-    n_first: int
-    s_offset: float
-
-    def to_dict(self):
-        return {"kind": "census", **asdict(self)}
-
-
-def census_from_phase(s, theta, guard_max: float = 0.0) -> CensusResult:
-    """Interval census of an increasing phase against the bands
-    [-3pi/4, -pi/4] + n pi (J) and [-pi/4, pi/4] + n pi (K), measured in the
-    integrated-coefficient variable s."""
-    s = np.asarray(s, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.diff(theta) <= 0.0):
-        raise PreconditionError("phase must be strictly increasing for the "
-                                "census")
-    # band boundaries are the odd multiples of pi/4:
-    # J_n runs over [(4n-3) pi/4, (4n-1) pi/4], K_n over the next quarter turn
-    n_lo = int(math.ceil((theta[0] * 4.0 / math.pi + 3.0) / 4.0))
-    n_hi = int(math.floor((theta[-1] * 4.0 / math.pi - 1.0) / 4.0))
-    ns = list(range(n_lo, n_hi + 1))
-    sj = np.interp(np.arange(4 * n_lo - 3, 4 * n_hi + 2, 2) * math.pi / 4.0,
-                   theta, s)
-    lengths = np.diff(sj)
-    J_lengths, K_lengths = lengths[0::2].tolist(), lengths[1::2].tolist()
-    s_res = float(np.max(np.diff(s)))
-    slack = 1.5 * s_res
-    violations = [{"n": n, "interval": name, "length": val}
-                  for n, J, K in zip(ns, J_lengths, K_lengths)
-                  for name, val in (("J", J), ("K", K))
-                  if not math.pi / 3.0 - slack <= val <= math.pi + slack]
-    return CensusResult(ns=ns, J_lengths=J_lengths, K_lengths=K_lengths,
-                        violations=violations, s_resolution=s_res,
-                        guard_max=guard_max, n_first=ns[0] if ns else 0,
-                        s_offset=float(sj[0]) if ns else 0.0)
-
-
-def theta_census(traj) -> CensusResult:
-    """Census of a solved phase in the s-variable.
-
-    Requires the trajectory to carry the s-reparameterization and the
-    channel to satisfy |L|/Q <= 1/2 on the whole range (this pins the
-    phase speed dTheta/ds inside [1/2, 3/2]).
-    """
-    if traj.s is None:
-        raise ValueError("trajectory lacks the s-variable; apply s_reparam "
-                         "first")
-    if traj.theta is None:
-        raise ValueError("trajectory lacks a continuous phase")
-    Q, _, L, _ = traj.channel.coeffs(traj.grid)
+def phase_band(model: CoefficientModel, k: int, lam: float, r0: float,
+               r_end: float) -> dict:
+    """g, the largest |L|/Q of the rescaled channel on 4000 geometric
+    radii of [r0, r_end] (a sample, not a bound), and the band
+    [pi/(2(1+g)), pi/(2(1-g))] that holds the s-length, s = int Q dr, of
+    every quarter turn [-3pi/4, -pi/4] + n pi (J) or [-pi/4, pi/4] + n pi
+    (K) of the angle of any solution, as dtheta/ds = 1 + (L/Q) sin(2 theta)
+    when M = 0.  Refused when g exceeds 1/2, where the band would leave
+    [pi/3, pi]; the refusal names the first radius that fails."""
+    rs = np.geomspace(r0, r_end, 4000)
+    Q, _, L, _ = transform(model, k, lam).coeffs(rs)
     ratio = np.abs(L) / Q
-    worst = float(np.max(ratio))
-    if worst > 0.5:
-        bad = float(traj.grid[int(np.argmax(ratio > 0.5))])
-        raise PreconditionError(f"|L|/Q exceeds 0.5 at r = {bad:g}; "
-                                f"census refused")
-    return census_from_phase(traj.s, traj.theta, guard_max=worst)
+    if np.any(ratio > 0.5):
+        raise PreconditionError(f"|L|/Q exceeds 0.5 at r = "
+                                f"{rs[np.argmax(ratio > 0.5)]:g}; phase band "
+                                f"refused")
+    g = float(np.max(ratio))
+    return {"r0": float(r0), "r_end": float(r_end), "g": g,
+            "band": [math.pi / (2.0 + 2.0 * g), math.pi / (2.0 - 2.0 * g)]}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +166,6 @@ class SubordinacyReport:
     liminf_estimate: float
     classification: str
     fit: Optional[dict]
-    census: Optional[CensusResult]
 
     def __post_init__(self):
         if any(v <= 0.0 for _, v in self.ratio_tail):
@@ -233,8 +176,7 @@ class SubordinacyReport:
                 "r0": self.r0, "r_end": self.r_end, "delta": DELTA,
                 "ratio_tail": self.ratio_tail,
                 "liminf_estimate": self.liminf_estimate,
-                "classification": self.classification, "fit": self.fit,
-                "census": None if self.census is None else self.census.to_dict()}
+                "classification": self.classification, "fit": self.fit}
 
 
 def _fit_log_decay(r, logv):
@@ -249,8 +191,7 @@ def _fit_log_decay(r, logv):
 
 def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
-                      rtol: float = 1e-10,
-                      with_census: bool = False) -> SubordinacyReport:
+                      rtol: float = 1e-10) -> SubordinacyReport:
     """Cumulative squared-norm ratio of two solutions at 48 geometric radii
     from max(1.25 r0, r0 + (r_end - r0)/1000) to r_end > 1.25 r0.
 
@@ -293,15 +234,10 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
         else:
             classification = "inconclusive"
 
-    census = None
-    if with_census and lam < 0.0 and models_equal(model)[0]:
-        census = _census_for(model, k, lam, r0)
-
     return SubordinacyReport(
         lam=float(lam), k=int(k), r0=float(r0), r_end=float(r_end),
         ratio_tail=[(float(r), float(v)) for r, v in zip(ladder, ratio_ab)],
-        liminf_estimate=liminf, classification=classification, fit=fit,
-        census=census)
+        liminf_estimate=liminf, classification=classification, fit=fit)
 
 
 def ratio_range(r0: float, r_end: float) -> None:
@@ -310,23 +246,6 @@ def ratio_range(r0: float, r_end: float) -> None:
     if not (0.0 < r0 < r_end and _RATIO_START * r0 < r_end):
         raise ValueError(f"the ratio range needs 0 < r0 < r_end and r_end > "
                          f"{_RATIO_START:g} r0, where its ladder starts")
-
-
-def _census_for(model, k, lam, r0):
-    tch = transform(model, k, lam)
-    # range long enough to cover 60 full turns at unit phase speed, and two
-    # more; each candidate adds s over its own segment, on 64 Simpson pieces
-    need = 62 * math.pi
-    lo, hi, s = r0, r0 + 1.0, 0.0
-    while True:
-        s += cumulative_integral(lambda r: tch.coeffs(r)[0],
-                                 np.linspace(lo, hi, 17))[-1]
-        if s >= need or hi >= 1e6:
-            break
-        lo, hi = hi, hi * 1.6
-    cfg = SolveConfig(r_start=r0, r_end=hi, rtol=RESCALED_RTOL,
-                      stride=min(0.05, (hi - r0) / 4000.0))
-    return theta_census(s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +510,13 @@ def _dominant_cells(model, k, lams, solver, reports):
 
 
 def borderline_cell(model: CoefficientModel, k: int, lam: float,
-                    subordinacy: dict, *, with_census: bool = False) -> dict:
+                    subordinacy: dict) -> dict:
     """One m == q cell, as `subordinacy` and `scan` classify it.
 
     lambda < 0: the ratio of the solutions started along the axes, from
     the `subordinacy` section's r0 to its r_end, an ac-candidate when
-    neither is subordinate (with the phase census when `with_census`);
-    lambda > 0: `_eigen_side_cell`; lambda = 0 is excluded, since no claim
-    is made at the boundary point.
+    neither is subordinate; lambda > 0: `_eigen_side_cell`; lambda = 0 is
+    excluded, since no claim is made at the boundary point.
     """
     if lam == 0.0:
         return {"classification": "excluded", "path": "boundary-point"}
@@ -606,7 +524,7 @@ def borderline_cell(model: CoefficientModel, k: int, lam: float,
         return _eigen_side_cell(model, k, lam)
     return _subordinacy_cell(subordinacy_ratio(
         model, k, lam, [1.0, 0.0], [0.0, 1.0], subordinacy["r0"],
-        subordinacy["r_end"], with_census=with_census))
+        subordinacy["r_end"]))
 
 
 def _eigen_side_cell(model, k, lam):

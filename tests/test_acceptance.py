@@ -45,14 +45,15 @@ from diracspec.solver import (
     integrate_fundamental,
     integrate_pruefer,
     phase_derivative,
-    s_reparam,
 )
 from diracspec.subordinacy import (
     eigen_shoot,
+    phase_band,
     subordinacy_ratio,
-    theta_census,
     transform,
 )
+
+from census_oracle import census_from_phase, s_variable
 
 CONST = ConstantChannel(2.0, 1.0, 0.0)
 LINEAR = CoefficientModel(q=power(1, 1), m=constant(1))
@@ -180,8 +181,10 @@ def test_criterion_5_borderline_desk_scale():
     tch = transform(EQUAL, 1, -1.0)
     cfg = SolveConfig(r_start=1.0, r_end=33.0, rtol=1e-11,
                       stride=0.02)
-    traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg))
-    census = theta_census(traj)
+    # the guard |L|/Q <= 1/2 on the census range, refused otherwise
+    phase_band(EQUAL, 1, -1.0, 1.0, 33.0)
+    traj = integrate_pruefer(tch, 1.0, 0.0, cfg)
+    census = census_from_phase(s_variable(tch, traj.grid), traj.theta)
     upto = [i for i, n in enumerate(census.ns) if n <= 50]
     lengths = [census.J_lengths[i] for i in upto] + \
         [census.K_lengths[i] for i in upto]

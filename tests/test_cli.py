@@ -337,6 +337,28 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"config error: config.subordinacy: {library.value}\n")
 
+    def test_missing_derivative_exits_two(self, tmp_path, capsys):
+        # q = m tabulated and declared non-smooth: the rescaled channel of
+        # lambda < 0 reads q', while scan's ratios need none
+        tab = {"family": "tabulated",
+               "params": {"grid": [0.5, 2.0, 8.0, 32.0],
+                          "values": [0.5, 2.0, 8.0, 32.0],
+                          "derivative": "none"}}
+        path = write_config(tmp_path, {
+            "model": {"q": tab, "m": tab}, "k_set": [1],
+            "lambda_grid": [-1.0, 1.0], "subordinacy": {"r_end": 20.0},
+            "asymptotics": {"r_start": 5.0, "r_end": 20.0}})
+        for command in ("subordinacy", "asymptotics"):
+            assert run([command, "--config", path,
+                        "--out", tmp_path / command]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {command}: the rescaled channel of lambda < 0 "
+                f"reads q', and q has none (tabulated data declared "
+                f"non-smooth)\n")
+        assert run(["scan", "--config", path, "--out", tmp_path / "scan"]) == 0
+        scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
+        assert scan["summary"]["ac_candidate_lambdas"] == [-1.0]
+
     @pytest.mark.parametrize("r_end", [1.2, 1.25])
     def test_ratio_range_below_ladder_start_exits_two(self, tmp_path, capsys,
                                                       r_end):
@@ -686,8 +708,10 @@ class TestScanCommand:
                 continue
             report = read(borderline, "subordinacy",
                           f"subordinacy_{name(cell)}.json")
-            assert (report["census"] is not None) == (cell["lambda"] < 0.0)
-            assert cell["report"] == {**report, "census": None}
+            # the phase band is the command's own annotation of lambda < 0
+            band = report.pop("phase_band", None)
+            assert (band is not None) == (cell["lambda"] < 0.0)
+            assert cell["report"] == report
             if cell["lambda"] < 0.0:
                 assert (report["r0"], report["r_end"], report["delta"]) == \
                     (1.5, 40.0, DELTA)
@@ -1438,7 +1462,7 @@ class TestScipyFreeStart:
         small = {"model": LINEAR_MODEL, "k_set": [1], "lambda_grid": [-1.0],
                  "solver": {"r_end": 25.0},
                  "subordinacy": {"r_end": 20.0}, "bv": {"instances": 3}}
-        # m == q and lambda < 0: subordinacy runs its phase census
+        # m == q and lambda < 0: subordinacy reports the phase band
         equal = {"model": EQUAL_MODEL, "k_set": [1], "lambda_grid": [-1.0],
                  "subordinacy": {"r_end": 25.0},
                  "asymptotics": {"r_start": 5.0, "r_end": 25.0}}
@@ -1457,9 +1481,9 @@ class TestScipyFreeStart:
             ("import", 0, []), ("hypotheses", 0, []), ("bv-verify", 0, []),
             ("boundedness", 0, []), ("scan", 0, []), ("subordinacy", 0, []),
             ("asymptotics", 0, []), ("solve", 0, []), ("eigen", 0, [])]
-        census = json.loads(
+        report = json.loads(
             (tmp_path / "o4" / "subordinacy_k=1_lambda=-1.json").read_text())
-        assert census["census"] is not None
+        assert report["phase_band"]["r_end"] == 25.0
         assert (tmp_path / "o5" / "residuals_k=1_lambda=-1.csv").exists()
         assert (tmp_path / "o6" / "trajectory_k=1_lambda=-1.csv").exists()
         assert (tmp_path / "o7" / "eigenvalues.json").exists()

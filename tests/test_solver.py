@@ -36,9 +36,10 @@ from diracspec.solver import (
     phase_derivative,
     prefer_pruefer,
     propagate,
-    s_reparam,
 )
-from diracspec.subordinacy import theta_census, transform
+from diracspec.subordinacy import transform
+
+from census_oracle import census_from_phase, s_variable
 
 CONST = ConstantChannel(2.0, 1.0, 0.0)
 ROTATION = ConstantChannel(1.0, 0.0, 0.0)
@@ -652,12 +653,11 @@ class TestPruefer:
     def test_census_matches_dop853_oracle(self):
         tch = transform(EQUAL, 1, -1.0)
         c = cfg(1.0, 33.0, rtol=1e-11, stride=0.02)
-        traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, c))
+        traj = integrate_pruefer(tch, 1.0, 0.0, c)
         theta, _ = dop853_polar(tch, 1.0, 0.0, traj.grid)
-        got = theta_census(traj)
-        ref = theta_census(Trajectory(
-            grid=traj.grid, u1=traj.u1, u2=traj.u2, rho=traj.rho, theta=theta,
-            mode="pruefer", channel=tch, s=traj.s))
+        s = s_variable(tch, traj.grid)
+        got = census_from_phase(s, traj.theta)
+        ref = census_from_phase(s, theta)
         assert got.ns == ref.ns
         assert got.violations == ref.violations
         assert np.allclose(got.J_lengths + got.K_lengths,
@@ -926,49 +926,10 @@ class TestFrobenius:
             frobenius_init(CONST, 1e-3)
 
 
-class TestSReparam:
-    def test_unit_coefficient(self):
-        traj = integrate_pruefer(ROTATION, 1.0, 0.0, cfg(1.0, 10.0))
-        traj = s_reparam(ROTATION, traj)
-        assert np.max(np.abs(traj.s - (traj.grid - 1.0))) < 1e-12
-
-    def test_closed_form_square_root(self):
-        ch = ConstantChannel(1.0, 0.0, 0.0)
-
-        class SqrtChannel:
-            def coeffs(self, r):
-                Q = np.sqrt(2.0 * r + 1.0)
-                z = r * 0.0
-                return Q, z, z, z
-
-            def scalar_qml(self, r):
-                return math.sqrt(2.0 * r + 1.0), 0.0, 0.0
-
-        sch = SqrtChannel()
-        traj = integrate_pruefer(sch, 1.0, 0.0, cfg(1.0, 50.0, stride=0.01))
-        traj = s_reparam(sch, traj)
-        expected = ((2 * traj.grid + 1.0) ** 1.5 - 3.0 ** 1.5) / 3.0
-        assert np.max(np.abs(traj.s - expected) / (1.0 + expected)) < 1e-7
-
-    def test_derivative_recovers_coefficient(self):
-        traj = integrate_pruefer(LINEAR, 1.0, 0.0, cfg(2.0, 40.0, stride=0.01))
-        traj = s_reparam(LINEAR, traj)
-        ds = np.gradient(traj.s, traj.grid)
-        Q = LINEAR.coeffs(traj.grid)[0]
-        interior = slice(1, -1)
-        assert np.max(np.abs(ds[interior] - Q[interior])) < 1e-6 * np.max(Q)
-
-    def test_nonpositive_coefficient_rejected(self):
-        ch = assemble_channel(CoefficientModel(q=power(1, 1), m=constant(1)),
-                              1, 5.0)
-        traj = integrate_cartesian(ch, [1.0, 0.0], cfg(1.0, 10.0))
-        with pytest.raises(PreconditionError):
-            s_reparam(ch, traj)
-
-
 class TestCumulativeIntegral:
-    """One Simpson rule serves s_reparam and the WKB phase; for q = c r the
-    phase integral has the closed form
+    """The Simpson rule of the WKB phase, whose integrand sqrt(lam^2 -
+    2 lam q) is the Q of the rescaled channel; for q = c r the phase
+    integral has the closed form
     int sqrt(lam^2 - 2 lam c x) dx = (lam^2 - 2 lam c x)^(3/2) / (-3 lam c)."""
 
     C, LAM, R0, R1 = 0.8, -1.7, 1.25, 40.0
@@ -990,7 +951,7 @@ class TestCumulativeIntegral:
         model = CoefficientModel(q=power(self.C, 1), m=power(self.C, 1))
         tch = transform(model, 1, self.LAM)
         traj = integrate_pruefer(tch, 1.0, 0.0, cfg(self.R0, self.R1))
-        s = s_reparam(tch, traj).s
+        s = cumulative_integral(lambda r: tch.coeffs(r)[0], traj.grid)
         phase = wkb_reference(model, self.LAM, traj.grid).phase
         exact = self.exact(traj.grid)
         for got in (s, phase):

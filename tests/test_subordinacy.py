@@ -22,22 +22,21 @@ from diracspec.solver import (
     SolveConfig,
     cumulative_norms,
     integrate_cartesian,
-    integrate_pruefer,
     propagate,
-    s_reparam,
 )
 from diracspec.subordinacy import (
     TransformedChannel,
     _probe_q,
     _shoot_range,
     _turning_radius,
-    census_from_phase,
     decaying_direction,
     eigen_shoot,
+    phase_band,
     subordinacy_ratio,
-    theta_census,
     transform,
 )
+
+from census_oracle import census_from_phase, polar_census
 
 EQUAL = CoefficientModel(q=power(1, 1), m=power(1, 1))
 LINEAR = CoefficientModel(q=power(1, 1), m=constant(1))
@@ -157,11 +156,7 @@ class TestCensus:
             assert cen.s_offset == (first[0] if first else 0.0)
 
     def test_borderline_channel_census(self):
-        tch = transform(EQUAL, 1, -1.0)
-        cfg = SolveConfig(r_start=1.0, r_end=33.0, rtol=1e-11,
-                          stride=0.02)
-        traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg))
-        cen = theta_census(traj)
+        cen = polar_census(EQUAL, 1, -1.0, 1.0, 33.0)
         assert cen.ns[-1] >= 50
         assert cen.violations == []
         lengths = cen.J_lengths + cen.K_lengths
@@ -169,18 +164,62 @@ class TestCensus:
         assert max(lengths) <= math.pi
 
     def test_guard_refused_with_radius(self):
-        tch = transform(EQUAL, 1, -1.0)
-        cfg = SolveConfig(r_start=0.3, r_end=10.0, rtol=1e-10)
-        traj = s_reparam(tch, integrate_pruefer(tch, 1.0, 0.0, cfg))
-        with pytest.raises(PreconditionError, match="r ="):
-            theta_census(traj)
+        # |L|/Q = 2.4 at r0 = 0.3
+        with pytest.raises(PreconditionError,
+                           match=r"exceeds 0\.5 at r = 0\.3;"):
+            phase_band(EQUAL, 1, -1.0, 0.3, 10.0)
 
-    def test_census_requires_s(self):
-        tch = transform(EQUAL, 1, -1.0)
-        cfg = SolveConfig(r_start=1.0, r_end=5.0)
-        traj = integrate_pruefer(tch, 1.0, 0.0, cfg)
-        with pytest.raises(ValueError, match="s-variable"):
-            theta_census(traj)
+
+def guarded_radius(model, k, lam):
+    """r1: the first radius of a 4000-point geometric probe of [0.05, 50]
+    past which |L|/Q <= 1/2 on the rescaled channel."""
+    probe = np.geomspace(0.05, 50.0, 4000)
+    Q, _, L, _ = transform(model, k, lam).coeffs(probe)
+    bad = np.flatnonzero(np.abs(L) / Q > 0.5)
+    return float(probe[bad[-1] + 1]) if bad.size else float(probe[0])
+
+
+def _band_cells():
+    """(model, k, lambda, r_end) of the band test, r_end None for 60 units
+    past r1: the 16 cells of q = m = r; the lambda < 0 cells of the
+    borderline_linear fixture, to its subordinacy r_end; and those of the
+    seed 1-3 borderline_spectrum bench configs (q = m = c r), to theirs."""
+    cells = [pytest.param(EQUAL, k, lam, None, id=f"r-k={k}-lambda={lam:g}")
+             for k in (-2, -1, 1, 2) for lam in (-0.5, -1.0, -2.0, -4.0)]
+    fixture = cli.load_config(cli.fixture_path("borderline_linear"))
+    cells += [pytest.param(fixture.model, k, lam, fixture.subordinacy["r_end"],
+                           id=f"fixture-k={k}-lambda={lam:g}")
+              for k in fixture.k_set for lam in fixture.lambda_grid if lam < 0]
+    for seed, c, lam, r_end in ((1, 0.810281, -2.0704, 44.436737),
+                                (2, 1.300028, -2.6224, 35.081943),
+                                (3, 0.860049, -2.133, 43.131881)):
+        model = CoefficientModel(q=power(c, 1), m=power(c, 1))
+        cells += [pytest.param(model, k, lam, r_end,
+                               id=f"bench-seed{seed}-k={k}")
+                  for k in (-1, 1)]
+    return cells
+
+
+class TestPhaseBand:
+    @pytest.mark.parametrize("model, k, lam, r_end", _band_cells())
+    def test_band_holds_every_census_length(self, model, k, lam, r_end):
+        r1 = guarded_radius(model, k, lam)
+        r_end = r1 + 60.0 if r_end is None else r_end
+        band = phase_band(model, k, lam, r1, r_end)
+        assert (band["r0"], band["r_end"]) == (r1, r_end)
+        assert 0.0 < band["g"] <= 0.5
+        cen = polar_census(model, k, lam, r1, r_end)
+        lengths = cen.J_lengths + cen.K_lengths
+        assert len(lengths) >= 40
+        lo, hi = band["band"]
+        assert lo <= min(lengths) and max(lengths) <= hi
+
+    def test_bench_fixture_cell_refused(self):
+        # the cell whose refusal the bench uses as its raising invocation:
+        # borderline_linear at k = 1, lambda = -0.25, from r0 = 1
+        with pytest.raises(PreconditionError,
+                           match=r"exceeds 0\.5 at r = 1;"):
+            phase_band(EQUAL, 1, -0.25, 1.0, 120.0)
 
 
 def dop853_norms(channel, U0, nodes, rtol):
@@ -331,12 +370,6 @@ class TestRatio:
         rep = subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 80.0)
         vals = np.array([v for _, v in rep.ratio_tail])
         assert np.max(np.abs(vals * (1.0 / vals) - 1.0)) < 1e-15
-
-    def test_census_attached_on_request(self):
-        rep = subordinacy_ratio(EQUAL, 1, -1.0, [1, 0], [0, 1], 1.0, 60.0,
-                                with_census=True)
-        assert rep.census is not None
-        assert rep.census.violations == []
 
     def test_general_route_for_dominant_model(self):
         rep = subordinacy_ratio(LINEAR, 1, -1.0, [1, 0], [0, 1], 1.0, 120.0)

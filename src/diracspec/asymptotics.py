@@ -1,6 +1,6 @@
 """Oscillatory reference solutions for the borderline regime at negative
-spectral parameters, and defect measures tying the solved system back to
-its associated second-order equation.
+spectral parameters, and the defect of the associated second-order equation
+at strides 0.04, 0.02 and 0.01, read off one solve on nested grids.
 
 The reference pair has components
 
@@ -9,11 +9,10 @@ The reference pair has components
 
 with phase Phi = int sqrt(lambda^2 - 2 lambda q) dr from the first grid
 radius, the integral of the rescaled channel's Q (`subordinacy.transform`),
-by `solver.cumulative_integral`.  Numeric
-solutions are compared against the span of the pair by windowed least
-squares; the projection residual is scale-invariant and insensitive to the
-reference phase origin, and its decay along the radius quantifies how fast
-the asymptotic regime is reached.
+by `solver.cumulative_integral`.  Numeric solutions are compared against the
+span of the pair by windowed least squares; the projection residual is
+scale-invariant and insensitive to the reference phase origin, and its decay
+along the radius quantifies how fast the asymptotic regime is reached.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ __all__ = [
     "compare_asymptotics",
     "second_order_check",
     "defect_convergence",
+    "defect_window",
     "borderline_trajectory",
     "DEFECT_STRIDES",
 ]
@@ -123,21 +123,16 @@ def borderline_trajectory(model: CoefficientModel, k: int, lam: float,
                    channel=assemble_channel(model, k, lam), log_rho=None)
 
 
-def _uniform_stride(grid):
-    d = np.diff(grid)
-    h = float(d[0])
-    if not np.allclose(d, h, rtol=1e-8):
-        raise ValueError("defect measures need a uniform grid stride")
-    return h
-
-
 def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
                        lam: float) -> dict:
     """Scaled defect of -u1'' + 2 lambda q u1 + k(k+1)/r^2 u1 - lambda^2 u1
     with u1'' by centered differences; the defect vanishes at second order
     in the stride."""
     require_equal(model, "second_order_check")
-    h = _uniform_stride(traj.grid)
+    d = np.diff(traj.grid)
+    h = float(d[0])
+    if not np.allclose(d, h, rtol=1e-8):
+        raise ValueError("defect measures need a uniform grid stride")
     r = traj.grid[1:-1]
     u1 = traj.u1
     d2 = (u1[2:] - 2.0 * u1[1:-1] + u1[:-2]) / h ** 2
@@ -151,16 +146,28 @@ def second_order_check(traj: Trajectory, model: CoefficientModel, k: int,
     return {"max_defect": float(np.max(np.abs(defect)) / scale), "stride": h}
 
 
+def defect_window(cfg: SolveConfig) -> tuple:
+    """The range [max(r_start, 10), min(r_end, 50)] of `defect_convergence`
+    on an `asymptotics` config, refused below two coarsest strides."""
+    lo, hi = max(cfg.r_start, 10.0), min(cfg.r_end, 50.0)
+    if hi - lo < 2.0 * DEFECT_STRIDES[0]:
+        raise ValueError(f"the defect window [{lo:g}, {hi:g}] is shorter "
+                         f"than two strides of {DEFECT_STRIDES[0]:g}")
+    return lo, hi
+
+
 def defect_convergence(model: CoefficientModel, k: int, lam: float,
-                       r_lo: float, r_hi: float,
-                       strides=DEFECT_STRIDES) -> dict:
-    """Second-order defect across a ladder of stride halvings; the observed
-    convergence orders should sit near 2."""
-    defects = []
-    for h in strides:
-        cfg = SolveConfig(r_start=r_lo, r_end=r_hi, rtol=RESCALED_RTOL,
-                          stride=h)
-        traj = borderline_trajectory(model, k, lam, cfg)
-        defects.append(second_order_check(traj, model, k, lam)["max_defect"])
-    orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]
-    return {"strides": list(strides), "defects": defects, "orders": orders}
+                       r_lo: float, r_hi: float) -> dict:
+    """Second-order defect at the nested strides `DEFECT_STRIDES`, read off
+    one solve: the window's n = round((r_hi - r_lo) / 0.04) intervals cut in
+    four, read at every 4th, 2nd and 1st node.  The observed convergence
+    orders should sit near 2."""
+    cuts = [round(h / DEFECT_STRIDES[-1]) for h in DEFECT_STRIDES]
+    n = round((r_hi - r_lo) / DEFECT_STRIDES[0])
+    traj = borderline_trajectory(model, k, lam, SolveConfig(
+        r_lo, r_hi, RESCALED_RTOL, stride=(r_hi - r_lo) / (n * cuts[0])))
+    defects = [second_order_check(replace(traj, grid=traj.grid[::c],
+                                          u1=traj.u1[::c]),
+                                  model, k, lam)["max_defect"] for c in cuts]
+    return {"strides": list(DEFECT_STRIDES), "defects": defects,
+            "orders": [math.log2(a / b) for a, b in zip(defects, defects[1:])]}

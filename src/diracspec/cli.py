@@ -35,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
-    DEFECT_STRIDES,
     borderline_trajectory,
     compare_asymptotics,
     defect_convergence,
+    defect_window,
     wkb_reference,
 )
 from .boundedness import almost_monotone_check, certify
@@ -251,10 +251,7 @@ def load_config(path) -> RunConfig:
     asy = _checked("config.asymptotics", SolveConfig, rtol=RESCALED_RTOL,
                    **section("asymptotics", {"r_start": 5.0, "r_end": 210.0,
                                              "stride": 0.02}))
-    lo, hi = _defect_window(asy)
-    _require(hi - lo >= 2.0 * max(DEFECT_STRIDES),
-             f"config.asymptotics: the defect window [{lo:g}, {hi:g}] is "
-             f"shorter than two strides of {max(DEFECT_STRIDES):g}")
+    _checked("config.asymptotics", defect_window, asy)
     bv = section("bv", {"instances": 200}, instances=_int)
     _require(bv["instances"] > 0, "config.bv: instances must be positive")
     seed = _checked("config.seed", _seed, raw.get("seed", 0))
@@ -265,11 +262,6 @@ def load_config(path) -> RunConfig:
                      lambda_grid=lambda_grid, bracket=bracket, solver=solver,
                      subordinacy=sub, eigen=eigen, asymptotics=asy, bv=bv,
                      seed=seed, workers=workers)
-
-
-def _defect_window(scfg: SolveConfig) -> tuple:
-    """The range [lo, hi] of the defect convergence of `asymptotics`."""
-    return max(scfg.r_start, 10.0), min(scfg.r_end, 50.0)
 
 
 def fixture_path(name: str) -> Path:
@@ -660,7 +652,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
                         "# kind=residuals\ncenter,residual",
                         [(w["center"], w["residual"]) for w in res],
                         DIGITS["residuals"])
-            conv = defect_convergence(cfg.model, k, lam, *_defect_window(scfg))
+            conv = defect_convergence(cfg.model, k, lam, *defect_window(scfg))
             _write_json(out / f"defects_{name}.json",
                         {"kind": "defects", **conv})
             resid = [w["residual"] for w in res]
@@ -779,8 +771,14 @@ def main(argv=None) -> int:
             cfg.workers = args.workers
         if args.seed is not None:
             cfg.seed = _checked("--seed", _seed, args.seed)
+        made = [p for p in (out, *out.parents) if not p.exists()]
         _make_dir(out)
-        return _COMMANDS[args.command](cfg, out, args.assert_mode)
+        try:
+            return _COMMANDS[args.command](cfg, out, args.assert_mode)
+        except ConfigError:  # a command refuses before its first write
+            for path in made:  # innermost first
+                path.rmdir()
+            raise
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

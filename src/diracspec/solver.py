@@ -148,7 +148,6 @@ DIGITS = {
     "subordinacy": _RATIOS,
     "scan": {**_CERTIFICATE, **_RATIOS},
     "eigenvalues": {"by_k": 14},
-    "defects": {"defects": 12, "orders": 13},
 }
 
 

@@ -72,6 +72,8 @@ RESCALED_RTOL = 1e-11
 DELTA = 1e-3
 # the ratio ladder of `subordinacy_ratio` starts at this multiple of r0
 _RATIO_START = 1.25
+# shooting's step tolerance: at half of it q = m = r eigenvalues move < 1e-6
+_SHOOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -377,8 +379,7 @@ def eigen_steps(tol_lambda: float, scan_step: float) -> None:
 
 
 def eigen_shoot(model: CoefficientModel, k_set: Sequence[int], bracket, *,
-                tol_lambda: float = 1e-8, scan_step: float = 0.05,
-                rtol: float = 1e-10) -> list:
+                tol_lambda: float = 1e-8, scan_step: float = 0.05) -> list:
     """Locate the discrete spectral points of the channels `k_set` inside a
     positive bracket: the sorted (k, lambda) pairs, one per root.
 
@@ -417,7 +418,8 @@ def eigen_shoot(model: CoefficientModel, k_set: Sequence[int], bracket, *,
             decaying_direction(model, k, lam, r)
             for (k, lam), r in zip(pairs, r_far.tolist())]
         u = propagate(ChannelBatch(model, np.tile(ks, 2), np.tile(lams, 2)),
-                      u0, np.append(r0, r_far), np.tile(r_match, 2), rtol=rtol)
+                      u0, np.append(r0, r_far), np.tile(r_match, 2),
+                      rtol=_SHOOT_RTOL)
         u_f, u_b = u[:lams.size], u[lams.size:]
         num = u_f[:, 0] * u_b[:, 1] - u_f[:, 1] * u_b[:, 0]
         return num / (np.hypot(*u_f.T) * np.hypot(*u_b.T))
@@ -536,7 +538,7 @@ def _eigen_side_cell(model, k, lam):
     r_far = _shoot_range(q, k, lam, max(r_star, r0 * 1.5), 15.0)
     u_dec = propagate(assemble_channel(model, k, lam),
                       decaying_direction(model, k, lam, r_far), r_far, r0,
-                      rtol=1e-10)
+                      rtol=_SHOOT_RTOL)
     u_dec = u_dec / np.hypot(*u_dec)
     generic = np.array([-u_dec[1], u_dec[0]])
     return _subordinacy_cell(subordinacy_ratio(

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from diracspec import subordinacy
 from diracspec.asymptotics import (
     borderline_trajectory,
     compare_asymptotics,
@@ -172,7 +173,7 @@ def test_criterion_4_dominant_potential_desk_scale():
            f"finite certificates bounding a 721-direction sweep={certified}")
 
 
-def test_criterion_5_borderline_desk_scale():
+def test_criterion_5_borderline_desk_scale(monkeypatch):
     rep = subordinacy_ratio(EQUAL, 1, -1.0, [1.0, 0.0], [0.0, 1.0],
                             1.0, 200.0)
     ratio_ok = rep.classification == "no-subordinate" and \
@@ -192,8 +193,8 @@ def test_criterion_5_borderline_desk_scale():
         all(math.pi / 3 <= v <= math.pi for v in lengths)
 
     eigs = [lam for _, lam in eigen_shoot(EQUAL, [1], (0.0, 5.0))]
-    tight = [lam for _, lam in eigen_shoot(EQUAL, [1], (0.0, 5.0),
-                                           rtol=5e-11)]
+    monkeypatch.setattr(subordinacy, "_SHOOT_RTOL", 5e-11)
+    tight = [lam for _, lam in eigen_shoot(EQUAL, [1], (0.0, 5.0))]
     eig_ok = len(eigs) >= 1 and len(tight) == len(eigs) and \
         max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
     ok = ratio_ok and census_ok and eig_ok
@@ -260,8 +261,7 @@ def test_criterion_7_oscillatory_reference():
     res = compare_asymptotics(traj, ref, windows=[(10.0, 20.0),
                                                   (100.0, 200.0)])
     trend_ok = res[1]["residual"] < res[0]["residual"]
-    conv = defect_convergence(EQUAL, 1, -1.0, 10.0, 50.0,
-                              strides=(0.04, 0.02, 0.01))
+    conv = defect_convergence(EQUAL, 1, -1.0, 10.0, 50.0)
     order_ok = all(1.8 <= o <= 2.2 for o in conv["orders"])
     report(7, trend_ok and order_ok,
            f"projection residual {res[0]['residual']:.2e} @ [10,20] -> "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diracspec import asymptotics
 from diracspec.asymptotics import (
     borderline_trajectory,
     compare_asymptotics,
@@ -121,6 +122,39 @@ class TestDefects:
         conv = defect_convergence(EQUAL, 1, -1.0, 10.0, 50.0)
         assert all(1.8 <= o <= 2.2 for o in conv["orders"])
         assert conv["defects"][0] > conv["defects"][-1]
+
+    def test_one_solve_a_ladder(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return borderline_trajectory(*args)
+
+        monkeypatch.setattr(asymptotics, "borderline_trajectory", spy)
+        defect_convergence(EQUAL, 1, -1.0, 10.0, 50.0)
+        assert len(calls) == 1
+
+    def test_nested_grids_halve(self, monkeypatch):
+        # the seed-1 borderline_spectrum window: three grids rounded on
+        # their own would have 778, 1555 and 3111 intervals
+        lo, hi = 13.331, 44.4367
+        n = round((hi - lo) / 0.04)
+        grids = []
+
+        def spy(traj, *args):
+            grids.append(traj.grid)
+            return second_order_check(traj, *args)
+
+        monkeypatch.setattr(asymptotics, "second_order_check", spy)
+        conv = defect_convergence(EQUAL, 1, -1.0, lo, hi)
+        assert conv["strides"] == [0.04, 0.02, 0.01]
+        assert [len(g) - 1 for g in grids] == [n, 2 * n, 4 * n]
+        strides = [(g[-1] - g[0]) / (len(g) - 1) for g in grids]
+        for g, h in zip(grids, strides):
+            assert g[0] == lo and g[-1] == hi
+            assert np.allclose(np.diff(g), h, rtol=1e-12, atol=0.0)
+        for coarse, fine in zip(strides, strides[1:]):
+            assert fine == pytest.approx(coarse / 2.0, rel=1e-12)
 
     def test_zero_solution_zero_defect(self):
         grid = np.linspace(1.0, 5.0, 401)

@@ -355,9 +355,37 @@ class TestConfig:
                 f"config error: {command}: the rescaled channel of lambda < 0 "
                 f"reads q', and q has none (tabulated data declared "
                 f"non-smooth)\n")
+            assert not (tmp_path / command).exists()
         assert run(["scan", "--config", path, "--out", tmp_path / "scan"]) == 0
         scan = json.loads((tmp_path / "scan" / "scan.json").read_text())
         assert scan["summary"]["ac_candidate_lambdas"] == [-1.0]
+
+    @pytest.mark.parametrize("command", ["subordinacy", "eigen", "scan",
+                                         "asymptotics"])
+    def test_empty_k_set_leaves_no_out(self, tmp_path, capsys, command):
+        # a command's own refusal comes after main made --out, and every
+        # directory made for the run goes with it
+        path = write_config(tmp_path, {
+            "model": EQUAL_MODEL, "k_set": [], "lambda_grid": [-1.0],
+            "bracket": [0.0, 5.0]})
+        out = tmp_path / "a" / "b"
+        assert run([command, "--config", path, "--out", out]) == 2
+        assert "config error: need a nonempty 'k_set'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_refusal_keeps_an_existing_out(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"model": EQUAL_MODEL, "k_set": [],
+                                       "lambda_grid": [-1.0]})
+        (tmp_path / "o").mkdir()
+        assert run(["subordinacy", "--config", path, "--out",
+                    tmp_path / "o" / "new"]) == 2
+        assert run(["subordinacy", "--config", path,
+                    "--out", tmp_path / "o"]) == 2
+        assert "config error: need a nonempty 'k_set'" in \
+            capsys.readouterr().err
+        assert (tmp_path / "o").is_dir()
+        assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("r_end", [1.2, 1.25])
     def test_ratio_range_below_ladder_start_exits_two(self, tmp_path, capsys,
@@ -1047,6 +1075,7 @@ class TestOtherCommands:
         out, err = capsys.readouterr()
         assert err == "config error: eigen: k=2: refused at k=2\n"
         assert "eigenvalue" not in out
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("tol, scan_step", [(0.0, 0.05), (1e-8, -0.05)])
     def test_eigen_steps_refusal_is_the_library_one(self, tmp_path, capsys,

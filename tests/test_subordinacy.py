@@ -467,7 +467,9 @@ class TestEigenShoot:
     def test_bracket_nonempty_and_stable(self, monkeypatch):
         eigs = shoot(1, (0.0, 5.0))
         assert len(eigs) >= 1
-        tight = shoot(1, (0.0, 5.0), rtol=5e-11)
+        with monkeypatch.context() as patch:
+            patch.setattr(subordinacy, "_SHOOT_RTOL", 5e-11)
+            tight = shoot(1, (0.0, 5.0))
         assert len(tight) == len(eigs)
         assert max(abs(a - b) for a, b in zip(eigs, tight)) < 1e-6
         # matching at twice the turning radius moves no eigenvalue

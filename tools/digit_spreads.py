@@ -57,21 +57,18 @@ def _finer():
     from diracspec import asymptotics, boundedness, cli, solver, subordinacy
 
     boundedness._RTOL /= 100
+    subordinacy._SHOOT_RTOL /= 100
     for module in (subordinacy, asymptotics, cli):
         module.RESCALED_RTOL /= 100
     solver._ATOL /= 100
-    norms, carry, shoot, load = (subordinacy.cumulative_norms,
-                                 subordinacy.propagate, cli.eigen_shoot,
-                                 cli.load_config)
+    norms, shoot, load = (subordinacy.cumulative_norms, cli.eigen_shoot,
+                          cli.load_config)
     subordinacy.cumulative_norms = \
         lambda channel, U0, nodes, rtol: norms(channel, U0, nodes, rtol / 100)
-    subordinacy.propagate = \
-        lambda *args, rtol=1e-10: carry(*args, rtol=rtol / 100)
 
     @functools.wraps(shoot)  # load_config reads its defaults
-    def finer_shoot(*args, tol_lambda, rtol=1e-10, **kwargs):
-        return shoot(*args, tol_lambda=tol_lambda / 100, rtol=rtol / 100,
-                     **kwargs)
+    def finer_shoot(*args, tol_lambda, **kwargs):
+        return shoot(*args, tol_lambda=tol_lambda / 100, **kwargs)
 
     def finer_load(path):
         cfg = load(path)

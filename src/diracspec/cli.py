@@ -6,10 +6,11 @@ commands; unknown keys are rejected so that runs stay auditable.  Outputs
 are deterministic given config and seed: repeated runs produce byte-equal
 files.
 
-Flags: `--workers` sizes the pool of `scan` (one chunk of whole |k| pairs
-each); `--seed` seeds the random instances of `bv-verify`; no other command
-reads them.  No flag or config key sets a step tolerance (`SolveConfig`'s
-default, 1e-10 in `boundedness.certify`) or the threshold `subordinacy.DELTA`.
+Flags: `--workers` sets the processes of `scan`, each classifying one chunk
+of whole |k| pairs: the calling process and a pool of one fewer; `--seed`
+seeds the random instances of `bv-verify`; no other command reads them.
+No flag or config key sets a step tolerance (`SolveConfig`'s default, 1e-10
+in `boundedness.certify`) or the threshold `subordinacy.DELTA`.
 
 Exit codes: 0 success; 1 findings; 2 usage or config error.  `solve`,
 `boundedness`, `subordinacy`, `scan`, `bv-verify` and `asymptotics` exit 1
@@ -30,6 +31,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
 from importlib import resources
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +79,7 @@ from .solver import (
 )
 from .subordinacy import (
     RESCALED_RTOL,
-    borderline_cell,
+    borderline_cells,
     classify_cells,
     eigen_bracket,
     eigen_shoot,
@@ -274,35 +276,69 @@ def fixture_path(name: str) -> Path:
 # deterministic writers
 
 
-def _finite(obj, digits=None, n=None):
-    """obj as strict JSON writes it: every non-finite float (nan, inf)
-    replaced by None, which JSON writes as null, and every other one
-    rounded to n significant digits (kept when n is None).  n is the count
-    that `digits` gives the innermost key above the float; a tuple of
-    counts gives one to each column of a list of rows."""
+def _json(obj, digits, n, indent) -> str:
+    """obj as `json.dumps(obj, indent=2, sort_keys=True)` writes it at the
+    nesting `indent`, byte for byte, but strict: every non-finite float
+    (nan, inf) is written as null, and every other one rounded to n
+    significant digits (kept when n is None).  n is the count that `digits`
+    gives the innermost key above the float; a tuple of counts gives one to
+    each column of a list of rows.  Keys are strings."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return None
-        return obj if n is None else float("%.*g" % (n, obj))
+        return _number(obj, n)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {key: _finite(value, digits,
-                             digits.get(key, n) if digits else n)
-                for key, value in obj.items()}
+        return _enclose("{", [
+            inner + encode_basestring_ascii(key) + ": " + _json(
+                value, digits, digits.get(key, n) if digits else n, inner)
+            for key, value in sorted(obj.items())], indent, "}")
     if isinstance(obj, (list, tuple)):
-        if isinstance(n, tuple):
-            return [[_finite(x, digits, d) for x, d in zip(row, n)]
-                    for row in obj]
-        return [_finite(value, digits, n) for value in obj]
-    return obj
+        if isinstance(n, tuple):  # rows, one count a column
+            return _enclose("[", [inner + _json_row(row, digits, n, inner)
+                                  for row in obj], indent, "]")
+        return _enclose("[", [
+            inner + (_number(x, n) if type(x) is float else
+                     _json(x, digits, n, inner)) for x in obj], indent, "]")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
+
+
+def _number(x, n) -> str:
+    # a float to n significant digits (all when n is None), null when it
+    # is not finite
+    if not math.isfinite(x):
+        return "null"
+    return float.__repr__(x if n is None else float("%.*g" % (n, x)))
+
+
+def _json_row(row, digits, counts, indent) -> str:
+    # a JSON array of the values of `row`, each to its count in `counts`
+    inner = indent + "  "
+    return _enclose("[", [inner + _json(x, digits, d, inner)
+                          for x, d in zip(row, counts)], indent, "]")
+
+
+def _enclose(start, items, indent, stop) -> str:
+    # the items one a line, as json.dumps lays them out at `indent`
+    if not items:
+        return start + stop
+    return start + "\n" + ",\n".join(items) + "\n" + indent + stop
 
 
 def _write_json(path: Path, obj):
     # strict JSON: parsers reject the bare NaN and Infinity of json.dumps;
     # each number to the digits of its kind and key (`solver.DIGITS`)
     path.parent.mkdir(parents=True, exist_ok=True)
-    digits = DIGITS.get(obj.get("kind"))
-    path.write_text(json.dumps(_finite(obj, digits), indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    path.write_text(_json(obj, DIGITS.get(obj.get("kind")), None, "") + "\n")
 
 
 def _write_rows(path: Path, header: str, rows, digits=None):
@@ -455,21 +491,25 @@ def cmd_subordinacy(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     _require(cfg.lambda_grid, "need a nonempty 'lambda_grid'")
     _require_derivative(cfg, "subordinacy")
     findings = False
-    for k in cfg.k_set:
-        for lam in cfg.lambda_grid:
-            if lam == 0.0:
-                continue  # boundary point carries no claim
-            cell = borderline_cell(cfg.model, k, lam, cfg.subordinacy)
-            # the claim: no subordinate solution below 0, one above
-            claim = "ac-candidate" if lam < 0.0 else "subordinate-found"
-            findings = findings or cell["classification"] != claim
-            rep = cell["report"]
-            if lam < 0.0:
-                rep["phase_band"] = phase_band(cfg.model, k, lam,
-                                               **cfg.subordinacy)
-            _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", rep)
-            _say(f"k={k} lambda={lam:g}: {rep['classification']} "
-                 f"(liminf ~ {rep['liminf_estimate']:.4g})")
+    # the boundary point lambda = 0 carries no claim
+    cells = [(k, lam) for k in cfg.k_set for lam in cfg.lambda_grid
+             if lam != 0.0]
+    # every cell is classified in one call; a failed one is raised in
+    # k x lambda order, after the cells before it are written
+    for (k, lam), cell in zip(cells, borderline_cells(cfg.model, cells,
+                                                      cfg.subordinacy)):
+        if isinstance(cell, Exception):
+            raise cell
+        # the claim: no subordinate solution below 0, one above
+        claim = "ac-candidate" if lam < 0.0 else "subordinate-found"
+        findings = findings or cell["classification"] != claim
+        rep = cell["report"]
+        if lam < 0.0:
+            rep["phase_band"] = phase_band(cfg.model, k, lam,
+                                           **cfg.subordinacy)
+        _write_json(out / f"subordinacy_{_cell_name(k, lam)}.json", rep)
+        _say(f"k={k} lambda={lam:g}: {rep['classification']} "
+             f"(liminf ~ {rep['liminf_estimate']:.4g})")
     return EXIT_FINDINGS if (assert_mode and findings) else EXIT_OK
 
 
@@ -521,9 +561,11 @@ def cmd_scan(cfg: RunConfig, out: Path, assert_mode: bool) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool forks all its workers up front, one per chunk
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk, k_sets))
+        # workers - 1 forked workers, one per chunk past the first, which
+        # the calling process classifies while they run
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            rest = pool.map(chunk, k_sets[1:])
+            results = [chunk(k_sets[0]), *rest]
     else:
         results = list(map(chunk, k_sets))
     doc["cells"] = sorted((c for cells in results for c in cells),

@@ -19,13 +19,14 @@ three commutators (Blanes, Casas & Ros, BIT 40, 2000; Iserles,
 Munthe-Kaas, Norsett & Zanna, Acta Numer. 9, 2000); each has determinant
 1, so det Phi = 1 holds to rounding.  As the system is linear, the doubling
 error estimate of a step does not depend on the state, and the steps are
-refined for all radii at once; `rtol` is that per-step tolerance.  A
-`ChannelBatch` (one model at many (k, lambda), each channel with its own
-range and direction) has q and m evaluated once per round on the radii of
-all its channels.  One log-depth scan `_running` of the step
-products gives Phi at the nodes (`integrate_fundamental`, `propagate`);
-with each step's first half, the states that carry the polar form (for
-long ranges where Q dominates W = sqrt(M^2 + L^2)) and `cumulative_norms`.
+refined for all radii at once; `rtol` is that per-step tolerance, one for
+the solve or one a channel.  A `ChannelBatch` (one model at many
+(k, lambda), each channel with its own range and direction) has q and m
+evaluated once per round on the radii of all its channels.  One log-depth
+scan `_running` of the step products gives Phi at the nodes
+(`integrate_fundamental`, `propagate`); with each step's first half, the
+states that carry the polar form (for long ranges where Q dominates
+W = sqrt(M^2 + L^2)) and `cumulative_norms`.
 The WKB phase of `asymptotics` is the Simpson rule `cumulative_integral`.
 """
 
@@ -132,11 +133,12 @@ class Trajectory:
 # by artifact kind, then by CSV column or JSON key (a key holding rows of
 # numbers gives one count a column, None for repr).  Each count is
 # ceil(-log10 s) + 1 for the largest relative spread s of that number
-# between the shipped step and root tolerances and a hundredth of them, on
-# the fixtures and the seed 1-3 bench configs (README "Artifact digits");
-# sup_R takes the digits of R, its column, and the radius columns of the
-# CSVs are written to 12.  Every column or key not named, and every kind not
-# named, is written with repr.
+# between the shipped run and one with the step and root tolerances a
+# hundredth of them, or one whose Magnus solves cut each first trial step
+# into 8 geometric pieces, on the fixtures and the seed 1-3 bench configs
+# (README "Artifact digits"); sup_R takes the digits of R, its column, and
+# the radius columns of the CSVs are written to 12.  Every column or key
+# not named, and every kind not named, is written with repr.
 _CERTIFICATE = {"C": 13, "sup_R": 12}
 _RATIOS = {"ratio_tail": (None, 9), "liminf_estimate": 9, "intercept": 10,
            "slope": 11, "r_squared": 12}
@@ -147,7 +149,8 @@ DIGITS = {
     "boundedness": _CERTIFICATE,
     "subordinacy": _RATIOS,
     "scan": {**_CERTIFICATE, **_RATIOS},
-    "eigenvalues": {"by_k": 14},
+    "eigenvalues": {"by_k": 13},
+    "defects": {"defects": 11, "orders": 11},
 }
 
 
@@ -252,15 +255,16 @@ def _steps(qml, nodes, rtol):
     """Sixth-order Magnus steps of a batch of channels: channel i starts at
     nodes[i, 0] and crosses the nodes nodes[i], which run monotonically in
     its direction of travel; `qml(r, owner)` gives (Q, M, L) at radii r, of
-    shape (m, S), whose columns belong to the channels `owner` (S,).
+    shape (m, S), whose columns belong to the channels `owner` (S,); `rtol`
+    is one tolerance for every channel or one a channel.
 
     The node intervals are the first trial steps.  Each round evaluates
     the coefficients once on the three Gauss nodes of both halves of every
     open step of every channel (and of the whole step in the first round;
     later steps are halves already), forms all their exponentials in one
     `_magnus_exp` call, keeps the step as two half steps where
-    |e^Omega_h - P| / |P| <= rtol for their product P and halves the
-    other steps.
+    |e^Omega_h - P| / |P| <= rtol[owner] for their product P and halves
+    the other steps.
 
     A step that would shrink below `_MIN_STEP * |r|` ends its channel's
     solve at the node before it, and so does every open step of a channel
@@ -270,6 +274,7 @@ def _steps(qml, nodes, rtol):
     failures) of `_Solve`, the rows of X its P, half and turns.
     """
     n_int = nodes.shape[1] - 1
+    rtol = np.broadcast_to(np.asarray(rtol, dtype=float), (len(nodes),))
     h = np.diff(nodes, axis=1).ravel()
     seg = np.arange(h.size)
     t = nodes[:, :-1].ravel()
@@ -296,7 +301,7 @@ def _steps(qml, nodes, rtol):
             P = _mul(E2[:4], E1[:4])
             err = (np.max(np.abs(np.subtract(E, P)), axis=0)
                    / np.max(np.abs(P), axis=0))
-            ok = err <= rtol
+            ok = err <= rtol[owner]
             bad = ~ok & ((np.abs(half) < _MIN_STEP * np.abs(t))
                          | (np.bincount(owner) > _MAX_OPEN)[owner])
             wild = ~np.isfinite(err)
@@ -384,16 +389,19 @@ class _Solve:
     (interval j of channel i is i (n - 1) + j for n nodes a channel),
     products `P`, first halves `half`, the half `turns` of both halves and
     the running products (`R`, `e`) of `_running` over each channel's steps.
-    `failures` holds per channel None or why its solve ended early."""
+    `failures` holds per channel None or why its solve ended early;
+    `qml(r, owner)` reads the coefficients as `_steps` does."""
 
     def __init__(self, channel, nodes, rtol):
         self.nodes = np.atleast_2d(nodes)
+        self.qml = (channel.qml if isinstance(channel, ChannelBatch) else
+                    lambda r, owner: channel.coeffs(r)[:3])
         self.t, self.seg, X, self.nfev, self.failures = _steps(
-            channel.qml if isinstance(channel, ChannelBatch) else
-            lambda r, owner: channel.coeffs(r)[:3], self.nodes, rtol)
+            self.qml, self.nodes, rtol)
         self.P, self.half, self.turns = X[:4], X[4:8], X[8:]
         owner = self.owner = self.seg // (self.nodes.shape[1] - 1)
-        self.R, self.e = _running(self.P, np.searchsorted(owner, owner))
+        self.first = np.searchsorted(owner, owner)
+        self.R, self.e = _running(self.P, self.first)
         self.end = np.diff(self.seg, append=-1) != 0  # ends on a node
 
     def transfer(self):
@@ -417,17 +425,23 @@ class _Solve:
         return phi, reached, self.failures
 
     def states(self, U0):
-        """The states of a one-channel solve from U0 (a vector, or one per
-        column) at the start of each of its N steps, past its first half and
-        at its end: (U, e) with U[..., j, i] 2^e[j, i] the state; past a
-        first half it is that half times the state before its step."""
-        R = np.column_stack(((1.0, 0.0, 0.0, 1.0), self.R)).reshape(2, 2, -1)
-        e = np.append(0, self.e)
-        U = np.einsum("ijn,j...->i...n", R, U0)
-        mid = np.einsum("ijn,j...n->i...n", self.half.reshape(2, 2, -1),
-                        U[..., :-1])
-        return (np.stack((U[..., :-1], mid, U[..., 1:]), axis=-2),
-                np.stack((e[:-1], e[:-1], e[1:])))
+        """The states of each channel i from U0[i] (a vector, or one per
+        column) at the start of each of its steps, past its first half and
+        at its end: (U, e) with U[..., j, s] 2^e[j, s] the state at j (0
+        start, 1 middle, 2 end) of step s of the whole solve; past a first
+        half it is that half times the state before its step."""
+        starts = np.arange(self.seg.size) == self.first
+        # each step's U0, the component axis first and the steps last
+        U0 = np.moveaxis(np.asarray(U0, dtype=float)[self.owner], 0, -1)
+        R, half = (x.reshape(2, 2, *[1] * (U0.ndim - 2), -1)
+                   for x in (self.R, self.half))
+        end = R[:, 0] * U0[0] + R[:, 1] * U0[1]
+        start = np.roll(end, 1, axis=-1)
+        start[..., starts] = U0[..., starts]
+        e = np.where(starts, 0, np.roll(self.e, 1))
+        mid = half[:, 0] * start[0] + half[:, 1] * start[1]
+        return (np.stack((start, mid, end), axis=-2),
+                np.stack((e, e, self.e)))
 
 
 def cumulative_norms(channel, U0, nodes, rtol):
@@ -439,27 +453,46 @@ def cumulative_norms(channel, U0, nodes, rtol):
 
     of f = |u|^2 at its start, middle and end, with f' = 2 u^T A u =
     2 (L (u2^2 - u1^2) + 2 M u1 u2) at its ends (Q cancels): the
-    end-derivative (Hermite-Simpson) rule, exact for quintics."""
+    end-derivative (Hermite-Simpson) rule, exact for quintics.
+
+    A `ChannelBatch` of B channels is one solve: channel i from the columns
+    of U0[i] across nodes[i] (U0 of shape (B, 2, 2), nodes of shape (B, n))
+    at rtol[i] (or one shared rtol).  It gives one entry a channel, its I or
+    the `PreconditionError` that ended its solve; a lone channel raises
+    that error.  Each channel's steps, sums and failure are those of its
+    lone solve, bit for bit."""
     solve = _Solve(channel, nodes, rtol)
-    (failure,) = solve.failures
-    if failure is not None:
-        raise PreconditionError(f"cumulative norms failed: {failure}")
-    r = np.append(solve.t, nodes[-1])
-    h = np.diff(r)
-    U, e = solve.states(np.asarray(U0, dtype=float))
+    nodes, owner = solve.nodes, solve.owner
+    U, e = solve.states(np.reshape(U0, (len(nodes), 2, 2)))
     u1, u2 = U[..., ::2, :]  # at each step's start and end
+    # each channel's step starts, then its last node
+    stops = np.searchsorted(owner, np.arange(len(nodes)), side="right")
+    r = np.insert(solve.t, stops, nodes[:, -1])
+    at = np.arange(owner.size) + owner  # step starts in r
     with np.errstate(over="ignore", invalid="ignore"):
-        _, M, L, _ = channel.coeffs(r)
-        M, L = (np.stack((x[:-1], x[1:])) for x in (M, L))
+        _, M, L = solve.qml(r, np.insert(owner, stops, np.arange(len(nodes))))
+        h = r[at + 1] - r[at]
+        M, L = (np.stack((x[at], x[at + 1])) for x in (M, L))
         f = np.ldexp(np.sum(np.square(U), axis=0), 2 * e)
         df = np.ldexp(2.0 * (L * (u2 * u2 - u1 * u1) + 2.0 * M * u1 * u2),
                       2 * e[::2])
-        I = np.cumsum(h / 30.0 * (7.0 * (f[:, 0] + f[:, 2]) + 16.0 * f[:, 1])
-                      + h * h / 60.0 * (df[:, 0] - df[:, 1]),
-                      axis=1)[:, solve.end]
-    if not np.all(np.isfinite(I)):
-        raise PreconditionError("cumulative norms overflow")
-    return I
+        dI = (h / 30.0 * (7.0 * (f[:, 0] + f[:, 2]) + 16.0 * f[:, 1])
+              + h * h / 60.0 * (df[:, 0] - df[:, 1]))
+        out = [np.cumsum(dI[:, a:b], axis=1)[:, solve.end[a:b]] for a, b in
+               zip(np.append(0, stops[:-1]).tolist(), stops.tolist())]
+    for i, failure in enumerate(solve.failures):
+        try:  # raised, so that the error keeps this frame
+            if failure is not None:
+                raise PreconditionError(f"cumulative norms failed: {failure}")
+            if not np.all(np.isfinite(out[i])):
+                raise PreconditionError("cumulative norms overflow")
+        except PreconditionError as err:
+            out[i] = err
+    if isinstance(channel, ChannelBatch):
+        return out
+    if isinstance(out[0], PreconditionError):
+        raise out[0]
+    return out[0]
 
 
 def integrate_cartesian(channel, u0, cfg: SolveConfig) -> Trajectory:
@@ -517,7 +550,7 @@ def integrate_pruefer(channel, rho0: float, theta0: float,
     grid = cfg.grid()
     solve = _Solve(channel, grid, cfg.rtol)
     (failure,) = solve.failures
-    (x, y), e = solve.states(np.array([math.cos(theta0), math.sin(theta0)]))
+    (x, y), e = solve.states([[math.cos(theta0), math.sin(theta0)]])
     # a half step turns by less than pi beyond its whole half turns, so its
     # gain is the angle nearest pi * turns congruent to the principal one
     gain = np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:],

@@ -20,6 +20,13 @@ is an identity, and come from `solver.cumulative_norms` on the original
 channel.  For positive spectral parameters the same machinery exhibits the
 opposite behaviour: one direction decays against every other, and matching
 it to the solution recessive at the origin locates discrete eigenvalues.
+
+Every m == q cell of a `subordinacy` or `scan` call is classified by one
+`borderline_cells` call in two solves: one batched `propagate` carries the
+directions recessive at infinity of all lambda > 0 cells in to r = 1, and
+one batched `cumulative_norms` gives the norms of every cell's ratio, each
+channel at its own tolerance and failing alone; `subordinacy_ratio` is the
+one-cell call of the same ratio batch.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ __all__ = [
     "eigen_steps",
     "eigen_shoot",
     "classify_cells",
-    "borderline_cell",
+    "borderline_cells",
     "summarize_cells",
     "decaying_direction",
     "RESCALED_RTOL",
@@ -195,26 +202,65 @@ def subordinacy_ratio(model: CoefficientModel, k: int, lam: float,
                       u0_a, u0_b, r0: float, r_end: float, *,
                       rtol: float = 1e-10) -> SubordinacyReport:
     """Cumulative squared-norm ratio of two solutions at 48 geometric radii
-    from max(1.25 r0, r0 + (r_end - r0)/1000) to r_end > 1.25 r0.
+    from max(1.25 r0, r0 + (r_end - r0)/1000) to r_end > 1.25 r0, at the
+    step tolerance `rtol`: the one-cell call of `_ratios`, the batch that
+    `borderline_cells` reads every cell of a call from.
 
     Classification, against the threshold `DELTA` = 1e-3: `no-subordinate`
     when both orientations of the ratio stay above it on the tail;
     `subordinate-found` when one orientation decays monotonically below it
     and follows a clean log-linear decay law; `inconclusive` otherwise.
     """
+    (report,) = _ratios(model, [(k, lam, u0_a, u0_b, r0, r_end, rtol)])
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def _attempt(fn, *args, **kwargs):
+    # fn's result, or the exception it raised: one cell's failure is its own
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:
+        return err
+
+
+def _ratio_start(u0_a, u0_b, r0, r_end):
+    """(U0, nodes) of one ratio: the initial data as columns, refused when
+    numerically dependent, and r0 before the 48 ladder radii."""
     ratio_range(r0, r_end)
-    u0_a = np.asarray(u0_a, dtype=float)
-    u0_b = np.asarray(u0_b, dtype=float)
-    cross = u0_a[0] * u0_b[1] - u0_a[1] * u0_b[0]
-    norms = float(np.hypot(*u0_a) * np.hypot(*u0_b))
+    U0 = np.column_stack((u0_a, u0_b)).astype(float)
+    cross = U0[0, 0] * U0[1, 1] - U0[1, 0] * U0[0, 1]
+    norms = float(np.hypot(*U0[:, 0]) * np.hypot(*U0[:, 1]))
     if abs(cross) < 1e-10 * norms:
         raise ValueError("initial conditions are numerically dependent")
+    return U0, np.append(r0, np.geomspace(
+        max(r0 * _RATIO_START, r0 + 1e-3 * (r_end - r0)), r_end, 48))
 
-    ladder = np.geomspace(max(r0 * _RATIO_START, r0 + 1e-3 * (r_end - r0)),
-                          r_end, 48)
-    I_a, I_b = cumulative_norms(assemble_channel(model, k, lam),
-                                np.column_stack((u0_a, u0_b)),
-                                np.append(r0, ladder), rtol)
+
+def _ratios(model: CoefficientModel, cells) -> list:
+    """The `SubordinacyReport` of each cell (k, lam, u0_a, u0_b, r0, r_end,
+    rtol) of `subordinacy_ratio`, or the exception that ended it: the norms
+    of every cell that passes `_ratio_start` are one batched
+    `cumulative_norms` call, each cell at its own tolerance."""
+    out = [_attempt(_ratio_start, *cell[2:6]) for cell in cells]
+    ready = [i for i, x in enumerate(out) if not isinstance(x, Exception)]
+    if not ready:
+        return out
+    norms = cumulative_norms(
+        ChannelBatch(model, [cells[i][0] for i in ready],
+                     [cells[i][1] for i in ready]),
+        [out[i][0] for i in ready], [out[i][1] for i in ready],
+        np.array([cells[i][6] for i in ready]))
+    for i, I in zip(ready, norms):
+        k, lam, _, _, r0, r_end, _ = cells[i]
+        out[i] = I if isinstance(I, Exception) else _attempt(
+            _report, k, lam, r0, r_end, out[i][1][1:], *I)
+    return out
+
+
+def _report(k, lam, r0, r_end, ladder, I_a, I_b) -> SubordinacyReport:
+    """Classify one ratio from its norms on the ladder."""
     ratio_ab = I_a / I_b
     ratio_ba = I_b / I_a
     tail = ladder >= r_end / 10.0
@@ -454,23 +500,35 @@ def classify_cells(model: CoefficientModel, k_set: Sequence[int],
     `c_reports` (`hypotheses.check_scan`), get the certificate of
     `boundedness.certify` on the `solver` settings, one call per k
     (`_dominant_cells`; an error there marks every cell of that k);
-    borderline ones (m == q, `c_reports` None) go through `borderline_cell`
-    on the `subordinacy` section (r0, r_end), each cell isolated.
+    borderline ones (m == q, `c_reports` None) go through one
+    `borderline_cells` call on the `subordinacy` section (r0, r_end), where
+    a failed cell fails alone.
     """
     ks = sorted(int(k) for k in set(k_set))
     lams = sorted(set(float(l) for l in lambda_grid))
-    cells = []
-    for k in ks:
-        row = [{"k": k, "lambda": lam} for lam in lams]
-        if c_reports is None:
-            for cell in row:
-                _isolated([cell], lambda: [borderline_cell(
-                    model, k, cell["lambda"], subordinacy)])
-        else:
-            _isolated(row, lambda: _dominant_cells(
-                model, k, lams, solver, [c_reports[k, lam] for lam in lams]))
-        cells += row
+    cells = [{"k": k, "lambda": lam} for k in ks for lam in lams]
+    if c_reports is None:
+        records = borderline_cells(
+            model, [(c["k"], c["lambda"]) for c in cells], subordinacy)
+        for cell, record in zip(cells, records):
+            cell.update(_error_record(record)
+                        if isinstance(record, Exception) else record)
+    else:
+        for i, k in enumerate(ks):
+            _isolated(cells[i * len(lams):(i + 1) * len(lams)],
+                      lambda: _dominant_cells(
+                          model, k, lams, solver,
+                          [c_reports[k, lam] for lam in lams]))
     return cells
+
+
+def _error_record(err):
+    # the record of a failed cell: the exception and the last lines of its
+    # traceback, the raising frames
+    lines = "".join(traceback.format_exception(err)).splitlines()
+    return {"classification": "error", "path": "none",
+            "error": f"{type(err).__name__}: {err}",
+            "traceback": lines[-_TRACEBACK_LINES:]}
 
 
 def _isolated(cells, records):
@@ -480,10 +538,7 @@ def _isolated(cells, records):
     try:
         updates = records()
     except Exception as err:
-        updates = [{"classification": "error", "path": "none",
-                    "error": f"{type(err).__name__}: {err}",
-                    "traceback": traceback.format_exc().splitlines()
-                    [-_TRACEBACK_LINES:]}] * len(cells)
+        updates = [_error_record(err)] * len(cells)
     for cell, update in zip(cells, updates):
         cell.update(update)
 
@@ -511,38 +566,68 @@ def _dominant_cells(model, k, lams, solver, reports):
     return cells
 
 
-def borderline_cell(model: CoefficientModel, k: int, lam: float,
-                    subordinacy: dict) -> dict:
-    """One m == q cell, as `subordinacy` and `scan` classify it.
+def borderline_cells(model: CoefficientModel, cells,
+                     subordinacy: dict) -> list:
+    """The m == q cells (k, lambda) of `cells`, as `subordinacy` and `scan`
+    classify them: per cell its record, or the exception that ended it.
 
     lambda < 0: the ratio of the solutions started along the axes, from
-    the `subordinacy` section's r0 to its r_end, an ac-candidate when
-    neither is subordinate; lambda > 0: `_eigen_side_cell`; lambda = 0 is
-    excluded, since no claim is made at the boundary point.
+    the `subordinacy` section's r0 to its r_end at the step tolerance
+    1e-10, an ac-candidate when neither is subordinate.  lambda > 0: the
+    ratio of the solution recessive at infinity to its orthogonal
+    complement, from r = 1 to the far radius of `_eigen_side_cell` at
+    1e-9, subordinate-found when the recessive one is subordinate.
+    lambda = 0 is excluded, since no claim is made at the boundary point.
+
+    Two solves serve every cell: one batched `propagate` carries the
+    decaying directions of all lambda > 0 cells in to r = 1 (when it
+    fails, its refusal ends each of them), and one batched
+    `cumulative_norms` (`_ratios`) gives the ratios of all cells, each
+    channel's steps, sums and failure its own.
     """
-    if lam == 0.0:
-        return {"classification": "excluded", "path": "boundary-point"}
-    if lam > 0.0:
-        return _eigen_side_cell(model, k, lam)
-    return _subordinacy_cell(subordinacy_ratio(
-        model, k, lam, [1.0, 0.0], [0.0, 1.0], subordinacy["r0"],
-        subordinacy["r_end"]))
+    records, pairs = [None] * len(cells), {}
+    for i, (k, lam) in enumerate(cells):
+        if lam == 0.0:
+            records[i] = {"classification": "excluded",
+                          "path": "boundary-point"}
+        elif lam < 0.0:
+            pairs[i] = ([1.0, 0.0], [0.0, 1.0], subordinacy["r0"],
+                        subordinacy["r_end"], 1e-10)
+    positive = [i for i, (_, lam) in enumerate(cells) if lam > 0.0]
+    if positive:
+        q = _probe_q(model)
+        far = {i: _attempt(_eigen_side_cell, model, q, *cells[i])
+               for i in positive}
+        live = [i for i in positive if not isinstance(far[i], Exception)]
+        u = _attempt(propagate, ChannelBatch(
+            model, [cells[i][0] for i in live], [cells[i][1] for i in live]),
+            [far[i][1] for i in live], [far[i][0] for i in live], 1.0,
+            rtol=_SHOOT_RTOL) if live else None
+        for i in positive:
+            if i not in live:
+                records[i] = far[i]
+            elif isinstance(u, Exception):
+                records[i] = u
+            else:
+                u_dec = u[live.index(i)]
+                u_dec = u_dec / np.hypot(*u_dec)
+                pairs[i] = (u_dec, np.array([-u_dec[1], u_dec[0]]), 1.0,
+                            far[i][0], 1e-9)
+    order = sorted(pairs)
+    for i, report in zip(order, _ratios(
+            model, [(*cells[i], *pairs[i]) for i in order])):
+        records[i] = (report if isinstance(report, Exception)
+                      else _subordinacy_cell(report))
+    return records
 
 
-def _eigen_side_cell(model, k, lam):
-    """The ratio of the solution recessive at infinity to its orthogonal
-    complement, from r = 1 to where the WKB exponent past the turning point
-    reaches 15: subordinate-found when the recessive one is subordinate."""
-    r0, q = 1.0, _probe_q(model)
-    r_star = _turning_radius(q, lam)
-    r_far = _shoot_range(q, k, lam, max(r_star, r0 * 1.5), 15.0)
-    u_dec = propagate(assemble_channel(model, k, lam),
-                      decaying_direction(model, k, lam, r_far), r_far, r0,
-                      rtol=_SHOOT_RTOL)
-    u_dec = u_dec / np.hypot(*u_dec)
-    generic = np.array([-u_dec[1], u_dec[0]])
-    return _subordinacy_cell(subordinacy_ratio(
-        model, k, lam, u_dec, generic, r0, r_far, rtol=1e-9))
+def _eigen_side_cell(model, q, k, lam):
+    """(r_far, u): the far radius of a lambda > 0 cell, where the WKB
+    exponent past the turning point (and past r = 1.5) reaches 15, on q
+    read on the probe (`_probe_q`), and the direction decaying toward it
+    there (`decaying_direction`)."""
+    r_far = _shoot_range(q, k, lam, max(_turning_radius(q, lam), 1.5), 15.0)
+    return r_far, decaying_direction(model, k, lam, r_far)
 
 
 def _subordinacy_cell(report):

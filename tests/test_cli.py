@@ -69,6 +69,11 @@ EQUAL_MODEL = {
     "q": {"family": "power", "params": {"c": 1.0, "p": 1.0}},
     "m": {"family": "power", "params": {"c": 1.0, "p": 1.0}},
 }
+# q = m = e^r, whose Magnus steps fail where e^r outgrows them
+EXP_EQUAL_MODEL = {
+    "q": {"family": "exp", "params": {"c": 1.0, "a": 1.0}},
+    "m": {"family": "exp", "params": {"c": 1.0, "a": 1.0}},
+}
 # q = r plus tabulated data, linear between its samples and beyond them
 SUM_TABULATED_MODEL = {
     "q": {"family": "sum", "params": {"terms": [
@@ -556,6 +561,30 @@ class TestGoldenHypotheses:
             (DATA / f"hypotheses_{name}.json").read_bytes()
 
 
+class TestGoldenBorderline:
+    # golden files written before the m == q cells of a call shared two
+    # batched solves (see tests/data/README.md)
+    def test_subordinacy_reports_are_byte_identical(self, tmp_path):
+        run(["subordinacy", "--config", fixture_path("borderline_linear"),
+             "--out", tmp_path])
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["subordinacy_k=1_lambda=-1.json",
+                         "subordinacy_k=1_lambda=1.json"]
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (
+                DATA / f"subordinacy_borderline_linear_{name[12:]}"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_is_byte_identical(self, tmp_path, workers):
+        # k = 1, -1, 2 at lambda -2, 0 and 2.5: 9 cells of both signs in
+        # one call, or in two chunks
+        run(["scan", "--config", DATA / "borderline_mixed.json",
+             "--out", tmp_path, "--workers", workers])
+        assert (tmp_path / "scan.json").read_bytes() == \
+            (DATA / "scan_borderline_mixed.json").read_bytes()
+
+
 class TestScanCommand:
     def test_deterministic_outputs(self, tmp_path):
         cfg = fixture_path("borderline_linear")
@@ -598,6 +627,61 @@ class TestScanCommand:
         assert (tmp_path / "seq" / "scan.csv").read_bytes() == \
             (tmp_path / "par" / "scan.csv").read_bytes()
 
+    def test_failed_cell_is_an_error_record(self, tmp_path):
+        # q = m = e^r: the lambda = -1 ratios fail at their Magnus steps;
+        # their cells are error records, and every other cell is that of a
+        # scan without them
+        doc = {"model": EXP_EQUAL_MODEL, "k_set": [1, -1],
+               "subordinacy": {"r_end": 60.0}}
+        for name, lams, code in (("all", [-1.0, 0.0, 3.0], 1),
+                                 ("some", [0.0, 3.0], 0)):
+            cfg = write_config(tmp_path, {**doc, "lambda_grid": lams},
+                               name=f"{name}.json")
+            assert run(["scan", "--config", cfg, "--out", tmp_path / name,
+                        "--assert"]) == code
+        cells = json.loads((tmp_path / "all" / "scan.json").read_text())
+        cells = cells["cells"]
+        errors = [c for c in cells if c["classification"] == "error"]
+        assert [(c["k"], c["lambda"]) for c in errors] == [(-1, -1.0),
+                                                           (1, -1.0)]
+        for cell in errors:
+            assert cell["error"].startswith(
+                "PreconditionError: cumulative norms failed: Magnus step")
+            assert cell["traceback"][-1].endswith(cell["error"][19:])
+            assert "cumulative_norms" in "".join(cell["traceback"])
+        rest = json.loads((tmp_path / "some" / "scan.json").read_text())
+        assert [c for c in cells if c not in errors] == rest["cells"]
+
+    def test_forks_one_worker_fewer(self, tmp_path, monkeypatch):
+        # --workers N forks N - 1 workers (at most one per chunk past the
+        # first, which the calling process classifies) and writes what one
+        # process writes
+        import multiprocessing.process
+
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(self):
+            started.append(self)
+            return start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting)
+        cfg = write_config(tmp_path, {"model": LINEAR_MODEL,
+                                      "k_set": [1, -1, 2, 3],
+                                      "lambda_grid": [-1.0],
+                                      "solver": {"r_end": 20.0}})
+        run(["scan", "--config", cfg, "--out", tmp_path / "1"])
+        assert started == []
+        for workers, forked in ((2, 1), (3, 2), (8, 2)):
+            started.clear()
+            out = tmp_path / str(workers)
+            assert run(["scan", "--config", cfg, "--out", out,
+                        "--workers", workers]) == 0
+            assert len(started) == forked
+            assert (out / "scan.json").read_bytes() == \
+                (tmp_path / "1" / "scan.json").read_bytes()
+
     def test_pool_sized_by_k_chunks(self, tmp_path, monkeypatch):
         import concurrent.futures
 
@@ -622,12 +706,13 @@ class TestScanCommand:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlineExecutor)
-        # one chunk per worker, each of whole |k| pairs: a single chunk runs
-        # in this process
+        # chunks of whole |k| pairs, one per worker: the calling process
+        # classifies the first, a pool of one fewer worker the rest, and a
+        # single chunk needs no pool
         for i, (k_set, workers, pools, parts) in enumerate((
                 ([1, -1, 1], 5000, [], []),
-                ([1, -1, 2], 5000, [2], [[1, -1], [2]]),
-                ([1, -1, 2, 3, -3], 2, [2], [[1, -1, 3, -3], [2]]))):
+                ([1, -1, 2], 5000, [1], [[2]]),
+                ([1, -1, 2, 3, -3], 2, [1], [[2]]))):
             sizes.clear()
             chunks.clear()
             out = tmp_path / str(i)
@@ -1192,20 +1277,41 @@ class TestOtherCommands:
         # the run at 1 instance takes the first-call allocations
         assert peaks[2] <= 1.25 * peaks[1]
 
+    def test_subordinacy_raises_the_first_refusal(self, tmp_path):
+        # q = m = e^r: the lambda = -1 ratio of each k fails; the command
+        # writes the cells before the first failure in k x lambda order and
+        # raises that cell's refusal, the error of its own ratio
+        cfg = write_config(tmp_path, {"model": EXP_EQUAL_MODEL,
+                                      "k_set": [-1, 1],
+                                      "lambda_grid": [3.0, -1.0],
+                                      "subordinacy": {"r_end": 60.0}})
+        model = load_config(cfg).model
+        with pytest.raises(PreconditionError) as lone:
+            subordinacy.subordinacy_ratio(model, -1, -1.0, [1, 0], [0, 1],
+                                          1.0, 60.0)
+        with pytest.raises(PreconditionError) as raised:
+            run(["subordinacy", "--config", cfg, "--out", tmp_path / "o"])
+        assert str(raised.value) == str(lone.value)
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [
+            "subordinacy_k=-1_lambda=3.json"]
+
     def test_subordinacy_assert_counts_positive_lambda(self, tmp_path,
                                                       monkeypatch):
         # a lambda > 0 cell that finds no subordinate solution is a finding
         import diracspec.subordinacy as sub
 
-        eigen_side_cell = sub._eigen_side_cell
+        subordinacy_cell = sub._subordinacy_cell
 
-        def inconclusive(*args):
-            return {**eigen_side_cell(*args), "classification": "inconclusive"}
+        def inconclusive(report):
+            cell = subordinacy_cell(report)
+            if report.lam > 0.0:
+                cell["classification"] = "inconclusive"
+            return cell
 
         cfg = fixture_path("borderline_linear")
         assert run(["subordinacy", "--config", cfg, "--out", tmp_path / "a",
                     "--assert"]) == 0
-        monkeypatch.setattr(sub, "_eigen_side_cell", inconclusive)
+        monkeypatch.setattr(sub, "_subordinacy_cell", inconclusive)
         assert run(["subordinacy", "--config", cfg, "--out", tmp_path / "b",
                     "--assert"]) == 1
         assert run(["subordinacy", "--config", cfg,
@@ -1276,6 +1382,63 @@ def _agrees(full, back, digits, n=None):
                        for x, y, d in zip(row, got, n))
         return all(_agrees(x, y, digits, n) for x, y in zip(full, back))
     return full == back
+
+
+def stdlib_json(obj, digits=None):
+    """Reference for `cli._write_json`: json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) of obj with every non-finite float replaced by None
+    and every other one rounded to the count `digits` gives the innermost
+    key above it (a tuple of counts: one a column of a list of rows)."""
+    def rounded(obj, n):
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                return None
+            return obj if n is None else float("%.*g" % (n, obj))
+        if isinstance(obj, dict):
+            return {key: rounded(value, digits.get(key, n) if digits else n)
+                    for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if isinstance(n, tuple):
+                return [[rounded(x, d) for x, d in zip(row, n)]
+                        for row in obj]
+            return [rounded(value, n) for value in obj]
+        return obj
+
+    return json.dumps(rounded(obj, None), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+class TestJsonWriter:
+    DOC = {
+        "nan": math.nan, "inf": [math.inf, -math.inf, 1.5],
+        "C": 1.2345678901234567, "sup_R": np.float64(2.0 / 3.0),
+        "fit": {"slope": -0.12345678901234567,
+                "deeper": {"intercept": [1.0 / 3.0, (2.0 / 7.0,)],
+                           "r_squared": None}},
+        "ratio_tail": [(1.0, 1.0 / 3.0), (2.0, math.nan), (3.0, 1e-300)],
+        "by_k": {"-1": [3.659838847769784], "1": []},
+        "empty": {}, "none": [], "tuple": (), "rows": [[], ()],
+        "text": "λ = –1, \"quoted\"\n\ttab \\ \u0007 \U0001f600",
+        "ünïcode": {"b": 1, "a": 2, "B": 3},
+        "flags": [True, False], "counts": [0, -3, 10 ** 20],
+        "neg_zero": -0.0, "tiny": 5e-324, "big": 1.7976931348623157e308,
+    }
+
+    @pytest.mark.parametrize("kind", ["scan", "subordinacy", "eigenvalues",
+                                      "hypotheses", None])
+    def test_matches_stdlib(self, tmp_path, kind):
+        doc = {**self.DOC, "kind": kind}
+        cli._write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == \
+            stdlib_json(doc, DIGITS.get(kind))
+
+    def test_empty_and_scalar_documents(self):
+        for obj in ({}, [], (), "x", 1, 2.5, None, True, math.inf, [[{}]]):
+            assert cli._json(obj, None, None, "") + "\n" == stdlib_json(obj)
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json({"a": np.int64(1)}, None, None, "")
 
 
 class TestArtifactDigits:

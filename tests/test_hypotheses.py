@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 
 from diracspec import bvcalc, hypotheses
 from diracspec.bvcalc import sample_window
-from diracspec.cli import _finite, fixture_path, load_config
+from diracspec.cli import _json, fixture_path, load_config
 from diracspec.coefficients import (
     ChannelSystem,
     CoefficientFunction,
@@ -498,7 +499,7 @@ class TestCConditions:
                            "quotients skipped")
         minima = c3.evidence["q_minus_w_window_minima"]
         assert 0.0 < minima[0] < minima[1] < np.inf and minima[2] == np.inf
-        assert _finite(c3.to_dict())["evidence"] == {
+        assert json.loads(_json(c3.to_dict(), None, None, ""))["evidence"] == {
             "q_minus_w_window_minima": [minima[0], minima[1], None]}
         # q = m = e^r: a zero floor, then inf - inf
         c3 = by_id(check_c_conditions(EQUAL_EXP, [1], [-1.0])[1, -1.0])["C3"]

@@ -555,6 +555,44 @@ class TestCumulativeNorms:
         with pytest.raises(PreconditionError, match="cumulative norms"):
             cumulative_norms(ch, np.eye(2), np.array([700.0, 720.0]), 1e-10)
 
+    def test_batch_equals_lone_calls(self):
+        # a mixed k, both lambda signs, two tolerances and a node row a
+        # channel: each channel's norms are those of its lone call
+        ks, lams = [1, -1, 2, -1], [-1.0, -2.3, 2.0, 1.5]
+        rtols = np.array([1e-10, 1e-10, 1e-9, 1e-9])
+        U0 = np.array([[[0.3, 2.0], [-0.7, 0.5]], np.eye(2),
+                       [[0.6, -0.8], [0.8, 0.6]], [[0.0, 1.0], [1.0, 0.0]]])
+        nodes = np.array([np.geomspace(r0, r1, 20) for r0, r1 in
+                          ((1.0, 60.0), (0.8, 33.0), (1.0, 9.3), (1.5, 11.0))])
+        got = cumulative_norms(ChannelBatch(EQUAL, ks, lams), U0, nodes,
+                               rtols)
+        assert len(got) == len(ks)
+        for i, (k, lam) in enumerate(zip(ks, lams)):
+            lone = cumulative_norms(assemble_channel(EQUAL, k, lam), U0[i],
+                                    nodes[i], rtols[i])
+            assert got[i].shape == (2, 19)
+            assert np.array_equal(got[i], lone)
+
+    def test_failed_channel_fails_alone(self):
+        # q = e^r blows up on [700, 720] only: that channel's entry is the
+        # error of its lone call, and its mates keep their norms
+        model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
+                                 m=constant(1))
+        lams = [0.5, 2.0, -1.0]
+        nodes = np.array([np.linspace(1.0, 2.0, 5), np.linspace(700.0, 720.0, 5),
+                          np.linspace(1.0, 3.0, 5)])
+        got = cumulative_norms(ChannelBatch(model, 1, lams),
+                               np.stack([np.eye(2)] * 3), nodes, 1e-10)
+        with pytest.raises(PreconditionError) as lone:
+            cumulative_norms(assemble_channel(model, 1, 2.0), np.eye(2),
+                             nodes[1], 1e-10)
+        assert isinstance(got[1], PreconditionError)
+        assert str(got[1]) == str(lone.value)
+        for i in (0, 2):
+            assert np.array_equal(got[i], cumulative_norms(
+                assemble_channel(model, 1, lams[i]), np.eye(2), nodes[i],
+                1e-10))
+
 
 def dop853_polar(channel, rho0, theta0, grid):
     """Reference (theta, ln rho) on the grid from DOP853 on the polar

@@ -222,12 +222,20 @@ class TestPhaseBand:
             phase_band(EQUAL, 1, -0.25, 1.0, 120.0)
 
 
-def dop853_norms(channel, U0, nodes, rtol):
-    """Reference for `cumulative_norms`: the weighted Pruefer pair, (theta,
-    ln rho, I) for both columns of U0 by DOP853 on the scalar coefficients,
-    with I read at nodes[1:].  For m == q and lambda < 0 it runs on the
-    rescaled channel, where |u|^2 = sqrt(Lambda/gamma) v1^2 +
-    sqrt(gamma/Lambda) v2^2."""
+def dop853_norms(batch, U0, nodes, rtol):
+    """Reference for `cumulative_norms` on a `ChannelBatch`: one I a
+    channel, from `dop853_pair` at its own rtol."""
+    rtol = np.broadcast_to(rtol, (len(batch),))
+    return [dop853_pair(assemble_channel(batch.model, k, lam), *args)
+            for k, lam, *args in zip(batch.ks.tolist(), batch.lams.tolist(),
+                                     U0, nodes, rtol.tolist())]
+
+
+def dop853_pair(channel, U0, nodes, rtol):
+    """The weighted Pruefer pair, (theta, ln rho, I) for both columns of U0
+    by DOP853 on the scalar coefficients, with I read at nodes[1:].  For
+    m == q and lambda < 0 it runs on the rescaled channel, where |u|^2 =
+    sqrt(Lambda/gamma) v1^2 + sqrt(gamma/Lambda) v2^2."""
     model, lam = channel.model, channel.lam
     rescaled = lam < 0.0 and models_equal(model)[0]
     if rescaled:
@@ -321,9 +329,9 @@ class TestRatio:
 
         monkeypatch.setattr(subordinacy, "cumulative_norms", recording)
         subordinacy_ratio(EQUAL, k, lam, *pair_args(k, lam, r_end))
-        ((channel, U0, nodes, rtol), I), = calls
-        assert rtol == 1e-10
-        ref = dop853_norms(channel, U0, nodes, 1e-13)
+        ((batch, U0, nodes, rtol), (I,)), = calls
+        assert rtol.tolist() == [1e-10]
+        (ref,) = dop853_norms(batch, U0, nodes, 1e-13)
         assert np.max(np.abs(I / ref - 1.0)) <= 1e-8
 
     def test_no_scalar_coefficient_calls(self, monkeypatch):
@@ -374,6 +382,89 @@ class TestRatio:
     def test_general_route_for_dominant_model(self):
         rep = subordinacy_ratio(LINEAR, 1, -1.0, [1, 0], [0, 1], 1.0, 120.0)
         assert rep.classification == "no-subordinate"
+
+
+# q = m = r at k = +-1, one lambda of each sign, from r0 = 1: the seed-1
+# `borderline_spectrum` cells at c = 1
+CELL_RANGE = {"r0": 1.0, "r_end": 40.0}
+CELLS = [(1, -2.3), (1, 2.0), (-1, -2.3), (-1, 2.0)]
+
+
+class TestBorderlineCells:
+    def test_two_solves_a_subordinacy_call(self, tmp_path, monkeypatch):
+        # one propagate for the decaying directions of both lambda > 0
+        # cells, one cumulative_norms for the ratios of all four, each
+        # cell at its own tolerance
+        calls = []
+        for name in ("propagate", "cumulative_norms"):
+            def spy(channel, *args, fn=getattr(subordinacy, name), name=name,
+                    **kwargs):
+                calls.append((name, channel, args, kwargs))
+                return fn(channel, *args, **kwargs)
+
+            monkeypatch.setattr(subordinacy, name, spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"q": {"family": "power", "params": {"c": 1, "p": 1}},
+                      "m": {"family": "power", "params": {"c": 1, "p": 1}}},
+            "k_set": [1, -1], "lambda_grid": [-2.3, 0.0, 2.0],
+            "subordinacy": CELL_RANGE}))
+        assert cli.main(["subordinacy", "--config", str(cfg), "--out",
+                         str(tmp_path / "o"), "--assert"]) == 0
+        (p_name, p_batch, p_args, p_kw), (n_name, n_batch, n_args, _) = calls
+        assert (p_name, n_name) == ("propagate", "cumulative_norms")
+        assert p_batch.ks.tolist() == [1, -1]
+        assert p_batch.lams.tolist() == [2.0, 2.0]
+        assert p_kw["rtol"] == subordinacy._SHOOT_RTOL
+        assert list(zip(n_batch.ks.tolist(), n_batch.lams.tolist())) == CELLS
+        assert n_args[2].tolist() == [1e-10, 1e-9, 1e-10, 1e-9]
+        assert len(list((tmp_path / "o").iterdir())) == 4
+
+    def test_cells_equal_their_one_cell_ratios(self):
+        # each cell's report is that of `subordinacy_ratio` on its own pair,
+        # range and tolerance, number for number
+        got = subordinacy.borderline_cells(EQUAL, CELLS + [(2, 0.0)],
+                                           CELL_RANGE)
+        assert got[-1] == {"classification": "excluded",
+                           "path": "boundary-point"}
+        q = _probe_q(EQUAL)
+        for (k, lam), cell in zip(CELLS, got):
+            if lam < 0.0:
+                rep = subordinacy_ratio(EQUAL, k, lam, [1, 0], [0, 1],
+                                        CELL_RANGE["r0"], CELL_RANGE["r_end"])
+                assert cell["classification"] == "ac-candidate"
+            else:
+                r_far, u = subordinacy._eigen_side_cell(EQUAL, q, k, lam)
+                u_dec = propagate(assemble_channel(EQUAL, k, lam), u, r_far,
+                                  1.0, rtol=subordinacy._SHOOT_RTOL)
+                u_dec = u_dec / np.hypot(*u_dec)
+                rep = subordinacy_ratio(EQUAL, k, lam, u_dec,
+                                        [-u_dec[1], u_dec[0]], 1.0, r_far,
+                                        rtol=1e-9)
+                assert cell["classification"] == "subordinate-found"
+            assert cell == {"path": "subordinacy",
+                            "classification": cell["classification"],
+                            "report": rep.to_dict()}
+
+    def test_failed_cell_fails_alone(self):
+        # q = m = e^r: the lambda < 0 ratios fail at their Magnus steps,
+        # each with the error of its one-cell call; the lambda > 0 cells
+        # are those of a call without them
+        model = CoefficientModel(q=coefficient("exp", c=1.0, a=1.0),
+                                 m=coefficient("exp", c=1.0, a=1.0))
+        cells = [(1, -1.0), (1, 3.0), (-1, -1.0), (-1, 3.0)]
+        got = subordinacy.borderline_cells(model, cells, {"r0": 1.0,
+                                                          "r_end": 60.0})
+        alone = subordinacy.borderline_cells(model, [(1, 3.0), (-1, 3.0)],
+                                             {"r0": 1.0, "r_end": 60.0})
+        assert [got[1], got[3]] == alone
+        for k in (1, -1):
+            with pytest.raises(PreconditionError) as lone:
+                subordinacy_ratio(model, k, -1.0, [1, 0], [0, 1], 1.0, 60.0)
+            err = got[cells.index((k, -1.0))]
+            assert isinstance(err, PreconditionError)
+            assert str(err) == str(lone.value)
+            assert str(err).startswith("cumulative norms failed: Magnus step")
 
 
 class TestDecayingDirection:

@@ -3,14 +3,19 @@
     python tools/digit_spreads.py [--slow] WORKDIR
 
 runs every solving command on the five fixtures and on the seed 1-3 configs
-of the `dominant_certify` and `borderline_spectrum` bench workloads twice,
-in fresh interpreters: once as shipped and once with every step and root
-tolerance divided by 100.  It then prints, per artifact kind and CSV column
-or JSON key, the largest relative spread of a written number between the
-two runs (u1 and u2 of a trajectory relative to rho), and the count
-ceil(-log10 spread) + 1, for every number that moved at all.  Both runs
-write every number in full; a command that refuses a fixture is skipped.  `--slow`
-adds `solve dominant_linear`, the Cartesian DOP853 path (about 75 s).
+of the `dominant_certify` and `borderline_spectrum` bench workloads three
+times, in fresh interpreters: as shipped, with every step and root
+tolerance divided by 100 (`fine`), and with every first trial step of
+every Magnus solve cut into `SPLIT` geometric pieces (`split`: the output
+grids, ratio ladders and the geometric pieces of `propagate` stay the
+nodes the steps end on, so every number is read where the shipped run
+reads it).  It then prints, per artifact kind and CSV column or JSON key,
+the largest relative spread of a written number between the shipped run
+and each other run (u1 and u2 of a trajectory relative to rho), and the
+count ceil(-log10 s) + 1 for the larger spread s, for every number that
+moved at all.  Every run writes every number in full; a command that
+refuses a fixture is skipped.  `--slow` adds `solve dominant_linear`, the
+Cartesian DOP853 path (about 75 s), whose steps the split does not touch.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ FIXTURES = ("borderline_linear", "constant_coeff", "dominant_linear",
             "modulated_quarter", "sqrt_periodic")
 COMMANDS = ("solve", "boundedness", "subordinacy", "eigen", "scan",
             "asymptotics")
+SIDES = ("ship", "fine", "split")
+# the pieces each first trial step is cut into on the `split` side
+SPLIT = 8
 
 
 def _invocations(workdir: Path, slow: bool) -> list:
@@ -78,6 +86,29 @@ def _finer():
     cli.eigen_shoot, cli.load_config = finer_shoot, finer_load
 
 
+def _split():
+    """Cut every first trial step of every Magnus solve into `SPLIT`
+    geometric pieces, so that the `solver._COARSE` = 16 pieces of a
+    `propagate` range become 128.  The pieces of node interval j are
+    intervals SPLIT j to SPLIT j + SPLIT - 1 of the cut solve, so each kept
+    step is mapped back onto interval j and the solve still reads its
+    numbers at the nodes."""
+    import numpy as np
+
+    from diracspec import solver
+
+    steps = solver._steps
+
+    def split_steps(qml, nodes, rtol):
+        a, b = nodes[:, :-1, None], nodes[:, 1:, None]
+        cut = a * (b / a) ** (np.arange(SPLIT) / SPLIT)
+        cut = np.column_stack((cut.reshape(len(nodes), -1), nodes[:, -1]))
+        t, seg, X, nfev, failures = steps(qml, cut, rtol)
+        return t, seg // SPLIT, X, nfev, failures
+
+    solver._steps = split_steps
+
+
 def _run(workdir: Path, side: str, slow: bool):
     from diracspec import cli
     from diracspec.solver import DIGITS
@@ -87,6 +118,8 @@ def _run(workdir: Path, side: str, slow: bool):
             table[key] = tuple(17 for _ in n) if isinstance(n, tuple) else 17
     if side == "fine":
         _finer()
+    if side == "split":
+        _split()
 
     for name, argv in _invocations(workdir, slow):
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -135,22 +168,27 @@ def _spread(a, b, scale) -> float:
 def _compare(workdir: Path):
     worst = {}
     for path in sorted((workdir / "ship").rglob("*.*")):
-        other = workdir / "fine" / path.relative_to(workdir / "ship")
-        a, b = _numbers(path), _numbers(other)
-        for key, xs in a.items():
-            scale = [max(abs(x), abs(y)) for x, y in zip(xs, b[key])]
-            if key in {("trajectory", "u1"), ("trajectory", "u2")}:
-                scale = a["trajectory", "rho"]
-            worst[key] = max(worst.get(key, 0.0), _spread(xs, b[key], scale))
-    for (kind, key), s in sorted(worst.items()):
-        if s:
-            print(f"{kind:12} {key:16} {s:9.2e} {math.ceil(-math.log10(s)) + 1}")
+        a = _numbers(path)
+        for j, side in enumerate(SIDES[1:]):
+            b = _numbers(workdir / side / path.relative_to(workdir / "ship"))
+            for key, xs in a.items():
+                scale = [max(abs(x), abs(y)) for x, y in zip(xs, b[key])]
+                if key in {("trajectory", "u1"), ("trajectory", "u2")}:
+                    scale = a["trajectory", "rho"]
+                spreads = worst.setdefault(key, [0.0, 0.0])
+                spreads[j] = max(spreads[j], _spread(xs, b[key], scale))
+    print(f"{'kind':12} {'key':16} {'fine':>9} {'split':>9} digits")
+    for (kind, key), spreads in sorted(worst.items()):
+        if max(spreads):
+            fine, split = spreads
+            digits = math.ceil(-math.log10(max(spreads))) + 1
+            print(f"{kind:12} {key:16} {fine:9.2e} {split:9.2e} {digits}")
 
 
 def main(argv):
     slow = "--slow" in argv
     workdir = Path([a for a in argv if a != "--slow"][0]).resolve()
-    for side in ("ship", "fine"):
+    for side in SIDES:
         subprocess.run([sys.executable, __file__, "--side", side, str(workdir),
                         *(["--slow"] if slow else [])], check=True, cwd=ROOT)
     _compare(workdir)
